@@ -68,9 +68,9 @@ func connFlags(fs *flag.FlagSet) *connOpts {
 		manager:      fs.String("manager", "127.0.0.1:9400", "manager address, or comma-separated federation member list"),
 		mapCache:     fs.Bool("map-cache", true, "cache chunk-maps client-side: explicit-version re-opens need zero manager RPCs, latest opens one revalidation probe (false = full getMap per open, the ablation baseline)"),
 		mux:          fs.Int("mux", 0, "share N session-multiplexed manager connections for metadata RPCs instead of pooling one serial conn per in-flight call (0 = serial pool; chunk traffic to benefactors is unaffected)"),
-		dataMux:      fs.Bool("data-mux", false, "pipeline chunk traffic to benefactors over shared session-multiplexed connections: writes keep a window of in-flight puts per stripe node, reads batch the prefetch window into one request per replica (false = the historical one-blocking-call-per-chunk transport)"),
+		dataMux:      fs.Bool("data-mux", false, "windowed uploads: each stripe node gets a session-multiplexed connection carrying a window of in-flight chunk puts (false = one blocking put per chunk); restores always batch over shared multiplexed connections"),
 		uploadWindow: fs.Int("upload-window", 0, "with -data-mux: in-flight chunk puts per stripe node (0 = 8)"),
-		readBatch:    fs.Int("read-batch", 0, "with -data-mux: chunk IDs per batched read request (0 = 16)"),
+		readBatch:    fs.Int("read-batch", 0, "chunk IDs per batched read request (0 = 16); a batch also closes at 1 MB + 64 KB of chunk bytes, and a one-chunk batch is a plain get"),
 	}
 }
 

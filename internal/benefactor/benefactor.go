@@ -369,18 +369,31 @@ func (b *Benefactor) fetchChunk(id core.ChunkID) ([]byte, error) {
 // via GetInto directly into one pooled body buffer (no per-chunk copies),
 // concatenated in request order. Chunks that are absent — or that vanish
 // or change size between the sizing pass and the read — are reported with
-// size -1 so the caller fails over per chunk, never per batch. The body is
-// pooled and ownership transfers to the response frame (Recycle).
+// size -1 so the caller fails over per chunk, never per batch. The request
+// comes off the wire, so neither its ID count nor the chunk sizes it sums
+// to are trusted: slots past proto.MaxBatchIDs, and every slot from the
+// first chunk that would grow the body past the largest pooled buffer,
+// are answered -1 the same way. The body is pooled and ownership
+// transfers to the response frame (Recycle).
 func (b *Benefactor) fetchBatch(ids []core.ChunkID) (proto.BatchGetResp, []byte) {
 	sizes := make([]int64, len(ids))
+	for i := range sizes {
+		sizes[i] = -1
+	}
+	if len(ids) > proto.MaxBatchIDs {
+		ids = ids[:proto.MaxBatchIDs]
+	}
 	var total int64
 	for i, id := range ids {
-		if sz, ok := b.chunks.Size(id); ok {
-			sizes[i] = sz
-			total += sz
-		} else {
-			sizes[i] = -1
+		sz, ok := b.chunks.Size(id)
+		if !ok {
+			continue
 		}
+		if total+sz > wire.MaxPooledBuf {
+			break
+		}
+		sizes[i] = sz
+		total += sz
 	}
 	if total == 0 {
 		return proto.BatchGetResp{Sizes: sizes}, nil

@@ -229,3 +229,62 @@ func TestZeroLengthChunkRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestGetBatchIsBounded sends BGetBatch requests larger than the benefactor
+// will assemble. Neither the ID count nor the summed chunk sizes are
+// trusted: the reply stops at the largest pooled buffer or at
+// proto.MaxBatchIDs, and every slot past the bound is answered -1 so the
+// caller's per-chunk failover picks it up.
+func TestGetBatchIsBounded(t *testing.T) {
+	b := startNode(t, Config{})
+	put := func(data []byte) core.ChunkID {
+		id := core.HashChunk(data)
+		call(t, b.Addr(), proto.BPut, proto.PutReq{ID: id}, data, nil)
+		return id
+	}
+
+	// Body bound: five 300 KB chunks sum to 1.5 MB; three fit a pooled
+	// buffer. The small chunk after the cut is past the bound too.
+	var ids []core.ChunkID
+	var want []byte
+	for i := 0; i < 5; i++ {
+		data := bytes.Repeat([]byte{byte('a' + i)}, 300<<10)
+		ids = append(ids, put(data))
+		if i < 3 {
+			want = append(want, data...)
+		}
+	}
+	ids = append(ids, put([]byte("small, but after the cut")))
+	var resp proto.BatchGetResp
+	body := call(t, b.Addr(), proto.BGetBatch, proto.BatchGetReq{IDs: ids}, nil, &resp)
+	if len(body) > wire.MaxPooledBuf || !bytes.Equal(body, want) {
+		t.Fatalf("body is %d bytes, want the first three chunks (%d bytes)", len(body), len(want))
+	}
+	if len(resp.Sizes) != len(ids) {
+		t.Fatalf("%d sizes for %d ids", len(resp.Sizes), len(ids))
+	}
+	for i, sz := range resp.Sizes {
+		if i < 3 && sz != 300<<10 || i >= 3 && sz != -1 {
+			t.Fatalf("sizes = %v, want three served slots then -1", resp.Sizes)
+		}
+	}
+
+	// ID bound: one tiny chunk named MaxBatchIDs+8 times.
+	tiny := []byte("tiny")
+	tinyID := put(tiny)
+	ids = ids[:0]
+	for i := 0; i < proto.MaxBatchIDs+8; i++ {
+		ids = append(ids, tinyID)
+	}
+	resp = proto.BatchGetResp{}
+	body = call(t, b.Addr(), proto.BGetBatch, proto.BatchGetReq{IDs: ids}, nil, &resp)
+	if len(body) != proto.MaxBatchIDs*len(tiny) || len(resp.Sizes) != len(ids) {
+		t.Fatalf("body %d bytes, %d sizes; want %d bytes, %d sizes",
+			len(body), len(resp.Sizes), proto.MaxBatchIDs*len(tiny), len(ids))
+	}
+	for i, sz := range resp.Sizes {
+		if i < proto.MaxBatchIDs && sz != int64(len(tiny)) || i >= proto.MaxBatchIDs && sz != -1 {
+			t.Fatalf("slot %d answered %d", i, sz)
+		}
+	}
+}

@@ -75,27 +75,29 @@ func BenchmarkUploadPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkReadPath contrasts the two restore transports: "serial" is the
-// per-chunk BGet path, "mux" the DataMux plane (prefetch window grouped
-// by replica into BGetBatch requests over shared connections). One op is
-// an explicit-version cached open plus a full read of an 8-chunk image,
-// so the delta between the variants is pure data-plane transport. Rides
-// the bench-compare allocs gate.
+// BenchmarkReadPath contrasts two configurations of the one restore
+// scheduler: "serial" is its degenerate stop-and-wait setting (ReadAhead =
+// 1, ReadBatch = 1: one BGet outstanding), "mux" the default reader with
+// no read-side switch set (4 MB window grouped by replica into BGetBatch
+// requests). Both ride the client's shared multiplexed pool. One op is an
+// explicit-version cached open plus a full read of an 8-chunk image, so
+// the delta between the variants is pure scheduling. Rides the
+// bench-compare allocs gate.
 func BenchmarkReadPath(b *testing.B) {
 	for _, variant := range []struct {
 		name string
-		mux  bool
+		cfg  client.Config
 	}{
-		{"serial", false},
-		{"mux", true},
+		{"serial", client.Config{ReadAhead: 1, ReadBatch: 1}},
+		{"mux", client.Config{}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
-			benchReadPath(b, variant.mux)
+			benchReadPath(b, variant.cfg)
 		})
 	}
 }
 
-func benchReadPath(b *testing.B, mux bool) {
+func benchReadPath(b *testing.B, cfg client.Config) {
 	mgr, err := manager.New(manager.Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -114,15 +116,11 @@ func benchReadPath(b *testing.B, mux bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	cl, err := client.New(client.Config{
-		ManagerAddr: mgr.Addr(),
-		StripeWidth: 4,
-		ChunkSize:   64 << 10,
-		Replication: 1,
-		ReadAhead:   8,
-		DataMux:     mux,
-		ReadBatch:   8,
-	})
+	cfg.ManagerAddr = mgr.Addr()
+	cfg.StripeWidth = 4
+	cfg.ChunkSize = 64 << 10
+	cfg.Replication = 1
+	cl, err := client.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -138,13 +138,19 @@ type Config struct {
 	Mem *device.Limiter
 	// Shaper wraps every connection the client dials (its NIC model).
 	Shaper wire.Shaper
-	// ReadAhead is the number of chunks fetched ahead during reads.
+	// ReadAhead sizes the restore prefetch window in chunks of the map's
+	// chunk-size bound; ReadAheadBytes, when set, overrides it. With
+	// neither set the window is 4 MB (see ReadAheadBytes). ReadAhead = 1
+	// with ReadBatch = 1 is stop-and-wait: one chunk request outstanding.
 	ReadAhead int
 	// ReadAheadBytes bounds the prefetch window in bytes instead of chunk
 	// count, which keeps prefetch memory stable when chunk sizes are
 	// heterogeneous (CbCH maps mix spans from tens of KB to the max
-	// bound). 0 derives the budget as ReadAhead x the map's chunk-size
-	// bound.
+	// bound) and keeps the same bytes in flight whatever the chunk size:
+	// the default, 4 MB when ReadAhead is unset too, is 4 requests at 1 MB
+	// chunks and 64 chunks' worth at 64 KB. The reader refills the window
+	// once it drains to half, and always keeps at least the chunk the
+	// application is waiting on in flight.
 	ReadAheadBytes int64
 	// MapCacheEntries bounds the client's chunk-map cache (see mapCache):
 	// explicit-version re-opens hit it with zero manager RPCs, "latest"
@@ -162,26 +168,28 @@ type Config struct {
 	// the manager instead of one pooled connection per outstanding call
 	// — the million-writer topology, where socket count stops scaling
 	// with writer count. Zero keeps the historical per-call pool. Chunk
-	// traffic to benefactors is governed separately by DataMux. Ignored
-	// when Endpoint is set; a federated Router selects shared mode via
-	// its own RouterConfig.SharedConns.
+	// traffic to benefactors never rides these connections. Ignored when
+	// Endpoint is set; a federated Router selects shared mode via its own
+	// RouterConfig.SharedConns.
 	SharedManagerConns int
-	// DataMux moves chunk traffic to benefactors onto shared
-	// session-tagged (multiplexed) connections and pipelines the data
-	// plane: each stripe uploader keeps UploadWindow BPuts in flight per
-	// node (acks decoupled from sends), and the reader batches its
-	// prefetch window into one BGetBatch request per replica node. Off
-	// (the default), chunk traffic keeps the historical stop-and-wait
-	// path — one blocking call per chunk on untagged connections,
-	// byte-identical on the wire to older clients.
+	// DataMux pipelines uploads: each stripe uploader dials a
+	// session-tagged (multiplexed) connection and keeps UploadWindow BPuts
+	// in flight per node, acks decoupled from sends. Off (the default),
+	// uploads keep the stop-and-wait path — one blocking BPut per chunk on
+	// an untagged connection. Restores are not affected: the reader always
+	// batches over the client's shared multiplexed pool.
 	DataMux bool
 	// UploadWindow bounds the in-flight (sent, unacked) BPuts per stripe
 	// node when DataMux is on (0 = 8). The write window is additionally
 	// bounded by BufferBytes, which caps total buffered chunk bytes.
 	UploadWindow int
-	// ReadBatch bounds the chunk IDs one BGetBatch request carries when
-	// DataMux is on (0 = 16). The read window is additionally bounded by
-	// the ReadAhead/ReadAheadBytes prefetch budget.
+	// ReadBatch bounds the chunk IDs one BGetBatch request carries (0 =
+	// 16, at most proto.MaxBatchIDs). A batch also closes once its reply
+	// body would outgrow wire.MaxPooledBuf (1 MB + 64 KB), whichever bound
+	// comes first, so batching amortizes per-request latency over small
+	// chunks and 1 MB chunks travel one per request. A one-chunk batch is
+	// sent as a plain BGet. The read window is additionally bounded by the
+	// ReadAhead/ReadAheadBytes prefetch budget.
 	ReadBatch int
 	// Logger receives operational messages; nil discards.
 	Logger *log.Logger
@@ -206,14 +214,17 @@ func (c Config) withDefaults() Config {
 	if c.PessimisticTimeout <= 0 {
 		c.PessimisticTimeout = 2 * time.Minute
 	}
-	if c.ReadAhead <= 0 {
-		c.ReadAhead = 4
+	if c.ReadAhead <= 0 && c.ReadAheadBytes <= 0 {
+		c.ReadAheadBytes = 4 << 20
 	}
 	if c.UploadWindow <= 0 {
 		c.UploadWindow = 8
 	}
 	if c.ReadBatch <= 0 {
 		c.ReadBatch = 16
+	}
+	if c.ReadBatch > proto.MaxBatchIDs {
+		c.ReadBatch = proto.MaxBatchIDs
 	}
 	if c.Chunking == ChunkCbCH {
 		c.CbCH = c.CbCH.WithDefaults()
@@ -228,11 +239,14 @@ type Client struct {
 	// mgrPool, when non-nil, is a shared (multiplexed) pool dedicated to
 	// manager metadata RPCs (Config.SharedManagerConns); owned here.
 	mgrPool *wire.Pool
-	// dataPool, when non-nil, is the shared (multiplexed) pool carrying
-	// pipelined chunk traffic to benefactors (Config.DataMux): batched
-	// reads and windowed uploads tag their frames and share these
-	// sockets instead of dialing per call. Owned here; nil when DataMux
-	// is off and chunk traffic rides the serial pool.
+	// dataPool is the shared (multiplexed) pool carrying every chunk read
+	// to benefactors — batched fetches, single-chunk fetches and per-chunk
+	// failover tag their frames and share its sockets. Owned here for the
+	// client's lifetime: two connections per benefactor (one keeps the
+	// pipe full for bulk bodies, the second lets a small request frame
+	// interleave instead of queueing behind a 1 MB chunk mid-flight),
+	// dialed on first use, each with a reply-demux goroutine that lives
+	// until Close.
 	dataPool *wire.Pool
 	// mgr is the metadata service seam: a single manager or a federated
 	// router, resolved once at construction.
@@ -302,6 +316,7 @@ func New(cfg Config) (*Client, error) {
 	c := &Client{
 		cfg:        cfg,
 		pool:       wire.NewPool(cfg.Shaper, 8),
+		dataPool:   wire.NewSharedPool(cfg.Shaper, 2),
 		maps:       newMapCache(cacheEntries),
 		benefAddrs: make(map[core.NodeID]string),
 	}
@@ -314,13 +329,6 @@ func New(cfg Config) (*Client, error) {
 	default:
 		c.mgr = &singleManager{pool: c.pool, addr: cfg.ManagerAddr}
 	}
-	if cfg.DataMux {
-		// Two shared conns per benefactor: one keeps the pipe full for
-		// bulk bodies, the second lets small control frames (batch
-		// headers, acks) interleave instead of queueing behind a 1 MB
-		// chunk mid-flight.
-		c.dataPool = wire.NewSharedPool(cfg.Shaper, 2)
-	}
 	return c, nil
 }
 
@@ -331,9 +339,7 @@ func (c *Client) Close() error {
 	if c.mgrPool != nil {
 		c.mgrPool.Close()
 	}
-	if c.dataPool != nil {
-		c.dataPool.Close()
-	}
+	c.dataPool.Close()
 	return err
 }
 

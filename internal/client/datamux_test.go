@@ -3,16 +3,21 @@ package client
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"stdchk/internal/faultpoint"
+	"stdchk/internal/proto"
 )
 
 // TestDataMuxRoundTrip covers the pipelined data plane end to end: a
 // DataMux client uploads through windowed multiplexed puts and restores
 // through batched reads, the bytes come back identical, every pooled
 // chunk buffer returns exactly once, and the batch path demonstrably
-// served the read (it did not silently fall back to per-chunk BGets).
+// served the read (it did not silently fall back to per-chunk BGets). The
+// 16-chunk window refills 8 chunks at a time, so every refill of the
+// 48-chunk image puts at least two chunks on each of the three nodes and
+// no chunk travels alone as a plain BGet.
 func TestDataMuxRoundTrip(t *testing.T) {
 	mgr, _ := startCluster(t, 3, 0)
 	cl, err := New(Config{
@@ -30,7 +35,7 @@ func TestDataMuxRoundTrip(t *testing.T) {
 	defer cl.Close()
 	tr := trackChunkBufs(t, cl)
 
-	data := fill(48*32<<10+999, 11) // 49 chunks, final one short
+	data := fill(47*32<<10+999, 11) // 48 chunks, final one short
 	w, err := cl.Create("mux.n1.t0")
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +72,10 @@ func TestDataMuxRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDataMuxSerialInterop pins wire compatibility between the two data
-// planes: a version written by a pipelined (DataMux) client restores
-// byte-identically through a serial client, and vice versa — the mux is
-// a transport choice, not a format change.
+// TestDataMuxSerialInterop pins wire compatibility between the two
+// upload transports: a version written by a pipelined (DataMux) client
+// restores byte-identically through a stop-and-wait client, and vice
+// versa — the mux is a transport choice, not a format change.
 func TestDataMuxSerialInterop(t *testing.T) {
 	mgr, _ := startCluster(t, 2, 0)
 	mk := func(mux bool) *Client {
@@ -189,5 +194,58 @@ func TestPipelinedUploadFaultSweep(t *testing.T) {
 				t.Fatal("committed version differs from written bytes after fault sweep")
 			}
 		})
+	}
+}
+
+// TestReadSurvivesBenefactorBatchBound restores through a benefactor that
+// answers only part of a batch. The client clamps ReadBatch to
+// proto.MaxBatchIDs, so the test widens it behind the clamp to play a peer
+// that does not: one 300-ID request, of which the benefactor serves 256 and
+// answers the tail -1. Those slots must come back through per-chunk BGets —
+// byte-identical, every chunk fetched exactly once.
+func TestReadSurvivesBenefactorBatchBound(t *testing.T) {
+	mgr, _ := startCluster(t, 1, 0)
+	const chunk, chunks = 2 << 10, 300
+	cl, err := New(Config{ManagerAddr: mgr.Addr(), StripeWidth: 1, ChunkSize: chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.cfg.ReadBatch = chunks
+
+	data := make([]byte, chunks*chunk)
+	rand.New(rand.NewSource(5)).Read(data) // every chunk distinct
+	w, err := cl.Create("bound.n1.t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := cl.Open("bound.n1.t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got, err := r.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("restore through a bounded batch is not byte-identical")
+	}
+	if r.BytesFetched() != int64(len(data)) {
+		t.Fatalf("fetched %d bytes for a %d-byte image", r.BytesFetched(), len(data))
+	}
+	if want := int64(proto.MaxBatchIDs * chunk); r.BytesBatched() != want {
+		t.Fatalf("batch served %d bytes, want exactly the benefactor's %d-ID bound (%d bytes)",
+			r.BytesBatched(), proto.MaxBatchIDs, want)
 	}
 }

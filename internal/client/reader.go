@@ -66,14 +66,16 @@ func (b *baseline) chunk(ref core.ChunkRef) ([]byte, bool) {
 // (CbCH) maps — whose spans range from tens of KB to the max bound — hold
 // a stable amount of memory in flight regardless of boundary luck.
 //
-// With Config.DataMux the scheduler batches: each dispatch round groups
-// the window's chunks by their preferred replica and issues one BGetBatch
-// request per node over the shared multiplexed pool, instead of one BGet
-// connection-acquire/RTT per chunk. A miss inside a batch — node down,
-// chunk absent, integrity failure — demotes only the affected chunks to
-// the per-chunk fetch path, which walks the remaining replicas; chunks
-// the batch did serve are never re-fetched (per-chunk, not per-batch,
-// failover).
+// One scheduler feeds the window: each refill groups its chunks by their
+// preferred replica and issues one BGetBatch request per node over the
+// client's shared multiplexed pool, closing a batch at Config.ReadBatch
+// IDs or at wire.MaxPooledBuf body bytes, whichever comes first. A group
+// of one chunk goes as a plain BGet whose pooled body is handed to the
+// application as is. A miss inside a batch — node down, chunk absent,
+// integrity failure — demotes only the affected chunks to that per-chunk
+// fetch, which walks the chunk's replicas over the same pool; chunks the
+// batch did serve are never re-fetched (per-chunk, not per-batch,
+// failover). ReadAhead = 1 with ReadBatch = 1 is stop-and-wait.
 type Reader struct {
 	c    *Client
 	name string
@@ -98,9 +100,8 @@ type Reader struct {
 	bytesFetched atomic.Int64
 	bytesLocal   atomic.Int64
 	// bytesBatched counts the subset of bytesFetched served by BGetBatch
-	// replies (Config.DataMux) rather than per-chunk BGets — the
-	// observable that proves batching engaged instead of silently falling
-	// back.
+	// replies rather than per-chunk BGets — the observable that proves
+	// batching engaged instead of silently falling back.
 	bytesBatched atomic.Int64
 
 	mu       sync.Mutex
@@ -204,8 +205,9 @@ func (r *Reader) BytesFetched() int64 { return r.bytesFetched.Load() }
 func (r *Reader) BytesLocal() int64 { return r.bytesLocal.Load() }
 
 // BytesBatched reports how many of the fetched bytes arrived in BGetBatch
-// replies — always 0 without Config.DataMux, and less than BytesFetched
-// whenever per-chunk failover had to re-fetch slots a batch missed.
+// replies. It is less than BytesFetched by every chunk that travelled
+// alone: a one-chunk group (always, at chunk sizes over half of
+// wire.MaxPooledBuf) and every slot per-chunk failover had to re-fetch.
 func (r *Reader) BytesBatched() int64 { return r.bytesBatched.Load() }
 
 var _ io.ReadCloser = (*Reader)(nil)
@@ -242,25 +244,17 @@ func (r *Reader) advanceLocked() error {
 	// Refill hysteresis: top the window up only once it has drained to
 	// half (or the consumer's chunk was never dispatched). Without it the
 	// steady state dispatches exactly one chunk per chunk consumed, which
-	// degrades the DataMux batch path to single-ID requests; draining to
-	// the low-water mark keeps each dispatch round wide enough for
-	// dispatchBatches to group.
-	var batched []batchItem
-	if r.started == r.next || r.inflight < r.budget/2 {
+	// degrades every batch to a single-chunk request; draining to the
+	// low-water mark keeps each refill wide enough for dispatch to group.
+	if r.started == r.next || r.inflight <= r.budget/2 {
+		from := r.started
 		for r.started < len(r.cm.Chunks) && (r.started == r.next || r.inflight < r.budget) {
-			idx := r.started
-			ch := make(chan fetchResult, 1)
-			r.pending[idx] = ch
-			r.inflight += r.cm.Chunks[idx].Size
+			r.pending[r.started] = make(chan fetchResult, 1)
+			r.inflight += r.cm.Chunks[r.started].Size
 			r.started++
-			if r.batchable(idx) {
-				batched = append(batched, batchItem{idx: idx, ch: ch})
-			} else {
-				go r.fetch(idx, ch)
-			}
 		}
+		r.dispatchLocked(from, r.started)
 	}
-	r.dispatchBatches(batched)
 	ch, ok := r.pending[r.next]
 	if !ok {
 		return fmt.Errorf("reader: chunk %d not scheduled", r.next)
@@ -300,10 +294,9 @@ type batchItem struct {
 
 // batchable reports whether a chunk should ride a BGetBatch request.
 // Chunks the local baseline may serve, and chunks with no replicas at
-// all, keep the per-chunk path (which handles both cases); everything
-// else batches when the data mux is on.
+// all, go straight to the per-chunk fetch, which handles both cases.
 func (r *Reader) batchable(idx int) bool {
-	if r.c.dataPool == nil || len(r.locs[idx]) == 0 {
+	if len(r.locs[idx]) == 0 {
 		return false
 	}
 	if r.base != nil {
@@ -314,44 +307,63 @@ func (r *Reader) batchable(idx int) bool {
 	return true
 }
 
-// dispatchBatches groups one dispatch round's chunks by preferred replica
-// (the head of each chunk's rotated preference order, so one reader's
-// batches still spread across the stripe) and issues one BGetBatch per
-// node per Config.ReadBatch IDs.
-func (r *Reader) dispatchBatches(items []batchItem) {
-	if len(items) == 0 {
+// dispatchLocked sends one refill of the window, chunks [from, to): they
+// are grouped by preferred replica (the head of each chunk's rotated
+// preference order, so one reader's batches still spread across the
+// stripe) and each group goes out as BGetBatch requests that close at
+// Config.ReadBatch IDs or at wire.MaxPooledBuf body bytes — so a reply
+// always fits a pooled buffer on both ends, and 1 MB chunks travel one per
+// request. A chunk left alone in its batch goes as a plain BGet.
+func (r *Reader) dispatchLocked(from, to int) {
+	if to-from == 1 { // nothing to group
+		go r.fetch(from, r.pending[from])
 		return
 	}
 	groups := make(map[core.NodeID][]batchItem)
 	var order []core.NodeID
-	for _, it := range items {
-		node := r.locs[it.idx][0]
+	for idx := from; idx < to; idx++ {
+		if !r.batchable(idx) {
+			go r.fetch(idx, r.pending[idx])
+			continue
+		}
+		node := r.locs[idx][0]
 		if _, ok := groups[node]; !ok {
 			order = append(order, node)
 		}
-		groups[node] = append(groups[node], it)
+		groups[node] = append(groups[node], batchItem{idx: idx, ch: r.pending[idx]})
 	}
-	limit := r.c.cfg.ReadBatch
 	for _, node := range order {
 		group := groups[node]
-		for len(group) > limit {
-			part := group[:limit]
-			group = group[limit:]
-			go r.fetchBatch(node, part)
+		for len(group) > 0 {
+			n, size := 0, int64(0)
+			for n < len(group) && n < r.c.cfg.ReadBatch {
+				size += r.cm.Chunks[group[n].idx].Size
+				if n > 0 && size > wire.MaxPooledBuf {
+					break
+				}
+				n++
+			}
+			if n == 1 {
+				// Alone it needs no batch framing: the BGet body is the
+				// chunk, handed to the application without a copy.
+				go r.fetch(group[0].idx, group[0].ch)
+			} else {
+				go r.fetchBatch(node, group[:n])
+			}
+			group = group[n:]
 		}
-		go r.fetchBatch(node, group)
 	}
 }
 
-// fetchBatch retrieves one node's share of the dispatch window with a
-// single BGetBatch request over the shared multiplexed pool. The reply
-// carries per-slot sizes (-1 = unserved) and the served chunks
-// concatenated in request order; each served chunk is hash-verified and
-// copied into its own pooled buffer before delivery, so the per-chunk
-// buffer lifecycle is identical to the serial path. Any slot the batch
-// could not serve — request-level transport failure, per-slot miss,
-// integrity mismatch, malformed framing — falls back to the per-chunk
-// fetch, which walks that chunk's remaining replicas.
+// fetchBatch retrieves one node's share of a refill with a single
+// BGetBatch request over the shared multiplexed pool. The reply carries
+// per-slot sizes (-1 = unserved) and the served chunks concatenated in
+// request order; each served chunk is hash-verified and copied into its
+// own pooled buffer before delivery, so every chunk's buffer is released
+// on its own. Any slot the batch could not serve — request-level
+// transport failure, per-slot miss, integrity mismatch, malformed
+// framing — falls back to the per-chunk fetch, which walks that chunk's
+// replicas.
 func (r *Reader) fetchBatch(node core.NodeID, items []batchItem) {
 	fallback := func(rest []batchItem) {
 		for _, it := range rest {
@@ -431,7 +443,7 @@ func (r *Reader) fetch(idx int, ch chan<- fetchResult) {
 			lastErr = err
 			continue
 		}
-		body, err := r.c.pool.Call(addr, proto.BGet, proto.GetReq{ID: ref.ID}, nil, nil)
+		body, err := r.c.dataPool.Call(addr, proto.BGet, proto.GetReq{ID: ref.ID}, nil, nil)
 		if err != nil {
 			lastErr = err
 			continue

@@ -10,9 +10,8 @@ import (
 	"stdchk/internal/manager"
 )
 
-// TestBatchedReadFailsOverMidBatchReplicaDeath kills a replica while a
-// pipelined (DataMux) reader has batched BGetBatch requests in flight
-// against it. The invariant under test is per-chunk — not per-batch —
+// TestBatchedReadFailsOverMidBatchReplicaDeath kills a replica while the
+// reader has batched BGetBatch requests addressed to it ahead. The invariant under test is per-chunk — not per-batch —
 // failover: chunks the dead node's batches could not serve are re-fetched
 // individually from the surviving replica, chunks any batch did serve are
 // never fetched twice (BytesFetched stays exactly the file size), and the
@@ -27,9 +26,8 @@ func TestBatchedReadFailsOverMidBatchReplicaDeath(t *testing.T) {
 		ChunkSize:   16 << 10,
 		Replication: 2,
 		StripeWidth: 2,
-		DataMux:     true,
 		ReadBatch:   8,
-		ReadAhead:   2, // keep the prefetch window behind the kill point
+		ReadAhead:   8, // keep the prefetch window behind the kill point
 	})
 	data := payload(73, 512<<10) // 32 chunks
 	writeFile(t, cl, "muxfo.n1.t0", data)
@@ -65,20 +63,7 @@ func TestBatchedReadFailsOverMidBatchReplicaDeath(t *testing.T) {
 	}
 	m := r.Map()
 	last := len(m.Locations) - 1
-	victimID := m.Locations[last][last%len(m.Locations[last])]
-	victim := -1
-	for i, id := range c.NodeIDs() {
-		if id == victimID {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatalf("benefactor %s not found in cluster", victimID)
-	}
-	if err := c.StopBenefactor(victim); err != nil {
-		t.Fatal(err)
-	}
+	stopNode(t, c, m.Locations[last][last%len(m.Locations[last])])
 
 	rest, err := r.ReadAll()
 	if err != nil {

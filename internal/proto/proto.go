@@ -19,8 +19,9 @@ const (
 	// BGetBatch fetches many chunks in one round trip: meta BatchGetReq,
 	// response meta BatchGetResp with per-chunk sizes, response body = the
 	// present chunks' bytes concatenated in request order. Absent or
-	// unreadable chunks are reported per-slot (size -1), never as a
-	// request-level error, so one dead chunk cannot fail a whole batch.
+	// unreadable chunks, and slots past the request's ID or body bound, are
+	// reported per-slot (size -1), never as a request-level error, so one
+	// dead chunk cannot fail a whole batch.
 	BGetBatch = "b.getbatch"
 	// BHas asks which of a set of chunks the benefactor holds.
 	BHas = "b.has"
@@ -111,6 +112,10 @@ type GetReq struct {
 	ID core.ChunkID `json:"id"`
 }
 
+// MaxBatchIDs bounds the chunk IDs one BGetBatch request may name. The
+// benefactor answers slots past it with size -1; clients never send more.
+const MaxBatchIDs = 256
+
 // BatchGetReq names the chunks for a BGetBatch, in response-body order.
 type BatchGetReq struct {
 	IDs []core.ChunkID `json:"ids"`
@@ -118,8 +123,10 @@ type BatchGetReq struct {
 
 // BatchGetResp describes a BGetBatch body: Sizes is parallel to the
 // request's IDs, with Sizes[i] the byte length of chunk i within the
-// concatenated body, or -1 when the benefactor could not serve it (the
-// caller retries those chunks against another replica).
+// concatenated body, or -1 when the benefactor could not serve it — the
+// chunk is absent, or the slot lies past MaxBatchIDs or past the point
+// where the body would outgrow wire.MaxPooledBuf (the caller retries
+// those chunks one at a time, against this or another replica).
 type BatchGetResp struct {
 	Sizes []int64 `json:"sizes"`
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -197,6 +198,104 @@ func TestSharedPoolConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// countingListener counts the connections a server accepted.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// TestSharedPoolHoldsConnBudget releases 32 first callers at a cold
+// 2-connection pool at once. The dial slot is reserved before the dial, so
+// the server must see exactly the budget — not one socket (and one reader
+// goroutine) per racing caller — and a later wave must reuse those two.
+func TestSharedPoolHoldsConnBudget(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: inner}
+	srv := NewServer(ln, func(req *Req) (Resp, error) { return Resp{Body: req.Body}, nil }, nil)
+	defer srv.Close()
+	pool := NewSharedPool(nil, 2)
+	defer pool.Close()
+
+	for wave := 0; wave < 2; wave++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		errs := make(chan error, 32)
+		for i := 0; i < 32; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				payload := []byte(fmt.Sprintf("p%d", i))
+				body, err := pool.Call(srv.Addr(), "echo", nil, payload, nil)
+				if err != nil {
+					errs <- err
+				} else if !bytes.Equal(body, payload) {
+					errs <- fmt.Errorf("call %d got %q", i, body)
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if got := ln.accepted.Load(); got != 2 {
+			t.Fatalf("wave %d: server accepted %d connections from a 2-connection pool", wave, got)
+		}
+	}
+}
+
+// TestSharedPoolFailedDialFreesSlot checks a refused dial does not leak
+// its reserved slot: every concurrent caller gets the dial error, and once
+// a server listens on the address the pool dials it.
+func TestSharedPoolFailedDialFreesSlot(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // nothing listens here now
+	pool := NewSharedPool(nil, 1)
+	defer pool.Close()
+
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := pool.Call(addr, "echo", nil, nil, nil); err != nil {
+				failed.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if failed.Load() != 8 {
+		t.Fatalf("%d of 8 calls to a dead address failed", failed.Load())
+	}
+	ln2, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("cannot rebind %s: %v", addr, err)
+	}
+	srv := NewServer(ln2, func(req *Req) (Resp, error) { return Resp{Body: req.Body}, nil }, nil)
+	defer srv.Close()
+	if body, err := pool.Call(addr, "echo", nil, []byte("up"), nil); err != nil || string(body) != "up" {
+		t.Fatalf("call after the address came up: %q, %v", body, err)
 	}
 }
 

@@ -395,7 +395,7 @@ type Pool struct {
 	limit int
 
 	mux      bool
-	muxConns map[string][]*MuxConn
+	muxConns map[string][]*muxSlot
 	rr       map[string]int
 }
 
@@ -409,11 +409,11 @@ func NewPool(shaper Shaper, perAddrLimit int) *Pool {
 	return &Pool{shaper: shaper, idle: make(map[string][]*Conn), limit: perAddrLimit}
 }
 
-// NewSharedPool returns a pool in shared-connection mode: up to
-// perAddrConns multiplexed connections per address carry all calls, with
-// session-tagged frames demultiplexed by a per-connection reader. This is
-// the million-writer topology — concurrency no longer implies socket
-// count.
+// NewSharedPool returns a pool in shared-connection mode: perAddrConns
+// multiplexed connections per address, all dialed at the address's first
+// use, carry all calls, with session-tagged frames demultiplexed by a
+// per-connection reader. This is the million-writer topology —
+// concurrency no longer implies socket count.
 func NewSharedPool(shaper Shaper, perAddrConns int) *Pool {
 	if perAddrConns <= 0 {
 		perAddrConns = 2
@@ -423,7 +423,7 @@ func NewSharedPool(shaper Shaper, perAddrConns int) *Pool {
 		idle:     make(map[string][]*Conn),
 		limit:    perAddrConns,
 		mux:      true,
-		muxConns: make(map[string][]*MuxConn),
+		muxConns: make(map[string][]*muxSlot),
 		rr:       make(map[string]int),
 	}
 }
@@ -506,56 +506,95 @@ func (p *Pool) muxCall(addr, op string, reqMeta interface{}, reqBody []byte, res
 	}
 }
 
-// muxGet picks a live shared connection for addr round-robin, dialing new
-// ones until the per-address budget is full.
+// muxSlot is one of an address's shared-connection slots. Slots are
+// reserved under the pool lock before their dials start, so the
+// per-address budget counts connections still being established:
+// concurrent first callers wait on the reserved slots instead of each
+// dialing a socket of their own. mc and err are written once, under the
+// pool lock, just before ready closes.
+type muxSlot struct {
+	ready chan struct{}
+	mc    *MuxConn
+	err   error
+}
+
+// muxGet picks a shared connection for addr round-robin. The caller that
+// finds the address's budget short reserves every missing slot and dials
+// them all before its own call proceeds, so an address's connections are
+// established together at first use (or together replaced after a
+// failure) rather than one per early call; a caller handed a slot whose
+// dial is still in flight waits for it and shares its outcome.
 func (p *Pool) muxGet(addr string) (mc *MuxConn, fresh bool, err error) {
 	p.mu.Lock()
 	if p.muxConns == nil { // pool closed
 		p.mu.Unlock()
 		return nil, true, core.ErrClosed
 	}
-	conns := p.muxConns[addr]
 	// Prune broken connections eagerly so the budget refills with live
 	// ones rather than round-robining onto known-dead sockets.
-	live := conns[:0]
-	for _, c := range conns {
-		if c.broken() {
-			c.Close()
+	slots := p.muxConns[addr]
+	live := slots[:0]
+	for _, s := range slots {
+		if s.mc != nil && s.mc.broken() {
+			s.mc.Close()
 			continue
 		}
-		live = append(live, c)
+		live = append(live, s)
+	}
+	var mine []*muxSlot
+	for len(live) < p.limit {
+		s := &muxSlot{ready: make(chan struct{})}
+		live = append(live, s)
+		mine = append(mine, s)
 	}
 	p.muxConns[addr] = live
-	if len(live) >= p.limit {
+	if len(mine) == 0 {
 		i := p.rr[addr] % len(live)
 		p.rr[addr] = i + 1
-		mc = live[i]
+		s := live[i]
 		p.mu.Unlock()
-		return mc, false, nil
+		<-s.ready
+		return s.mc, false, s.err
 	}
 	p.mu.Unlock()
-	mc, err = DialMux(addr, p.shaper)
-	if err != nil {
-		return nil, true, err
-	}
-	p.mu.Lock()
-	if p.muxConns == nil { // pool closed while dialing
+
+	for _, s := range mine {
+		var conn *MuxConn
+		if err == nil { // after one failed dial the rest fail with it
+			conn, err = DialMux(addr, p.shaper)
+		}
+		p.mu.Lock()
+		if err == nil && p.muxConns == nil { // pool closed while dialing
+			conn.Close()
+			conn, err = nil, core.ErrClosed
+		}
+		if err != nil {
+			p.muxDrop(addr, s)
+		}
+		s.mc, s.err = conn, err
+		close(s.ready)
 		p.mu.Unlock()
-		mc.Close()
-		return nil, true, core.ErrClosed
 	}
-	p.muxConns[addr] = append(p.muxConns[addr], mc)
-	p.mu.Unlock()
-	return mc, true, nil
+	return mine[0].mc, true, mine[0].err
+}
+
+// muxDrop removes slot s from addr's set. The caller holds p.mu.
+func (p *Pool) muxDrop(addr string, s *muxSlot) {
+	slots := p.muxConns[addr]
+	for i, c := range slots {
+		if c == s {
+			p.muxConns[addr] = append(slots[:i], slots[i+1:]...)
+			return
+		}
+	}
 }
 
 // muxEvict drops a broken shared connection from the per-address set.
 func (p *Pool) muxEvict(addr string, mc *MuxConn) {
 	p.mu.Lock()
-	conns := p.muxConns[addr]
-	for i, c := range conns {
-		if c == mc {
-			p.muxConns[addr] = append(conns[:i], conns[i+1:]...)
+	for _, s := range p.muxConns[addr] {
+		if s.mc == mc {
+			p.muxDrop(addr, s)
 			break
 		}
 	}
@@ -586,11 +625,19 @@ func (p *Pool) Close() {
 	if p.mux {
 		p.muxConns = nil // reject post-Close dials in muxGet
 	}
-	p.mu.Unlock()
-	for _, conns := range shared {
-		for _, c := range conns {
-			c.Close()
+	var open []*MuxConn
+	for _, slots := range shared {
+		for _, s := range slots {
+			// A slot still dialing has no connection yet; its dialer sees
+			// the closed pool under the lock and closes its own.
+			if s.mc != nil {
+				open = append(open, s.mc)
+			}
 		}
+	}
+	p.mu.Unlock()
+	for _, mc := range open {
+		mc.Close()
 	}
 }
 

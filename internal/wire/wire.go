@@ -68,11 +68,16 @@ type header struct {
 	Meta json.RawMessage `json:"meta,omitempty"`
 }
 
+// MaxPooledBuf is the capacity of the largest pooled buffer class: a
+// default 1 MB chunk plus frame slack. A body that fits comes from, and
+// returns to, the pool; a larger one is a plain allocation the GC takes.
+// Peers that assemble multi-chunk bodies (BGetBatch) bound them here.
+const MaxPooledBuf = (1 << 20) + (64 << 10)
+
 // bufClassSizes are the capacities of the shared buffer pool's size
-// classes: control headers/metas, medium frames, and full chunk bodies
-// (1 MB default chunk plus frame slack). Larger requests fall through to
-// plain allocation.
-var bufClassSizes = [...]int{4 << 10, 64 << 10, (1 << 20) + (64 << 10)}
+// classes: control headers/metas, medium frames, and full chunk bodies.
+// Larger requests fall through to plain allocation.
+var bufClassSizes = [...]int{4 << 10, 64 << 10, MaxPooledBuf}
 
 var bufPools [len(bufClassSizes)]sync.Pool
 
@@ -102,7 +107,7 @@ func GetBuf(n int) []byte {
 // else retains) to the pool. The caller must not touch b afterwards.
 func PutBuf(b []byte) {
 	c := cap(b)
-	if c > bufClassSizes[len(bufClassSizes)-1] {
+	if c > MaxPooledBuf {
 		// Larger than any class: GetBuf would never hand it out for a
 		// same-size request (oversized reads fall through to plain
 		// allocation), so pooling it would only pin the memory.
