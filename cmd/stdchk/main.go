@@ -1,8 +1,8 @@
 // Command stdchk is the client CLI: store, retrieve, list, diff and
 // manage checkpoint files in a stdchk pool. Each subcommand owns its
-// flags; connection flags (-manager, -mux, -map-cache, -data-mux,
-// -upload-window, -read-batch) are shared by all of them and come after
-// the subcommand name.
+// flags; connection flags (-manager, -mux, -map-cache, -upload-window,
+// -read-batch) are shared by all of them and come after the subcommand
+// name.
 //
 // Usage:
 //
@@ -55,7 +55,6 @@ type connOpts struct {
 	manager      *string
 	mapCache     *bool
 	mux          *int
-	dataMux      *bool
 	uploadWindow *int
 	readBatch    *int
 }
@@ -68,8 +67,7 @@ func connFlags(fs *flag.FlagSet) *connOpts {
 		manager:      fs.String("manager", "127.0.0.1:9400", "manager address, or comma-separated federation member list"),
 		mapCache:     fs.Bool("map-cache", true, "cache chunk-maps client-side: explicit-version re-opens need zero manager RPCs, latest opens one revalidation probe (false = full getMap per open, the ablation baseline)"),
 		mux:          fs.Int("mux", 0, "share N session-multiplexed manager connections for metadata RPCs instead of pooling one serial conn per in-flight call (0 = serial pool; chunk traffic to benefactors is unaffected)"),
-		dataMux:      fs.Bool("data-mux", false, "windowed uploads: each stripe node gets a session-multiplexed connection carrying a window of in-flight chunk puts (false = one blocking put per chunk); restores always batch over shared multiplexed connections"),
-		uploadWindow: fs.Int("upload-window", 0, "with -data-mux: in-flight chunk puts per stripe node (0 = 8)"),
+		uploadWindow: fs.Int("upload-window", 0, "in-flight chunk puts per stripe node, over the same shared multiplexed connections restores batch on (0 = 8; 1 = one blocking put per chunk)"),
 		readBatch:    fs.Int("read-batch", 0, "chunk IDs per batched read request (0 = 16); a batch also closes at 1 MB + 64 KB of chunk bytes, and a one-chunk batch is a plain get"),
 	}
 }
@@ -80,7 +78,6 @@ func (o *connOpts) connect(cfg client.Config) (*client.Client, error) {
 	if !*o.mapCache {
 		cfg.MapCacheEntries = -1
 	}
-	cfg.DataMux = *o.dataMux
 	cfg.UploadWindow = *o.uploadWindow
 	cfg.ReadBatch = *o.readBatch
 	if members := federation.SplitMembers(*o.manager); len(members) > 1 {
@@ -191,6 +188,10 @@ func cmdWrite(args []string) error {
 		return err
 	}
 	if _, err := io.Copy(w, os.Stdin); err != nil {
+		// Close and Wait repeat err; they run so the failed session is
+		// aborted and its reservation released now, not at its TTL.
+		_ = w.Close()
+		_ = w.Wait()
 		return err
 	}
 	if err := w.Close(); err != nil {

@@ -55,19 +55,20 @@ func BenchmarkOpenRead(b *testing.B) {
 	}
 }
 
-// BenchmarkUploadPipeline contrasts the two write transports over the
-// same stripe: "serial" is one blocking BPut per chunk per stripe node,
-// "mux" the DataMux windowed pipeline (in-flight BPuts over shared
-// session-tagged connections, acks decoupled from sends). Rides the
-// bench-compare allocs gate: the pipelined path must not add per-chunk
-// allocations over the serial one.
+// BenchmarkUploadPipeline contrasts two settings of the one upload loop
+// over the same stripe: "serial" is its degenerate stop-and-wait setting
+// (UploadWindow = 1: one BPut outstanding per stripe node), "mux" the
+// default writer (a window of in-flight BPuts per node, acks decoupled
+// from sends). Both ride the client's shared multiplexed pool. Rides the
+// bench-compare allocs gate: the window must not add per-chunk
+// allocations over stop-and-wait.
 func BenchmarkUploadPipeline(b *testing.B) {
 	for _, variant := range []struct {
 		name string
 		cfg  client.Config
 	}{
-		{"serial", client.Config{StripeWidth: 4}},
-		{"mux", client.Config{StripeWidth: 4, DataMux: true, UploadWindow: 8}},
+		{"serial", client.Config{StripeWidth: 4, UploadWindow: 1}},
+		{"mux", client.Config{StripeWidth: 4}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			benchEmitChunkPipeline(b, variant.cfg)

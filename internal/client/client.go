@@ -172,16 +172,11 @@ type Config struct {
 	// Endpoint is set; a federated Router selects shared mode via its own
 	// RouterConfig.SharedConns.
 	SharedManagerConns int
-	// DataMux pipelines uploads: each stripe uploader dials a
-	// session-tagged (multiplexed) connection and keeps UploadWindow BPuts
-	// in flight per node, acks decoupled from sends. Off (the default),
-	// uploads keep the stop-and-wait path — one blocking BPut per chunk on
-	// an untagged connection. Restores are not affected: the reader always
-	// batches over the client's shared multiplexed pool.
-	DataMux bool
 	// UploadWindow bounds the in-flight (sent, unacked) BPuts per stripe
-	// node when DataMux is on (0 = 8). The write window is additionally
-	// bounded by BufferBytes, which caps total buffered chunk bytes.
+	// node (0 = 8); every put rides the client's shared multiplexed pool,
+	// acks decoupled from sends. UploadWindow = 1 is stop-and-wait: one
+	// put outstanding per node. The write window is additionally bounded
+	// by BufferBytes, which caps total buffered chunk bytes.
 	UploadWindow int
 	// ReadBatch bounds the chunk IDs one BGetBatch request carries (0 =
 	// 16, at most proto.MaxBatchIDs). A batch also closes once its reply
@@ -239,14 +234,15 @@ type Client struct {
 	// mgrPool, when non-nil, is a shared (multiplexed) pool dedicated to
 	// manager metadata RPCs (Config.SharedManagerConns); owned here.
 	mgrPool *wire.Pool
-	// dataPool is the shared (multiplexed) pool carrying every chunk read
-	// to benefactors — batched fetches, single-chunk fetches and per-chunk
-	// failover tag their frames and share its sockets. Owned here for the
-	// client's lifetime: two connections per benefactor (one keeps the
-	// pipe full for bulk bodies, the second lets a small request frame
-	// interleave instead of queueing behind a 1 MB chunk mid-flight),
-	// dialed on first use, each with a reply-demux goroutine that lives
-	// until Close.
+	// dataPool is the shared (multiplexed) pool carrying every chunk
+	// transfer to and from benefactors — windowed puts, batched fetches,
+	// single-chunk fetches and per-chunk failover tag their frames and
+	// share its sockets, so neither a Create nor an Open dials anything
+	// once the pool is warm. Owned here for the client's lifetime: two
+	// connections per benefactor (one keeps the pipe full for bulk bodies,
+	// the second lets a small request frame interleave instead of queueing
+	// behind a 1 MB chunk mid-flight), dialed on first use, each with a
+	// reply-demux goroutine that lives until Close.
 	dataPool *wire.Pool
 	// mgr is the metadata service seam: a single manager or a federated
 	// router, resolved once at construction.

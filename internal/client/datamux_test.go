@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"stdchk/internal/core"
 	"stdchk/internal/faultpoint"
 	"stdchk/internal/proto"
 )
 
 // TestDataMuxRoundTrip covers the pipelined data plane end to end: a
-// DataMux client uploads through windowed multiplexed puts and restores
-// through batched reads, the bytes come back identical, every pooled
+// client uploads through windowed multiplexed puts and restores through
+// batched reads, the bytes come back identical, every pooled
 // chunk buffer returns exactly once, and the batch path demonstrably
 // served the read (it did not silently fall back to per-chunk BGets). The
 // 16-chunk window refills 8 chunks at a time, so every refill of the
@@ -24,7 +26,6 @@ func TestDataMuxRoundTrip(t *testing.T) {
 		ManagerAddr:  mgr.Addr(),
 		StripeWidth:  3,
 		ChunkSize:    32 << 10,
-		DataMux:      true,
 		UploadWindow: 4,
 		ReadBatch:    8,
 		ReadAhead:    16,
@@ -72,18 +73,20 @@ func TestDataMuxRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDataMuxSerialInterop pins wire compatibility between the two
-// upload transports: a version written by a pipelined (DataMux) client
-// restores byte-identically through a stop-and-wait client, and vice
-// versa — the mux is a transport choice, not a format change.
+// TestDataMuxSerialInterop pins that the upload window is a scheduling
+// choice, not a format change. A stop-and-wait writer (UploadWindow = 1)
+// and the default windowed writer store the same image as the same chunk
+// frames on the benefactors and as consecutive versions of one dataset
+// sharing every chunk; and an image written by either restores
+// byte-identically through the other.
 func TestDataMuxSerialInterop(t *testing.T) {
-	mgr, _ := startCluster(t, 2, 0)
-	mk := func(mux bool) *Client {
+	mgr, benefs := startCluster(t, 2, 0)
+	mk := func(window int) *Client {
 		cl, err := New(Config{
-			ManagerAddr: mgr.Addr(),
-			StripeWidth: 2,
-			ChunkSize:   32 << 10,
-			DataMux:     mux,
+			ManagerAddr:  mgr.Addr(),
+			StripeWidth:  2,
+			ChunkSize:    32 << 10,
+			UploadWindow: window,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -91,11 +94,43 @@ func TestDataMuxSerialInterop(t *testing.T) {
 		t.Cleanup(func() { cl.Close() })
 		return cl
 	}
-	muxed, serial := mk(true), mk(false)
+	windowed, serial := mk(0), mk(1)
+	// stored is the set of chunk frames the benefactors accepted. The two
+	// writers may be handed the stripe in a different rotation, so the
+	// comparison is by content name, not by node.
+	stored := func() map[core.ChunkID]int64 {
+		ids := make(map[core.ChunkID]int64)
+		for _, b := range benefs {
+			for _, id := range b.Store().Inventory() {
+				ids[id], _ = b.Store().Size(id)
+			}
+		}
+		return ids
+	}
+	var first map[core.ChunkID]int64
+	same := make([]byte, 17*32<<10+33)
+	rand.New(rand.NewSource(19)).Read(same) // every chunk distinct
+	for i, writer := range []*Client{serial, windowed} {
+		mustStore(t, writer, fmt.Sprintf("same.n1.t%d", i), same)
+		got := stored()
+		if first == nil {
+			first = got
+		}
+		if len(got) != 18 || !reflect.DeepEqual(got, first) {
+			t.Fatalf("after writer %d the benefactors hold %d distinct chunks; both writers must put the same 18 frames", i, len(got))
+		}
+	}
+	hist, err := serial.History("same.n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hist.Versions) != 2 || hist.Versions[1].SharedChunks != 18 {
+		t.Fatalf("history %+v: want 2 versions, the windowed writer's sharing all 18 chunks with the serial one's", hist.Versions)
+	}
 
 	for i, pair := range []struct{ writer, reader *Client }{
-		{writer: muxed, reader: serial},
-		{writer: serial, reader: muxed},
+		{writer: windowed, reader: serial},
+		{writer: serial, reader: windowed},
 	} {
 		name := fmt.Sprintf("interop.n1.t%d", i)
 		data := fill(17*32<<10+33, byte(20+i))
@@ -146,7 +181,6 @@ func TestPipelinedUploadFaultSweep(t *testing.T) {
 				ManagerAddr:  mgr.Addr(),
 				StripeWidth:  2,
 				ChunkSize:    32 << 10,
-				DataMux:      true,
 				UploadWindow: 4,
 			})
 			if err != nil {

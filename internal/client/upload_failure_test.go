@@ -1,0 +1,219 @@
+package client
+
+import (
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"stdchk/internal/benefactor"
+	"stdchk/internal/core"
+	"stdchk/internal/manager"
+	"stdchk/internal/store"
+)
+
+// A writer dials nothing at Create: a stripe node that cannot be reached
+// is discovered by the first put addressed to it. The two tests below pin
+// what a failed session leaves behind — nothing: the error names the
+// node, the manager session is aborted and its reservation released, every
+// pooled chunk buffer is back, and no goroutine of the writer survives.
+
+// settledGoroutines returns the goroutine count once it has stopped
+// falling: connection goroutines on both ends wind down asynchronously.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for settled := 0; settled < 5; {
+		time.Sleep(10 * time.Millisecond)
+		if now := runtime.NumGoroutine(); now < n {
+			n, settled = now, 0
+		} else {
+			settled++
+		}
+	}
+	return n
+}
+
+// mustStore writes one image through to its commit: the warm-up that
+// dials the pool's connections before a baseline is taken.
+func mustStore(t *testing.T, cl *Client, name string, data []byte) {
+	t.Helper()
+	w, err := cl.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkFailedSessionLeftNothing asserts the aftermath shared by both
+// tests, once Wait has returned.
+func checkFailedSessionLeftNothing(t *testing.T, mgr *manager.Manager, cl *Client, tr *bufTracker, baseline int) {
+	t.Helper()
+	if n := mgr.Stats().ActiveSessions; n != 0 {
+		t.Errorf("%d write sessions still open on the manager; the failed one was not aborted", n)
+	}
+	benefs, err := cl.Benefactors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range benefs {
+		if b.Reserved != 0 {
+			t.Errorf("benefactor %s still holds a %d-byte reservation", b.ID, b.Reserved)
+		}
+	}
+	tr.check()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	if n := runtime.NumGoroutine(); n > baseline || strings.Contains(stacks, "client.(*Writer)") {
+		t.Errorf("%d goroutines after the failed session, %d before Create:\n%s", n, baseline, stacks)
+	}
+}
+
+func TestUnreachableStripeNodeFailsAtFirstPut(t *testing.T) {
+	mgr, benefs := startCluster(t, 3, 0)
+	cl, err := New(Config{
+		ManagerAddr: mgr.Addr(),
+		StripeWidth: 3,
+		ChunkSize:   16 << 10,
+		BufferBytes: 64 << 10, // small window: the failure reaches Write
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tr := trackChunkBufs(t, cl)
+
+	// Warm the pool, then take a node away. The manager keeps it
+	// allocatable until its heartbeat TTL runs out, so the next stripe
+	// still includes it.
+	mustStore(t, cl, "unreach.n1.t0", fill(6*16<<10, 1))
+	dead := benefs[0].Addr()
+	benefs[0].Close()
+	baseline := settledGoroutines()
+
+	w, err := cl.Create("unreach.n1.t1")
+	if err != nil {
+		t.Fatalf("Create dials nothing and must not notice the dead node: %v", err)
+	}
+	var writeErr error
+	for i := 0; i < 256 && writeErr == nil; i++ {
+		_, writeErr = w.Write(fill(3*16<<10, byte(i)))
+	}
+	closeErr, waitErr := w.Close(), w.Wait()
+	for op, err := range map[string]error{"Write": writeErr, "Close": closeErr, "Wait": waitErr} {
+		if err == nil || !strings.Contains(err.Error(), dead) {
+			t.Errorf("%s returned %v; want an error naming stripe node %s", op, err, dead)
+		}
+	}
+	checkFailedSessionLeftNothing(t, mgr, cl, tr, baseline)
+}
+
+// gatedStore holds every Put, once armed, until release is closed —
+// puts pile up in flight on the benefactor.
+type gatedStore struct {
+	store.Store
+	armed   *atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gatedStore) Put(id core.ChunkID, data []byte) (bool, error) {
+	if g.armed.Load() {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return g.Store.Put(id, data)
+}
+
+func TestBenefactorKilledMidUploadWithFullWindow(t *testing.T) {
+	mgr, err := manager.New(manager.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close() })
+	const window = 4
+	gate := gatedStore{
+		Store:   store.NewMemory(0, nil),
+		armed:   new(atomic.Bool),
+		entered: make(chan struct{}, 64),
+		release: make(chan struct{}),
+	}
+	victim, err := benefactor.New(benefactor.Config{ManagerAddr: mgr.Addr(), Store: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { victim.Close() })
+	other, err := benefactor.New(benefactor.Config{ManagerAddr: mgr.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { other.Close() })
+	waitForBenefactors(t, mgr, 2)
+
+	cl, err := New(Config{
+		ManagerAddr:  mgr.Addr(),
+		StripeWidth:  2,
+		ChunkSize:    16 << 10,
+		UploadWindow: window,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tr := trackChunkBufs(t, cl)
+
+	mustStore(t, cl, "killed.n1.t0", fill(8*16<<10, 1))
+	gate.armed.Store(true)
+	baseline := settledGoroutines()
+
+	w, err := cl.Create("killed.n1.t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(fill(32*16<<10, 2)); err != nil { // 16 chunks per node
+		t.Fatal(err)
+	}
+	for i := 0; i < window; i++ {
+		select {
+		case <-gate.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of a window of %d puts reached the benefactor", i, window)
+		}
+	}
+	// The window is full and unacknowledged. Kill the node: its sockets
+	// close at once, its handlers finish when the gate opens.
+	killed := make(chan struct{})
+	go func() {
+		victim.Close()
+		close(killed)
+	}()
+	closeErr, waitErr := w.Close(), w.Wait()
+	close(gate.release)
+	<-killed
+	if closeErr != nil && !strings.Contains(closeErr.Error(), victim.Addr()) {
+		t.Errorf("Close returned %v; want nil or an error naming stripe node %s", closeErr, victim.Addr())
+	}
+	if waitErr == nil || !strings.Contains(waitErr.Error(), victim.Addr()) {
+		t.Errorf("Wait returned %v; want an error naming stripe node %s", waitErr, victim.Addr())
+	}
+	if _, err := cl.Open("killed.n1.t1", OpenOptions{Latest: true}); err == nil {
+		t.Error("the failed session left a committed version")
+	} else if r, err := cl.Open("killed.n1"); err != nil {
+		t.Errorf("the warm-up version is gone: %v", err)
+	} else {
+		r.Close()
+	}
+	checkFailedSessionLeftNothing(t, mgr, cl, tr, baseline)
+}

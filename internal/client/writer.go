@@ -8,7 +8,6 @@ import (
 	"stdchk/internal/chunker"
 	"stdchk/internal/core"
 	"stdchk/internal/proto"
-	"stdchk/internal/wire"
 )
 
 // Writer is one write session. The application writes sequentially and
@@ -35,6 +34,13 @@ import (
 // application thread therefore pays only the memcpy into the buffer — no
 // hashing, no allocation, no per-chunk manager RPCs.
 //
+// Uploads open no connection of their own: every BPut rides the client's
+// shared multiplexed pool (Client.dataPool) under a per-node window of
+// Config.UploadWindow in-flight puts, and the pool's connections coalesce
+// the frames queued behind a transmission into the next one. An
+// unreachable stripe node therefore surfaces at the first put to it, as a
+// session failure from Write, Close and Wait — not at Create.
+//
 // With Config.Chunking == ChunkCbCH the filling thread additionally runs a
 // streaming rolling-hash boundary finder, so cuts are content-anchored
 // (variable-size spans) instead of offset-anchored; the downstream stages
@@ -60,7 +66,6 @@ type Writer struct {
 	closed       bool
 
 	sess      proto.AllocResp
-	stripe    []proto.Stripe
 	chunkSize int64 // fixed chunk size, or the CbCH max span bound
 	reserved  int64
 
@@ -75,7 +80,7 @@ type Writer struct {
 	cur      *[]byte // pooled buffer being filled; nil between chunks
 	chunkIdx int
 
-	workers  []*uploadWorker
+	workers  []*uploadWorker // one per stripe node; fixed after newWriter
 	workerWg sync.WaitGroup
 
 	// hashing stage between the filling thread and the uploaders
@@ -91,23 +96,12 @@ type Writer struct {
 	waitErr error
 }
 
+// uploadWorker is one stripe node's upload queue: chunks bound to the node
+// by round-robin wait in ch for one of its Config.UploadWindow senders.
 type uploadWorker struct {
+	id   core.NodeID
 	addr string
 	ch   chan uploadItem
-	// Exactly one of conn/mux is set. conn is the historical transport:
-	// untagged frames, one blocking stop-and-wait call per chunk. mux
-	// (Config.DataMux) tags frames on a multiplexed connection so up to
-	// Config.UploadWindow puts ride it concurrently.
-	conn *wire.Conn
-	mux  *wire.MuxConn
-}
-
-func (u *uploadWorker) close() {
-	if u.mux != nil {
-		u.mux.Close()
-		return
-	}
-	u.conn.Close()
 }
 
 // chunkItem is a filled, not-yet-hashed chunk travelling from the filling
@@ -175,27 +169,16 @@ func newWriter(c *Client, name string) (*Writer, error) {
 		return nil, fmt.Errorf("client: create %s: %w", name, err)
 	}
 	w.sess = sess
-	w.stripe = w.sess.Stripe
+	if len(sess.Stripe) == 0 {
+		w.abort()
+		return nil, fmt.Errorf("client: create %s: manager allocated an empty stripe", name)
+	}
 	w.chunkSize = chunkSize
 	w.reserved = c.cfg.ReserveQuantum
 
-	for _, st := range w.stripe {
-		worker := &uploadWorker{addr: st.Addr, ch: make(chan uploadItem, 4)}
-		if c.cfg.DataMux {
-			worker.mux, err = wire.DialMux(st.Addr, c.cfg.Shaper)
-		} else {
-			worker.conn, err = wire.Dial(st.Addr, c.cfg.Shaper)
-		}
-		if err != nil {
-			w.abort()
-			for _, prev := range w.workers {
-				prev.close()
-			}
-			return nil, fmt.Errorf("client: create %s: dial stripe node %s: %w", name, st.Addr, err)
-		}
+	for _, st := range sess.Stripe {
+		worker := &uploadWorker{id: st.ID, addr: st.Addr, ch: make(chan uploadItem, 4)}
 		w.workers = append(w.workers, worker)
-	}
-	for _, worker := range w.workers {
 		w.workerWg.Add(1)
 		go w.runUploader(worker)
 	}
@@ -498,19 +481,11 @@ func (w *Writer) flushBatch(batch []hashedChunk, ids []core.ChunkID) {
 	}
 }
 
-// dispatch routes one named chunk to its round-robin stripe worker.
+// dispatch routes one named chunk to its round-robin stripe worker. Only
+// the hasher calls it, and finish waits the hasher out before teardown
+// closes the worker channels.
 func (w *Writer) dispatch(hc hashedChunk) {
-	w.mu.Lock()
-	workers := w.workers
-	w.mu.Unlock()
-	if len(workers) == 0 {
-		// Torn down under us: record the failure so the chunk is not
-		// silently dropped from the committed map.
-		w.fail(core.ErrClosed)
-		w.releaseChunks([]hashedChunk{hc})
-		return
-	}
-	workers[hc.idx%len(workers)].ch <- uploadItem{idx: hc.idx, id: hc.id, buf: hc.buf}
+	w.workers[hc.idx%len(w.workers)].ch <- uploadItem{idx: hc.idx, id: hc.id, buf: hc.buf}
 }
 
 // releaseChunks drops a batch on the failure path: window accounting is
@@ -529,44 +504,20 @@ func (w *Writer) releaseChunks(batch []hashedChunk) {
 	}
 }
 
-// runUploader is one stripe node's upload goroutine: chunks bound to this
-// node by round-robin stream through a dedicated connection, and their
-// buffers return to the pool once the frame is on the wire.
-func (w *Writer) runUploader(worker *uploadWorker) {
-	defer w.workerWg.Done()
-	if worker.mux != nil {
-		w.runPipelinedUploader(worker)
-		return
-	}
-	for item := range worker.ch {
-		n := int64(len(*item.buf))
-		w.mu.Lock()
-		failed := w.err != nil
-		w.mu.Unlock()
-		if !failed {
-			_, err := worker.conn.Call(proto.BPut, proto.PutReq{ID: item.id}, *item.buf, nil)
-			if err != nil {
-				w.fail(fmt.Errorf("upload chunk %d to %s: %w", item.idx, worker.addr, err))
-			} else {
-				w.recordUpload(item, worker, n)
-			}
-		}
-		w.settleUpload(item, n)
-	}
-}
-
-// runPipelinedUploader is the Config.DataMux upload loop: up to
-// Config.UploadWindow puts ride this node's multiplexed connection
-// concurrently, so a chunk's send no longer waits for the previous
-// chunk's ack — on a high-latency path the window, not the RTT, sets the
-// upload rate. Acks settle in whatever order they land: recordUpload
+// runUploader is one stripe node's upload loop: up to Config.UploadWindow
+// puts to the node ride the client's shared multiplexed pool concurrently,
+// so a chunk's send does not wait for the previous chunk's ack — on a
+// high-latency path the window, not the RTT, sets the upload rate, and
+// the puts that queue behind a transmission leave as one. A window of one
+// is stop-and-wait. Acks settle in whatever order they land: recordUpload
 // appends locations to commitChunks[idx] under the session lock and the
 // commit map is index-addressed, so completion order is irrelevant. Any
 // failed put fails the whole session (sticky), after which queued chunks
 // drain unsent; the loop returns only when every in-flight call has
-// settled, so teardown never closes the connection under a live call and
-// every pooled buffer is back exactly once.
-func (w *Writer) runPipelinedUploader(worker *uploadWorker) {
+// settled, so every pooled buffer is back exactly once. The pool copies or
+// writes a body before Call returns, so returning the buffer is safe.
+func (w *Writer) runUploader(worker *uploadWorker) {
+	defer w.workerWg.Done()
 	var calls sync.WaitGroup
 	window := make(chan struct{}, w.c.cfg.UploadWindow)
 	for item := range worker.ch {
@@ -584,9 +535,9 @@ func (w *Writer) runPipelinedUploader(worker *uploadWorker) {
 		go func() {
 			defer calls.Done()
 			defer func() { <-window }()
-			_, err := worker.mux.Call(proto.BPut, proto.PutReq{ID: item.id}, *item.buf, nil)
+			_, err := w.c.dataPool.Call(worker.addr, proto.BPut, proto.PutReq{ID: item.id}, *item.buf, nil)
 			if err != nil {
-				w.fail(fmt.Errorf("upload chunk %d to %s: %w", item.idx, worker.addr, err))
+				w.fail(fmt.Errorf("upload chunk %d to stripe node %s: %w", item.idx, worker.addr, err))
 			} else {
 				w.recordUpload(item, worker, n)
 			}
@@ -608,20 +559,10 @@ func (w *Writer) settleUpload(item uploadItem, n int64) {
 }
 
 func (w *Writer) recordUpload(item uploadItem, worker *uploadWorker, n int64) {
-	nodeID := w.nodeIDFor(worker.addr)
 	w.mu.Lock()
 	w.uploaded += n
-	w.commitChunks[item.idx].Locations = append(w.commitChunks[item.idx].Locations, nodeID)
+	w.commitChunks[item.idx].Locations = append(w.commitChunks[item.idx].Locations, worker.id)
 	w.mu.Unlock()
-}
-
-func (w *Writer) nodeIDFor(addr string) core.NodeID {
-	for _, st := range w.stripe {
-		if st.Addr == addr {
-			return st.ID
-		}
-	}
-	return core.NodeID(addr)
 }
 
 // fail records the first error and wakes all waiters.
@@ -757,20 +698,13 @@ func (w *Writer) finish() {
 	w.mu.Unlock()
 }
 
-// teardown closes worker channels, waits for the uploaders to drain, and
-// closes their connections, exactly once.
+// teardown closes the worker channels and waits for the uploaders to
+// drain. finish calls it once, after the hasher — the only sender — exited.
 func (w *Writer) teardown() {
-	w.mu.Lock()
-	workers := w.workers
-	w.workers = nil
-	w.mu.Unlock()
-	for _, worker := range workers {
+	for _, worker := range w.workers {
 		close(worker.ch)
 	}
 	w.workerWg.Wait()
-	for _, worker := range workers {
-		worker.close()
-	}
 }
 
 // commit atomically publishes the chunk-map.
@@ -809,10 +743,10 @@ func (w *Writer) pushMapReplicas(resp proto.CommitResp, chunks []proto.CommitChu
 		cm.Chunks = append(cm.Chunks, core.ChunkRef{Index: i, ID: ch.ID, Size: ch.Size})
 		cm.Locations = append(cm.Locations, append([]core.NodeID(nil), ch.Locations...))
 	}
-	for _, st := range w.stripe {
+	for _, worker := range w.workers {
 		req := proto.MapPutReq{Name: w.name, Map: cm}
-		if _, err := w.c.pool.Call(st.Addr, proto.BMapPut, req, nil, nil); err != nil {
-			w.c.logf("push map replica to %s: %v", st.Addr, err)
+		if _, err := w.c.dataPool.Call(worker.addr, proto.BMapPut, req, nil, nil); err != nil {
+			w.c.logf("push map replica to %s: %v", worker.addr, err)
 		}
 	}
 }

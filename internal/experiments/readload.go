@@ -86,11 +86,11 @@ func ReadLoad(cfg Config) error {
 		name := fmt.Sprintf("rl.n%d.t0", ci)
 		data := readloadImage(uint64(ci)*0x9E3779B97F4A7C15+1, imageSize)
 
-		// Stage the image with an unshaped pipelined writer; the write
-		// path is not what this experiment measures.
+		// Stage the image with an unshaped writer; the write path is not
+		// what this experiment measures.
 		wcl, _, err := c.NewClient(client.Config{
 			StripeWidth: benefactors, ChunkSize: chunkSize, Replication: 1,
-			Semantics: core.WriteOptimistic, DataMux: true,
+			Semantics: core.WriteOptimistic,
 		}, device.Unshaped())
 		if err != nil {
 			return err

@@ -16,7 +16,7 @@ import (
 )
 
 // The tests below drive the restore scheduler of a client with no
-// read-side switch set (no ReadAhead, ReadAheadBytes, ReadBatch, DataMux)
+// read-side switch set (no ReadAhead, ReadAheadBytes, ReadBatch)
 // over real sockets: what a user gets by default.
 
 // TestDefaultReaderBatchesSmallChunksNotLarge pins the two batch bounds of

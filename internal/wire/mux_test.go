@@ -384,3 +384,296 @@ func TestServerShedsTaggedOverload(t *testing.T) {
 		t.Fatalf("admitted call failed: %v", err)
 	}
 }
+
+// scriptedConn is a client-side connection wrapper that records every
+// Write it is handed and can script the first two: the first blocks until
+// gate is closed (so a test can queue calls behind a transmission that is
+// "on the wire"), and the second fails when failSecond is set.
+type scriptedConn struct {
+	net.Conn
+	gate       chan struct{} // nil: no Write blocks
+	entered    chan struct{} // closed when the first Write has begun
+	failSecond bool
+
+	mu     sync.Mutex
+	writes [][]byte // the slices as passed, not copies: identity matters
+	stream []byte   // everything written, in order
+}
+
+func (c *scriptedConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	n := len(c.writes)
+	c.writes = append(c.writes, p)
+	c.stream = append(c.stream, p...)
+	c.mu.Unlock()
+	if n == 0 && c.gate != nil {
+		close(c.entered)
+		<-c.gate
+	}
+	if n == 1 && c.failSecond {
+		return 0, errors.New("link down")
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *scriptedConn) recorded() (writes [][]byte, stream []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([][]byte(nil), c.writes...), append([]byte(nil), c.stream...)
+}
+
+// dialScripted dials addr with sc wrapped around the socket.
+func dialScripted(t *testing.T, addr string, sc *scriptedConn) *MuxConn {
+	t.Helper()
+	mc, err := DialMux(addr, func(raw net.Conn) net.Conn {
+		sc.Conn = raw
+		return sc
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mc.Close() })
+	return mc
+}
+
+// awaitQueued waits until n frames sit in mc's transmit buffer.
+func awaitQueued(t *testing.T, mc *MuxConn, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mc.smu.Lock()
+		frames, err := countFrames(mc.tx)
+		mc.smu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frames == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frames queued, want %d", frames, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// countFrames decodes b as a run of whole frames.
+func countFrames(b []byte) (int, error) {
+	r := bytes.NewReader(b)
+	for n := 0; ; n++ {
+		if r.Len() == 0 {
+			return n, nil
+		}
+		m, err := Read(r)
+		if err != nil {
+			return n, fmt.Errorf("frame %d: %w", n, err)
+		}
+		if m.Body != nil {
+			PutBuf(m.Body)
+		}
+	}
+}
+
+// echoCall issues one tagged echo call and checks the reply is its own.
+func echoCall(mc *MuxConn, tag int, payload []byte) error {
+	var respMeta map[string]int
+	body, err := mc.Call("echo", map[string]int{"tag": tag}, payload, &respMeta)
+	if err != nil {
+		return err
+	}
+	if respMeta["tag"] != tag {
+		return fmt.Errorf("call %d got the reply for %d", tag, respMeta["tag"])
+	}
+	if !bytes.Equal(body, payload) {
+		return fmt.Errorf("call %d got a %d-byte body back, sent %d", tag, len(body), len(payload))
+	}
+	return nil
+}
+
+// TestMuxCoalescesQueuedFrames holds one transmission on the wire while 16
+// more calls arrive. They must leave as the next single transmission — not
+// 16 more — with every frame intact and every reply at its own caller.
+func TestMuxCoalescesQueuedFrames(t *testing.T) {
+	_, addr := delayEchoServer(t, ServerConfig{})
+	sc := &scriptedConn{gate: make(chan struct{}), entered: make(chan struct{})}
+	mc := dialScripted(t, addr, sc)
+
+	const queued = 16
+	errs := make(chan error, queued+1)
+	go func() { errs <- echoCall(mc, 0, []byte("first")) }()
+	<-sc.entered
+	for i := 1; i <= queued; i++ {
+		go func(i int) { errs <- echoCall(mc, i, bytes.Repeat([]byte{byte(i)}, 100*i)) }(i)
+	}
+	awaitQueued(t, mc, queued)
+	close(sc.gate)
+	for i := 0; i <= queued; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	writes, stream := sc.recorded()
+	if len(writes) > 3 {
+		t.Fatalf("%d calls queued behind one transmission left in %d more; want at most 2", queued, len(writes)-1)
+	}
+	if frames, err := countFrames(stream); err != nil || frames != queued+1 {
+		t.Fatalf("the socket carried %d whole frames (%v), want %d", frames, err, queued+1)
+	}
+}
+
+// TestMuxLoneCallIsOneWrite: a call with nothing to wait behind sends its
+// header and a 64 KB body as one transmission.
+func TestMuxLoneCallIsOneWrite(t *testing.T) {
+	_, addr := delayEchoServer(t, ServerConfig{})
+	sc := &scriptedConn{}
+	mc := dialScripted(t, addr, sc)
+	if err := echoCall(mc, 1, bytes.Repeat([]byte("x"), 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if writes, _ := sc.recorded(); len(writes) != 1 {
+		t.Fatalf("a lone header + 64 KB body took %d writes, want 1", len(writes))
+	}
+}
+
+// TestMuxLargeBodyNotCopied: a body above the coalescing bound reaches the
+// connection as the caller's own slice, behind a control part that also
+// carries the small frame queued ahead of it.
+func TestMuxLargeBodyNotCopied(t *testing.T) {
+	_, addr := delayEchoServer(t, ServerConfig{})
+	sc := &scriptedConn{gate: make(chan struct{}), entered: make(chan struct{})}
+	mc := dialScripted(t, addr, sc)
+
+	big := bytes.Repeat([]byte("chunk---"), (1<<20)/8)
+	errs := make(chan error, 3)
+	go func() { errs <- echoCall(mc, 0, []byte("first")) }()
+	<-sc.entered
+	go func() { errs <- echoCall(mc, 1, []byte("small")) }()
+	awaitQueued(t, mc, 1)
+	go func() { errs <- echoCall(mc, 2, big) }()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mc.smu.Lock()
+		waiting := mc.solo
+		mc.smu.Unlock()
+		if waiting == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the large-body call never queued for the socket")
+		}
+	}
+	close(sc.gate)
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	writes, stream := sc.recorded()
+	if len(writes) != 3 {
+		t.Fatalf("%d writes, want 3: the first call, then [queued small frame + large header] and the large body", len(writes))
+	}
+	if body := writes[2]; len(body) != len(big) || &body[0] != &big[0] {
+		t.Fatalf("the 1 MB body reached the connection as a %d-byte copy, not the caller's slice", len(body))
+	}
+	if frames, err := countFrames(stream); err != nil || frames != 3 {
+		t.Fatalf("the socket carried %d whole frames (%v), want 3", frames, err)
+	}
+}
+
+// TestMuxSendFailureFailsEveryQueuedCall fails the transmission that
+// carries eight queued calls. Every one of them — and the call whose
+// goroutine was flushing — must return the error rather than hang, and a
+// shared pool must replace the connection.
+func TestMuxSendFailureFailsEveryQueuedCall(t *testing.T) {
+	_, addr := delayEchoServer(t, ServerConfig{})
+	sc := &scriptedConn{gate: make(chan struct{}), entered: make(chan struct{}), failSecond: true}
+	var dials atomic.Int64
+	pool := NewSharedPool(func(raw net.Conn) net.Conn {
+		if dials.Add(1) == 1 {
+			sc.Conn = raw
+			return sc
+		}
+		return raw
+	}, 1)
+	defer pool.Close()
+	mc, _, err := pool.muxGet(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const queued = 8
+	errs := make(chan error, queued+1)
+	go func() { errs <- echoCall(mc, 0, []byte("first")) }()
+	<-sc.entered
+	for i := 1; i <= queued; i++ {
+		go func(i int) { errs <- echoCall(mc, i, []byte("queued")) }(i)
+	}
+	awaitQueued(t, mc, queued)
+	close(sc.gate)
+	for i := 0; i <= queued; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "link down") {
+				t.Fatalf("a call on the failed connection returned %v, want the send error", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d calls still hang after the send failed", queued+1-i, queued+1)
+		}
+	}
+	if !mc.broken() {
+		t.Fatal("the connection survived a failed transmission")
+	}
+	if err := echoCall(mc, 99, nil); err == nil {
+		t.Fatal("a call after the send failure succeeded")
+	}
+
+	// The pool notices on the next call: new socket, same address.
+	if body, err := pool.Call(addr, "echo", nil, []byte("again"), nil); err != nil || string(body) != "again" {
+		t.Fatalf("pool call after the failure: %q, %v", body, err)
+	}
+	if dials.Load() != 2 {
+		t.Fatalf("pool dialed %d connections, want the broken one replaced once", dials.Load())
+	}
+}
+
+// TestMuxMixedBodiesUnderBackpressure drives small, coalesced and large
+// bodies through one slow connection at once, so the transmit buffer
+// fills (callers wait for room) while large bodies queue for the socket.
+// Every frame must arrive whole and every reply reach its caller.
+func TestMuxMixedBodiesUnderBackpressure(t *testing.T) {
+	_, addr := delayEchoServer(t, ServerConfig{})
+	mc, err := DialMux(addr, func(raw net.Conn) net.Conn { return &slowConn{Conn: raw} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+
+	sizes := []int{0, 900, 100 << 10, maxCoalescedBody, maxCoalescedBody + 1, 1 << 20}
+	var wg sync.WaitGroup
+	errs := make(chan error, 48)
+	for i := 0; i < 48; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				if err := echoCall(mc, i, bytes.Repeat([]byte{byte(i)}, sizes[(i+round)%len(sizes)])); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// slowConn makes every transmission take long enough for calls to pile up
+// behind it.
+type slowConn struct{ net.Conn }
+
+func (c *slowConn) Write(p []byte) (int, error) {
+	time.Sleep(200 * time.Microsecond)
+	return c.Conn.Write(p)
+}

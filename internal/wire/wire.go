@@ -183,24 +183,36 @@ func appendHeader(dst []byte, m *Msg) []byte {
 	return append(dst, '}')
 }
 
+// appendFrame appends m's control part — the 12-byte length prefix and the
+// JSON header — to dst. The body, if any, follows it on the wire. It is the
+// one frame encoder: Write and the MuxConn send queue both build on it.
+func appendFrame(dst []byte, m *Msg) ([]byte, error) {
+	if int64(len(m.Body)) > MaxBodyLen {
+		return dst, ErrBodyTooLarge
+	}
+	start := len(dst)
+	dst = append(dst, zeroPrefix[:]...)
+	dst = appendHeader(dst, m)
+	hlen := len(dst) - start - 12
+	if hlen > MaxHeaderLen {
+		return dst[:start], ErrHeaderTooLarge
+	}
+	binary.BigEndian.PutUint32(dst[start:start+4], uint32(hlen))
+	binary.BigEndian.PutUint64(dst[start+4:start+12], uint64(len(m.Body)))
+	return dst, nil
+}
+
 // Write frames and writes m to w. A frame with a body is emitted as one
 // vectored write (net.Buffers), which becomes a single writev syscall on
 // TCP connections and two plain writes on wrapped (shaped) ones.
 func Write(w io.Writer, m *Msg) error {
-	if int64(len(m.Body)) > MaxBodyLen {
-		return ErrBodyTooLarge
-	}
 	fe := encPool.Get().(*frameEncoder)
 	defer encPool.Put(fe)
-	frame := append(fe.buf[:0], zeroPrefix[:]...)
-	frame = appendHeader(frame, m)
-	fe.buf = frame
-	hlen := len(frame) - 12
-	if hlen > MaxHeaderLen {
-		return ErrHeaderTooLarge
+	frame, err := appendFrame(fe.buf[:0], m)
+	fe.buf = frame[:0]
+	if err != nil {
+		return err
 	}
-	binary.BigEndian.PutUint32(frame[0:4], uint32(hlen))
-	binary.BigEndian.PutUint64(frame[4:12], uint64(len(m.Body)))
 	if len(m.Body) == 0 {
 		if _, err := w.Write(frame); err != nil {
 			return fmt.Errorf("wire: write frame: %w", err)
@@ -209,7 +221,7 @@ func Write(w io.Writer, m *Msg) error {
 	}
 	fe.vecs = append(fe.vecs[:0], frame, m.Body)
 	vecs := fe.vecs // WriteTo advances its receiver; keep fe.vecs anchored
-	_, err := vecs.WriteTo(w)
+	_, err = vecs.WriteTo(w)
 	fe.vecs[0], fe.vecs[1] = nil, nil // drop the body reference before pooling
 	fe.vecs = fe.vecs[:0]
 	if err != nil {
