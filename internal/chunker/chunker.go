@@ -164,9 +164,11 @@ func (c ContentDefined) splitScan(data []byte) []Span {
 }
 
 // splitRolling produces boundaries with a polynomial rolling hash updated in
-// O(1) per byte. The boundary set differs from splitScan (different hash
-// function) but has the same statistical spacing; it exists to quantify how
-// much of overlap-CbCH's cost is algorithmic rather than essential.
+// O(1) per byte — the scan the live chunker runs (hashing.Rolling.Scan),
+// here without a minimum span. The boundary set differs from splitScan
+// (different hash function) but has the same statistical spacing; it exists
+// to quantify how much of overlap-CbCH's cost is algorithmic rather than
+// essential.
 func (c ContentDefined) splitRolling(data []byte) []Span {
 	m := c.window()
 	n := int64(len(data))
@@ -174,27 +176,21 @@ func (c ContentDefined) splitRolling(data []byte) []Span {
 		return []Span{{Off: 0, Len: n}}
 	}
 	r := hashing.NewRolling(m)
+	// The first position tested is the first whole window.
+	r.Slide(data[:m-1])
 	var spans []Span
-	start := int64(0)
-	h := r.Prime(data[:m])
-	pos := int64(0)
-	for {
-		end := pos + int64(m)
-		if hashing.Boundary(h, c.Bits) && end > start {
-			spans = append(spans, Span{Off: start, Len: end - start})
-			start = end
-		} else if c.MaxLen > 0 && end-start >= c.MaxLen {
-			spans = append(spans, Span{Off: start, Len: end - start})
-			start = end
+	start, pos := int64(0), int64(m-1)
+	for pos < n {
+		// A span ends at a boundary, at MaxLen, or with the image.
+		end := n
+		if c.MaxLen > 0 {
+			end = min(n, max(start+c.MaxLen, int64(m)))
 		}
-		if end >= n {
-			break
+		if k := r.Scan(data[pos:end], c.Bits); k > 0 {
+			end = pos + int64(k)
 		}
-		h = r.Roll(data[end])
-		pos++
-	}
-	if start < n {
-		spans = append(spans, Span{Off: start, Len: n - start})
+		spans = append(spans, Span{Off: start, Len: end - start})
+		start, pos = end, end
 	}
 	return spans
 }

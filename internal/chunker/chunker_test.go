@@ -211,6 +211,31 @@ func TestRollingAndScanSameSpacingClass(t *testing.T) {
 	}
 }
 
+// TestRollingSplitPinned: the Table 3 "rolling" ablation cuts a fixed image
+// exactly where its own Prime/Roll loop did before it moved onto
+// hashing.Rolling.Scan (digests recorded from that loop), so the
+// ablation's similarity numbers cannot have drifted. The input has no
+// all-zero window, which the shared scan deliberately never cuts at.
+func TestRollingSplitPinned(t *testing.T) {
+	data := randBytes(7, 2<<20)
+	for _, tt := range []struct {
+		c    ContentDefined
+		want string
+	}{
+		{ContentDefined{Window: 20, Bits: 10, Advance: 1, Rolling: true}, "acf488d5d1ce6c54f53ef0a6e8be9378fdce0e5d"},               // 2,068 spans
+		{ContentDefined{Window: 20, Bits: 14, Advance: 1, Rolling: true, MaxLen: 4096}, "4ac52e19da8405c338699da6d2cf5aa87af54d4a"}, // 582, most at MaxLen
+		{ContentDefined{Window: 48, Bits: 12, Advance: 1, Rolling: true, MaxLen: 16}, "82760bd0eb0003f88d628a1d1c9e2c5f20d7e2ee"},   // MaxLen < Window
+	} {
+		spans := tt.c.Split(data)
+		if err := Validate(spans, int64(len(data))); err != nil {
+			t.Fatalf("%s: %v", tt.c.Name(), err)
+		}
+		if got := spanDigest(spans); got != tt.want {
+			t.Errorf("%s (MaxLen %d): span digest %s over %d spans, want %s", tt.c.Name(), tt.c.MaxLen, got, len(spans), tt.want)
+		}
+	}
+}
+
 func TestEvalTraceCountsAndThroughput(t *testing.T) {
 	imgs := [][]byte{randBytes(11, 1<<16), randBytes(11, 1<<16), randBytes(12, 1<<16)}
 	stats := EvalTrace(Fixed{Size: 4 << 10}, imgs)

@@ -16,14 +16,16 @@ import (
 //     caps the per-chunk metadata overhead.
 //   - Bits sets the expected spacing past Min (one boundary per 2^Bits
 //     window positions, as in the offline ContentDefined chunker).
-//   - Max force-cuts pathological content (e.g. long zero runs) so a span
-//     never exceeds the pooled buffer capacity the writer reserves.
+//   - Max force-cuts content that offers no boundary (constant bytes; long
+//     zero runs, whose all-zero windows are never boundaries — see
+//     hashing.Rolling.Scan) so a span never exceeds the pooled buffer
+//     capacity the writer reserves.
 type StreamParams struct {
 	// Window is the rolling-hash window in bytes (0 = 48, the LBFS-style
 	// default used by the rolling ablation).
 	Window int
-	// Bits is k: a window hash whose low k bits are zero ends the span.
-	// Expected span length is Min + 2^Bits bytes.
+	// Bits is k: a non-zero window hash whose low k bits are zero ends the
+	// span. Expected span length is Min + 2^Bits bytes.
 	Bits uint
 	// Min is the minimum span length; boundaries earlier than this are
 	// suppressed (0 = Window).
@@ -65,6 +67,11 @@ func (p StreamParams) Name() string {
 // boundary sequence re-synchronizes within one window, which is what lets
 // shifted-but-identical content across checkpoint versions hash to the
 // same chunks (the paper's Table 3 CbCH result, live).
+//
+// Stream holds no bytes and looks at none itself: Feed is bounds
+// arithmetic (Min, Max, the span length so far) around one
+// hashing.Rolling.Scan over the caller's slice, so the scan runs at the
+// speed of that kernel for any write size above a few hundred bytes.
 type Stream struct {
 	p StreamParams
 	r *hashing.Rolling
@@ -86,14 +93,27 @@ func (s *Stream) Params() StreamParams { return s.p }
 // (boundary found or Max reached). When cut is false, all of p has been
 // consumed and the span continues into the next Feed call.
 func (s *Stream) Feed(p []byte) (n int, cut bool) {
-	for i := 0; i < len(p); i++ {
-		h := s.r.Roll(p[i])
-		s.length++
-		if s.length >= s.p.Max || (s.length >= s.p.Min && hashing.Boundary(h, s.p.Bits)) {
-			s.length = 0
-			return i + 1, true
-		}
+	// The span ends at Max at the latest: look no further than that.
+	room := s.p.Max - s.length
+	forced := int64(len(p)) >= room
+	if forced {
+		p = p[:room]
 	}
+	// No byte that leaves the span shorter than Min can end it.
+	quiet := 0
+	if q := s.p.Min - 1 - s.length; q > 0 {
+		quiet = int(min(q, int64(len(p))))
+		s.r.Slide(p[:quiet])
+	}
+	if n := s.r.Scan(p[quiet:], s.p.Bits); n > 0 {
+		s.length = 0
+		return quiet + n, true
+	}
+	if forced {
+		s.length = 0
+		return len(p), true
+	}
+	s.length += int64(len(p))
 	return len(p), false
 }
 

@@ -138,6 +138,39 @@ func TestCbCHAllProtocolsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCbCHZeroPagesStayFewChunks: process images are full of zero pages,
+// and a window of zeros hashes to 0 — low bits all zero at every position.
+// The live chunker must not take that for a boundary (it once cut zero
+// runs every Min = 48 bytes: 87,000 chunks, puts and map entries for this
+// image); zero runs ride inside ordinary spans and dedup like any content.
+func TestCbCHZeroPagesStayFewChunks(t *testing.T) {
+	c := testCluster(t, 3, manager.Config{})
+	cl := testClient(t, c, client.Config{Chunking: client.ChunkCbCH, StripeWidth: 2, Incremental: true})
+	img := payload(83, 8<<20)
+	for off := 0; off < len(img); off += 256 << 10 {
+		clear(img[off+128<<10 : off+256<<10]) // every other 32 pages
+	}
+
+	writeFile(t, cl, "zeropages.n1.t0", img)
+	second := writeFile(t, cl, "zeropages.n1.t1", img).Metrics()
+	if second.Uploaded != 0 || second.Deduped != int64(len(img)) {
+		t.Fatalf("identical second version uploaded %d bytes, deduped %d of %d", second.Uploaded, second.Deduped, len(img))
+	}
+	for _, name := range []string{"zeropages.n1.t0", "zeropages.n1.t1"} {
+		if got := readFile(t, cl, name); !bytes.Equal(got, img) {
+			t.Fatalf("%s corrupted on round trip", name)
+		}
+	}
+	r, err := cl.Open("zeropages.n1.t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if n := len(r.Map().Chunks); n >= 1000 {
+		t.Fatalf("%d chunks for an 8 MB half-zero image under default CbCH (~64 KB spans); zero runs are being shredded", n)
+	}
+}
+
 // TestReaderFailsOverMidReadToReplica kills the benefactor listed first
 // for the tail chunks while a read is in progress and asserts the
 // remaining fetches fall over to the second replica, with content-hash

@@ -1,8 +1,9 @@
 // Package hashing provides the hash primitives used by stdchk's similarity
-// detection heuristics (paper §IV.C): a cheap window hash for detecting
-// content-defined chunk boundaries, and a Rabin-style rolling hash used by
-// the rolling-CbCH ablation (an O(1)-per-byte variant of the paper's
-// "overlap" configuration).
+// detection heuristics (paper §IV.C): a cheap window hash for the offline
+// content-defined chunkers the paper measures, and a Rabin-style rolling
+// hash — the O(1)-per-byte fix for the paper's "overlap" configuration —
+// whose bulk form, Rolling.Scan, is the one boundary finder under both the
+// live write path (chunker.Stream) and the offline rolling ablation.
 package hashing
 
 // WindowHash computes an FNV-1a style 64-bit hash of the window. CbCH calls
@@ -53,13 +54,18 @@ func Boundary(h uint64, k uint) bool {
 // supports O(1) updates when the window slides by one byte, which is the
 // standard fix (used by LBFS) for the overlap-CbCH throughput collapse the
 // paper measures.
+//
+// Roll is the byte-at-a-time reference form. Scan and Slide consume whole
+// slices and leave the instance exactly as the same bytes through Roll
+// would, so the three may be mixed freely. A fresh or Reset instance holds
+// a window of zero bytes.
 type Rolling struct {
 	window int
 	pow    uint64 // P^(window-1)
+	powW   uint64 // P^window
 	hash   uint64
-	buf    []byte
+	buf    []byte // the window, as a ring: oldest byte at head
 	head   int
-	primed bool
 }
 
 // rollingPrime is the polynomial base. Any odd multiplier works for a
@@ -71,9 +77,11 @@ func NewRolling(window int) *Rolling {
 	if window <= 0 {
 		window = 1
 	}
+	pow := powMod64(rollingPrime, uint64(window-1))
 	return &Rolling{
 		window: window,
-		pow:    powMod64(rollingPrime, uint64(window-1)),
+		pow:    pow,
+		powW:   pow * rollingPrime,
 		buf:    make([]byte, window),
 	}
 }
@@ -100,7 +108,6 @@ func (r *Rolling) Window() int { return r.window }
 func (r *Rolling) Reset() {
 	r.hash = 0
 	r.head = 0
-	r.primed = false
 	clear(r.buf)
 }
 
@@ -118,7 +125,6 @@ func (r *Rolling) Prime(data []byte) uint64 {
 		r.buf[i] = data[i]
 	}
 	r.head = 0
-	r.primed = true
 	return r.hash
 }
 
@@ -133,6 +139,83 @@ func (r *Rolling) Roll(in byte) uint64 {
 		r.head = 0
 	}
 	return r.hash
+}
+
+// cuts reports whether a rolling hash ends a chunk under mask = 2^k - 1:
+// low k bits all zero and the hash itself non-zero. An all-zero window
+// hashes to exactly 0 under every k; were that a boundary, a run of zero
+// pages would be cut at every byte. No other window is affected beyond a
+// 2^-64 chance.
+func cuts(h, mask uint64) bool { return h&mask == 0 && h != 0 }
+
+// Scan slides the window over p as len(p) Roll calls would, stopping at
+// the first position whose window hash is a chunk boundary at k bits (low
+// k bits zero, hash non-zero: see cuts). It returns how many bytes of p it
+// consumed up to and including that position, or 0 when no position in p
+// is a boundary — all of p is then consumed.
+func (r *Rolling) Scan(p []byte, k uint) int {
+	w := r.window
+	mask := uint64(1)<<k - 1
+
+	// The first w bytes push out bytes that arrived before this call.
+	lead := min(w, len(p))
+	for i, in := range p[:lead] {
+		if cuts(r.Roll(in), mask) {
+			return i + 1
+		}
+	}
+	if len(p) == lead {
+		return 0
+	}
+
+	// From here the outgoing byte is p[i-w]. With d = in - out*P^w the step
+	// is h*P + d, and two steps from one h are h*P^2 + (d1*P + d2): one
+	// multiply and one add on the loop-carried chain per two bytes. Wider
+	// unrolling measured slower (the multiplier is the bound).
+	const p2 = rollingPrime * rollingPrime & (1<<64 - 1)
+	h, powW := r.hash, r.powW
+	in, out := p[w:], p[:len(p)-w]
+	out = out[:len(in)]
+	n, i := 0, 0
+	for ; i < len(in)-1; i += 2 {
+		d1 := uint64(in[i]) - uint64(out[i])*powW
+		d2 := uint64(in[i+1]) - uint64(out[i+1])*powW
+		h1 := h*rollingPrime + d1
+		h = h*p2 + (d1*rollingPrime + d2)
+		if cuts(h1, mask) {
+			h, n = h1, w+i+1
+			break
+		}
+		if cuts(h, mask) {
+			n = w + i + 2
+			break
+		}
+	}
+	if n == 0 && i < len(in) {
+		h = h*rollingPrime + uint64(in[i]) - uint64(out[i])*powW
+		if cuts(h, mask) {
+			n = len(p)
+		}
+	}
+	end := n
+	if end == 0 {
+		end = len(p)
+	}
+	r.hash = h
+	copy(r.buf, p[end-w:end])
+	r.head = 0
+	return n
+}
+
+// Slide moves the window over all of p without looking for boundaries.
+func (r *Rolling) Slide(p []byte) {
+	if len(p) < r.window {
+		for _, in := range p {
+			r.Roll(in)
+		}
+		return
+	}
+	r.Prime(p[len(p)-r.window:])
 }
 
 // Sum returns the current window hash.

@@ -97,6 +97,82 @@ func TestRollingMatchesFullQuick(t *testing.T) {
 	}
 }
 
+// TestRollingScanMatchesRoll: Scan and Slide are Roll over a slice. One
+// instance fed through a random mix of Scan, Slide and single Roll calls
+// must hold the same hash after every call, and report the same boundary
+// positions, as an instance fed the same bytes through Roll alone.
+func TestRollingScanMatchesRoll(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 200; round++ {
+		window := 1 + rng.Intn(300)
+		k := uint(rng.Intn(12))
+		data := make([]byte, 1+rng.Intn(4*window+2000))
+		rng.Read(data)
+		// Zero runs longer than the window exercise the zero-hash rule.
+		if z := rng.Intn(len(data)); rng.Intn(2) == 0 {
+			clear(data[z:min(len(data), z+2*window)])
+		}
+		mask := uint64(1)<<k - 1
+
+		ref, got := NewRolling(window), NewRolling(window)
+		refCuts := map[int]bool{}
+		for i, b := range data {
+			if h := ref.Roll(b); h&mask == 0 && h != 0 {
+				refCuts[i+1] = true
+			}
+		}
+		ref.Reset()
+		for pos := 0; pos < len(data); {
+			step := 1 + rng.Intn(min(len(data)-pos, 3*window))
+			next := pos + step
+			switch rng.Intn(4) {
+			case 0:
+				got.Roll(data[pos])
+				next = pos + 1
+			case 1:
+				got.Slide(data[pos:next])
+			default:
+				n := got.Scan(data[pos:next], k)
+				if n > 0 {
+					next = pos + n
+				}
+				for i := pos + 1; i <= next; i++ {
+					if refCuts[i] != (n > 0 && i == next) {
+						t.Fatalf("round %d (window %d, k %d): Scan(data[%d:%d]) = %d, Roll boundary at %d is %v",
+							round, window, k, pos, pos+step, n, i, refCuts[i])
+					}
+				}
+			}
+			for _, b := range data[pos:next] {
+				ref.Roll(b)
+			}
+			if got.Sum() != ref.Sum() {
+				t.Fatalf("round %d (window %d): hash after data[%d:%d] = %#x, want %#x", round, window, pos, next, got.Sum(), ref.Sum())
+			}
+			pos = next
+		}
+	}
+}
+
+func TestRollingScanAllocatesNothing(t *testing.T) {
+	data := make([]byte, 1<<16)
+	rand.New(rand.NewSource(7)).Read(data)
+	r := NewRolling(48)
+	allocs := testing.AllocsPerRun(10, func() {
+		for rest := data; len(rest) > 0; {
+			n := r.Scan(rest, 10)
+			if n == 0 {
+				break
+			}
+			rest = rest[n:]
+		}
+		r.Slide(data[:100])
+	})
+	if allocs != 0 {
+		t.Fatalf("Scan/Slide allocate %.0f times per pass, want 0", allocs)
+	}
+}
+
 func TestRollingReset(t *testing.T) {
 	r := NewRolling(8)
 	data := []byte("abcdefghijklmnop")
