@@ -232,16 +232,10 @@ func (b *Benefactor) handle(req *wire.Req) (wire.Resp, error) {
 		if err := wire.UnmarshalMeta(req.Meta, &put); err != nil {
 			return wire.Resp{}, err
 		}
-		retained, err := b.putChunk(put.ID, req.Body)
-		if retained {
-			// The store kept the request buffer as the chunk bytes;
-			// keep the server from recycling it under the store.
-			req.DisownBody()
-		}
-		if err != nil {
+		if err := b.putChunk(put.ID, req.Body); err != nil {
 			return wire.Resp{}, err
 		}
-		return wire.Resp{Meta: proto.HeartbeatResp{OK: true}}, nil
+		return wire.Resp{}, nil
 	case proto.BGet:
 		var get proto.GetReq
 		if err := wire.UnmarshalMeta(req.Meta, &get); err != nil {
@@ -324,17 +318,24 @@ func (b *Benefactor) handle(req *wire.Req) (wire.Resp, error) {
 	}
 }
 
-func (b *Benefactor) putChunk(id core.ChunkID, data []byte) (bool, error) {
-	retained, err := b.chunks.Put(id, data)
-	if err != nil {
-		return retained, err
-	}
+// putChunk stores one chunk. Its birth is recorded before the store has
+// it: a GC round reports every stored chunk without a birth as aged, so
+// the other order leaves a window in which an upload still in flight —
+// stored, not yet committed, no birth yet — is reported and deleted.
+func (b *Benefactor) putChunk(id core.ChunkID, data []byte) error {
 	b.mu.Lock()
-	if _, ok := b.births[id]; !ok {
+	_, known := b.births[id]
+	if !known {
 		b.births[id] = time.Now()
 	}
 	b.mu.Unlock()
-	return retained, nil
+	_, err := b.chunks.Put(id, data)
+	if err != nil && !known && !b.chunks.Has(id) {
+		b.mu.Lock()
+		delete(b.births, id)
+		b.mu.Unlock()
+	}
+	return err
 }
 
 // fetchChunk reads one chunk into a pooled buffer sized to the chunk, so
@@ -617,8 +618,10 @@ func (b *Benefactor) gcLoop() {
 }
 
 // CollectGarbage runs one GC round: report aged chunks, delete the ones the
-// manager no longer references. Returns the number deleted. Exposed for
-// tests and tooling.
+// manager no longer references. The report goes out in batches of
+// proto.MaxRegisterChunks — what one frame holds — so an inventory of any
+// size is reconciled. Returns the number deleted. Exposed for tests and
+// tooling.
 func (b *Benefactor) CollectGarbage() (int, error) {
 	if b.mgrs == nil {
 		return 0, nil
@@ -632,22 +635,23 @@ func (b *Benefactor) CollectGarbage() (int, error) {
 		}
 	}
 	b.mu.Unlock()
-	if len(aged) == 0 {
-		return 0, nil
-	}
-	resp, err := b.mgrs.GCReport(proto.GCReportReq{ID: b.id, IDs: aged})
-	if err != nil {
-		return 0, err
-	}
 	deleted := 0
-	for _, id := range resp.Deletable {
-		if err := b.chunks.Delete(id); err != nil {
+	for len(aged) > 0 {
+		batch := aged[:min(len(aged), proto.MaxRegisterChunks)]
+		aged = aged[len(batch):]
+		resp, err := b.mgrs.GCReport(proto.GCReportReq{ID: b.id, IDs: batch})
+		if err != nil {
 			return deleted, err
 		}
-		b.mu.Lock()
-		delete(b.births, id)
-		b.mu.Unlock()
-		deleted++
+		for _, id := range resp.Deletable {
+			if err := b.chunks.Delete(id); err != nil {
+				return deleted, err
+			}
+			b.mu.Lock()
+			delete(b.births, id)
+			b.mu.Unlock()
+			deleted++
+		}
 	}
 	return deleted, nil
 }

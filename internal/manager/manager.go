@@ -8,7 +8,6 @@
 package manager
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -1005,18 +1004,14 @@ func (m *Manager) Stats() proto.ManagerStats { return m.statsSnapshot() }
 
 // Invoke dispatches one manager RPC in-process, bypassing the TCP framing
 // but exercising the exact handler path (request decode, counters, catalog,
-// journal). req is marshalled like a wire metadata header; resp, when
+// journal). req is marshalled exactly as a frame's meta would be; resp, when
 // non-nil, receives the handler's response metadata. Load harnesses
 // (BenchmarkManagerOps, the managerload experiment) use it to measure the
 // metadata plane without the socket stack in front.
 func (m *Manager) Invoke(op string, req, resp interface{}) error {
-	var meta json.RawMessage
-	if req != nil {
-		b, err := json.Marshal(req)
-		if err != nil {
-			return fmt.Errorf("manager: invoke %s: marshal: %w", op, err)
-		}
-		meta = b
+	meta, err := wire.MarshalMeta(req)
+	if err != nil {
+		return fmt.Errorf("manager: invoke %s: %w", op, err)
 	}
 	out, err := m.handle(&wire.Req{Op: op, Meta: meta})
 	if err != nil {
@@ -1025,12 +1020,12 @@ func (m *Manager) Invoke(op string, req, resp interface{}) error {
 	if resp == nil || out.Meta == nil {
 		return nil
 	}
-	b, err := json.Marshal(out.Meta)
+	b, err := wire.MarshalMeta(out.Meta)
 	if err != nil {
-		return fmt.Errorf("manager: invoke %s: marshal response: %w", op, err)
+		return fmt.Errorf("manager: invoke %s: response: %w", op, err)
 	}
-	if err := json.Unmarshal(b, resp); err != nil {
-		return fmt.Errorf("manager: invoke %s: unmarshal response: %w", op, err)
+	if err := wire.UnmarshalMeta(b, resp); err != nil {
+		return fmt.Errorf("manager: invoke %s: response: %w", op, err)
 	}
 	return nil
 }

@@ -2,6 +2,12 @@
 // request/response payloads for the manager service and the benefactor
 // service. Both services speak the framed protocol of package wire; this
 // package is pure data so every component can import it without cycles.
+//
+// Messages that carry chunk IDs — a single ID, an ID list or a chunk map —
+// and the two responses that answer an ID list entry for entry (HasResp,
+// BatchGetResp) have a fixed binary meta layout (codec.go: an
+// AppendMeta/ParseMeta method pair that package wire selects by type);
+// every other message is JSON. A message has exactly one of the two forms.
 package proto
 
 import (
@@ -181,9 +187,24 @@ type StatsResp struct {
 }
 
 // MaxRegisterChunks bounds the chunk inventory a RegisterReq carries for
-// rejoin reconciliation. Nodes holding more send the newest batch and
-// leave the remainder to the GC protocol's inventory reports.
-const MaxRegisterChunks = 65536
+// rejoin reconciliation, and the batch of one GCReportReq: the most raw
+// 20-byte IDs that fit one frame's control header, with listSlack left
+// for the frame fields, the op and the message's other fields. Nodes
+// holding more register with the first MaxRegisterChunks of their sorted
+// inventory and leave the remainder to the GC protocol's inventory
+// reports, which page through everything in batches of this size.
+const MaxRegisterChunks = (maxHeaderLen - listSlack) / core.HashSize
+
+const (
+	// maxHeaderLen mirrors wire.MaxHeaderLen: this package stays pure
+	// data, below wire, so it cannot import the constant.
+	// TestIDListFitsOneFrame fails if the two drift apart.
+	maxHeaderLen = 1 << 20
+	// listSlack is the header room an ID-list message leaves for
+	// everything but the list: far more than a node ID and an address
+	// need.
+	listSlack = 4 << 10
+)
 
 // RegisterReq announces a benefactor.
 type RegisterReq struct {

@@ -8,10 +8,11 @@
 // bytes match their content-based name, which is stdchk's defence against
 // faulty or malicious benefactors (paper §IV.C).
 //
-// The interface is zero-copy friendly: Put may take ownership of the
-// caller's buffer instead of copying it (reported via its retained
-// result), and GetInto serves reads into a caller-provided buffer so the
-// steady-state read path allocates nothing.
+// Buffers stay with the caller on both sides: Put never keeps the slice
+// it is handed (the memory store copies into an exact-size slice, the disk
+// store writes a file), so a caller recycling buffers may reuse data as
+// soon as Put returns, and GetInto serves reads into a caller-provided
+// buffer so the steady-state read path allocates nothing.
 package store
 
 import (
@@ -30,10 +31,11 @@ import (
 type Store interface {
 	// Put stores a chunk under its content-based name, verifying
 	// integrity. Storing an already-present chunk is a no-op. The store
-	// may take ownership of data instead of copying it; retained reports
-	// that, and a caller recycling buffers must not reuse data once it
-	// has been retained.
-	Put(id core.ChunkID, data []byte) (retained bool, err error)
+	// never retains data: the caller may reuse or recycle it as soon as
+	// Put returns. The bool result is always false — it once reported a
+	// retained buffer, and stays only because the separately compiled
+	// bench/ module discards two results.
+	Put(id core.ChunkID, data []byte) (bool, error)
 	// Get returns a copy of the chunk bytes. core.ErrNotFound if absent.
 	Get(id core.ChunkID) ([]byte, error)
 	// GetInto returns the chunk bytes, served into dst when cap(dst) is
@@ -84,9 +86,10 @@ func NewMemory(capacity int64, disk *device.Disk) *Memory {
 	}
 }
 
-// Put implements Store. The memory store takes ownership of data (it keeps
-// the slice as the stored chunk, saving a 1 MB copy per chunk on the write
-// path); callers must not mutate the buffer after a retained Put.
+// Put implements Store. The chunk is copied into a slice of exactly its
+// size: keeping the caller's slice instead would pin that buffer's whole
+// capacity (a 64 KB pooled wire buffer under an 8 KB chunk) for the
+// chunk's lifetime and cost the pool a fresh buffer per put.
 func (m *Memory) Put(id core.ChunkID, data []byte) (bool, error) {
 	if core.HashChunk(data) != id {
 		return false, fmt.Errorf("put %s: %w", id.Short(), core.ErrIntegrity)
@@ -104,12 +107,12 @@ func (m *Memory) Put(id core.ChunkID, data []byte) (bool, error) {
 		m.mu.Unlock()
 		return false, fmt.Errorf("put %s (%d bytes): %w", id.Short(), len(data), core.ErrNoSpace)
 	}
-	m.chunks[id] = data
+	m.chunks[id] = append([]byte(nil), data...) // not zero-filled first
 	m.used += int64(len(data))
 	m.mu.Unlock()
 
 	m.disk.Write(len(data)) // pace outside the lock: the spindle queue serializes
-	return true, nil
+	return false, nil
 }
 
 // Get implements Store.
@@ -260,8 +263,7 @@ func (d *Disk) path(id core.ChunkID) string {
 	return filepath.Join(d.dir, name[:2], name)
 }
 
-// Put implements Store. The disk store writes data out and never retains
-// the slice, so it always reports retained=false.
+// Put implements Store.
 func (d *Disk) Put(id core.ChunkID, data []byte) (bool, error) {
 	if core.HashChunk(data) != id {
 		return false, fmt.Errorf("put %s: %w", id.Short(), core.ErrIntegrity)

@@ -238,38 +238,63 @@ func TestDiskStoreReopenRebuildsIndex(t *testing.T) {
 	}
 }
 
+// TestMemoryOwnershipAndReadIsolation: no store keeps the caller's slice
+// (Put's bool says so for both implementations, new chunk or duplicate),
+// and reads never alias the stored bytes.
 func TestMemoryOwnershipAndReadIsolation(t *testing.T) {
+	for name, s := range stores(t) {
+		id, data := chunk(9, 64)
+		for _, put := range []string{"new", "duplicate"} {
+			if retained, err := s.Put(id, data); err != nil || retained {
+				t.Fatalf("%s: Put of a %s chunk: retained %v, err %v", name, put, retained, err)
+			}
+		}
+		got, err := s.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[1] ^= 0xff // mutating the result must not reach the store
+		again, err := s.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if core.HashChunk(again) != id {
+			t.Fatalf("%s: store returned its internal buffer", name)
+		}
+		s.Close()
+	}
+}
+
+// TestMemoryPutDoesNotAliasOrOverhang stores the first 8 KB of a 64 KB
+// buffer — the shape of a small chunk arriving in a pooled wire buffer —
+// and then scribbles over the buffer, as the pool's next user would. The
+// stored chunk must be untouched, and must hold 8 KB, not pin 64.
+func TestMemoryPutDoesNotAliasOrOverhang(t *testing.T) {
 	s := NewMemory(0, nil)
 	defer s.Close()
-	id, data := chunk(9, 64)
-	retained, err := s.Put(id, data)
-	if err != nil {
+	buf := make([]byte, 64<<10)
+	rand.New(rand.NewSource(3)).Read(buf)
+	data := buf[:8<<10]
+	id := core.HashChunk(data)
+	want := append([]byte(nil), data...)
+	if _, err := s.Put(id, data); err != nil {
 		t.Fatal(err)
 	}
-	if !retained {
-		t.Fatal("memory store should take ownership of a new chunk's buffer")
+	for i := range buf {
+		buf[i] = 0xee
 	}
-	// A duplicate put must not be retained (the caller keeps the buffer).
-	dup := append([]byte(nil), data...)
-	retained, err = s.Put(id, dup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if retained {
-		t.Fatal("duplicate Put retained the caller's buffer")
-	}
-	// Reads never alias the stored bytes: mutating the result is safe.
 	got, err := s.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got[1] ^= 0xff
-	again, err := s.Get(id)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got, want) {
+		t.Fatal("stored chunk changed when the caller reused its buffer")
 	}
-	if core.HashChunk(again) != id {
-		t.Fatal("store returned its internal buffer")
+	s.mu.RLock()
+	stored := s.chunks[id]
+	s.mu.RUnlock()
+	if len(stored) != len(want) || cap(stored) != len(stored) {
+		t.Fatalf("stored slice has len %d cap %d, want both %d", len(stored), cap(stored), len(want))
 	}
 }
 

@@ -87,78 +87,90 @@ func TestMuxDemuxInterleaved(t *testing.T) {
 	}
 }
 
-// TestUntaggedFrameBackCompat pins the frame-level compatibility promise:
-// a session-less frame's bytes are identical to the pre-mux encoding (no
-// "sid" key), and frames from old peers — no sid, any field order —
-// still decode.
+// TestUntaggedFrameBackCompat pins what is left of the untagged promise
+// (invariant 6): frames without a session tag are dispatched strictly one
+// at a time, in arrival order, even when a peer pipelines them — the
+// protocol of Conn, which the bench module and the manager pool dial —
+// while tagged frames on the same server overlap.
 func TestUntaggedFrameBackCompat(t *testing.T) {
-	// Untagged frames must not leak the new header key.
-	var buf bytes.Buffer
-	if err := Write(&buf, &Msg{Op: "put", Meta: json.RawMessage(`{"x":1}`)}); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(buf.Bytes(), []byte("sid")) {
-		t.Fatalf("untagged frame mentions sid: %q", buf.Bytes())
-	}
-	got, err := Read(&buf)
+	var running, peak atomic.Int32
+	var mu sync.Mutex
+	var order []string
+	_, addr := delayEchoServer(t, ServerConfig{Handler: func(req *Req) (Resp, error) {
+		n := running.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		mu.Lock()
+		order = append(order, string(req.Body))
+		mu.Unlock()
+		time.Sleep(5 * time.Millisecond)
+		running.Add(-1)
+		return Resp{Body: req.Body}, nil
+	}})
+
+	// Eight untagged frames written back to back before any reply is read.
+	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Session != 0 || got.Op != "put" {
-		t.Fatalf("decoded %+v", got)
+	defer raw.Close()
+	const n = 8
+	for i := 0; i < n; i++ {
+		if err := Write(raw, &Msg{Op: "echo", Body: []byte(fmt.Sprint(i))}); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	// A hand-built old-style header (as an old client would send) parses,
-	// in both canonical order (fast path) and reordered (json fallback).
-	for _, hdr := range []string{
-		`{"op":"commit","meta":{"n":1}}`,
-		`{"meta":{"n":1},"op":"commit"}`,
-		`{ "op" : "commit" }`,
-	} {
-		frame := make([]byte, 12+len(hdr))
-		frame[3] = byte(len(hdr))
-		copy(frame[12:], hdr)
-		m, err := Read(bytes.NewReader(frame))
+	for i := 0; i < n; i++ {
+		m, err := Read(raw)
 		if err != nil {
-			t.Fatalf("old frame %q: %v", hdr, err)
+			t.Fatal(err)
 		}
-		if m.Op != "commit" || m.Session != 0 {
-			t.Fatalf("old frame %q decoded as %+v", hdr, m)
+		if m.Session != 0 || string(m.Body) != fmt.Sprint(i) {
+			t.Fatalf("reply %d: session %d body %q", i, m.Session, m.Body)
 		}
+	}
+	if peak.Load() != 1 {
+		t.Fatalf("%d untagged requests ran at once, want 1", peak.Load())
+	}
+	mu.Lock()
+	got := strings.Join(order, "")
+	mu.Unlock()
+	if got != "01234567" {
+		t.Fatalf("untagged dispatch order %q", got)
 	}
 
-	// Tagged frames round-trip the session through both decode paths.
-	buf.Reset()
-	if err := Write(&buf, &Msg{Op: "alloc", Session: 7, Meta: json.RawMessage(`{"a":2}`)}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = Read(&buf)
+	// The same server overlaps tagged requests.
+	mc, err := DialMux(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Session != 7 || got.Op != "alloc" || string(got.Meta) != `{"a":2}` {
-		t.Fatalf("tagged round trip decoded %+v", got)
+	defer mc.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := mc.Call("echo", nil, []byte("t"), nil); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	reordered := `{"sid":9,"op":"alloc"}`
-	frame := make([]byte, 12+len(reordered))
-	frame[3] = byte(len(reordered))
-	copy(frame[12:], reordered)
-	m, err := Read(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Session != 9 {
-		t.Fatalf("fallback decoder lost sid: %+v", m)
+	wg.Wait()
+	if peak.Load() < 2 {
+		t.Fatal("tagged requests never overlapped")
 	}
 
-	// And an old-style serial client still works against the new server.
-	_, addr := delayEchoServer(t, ServerConfig{})
+	// And a serial client works against the multiplexing server.
 	conn, err := Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	body, err := conn.Call("echo", map[string]int{"delay_ms": 0}, []byte("old"), nil)
+	body, err := conn.Call("echo", nil, []byte("old"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -27,21 +26,15 @@ type Shaper func(net.Conn) net.Conn
 // than the buffer bypass it and read straight into their pooled buffer.
 const connReadBufSize = 32 << 10
 
-// Req is one inbound request. Body is backed by a pooled buffer owned by
-// the server: it is valid until the response frame has been written, after
-// which the server recycles it — handlers that retain the body past return
-// (e.g. a store taking ownership of the chunk bytes) must call DisownBody.
+// Req is one inbound request. Meta and Body are backed by buffers owned by
+// the server: they are valid until the response frame has been written,
+// after which the server recycles them — a handler that needs the bytes
+// past its return copies them.
 type Req struct {
 	Op   string
-	Meta json.RawMessage
+	Meta []byte
 	Body []byte
-
-	retained bool
 }
-
-// DisownBody transfers ownership of Body to the handler: the server will
-// not return it to the buffer pool.
-func (r *Req) DisownBody() { r.retained = true }
 
 // Resp is a handler's reply.
 type Resp struct {
@@ -85,10 +78,10 @@ type ServerConfig struct {
 }
 
 // Server accepts framed-RPC connections and dispatches requests to a
-// Handler. Untagged requests on a connection are processed in order (the
-// classic synchronous protocol); session-tagged requests dispatch
-// concurrently up to MaxConnInflight, with responses echoing the session
-// ID so the client-side mux can demultiplex them.
+// Handler. Untagged requests on a connection are processed strictly in
+// arrival order, one at a time (the protocol of Conn); session-tagged
+// requests dispatch concurrently up to MaxConnInflight, with responses
+// echoing the session ID so the client-side mux can demultiplex them.
 type Server struct {
 	ln       net.Listener
 	handler  Handler
@@ -194,6 +187,13 @@ func (s *Server) serveConn(raw net.Conn) {
 	var msg Msg
 	for {
 		if err := ReadInto(br, &msg); err != nil {
+			if errors.Is(err, ErrFrameVersion) {
+				// Say why before hanging up: a peer that can read this
+				// version's frames gets the typed error, not a bare EOF.
+				wmu.Lock()
+				_ = Write(conn, &Msg{Err: err.Error()})
+				wmu.Unlock()
+			}
 			return // peer gone or protocol error; drop the connection
 		}
 		if msg.Session != 0 {
@@ -238,9 +238,8 @@ func (s *Server) serveConn(raw net.Conn) {
 }
 
 // serveOne runs the handler for one decoded request and writes its
-// response frame (echoing the session tag), recycling the request body
-// unless the handler retained it. The write lock serializes frames from
-// concurrent dispatches.
+// response frame (echoing the session tag), then recycles the request
+// body. The write lock serializes frames from concurrent dispatches.
 func (s *Server) serveOne(conn net.Conn, wmu *sync.Mutex, msg *Msg) error {
 	req := Req{Op: msg.Op, Meta: msg.Meta, Body: msg.Body}
 	hresp, herr := s.handler(&req)
@@ -263,7 +262,7 @@ func (s *Server) serveOne(conn net.Conn, wmu *sync.Mutex, msg *Msg) error {
 	wmu.Lock()
 	werr := Write(conn, &out)
 	wmu.Unlock()
-	if msg.Body != nil && !req.retained {
+	if msg.Body != nil {
 		PutBuf(msg.Body)
 	}
 	if hresp.Recycle && hresp.Body != nil {

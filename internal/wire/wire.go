@@ -2,14 +2,31 @@
 // stdchk components (client ↔ manager, client ↔ benefactor, benefactor ↔
 // manager, benefactor ↔ benefactor for replication).
 //
-// A message is a small JSON control header plus an optional raw body for
+// A message is a small binary control header plus an optional raw body for
 // bulk chunk data:
 //
-//	[4-byte big-endian header length][header JSON]
-//	[8-byte big-endian body length][body bytes]
+//	[4-byte big-endian header length][8-byte big-endian body length]
+//	[header][body bytes]
 //
-// Control metadata stays human-debuggable while chunk payloads move as raw
-// bytes without re-encoding.
+// and the header is a fixed layout, decoded without reflection:
+//
+//	version  1 byte, frameVersion (2)
+//	flags    1 byte, bit 0 = an error string follows the op
+//	sid      uvarint session tag, 0 = untagged
+//	op       uvarint length + bytes
+//	err      uvarint length + bytes, only when flags bit 0 is set
+//	meta     the rest of the header, opaque to the frame codec
+//
+// The version byte is not '{', so a frame from the JSON-header era of this
+// protocol is refused with ErrFrameVersion at the first frame, on either
+// end, instead of being misparsed: binaries from before and after the
+// change do not interoperate, and a mixed cluster finds out immediately.
+//
+// Meta is encoded per message type (MarshalMeta, UnmarshalMeta). Messages
+// that carry chunk IDs — 20 raw bytes each, and there may be thousands per
+// message — implement a fixed binary layout in package proto; every other
+// message is small, rare or operator-facing and stays readable JSON inside
+// the same frame. No type has both forms.
 //
 // The codec is allocation-conscious: frame prefixes and headers are
 // marshalled into pooled scratch buffers, a frame with a body is written
@@ -20,26 +37,37 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strconv"
 	"sync"
 )
 
 const (
-	// MaxHeaderLen bounds the JSON control header.
+	// MaxHeaderLen bounds the control header, meta included.
 	MaxHeaderLen = 1 << 20
 	// MaxBodyLen bounds a bulk body (a chunk plus slack).
 	MaxBodyLen = 256 << 20
+	// frameVersion is the first byte of every control header. It changes
+	// when the header layout does; a peer speaking any other version is
+	// refused with ErrFrameVersion.
+	frameVersion = 2
 )
+
+// flagErr marks a header that carries an error string after the op.
+const flagErr = 1 << 0
 
 // Errors returned by the codec.
 var (
 	ErrHeaderTooLarge = errors.New("wire: header exceeds limit")
 	ErrBodyTooLarge   = errors.New("wire: body exceeds limit")
+	// ErrFrameVersion reports a control header that does not start with
+	// frameVersion: the peer runs another protocol version (a JSON-era
+	// header starts with '{'). The connection cannot be used.
+	ErrFrameVersion = errors.New("wire: unsupported frame version")
+
+	errBadHeader = errors.New("wire: malformed header")
 )
 
 // Msg is one framed message. For requests, Op names the operation and Meta
@@ -49,23 +77,14 @@ var (
 // Session, when non-zero, tags the frame with a multiplexing session ID:
 // many logical sessions share one connection, requests carry the ID, and
 // responses echo it so the client-side demux can route each reply to its
-// waiter. Zero means "untagged" — the classic one-outstanding-call
-// protocol — and is omitted from the wire form entirely, so old peers and
-// new peers interoperate frame-for-frame.
+// waiter. Zero means "untagged": the one-outstanding-call protocol of
+// Conn, which a server dispatches strictly in arrival order.
 type Msg struct {
-	Op      string          `json:"op"`
-	Err     string          `json:"err,omitempty"`
-	Session uint64          `json:"sid,omitempty"`
-	Meta    json.RawMessage `json:"meta,omitempty"`
-	Body    []byte          `json:"-"`
-}
-
-// header is the wire form of the JSON control portion.
-type header struct {
-	Op   string          `json:"op"`
-	Err  string          `json:"err,omitempty"`
-	Sid  uint64          `json:"sid,omitempty"`
-	Meta json.RawMessage `json:"meta,omitempty"`
+	Op      string
+	Err     string
+	Session uint64
+	Meta    []byte
+	Body    []byte
 }
 
 // MaxPooledBuf is the capacity of the largest pooled buffer class: a
@@ -124,9 +143,9 @@ func PutBuf(b []byte) {
 	// Below the smallest class: not worth pooling.
 }
 
-// frameEncoder is pooled per-Write scratch: the 12-byte prefix and the JSON
-// header are built in buf so the control portion goes out as one slice, and
-// the vectored-write slice header is recycled with it.
+// frameEncoder is pooled per-Write scratch: the 12-byte prefix and the
+// control header are built in buf so the control portion goes out as one
+// slice, and the vectored-write slice header is recycled with it.
 type frameEncoder struct {
 	buf  []byte
 	vecs net.Buffers
@@ -136,63 +155,28 @@ var encPool = sync.Pool{New: func() interface{} {
 	return &frameEncoder{buf: make([]byte, 0, 512), vecs: make(net.Buffers, 0, 2)}
 }}
 
-// appendJSONString appends s as a JSON string literal (quoted, with the
-// escapes JSON requires; multi-byte UTF-8 passes through raw, which JSON
-// allows).
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			dst = append(dst, '\\', c)
-		case c >= 0x20:
-			dst = append(dst, c)
-		case c == '\n':
-			dst = append(dst, '\\', 'n')
-		case c == '\r':
-			dst = append(dst, '\\', 'r')
-		case c == '\t':
-			dst = append(dst, '\\', 't')
-		default:
-			const hex = "0123456789abcdef"
-			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		}
-	}
-	return append(dst, '"')
-}
-
-// appendHeader marshals the control header by hand — the shape is a flat
-// three-field object, and building it directly into the pooled scratch
-// keeps encoding/json (and its per-call scanner state) off the hot path.
-func appendHeader(dst []byte, m *Msg) []byte {
-	dst = append(dst, `{"op":`...)
-	dst = appendJSONString(dst, m.Op)
-	if m.Err != "" {
-		dst = append(dst, `,"err":`...)
-		dst = appendJSONString(dst, m.Err)
-	}
-	if m.Session != 0 {
-		dst = append(dst, `,"sid":`...)
-		dst = strconv.AppendUint(dst, m.Session, 10)
-	}
-	if len(m.Meta) > 0 {
-		dst = append(dst, `,"meta":`...)
-		dst = append(dst, m.Meta...)
-	}
-	return append(dst, '}')
-}
-
 // appendFrame appends m's control part — the 12-byte length prefix and the
-// JSON header — to dst. The body, if any, follows it on the wire. It is the
-// one frame encoder: Write and the MuxConn send queue both build on it.
+// control header — to dst. The body, if any, follows it on the wire. It is
+// the one frame encoder: Write and the MuxConn send queue both build on it.
 func appendFrame(dst []byte, m *Msg) ([]byte, error) {
 	if int64(len(m.Body)) > MaxBodyLen {
 		return dst, ErrBodyTooLarge
 	}
 	start := len(dst)
 	dst = append(dst, zeroPrefix[:]...)
-	dst = appendHeader(dst, m)
+	var flags byte
+	if m.Err != "" {
+		flags = flagErr
+	}
+	dst = append(dst, frameVersion, flags)
+	dst = binary.AppendUvarint(dst, m.Session)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Op)))
+	dst = append(dst, m.Op...)
+	if m.Err != "" {
+		dst = binary.AppendUvarint(dst, uint64(len(m.Err)))
+		dst = append(dst, m.Err...)
+	}
+	dst = append(dst, m.Meta...)
 	hlen := len(dst) - start - 12
 	if hlen > MaxHeaderLen {
 		return dst[:start], ErrHeaderTooLarge
@@ -284,224 +268,54 @@ func ReadInto(r io.Reader, m *Msg) error {
 
 var zeroPrefix [12]byte
 
-// decodeHeader parses the flat control-header object into m, reusing
-// m.Meta's capacity for the copied raw metadata. It hand-parses the shape
-// this package's encoder emits and falls back to encoding/json for
-// anything else (escaped strings, unknown fields, reordered keys), so any
-// valid JSON header still decodes.
+// decodeHeader parses a control header into m, reusing m.Meta's capacity
+// for the copied metadata (and m.Op itself when the op repeats, as it does
+// on a connection's reused response frame). Every length is checked
+// against the bytes that remain before it is used.
 func decodeHeader(hb []byte, m *Msg) error {
-	op, errStr, meta, sid, ok := scanHeader(hb)
-	if !ok {
-		var h header
-		if err := json.Unmarshal(hb, &h); err != nil {
-			return err
-		}
-		m.Op, m.Err, m.Session, m.Meta = h.Op, h.Err, h.Sid, h.Meta
-		return nil
+	if len(hb) < 2 {
+		return errBadHeader
 	}
-	m.Op = string(op)
+	if hb[0] != frameVersion {
+		return fmt.Errorf("%w: header starts with 0x%02x, want 0x%02x", ErrFrameVersion, hb[0], frameVersion)
+	}
+	flags := hb[1]
+	if flags&^flagErr != 0 {
+		return errBadHeader
+	}
+	sid, n := binary.Uvarint(hb[2:])
+	if n <= 0 {
+		return errBadHeader
+	}
+	op, rest, ok := cutBytes(hb[2+n:])
+	if !ok {
+		return errBadHeader
+	}
+	var errStr []byte
+	if flags&flagErr != 0 {
+		if errStr, rest, ok = cutBytes(rest); !ok {
+			return errBadHeader
+		}
+	}
+	if m.Op != string(op) { // the comparison does not allocate
+		m.Op = string(op)
+	}
 	m.Err = string(errStr)
 	m.Session = sid
-	if len(meta) > 0 {
-		m.Meta = append(m.Meta[:0], meta...)
+	if len(rest) > 0 {
+		m.Meta = append(m.Meta[:0], rest...)
 	} else {
 		m.Meta = nil
 	}
 	return nil
 }
 
-// scanHeader is the allocation-free fast path for the canonical header
-// shape: a flat object with unescaped "op"/"err" strings, a numeric "sid"
-// and a "meta" raw value. ok=false means "use the full JSON decoder", not
-// "invalid".
-func scanHeader(b []byte) (op, errStr, meta []byte, sid uint64, ok bool) {
-	i := skipSpace(b, 0)
-	if i >= len(b) || b[i] != '{' {
-		return nil, nil, nil, 0, false
+// cutBytes splits a uvarint-length-prefixed field off the front of b.
+func cutBytes(b []byte) (field, rest []byte, ok bool) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 || n > uint64(len(b)-w) {
+		return nil, nil, false
 	}
-	i = skipSpace(b, i+1)
-	if i < len(b) && b[i] == '}' {
-		return nil, nil, nil, 0, true // empty header object
-	}
-	for {
-		key, rest, kok := scanPlainString(b, i)
-		if !kok {
-			return nil, nil, nil, 0, false
-		}
-		i = skipSpace(b, rest)
-		if i >= len(b) || b[i] != ':' {
-			return nil, nil, nil, 0, false
-		}
-		i = skipSpace(b, i+1)
-		switch string(key) {
-		case "op":
-			v, rest, vok := scanPlainString(b, i)
-			if !vok {
-				return nil, nil, nil, 0, false
-			}
-			op, i = v, rest
-		case "err":
-			v, rest, vok := scanPlainString(b, i)
-			if !vok {
-				return nil, nil, nil, 0, false
-			}
-			errStr, i = v, rest
-		case "sid":
-			v, rest, vok := scanUint(b, i)
-			if !vok {
-				return nil, nil, nil, 0, false
-			}
-			sid, i = v, rest
-		case "meta":
-			end, vok := scanValue(b, i)
-			if !vok {
-				return nil, nil, nil, 0, false
-			}
-			meta, i = b[i:end], end
-		default:
-			return nil, nil, nil, 0, false
-		}
-		i = skipSpace(b, i)
-		if i >= len(b) {
-			return nil, nil, nil, 0, false
-		}
-		if b[i] == '}' {
-			if skipSpace(b, i+1) != len(b) {
-				return nil, nil, nil, 0, false
-			}
-			return op, errStr, meta, sid, true
-		}
-		if b[i] != ',' {
-			return nil, nil, nil, 0, false
-		}
-		i = skipSpace(b, i+1)
-	}
-}
-
-// scanUint scans an unsigned decimal JSON number. Signs, fractions and
-// exponents defer to the full decoder.
-func scanUint(b []byte, i int) (v uint64, rest int, ok bool) {
-	j := i
-	for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-		d := uint64(b[j] - '0')
-		if v > (^uint64(0)-d)/10 {
-			return 0, 0, false // overflow: let encoding/json report it
-		}
-		v = v*10 + d
-		j++
-	}
-	if j == i {
-		return 0, 0, false
-	}
-	return v, j, true
-}
-
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-// scanPlainString scans a JSON string with no escapes, returning its
-// contents. Any backslash defers to the full decoder.
-func scanPlainString(b []byte, i int) (s []byte, rest int, ok bool) {
-	if i >= len(b) || b[i] != '"' {
-		return nil, 0, false
-	}
-	for j := i + 1; j < len(b); j++ {
-		switch b[j] {
-		case '\\':
-			return nil, 0, false
-		case '"':
-			return b[i+1 : j], j + 1, true
-		}
-	}
-	return nil, 0, false
-}
-
-// scanValue returns the end offset of the JSON value starting at i,
-// honouring nesting and strings (with escapes).
-func scanValue(b []byte, i int) (end int, ok bool) {
-	if i >= len(b) {
-		return 0, false
-	}
-	switch b[i] {
-	case '{', '[':
-		depth := 0
-		for j := i; j < len(b); j++ {
-			switch b[j] {
-			case '{', '[':
-				depth++
-			case '}', ']':
-				depth--
-				if depth == 0 {
-					return j + 1, true
-				}
-			case '"':
-				strEnd, sok := scanStringAny(b, j)
-				if !sok {
-					return 0, false
-				}
-				j = strEnd - 1
-			}
-		}
-		return 0, false
-	case '"':
-		return scanStringAny(b, i)
-	default:
-		j := i
-		for j < len(b) {
-			c := b[j]
-			if c == ',' || c == '}' || c == ']' || c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-				break
-			}
-			j++
-		}
-		if j == i {
-			return 0, false
-		}
-		return j, true
-	}
-}
-
-// scanStringAny scans a JSON string allowing escapes, returning the offset
-// just past the closing quote.
-func scanStringAny(b []byte, i int) (end int, ok bool) {
-	if i >= len(b) || b[i] != '"' {
-		return 0, false
-	}
-	for j := i + 1; j < len(b); j++ {
-		switch b[j] {
-		case '\\':
-			j++ // skip the escaped byte
-		case '"':
-			return j + 1, true
-		}
-	}
-	return 0, false
-}
-
-// MarshalMeta encodes v as a message's Meta field.
-func MarshalMeta(v interface{}) (json.RawMessage, error) {
-	if v == nil {
-		return nil, nil
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("wire: marshal meta: %w", err)
-	}
-	return b, nil
-}
-
-// UnmarshalMeta decodes a message's Meta field into v. A nil Meta leaves v
-// untouched.
-func UnmarshalMeta(raw json.RawMessage, v interface{}) error {
-	if len(raw) == 0 {
-		return nil
-	}
-	if err := json.Unmarshal(raw, v); err != nil {
-		return fmt.Errorf("wire: decode meta: %w", err)
-	}
-	return nil
+	end := w + int(n)
+	return b[w:end], b[end:], true
 }

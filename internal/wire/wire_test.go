@@ -2,13 +2,19 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"stdchk/internal/core"
 )
@@ -22,8 +28,13 @@ func TestMsgRoundTrip(t *testing.T) {
 		{"with meta", Msg{Op: "put", Meta: json.RawMessage(`{"x":1}`)}},
 		{"with body", Msg{Op: "put", Body: []byte("chunk data")}},
 		{"error response", Msg{Op: "get", Err: "not found"}},
-		{"everything", Msg{Op: "x", Err: "e", Meta: json.RawMessage(`[1,2]`), Body: []byte{0, 1, 2}}},
+		{"everything", Msg{Op: "x", Err: "e", Session: 7, Meta: json.RawMessage(`[1,2]`), Body: []byte{0, 1, 2}}},
 		{"empty body slice", Msg{Op: "x", Body: []byte{}}},
+		{"empty op", Msg{Session: 1}},
+		{"widest sid", Msg{Op: "x", Session: math.MaxUint64}},
+		{"binary meta", Msg{Op: "b.put", Meta: []byte{0, 0xff, '{', 2}}},
+		{"err with quotes and control bytes", Msg{Op: "get", Err: "a \"quoted\"\\ line\nwith\ttabs, \x00 and \xff\xfe"}},
+		{"long err with meta", Msg{Op: "get", Session: 300, Err: strings.Repeat("e", 100<<10), Meta: []byte("m")}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -35,7 +46,7 @@ func TestMsgRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Op != tt.msg.Op || got.Err != tt.msg.Err {
+			if got.Op != tt.msg.Op || got.Err != tt.msg.Err || got.Session != tt.msg.Session {
 				t.Fatalf("got %+v, want %+v", got, tt.msg)
 			}
 			if string(got.Meta) != string(tt.msg.Meta) {
@@ -79,6 +90,131 @@ func TestReadRejectsOversizedFrames(t *testing.T) {
 	buf.WriteString("{}")
 	if _, err := Read(&buf); !errors.Is(err, ErrBodyTooLarge) {
 		t.Fatalf("got %v, want ErrBodyTooLarge", err)
+	}
+}
+
+// jsonEraFrame is a frame as the parent of the binary header wrote it: the
+// same 12-byte prefix in front of a JSON object.
+func jsonEraFrame(hdr string) []byte {
+	frame := make([]byte, 12, 12+len(hdr))
+	binary.BigEndian.PutUint32(frame, uint32(len(hdr)))
+	return append(frame, hdr...)
+}
+
+// TestJSONEraFrameRefused: a peer still speaking the JSON header is told
+// so with ErrFrameVersion at its first frame — by the decoder, by a client
+// reading such a reply on either kind of connection, and by a server,
+// which says so in one parting frame and hangs up without running a
+// handler.
+func TestJSONEraFrameRefused(t *testing.T) {
+	for _, hdr := range []string{`{"op":"commit","meta":{"n":1}}`, `{"sid":9,"op":"alloc"}`, `{}`} {
+		if _, err := Read(bytes.NewReader(jsonEraFrame(hdr))); !errors.Is(err, ErrFrameVersion) {
+			t.Fatalf("header %s: got %v, want ErrFrameVersion", hdr, err)
+		}
+	}
+
+	// An old server: answers whatever it is sent with a JSON-era frame.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				var pre [12]byte
+				if _, err := io.ReadFull(c, pre[:]); err != nil {
+					return
+				}
+				c.Write(jsonEraFrame(`{"op":"ping","sid":1,"meta":{"ok":true}}`))
+				io.Copy(io.Discard, c)
+			}()
+		}
+	}()
+	conn, err := Dial(ln.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Call("ping", nil, nil, nil); !errors.Is(err, ErrFrameVersion) {
+		t.Fatalf("Conn.Call against an old server: %v", err)
+	}
+	mc, err := DialMux(ln.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	if _, err := mc.Call("ping", nil, nil, nil); !errors.Is(err, ErrFrameVersion) {
+		t.Fatalf("MuxConn.Call against an old server: %v", err)
+	}
+
+	// An old client against this server.
+	var handled atomic.Int32
+	sln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(sln, func(*Req) (Resp, error) {
+		handled.Add(1)
+		return Resp{}, nil
+	}, nil)
+	defer srv.Close()
+	old, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	// Two frames: were the first merely skipped, the second would be served.
+	old.Write(jsonEraFrame(`{"op":"ping"}`))
+	old.Write(jsonEraFrame(`{"op":"ping"}`))
+	old.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := Read(old)
+	if err != nil || !strings.Contains(reply.Err, ErrFrameVersion.Error()) {
+		t.Fatalf("server's parting frame: %+v, %v; want one naming the version error", reply, err)
+	}
+	if rest, err := io.ReadAll(old); err != nil || len(rest) != 0 {
+		t.Fatalf("server sent %d more bytes (err %v), want a hang-up", len(rest), err)
+	}
+	if handled.Load() != 0 {
+		t.Fatal("server ran a handler for a JSON-era frame")
+	}
+}
+
+// TestOversizedFrameFailsCallNotConnection: a request whose header or body
+// would exceed the frame limits fails that call before anything reaches
+// the wire, and the connection — serial or multiplexed — serves the next.
+func TestOversizedFrameFailsCallNotConnection(t *testing.T) {
+	_, addr := echoServer(t)
+	conn, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	mc, err := DialMux(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	bigMeta := json.RawMessage(`"` + strings.Repeat("m", MaxHeaderLen) + `"`)
+	bigBody := make([]byte, MaxBodyLen+1) // never touched: the length alone is refused
+	for name, call := range map[string]func(string, interface{}, []byte, interface{}) ([]byte, error){
+		"conn": conn.Call, "mux": mc.Call,
+	} {
+		if _, err := call("echo", bigMeta, nil, nil); !errors.Is(err, ErrHeaderTooLarge) {
+			t.Fatalf("%s: oversized meta: %v", name, err)
+		}
+		if _, err := call("echo", nil, bigBody, nil); !errors.Is(err, ErrBodyTooLarge) {
+			t.Fatalf("%s: oversized body: %v", name, err)
+		}
+		body, err := call("echo", nil, []byte("after"), nil)
+		if err != nil || string(body) != "after" {
+			t.Fatalf("%s: connection unusable after a refused frame: %q, %v", name, body, err)
+		}
 	}
 }
 
