@@ -21,6 +21,7 @@ import (
 	"stdchk/internal/benefactor"
 	"stdchk/internal/core"
 	"stdchk/internal/federation"
+	"stdchk/internal/hashing"
 	"stdchk/internal/store"
 )
 
@@ -74,7 +75,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("stdchk benefactor %s serving on %s (manager %s)\n", b.ID(), b.Addr(), *mgr)
+	fmt.Printf("stdchk benefactor %s serving on %s (manager %s, sha1 %s)\n", b.ID(), b.Addr(), *mgr, hashing.SHA1Impl())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

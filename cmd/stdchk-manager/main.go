@@ -26,6 +26,7 @@ import (
 
 	"stdchk/internal/faultpoint"
 	"stdchk/internal/federation"
+	"stdchk/internal/hashing"
 	"stdchk/internal/manager"
 )
 
@@ -102,9 +103,9 @@ func run(args []string) error {
 		return err
 	}
 	if len(members) > 1 {
-		fmt.Printf("stdchk manager serving on %s (federation member %d of %d)\n", m.Addr(), *memberIdx, len(members))
+		fmt.Printf("stdchk manager serving on %s (federation member %d of %d, sha1 %s)\n", m.Addr(), *memberIdx, len(members), hashing.SHA1Impl())
 	} else {
-		fmt.Printf("stdchk manager serving on %s\n", m.Addr())
+		fmt.Printf("stdchk manager serving on %s (sha1 %s)\n", m.Addr(), hashing.SHA1Impl())
 	}
 
 	sig := make(chan os.Signal, 1)

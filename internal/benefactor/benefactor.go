@@ -350,6 +350,7 @@ func (b *Benefactor) fetchChunk(id core.ChunkID) ([]byte, error) {
 	data, err := b.chunks.GetInto(id, buf[:0])
 	if err != nil {
 		wire.PutBuf(buf)
+		b.quarantineIfCorrupt(id, err)
 		return nil, err
 	}
 	if len(data) == 0 {
@@ -364,6 +365,16 @@ func (b *Benefactor) fetchChunk(id core.ChunkID) ([]byte, error) {
 		wire.PutBuf(buf)
 	}
 	return data, nil
+}
+
+// quarantineIfCorrupt is the serve path's half of the scrubber: a store
+// read that failed its own hash check (core.ErrIntegrity) has found a bad
+// replica, and waiting for the scrub cursor to find it again would leave
+// it listed at the manager — and offered to readers — until then.
+func (b *Benefactor) quarantineIfCorrupt(id core.ChunkID, err error) {
+	if errors.Is(err, core.ErrIntegrity) {
+		b.quarantine(id)
+	}
 }
 
 // fetchBatch assembles a BGetBatch response: every present chunk is read
@@ -407,8 +418,10 @@ func (b *Benefactor) fetchBatch(ids []core.ChunkID) (proto.BatchGetResp, []byte)
 		off := len(body)
 		data, err := b.chunks.GetInto(id, body[off:off])
 		if err != nil || int64(len(data)) != sizes[i] {
-			// Deleted or rewritten between sizing and read: hand the slot
-			// to the caller's replica failover instead of failing the batch.
+			// Deleted or rewritten between sizing and read, or corrupt on
+			// disk: hand the slot to the caller's replica failover instead
+			// of failing the batch.
+			b.quarantineIfCorrupt(id, err)
 			sizes[i] = -1
 			continue
 		}

@@ -2,6 +2,7 @@ package benefactor
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"time"
 
@@ -97,15 +98,22 @@ func (b *Benefactor) verifyChunk(id core.ChunkID) bool {
 // (readers stop being routed here) and schedules critical-priority repair
 // from the surviving replicas. Deleting rather than fencing is safe
 // precisely because the data is content-addressed: there is nothing to
-// salvage from bytes that no longer hash to their name.
+// salvage from bytes that no longer hash to their name. The scrubber and
+// any number of serving goroutines may catch the same replica at once;
+// it is queued and counted once per report.
 func (b *Benefactor) quarantine(id core.ChunkID) {
 	if err := b.chunks.Delete(id); err != nil {
 		b.logf("scrub: quarantine %s: %v", id.Short(), err)
 	}
 	b.mu.Lock()
 	delete(b.births, id)
-	b.corrupt = append(b.corrupt, id)
-	b.corruptFound++
+	pending := slices.Contains(b.corrupt, id)
+	if !pending {
+		b.corrupt = append(b.corrupt, id)
+		b.corruptFound++
+	}
 	b.mu.Unlock()
-	b.logf("scrub: chunk %s failed verification, quarantined", id.Short())
+	if !pending {
+		b.logf("scrub: chunk %s failed verification, quarantined", id.Short())
+	}
 }

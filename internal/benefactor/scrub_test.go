@@ -1,12 +1,17 @@
 package benefactor
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"stdchk/internal/core"
 	"stdchk/internal/faultpoint"
 	"stdchk/internal/proto"
+	"stdchk/internal/store"
+	"stdchk/internal/wire"
 )
 
 // putChunks stores n distinct chunks and returns their IDs.
@@ -84,5 +89,79 @@ func TestScrubQuarantinesCorruptChunk(t *testing.T) {
 	// verifies only survivors and finds them healthy.
 	if checked, corrupt := b.ScrubOnce(); checked != 2 || corrupt != 0 {
 		t.Fatalf("post-quarantine round: checked=%d corrupt=%d, want 2 healthy", checked, corrupt)
+	}
+}
+
+// TestServePathQuarantinesCorruptChunk: a disk donor whose own read check
+// catches a flipped byte while serving must do what the scrubber would —
+// fail that chunk only, delete the replica, and put its ID on the next
+// heartbeat — not keep offering it until the scrub cursor comes round.
+func TestServePathQuarantinesCorruptChunk(t *testing.T) {
+	for _, op := range []string{proto.BGet, proto.BGetBatch} {
+		t.Run(op, func(t *testing.T) {
+			dir := t.TempDir()
+			disk, err := store.OpenDisk(dir, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := startNode(t, Config{Store: disk})
+			ids := putChunks(t, b, 3)
+			bad := ids[1]
+			name := bad.String()
+			path := filepath.Join(dir, name[:2], name)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[0] ^= 0x01
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			if op == proto.BGet {
+				conn, err := wire.Dial(b.Addr(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				for i, id := range ids {
+					_, err := conn.Call(proto.BGet, proto.GetReq{ID: id}, nil, nil)
+					if id == bad && !errors.Is(err, core.ErrIntegrity) {
+						t.Fatalf("get of the corrupt chunk: %v, want ErrIntegrity", err)
+					}
+					if id != bad && err != nil {
+						t.Fatalf("get of healthy chunk %d: %v", i, err)
+					}
+				}
+			} else {
+				var resp proto.BatchGetResp
+				call(t, b.Addr(), proto.BGetBatch, proto.BatchGetReq{IDs: ids}, nil, &resp)
+				for i, sz := range resp.Sizes {
+					if (sz < 0) != (ids[i] == bad) {
+						t.Fatalf("batch sizes = %v, want only slot 1 refused", resp.Sizes)
+					}
+				}
+			}
+
+			if b.Store().Has(bad) {
+				t.Fatal("the corrupt replica is still in the store")
+			}
+			for _, id := range b.Store().Inventory() {
+				if id == bad {
+					t.Fatal("the corrupt replica is still in the inventory")
+				}
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("the corrupt chunk file is still on disk (stat: %v)", err)
+			}
+			if hb := b.heartbeatReq(); len(hb.Corrupt) != 1 || hb.Corrupt[0] != bad {
+				t.Fatalf("next heartbeat reports %v corrupt, want exactly %s", hb.Corrupt, bad.Short())
+			}
+			var stats proto.StatsResp
+			call(t, b.Addr(), proto.BStats, nil, nil, &stats)
+			if stats.CorruptChunks != 1 {
+				t.Fatalf("stats report %d corrupt chunks, want 1", stats.CorruptChunks)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -103,10 +104,80 @@ func TestSingleExtendSpansMultipleQuanta(t *testing.T) {
 	}
 }
 
-// TestBatchedDedupProbes verifies that the hashing stage coalesces
-// per-chunk content-index lookups: a whole application Write becomes a
-// handful of MHasChunks RPCs (at most one per in-flight batch), not one
-// per chunk.
+// probeRecorder is a metadata endpoint that records the size of every
+// dedup probe and answers "all present", so the hasher releases each
+// batch itself and needs no upload workers.
+type probeRecorder struct {
+	*fakeMetadata
+	batches []int
+}
+
+func (p *probeRecorder) HasChunks(_ string, ids []core.ChunkID) ([]bool, error) {
+	p.batches = append(p.batches, len(ids))
+	present := make([]bool, len(ids))
+	for i := range present {
+		present[i] = true
+	}
+	return present, nil
+}
+
+// TestHasherBatchesQueuedChunks pins the batching rule where it is
+// deterministic: with every chunk already queued when the hasher starts,
+// the queue never runs dry, so batches close only at maxProbeBatch, at a
+// flush marker, and at the end of the queue — however fast SHA-1 is.
+func TestHasherBatchesQueuedChunks(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		chunks  int
+		flushAt int // index of the chunk carrying a flush marker, -1 for none
+		want    []int
+	}{
+		{"one full batch", maxProbeBatch, -1, []int{maxProbeBatch}},
+		{"two full batches", 2 * maxProbeBatch, -1, []int{maxProbeBatch, maxProbeBatch}},
+		{"full batch and a remainder", maxProbeBatch + 1, -1, []int{maxProbeBatch, 1}},
+		{"flush marker splits a batch", maxProbeBatch, 9, []int{10, maxProbeBatch - 10}},
+		{"flush marker on the last chunk", maxProbeBatch, maxProbeBatch - 1, []int{maxProbeBatch}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := &probeRecorder{fakeMetadata: newFakeMetadata()}
+			cl, err := New(Config{Endpoint: rec, Incremental: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			w := &Writer{c: cl, name: "pinned.n1.t0", hashCh: make(chan chunkItem, 2*maxProbeBatch)}
+			w.cond = sync.NewCond(&w.mu)
+			w.growCommitChunks(c.chunks)
+			for i := 0; i < c.chunks; i++ {
+				buf := fill(512, byte(i))
+				w.inflight += int64(len(buf))
+				w.hashCh <- chunkItem{idx: i, buf: &buf, flush: i == c.flushAt}
+			}
+			close(w.hashCh)
+			w.hashWg.Add(1)
+			go w.runHasher()
+			w.hashWg.Wait()
+
+			if !slices.Equal(rec.batches, c.want) {
+				t.Fatalf("%d queued chunks were probed in batches of %v, want %v", c.chunks, rec.batches, c.want)
+			}
+			if w.deduped != int64(c.chunks*512) || w.inflight != 0 {
+				t.Fatalf("deduped %d bytes with %d still in flight, want %d and 0", w.deduped, w.inflight, c.chunks*512)
+			}
+			for i, cc := range w.commitChunks {
+				if cc.ID == (core.ChunkID{}) {
+					t.Fatalf("chunk %d was never named", i)
+				}
+			}
+		})
+	}
+}
+
+// TestBatchedDedupProbes is the end-to-end half: through a real manager
+// every chunk is probed exactly once, the second version dedups entirely
+// and reads back. How many probes that takes depends on whether the
+// producer or the hasher is ahead, so only the bounds that hold under any
+// schedule are asserted here; TestHasherBatchesQueuedChunks pins the rule.
 func TestBatchedDedupProbes(t *testing.T) {
 	mgr, _ := startCluster(t, 2, 0)
 	cl, err := New(Config{
@@ -141,9 +212,8 @@ func TestBatchedDedupProbes(t *testing.T) {
 	if st.DedupChunks != chunks {
 		t.Fatalf("dedup probes covered %d chunks, want %d", st.DedupChunks, chunks)
 	}
-	if st.DedupBatches < 1 || st.DedupBatches > chunks/4 {
-		t.Fatalf("%d chunks took %d MHasChunks RPCs; batching is broken (want <= %d)",
-			chunks, st.DedupBatches, chunks/4)
+	if st.DedupBatches < 1 || st.DedupBatches > chunks {
+		t.Fatalf("%d chunks took %d MHasChunks RPCs, want between 1 and %d", chunks, st.DedupBatches, chunks)
 	}
 
 	// Same content again: every chunk is a dedup hit, still batched.

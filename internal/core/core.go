@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"stdchk/internal/hashing"
 )
 
 // DefaultChunkSize is the fixed chunk size used for striping. The paper uses
@@ -33,9 +35,14 @@ const HashSize = sha1.Size
 // malicious benefactors (paper §IV.C).
 type ChunkID [HashSize]byte
 
-// HashChunk computes the content-based name for a chunk payload.
+// HashChunk computes the content-based name for a chunk payload: its
+// SHA-1. Every hash pass in the tree — the writer naming a chunk, a store
+// verifying a put or a disk read, the reader verifying a fetch, the
+// scrubber — goes through here, and so through hashing.SHA1, which is
+// crypto/sha1.Sum or a bit-identical SHA-NI kernel at about twice the
+// speed, chosen by the CPU alone.
 func HashChunk(data []byte) ChunkID {
-	return ChunkID(sha1.Sum(data))
+	return ChunkID(hashing.SHA1(data))
 }
 
 // String returns the hexadecimal form of the chunk ID.

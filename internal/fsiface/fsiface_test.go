@@ -239,9 +239,19 @@ func TestBaselineOrderingMatchesTable1(t *testing.T) {
 		b.Close()
 		return b.Duration()
 	}
-	local := run(BaselineLocal)
-	fuse := run(BaselineFuseLocal)
-	null := run(BaselineNull)
+	// Other test binaries sharing the cores only ever add time to a run
+	// (the device model sleeps; a late wake-up is never early), so the
+	// fastest of three is the estimate of the modelled cost.
+	best := func(kind BaselineKind) time.Duration {
+		d := run(kind)
+		for i := 0; i < 2; i++ {
+			d = min(d, run(kind))
+		}
+		return d
+	}
+	local := best(BaselineLocal)
+	fuse := best(BaselineFuseLocal)
+	null := best(BaselineNull)
 	if null >= local/2 {
 		t.Fatalf("null %v not much faster than local %v", null, local)
 	}

@@ -3,6 +3,9 @@ package grid
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -237,5 +240,62 @@ func TestScrubCorruptionQuarantinedAndRepaired(t *testing.T) {
 	}
 	if got := readFile(t, cl, "scrub.n1.t0"); !bytes.Equal(got, img) {
 		t.Fatal("file not byte-identical after scrub quarantine + repair")
+	}
+}
+
+// TestServedCorruptionQuarantinedAndRepaired is the same loop without a
+// scrubber: scrubbing is off, every chunk file on one donor has a flipped
+// byte, and an ordinary restore reads through it. The donor's own read
+// check refuses those chunks (the reader fails over, the file is still
+// byte-identical), and what it refused it must also quarantine and report,
+// so the manager re-replicates from the surviving copies.
+func TestServedCorruptionQuarantinedAndRepaired(t *testing.T) {
+	c := churnCluster(t, 3, 0)
+	cl := testClient(t, c, client.Config{
+		ChunkSize: 4 << 10, StripeWidth: 3, Replication: 2,
+	})
+	img := payload(811, 128<<10)
+	writeFile(t, cl, "served.n1.t0", img)
+	awaitReplicationTargets(t, c, 15*time.Second)
+	copiedBefore := c.Manager.Stats().Repair.CopiedBytes
+
+	victim := c.Benefactors[0]
+	flipped := 0
+	err := filepath.WalkDir(filepath.Join(c.opts.DiskDir, string(victim.ID())), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		raw[len(raw)/2] ^= 0x40
+		flipped++
+		return os.WriteFile(path, raw, 0o644)
+	})
+	if err != nil || flipped == 0 {
+		t.Fatalf("corrupting %s's chunk files: %d flipped, err %v", victim.ID(), flipped, err)
+	}
+
+	if got := readFile(t, cl, "served.n1.t0"); !bytes.Equal(got, img) {
+		t.Fatal("file not byte-identical when one donor serves corrupt replicas")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Manager.Stats().Repair.CorruptReported < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("corruption caught while serving was never reported to the manager")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if held := victim.Store().Len(); held >= flipped {
+		t.Fatalf("%s still holds %d of its %d corrupt replicas after serving a restore", victim.ID(), held, flipped)
+	}
+
+	awaitReplicationTargets(t, c, 15*time.Second)
+	if copied := c.Manager.Stats().Repair.CopiedBytes; copied <= copiedBefore {
+		t.Fatalf("repair copied %d bytes before the corruption and %d after, want growth", copiedBefore, copied)
+	}
+	if got := readFile(t, cl, "served.n1.t0"); !bytes.Equal(got, img) {
+		t.Fatal("file not byte-identical after serve-path quarantine + repair")
 	}
 }

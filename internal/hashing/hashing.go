@@ -4,6 +4,16 @@
 // hash — the O(1)-per-byte fix for the paper's "overlap" configuration —
 // whose bulk form, Rolling.Scan, is the one boundary finder under both the
 // live write path (chunker.Stream) and the offline rolling ablation.
+//
+// It also holds SHA1, the function under core.HashChunk that names every
+// chunk. SHA1 is crypto/sha1.Sum, except on amd64 CPUs with the SHA
+// extensions (sha_ni in /proc/cpuinfo), where a Go-assembly block function
+// (sha1block_amd64.s) computes the same digest at about twice the speed:
+// go1.24's crypto/sha1 has no SHA-NI path. The CPU alone decides; the
+// standard purego build tag compiles the assembly out, and SHA1Impl says
+// which one runs. The kernel is a bounded fork of one stdlib function and
+// is to be deleted — its file header has the condition — once the pinned
+// toolchain's crypto/sha1 matches it (BenchmarkSHA1 kernel ≈ stdlib).
 package hashing
 
 // WindowHash computes an FNV-1a style 64-bit hash of the window. CbCH calls
