@@ -39,8 +39,6 @@ func run(args []string) error {
 		list      = fs.Bool("list", false, "list experiments and exit")
 		ablations = fs.Bool("ablations", false, "run the design-choice ablation benches instead")
 		jsonPath  = fs.String("json", "", "write machine-readable result records (JSON lines) to this file")
-		mapCache  = fs.Bool("map-cache", true, "run cache-sensitive experiments (restartload) with chunk-map caching; false is the every-open-pays-a-getMap baseline")
-		syncJrnl  = fs.Bool("sync-journal", false, "run journaled experiments with the historical synchronous journal writer instead of the ordered async one")
 		fsyncJrnl = fs.Bool("fsync-journal", false, "run journaled experiments with group-commit fsync durability (managerload measures this variant side by side regardless)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -57,7 +55,7 @@ func run(args []string) error {
 	}
 	cfg := experiments.Config{
 		Scale: *scale, Runs: *runs, Out: os.Stdout,
-		DisableMapCache: !*mapCache, SyncJournal: *syncJrnl, FsyncJournal: *fsyncJrnl,
+		FsyncJournal: *fsyncJrnl,
 	}
 	if *jsonPath != "" {
 		jf, err := os.Create(*jsonPath)

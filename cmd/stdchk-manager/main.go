@@ -46,14 +46,11 @@ func run(args []string) error {
 		replication = fs.Int("replication", 2, "default replication target")
 		deadTimeout = fs.Duration("dead-timeout", 0, "heartbeat silence past which a suspect benefactor is declared dead and decommissioned — its chunk locations are dropped (journaled) and repair rebuilds from survivors (0 = 10x the node TTL, negative = never)")
 		repairBytes = fs.Int64("repair-bytes-per-round", 0, "byte budget per replication-scheduler round, spent critical-band (single-replica chunks) first (0 = unbudgeted)")
-		stripes     = fs.Int("metadata-stripes", 0, "metadata lock-stripe count (0 = default 16, 1 = single-lock baseline for ablations)")
 		fed         = fs.String("federation", "", "comma-separated federation member addresses; this process serves the -member-index'th partition")
 		memberIdx   = fs.Int("member-index", 0, "this manager's index in the -federation member list")
 		journal     = fs.String("journal", "", "metadata journal path (optional)")
-		syncJournal = fs.Bool("sync-journal", false, "journal synchronously inside the commit critical section (historical mode; default is the ordered async writer, which can lose a small acknowledged-but-unjournaled window on process crash)")
-		fsyncJrnl   = fs.Bool("fsync-journal", false, "group-commit durability: every commit blocks until its journal batch is fsynced; concurrent commits share one fsync, so no acknowledged commit can be lost to a crash")
+		fsyncJrnl   = fs.Bool("fsync-journal", false, "group-commit durability: every commit blocks until its journal batch is fsynced; concurrent commits share one fsync, so no acknowledged commit can be lost to a crash (off, a process crash can lose a small acknowledged-but-unjournaled window)")
 		snapEvery   = fs.Duration("snapshot-interval", 0, "write periodic catalog snapshots and truncate the journal behind them (0 = snapshots off; restart then replays the full journal)")
-		mapCache    = fs.Bool("map-cache", true, "serve repeat getMaps from the hot-map cache (false = rebuild and re-sort locations per read, the ablation baseline)")
 		recover     = fs.Bool("recover", false, "start in recovery mode: rebuild metadata from benefactor-held chunk-map replicas")
 		maxPending  = fs.Int("max-pending", 0, "admission bound: max concurrently pending alloc/extend/commit ops before the manager sheds with a typed retry-after (0 = unbounded)")
 		maxInflight = fs.Int("max-conn-inflight", 0, "per-connection budget for concurrently dispatched session-tagged frames; excess frames are shed with retry-after (0 = default)")
@@ -68,10 +65,6 @@ func run(args []string) error {
 	if !*quiet {
 		logger = log.New(os.Stderr, "", log.LstdFlags)
 	}
-	mapCacheEntries := 0 // manager default
-	if !*mapCache {
-		mapCacheEntries = -1
-	}
 	// Fault-injection harness: STDCHK_FAULTPOINTS="manager.journal.fsync=crash"
 	// arms named faults for recovery drills; unset, this is a no-op.
 	if err := faultpoint.InitFromEnv(); err != nil {
@@ -84,12 +77,9 @@ func run(args []string) error {
 		DefaultReplication:  *replication,
 		DeadTimeout:         *deadTimeout,
 		RepairBytesPerRound: *repairBytes,
-		MetadataStripes:     *stripes,
-		MapCacheEntries:     mapCacheEntries,
 		FederationMembers:   members,
 		MemberIndex:         *memberIdx,
 		JournalPath:         *journal,
-		SyncJournal:         *syncJournal,
 		FsyncJournal:        *fsyncJrnl,
 		SnapshotInterval:    *snapEvery,
 		Recover:             *recover,

@@ -1,8 +1,7 @@
 // Command stdchk is the client CLI: store, retrieve, list, diff and
 // manage checkpoint files in a stdchk pool. Each subcommand owns its
-// flags; connection flags (-manager, -mux, -map-cache, -upload-window,
-// -read-batch) are shared by all of them and come after the subcommand
-// name.
+// flags; connection flags (-manager, -mux, -upload-window, -read-batch)
+// are shared by all of them and come after the subcommand name.
 //
 // Usage:
 //
@@ -24,7 +23,7 @@
 //
 // A comma-separated -manager list selects a federated metadata plane;
 // every subcommand then routes dataset-scoped calls to the partition
-// owner. "put" and "get" remain as aliases of write/read.
+// owner.
 package main
 
 import (
@@ -53,7 +52,6 @@ const usage = "usage: stdchk <write|read|restore|history|diff|ls|stat|rm|policy|
 // connOpts are the connection flags every subcommand shares.
 type connOpts struct {
 	manager      *string
-	mapCache     *bool
 	mux          *int
 	uploadWindow *int
 	readBatch    *int
@@ -65,8 +63,7 @@ type connOpts struct {
 func connFlags(fs *flag.FlagSet) *connOpts {
 	return &connOpts{
 		manager:      fs.String("manager", "127.0.0.1:9400", "manager address, or comma-separated federation member list"),
-		mapCache:     fs.Bool("map-cache", true, "cache chunk-maps client-side: explicit-version re-opens need zero manager RPCs, latest opens one revalidation probe (false = full getMap per open, the ablation baseline)"),
-		mux:          fs.Int("mux", 0, "share N session-multiplexed manager connections for metadata RPCs instead of pooling one serial conn per in-flight call (0 = serial pool; chunk traffic to benefactors is unaffected)"),
+		mux:          fs.Int("mux", 0, "share N session-multiplexed connections per manager for metadata RPCs instead of pooling one serial conn per in-flight call (0 = serial pool; chunk traffic to benefactors is unaffected)"),
 		uploadWindow: fs.Int("upload-window", 0, "in-flight chunk puts per stripe node, over the same shared multiplexed connections restores batch on (0 = 8; 1 = one blocking put per chunk)"),
 		readBatch:    fs.Int("read-batch", 0, "chunk IDs per batched read request (0 = 16); a batch also closes at 1 MB + 64 KB of chunk bytes, and a one-chunk batch is a plain get"),
 	}
@@ -75,26 +72,21 @@ func connFlags(fs *flag.FlagSet) *connOpts {
 // connect builds the client from a base config (write flags may have
 // filled parts of it) plus the shared connection flags.
 func (o *connOpts) connect(cfg client.Config) (*client.Client, error) {
-	if !*o.mapCache {
-		cfg.MapCacheEntries = -1
-	}
+	cfg.ManagerAddr = *o.manager
 	cfg.UploadWindow = *o.uploadWindow
 	cfg.ReadBatch = *o.readBatch
-	if members := federation.SplitMembers(*o.manager); len(members) > 1 {
-		// A member list makes this client federation-aware: dataset-scoped
-		// calls route to the partition owner, the rest fan out.
+	if *o.mux > 0 {
+		// The client's own Router pools serial connections; -mux hands it
+		// one that shares multiplexed connections instead.
 		r, err := federation.NewRouter(federation.RouterConfig{
-			Members:        members,
-			SharedConns:    *o.mux > 0,
+			Members:        federation.SplitMembers(*o.manager),
+			SharedConns:    true,
 			PerMemberConns: *o.mux,
 		})
 		if err != nil {
 			return nil, err
 		}
 		cfg.Endpoint = r // the client owns and closes it
-	} else {
-		cfg.ManagerAddr = *o.manager
-		cfg.SharedManagerConns = *o.mux
 	}
 	return client.New(cfg)
 }
@@ -105,9 +97,9 @@ func run(args []string) error {
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
-	case "write", "put":
+	case "write":
 		return cmdWrite(rest)
-	case "read", "get":
+	case "read":
 		return cmdRead(rest)
 	case "restore":
 		return cmdRestore(rest)

@@ -33,7 +33,7 @@ func BenchmarkEmitChunkPipelineCbCH(b *testing.B) {
 }
 
 // BenchmarkOpenRead measures the restart fast path end to end: one op is
-// Open (or OpenVersion) of a committed 8-chunk image plus a full read and
+// Open (latest, or an explicit OpenOptions.Version) of a committed 8-chunk image plus a full read and
 // Close, against an unshaped in-process manager and 4 benefactors. The
 // cached variants re-open through the client chunk-map cache (explicit
 // version: zero manager RPCs; latest: one MStatVersion probe); uncached

@@ -17,6 +17,7 @@ import (
 	"stdchk/internal/chunker"
 	"stdchk/internal/core"
 	"stdchk/internal/device"
+	"stdchk/internal/federation"
 	"stdchk/internal/namespace"
 	"stdchk/internal/proto"
 	"stdchk/internal/wire"
@@ -82,12 +83,15 @@ func (m ChunkingMode) String() string {
 
 // Config parameterizes a Client.
 type Config struct {
-	// ManagerAddr is the metadata manager address. Ignored when Endpoint
-	// is set.
+	// ManagerAddr is the metadata manager address, or a comma-separated
+	// federation member list (federation.SplitMembers syntax). New builds
+	// the client's federation.Router over it: one member routes trivially,
+	// several route each dataset to its partition owner. Ignored when
+	// Endpoint is set.
 	ManagerAddr string
-	// Endpoint overrides the default single-manager metadata endpoint —
-	// a federation router, for instance. The Client takes ownership and
-	// closes it.
+	// Endpoint replaces the Router New would build — a Router the caller
+	// configured itself (shared connections), or a test fake. The Client
+	// takes ownership and closes it.
 	Endpoint ManagerEndpoint
 	// StripeWidth is the number of benefactors to stripe writes across
 	// (0 = manager default).
@@ -156,22 +160,13 @@ type Config struct {
 	// explicit-version re-opens hit it with zero manager RPCs, "latest"
 	// opens revalidate with one MStatVersion probe. 0 selects the default
 	// (256 entries); negative disables caching — every open then pays a
-	// full MGetMap, the historical behavior and the -map-cache=false
-	// ablation baseline.
+	// full MGetMap, the baseline the package's benchmarks and tests
+	// compare the cache against.
 	MapCacheEntries int
 	// Writer is an optional identity stamped on every version this client
 	// commits, surfaced in the dataset's version history (provenance: which
 	// job/rank wrote each checkpoint). Empty leaves lineage anonymous.
 	Writer string
-	// SharedManagerConns, when positive, multiplexes the client's
-	// metadata RPCs over that many shared session-tagged connections to
-	// the manager instead of one pooled connection per outstanding call
-	// — the million-writer topology, where socket count stops scaling
-	// with writer count. Zero keeps the historical per-call pool. Chunk
-	// traffic to benefactors never rides these connections. Ignored when
-	// Endpoint is set; a federated Router selects shared mode via its own
-	// RouterConfig.SharedConns.
-	SharedManagerConns int
 	// UploadWindow bounds the in-flight (sent, unacked) BPuts per stripe
 	// node (0 = 8); every put rides the client's shared multiplexed pool,
 	// acks decoupled from sends. UploadWindow = 1 is stop-and-wait: one
@@ -229,11 +224,7 @@ func (c Config) withDefaults() Config {
 
 // Client is a stdchk client proxy.
 type Client struct {
-	cfg  Config
-	pool *wire.Pool
-	// mgrPool, when non-nil, is a shared (multiplexed) pool dedicated to
-	// manager metadata RPCs (Config.SharedManagerConns); owned here.
-	mgrPool *wire.Pool
+	cfg Config
 	// dataPool is the shared (multiplexed) pool carrying every chunk
 	// transfer to and from benefactors — windowed puts, batched fetches,
 	// single-chunk fetches and per-chunk failover tag their frames and
@@ -244,8 +235,9 @@ type Client struct {
 	// behind a 1 MB chunk mid-flight), dialed on first use, each with a
 	// reply-demux goroutine that lives until Close.
 	dataPool *wire.Pool
-	// mgr is the metadata service seam: a single manager or a federated
-	// router, resolved once at construction.
+	// mgr is the metadata service seam: the federation.Router New built
+	// over Config.ManagerAddr, or Config.Endpoint. It owns its own
+	// connections to the managers.
 	mgr ManagerEndpoint
 
 	// maps caches committed chunk-maps by (dataset, version) — the
@@ -309,32 +301,30 @@ func New(cfg Config) (*Client, error) {
 	if cacheEntries == 0 {
 		cacheEntries = defaultClientMapCacheEntries
 	}
-	c := &Client{
+	mgr := cfg.Endpoint
+	if mgr == nil {
+		r, err := federation.NewRouter(federation.RouterConfig{
+			Members: federation.SplitMembers(cfg.ManagerAddr),
+			Shaper:  cfg.Shaper,
+			Logger:  cfg.Logger,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("client: %w", err)
+		}
+		mgr = r
+	}
+	return &Client{
 		cfg:        cfg,
-		pool:       wire.NewPool(cfg.Shaper, 8),
 		dataPool:   wire.NewSharedPool(cfg.Shaper, 2),
+		mgr:        mgr,
 		maps:       newMapCache(cacheEntries),
 		benefAddrs: make(map[core.NodeID]string),
-	}
-	switch {
-	case cfg.Endpoint != nil:
-		c.mgr = cfg.Endpoint
-	case cfg.SharedManagerConns > 0:
-		c.mgrPool = wire.NewSharedPool(cfg.Shaper, cfg.SharedManagerConns)
-		c.mgr = &singleManager{pool: c.mgrPool, addr: cfg.ManagerAddr}
-	default:
-		c.mgr = &singleManager{pool: c.pool, addr: cfg.ManagerAddr}
-	}
-	return c, nil
+	}, nil
 }
 
 // Close releases the metadata endpoint and pooled connections.
 func (c *Client) Close() error {
 	err := c.mgr.Close()
-	c.pool.Close()
-	if c.mgrPool != nil {
-		c.mgrPool.Close()
-	}
 	c.dataPool.Close()
 	return err
 }
@@ -462,16 +452,6 @@ func (c *Client) Open(name string, opts ...OpenOptions) (*Reader, error) {
 		r.base = base
 	}
 	return r, nil
-}
-
-// OpenVersion opens a specific committed version (0 = latest).
-//
-// Deprecated: use Open(name, OpenOptions{Version: ver}).
-func (c *Client) OpenVersion(name string, ver core.VersionID) (*Reader, error) {
-	if ver == 0 {
-		return c.Open(name)
-	}
-	return c.Open(name, OpenOptions{Version: ver})
 }
 
 // resolveAsOf maps an instant to the newest version committed at or
@@ -677,10 +657,4 @@ func (c *Client) Benefactors() ([]core.BenefactorInfo, error) {
 		return nil, fmt.Errorf("client: benefactors: %w", err)
 	}
 	return benefs, nil
-}
-
-// replicationLevel polls the live replication of a dataset's latest
-// version (pessimistic writes).
-func (c *Client) replicationLevel(name string) (proto.ReplStatusResp, error) {
-	return c.mgr.ReplStatus(name)
 }

@@ -1,20 +1,16 @@
 package client
 
 import (
-	"errors"
-	"math/rand"
-	"time"
-
 	"stdchk/internal/core"
 	"stdchk/internal/proto"
-	"stdchk/internal/wire"
 )
 
-// ManagerEndpoint is the client's seam to the metadata service. A single
-// manager and a federated metadata plane (internal/federation's Router)
-// both satisfy it, so everything above this interface — the writer
-// pipeline, the reader, the facade — is agnostic about whether "the
-// manager" is one process or N partitioned ones.
+// ManagerEndpoint is the client's seam to the metadata service. The one
+// implementation that ships is internal/federation's Router — over a lone
+// manager or N partitioned ones, so everything above this interface (the
+// writer pipeline, the reader, the facade) never learns which — and the
+// interface stays so the package's tests can put an in-memory fake behind
+// a Client.
 //
 // Dataset-scoped calls carry the dataset-owning file name even when the
 // wire request is keyed by something else (a WriteID): write sessions are
@@ -70,165 +66,3 @@ type ManagerEndpoint interface {
 	// Close releases endpoint resources. The owning Client calls it once.
 	Close() error
 }
-
-// Retry-after handling for the single-manager endpoint: a shed call is
-// retried up to retryAfterAttempts times, sleeping the server's delay
-// hint (escalated per attempt, jittered, capped at maxRetryAfterDelay)
-// between tries. The federation Router applies the same policy in its
-// owner-retry loop, so clients behave identically against one manager or
-// a federated plane.
-const (
-	retryAfterAttempts = 4
-	maxRetryAfterDelay = 250 * time.Millisecond
-)
-
-// singleManager is the historical endpoint: every call goes to one
-// manager address over the client's shared connection pool. Its Close is
-// a no-op because the pool belongs to the Client.
-type singleManager struct {
-	pool *wire.Pool
-	addr string
-}
-
-func (s *singleManager) call(op string, req, resp interface{}) error {
-	var err error
-	for attempt := 0; attempt < retryAfterAttempts; attempt++ {
-		if attempt > 0 {
-			var ra core.ErrRetryAfter
-			errors.As(err, &ra)
-			d := ra.Delay * time.Duration(attempt)
-			if d < ra.Delay {
-				d = ra.Delay
-			}
-			if d > maxRetryAfterDelay {
-				d = maxRetryAfterDelay
-			}
-			if d > 0 {
-				d += time.Duration(rand.Int63n(int64(d) + 1))
-			}
-			time.Sleep(d)
-		}
-		_, err = s.pool.Call(s.addr, op, req, nil, resp)
-		if err == nil || !errors.Is(err, core.ErrRetryAfter{}) {
-			return err
-		}
-		// Manager shed the op: honor the typed retry-after and try again.
-	}
-	return err
-}
-
-func (s *singleManager) Alloc(req proto.AllocReq) (proto.AllocResp, error) {
-	var resp proto.AllocResp
-	err := s.call(proto.MAlloc, req, &resp)
-	return resp, err
-}
-
-func (s *singleManager) Extend(_ string, req proto.ExtendReq) (proto.ExtendResp, error) {
-	var resp proto.ExtendResp
-	err := s.call(proto.MExtend, req, &resp)
-	return resp, err
-}
-
-func (s *singleManager) Commit(_ string, req proto.CommitReq) (proto.CommitResp, error) {
-	var resp proto.CommitResp
-	err := s.call(proto.MCommit, req, &resp)
-	return resp, err
-}
-
-func (s *singleManager) Abort(_ string, req proto.AbortReq) error {
-	return s.call(proto.MAbort, req, nil)
-}
-
-func (s *singleManager) HasChunks(_ string, ids []core.ChunkID) ([]bool, error) {
-	var resp proto.HasResp
-	if err := s.call(proto.MHasChunks, proto.HasReq{IDs: ids}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Present, nil
-}
-
-func (s *singleManager) GetMap(req proto.GetMapReq) (proto.GetMapResp, error) {
-	var resp proto.GetMapResp
-	err := s.call(proto.MGetMap, req, &resp)
-	return resp, err
-}
-
-func (s *singleManager) GetMaps(req proto.GetMapsReq) (proto.GetMapsResp, error) {
-	var resp proto.GetMapsResp
-	err := s.call(proto.MGetMaps, req, &resp)
-	return resp, err
-}
-
-func (s *singleManager) History(req proto.HistoryReq) (proto.HistoryResp, error) {
-	var resp proto.HistoryResp
-	err := s.call(proto.MHistory, req, &resp)
-	return resp, err
-}
-
-func (s *singleManager) Diff(req proto.DiffReq) (proto.DiffResp, error) {
-	var resp proto.DiffResp
-	err := s.call(proto.MDiff, req, &resp)
-	return resp, err
-}
-
-func (s *singleManager) StatVersion(req proto.StatVersionReq) (proto.StatVersionResp, error) {
-	var resp proto.StatVersionResp
-	err := s.call(proto.MStatVersion, req, &resp)
-	return resp, err
-}
-
-func (s *singleManager) List(folder string) ([]core.DatasetInfo, error) {
-	var resp proto.ListResp
-	if err := s.call(proto.MList, proto.ListReq{Folder: folder}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Datasets, nil
-}
-
-func (s *singleManager) Stat(name string) (core.DatasetInfo, error) {
-	var resp proto.StatResp
-	err := s.call(proto.MStat, proto.StatReq{Name: name}, &resp)
-	return resp.Dataset, err
-}
-
-func (s *singleManager) Delete(req proto.DeleteReq) error {
-	return s.call(proto.MDelete, req, nil)
-}
-
-func (s *singleManager) SetPolicy(folder string, p core.Policy) error {
-	return s.call(proto.MPolicySet, proto.PolicySetReq{Folder: folder, Policy: p}, nil)
-}
-
-func (s *singleManager) GetPolicy(folder string) (core.Policy, error) {
-	var resp proto.PolicyGetResp
-	err := s.call(proto.MPolicyGet, proto.PolicyGetReq{Folder: folder}, &resp)
-	return resp.Policy, err
-}
-
-func (s *singleManager) PolicyDryRun(req proto.PolicyDryRunReq) (proto.PolicyDryRunResp, error) {
-	var resp proto.PolicyDryRunResp
-	err := s.call(proto.MPolicyDryRun, req, &resp)
-	return resp, err
-}
-
-func (s *singleManager) ReplStatus(name string) (proto.ReplStatusResp, error) {
-	var resp proto.ReplStatusResp
-	err := s.call(proto.MReplStatus, proto.ReplStatusReq{Name: name}, &resp)
-	return resp, err
-}
-
-func (s *singleManager) ManagerStats() (proto.ManagerStats, error) {
-	var resp proto.ManagerStats
-	err := s.call(proto.MStats, nil, &resp)
-	return resp, err
-}
-
-func (s *singleManager) Benefactors() ([]core.BenefactorInfo, error) {
-	var resp proto.BenefactorsResp
-	if err := s.call(proto.MBenefactors, nil, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Benefactors, nil
-}
-
-func (s *singleManager) Close() error { return nil }

@@ -9,8 +9,8 @@ import (
 	"stdchk/internal/proto"
 )
 
-// mapCache is the client-side chunk-map cache behind Open/OpenVersion,
-// keyed by (dataset key, version). Checkpoint versions are immutable once
+// mapCache is the client-side chunk-map cache behind Open, keyed by
+// (dataset key, version). Checkpoint versions are immutable once
 // committed — the chunk list of (dataset, version) never changes — so an
 // explicit-version open that hits serves its map with zero manager RPCs.
 // A "latest" open revalidates with one MStatVersion round trip (name →
@@ -59,7 +59,7 @@ type mapCacheEntry struct {
 const defaultClientMapCacheEntries = 256
 
 // newMapCache builds a cache of up to capEntries maps; capEntries <= 0
-// disables caching (the -map-cache=false ablation).
+// disables caching (Config.MapCacheEntries < 0, the benchmark baseline).
 func newMapCache(capEntries int) *mapCache {
 	c := &mapCache{cap: capEntries}
 	if capEntries > 0 {

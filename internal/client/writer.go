@@ -756,7 +756,7 @@ func (w *Writer) pushMapReplicas(resp proto.CommitResp, chunks []proto.CommitChu
 func (w *Writer) awaitReplication() error {
 	deadline := time.Now().Add(w.c.cfg.PessimisticTimeout)
 	for {
-		st, err := w.c.replicationLevel(w.name)
+		st, err := w.c.mgr.ReplStatus(w.name)
 		if err == nil && st.Level >= st.Target {
 			return nil
 		}

@@ -8,7 +8,6 @@ import (
 	"stdchk/internal/client"
 	"stdchk/internal/core"
 	"stdchk/internal/device"
-	"stdchk/internal/erasure"
 	"stdchk/internal/grid"
 	"stdchk/internal/manager"
 	"stdchk/internal/metrics"
@@ -21,7 +20,6 @@ import (
 func Ablations() []Runner {
 	return []Runner{
 		{Name: "ablation-rolling", Title: "Rolling-hash CbCH vs paper's overlap/no-overlap", Run: AblationRolling},
-		{Name: "ablation-erasure", Title: "Erasure coding vs replication write-path cost", Run: AblationErasure},
 		{Name: "ablation-xenfix", Title: "Ordered Xen dumps restore similarity", Run: AblationXenFix},
 		{Name: "ablation-writepriority", Title: "Replication write-priority throttling", Run: AblationWritePriority},
 		{Name: "ablation-readpath", Title: "Restart read throughput vs stripe width and read-ahead", Run: AblationReadPath},
@@ -64,59 +62,6 @@ func AblationRolling(cfg Config) error {
 	}
 	fmt.Fprintf(cfg.Out, "takeaway: the rolling hash keeps overlap CbCH's similarity detection at a\n")
 	fmt.Fprintf(cfg.Out, "fraction of its cost — an alternative to the paper's proposed GPU offload\n\n")
-	return nil
-}
-
-// AblationErasure quantifies paper §IV.A's replication-vs-erasure
-// argument: the time to make a checkpoint k+m-redundant via Reed-Solomon
-// encoding (CPU in the write path, fragments to k+m nodes) versus
-// replication (no CPU, whole copies to m extra nodes), under the same
-// device calibration.
-func AblationErasure(cfg Config) error {
-	cfg = cfg.withDefaults()
-	size := cfg.scaled(1 << 30)
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(i * 131)
-	}
-	nic := device.NewNIC(device.Gbps(1))
-
-	// Replication r=2: ship the image twice (background copies add one
-	// more transfer; the write path ships it once).
-	repStart := time.Now()
-	nic.TX.Acquire(len(data)) // primary copy
-	nic.TX.Acquire(len(data)) // replica
-	repDur := time.Since(repStart)
-
-	// Erasure RS(4,2): encode, then ship 6 fragments of size/4.
-	coder, err := erasure.New(4, 2)
-	if err != nil {
-		return err
-	}
-	encStart := time.Now()
-	shards := coder.Split(data)
-	parity, err := coder.Encode(shards)
-	if err != nil {
-		return err
-	}
-	encodeDur := time.Since(encStart)
-	shipStart := time.Now()
-	for _, s := range append(shards, parity...) {
-		nic.TX.Acquire(len(s))
-	}
-	shipDur := time.Since(shipStart)
-
-	repBytes := 2 * int64(len(data))
-	eraBytes := int64(len(shards[0]) * (coder.K() + coder.M()))
-	fmt.Fprintf(cfg.Out, "Ablation: replication (r=2) vs Reed-Solomon RS(4,2), %d MB checkpoint, 1 Gbps NIC\n", size>>20)
-	fmt.Fprintf(cfg.Out, "%-24s %12s %14s %14s\n", "scheme", "cpu time", "network time", "bytes shipped")
-	fmt.Fprintf(cfg.Out, "%-24s %12s %14s %14d\n", "replication r=2", "0", repDur.Round(time.Millisecond), repBytes)
-	fmt.Fprintf(cfg.Out, "%-24s %12s %14s %14d\n", "RS(4,2)",
-		encodeDur.Round(time.Millisecond), shipDur.Round(time.Millisecond), eraBytes)
-	fmt.Fprintf(cfg.Out, "takeaway: RS ships %.0f%% of replication's bytes but pays %.1f MB/s of\n",
-		100*float64(eraBytes)/float64(repBytes), metrics.MBps(int64(len(data)), encodeDur))
-	fmt.Fprintf(cfg.Out, "write-path encoding throughput; with transient checkpoint data the space\n")
-	fmt.Fprintf(cfg.Out, "saving buys little, which is the paper's argument for replication\n\n")
 	return nil
 }
 

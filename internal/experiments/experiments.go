@@ -37,15 +37,6 @@ type Config struct {
 	// (JSON lines) from experiments that emit them (managerload). The
 	// nightly CI job archives this stream.
 	JSON io.Writer
-	// DisableMapCache runs cache-sensitive experiments (restartload) with
-	// the client and manager chunk-map caches off — the read fast path's
-	// before baseline (stdchk-bench -map-cache=false).
-	DisableMapCache bool
-	// SyncJournal runs journaled experiments (restartload's metadata
-	// plane) with the historical synchronous journal writer instead of
-	// the ordered async one (stdchk-bench -sync-journal). The managerload
-	// sweep always measures both journal modes side by side.
-	SyncJournal bool
 	// FsyncJournal runs journaled experiments with group-commit fsync
 	// (stdchk-bench -fsync-journal): commits wait for their batch's fsync,
 	// concurrent commits share it. The managerload sweep always measures

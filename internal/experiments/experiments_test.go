@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -146,12 +145,12 @@ func TestManagerLoadSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"single-mutex", "striped", "striped+jsync", "striped+jasync", "striped+jfsync", "64", "256", "paper", "async/sync journal", "group-commit fsync"} {
+	for _, want := range []string{"striped", "striped+jasync", "striped+jfsync", "64", "256", "paper", "journaled/unjournaled", "group-commit fsync"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
-	// Twenty-five JSON lines: 5 variants x 5 writer counts, each with a
+	// Fifteen JSON lines: 3 variants x 5 writer counts, each with a
 	// positive tps; the group-commit variant must show its fsyncs being
 	// amortized over multiple records.
 	lines := 0
@@ -181,8 +180,8 @@ func TestManagerLoadSmoke(t *testing.T) {
 			}
 		}
 	}
-	if lines != 25 {
-		t.Fatalf("%d JSON records, want 25", lines)
+	if lines != 15 {
+		t.Fatalf("%d JSON records, want 15", lines)
 	}
 	if fsyncCells != 5 {
 		t.Fatalf("%d striped+jfsync cells, want 5", fsyncCells)
@@ -354,36 +353,6 @@ func TestRestartLoadSmoke(t *testing.T) {
 	}
 	if sr.Datasets != jr.Datasets {
 		t.Fatalf("snapshot restart recovered %d datasets, full replay %d", sr.Datasets, jr.Datasets)
-	}
-}
-
-// TestRestartLoadAblationSmoke runs one restartload pass with the caches
-// disabled (the -map-cache=false baseline) and checks the warm phase then
-// pays full getMaps again — the ablation proves the win is the cache, not
-// the harness.
-func TestRestartLoadAblationSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation baseline; the cached path is gated by TestRestartLoadSmoke")
-	}
-	var js bytes.Buffer
-	if err := RestartLoad(Config{Runs: 1, Out: io.Discard, JSON: &js, DisableMapCache: true}); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(js.String()), "\n") {
-		if line == "" {
-			continue
-		}
-		var r struct {
-			Phase   string `json:"phase"`
-			Opens   int64  `json:"opens"`
-			GetMaps int64  `json:"getMaps"`
-		}
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			t.Fatalf("bad JSON record %q: %v", line, err)
-		}
-		if r.Phase == "warm" && r.GetMaps != r.Opens {
-			t.Fatalf("cache-disabled warm pass issued %d getMaps for %d opens, want one per open", r.GetMaps, r.Opens)
-		}
 	}
 }
 

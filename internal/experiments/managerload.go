@@ -22,18 +22,13 @@ import (
 // never pushed: hundreds of small checkpointing clients hitting the
 // metadata plane at once (workload.ManyWriters).
 //
-// Five manager variants run the same sweep on the same machine:
+// Three manager variants run the same sweep on the same machine (the
+// single-mutex catalog and the inline journal writer they replaced are
+// historical rows in EXPERIMENTS.md):
 //
-//   - stripes=1: the historical single-mutex catalog (every alloc,
-//     extend, dedup probe and commit serializes on one lock);
-//   - striped: the default lock-striped catalog + chunk index;
-//   - striped+jsync: journaling in the historical synchronous mode —
-//     every commit marshals, writes and flushes its journal record
-//     inside the dataset stripe's critical section, so journaled commits
-//     re-serialize on the journal mutex;
+//   - striped: the lock-striped catalog + chunk index, unjournaled;
 //   - striped+jasync: journaling through the ordered async writer — the
-//     critical section only takes an order ticket, so the jasync/jsync
-//     tps ratio is the journal unserialization win measured in one run;
+//     dataset stripe's critical section only takes an order ticket;
 //   - striped+jfsync: the async writer with group-commit fsync — every
 //     commit blocks until its batch is on disk, but concurrent commits
 //     share one fsync, so the jfsync/jasync ratio prices crash-proof
@@ -57,7 +52,6 @@ func ManagerLoad(cfg Config) error {
 
 	type cell struct {
 		Variant    string  `json:"variant"`
-		Stripes    int     `json:"stripes"`
 		Writers    int     `json:"writers"`
 		Journal    string  `json:"journal,omitempty"`
 		TPS        float64 `json:"tps"`
@@ -72,21 +66,18 @@ func ManagerLoad(cfg Config) error {
 	}
 	variants := []struct {
 		name    string
-		stripes int
-		journal string // "" | "sync" | "async" | "fsync"
+		journal string // "" | "async" | "fsync"
 	}{
-		{"single-mutex", 1, ""},
-		{"striped", 0, ""}, // manager default
-		{"striped+jsync", 0, "sync"},
-		{"striped+jasync", 0, "async"},
+		{"striped", ""},
+		{"striped+jasync", "async"},
 		// Crash-durable commits through the group-commit fsync path: each
 		// commit waits for its batch's fsync, concurrent commits share it.
-		{"striped+jfsync", 0, "fsync"},
+		{"striped+jfsync", "fsync"},
 	}
 
 	fmt.Fprintf(cfg.Out, "Manager metadata-plane load (§V.E): %d-chunk checkpoints of %d KB, 5 metadata RPCs per checkpoint\n",
 		chunksPerCk, imageSize>>10)
-	fmt.Fprintf(cfg.Out, "GOMAXPROCS=%d (striping needs >1 CPU to turn reduced contention into parallel tps)\n", runtime.GOMAXPROCS(0))
+	fmt.Fprintf(cfg.Out, "GOMAXPROCS=%d\n", runtime.GOMAXPROCS(0))
 	fmt.Fprintf(cfg.Out, "%-14s %8s %12s %14s %16s\n", "variant", "writers", "tps", "ckpts/s", "lock contention")
 
 	var cells []cell
@@ -94,7 +85,7 @@ func ManagerLoad(cfg Config) error {
 	for _, v := range variants {
 		tpsAt[v.name] = make(map[int]float64)
 		for _, w := range writersSweep {
-			c, err := managerLoadCell(v.stripes, v.journal, w, cellDur, imageSize, chunksPerCk, benefactors)
+			c, err := managerLoadCell(v.journal, w, cellDur, imageSize, chunksPerCk, benefactors)
 			if err != nil {
 				return fmt.Errorf("managerload %s/%d: %w", v.name, w, err)
 			}
@@ -106,7 +97,7 @@ func ManagerLoad(cfg Config) error {
 				v.name, w, c.tps, c.ckps, contPct, c.contended, c.stripeOps)
 			tpsAt[v.name][w] = c.tps
 			cells = append(cells, cell{
-				Variant: v.name, Stripes: c.stripes, Writers: w, Journal: v.journal,
+				Variant: v.name, Writers: w, Journal: v.journal,
 				TPS: c.tps, Checkpoint: c.ckps,
 				Contended: c.contended, StripeOps: c.stripeOps,
 				JournalFsyncs: c.fsyncs, JournalBatchLen: c.batchLen,
@@ -120,10 +111,8 @@ func ManagerLoad(cfg Config) error {
 		}
 		return tpsAt[num][w] / tpsAt[den][w]
 	}
-	fmt.Fprintf(cfg.Out, "striped/single-mutex tps: %.2fx at 64 writers, %.2fx at 256 writers\n",
-		ratio("striped", "single-mutex", 64), ratio("striped", "single-mutex", 256))
-	fmt.Fprintf(cfg.Out, "async/sync journal tps: %.2fx at 64 writers, %.2fx at 256 writers (ordered async writer win)\n",
-		ratio("striped+jasync", "striped+jsync", 64), ratio("striped+jasync", "striped+jsync", 256))
+	fmt.Fprintf(cfg.Out, "journaled/unjournaled tps: %.2fx at 64 writers, %.2fx at 256 writers (what the ordered async writer costs)\n",
+		ratio("striped+jasync", "striped", 64), ratio("striped+jasync", "striped", 256))
 	var fsAmort float64
 	for _, c := range cells {
 		if c.Variant == "striped+jfsync" && c.Writers == writersSweep[len(writersSweep)-1] && c.JournalFsyncs > 0 {
@@ -148,20 +137,18 @@ func ManagerLoad(cfg Config) error {
 type loadResult struct {
 	tps       float64
 	ckps      float64
-	stripes   int
 	contended int64
 	stripeOps int64
 	fsyncs    int64
 	batchLen  int64
 }
 
-// managerLoadCell runs one (stripes, journal-mode, writers) configuration
-// for roughly dur and returns the measured rates. journal "" runs
-// unjournaled; "sync"/"async"/"fsync" journal to a fresh temp file in the
-// corresponding mode (fsync = async writer with group-commit durability).
-func managerLoadCell(stripes int, journal string, writers int, dur time.Duration, imageSize int64, chunksPerCk, benefactors int) (loadResult, error) {
+// managerLoadCell runs one (journal-mode, writers) configuration for
+// roughly dur and returns the measured rates. journal "" runs unjournaled;
+// "async"/"fsync" journal to a fresh temp file (fsync = group-commit
+// durability).
+func managerLoadCell(journal string, writers int, dur time.Duration, imageSize int64, chunksPerCk, benefactors int) (loadResult, error) {
 	mcfg := manager.Config{
-		MetadataStripes:     stripes,
 		HeartbeatInterval:   time.Hour, // load cells outlive no heartbeats
 		ReplicationInterval: time.Hour,
 		PruneInterval:       time.Hour,
@@ -174,7 +161,6 @@ func managerLoadCell(stripes int, journal string, writers int, dur time.Duration
 		}
 		defer os.RemoveAll(dir)
 		mcfg.JournalPath = filepath.Join(dir, "journal")
-		mcfg.SyncJournal = journal == "sync"
 		mcfg.FsyncJournal = journal == "fsync"
 	}
 	m, err := manager.New(mcfg)
@@ -230,7 +216,6 @@ func managerLoadCell(stripes int, journal string, writers int, dur time.Duration
 		ckps:      total / manager.DriveCheckpointOps / elapsed.Seconds(),
 		contended: stats.StripeContention,
 		stripeOps: stats.StripeOps,
-		stripes:   len(stats.CatalogStripes),
 		fsyncs:    stats.JournalFsyncs,
 		batchLen:  stats.JournalBatchLen,
 	}

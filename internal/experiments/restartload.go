@@ -36,8 +36,8 @@ import (
 // The JSON records carry the per-phase manager RPC deltas (getMaps,
 // statVersions) and the manager-side hot-map cache counters, so the
 // zero-RPC warm-path claim is asserted, not eyeballed
-// (TestRestartLoadSmoke gates it in CI). -map-cache=false runs the
-// ablation baseline where every open pays a full MGetMap.
+// (TestRestartLoadSmoke gates it in CI). The cache-off baseline, where
+// every open pays a full MGetMap, is a historical row in EXPERIMENTS.md.
 //
 // Like managerload/fedload the shape is fixed (Config.Scale has no
 // effect): 2 federated managers over real sockets, 8 datasets x 2
@@ -65,10 +65,6 @@ func RestartLoad(cfg Config) error {
 		MgrCacheHits int64   `json:"managerMapCacheHits"`
 	}
 
-	mgrCache := 0 // manager default (hot-map cache on)
-	if cfg.DisableMapCache {
-		mgrCache = -1
-	}
 	jdir, err := os.MkdirTemp("", "stdchk-restartload")
 	if err != nil {
 		return err
@@ -82,13 +78,10 @@ func RestartLoad(cfg Config) error {
 			HeartbeatInterval:   200 * time.Millisecond,
 			ReplicationInterval: time.Hour, // no replica churn mid-measurement
 			PruneInterval:       time.Hour,
-			MapCacheEntries:     mgrCache,
-			// A journaled metadata plane, in the configured mode: the
-			// seeding commits run through the ordered async writer by
-			// default, the -sync-journal historical baseline, or the
-			// -fsync-journal group-commit durable mode.
+			// A journaled metadata plane: the seeding commits run through
+			// the ordered async writer, group-commit durable under
+			// -fsync-journal.
 			JournalPath:  filepath.Join(jdir, "journal"),
-			SyncJournal:  cfg.SyncJournal,
 			FsyncJournal: cfg.FsyncJournal,
 		},
 		GCGrace:    time.Hour,
@@ -127,16 +120,8 @@ func RestartLoad(cfg Config) error {
 	}
 	seeder.Close()
 
-	cacheEntries := 0 // client default (cache on)
-	if cfg.DisableMapCache {
-		cacheEntries = -1
-	}
-
 	fmt.Fprintf(cfg.Out, "Restart storm (§V read path): %d readers x %d datasets through a %d-manager router, cold vs warm chunk-map caches\n",
 		readersSweep[len(readersSweep)-1], datasets, managers)
-	if cfg.DisableMapCache {
-		fmt.Fprintf(cfg.Out, "ablation: -map-cache=false (every open pays a full getMap)\n")
-	}
 	fmt.Fprintf(cfg.Out, "%-9s %8s %6s %10s %12s %10s %14s %10s\n",
 		"mode", "readers", "phase", "opens", "opens/s", "getMaps", "statVersions", "mgr hits")
 
@@ -165,7 +150,7 @@ func RestartLoad(cfg Config) error {
 			for i := range clients {
 				cl, _, err := c.NewClient(client.Config{
 					StripeWidth: 2, ChunkSize: chunkSize, Replication: 1,
-					Semantics: core.WriteOptimistic, MapCacheEntries: cacheEntries,
+					Semantics: core.WriteOptimistic,
 				}, device.Unshaped())
 				if err != nil {
 					return err
@@ -286,7 +271,6 @@ func restartRecoveryCells(cfg Config, jdir string) ([]restartCell, error) {
 		PruneInterval:       time.Hour,
 		SessionTTL:          time.Hour,
 		JournalPath:         filepath.Join(rdir, "journal"),
-		SyncJournal:         cfg.SyncJournal,
 		FsyncJournal:        cfg.FsyncJournal,
 	}
 	seedBenefactors := func(m *manager.Manager) error {

@@ -115,6 +115,9 @@ func (ms *Membership) Epoch() uint64 { return ms.epoch }
 // and therefore the same member, which is what keeps a dataset's version
 // chain, content index entries and copy-on-write sharing member-local.
 func (ms *Membership) OwnerOf(name string) (index int, addr string) {
+	if len(ms.members) == 1 {
+		return 0, ms.members[0] // no key to derive: a lone manager owns every dataset
+	}
 	index = OwnerIndex(namespace.DatasetOf(name), len(ms.members))
 	return index, ms.members[index]
 }

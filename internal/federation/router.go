@@ -16,18 +16,20 @@ import (
 	"stdchk/internal/wire"
 )
 
-// Router is the thin client-side front of a federated metadata plane. It
-// maps every dataset-scoped RPC (alloc/extend/commit/getMap/stat/delete/
-// replication status) to the member owning the dataset's partition, and
+// Router is the client-side front of the metadata plane, whatever its
+// size: every stdchk client and benefactor reaches the managers through
+// one, and a lone manager is a federation of one member. It maps every
+// dataset-scoped RPC (alloc/extend/commit/getMap/stat/delete/replication
+// status) to the member owning the dataset's partition, and
 // fans membership-scoped RPCs (register, heartbeat, GC reconciliation,
 // list, stats) out to all members with merged replies. Each member gets a
 // health-checked connection pool; per-member success/failure counters are
 // kept so operators (and tests) can see a member degrading.
 //
-// A Router is safe for concurrent use. It satisfies the client package's
-// ManagerEndpoint seam structurally, so a *client.Client configured with a
-// Router speaks to "the metadata service" instead of "a manager" without
-// any other change.
+// A Router is safe for concurrent use. It is the implementation behind
+// the client package's ManagerEndpoint seam (client.New builds one from
+// Config.ManagerAddr), so the transport-retry and retry-after policy in
+// callOwner is the only one a client has.
 type Router struct {
 	ms     *Membership
 	pool   *wire.Pool
@@ -562,8 +564,10 @@ func (r *Router) ManagerStats() (proto.ManagerStats, error) {
 		return proto.ManagerStats{}, err
 	}
 	agg := MergeStats(all)
-	agg.Federation = &proto.FederationInfo{
-		Members: r.ms.Members(), MemberIndex: -1, Epoch: r.ms.epoch,
+	if len(all) > 1 { // a lone member's snapshot keeps its own identity
+		agg.Federation = &proto.FederationInfo{
+			Members: r.ms.Members(), MemberIndex: -1, Epoch: r.ms.epoch,
+		}
 	}
 	return agg, nil
 }
@@ -571,9 +575,13 @@ func (r *Router) ManagerStats() (proto.ManagerStats, error) {
 // MergeStats folds per-member manager counters into one federation-wide
 // snapshot: partitioned quantities sum, benefactor counts (every member
 // sees the same donor pool) take the maximum, per-stripe detail is
-// dropped. Shared by the Router's remote path and the grid's in-process
+// dropped — except that one member's snapshot is returned as it is.
+// Shared by the Router's remote path and the grid's in-process
 // aggregation.
 func MergeStats(all []proto.ManagerStats) proto.ManagerStats {
+	if len(all) == 1 {
+		return all[0]
+	}
 	var agg proto.ManagerStats
 	for _, st := range all {
 		if st.Benefactors > agg.Benefactors {

@@ -315,56 +315,63 @@ func TestWriteStormSurvivesMemberRestart(t *testing.T) {
 // router's degradation contract with injected transport failures: a
 // bounded burst of send errors is absorbed by retries, an unbounded
 // outage surfaces as core.ErrRetryable after backoff exhaustion, and
-// service resumes once the fault clears.
+// service resumes once the fault clears. The contract is the same
+// against a lone manager and a federation: a client has one metadata
+// endpoint, so a manager that is restarting delays a checkpoint either
+// way and fails it neither way.
 func TestRouterRetriesTransientTransportFaults(t *testing.T) {
-	defer faultpoint.Reset()
-	// Hour-scale background intervals: while the fault is armed, the only
-	// wire traffic is the calls this test makes, so hit accounting is
-	// deterministic.
-	c, err := Start(Options{
-		Managers:          2,
-		Benefactors:       2,
-		BenefactorProfile: device.Unshaped(),
-		Manager: manager.Config{
-			HeartbeatInterval:   time.Hour,
-			ReplicationInterval: time.Hour,
-		},
-		GCInterval: time.Hour,
-		GCGrace:    time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	cl := testClient(t, c, client.Config{ChunkSize: 32 << 10, StripeWidth: 1})
-	writeFile(t, cl, "rt.n0.t0", payload(7, 48<<10))
+	for _, managers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("managers=%d", managers), func(t *testing.T) {
+			defer faultpoint.Reset()
+			// Hour-scale background intervals: while the fault is armed, the
+			// only wire traffic is the calls this test makes, so hit
+			// accounting is deterministic.
+			c, err := Start(Options{
+				Managers:          managers,
+				Benefactors:       2,
+				BenefactorProfile: device.Unshaped(),
+				Manager: manager.Config{
+					HeartbeatInterval:   time.Hour,
+					ReplicationInterval: time.Hour,
+				},
+				GCInterval: time.Hour,
+				GCGrace:    time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			cl := testClient(t, c, client.Config{ChunkSize: 32 << 10, StripeWidth: 1})
+			writeFile(t, cl, "rt.n0.t0", payload(7, 48<<10))
 
-	// A transient two-failure burst: the router's four bounded attempts
-	// absorb it and the caller never sees an error.
-	if err := faultpoint.Enable("wire.send", faultpoint.Config{Mode: faultpoint.ModeError, Count: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Stat("rt.n0"); err != nil {
-		t.Fatalf("stat failed despite retry budget covering the fault burst: %v", err)
-	}
+			// A transient two-failure burst: the router's four bounded
+			// attempts absorb it and the caller never sees an error.
+			if err := faultpoint.Enable("wire.send", faultpoint.Config{Mode: faultpoint.ModeError, Count: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Stat("rt.n0"); err != nil {
+				t.Fatalf("stat failed despite retry budget covering the fault burst: %v", err)
+			}
 
-	// A persistent outage: retries exhaust and the failure surfaces as the
-	// typed retryable sentinel, so callers can degrade gracefully instead
-	// of treating it as data loss.
-	if err := faultpoint.Enable("wire.send", faultpoint.Config{Mode: faultpoint.ModeError}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = cl.Stat("rt.n0")
-	if err == nil {
-		t.Fatal("stat succeeded during a total transport outage")
-	}
-	if !errors.Is(err, core.ErrRetryable) {
-		t.Fatalf("outage error %v is not marked core.ErrRetryable", err)
-	}
+			// A persistent outage: retries exhaust and the failure surfaces
+			// as the typed retryable sentinel, so callers can degrade
+			// gracefully instead of treating it as data loss.
+			if err := faultpoint.Enable("wire.send", faultpoint.Config{Mode: faultpoint.ModeError}); err != nil {
+				t.Fatal(err)
+			}
+			_, err = cl.Stat("rt.n0")
+			if err == nil {
+				t.Fatal("stat succeeded during a total transport outage")
+			}
+			if !errors.Is(err, core.ErrRetryable) {
+				t.Fatalf("outage error %v is not marked core.ErrRetryable", err)
+			}
 
-	// Fault clears; the next call dials fresh connections and succeeds.
-	faultpoint.Disable("wire.send")
-	if _, err := cl.Stat("rt.n0"); err != nil {
-		t.Fatalf("stat failed after the fault cleared: %v", err)
+			// Fault clears; the next call dials fresh connections and succeeds.
+			faultpoint.Disable("wire.send")
+			if _, err := cl.Stat("rt.n0"); err != nil {
+				t.Fatalf("stat failed after the fault cleared: %v", err)
+			}
+		})
 	}
 }

@@ -9,6 +9,7 @@ package grid
 import (
 	"fmt"
 	"net"
+	"strings"
 	"time"
 
 	"stdchk/internal/benefactor"
@@ -22,16 +23,12 @@ import (
 	"stdchk/internal/wire"
 )
 
-// The federation router is the client's metadata endpoint in federated
-// clusters; keep the structural match checked at compile time.
-var _ client.ManagerEndpoint = (*federation.Router)(nil)
-
 // Options configures a cluster.
 type Options struct {
 	// Managers is the number of federated metadata managers (0 or 1 =
 	// one standalone manager). With N > 1 the dataset namespace is
-	// partitioned across the members and every client routes through a
-	// federation router; benefactors register with all members.
+	// partitioned across the members; benefactors register with all of
+	// them, and a client's router sends each dataset to its owner.
 	Managers int
 	// Benefactors is the number of donor nodes to start.
 	Benefactors int
@@ -94,12 +91,9 @@ func (c *Cluster) ManagerAddrs() []string {
 	return out
 }
 
-// Federated reports whether the cluster runs more than one manager.
-func (c *Cluster) Federated() bool { return len(c.Managers) > 1 }
-
 // NewRouter builds a federation router over the cluster's metadata plane
-// (also usable with a single manager). The caller owns it — unless it is
-// handed to a client, which closes its endpoint itself.
+// for callers that drive the metadata RPCs themselves (clients build their
+// own). The caller owns it.
 func (c *Cluster) NewRouter(shaper wire.Shaper) (*federation.Router, error) {
 	return federation.NewRouter(federation.RouterConfig{
 		Members: c.ManagerAddrs(),
@@ -299,7 +293,7 @@ func (c *Cluster) RestartManager(cfg manager.Config, recover bool) error {
 	}
 	cfg.ListenAddr = addr
 	cfg.Recover = recover
-	if c.Federated() {
+	if len(c.Managers) > 1 {
 		// The replacement must keep member 0's partition identity, or it
 		// would come back standalone with the partition filter disabled
 		// and accept every member's keys. The address list is unchanged
@@ -336,15 +330,8 @@ func (c *Cluster) RestartManager(cfg manager.Config, recover bool) error {
 // device.Unshaped() for tests.
 func (c *Cluster) NewClient(cfg client.Config, profile device.Profile) (*client.Client, *device.Node, error) {
 	node := device.NewNode(profile)
-	cfg.ManagerAddr = c.Manager.Addr()
+	cfg.ManagerAddr = strings.Join(c.ManagerAddrs(), ",")
 	cfg.Shaper = ShaperFor(node, c.Fabric)
-	if c.Federated() {
-		r, err := c.NewRouter(cfg.Shaper)
-		if err != nil {
-			return nil, nil, fmt.Errorf("grid: new client router: %w", err)
-		}
-		cfg.Endpoint = r // the client owns and closes it
-	}
 	if cfg.LocalDisk == nil {
 		cfg.LocalDisk = node.Disk
 	}
@@ -385,9 +372,6 @@ func (c *Cluster) Close() {
 // included); the merged federated view drops per-stripe slices, which
 // stay available per member via Managers[i].Stats().
 func (c *Cluster) Stats() proto.ManagerStats {
-	if len(c.Managers) == 1 {
-		return c.Managers[0].Stats()
-	}
 	all := make([]proto.ManagerStats, len(c.Managers))
 	for i, m := range c.Managers {
 		all[i] = m.Stats()

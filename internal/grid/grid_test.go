@@ -132,7 +132,7 @@ func TestSmallAndEmptyFiles(t *testing.T) {
 	}
 }
 
-func TestVersionChainAndOpenVersion(t *testing.T) {
+func TestVersionChainAndExplicitVersionOpen(t *testing.T) {
 	c := testCluster(t, 3, manager.Config{})
 	cl := testClient(t, c, client.Config{ChunkSize: 32 << 10})
 

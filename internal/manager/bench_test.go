@@ -19,22 +19,16 @@ import (
 // bench-compare CI job gates allocs/op regressions on this path, and the
 // managerload experiment runs the identical driver.
 //
-// The journal sub-benchmarks measure the commit path's journaling cost in
-// one run: journal-sync is the historical mode (marshal + write + flush
-// inside the dataset stripe's critical section, all commits serialized on
-// the journal mutex), journal-async the ordered ticket writer that keeps
-// only an atomic increment and a channel send in the critical section.
+// The journal sub-benchmarks put a price on durability in one run:
+// no-journal is the catalog alone, journal-async adds the ordered ticket
+// writer (an atomic increment and a channel send inside the dataset
+// stripe's critical section), journal-fsync makes every commit wait for
+// its batch's fsync, concurrent writers sharing one fsync per batch.
 func BenchmarkManagerOps(b *testing.B) {
 	b.Run("no-journal", func(b *testing.B) { benchManagerOps(b, Config{}) })
 	b.Run("journal-async", func(b *testing.B) {
 		benchManagerOps(b, Config{JournalPath: filepath.Join(b.TempDir(), "journal")})
 	})
-	b.Run("journal-sync", func(b *testing.B) {
-		benchManagerOps(b, Config{JournalPath: filepath.Join(b.TempDir(), "journal"), SyncJournal: true})
-	})
-	// Group-commit durability: commits block until their batch is fsynced,
-	// but concurrent writers share one fsync per drained batch — the cost
-	// to compare against journal-sync with FsyncJournal's per-record fsync.
 	b.Run("journal-fsync", func(b *testing.B) {
 		benchManagerOps(b, Config{JournalPath: filepath.Join(b.TempDir(), "journal"), FsyncJournal: true})
 	})

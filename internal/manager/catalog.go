@@ -170,19 +170,17 @@ type chunkEntry struct {
 // published is the publicly visible reference count.
 func (e *chunkEntry) published() int { return e.refs - e.pending }
 
-// defaultStripes is the stripe count used when the manager config does not
-// specify one. 16 stripes keep the per-stripe collision probability low for
-// dozens of concurrent writers while the per-shard maps stay cache-friendly.
+// defaultStripes is the lock-stripe count of every shipped manager's
+// metadata plane (dataset catalog, chunk index, session table). 16 stripes
+// keep the per-stripe collision probability low for dozens of concurrent
+// writers while the per-shard maps stay cache-friendly.
 const defaultStripes = 16
 
-// maxStripes bounds configured stripe counts.
+// maxStripes bounds the stripe counts tests ask for.
 const maxStripes = 256
 
 // normalizeStripes rounds n up to a power of two in [1, maxStripes].
 func normalizeStripes(n int) int {
-	if n <= 0 {
-		n = defaultStripes
-	}
 	if n > maxStripes {
 		n = maxStripes
 	}
@@ -198,8 +196,8 @@ func newCatalog() *catalog { return newCatalogStripes(defaultStripes) }
 
 // newCatalogStripes builds a catalog with `stripes` dataset stripes and the
 // same number of chunk-index stripes. stripes is rounded up to a power of
-// two; 1 reproduces the historical single-lock behaviour (the managerload
-// baseline).
+// two; 1 is the single-lock reference the replay property tests compare
+// the striped catalog against.
 func newCatalogStripes(stripes int) *catalog {
 	n := normalizeStripes(stripes)
 	c := &catalog{
@@ -575,11 +573,15 @@ func (c *catalog) commit(fileName string, folder string, replication int, chunkS
 	// failure the commit rolls back completely — pending chunk references
 	// were never observable, and a dataset shell created above is removed —
 	// so an acknowledged commit is always a journaled one.
-	if c.journalHook != nil {
+	var verID core.VersionID
+	allocID := func() { verID = core.VersionID(c.nextVersion.Add(1)) }
+	if c.journalHook == nil {
+		allocID()
+	} else {
 		if err := c.journalHook(journalEntry{
 			Op: "commit", Name: fileName, Replication: replication,
 			ChunkSize: chunkSize, Variable: variable, FileSize: fileSize, Chunks: chunks,
-			Writer: writer,
+			Writer: writer, ticketed: allocID,
 		}); err != nil {
 			if created {
 				delete(sh.byName, key)
@@ -594,7 +596,7 @@ func (c *catalog) commit(fileName string, folder string, replication int, chunkS
 		ds.replication = replication
 	}
 	v := &version{
-		id:          core.VersionID(c.nextVersion.Add(1)),
+		id:          verID,
 		fileName:    fileName,
 		fileSize:    fileSize,
 		chunkSize:   chunkSize,

@@ -2,6 +2,13 @@ package manager
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -81,6 +88,74 @@ func TestHandleUnknownOp(t *testing.T) {
 	m := startManager(t, Config{})
 	if err := mcall(t, m.Addr(), "m.bogus", nil, nil); err == nil {
 		t.Fatal("unknown op accepted")
+	}
+}
+
+// TestOpTableCoversEveryManagerOp reads the manager op constants out of
+// proto's source (every string constant named M*, valued "m.*") and holds
+// the op table to them: an op without an entry would be refused as
+// unknown, and an entry without a constant is unreachable. It also pins
+// which ops the table gates and times, so moving an op in or out of
+// admission control — or of the latency histograms operators read — is a
+// visible change to this test, not a side effect of editing a handler.
+func TestOpTableCoversEveryManagerOp(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "../proto/proto.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				if i >= len(vs.Values) || !strings.HasPrefix(name.Name, "M") {
+					continue
+				}
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					continue
+				}
+				if op, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(op, "m.") {
+					declared[op] = true
+				}
+			}
+		}
+	}
+	if len(declared) < 22 {
+		t.Fatalf("found only %d manager ops in proto.go; the scan is broken", len(declared))
+	}
+
+	m := startManager(t, Config{})
+	var gatedOps, timedOps []string
+	for op := range declared {
+		e := m.ops[op]
+		if e == nil {
+			t.Errorf("proto declares %s but the manager's op table has no entry for it", op)
+			continue
+		}
+		if e.flags&gated != 0 {
+			gatedOps = append(gatedOps, op)
+		}
+		if e.flags&timed != 0 {
+			timedOps = append(timedOps, op)
+		}
+	}
+	for op := range m.ops {
+		if !declared[op] {
+			t.Errorf("op table serves %s, which proto does not declare", op)
+		}
+	}
+	sort.Strings(gatedOps)
+	sort.Strings(timedOps)
+	if want := []string{proto.MAlloc, proto.MCommit, proto.MExtend}; !reflect.DeepEqual(gatedOps, want) {
+		t.Errorf("admission-gated ops = %v, want exactly %v", gatedOps, want)
+	}
+	if want := []string{proto.MAlloc, proto.MCommit}; !reflect.DeepEqual(timedOps, want) {
+		t.Errorf("timed ops = %v, want exactly %v", timedOps, want)
 	}
 }
 

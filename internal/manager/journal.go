@@ -48,14 +48,24 @@ type journalEntry struct {
 	// Writer is the committing client's declared identity (commit entries
 	// only; absent in journals written before writer identity existed).
 	Writer string `json:"writer,omitempty"`
+
+	// ticketed, when set, runs atomically with the entry's order ticket
+	// (never written to the file). A commit allocates its version ID
+	// there, so IDs are handed out in ticket order across stripes and
+	// replay — which allocates in ticket order — reproduces them: a
+	// journaled delete names its version by ID.
+	ticketed func()
 }
 
 // journal is the append-only writer plus the entries found at open time.
 //
-// Two append modes share the type. Synchronous (historical) appends
-// marshal, write and flush inline under the journal mutex — callers hold
-// their dataset stripe's critical section, so every journaled mutation in
-// the process serializes on that mutex. Asynchronous (default) appends
+// Two append modes share the type. Synchronous appends marshal, write and
+// flush inline under the journal mutex — callers hold their dataset
+// stripe's critical section, so every journaled mutation in the process
+// serializes on that mutex. No shipped manager runs it: it is the
+// reference the asynchronous writer is checked against, byte for byte
+// (TestAsyncJournalByteIdenticalToSync), selected by newManager's
+// unexported argument. Asynchronous appends, what New selects,
 // only take an order ticket and enqueue: record assigns a strictly
 // increasing sequence number (inside the caller's stripe critical
 // section, which is what makes ticket order match publication order — see
@@ -84,7 +94,7 @@ type journal struct {
 	path    string
 	entries []journalEntry
 
-	// sync selects the historical inline append mode; fsync arms
+	// sync selects the inline (test-reference) append mode; fsync arms
 	// per-batch (async) or per-record (sync) fsync.
 	sync  bool
 	fsync bool
@@ -100,6 +110,7 @@ type journal struct {
 	closeMu sync.RWMutex
 	closed  bool
 	seq     atomic.Uint64
+	seqMu   sync.Mutex // makes ticket + journalEntry.ticketed one step
 	queue   chan seqEntry
 	done    chan struct{}
 	logf    func(format string, args ...interface{})
@@ -133,7 +144,7 @@ const journalQueueDepth = 1024
 // openJournal reads any existing entries and opens the file for appends.
 // A torn final record (crash mid-append) is truncated away with a warning
 // — everything before it is intact, matching replay's historical
-// tolerance. syncMode selects inline (historical) appends; fsyncMode arms
+// tolerance. syncMode selects inline (test-reference) appends; fsyncMode arms
 // group-commit (async) or per-record (sync) fsync. seqFloor lifts the
 // ticket counter past a snapshot's watermark (a truncated journal may hold
 // no entry at or below it); it must be final here, because the async
@@ -258,6 +269,9 @@ func (j *journal) record(e journalEntry, durable bool) error {
 			return fmt.Errorf("journal: failing fast after earlier error: %w", j.firstErr)
 		}
 		e.Seq = j.seq.Add(1)
+		if e.ticketed != nil {
+			e.ticketed()
+		}
 		if err := j.appendLocked(e); err != nil {
 			j.failLocked(err)
 			return err
@@ -285,7 +299,12 @@ func (j *journal) record(e journalEntry, durable bool) error {
 		j.closeMu.RUnlock()
 		return core.ErrClosed
 	}
+	j.seqMu.Lock()
 	se := seqEntry{seq: j.seq.Add(1), e: e, durable: durable}
+	if e.ticketed != nil {
+		e.ticketed()
+	}
+	j.seqMu.Unlock()
 	if j.fsync || durable {
 		// Group commit: this caller blocks until the writer has flushed
 		// and fsynced the batch carrying its record, so an acknowledged

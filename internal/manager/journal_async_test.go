@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,12 +30,11 @@ import (
 func driveSequentialJournal(t *testing.T, syncJournal bool) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seq.journal")
-	m, err := New(Config{
+	m, err := newManager(Config{
 		JournalPath:       path,
-		SyncJournal:       syncJournal,
 		HeartbeatInterval: time.Hour,
 		SessionTTL:        time.Hour,
-	})
+	}, defaultStripes, syncJournal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +108,87 @@ func TestAsyncJournalReplayMatchesLiveState(t *testing.T) {
 					t.Fatalf("%s-journal replay with %d stripes diverged from live state:\nlive:     %+v\nreplayed: %+v",
 						mode.name, stripes, live, replayed)
 				}
+			}
+		})
+	}
+}
+
+// versionIDs maps every committed file name to its version ID.
+func versionIDs(c *catalog) map[string]core.VersionID {
+	ids := make(map[string]core.VersionID)
+	for _, sh := range c.ds {
+		for _, ds := range sh.byName {
+			for _, v := range ds.versions {
+				ids[v.fileName] = v.id
+			}
+		}
+	}
+	return ids
+}
+
+// TestReplayReproducesVersionIDs: commits racing on different stripes
+// must come back from the journal with the version IDs they had live —
+// a journaled delete names its version by ID, so an ID that replay hands
+// to a different version turns into a delete of the wrong checkpoint (or
+// of none). Replay allocates IDs in ticket order; live allocation has to
+// follow the same order, which it does by taking the ID in the same step
+// as the ticket (journalEntry.ticketed).
+func TestReplayReproducesVersionIDs(t *testing.T) {
+	for _, mode := range []struct {
+		name        string
+		syncJournal bool
+	}{{"async", false}, {"sync", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ids.journal")
+			cfg := Config{JournalPath: path, HeartbeatInterval: time.Hour, SessionTTL: time.Hour}
+			m, err := newManager(cfg, defaultStripes, mode.syncJournal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.reg.register(regReq("n1", 1<<40), 0)
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for ti := 0; ti < 40; ti++ {
+						name := fmt.Sprintf("ids.n%d.t%d", w, ti)
+						alloc, err := m.handleAlloc(proto.AllocReq{Name: name, StripeWidth: 1, ChunkSize: 512, ReserveBytes: 512})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						chunks, total := commitChunks(int64(w*1000+ti), 1, 512)
+						if _, err := m.handleCommit(proto.CommitReq{
+							WriteID: alloc.Meta.(proto.AllocResp).WriteID, FileSize: total, Chunks: chunks,
+						}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			live := versionIDs(m.cat)
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(live) != 8*40 {
+				t.Fatalf("%d versions committed, want %d", len(live), 8*40)
+			}
+			m2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close()
+			if replayed := versionIDs(m2.cat); !reflect.DeepEqual(replayed, live) {
+				moved := 0
+				for name, id := range live {
+					if replayed[name] != id {
+						moved++
+					}
+				}
+				t.Fatalf("%d of %d versions changed ID across replay", moved, len(live))
 			}
 		})
 	}

@@ -19,7 +19,6 @@ import (
 	"stdchk/internal/core"
 	"stdchk/internal/faultpoint"
 	"stdchk/internal/federation"
-	"stdchk/internal/metrics"
 	"stdchk/internal/namespace"
 	"stdchk/internal/proto"
 	"stdchk/internal/wire"
@@ -86,37 +85,24 @@ type Config struct {
 	// SessionTTL expires abandoned write sessions, garbage collecting
 	// their space reservations.
 	SessionTTL time.Duration
-	// MetadataStripes is the lock-stripe count for the metadata plane
-	// (dataset catalog, content-addressed chunk index, session table).
-	// Rounded up to a power of two, capped at 256. 0 selects the default
-	// (16); 1 degenerates to the historical single-lock catalog and
-	// exists for the managerload before/after baseline.
-	MetadataStripes int
 	// MapCacheEntries bounds the hot-map cache in front of getMap
 	// (memoized wire-ready chunk-maps per dataset version; see
 	// hotMapCache). 0 selects the default (1024 entries); negative
-	// disables the cache — the ablation baseline where every getMap
-	// rebuilds and re-sorts its location sets.
+	// disables the cache — the baseline the package's benchmarks and
+	// tests compare against, where every getMap rebuilds and re-sorts its
+	// location sets.
 	MapCacheEntries int
 	// PruneInterval paces the folder-policy pruner.
 	PruneInterval time.Duration
 	// JournalPath, when set, persists commits/deletes/policies to an
 	// append-only journal replayed on restart.
 	JournalPath string
-	// SyncJournal restores the historical journal mode: every commit and
-	// delete marshals, writes and flushes its journal record inline under
-	// the dataset stripe's critical section, serializing all journaled
-	// mutations on the journal mutex. The default (false) is the ordered
-	// async writer: the critical section only takes an order ticket, a
-	// writer goroutine appends in ticket order, and a process crash can
-	// lose a small window of acknowledged-but-unjournaled entries (clean
-	// shutdown drains; see journal).
-	SyncJournal bool
-	// FsyncJournal arms power-loss durability: the async journal writer
-	// fsyncs once per drained batch (group commit) and the sync writer
-	// once per record. Off, acknowledged commits survive a process crash
-	// (the OS page cache holds the appends) but not the machine going
-	// dark. Folders can demand fsync individually via their policy's
+	// FsyncJournal arms power-loss durability: the journal writer fsyncs
+	// once per drained batch (group commit) and a commit is acknowledged
+	// only after its batch's fsync. Off, the writer appends in ticket
+	// order behind the commit: a clean shutdown drains it, and a process
+	// crash can lose a small window of acknowledged-but-unjournaled
+	// entries. Folders can demand fsync individually via their policy's
 	// Durability knob even when this is off.
 	FsyncJournal bool
 	// SnapshotInterval, when positive, periodically serializes the catalog
@@ -212,10 +198,9 @@ type Manager struct {
 	// adm gates mutating metadata ops; always constructed (unbounded
 	// when MaxPendingOps is zero) so depth accounting is uniform.
 	adm *admission
-	// allocLat and commitLat time the two metadata ops on a checkpoint's
-	// critical path, service-time only (queueing excluded by admission).
-	allocLat  metrics.LatencyHistogram
-	commitLat metrics.LatencyHistogram
+	// ops is the op table handle dispatches through: one entry per RPC,
+	// built once by registerOps and read-only afterwards.
+	ops map[string]*opEntry
 
 	stats struct {
 		transactions       atomic.Int64
@@ -257,12 +242,20 @@ type Manager struct {
 
 // New starts a manager serving on cfg.ListenAddr.
 func New(cfg Config) (*Manager, error) {
+	return newManager(cfg, defaultStripes, false)
+}
+
+// newManager is New with the two choices only this package's tests vary:
+// the stripe count (replay must not depend on it) and syncJournal, the
+// inline journal writer the ordered async one is checked against (see
+// journal).
+func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	m := &Manager{
 		cfg:        cfg,
 		reg:        newRegistry(cfg.NodeTTL, cfg.DeadTimeout),
-		cat:        newCatalogStripes(cfg.MetadataStripes),
-		sess:       newSessionTableStripes(cfg.SessionTTL, cfg.MetadataStripes),
+		cat:        newCatalogStripes(stripes),
+		sess:       newSessionTableStripes(cfg.SessionTTL, stripes),
 		pool:       wire.NewPool(cfg.DialShaper, 8),
 		logger:     cfg.Logger,
 		policies:   newPolicyTable(),
@@ -270,6 +263,7 @@ func New(cfg Config) (*Manager, error) {
 		stop:       make(chan struct{}),
 		repairKick: make(chan struct{}, 1),
 	}
+	m.registerOps()
 	if len(cfg.FederationMembers) > 0 {
 		if cfg.MemberIndex < 0 || cfg.MemberIndex >= len(cfg.FederationMembers) {
 			return nil, fmt.Errorf("manager: member index %d outside federation of %d", cfg.MemberIndex, len(cfg.FederationMembers))
@@ -297,7 +291,7 @@ func New(cfg Config) (*Manager, error) {
 		if err != nil {
 			return nil, fmt.Errorf("manager: load snapshot: %w", err)
 		}
-		j, err := openJournal(cfg.JournalPath, cfg.SyncJournal, cfg.FsyncJournal, m.logf, watermark)
+		j, err := openJournal(cfg.JournalPath, syncJournal, cfg.FsyncJournal, m.logf, watermark)
 		if err != nil {
 			return nil, fmt.Errorf("manager: %w", err)
 		}
@@ -473,264 +467,13 @@ func (m *Manager) checkPartition(name string, epoch uint64) error {
 	return nil
 }
 
-// handle dispatches one RPC.
+// handle dispatches one RPC through the op table (see ops.go).
 func (m *Manager) handle(r *wire.Req) (wire.Resp, error) {
-	switch r.Op {
-	case proto.MRegister:
-		var req proto.RegisterReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		return m.handleRegister(req)
-	case proto.MHeartbeat:
-		var req proto.HeartbeatReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		if err := m.reg.heartbeat(req); err != nil {
-			return wire.Resp{}, err
-		}
-		// Scrub reports: a quarantined replica leaves the chunk-map now, so
-		// readers stop being routed to it and the repair scheduler sees the
-		// chunk one replica short immediately.
-		if len(req.Corrupt) > 0 {
-			dropped := 0
-			for _, id := range req.Corrupt {
-				if m.cat.dropLocation(id, req.ID) {
-					dropped++
-				}
-			}
-			m.stats.repairCorrupt.Add(int64(len(req.Corrupt)))
-			m.logf("benefactor %s reported %d corrupt chunks (%d locations dropped)", req.ID, len(req.Corrupt), dropped)
-			m.kickRepair()
-		}
-		return wire.Resp{Meta: proto.HeartbeatResp{OK: true, Recovering: m.recovering.Load()}}, nil
-	case proto.MAlloc:
-		var req proto.AllocReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		if err := m.adm.enter(); err != nil {
-			return wire.Resp{}, err
-		}
-		start := time.Now()
-		resp, err := m.handleAlloc(req)
-		m.allocLat.Observe(time.Since(start))
-		m.adm.exit()
-		return resp, err
-	case proto.MExtend:
-		var req proto.ExtendReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		if err := m.adm.enter(); err != nil {
-			return wire.Resp{}, err
-		}
-		resp, err := m.handleExtend(req)
-		m.adm.exit()
-		return resp, err
-	case proto.MCommit:
-		var req proto.CommitReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		if err := m.adm.enter(); err != nil {
-			return wire.Resp{}, err
-		}
-		start := time.Now()
-		resp, err := m.handleCommit(req)
-		m.commitLat.Observe(time.Since(start))
-		m.adm.exit()
-		return resp, err
-	case proto.MAbort:
-		var req proto.AbortReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		return m.handleAbort(req)
-	case proto.MHasChunks:
-		var req proto.HasReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		m.stats.dedupBatches.Add(1)
-		m.stats.dedupChunksQueried.Add(int64(len(req.IDs)))
-		present := m.cat.hasChunks(req.IDs)
-		var hits int64
-		for _, p := range present {
-			if p {
-				hits++
-			}
-		}
-		m.stats.dedupHits.Add(hits)
-		return wire.Resp{Meta: proto.HasResp{Present: present}}, nil
-	case proto.MGetMap:
-		var req proto.GetMapReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		m.stats.transactions.Add(1)
-		m.stats.getMaps.Add(1)
-		if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
-			return wire.Resp{}, err
-		}
-		var (
-			name string
-			cm   *core.ChunkMap
-			err  error
-		)
-		asOf := req.Version == 0 && !req.AsOf.IsZero()
-		if asOf {
-			name, cm, err = m.cat.getMapAsOf(req.Name, req.AsOf)
-		} else {
-			name, cm, err = m.cat.getMap(req.Name, req.Version)
-		}
-		if err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{Meta: proto.GetMapResp{Name: name, Map: cm, AsOfResolved: asOf}}, nil
-	case proto.MGetMaps:
-		var req proto.GetMapsReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		m.stats.transactions.Add(1)
-		m.stats.prefetchBatches.Add(1)
-		return m.handleGetMaps(req)
-	case proto.MHistory:
-		var req proto.HistoryReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		m.stats.transactions.Add(1)
-		m.stats.histories.Add(1)
-		if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
-			return wire.Resp{}, err
-		}
-		resp, err := m.cat.history(req.Name)
-		if err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{Meta: resp}, nil
-	case proto.MDiff:
-		var req proto.DiffReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		m.stats.transactions.Add(1)
-		m.stats.diffs.Add(1)
-		if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
-			return wire.Resp{}, err
-		}
-		resp, err := m.cat.diff(req.Name, req.From, req.To)
-		if err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{Meta: resp}, nil
-	case proto.MStatVersion:
-		var req proto.StatVersionReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		m.stats.transactions.Add(1)
-		m.stats.statVersions.Add(1)
-		if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
-			return wire.Resp{}, err
-		}
-		var (
-			name string
-			ds   core.DatasetID
-			ver  core.VersionID
-			err  error
-		)
-		asOf := !req.AsOf.IsZero()
-		if asOf {
-			name, ds, ver, err = m.cat.statVersionAsOf(req.Name, req.AsOf)
-		} else {
-			name, ds, ver, err = m.cat.statVersion(req.Name)
-		}
-		if err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{Meta: proto.StatVersionResp{Name: name, Dataset: ds, Version: ver, AsOfResolved: asOf}}, nil
-	case proto.MList:
-		var req proto.ListReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{Meta: proto.ListResp{Datasets: m.cat.list(req.Folder, m.reg.online)}}, nil
-	case proto.MStat:
-		var req proto.StatReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
-			return wire.Resp{}, err
-		}
-		info, err := m.cat.stat(req.Name, m.reg.online)
-		if err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{Meta: proto.StatResp{Dataset: info}}, nil
-	case proto.MDelete:
-		var req proto.DeleteReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		return m.handleDelete(req)
-	case proto.MPolicySet:
-		var req proto.PolicySetReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		if err := req.Policy.Validate(); err != nil {
-			return wire.Resp{}, err
-		}
-		// Apply and journal under the policy-table lock so the update is
-		// all-or-nothing (a journal failure reverts it) and a snapshot cut
-		// can never split the pair.
-		if err := m.policies.setJournaled(req.Folder, req.Policy, m.policyJournalFn()); err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{Meta: proto.HeartbeatResp{OK: true}}, nil
-	case proto.MPolicyGet:
-		var req proto.PolicyGetReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{Meta: proto.PolicyGetResp{Policy: m.policies.get(req.Folder)}}, nil
-	case proto.MPolicyDryRun:
-		var req proto.PolicyDryRunReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{Meta: m.policyDryRun(req, time.Now())}, nil
-	case proto.MGCReport:
-		var req proto.GCReportReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		return m.handleGCReport(req)
-	case proto.MBenefactors:
-		return wire.Resp{Meta: proto.BenefactorsResp{Benefactors: m.reg.list()}}, nil
-	case proto.MReplStatus:
-		var req proto.ReplStatusReq
-		if err := wire.UnmarshalMeta(r.Meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
-			return wire.Resp{}, err
-		}
-		resp, err := m.cat.replStatus(req.Name, m.reg.online)
-		if err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{Meta: resp}, nil
-	case proto.MStats:
-		return wire.Resp{Meta: m.statsSnapshot()}, nil
-	default:
+	e := m.ops[r.Op]
+	if e == nil {
 		return wire.Resp{}, fmt.Errorf("manager: unknown op %q", r.Op)
 	}
+	return e.serve(r.Meta)
 }
 
 func (m *Manager) handleRegister(req proto.RegisterReq) (wire.Resp, error) {
@@ -817,6 +560,8 @@ func (m *Manager) handleAlloc(req proto.AllocReq) (wire.Resp, error) {
 // partition; the client falls back to per-name fetches for the rest. An
 // epoch mismatch still fails the whole batch (router config drift).
 func (m *Manager) handleGetMaps(req proto.GetMapsReq) (wire.Resp, error) {
+	m.stats.transactions.Add(1)
+	m.stats.prefetchBatches.Add(1)
 	var resp proto.GetMapsResp
 	for _, name := range req.Names {
 		if err := m.checkPartition(name, req.PartitionEpoch); err != nil {
@@ -921,7 +666,9 @@ func (m *Manager) handleGCReport(req proto.GCReportReq) (wire.Resp, error) {
 	return wire.Resp{Meta: proto.GCReportResp{Deletable: deletable}}, nil
 }
 
-func (m *Manager) statsSnapshot() proto.ManagerStats {
+// Stats returns a snapshot of manager counters: what MStats serves, and
+// what in-process callers read.
+func (m *Manager) Stats() proto.ManagerStats {
 	total, online, suspectN, deadN := m.reg.counts()
 	datasets, versions, chunks, logical, stored := m.cat.counters()
 	dsStripes, ckStripes := m.cat.stripeSnapshot()
@@ -943,12 +690,10 @@ func (m *Manager) statsSnapshot() proto.ManagerStats {
 		}
 	}
 	jBatches, jBatchLen, jFsyncs, jErrs := m.journal.counters()
-	allocCount, allocSum, allocBuckets := m.allocLat.Snapshot()
-	commitCount, commitSum, commitBuckets := m.commitLat.Snapshot()
 	return proto.ManagerStats{
 		Admission:          m.adm.snapshot(),
-		AllocLatency:       proto.LatencyStats{Count: allocCount, SumMicros: allocSum, Buckets: allocBuckets},
-		CommitLatency:      proto.LatencyStats{Count: commitCount, SumMicros: commitSum, Buckets: commitBuckets},
+		AllocLatency:       m.ops[proto.MAlloc].latency(),
+		CommitLatency:      m.ops[proto.MCommit].latency(),
 		CatalogStripes:     dsStripes,
 		ChunkStripes:       ckStripes,
 		SessionStripes:     sessStripes,
@@ -998,9 +743,6 @@ func (m *Manager) statsSnapshot() proto.ManagerStats {
 		SnapshotSeq:     int64(m.stats.snapshotSeq.Load()),
 	}
 }
-
-// Stats returns a snapshot of manager counters (in-process callers).
-func (m *Manager) Stats() proto.ManagerStats { return m.statsSnapshot() }
 
 // Invoke dispatches one manager RPC in-process, bypassing the TCP framing
 // but exercising the exact handler path (request decode, counters, catalog,

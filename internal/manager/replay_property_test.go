@@ -121,12 +121,11 @@ func driveJournalWorkload(t *testing.T, writers, versions int, syncJournal bool)
 	t.Helper()
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "manager.journal")
-	m, err := New(Config{
+	m, err := newManager(Config{
 		JournalPath:       journalPath,
-		SyncJournal:       syncJournal,
 		HeartbeatInterval: time.Hour,
 		SessionTTL:        time.Hour,
-	})
+	}, defaultStripes, syncJournal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +220,10 @@ func replayCatalog(t *testing.T, journalPath string, stripes int) catSnap {
 // driveJournalWorkload).
 func replayCatalogSnap(t *testing.T, journalPath string, stripes int, withNewBytes bool) catSnap {
 	t.Helper()
-	m, err := New(Config{
+	m, err := newManager(Config{
 		JournalPath:       journalPath,
-		MetadataStripes:   stripes,
 		HeartbeatInterval: time.Hour,
-	})
+	}, stripes, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,11 +454,10 @@ func TestJournalOrderRespectsCOWCausality(t *testing.T) {
 
 	// The journal must replay cleanly into any stripe layout.
 	for _, stripes := range []int{1, 16} {
-		m2, err := New(Config{
+		m2, err := newManager(Config{
 			JournalPath:       journalPath,
-			MetadataStripes:   stripes,
 			HeartbeatInterval: time.Hour,
-		})
+		}, stripes, false)
 		if err != nil {
 			t.Fatalf("replay with %d stripes: %v", stripes, err)
 		}
@@ -508,11 +505,10 @@ func TestJournalReplayToleratesDeleteCommitInversion(t *testing.T) {
 		if err := os.WriteFile(iterPath, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, err := New(Config{
+		m, err := newManager(Config{
 			JournalPath:       iterPath,
-			MetadataStripes:   stripes,
 			HeartbeatInterval: time.Hour,
-		})
+		}, stripes, false)
 		if err != nil {
 			t.Fatalf("replay with %d stripes refused the inverted journal: %v", stripes, err)
 		}

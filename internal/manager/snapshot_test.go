@@ -20,13 +20,12 @@ import (
 func newJournaledManager(t *testing.T, dir string, syncJournal, fsyncJournal bool) (*Manager, string) {
 	t.Helper()
 	journalPath := filepath.Join(dir, "manager.journal")
-	m, err := New(Config{
+	m, err := newManager(Config{
 		JournalPath:       journalPath,
-		SyncJournal:       syncJournal,
 		FsyncJournal:      fsyncJournal,
 		HeartbeatInterval: time.Hour,
 		SessionTTL:        time.Hour,
-	})
+	}, defaultStripes, syncJournal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,6 @@ import (
 	"stdchk/internal/client"
 	"stdchk/internal/core"
 	"stdchk/internal/device"
-	"stdchk/internal/federation"
 	"stdchk/internal/fsiface"
 	"stdchk/internal/grid"
 	"stdchk/internal/manager"
@@ -186,11 +185,11 @@ type FS = fsiface.FS
 // File is an open facade handle.
 type File = fsiface.File
 
-// clientConfig maps the facade options onto a client config. Both the
-// standalone and the federated Connect paths go through here, so a new
-// option cannot reach one and silently miss the other.
-func (o Options) clientConfig() client.Config {
-	return client.Config{
+// Connect opens a client against a running metadata service: one manager,
+// or a federation when ManagerAddr lists several members (same syntax as
+// the stdchk CLI's -manager flag).
+func Connect(o Options) (*Client, error) {
+	inner, err := client.New(client.Config{
 		ManagerAddr:     o.ManagerAddr,
 		StripeWidth:     o.StripeWidth,
 		ChunkSize:       o.ChunkSize,
@@ -202,23 +201,7 @@ func (o Options) clientConfig() client.Config {
 		Incremental:     o.Incremental,
 		PushMapReplicas: o.PushMapReplicas,
 		Writer:          o.Writer,
-	}
-}
-
-// Connect opens a client against a running metadata service: one manager,
-// or a federation when ManagerAddr lists several members (same syntax as
-// the stdchk CLI's -manager flag).
-func Connect(opts Options) (*Client, error) {
-	cfg := opts.clientConfig()
-	if members := federation.SplitMembers(opts.ManagerAddr); len(members) > 1 {
-		r, err := federation.NewRouter(federation.RouterConfig{Members: members})
-		if err != nil {
-			return nil, err
-		}
-		cfg.ManagerAddr = ""
-		cfg.Endpoint = r // the client owns and closes it
-	}
-	inner, err := client.New(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -235,13 +218,6 @@ func (c *Client) Create(name string) (*Writer, error) { return c.inner.Create(na
 // newest AsOf an instant, incremental restore against a Baseline).
 func (c *Client) Open(name string, opts ...OpenOptions) (*Reader, error) {
 	return c.inner.Open(name, opts...)
-}
-
-// OpenVersion opens a specific version (0 = latest).
-//
-// Deprecated: use Open(name, OpenOptions{Version: v}).
-func (c *Client) OpenVersion(name string, v VersionID) (*Reader, error) {
-	return c.inner.OpenVersion(name, v)
 }
 
 // History reports a dataset's version lineage, oldest first: identity,
@@ -403,9 +379,8 @@ func (c *Cluster) ManagerAddr() string { return c.inner.Manager.Addr() }
 // ManagerAddrs returns every metadata-plane member address.
 func (c *Cluster) ManagerAddrs() []string { return c.inner.ManagerAddrs() }
 
-// Connect opens a client against this cluster. Federated clusters hand
-// the client a partition router (via Connect's member-list handling), so
-// callers see one metadata service either way.
+// Connect opens a client against this cluster's metadata plane, one
+// manager or several: callers see one metadata service either way.
 func (c *Cluster) Connect(opts Options) (*Client, error) {
 	opts.ManagerAddr = strings.Join(c.inner.ManagerAddrs(), ",")
 	return Connect(opts)
