@@ -1,7 +1,7 @@
 // Command stdchk is the client CLI: store, retrieve, list, diff and
 // manage checkpoint files in a stdchk pool. Each subcommand owns its
-// flags; connection flags (-manager, -mux, -upload-window, -read-batch)
-// are shared by all of them and come after the subcommand name.
+// flags; connection flags (-manager, -mux, -read-batch) are shared by
+// all of them and come after the subcommand name.
 //
 // Usage:
 //
@@ -51,10 +51,9 @@ const usage = "usage: stdchk <write|read|restore|history|diff|ls|stat|rm|policy|
 
 // connOpts are the connection flags every subcommand shares.
 type connOpts struct {
-	manager      *string
-	mux          *int
-	uploadWindow *int
-	readBatch    *int
+	manager   *string
+	mux       *int
+	readBatch *int
 }
 
 // connFlags registers the shared connection flags on a subcommand's
@@ -62,10 +61,9 @@ type connOpts struct {
 // subcommands and silently miss others.
 func connFlags(fs *flag.FlagSet) *connOpts {
 	return &connOpts{
-		manager:      fs.String("manager", "127.0.0.1:9400", "manager address, or comma-separated federation member list"),
-		mux:          fs.Int("mux", 0, "share N session-multiplexed connections per manager for metadata RPCs instead of pooling one serial conn per in-flight call (0 = serial pool; chunk traffic to benefactors is unaffected)"),
-		uploadWindow: fs.Int("upload-window", 0, "in-flight chunk puts per stripe node, over the same shared multiplexed connections restores batch on (0 = 8; 1 = one blocking put per chunk)"),
-		readBatch:    fs.Int("read-batch", 0, "chunk IDs per batched read request (0 = 16); a batch also closes at 1 MB + 64 KB of chunk bytes, and a one-chunk batch is a plain get"),
+		manager:   fs.String("manager", "127.0.0.1:9400", "manager address, or comma-separated federation member list"),
+		mux:       fs.Int("mux", 0, "share N session-multiplexed connections per manager for metadata RPCs instead of pooling one serial conn per in-flight call (0 = serial pool; chunk traffic to benefactors is unaffected)"),
+		readBatch: fs.Int("read-batch", 0, "chunk IDs per batched read request (0 = 16); a batch also closes at 1 MB + 64 KB of chunk bytes, and a one-chunk batch is a plain get"),
 	}
 }
 
@@ -73,7 +71,6 @@ func connFlags(fs *flag.FlagSet) *connOpts {
 // filled parts of it) plus the shared connection flags.
 func (o *connOpts) connect(cfg client.Config) (*client.Client, error) {
 	cfg.ManagerAddr = *o.manager
-	cfg.UploadWindow = *o.uploadWindow
 	cfg.ReadBatch = *o.readBatch
 	if *o.mux > 0 {
 		// The client's own Router pools serial connections; -mux hands it

@@ -57,17 +57,17 @@ func BenchmarkOpenRead(b *testing.B) {
 
 // BenchmarkUploadPipeline contrasts two settings of the one upload loop
 // over the same stripe: "serial" is its degenerate stop-and-wait setting
-// (UploadWindow = 1: one BPut outstanding per stripe node), "mux" the
-// default writer (a window of in-flight BPuts per node, acks decoupled
-// from sends). Both ride the client's shared multiplexed pool. Rides the
-// bench-compare allocs gate: the window must not add per-chunk
-// allocations over stop-and-wait.
+// (BufferBytes = ChunkSize: one chunk in the whole pipeline), "mux" the
+// default writer (every chunk the 64 MB write window admits in flight,
+// acks decoupled from sends). Both ride the client's shared multiplexed
+// pool. Rides the bench-compare allocs gate: the window must not add
+// per-chunk allocations over stop-and-wait.
 func BenchmarkUploadPipeline(b *testing.B) {
 	for _, variant := range []struct {
 		name string
 		cfg  client.Config
 	}{
-		{"serial", client.Config{StripeWidth: 4, UploadWindow: 1}},
+		{"serial", client.Config{StripeWidth: 4, BufferBytes: core.DefaultChunkSize}},
 		{"mux", client.Config{StripeWidth: 4}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {

@@ -113,8 +113,12 @@ type Config struct {
 	Semantics core.WriteSemantics
 	// Protocol selects the write data path. Default SlidingWindow.
 	Protocol Protocol
-	// BufferBytes bounds the sliding-window in-memory buffer: bytes
-	// accepted from the application but not yet pushed to benefactors.
+	// BufferBytes is the write window (paper §IV.B), the one bound on
+	// bytes in flight: bytes accepted from the application and not yet
+	// acknowledged by a benefactor (0 = 64 MB). Every chunk it admits is
+	// sent without waiting for an earlier one's ack, whatever the chunk
+	// size; BufferBytes = ChunkSize is stop-and-wait, one chunk in the
+	// whole pipeline.
 	BufferBytes int64
 	// TempFileBytes bounds incremental-write temporary files.
 	TempFileBytes int64
@@ -167,12 +171,6 @@ type Config struct {
 	// commits, surfaced in the dataset's version history (provenance: which
 	// job/rank wrote each checkpoint). Empty leaves lineage anonymous.
 	Writer string
-	// UploadWindow bounds the in-flight (sent, unacked) BPuts per stripe
-	// node (0 = 8); every put rides the client's shared multiplexed pool,
-	// acks decoupled from sends. UploadWindow = 1 is stop-and-wait: one
-	// put outstanding per node. The write window is additionally bounded
-	// by BufferBytes, which caps total buffered chunk bytes.
-	UploadWindow int
 	// ReadBatch bounds the chunk IDs one BGetBatch request carries (0 =
 	// 16, at most proto.MaxBatchIDs). A batch also closes once its reply
 	// body would outgrow wire.MaxPooledBuf (1 MB + 64 KB), whichever bound
@@ -207,9 +205,6 @@ func (c Config) withDefaults() Config {
 	if c.ReadAhead <= 0 && c.ReadAheadBytes <= 0 {
 		c.ReadAheadBytes = 4 << 20
 	}
-	if c.UploadWindow <= 0 {
-		c.UploadWindow = 8
-	}
 	if c.ReadBatch <= 0 {
 		c.ReadBatch = 16
 	}
@@ -221,6 +216,9 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// dataPoolConnsPerAddr sizes Client.dataPool (see the field for why two).
+const dataPoolConnsPerAddr = 2
 
 // Client is a stdchk client proxy.
 type Client struct {
@@ -315,7 +313,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	return &Client{
 		cfg:        cfg,
-		dataPool:   wire.NewSharedPool(cfg.Shaper, 2),
+		dataPool:   wire.NewSharedPool(cfg.Shaper, dataPoolConnsPerAddr),
 		mgr:        mgr,
 		maps:       newMapCache(cacheEntries),
 		benefAddrs: make(map[core.NodeID]string),

@@ -23,12 +23,11 @@ import (
 func TestDataMuxRoundTrip(t *testing.T) {
 	mgr, _ := startCluster(t, 3, 0)
 	cl, err := New(Config{
-		ManagerAddr:  mgr.Addr(),
-		StripeWidth:  3,
-		ChunkSize:    32 << 10,
-		UploadWindow: 4,
-		ReadBatch:    8,
-		ReadAhead:    16,
+		ManagerAddr: mgr.Addr(),
+		StripeWidth: 3,
+		ChunkSize:   32 << 10,
+		ReadBatch:   8,
+		ReadAhead:   16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,20 +72,21 @@ func TestDataMuxRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDataMuxSerialInterop pins that the upload window is a scheduling
-// choice, not a format change. A stop-and-wait writer (UploadWindow = 1)
-// and the default windowed writer store the same image as the same chunk
-// frames on the benefactors and as consecutive versions of one dataset
-// sharing every chunk; and an image written by either restores
-// byte-identically through the other.
+// TestDataMuxSerialInterop pins that the write window is a scheduling
+// choice, not a format change. A stop-and-wait writer (BufferBytes =
+// ChunkSize: one chunk in the whole pipeline) and the default windowed
+// writer store the same image as the same chunk frames on the benefactors
+// and as consecutive versions of one dataset sharing every chunk; and an
+// image written by either restores byte-identically through the other.
 func TestDataMuxSerialInterop(t *testing.T) {
 	mgr, benefs := startCluster(t, 2, 0)
-	mk := func(window int) *Client {
+	const chunk = 32 << 10
+	mk := func(bufferBytes int64) *Client {
 		cl, err := New(Config{
-			ManagerAddr:  mgr.Addr(),
-			StripeWidth:  2,
-			ChunkSize:    32 << 10,
-			UploadWindow: window,
+			ManagerAddr: mgr.Addr(),
+			StripeWidth: 2,
+			ChunkSize:   chunk,
+			BufferBytes: bufferBytes,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +94,7 @@ func TestDataMuxSerialInterop(t *testing.T) {
 		t.Cleanup(func() { cl.Close() })
 		return cl
 	}
-	windowed, serial := mk(0), mk(1)
+	windowed, serial := mk(0), mk(chunk)
 	// stored is the set of chunk frames the benefactors accepted. The two
 	// writers may be handed the stripe in a different rotation, so the
 	// comparison is by content name, not by node.
@@ -178,10 +178,9 @@ func TestPipelinedUploadFaultSweep(t *testing.T) {
 		count := count
 		t.Run(fmt.Sprintf("count=%d", count), func(t *testing.T) {
 			cl, err := New(Config{
-				ManagerAddr:  mgr.Addr(),
-				StripeWidth:  2,
-				ChunkSize:    32 << 10,
-				UploadWindow: 4,
+				ManagerAddr: mgr.Addr(),
+				StripeWidth: 2,
+				ChunkSize:   32 << 10,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -70,14 +70,18 @@ func checkFailedSessionLeftNothing(t *testing.T, mgr *manager.Manager, cl *Clien
 		}
 	}
 	tr.check()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// A goroutine that has signalled its WaitGroup is still listed until it
+	// returns, so poll the stacks too, not only the count.
 	buf := make([]byte, 1<<20)
-	stacks := string(buf[:runtime.Stack(buf, true)])
-	if n := runtime.NumGoroutine(); n > baseline || strings.Contains(stacks, "client.(*Writer)") {
-		t.Errorf("%d goroutines after the failed session, %d before Create:\n%s", n, baseline, stacks)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		n, stacks := runtime.NumGoroutine(), string(buf[:runtime.Stack(buf, true)])
+		if n <= baseline && !strings.Contains(stacks, "client.(*Writer)") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines after the failed session, %d before Create:\n%s", n, baseline, stacks)
+			return
+		}
 	}
 }
 
@@ -137,13 +141,37 @@ func (g gatedStore) Put(id core.ChunkID, data []byte) (bool, error) {
 	return g.Store.Put(id, data)
 }
 
+// TestBenefactorKilledMidUploadWithFullWindow kills a stripe node while it
+// holds a full write window of accepted, unacknowledged puts: one chunk in
+// the whole pipeline (BufferBytes = ChunkSize, stop-and-wait); the default
+// buffer, under which the node's whole share of the image is in flight at
+// once; and a share larger than maxNodePuts, where the chunks past the cap
+// are still queued behind the uploader when the session fails and must
+// drain unsent, each buffer returned once.
 func TestBenefactorKilledMidUploadWithFullWindow(t *testing.T) {
+	const chunk = 16 << 10
+	for _, tc := range []struct {
+		name        string
+		bufferBytes int64
+		perNode     int // chunks of the image bound for each node
+		held        int // puts the victim holds unacknowledged when killed
+	}{
+		{"one chunk", chunk, 16, 1},
+		{"whole image", 0, 16, 16},
+		{"past the put cap", 0, maxNodePuts + 8, maxNodePuts},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			benefactorKilledMidUpload(t, chunk, tc.bufferBytes, tc.perNode, tc.held)
+		})
+	}
+}
+
+func benefactorKilledMidUpload(t *testing.T, chunk, bufferBytes int64, perNode, held int) {
 	mgr, err := manager.New(manager.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mgr.Close() })
-	const window = 4
 	gate := gatedStore{
 		Store:   store.NewMemory(0, nil),
 		armed:   new(atomic.Bool),
@@ -163,10 +191,10 @@ func TestBenefactorKilledMidUploadWithFullWindow(t *testing.T) {
 	waitForBenefactors(t, mgr, 2)
 
 	cl, err := New(Config{
-		ManagerAddr:  mgr.Addr(),
-		StripeWidth:  2,
-		ChunkSize:    16 << 10,
-		UploadWindow: window,
+		ManagerAddr: mgr.Addr(),
+		StripeWidth: 2,
+		ChunkSize:   chunk,
+		BufferBytes: bufferBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +202,7 @@ func TestBenefactorKilledMidUploadWithFullWindow(t *testing.T) {
 	defer cl.Close()
 	tr := trackChunkBufs(t, cl)
 
-	mustStore(t, cl, "killed.n1.t0", fill(8*16<<10, 1))
+	mustStore(t, cl, "killed.n1.t0", fill(int(8*chunk), 1))
 	gate.armed.Store(true)
 	baseline := settledGoroutines()
 
@@ -182,14 +210,27 @@ func TestBenefactorKilledMidUploadWithFullWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write(fill(32*16<<10, 2)); err != nil { // 16 chunks per node
-		t.Fatal(err)
-	}
-	for i := 0; i < window; i++ {
+	// With a window smaller than the image Write blocks on the gated node
+	// until the kill fails the session.
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := w.Write(fill(2*perNode*int(chunk), 2))
+		wrote <- err
+	}()
+	for i := 0; i < held; i++ {
 		select {
 		case <-gate.entered:
 		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d of a window of %d puts reached the benefactor", i, window)
+			t.Fatalf("only %d of a window of %d puts reached the benefactor", i, held)
+		}
+	}
+	if held < perNode && bufferBytes == 0 {
+		// The buffer admitted the node's whole share; what holds the rest
+		// back is the cap, and they wait unsent in the upload queue.
+		select {
+		case <-gate.entered:
+			t.Fatalf("more than maxNodePuts = %d puts reached the benefactor at once", maxNodePuts)
+		case <-time.After(50 * time.Millisecond):
 		}
 	}
 	// The window is full and unacknowledged. Kill the node: its sockets
@@ -199,11 +240,14 @@ func TestBenefactorKilledMidUploadWithFullWindow(t *testing.T) {
 		victim.Close()
 		close(killed)
 	}()
+	writeErr := <-wrote
 	closeErr, waitErr := w.Close(), w.Wait()
 	close(gate.release)
 	<-killed
-	if closeErr != nil && !strings.Contains(closeErr.Error(), victim.Addr()) {
-		t.Errorf("Close returned %v; want nil or an error naming stripe node %s", closeErr, victim.Addr())
+	for op, err := range map[string]error{"Write": writeErr, "Close": closeErr} {
+		if err != nil && !strings.Contains(err.Error(), victim.Addr()) {
+			t.Errorf("%s returned %v; want nil or an error naming stripe node %s", op, err, victim.Addr())
+		}
 	}
 	if waitErr == nil || !strings.Contains(waitErr.Error(), victim.Addr()) {
 		t.Errorf("Wait returned %v; want an error naming stripe node %s", waitErr, victim.Addr())
