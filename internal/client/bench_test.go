@@ -2,6 +2,8 @@ package client_test
 
 import (
 	"io"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"stdchk/internal/client"
 	"stdchk/internal/core"
 	"stdchk/internal/manager"
+	"stdchk/internal/store"
 )
 
 // BenchmarkEmitChunkPipeline measures the full sliding-window write path —
@@ -98,18 +101,125 @@ func BenchmarkReadPath(b *testing.B) {
 	}
 }
 
-func benchReadPath(b *testing.B, cfg client.Config) {
+// BenchmarkWriteOAB measures what a checkpoint costs the application: one
+// op is Create, 8 MB of 1 MB Writes and Close — the OAB interval — against
+// donors that acknowledge nothing until Close has returned, so nothing
+// drains behind the application and the image (an eighth of the default
+// buffer) must be taken in whole. The MB/s is memcpy speed plus one Alloc
+// round trip; anything that makes Write wait for a pipeline stage shows
+// here first. Rides the bench-compare allocs gate: the queues between the
+// stages must not cost a checkpoint a window's worth of slots.
+func BenchmarkWriteOAB(b *testing.B) {
+	for _, variant := range []struct {
+		name string
+		cfg  client.Config
+	}{
+		{"fixed-64k", client.Config{ChunkSize: 64 << 10}},
+		{"cbch", client.Config{Chunking: client.ChunkCbCH}},
+	} {
+		b.Run(variant.name, func(b *testing.B) {
+			benchWriteOAB(b, variant.cfg)
+		})
+	}
+}
+
+// heldStore is a chunk store whose Put waits while the store is held.
+type heldStore struct {
+	store.Store
+	mu   sync.Mutex
+	held chan struct{} // nil when puts pass
+}
+
+func (s *heldStore) hold() {
+	s.mu.Lock()
+	s.held = make(chan struct{})
+	s.mu.Unlock()
+}
+
+func (s *heldStore) release() {
+	s.mu.Lock()
+	close(s.held)
+	s.held = nil
+	s.mu.Unlock()
+}
+
+func (s *heldStore) Put(id core.ChunkID, data []byte) (bool, error) {
+	s.mu.Lock()
+	held := s.held
+	s.mu.Unlock()
+	if held != nil {
+		<-held
+	}
+	return s.Store.Put(id, data)
+}
+
+func benchWriteOAB(b *testing.B, cfg client.Config) {
+	var stores []*heldStore
+	mgr := benchCluster(b, func() store.Store {
+		st := &heldStore{Store: store.NewMemory(0, nil)}
+		stores = append(stores, st)
+		return st
+	})
+	cfg.ManagerAddr, cfg.StripeWidth, cfg.Replication = mgr.Addr(), 4, 1
+	cl, err := client.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+
+	data := make([]byte, 1<<20)
+	rand.New(rand.NewSource(7)).Read(data) // content for the boundary finder to cut
+	const writes = 8
+	b.SetBytes(writes << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, st := range stores {
+			st.hold()
+		}
+		w, err := cl.Create("oab.n1.t0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < writes; j++ {
+			if _, err := w.Write(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		for _, st := range stores {
+			st.release()
+		}
+		if err := w.Wait(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// benchCluster starts an unshaped in-process manager and four benefactors
+// — each over newStore's chunk store, when given — and returns once they
+// have registered. Everything closes with the benchmark.
+func benchCluster(b *testing.B, newStore func() store.Store) *manager.Manager {
+	b.Helper()
 	mgr, err := manager.New(manager.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer mgr.Close()
+	b.Cleanup(func() { mgr.Close() })
 	for i := 0; i < 4; i++ {
-		bf, err := benefactor.New(benefactor.Config{ManagerAddr: mgr.Addr()})
+		cfg := benefactor.Config{ManagerAddr: mgr.Addr()}
+		if newStore != nil {
+			cfg.Store = newStore()
+		}
+		bf, err := benefactor.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer bf.Close()
+		b.Cleanup(func() { bf.Close() })
 	}
 	for deadline := time.Now().Add(5 * time.Second); mgr.Stats().OnlineBenefactors < 4; {
 		if time.Now().After(deadline) {
@@ -117,6 +227,11 @@ func benchReadPath(b *testing.B, cfg client.Config) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return mgr
+}
+
+func benchReadPath(b *testing.B, cfg client.Config) {
+	mgr := benchCluster(b, nil)
 	cfg.ManagerAddr = mgr.Addr()
 	cfg.StripeWidth = 4
 	cfg.ChunkSize = 64 << 10
@@ -175,24 +290,7 @@ func benchReadPath(b *testing.B, cfg client.Config) {
 }
 
 func benchOpenRead(b *testing.B, cacheEntries int, byVersion bool) {
-	mgr, err := manager.New(manager.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mgr.Close()
-	for i := 0; i < 4; i++ {
-		bf, err := benefactor.New(benefactor.Config{ManagerAddr: mgr.Addr()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer bf.Close()
-	}
-	for deadline := time.Now().Add(5 * time.Second); mgr.Stats().OnlineBenefactors < 4; {
-		if time.Now().After(deadline) {
-			b.Fatalf("only %d benefactors registered", mgr.Stats().OnlineBenefactors)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	mgr := benchCluster(b, nil)
 	cl, err := client.New(client.Config{
 		ManagerAddr:     mgr.Addr(),
 		StripeWidth:     4,
@@ -256,27 +354,7 @@ func benchOpenRead(b *testing.B, cacheEntries int, byVersion bool) {
 }
 
 func benchEmitChunkPipeline(b *testing.B, cfg client.Config) {
-	mgr, err := manager.New(manager.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mgr.Close()
-	var benefs []*benefactor.Benefactor
-	for i := 0; i < 4; i++ {
-		bf, err := benefactor.New(benefactor.Config{ManagerAddr: mgr.Addr()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer bf.Close()
-		benefs = append(benefs, bf)
-	}
-	_ = benefs
-	for deadline := time.Now().Add(5 * time.Second); mgr.Stats().OnlineBenefactors < 4; {
-		if time.Now().After(deadline) {
-			b.Fatalf("only %d benefactors registered", mgr.Stats().OnlineBenefactors)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	mgr := benchCluster(b, nil)
 	cfg.ManagerAddr = mgr.Addr()
 	cl, err := client.New(cfg)
 	if err != nil {

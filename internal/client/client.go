@@ -115,10 +115,13 @@ type Config struct {
 	Protocol Protocol
 	// BufferBytes is the write window (paper §IV.B), the one bound on
 	// bytes in flight: bytes accepted from the application and not yet
-	// acknowledged by a benefactor (0 = 64 MB). Every chunk it admits is
-	// sent without waiting for an earlier one's ack, whatever the chunk
-	// size; BufferBytes = ChunkSize is stop-and-wait, one chunk in the
-	// whole pipeline.
+	// acknowledged by a benefactor (0 = 64 MB). It is also the only thing
+	// Write waits for: an image that fits is taken in as fast as the
+	// application's thread copies (and, with ChunkCbCH, scans) it,
+	// however slowly it drains, and WriteMetrics.BufferWait is zero.
+	// Every chunk it admits is sent without waiting for an earlier one's
+	// ack, whatever the chunk size; BufferBytes = ChunkSize is
+	// stop-and-wait, one chunk in the whole pipeline.
 	BufferBytes int64
 	// TempFileBytes bounds incremental-write temporary files.
 	TempFileBytes int64

@@ -145,15 +145,16 @@ func TestHasherBatchesQueuedChunks(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cl.Close()
-			w := &Writer{c: cl, name: "pinned.n1.t0", hashCh: make(chan chunkItem, 2*maxProbeBatch)}
+			w := &Writer{c: cl, name: "pinned.n1.t0"}
 			w.cond = sync.NewCond(&w.mu)
+			w.hashQ.init()
 			w.growCommitChunks(c.chunks)
 			for i := 0; i < c.chunks; i++ {
 				buf := fill(512, byte(i))
 				w.inflight += int64(len(buf))
-				w.hashCh <- chunkItem{idx: i, buf: &buf, flush: i == c.flushAt}
+				w.hashQ.push(chunkItem{idx: i, buf: &buf, flush: i == c.flushAt})
 			}
-			close(w.hashCh)
+			w.hashQ.close()
 			w.hashWg.Add(1)
 			go w.runHasher()
 			w.hashWg.Wait()

@@ -3,6 +3,7 @@ package client
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -145,9 +146,11 @@ func (g gatedStore) Put(id core.ChunkID, data []byte) (bool, error) {
 // holds a full write window of accepted, unacknowledged puts: one chunk in
 // the whole pipeline (BufferBytes = ChunkSize, stop-and-wait); the default
 // buffer, under which the node's whole share of the image is in flight at
-// once; and a share larger than maxNodePuts, where the chunks past the cap
+// once; a share larger than maxNodePuts, where the chunks past the cap
 // are still queued behind the uploader when the session fails and must
-// drain unsent, each buffer returned once.
+// drain unsent, each buffer returned once; and an image the buffer admitted
+// whole, a thousand chunks of it still ahead of the hasher, in a queue that
+// holds whatever the buffer let in.
 func TestBenefactorKilledMidUploadWithFullWindow(t *testing.T) {
 	const chunk = 16 << 10
 	for _, tc := range []struct {
@@ -155,18 +158,31 @@ func TestBenefactorKilledMidUploadWithFullWindow(t *testing.T) {
 		bufferBytes int64
 		perNode     int // chunks of the image bound for each node
 		held        int // puts the victim holds unacknowledged when killed
+		queued      int // chunks that must be waiting for the hasher by then
 	}{
-		{"one chunk", chunk, 16, 1},
-		{"whole image", 0, 16, 16},
-		{"past the put cap", 0, maxNodePuts + 8, maxNodePuts},
+		{"one chunk", chunk, 16, 1, 0},
+		{"whole image", 0, 16, 16, 0},
+		{"past the put cap", 0, maxNodePuts + 8, maxNodePuts, 0},
+		{"a thousand chunks ahead of the hasher", 0, 700, maxNodePuts, 1000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			benefactorKilledMidUpload(t, chunk, tc.bufferBytes, tc.perNode, tc.held)
+			benefactorKilledMidUpload(t, chunk, tc.bufferBytes, tc.perNode, tc.held, tc.queued)
 		})
 	}
 }
 
-func benefactorKilledMidUpload(t *testing.T, chunk, bufferBytes int64, perNode, held int) {
+// waitFor polls cond, which becomes true once the pipeline has run as far
+// as its frozen stage lets it.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+func benefactorKilledMidUpload(t *testing.T, chunk, bufferBytes int64, perNode, held, queuedChunks int) {
 	mgr, err := manager.New(manager.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +199,10 @@ func benefactorKilledMidUpload(t *testing.T, chunk, bufferBytes int64, perNode, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { victim.Close() })
+	// Runs before the victim closes, so a test that gave up early does not
+	// leave it waiting for its held handlers.
+	release := sync.OnceFunc(func() { close(gate.release) })
+	t.Cleanup(release)
 	other, err := benefactor.New(benefactor.Config{ManagerAddr: mgr.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -233,6 +253,9 @@ func benefactorKilledMidUpload(t *testing.T, chunk, bufferBytes int64, perNode, 
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
+	// Everything the gated node's full put window keeps the hasher from
+	// dispatching waits in its queue; the buffer took the image whole.
+	waitFor(t, "the hasher's queue to fill", func() bool { return queued(&w.hashQ) >= queuedChunks })
 	// The window is full and unacknowledged. Kill the node: its sockets
 	// close at once, its handlers finish when the gate opens.
 	killed := make(chan struct{})
@@ -241,8 +264,12 @@ func benefactorKilledMidUpload(t *testing.T, chunk, bufferBytes int64, perNode, 
 		close(killed)
 	}()
 	writeErr := <-wrote
+	<-w.failed
+	if _, err := w.Write([]byte{0}); err == nil || !strings.Contains(err.Error(), victim.Addr()) {
+		t.Errorf("Write on the failed session returned %v; want the error naming stripe node %s", err, victim.Addr())
+	}
 	closeErr, waitErr := w.Close(), w.Wait()
-	close(gate.release)
+	release()
 	<-killed
 	for op, err := range map[string]error{"Write": writeErr, "Close": closeErr} {
 		if err != nil && !strings.Contains(err.Error(), victim.Addr()) {

@@ -33,7 +33,10 @@ import (
 // one MHasChunks RPC per in-flight window, and per-stripe-node uploaders
 // stream the chunks out and return the buffers to the pool. The
 // application thread therefore pays only the memcpy into the buffer — no
-// hashing, no allocation, no per-chunk manager RPCs.
+// hashing, no allocation, no per-chunk manager RPCs — and waits in one
+// place only: admit, when Config.BufferBytes is full. The queue ahead of
+// the hasher holds whatever the window admitted; it has no count bound
+// of its own that the application could meet first.
 //
 // Uploads open no connection of their own: every BPut rides the client's
 // shared multiplexed pool (Client.dataPool), as many at once as
@@ -46,7 +49,8 @@ import (
 // With Config.Chunking == ChunkCbCH the filling thread additionally runs a
 // streaming rolling-hash boundary finder, so cuts are content-anchored
 // (variable-size spans) instead of offset-anchored; the downstream stages
-// are size-agnostic and unchanged.
+// are size-agnostic and unchanged. That scan is work the application
+// thread does, at about SHA-1 speed, not a wait.
 type Writer struct {
 	c        *Client
 	name     string
@@ -86,8 +90,10 @@ type Writer struct {
 	workerWg sync.WaitGroup
 
 	// hashing stage between the filling thread and the uploaders
-	hashCh chan chunkItem
+	hashQ  chunkQueue
 	hashWg sync.WaitGroup
+
+	bufferWait time.Duration // time admit spent waiting on the window
 
 	// incremental-write staging
 	temp      []byte
@@ -123,6 +129,56 @@ type hashedChunk struct {
 	idx int
 	id  core.ChunkID
 	buf *[]byte
+}
+
+// chunkQueue is the FIFO between the filling thread and the hasher: one
+// producer, one consumer, and no capacity of its own — what bounds it is
+// the write window its chunks were admitted against. It grows on demand,
+// so a small checkpoint pays for a few slots, not for a window's worth.
+// init must be called before use.
+type chunkQueue struct {
+	mu     sync.Mutex
+	ready  sync.Cond // an item was pushed or the queue closed
+	items  []chunkItem
+	head   int // items[:head] have been popped
+	closed bool
+}
+
+func (q *chunkQueue) init() { q.ready.L = &q.mu }
+
+func (q *chunkQueue) push(item chunkItem) {
+	q.mu.Lock()
+	q.items = append(q.items, item)
+	q.mu.Unlock()
+	q.ready.Signal()
+}
+
+// close marks the end of the stream; pop still returns what is queued.
+func (q *chunkQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.ready.Signal()
+}
+
+// pop returns the oldest item. On an empty queue it reports false — at
+// once when wait is false, otherwise only after close.
+func (q *chunkQueue) pop(wait bool) (item chunkItem, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.head == len(q.items) {
+		if !wait || q.closed {
+			return item, false
+		}
+		q.ready.Wait()
+	}
+	item = q.items[q.head]
+	q.items[q.head] = chunkItem{} // keep no reference to a popped buffer
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return item, true
 }
 
 // maxProbeBatch caps how many chunk IDs one MHasChunks dedup probe
@@ -187,7 +243,7 @@ func newWriter(c *Client, name string) (*Writer, error) {
 		go w.runUploader(worker)
 	}
 
-	w.hashCh = make(chan chunkItem, 2*maxProbeBatch)
+	w.hashQ.init()
 	w.hashWg.Add(1)
 	go w.runHasher()
 
@@ -366,30 +422,47 @@ func (w *Writer) runTempPusher() {
 	}
 }
 
+// admit is the one place a session waits for room: it blocks while the
+// write window (Config.BufferBytes) cannot take n more bytes — unless the
+// window is empty, so a chunk larger than the whole window still passes —
+// and then counts them in flight. w.mu must be held.
+func (w *Writer) admit(n int64) error {
+	full := func() bool {
+		return w.err == nil && w.inflight+n > w.c.cfg.BufferBytes && w.inflight > 0
+	}
+	if full() {
+		start := time.Now()
+		for full() {
+			w.cond.Wait()
+		}
+		w.bufferWait += time.Since(start)
+	}
+	if w.err != nil {
+		return w.err
+	}
+	w.inflight += n
+	return nil
+}
+
 // emitChunk hands a full (or final short) chunk to the hashing stage,
 // taking ownership of the pooled buffer. It blocks while the in-memory
-// window is full; hashing, dedup and upload all happen downstream, off
-// this thread.
+// window is full, and on nothing else; hashing, dedup and upload all
+// happen downstream, off this thread.
 func (w *Writer) emitChunk(buf *[]byte, flush bool) error {
 	n := int64(len(*buf))
 	w.mu.Lock()
-	for w.err == nil && w.inflight+n > w.c.cfg.BufferBytes && w.inflight > 0 {
-		w.cond.Wait()
-	}
-	if w.err != nil {
-		err := w.err
+	if err := w.admit(n); err != nil {
 		w.mu.Unlock()
 		w.c.putChunkBuf(buf)
 		return err
 	}
 	idx := w.chunkIdx
 	w.chunkIdx++
-	w.inflight += n
 	w.growCommitChunks(idx + 1)
 	w.commitChunks[idx].Size = n
 	w.mu.Unlock()
 
-	w.hashCh <- chunkItem{idx: idx, buf: buf, flush: flush}
+	w.hashQ.push(chunkItem{idx: idx, buf: buf, flush: flush})
 	return nil
 }
 
@@ -408,24 +481,22 @@ func (w *Writer) runHasher() {
 	defer w.hashWg.Done()
 	batch := make([]hashedChunk, 0, maxProbeBatch)
 	ids := make([]core.ChunkID, 0, maxProbeBatch)
-	for item := range w.hashCh {
+	for {
+		item, ok := w.hashQ.pop(true)
+		if !ok {
+			return
+		}
 		flush := w.hashInto(&batch, item)
 		for !flush {
-			select {
-			case next, ok := <-w.hashCh:
-				if !ok {
-					w.flushBatch(batch, ids)
-					return
-				}
-				flush = w.hashInto(&batch, next)
-			default:
-				flush = true // queue dry: probe what we have
+			next, ok := w.hashQ.pop(false)
+			if !ok {
+				break // queue dry: probe what we have
 			}
+			flush = w.hashInto(&batch, next)
 		}
 		w.flushBatch(batch, ids)
 		batch = batch[:0]
 	}
-	w.flushBatch(batch, ids)
 }
 
 // hashInto names one chunk, records it in the commit map, and folds it
@@ -677,7 +748,7 @@ func (w *Writer) finish() {
 	}
 
 	// All producers are done: drain the hashing stage, then the uploaders.
-	close(w.hashCh)
+	w.hashQ.close()
 	w.hashWg.Wait()
 	w.mu.Lock()
 	for w.err == nil && w.inflight > 0 {
@@ -802,6 +873,12 @@ type WriteMetrics struct {
 	// OpenToStored is the time until all remote I/O completed and the
 	// map committed (ASB interval).
 	OpenToStored time.Duration
+	// BufferWait is the total time the session's filling thread — under
+	// the sliding-window protocol the application, inside Write and
+	// Close — waited for room in the Config.BufferBytes window. It is
+	// the only wait the pipeline imposes on that thread: zero when the
+	// image fits the buffer.
+	BufferWait time.Duration
 }
 
 // OABMBps is the observed application bandwidth in decimal MB/s.
@@ -825,9 +902,10 @@ func (w *Writer) Metrics() WriteMetrics {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	m := WriteMetrics{
-		Bytes:    w.written,
-		Uploaded: w.uploaded,
-		Deduped:  w.deduped,
+		Bytes:      w.written,
+		Uploaded:   w.uploaded,
+		Deduped:    w.deduped,
+		BufferWait: w.bufferWait,
 	}
 	if !w.closedAt.IsZero() {
 		m.OpenToClose = w.closedAt.Sub(w.openedAt)
