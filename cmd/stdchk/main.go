@@ -1,7 +1,7 @@
 // Command stdchk is the client CLI: store, retrieve, list, diff and
 // manage checkpoint files in a stdchk pool. Each subcommand owns its
-// flags; connection flags (-manager, -mux, -read-batch) are shared by
-// all of them and come after the subcommand name.
+// flags; connection flags (-manager, -mux) are shared by all of them
+// and come after the subcommand name.
 //
 // Usage:
 //
@@ -51,9 +51,8 @@ const usage = "usage: stdchk <write|read|restore|history|diff|ls|stat|rm|policy|
 
 // connOpts are the connection flags every subcommand shares.
 type connOpts struct {
-	manager   *string
-	mux       *int
-	readBatch *int
+	manager *string
+	mux     *int
 }
 
 // connFlags registers the shared connection flags on a subcommand's
@@ -61,9 +60,8 @@ type connOpts struct {
 // subcommands and silently miss others.
 func connFlags(fs *flag.FlagSet) *connOpts {
 	return &connOpts{
-		manager:   fs.String("manager", "127.0.0.1:9400", "manager address, or comma-separated federation member list"),
-		mux:       fs.Int("mux", 0, "share N session-multiplexed connections per manager for metadata RPCs instead of pooling one serial conn per in-flight call (0 = serial pool; chunk traffic to benefactors is unaffected)"),
-		readBatch: fs.Int("read-batch", 0, "chunk IDs per batched read request (0 = 16); a batch also closes at 1 MB + 64 KB of chunk bytes, and a one-chunk batch is a plain get"),
+		manager: fs.String("manager", "127.0.0.1:9400", "manager address, or comma-separated federation member list"),
+		mux:     fs.Int("mux", 0, "share N session-multiplexed connections per manager for metadata RPCs instead of pooling one serial conn per in-flight call (0 = serial pool; chunk traffic to benefactors is unaffected)"),
 	}
 }
 
@@ -71,7 +69,6 @@ func connFlags(fs *flag.FlagSet) *connOpts {
 // filled parts of it) plus the shared connection flags.
 func (o *connOpts) connect(cfg client.Config) (*client.Client, error) {
 	cfg.ManagerAddr = *o.manager
-	cfg.ReadBatch = *o.readBatch
 	if *o.mux > 0 {
 		// The client's own Router pools serial connections; -mux hands it
 		// one that shares multiplexed connections instead.

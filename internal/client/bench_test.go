@@ -80,10 +80,10 @@ func BenchmarkUploadPipeline(b *testing.B) {
 }
 
 // BenchmarkReadPath contrasts two configurations of the one restore
-// scheduler: "serial" is its degenerate stop-and-wait setting (ReadAhead =
-// 1, ReadBatch = 1: one BGet outstanding), "mux" the default reader with
-// no read-side switch set (4 MB window grouped by replica into BGetBatch
-// requests). Both ride the client's shared multiplexed pool. One op is an
+// scheduler: "serial" is its degenerate stop-and-wait setting (a
+// one-chunk ReadAheadBytes: one BGet outstanding), "mux" the default
+// reader with no read-side switch set (4 MB window grouped by replica
+// into BGetBatch requests). Both ride the client's shared multiplexed pool. One op is an
 // explicit-version cached open plus a full read of an 8-chunk image, so
 // the delta between the variants is pure scheduling. Rides the
 // bench-compare allocs gate.
@@ -92,7 +92,7 @@ func BenchmarkReadPath(b *testing.B) {
 		name string
 		cfg  client.Config
 	}{
-		{"serial", client.Config{ReadAhead: 1, ReadBatch: 1}},
+		{"serial", client.Config{ReadAheadBytes: 64 << 10}},
 		{"mux", client.Config{}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {

@@ -137,8 +137,6 @@ type Config struct {
 	// at commit time, enabling manager recovery by benefactor quorum
 	// (paper §IV.A).
 	PushMapReplicas bool
-	// PessimisticTimeout bounds the pessimistic-write replication wait.
-	PessimisticTimeout time.Duration
 	// LocalDisk paces the complete-local protocol's staging I/O: writes
 	// at the disk's sustained write rate, and the post-close push pays
 	// the disk read back (nil = unpaced). Incremental-write temp files
@@ -149,19 +147,16 @@ type Config struct {
 	Mem *device.Limiter
 	// Shaper wraps every connection the client dials (its NIC model).
 	Shaper wire.Shaper
-	// ReadAhead sizes the restore prefetch window in chunks of the map's
-	// chunk-size bound; ReadAheadBytes, when set, overrides it. With
-	// neither set the window is 4 MB (see ReadAheadBytes). ReadAhead = 1
-	// with ReadBatch = 1 is stop-and-wait: one chunk request outstanding.
-	ReadAhead int
-	// ReadAheadBytes bounds the prefetch window in bytes instead of chunk
-	// count, which keeps prefetch memory stable when chunk sizes are
-	// heterogeneous (CbCH maps mix spans from tens of KB to the max
-	// bound) and keeps the same bytes in flight whatever the chunk size:
-	// the default, 4 MB when ReadAhead is unset too, is 4 requests at 1 MB
-	// chunks and 64 chunks' worth at 64 KB. The reader refills the window
-	// once it drains to half, and always keeps at least the chunk the
-	// application is waiting on in flight.
+	// ReadAheadBytes is the restore prefetch window (paper §IV.E), the
+	// one bound on bytes requested and not yet handed to the application
+	// (0 = 4 MB). Bytes, not chunks, keep prefetch memory stable when chunk
+	// sizes are heterogeneous (CbCH maps mix spans from tens of KB to the
+	// max bound) and keep the same bytes in flight whatever the chunk
+	// size: 4 MB is 4 requests at 1 MB chunks and 64 chunks' worth at
+	// 64 KB. The reader refills the window once it drains to half, and
+	// always keeps at least the chunk the application is waiting on in
+	// flight, so ReadAheadBytes at or below the smallest chunk is
+	// stop-and-wait: one chunk request outstanding.
 	ReadAheadBytes int64
 	// MapCacheEntries bounds the client's chunk-map cache (see mapCache):
 	// explicit-version re-opens hit it with zero manager RPCs, "latest"
@@ -174,14 +169,6 @@ type Config struct {
 	// commits, surfaced in the dataset's version history (provenance: which
 	// job/rank wrote each checkpoint). Empty leaves lineage anonymous.
 	Writer string
-	// ReadBatch bounds the chunk IDs one BGetBatch request carries (0 =
-	// 16, at most proto.MaxBatchIDs). A batch also closes once its reply
-	// body would outgrow wire.MaxPooledBuf (1 MB + 64 KB), whichever bound
-	// comes first, so batching amortizes per-request latency over small
-	// chunks and 1 MB chunks travel one per request. A one-chunk batch is
-	// sent as a plain BGet. The read window is additionally bounded by the
-	// ReadAhead/ReadAheadBytes prefetch budget.
-	ReadBatch int
 	// Logger receives operational messages; nil discards.
 	Logger *log.Logger
 }
@@ -202,17 +189,8 @@ func (c Config) withDefaults() Config {
 	if c.ReserveQuantum <= 0 {
 		c.ReserveQuantum = 32 << 20
 	}
-	if c.PessimisticTimeout <= 0 {
-		c.PessimisticTimeout = 2 * time.Minute
-	}
-	if c.ReadAhead <= 0 && c.ReadAheadBytes <= 0 {
+	if c.ReadAheadBytes <= 0 {
 		c.ReadAheadBytes = 4 << 20
-	}
-	if c.ReadBatch <= 0 {
-		c.ReadBatch = 16
-	}
-	if c.ReadBatch > proto.MaxBatchIDs {
-		c.ReadBatch = proto.MaxBatchIDs
 	}
 	if c.Chunking == ChunkCbCH {
 		c.CbCH = c.CbCH.WithDefaults()
@@ -357,9 +335,8 @@ type OpenOptions struct {
 	// assert "no explicit version leaked in here".
 	Latest bool
 	// AsOf opens the newest version committed at or before this instant
-	// (time-travel read). New managers resolve the instant server-side
-	// under the dataset lock (one lightweight stat probe); old managers
-	// cost one history RPC instead.
+	// (time-travel read). The manager resolves the instant under the
+	// dataset lock, answering one lightweight MStatVersion probe.
 	AsOf time.Time
 	// Baseline enables incremental restore: the version the caller
 	// already holds locally. Chunks the opened version shares with the
@@ -456,40 +433,15 @@ func (c *Client) Open(name string, opts ...OpenOptions) (*Reader, error) {
 }
 
 // resolveAsOf maps an instant to the newest version committed at or
-// before it. New managers resolve it server-side, under the dataset
-// stripe, from one lightweight MStatVersion probe carrying the instant;
-// the AsOfResolved echo proves the server honored it. Servers predating
-// as-of resolution ignore the unknown field and answer "latest" with no
-// echo, and the client falls back to the historical MHistory walk. Probe
-// errors fall back too: the history path re-derives the authoritative
-// answer (dataset missing, or no version that old) at the cost of one
-// extra round trip on an already-failing open.
+// before it: the owner resolves it under the dataset stripe, from one
+// MStatVersion probe carrying the instant. An instant older than every
+// commit is core.ErrNotFound.
 func (c *Client) resolveAsOf(name string, asOf time.Time) (core.VersionID, error) {
 	sv, err := c.mgr.StatVersion(proto.StatVersionReq{Name: name, AsOf: asOf})
-	if err == nil && sv.AsOfResolved {
-		return sv.Version, nil
-	}
-	return c.resolveAsOfFromHistory(name, asOf)
-}
-
-// resolveAsOfFromHistory is the client-side fallback: walk the dataset's
-// version history and pick the newest commit not after the instant.
-func (c *Client) resolveAsOfFromHistory(name string, asOf time.Time) (core.VersionID, error) {
-	hist, err := c.History(name)
 	if err != nil {
 		return 0, fmt.Errorf("client: open %s as of %s: %w", name, asOf.Format(time.RFC3339), err)
 	}
-	var ver core.VersionID
-	for _, v := range hist.Versions { // oldest first
-		if !v.CommittedAt.After(asOf) {
-			ver = v.Version
-		}
-	}
-	if ver == 0 {
-		return 0, fmt.Errorf("client: open %s as of %s: no version that old: %w",
-			name, asOf.Format(time.RFC3339), core.ErrNotFound)
-	}
-	return ver, nil
+	return sv.Version, nil
 }
 
 // openMap resolves name (+ optional explicit version) to a committed

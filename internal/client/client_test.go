@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"stdchk/internal/core"
-	"stdchk/internal/proto"
 )
 
 func TestProtocolString(t *testing.T) {
@@ -39,19 +38,13 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.BufferBytes <= 0 || cfg.TempFileBytes <= 0 || cfg.ReserveQuantum <= 0 {
 		t.Error("default staging sizes not set")
 	}
-	if cfg.PessimisticTimeout <= 0 {
-		t.Error("default timeouts not set")
+	// The prefetch window is a byte budget: 4 MB by default, an explicit
+	// value kept as set.
+	if cfg.ReadAheadBytes != 4<<20 {
+		t.Errorf("default read window = %d bytes, want 4 MB", cfg.ReadAheadBytes)
 	}
-	// The default prefetch window is a byte budget, not a chunk count; an
-	// explicit ReadAhead must keep deriving it per map.
-	if cfg.ReadAheadBytes != 4<<20 || cfg.ReadAhead != 0 {
-		t.Errorf("default read window = %d bytes / %d chunks, want 4 MB / unset", cfg.ReadAheadBytes, cfg.ReadAhead)
-	}
-	if got := (Config{ReadAhead: 2}).withDefaults(); got.ReadAheadBytes != 0 || got.ReadAhead != 2 {
-		t.Errorf("explicit ReadAhead overridden: %d bytes / %d chunks", got.ReadAheadBytes, got.ReadAhead)
-	}
-	if got := (Config{ReadBatch: 1 << 20}).withDefaults().ReadBatch; got != proto.MaxBatchIDs {
-		t.Errorf("ReadBatch clamped to %d, want %d", got, proto.MaxBatchIDs)
+	if got := (Config{ReadAheadBytes: 32 << 10}).withDefaults().ReadAheadBytes; got != 32<<10 {
+		t.Errorf("explicit ReadAheadBytes overridden: %d bytes", got)
 	}
 }
 

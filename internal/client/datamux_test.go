@@ -9,7 +9,7 @@ import (
 
 	"stdchk/internal/core"
 	"stdchk/internal/faultpoint"
-	"stdchk/internal/proto"
+	"stdchk/internal/store"
 )
 
 // TestDataMuxRoundTrip covers the pipelined data plane end to end: a
@@ -23,11 +23,10 @@ import (
 func TestDataMuxRoundTrip(t *testing.T) {
 	mgr, _ := startCluster(t, 3, 0)
 	cl, err := New(Config{
-		ManagerAddr: mgr.Addr(),
-		StripeWidth: 3,
-		ChunkSize:   32 << 10,
-		ReadBatch:   8,
-		ReadAhead:   16,
+		ManagerAddr:    mgr.Addr(),
+		StripeWidth:    3,
+		ChunkSize:      32 << 10,
+		ReadAheadBytes: 16 * 32 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,54 +230,67 @@ func TestPipelinedUploadFaultSweep(t *testing.T) {
 }
 
 // TestReadSurvivesBenefactorBatchBound restores through a benefactor that
-// answers only part of a batch. The client clamps ReadBatch to
-// proto.MaxBatchIDs, so the test widens it behind the clamp to play a peer
-// that does not: one 300-ID request, of which the benefactor serves 256 and
-// answers the tail -1. Those slots must come back through per-chunk BGets —
-// byte-identical, every chunk fetched exactly once.
+// answers only part of a batch: a 2-replica image whose preferred replica
+// has lost some of its chunks, so each batch sent to it answers -1 for
+// those slots. They must come back through per-chunk BGets from the other
+// replica — byte-identical, every chunk fetched exactly once, and the
+// batches serving exactly the bytes the preferred replicas still held.
 func TestReadSurvivesBenefactorBatchBound(t *testing.T) {
-	mgr, _ := startCluster(t, 1, 0)
-	const chunk, chunks = 2 << 10, 300
-	cl, err := New(Config{ManagerAddr: mgr.Addr(), StripeWidth: 1, ChunkSize: chunk})
+	mgr, benefs := startCluster(t, 2, 0)
+	const chunk, chunks = 2 << 10, 96
+	cl, err := New(Config{
+		ManagerAddr: mgr.Addr(),
+		StripeWidth: 2,
+		ChunkSize:   chunk,
+		Replication: 2,
+		Semantics:   core.WritePessimistic, // Wait returns once both replicas exist
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.cfg.ReadBatch = chunks
 
 	data := make([]byte, chunks*chunk)
 	rand.New(rand.NewSource(5)).Read(data) // every chunk distinct
-	w, err := cl.Create("bound.n1.t0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	mustStore(t, cl, "bound.n1.t0", data)
 
 	r, err := cl.Open("bound.n1.t0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	// Nothing is fetched before the first Read. The reader prefers
+	// Locations[i][i%n] for chunk i: drop every third chunk from that
+	// replica only.
+	byID := make(map[core.NodeID]store.Store)
+	for _, b := range benefs {
+		byID[b.ID()] = b.Store()
+	}
+	m := r.Map()
+	var lost int64
+	for i := 0; i < chunks; i += 3 {
+		locs := m.Locations[i]
+		if len(locs) != 2 {
+			t.Fatalf("chunk %d has %d replicas, want 2", i, len(locs))
+		}
+		if err := byID[locs[i%2]].Delete(m.Chunks[i].ID); err != nil {
+			t.Fatal(err)
+		}
+		lost += m.Chunks[i].Size
+	}
+
 	got, err := r.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("restore through a bounded batch is not byte-identical")
+		t.Fatal("restore through partially answered batches is not byte-identical")
 	}
 	if r.BytesFetched() != int64(len(data)) {
 		t.Fatalf("fetched %d bytes for a %d-byte image", r.BytesFetched(), len(data))
 	}
-	if want := int64(proto.MaxBatchIDs * chunk); r.BytesBatched() != want {
-		t.Fatalf("batch served %d bytes, want exactly the benefactor's %d-ID bound (%d bytes)",
-			r.BytesBatched(), proto.MaxBatchIDs, want)
+	if want := int64(len(data)) - lost; r.BytesBatched() != want {
+		t.Fatalf("batches served %d bytes, want exactly the %d bytes the preferred replicas still held",
+			r.BytesBatched(), want)
 	}
 }

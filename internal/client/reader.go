@@ -68,14 +68,15 @@ func (b *baseline) chunk(ref core.ChunkRef) ([]byte, bool) {
 //
 // One scheduler feeds the window: each refill groups its chunks by their
 // preferred replica and issues one BGetBatch request per node over the
-// client's shared multiplexed pool, closing a batch at Config.ReadBatch
-// IDs or at wire.MaxPooledBuf body bytes, whichever comes first. A group
+// client's shared multiplexed pool, closing a batch at readBatchIDs IDs
+// or at wire.MaxPooledBuf body bytes, whichever comes first. A group
 // of one chunk goes as a plain BGet whose pooled body is handed to the
 // application as is. A miss inside a batch — node down, chunk absent,
 // integrity failure — demotes only the affected chunks to that per-chunk
 // fetch, which walks the chunk's replicas over the same pool; chunks the
 // batch did serve are never re-fetched (per-chunk, not per-batch,
-// failover). ReadAhead = 1 with ReadBatch = 1 is stop-and-wait.
+// failover). ReadAheadBytes at or below the smallest chunk is
+// stop-and-wait.
 type Reader struct {
 	c    *Client
 	name string
@@ -122,14 +123,6 @@ type fetchResult struct {
 }
 
 func newReader(c *Client, name string, cm *core.ChunkMap) *Reader {
-	budget := c.cfg.ReadAheadBytes
-	if budget <= 0 {
-		cs := cm.ChunkSize
-		if cs <= 0 {
-			cs = core.DefaultChunkSize
-		}
-		budget = int64(c.cfg.ReadAhead) * cs
-	}
 	locs := make([][]core.NodeID, len(cm.Locations))
 	for i, replicas := range cm.Locations {
 		ordered := make([]core.NodeID, len(replicas))
@@ -145,7 +138,7 @@ func newReader(c *Client, name string, cm *core.ChunkMap) *Reader {
 		name:    name,
 		cm:      cm,
 		locs:    locs,
-		budget:  budget,
+		budget:  c.cfg.ReadAheadBytes,
 		pending: make(map[int]chan fetchResult),
 	}
 	r.warmAddrs()
@@ -285,6 +278,11 @@ func (r *Reader) advanceLocked() error {
 	return nil
 }
 
+// readBatchIDs closes a BGetBatch request at 16 chunk IDs, well inside
+// the benefactor's proto.MaxBatchIDs. At 64 KB chunks that is 1 MB, just
+// inside wire.MaxPooledBuf, so the ID and byte bounds meet there.
+const readBatchIDs = 16
+
 // batchItem is one prefetch-window chunk staged for a batched read: its
 // map index and the pending channel that must receive exactly one result.
 type batchItem struct {
@@ -311,7 +309,7 @@ func (r *Reader) batchable(idx int) bool {
 // are grouped by preferred replica (the head of each chunk's rotated
 // preference order, so one reader's batches still spread across the
 // stripe) and each group goes out as BGetBatch requests that close at
-// Config.ReadBatch IDs or at wire.MaxPooledBuf body bytes — so a reply
+// readBatchIDs IDs or at wire.MaxPooledBuf body bytes — so a reply
 // always fits a pooled buffer on both ends, and 1 MB chunks travel one per
 // request. A chunk left alone in its batch goes as a plain BGet.
 func (r *Reader) dispatchLocked(from, to int) {
@@ -336,7 +334,7 @@ func (r *Reader) dispatchLocked(from, to int) {
 		group := groups[node]
 		for len(group) > 0 {
 			n, size := 0, int64(0)
-			for n < len(group) && n < r.c.cfg.ReadBatch {
+			for n < len(group) && n < readBatchIDs {
 				size += r.cm.Chunks[group[n].idx].Size
 				if n > 0 && size > wire.MaxPooledBuf {
 					break

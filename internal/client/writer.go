@@ -827,10 +827,13 @@ func (w *Writer) pushMapReplicas(resp proto.CommitResp, chunks []proto.CommitChu
 	}
 }
 
+// pessimisticTimeout bounds the pessimistic-write replication wait.
+const pessimisticTimeout = 2 * time.Minute
+
 // awaitReplication implements the pessimistic write semantics: poll the
 // manager until the dataset's replication target is met.
 func (w *Writer) awaitReplication() error {
-	deadline := time.Now().Add(w.c.cfg.PessimisticTimeout)
+	deadline := time.Now().Add(pessimisticTimeout)
 	for {
 		st, err := w.c.mgr.ReplStatus(w.name)
 		if err == nil && st.Level >= st.Target {
@@ -841,7 +844,7 @@ func (w *Writer) awaitReplication() error {
 				return fmt.Errorf("pessimistic wait on %s: %w", w.name, err)
 			}
 			return fmt.Errorf("pessimistic wait on %s: level %d < target %d after %v",
-				w.name, st.Level, st.Target, w.c.cfg.PessimisticTimeout)
+				w.name, st.Level, st.Target, pessimisticTimeout)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

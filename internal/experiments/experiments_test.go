@@ -508,9 +508,9 @@ func TestOpenLoadSmoke(t *testing.T) {
 // experiment), fetches exactly the image once, the pipelined (default
 // reader) cells are fully served by BGetBatch below 1 MB chunks (no
 // silent fallback to per-chunk BGets) and not at all at 1 MB (two chunks
-// outgrow a pooled reply buffer), the serial cells (ReadAhead = 1,
-// ReadBatch = 1) batch nothing, and at 32 KB chunks the pipelined restore
-// is at least 2x the serial one.
+// outgrow a pooled reply buffer), the serial cells (ReadAheadBytes = one
+// chunk) batch nothing, and at 32 KB chunks the pipelined restore is at
+// least 2x the serial one.
 // The 2x gate is deterministic even on a 1-CPU box: the serial arm's
 // floor is one modeled link-latency sleep per chunk, wall-clock the
 // pipelined window provably overlaps.

@@ -17,7 +17,7 @@ import (
 // image back from the benefactor pool, serial versus pipelined, across
 // chunk sizes. Both arms are the one read scheduler over the client's
 // shared multiplexed connections. "Serial" is its degenerate stop-and-wait
-// configuration (ReadAhead = 1, ReadBatch = 1) — one BGet per chunk, the
+// configuration (ReadAheadBytes = one chunk) — one BGet per chunk, the
 // next request leaving only after the previous reply landed. "Pipelined"
 // is the default reader with no read-side switch set: a 4 MB prefetch
 // window whose chunks are grouped by preferred replica and fetched with
@@ -114,8 +114,9 @@ func ReadLoad(cfg Config) error {
 				StripeWidth: benefactors, ChunkSize: chunkSize, Replication: 1,
 			}
 			if mode == "serial" {
-				// Stop-and-wait: one outstanding single-chunk request.
-				rcfg.ReadAhead, rcfg.ReadBatch = 1, 1
+				// Stop-and-wait: a one-chunk window holds one outstanding
+				// single-chunk request.
+				rcfg.ReadAheadBytes = chunkSize
 			}
 			rcl, _, err := c.NewClient(rcfg, readerProfile)
 			if err != nil {
@@ -179,7 +180,7 @@ func ReadLoad(cfg Config) error {
 		fmt.Fprintf(cfg.Out, "  -> pipelined speedup at %d KB chunks: %.1fx\n",
 			chunkSize>>10, perMode[0].RestoreMs/perMode[1].RestoreMs)
 	}
-	fmt.Fprintf(cfg.Out, "serial (ReadAhead=1, ReadBatch=1) pays the link latency once per chunk; the default reader's window overlaps it and batches amortize it per request\n")
+	fmt.Fprintf(cfg.Out, "serial (ReadAheadBytes = one chunk) pays the link latency once per chunk; the default reader's window overlaps it and batches amortize it per request\n")
 	fmt.Fprintf(cfg.Out, "paper: striped, pipelined transfers hide per-request cost (§IV.E read-ahead; §V.D); 1-CPU boxes time-slice reader and servers, see EXPERIMENTS.md\n\n")
 
 	if cfg.JSON != nil {

@@ -22,9 +22,8 @@ import (
 // dataset-scoped RPC (alloc/extend/commit/getMap/stat/delete/replication
 // status) to the member owning the dataset's partition, and
 // fans membership-scoped RPCs (register, heartbeat, GC reconciliation,
-// list, stats) out to all members with merged replies. Each member gets a
-// health-checked connection pool; per-member success/failure counters are
-// kept so operators (and tests) can see a member degrading.
+// list, stats) out to all members with merged replies. The members share
+// one connection pool; CheckHealth probes them all.
 //
 // A Router is safe for concurrent use. It is the implementation behind
 // the client package's ManagerEndpoint seam (client.New builds one from
@@ -34,10 +33,6 @@ type Router struct {
 	ms     *Membership
 	pool   *wire.Pool
 	logger *log.Logger
-	health []*memberHealth
-
-	retryAttempts int
-	retryBase     time.Duration
 }
 
 // RouterConfig parameterizes a Router.
@@ -57,39 +52,8 @@ type RouterConfig struct {
 	// session-tagged frames. This is the topology that scales to
 	// millions of client sessions without a socket per session.
 	SharedConns bool
-	// RetryAttempts bounds how many times a dataset-scoped call is tried
-	// against its owner when the failure is a transport one (dial refused,
-	// reset, timeout) — the owner may simply be restarting. 0 selects the
-	// default (4); 1 disables retries. Application-level errors, including
-	// remote errors, are never retried: an answer proves the member is up.
-	RetryAttempts int
-	// RetryBase is the first backoff delay; each further attempt doubles
-	// it, plus up to 100% jitter. 0 selects the default (25ms).
-	RetryBase time.Duration
 	// Logger receives operational messages; nil discards.
 	Logger *log.Logger
-}
-
-// memberHealth tracks one member's observed liveness.
-type memberHealth struct {
-	mu       sync.Mutex
-	ok       int64
-	failed   int64
-	streak   int64 // consecutive failures
-	lastErr  error
-	lastSeen time.Time
-}
-
-// MemberHealth is a snapshot of one member's health counters.
-type MemberHealth struct {
-	Addr string
-	// OK and Failed count completed calls; Streak is the current run of
-	// consecutive failures (0 = last call succeeded).
-	OK, Failed, Streak int64
-	// LastErr is the most recent failure (nil if none).
-	LastErr error
-	// LastSeen is the time of the last successful call.
-	LastSeen time.Time
 }
 
 // NewRouter builds a router over a static member list.
@@ -102,30 +66,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if per <= 0 {
 		per = 8
 	}
-	attempts := cfg.RetryAttempts
-	if attempts <= 0 {
-		attempts = 4
-	}
-	base := cfg.RetryBase
-	if base <= 0 {
-		base = 25 * time.Millisecond
-	}
 	pool := wire.NewPool(cfg.Shaper, per)
 	if cfg.SharedConns {
 		pool = wire.NewSharedPool(cfg.Shaper, per)
 	}
-	r := &Router{
-		ms:            ms,
-		pool:          pool,
-		logger:        cfg.Logger,
-		health:        make([]*memberHealth, ms.Len()),
-		retryAttempts: attempts,
-		retryBase:     base,
-	}
-	for i := range r.health {
-		r.health[i] = &memberHealth{}
-	}
-	return r, nil
+	return &Router{ms: ms, pool: pool, logger: cfg.Logger}, nil
 }
 
 // Membership returns the router's federation configuration.
@@ -143,37 +88,27 @@ func (r *Router) logf(format string, args ...interface{}) {
 	}
 }
 
-// call performs one RPC against member i and records its health. Only
-// transport failures count against the member: a RemoteError reply proves
-// the member answered, so application-level errors (not-found, not-owner,
-// validation) advance lastSeen like a success — a client probing missing
-// datasets must not make a live member look dead.
+// call performs one RPC against member i, naming the member in any error.
 func (r *Router) call(i int, op string, req, resp interface{}) error {
 	addr := r.ms.members[i]
-	_, err := r.pool.Call(addr, op, req, nil, resp)
-	var remote *wire.RemoteError
-	h := r.health[i]
-	h.mu.Lock()
-	if err == nil || errors.As(err, &remote) {
-		h.ok++
-		h.streak = 0
-		h.lastSeen = time.Now()
-	} else {
-		h.failed++
-		h.streak++
-		h.lastErr = err
-	}
-	h.mu.Unlock()
-	if err != nil {
+	if _, err := r.pool.Call(addr, op, req, nil, resp); err != nil {
 		return fmt.Errorf("member %d (%s): %w", i, addr, err)
 	}
 	return nil
 }
 
+// A dataset-scoped call is tried up to retryAttempts times against its
+// owner when the failure is a transport one (dial refused, reset,
+// timeout) — the owner may simply be restarting. The first backoff is
+// retryBase; each further attempt doubles it, plus up to 100% jitter.
 // maxRetryAfterDelay caps how long the router honors a server's
 // retry-after hint per attempt, so a misconfigured hint cannot stall a
 // caller indefinitely.
-const maxRetryAfterDelay = 250 * time.Millisecond
+const (
+	retryAttempts      = 4
+	retryBase          = 25 * time.Millisecond
+	maxRetryAfterDelay = 250 * time.Millisecond
+)
 
 // callOwner routes one dataset-scoped RPC to the member owning name,
 // retrying transport failures with bounded exponential backoff plus jitter:
@@ -193,7 +128,7 @@ const maxRetryAfterDelay = 250 * time.Millisecond
 func (r *Router) callOwner(name, op string, req, resp interface{}) error {
 	i, _ := r.ms.OwnerOf(name)
 	var err error
-	for attempt := 0; attempt < r.retryAttempts; attempt++ {
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
 			var ra core.ErrRetryAfter
 			var d time.Duration
@@ -209,7 +144,7 @@ func (r *Router) callOwner(name, op string, req, resp interface{}) error {
 				}
 				r.logf("member %d shed %s, honoring retry-after %v (attempt %d)", i, op, d, attempt+1)
 			} else {
-				d = r.retryBase << (attempt - 1)
+				d = retryBase << (attempt - 1)
 				r.logf("retrying %s on member %d after transport failure (attempt %d): %v", op, i, attempt+1, err)
 			}
 			d += time.Duration(rand.Int63n(int64(d) + 1))
@@ -245,8 +180,8 @@ func (r *Router) wireEpoch() uint64 {
 
 // fanOut runs fn once per member, concurrently, and returns the
 // lowest-indexed member's error (every member is attempted, so one dead
-// member can neither shadow another's failure accounting nor stretch the
-// call's latency past the slowest member). fn(i) must only touch state
+// member can neither keep another from being asked nor stretch the call's
+// latency past the slowest member). fn(i) must only touch state
 // owned by member i — call sites collect into per-member slots and merge
 // after the barrier.
 func (r *Router) fanOut(fn func(i int) error) error {
@@ -266,20 +201,6 @@ func (r *Router) fanOut(fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// Health snapshots per-member health counters.
-func (r *Router) Health() []MemberHealth {
-	out := make([]MemberHealth, len(r.health))
-	for i, h := range r.health {
-		h.mu.Lock()
-		out[i] = MemberHealth{
-			Addr: r.ms.members[i], OK: h.ok, Failed: h.failed,
-			Streak: h.streak, LastErr: h.lastErr, LastSeen: h.lastSeen,
-		}
-		h.mu.Unlock()
-	}
-	return out
 }
 
 // CheckHealth probes every member with a stats call and returns the first
@@ -326,37 +247,13 @@ func (r *Router) Abort(name string, req proto.AbortReq) error {
 // The probe deliberately does NOT fan out: a copy-on-write commit is
 // validated against the owner's content index, so only the owner's answer
 // may suppress an upload — a chunk known solely to another member would
-// commit as an unresolvable reference. Cross-partition physical sharing is
-// visible through HasChunksAnywhere instead.
+// commit as an unresolvable reference.
 func (r *Router) HasChunks(name string, ids []core.ChunkID) ([]bool, error) {
 	var resp proto.HasResp
 	if err := r.callOwner(name, proto.MHasChunks, proto.HasReq{IDs: ids}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Present, nil
-}
-
-// HasChunksAnywhere fans a dedup probe out to every member and ORs the
-// replies: whether any member's content index knows each chunk
-// (diagnostics and cross-partition dedup accounting, not commit
-// validation — see HasChunks).
-func (r *Router) HasChunksAnywhere(ids []core.ChunkID) ([]bool, error) {
-	resps := make([]proto.HasResp, r.ms.Len())
-	err := r.fanOut(func(i int) error {
-		return r.call(i, proto.MHasChunks, proto.HasReq{IDs: ids}, &resps[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(ids))
-	for _, resp := range resps {
-		for j, p := range resp.Present {
-			if j < len(out) && p {
-				out[j] = true
-			}
-		}
-	}
-	return out, nil
 }
 
 // GetMap fetches a committed chunk-map from the owner of req.Name.
@@ -794,7 +691,7 @@ func mergeRegisterResps(resps []proto.RegisterResp, registeredNow []bool) proto.
 // is updated in place (len must equal the member count).
 //
 // Crucially, an *unreachable* member is merely skipped for the round
-// (health-tracked, retried next round): it must not flip the node into a
+// (retried next round): it must not flip the node into a
 // global re-register. Only a member that explicitly forgot the node — a
 // restart, or a decommission after the member declared the node dead —
 // is re-registered, and only that member; the registration carries the
@@ -834,22 +731,6 @@ func (r *Router) Announce(reg proto.RegisterReq, hb proto.HeartbeatReq, register
 		return nil
 	})
 	return mergeRegisterResps(resps, registeredNow), err
-}
-
-// Heartbeat refreshes a benefactor's soft state on every member.
-func (r *Router) Heartbeat(req proto.HeartbeatReq) (proto.HeartbeatResp, error) {
-	resps := make([]proto.HeartbeatResp, r.ms.Len())
-	err := r.fanOut(func(i int) error {
-		return r.call(i, proto.MHeartbeat, req, &resps[i])
-	})
-	if err != nil {
-		return proto.HeartbeatResp{}, err
-	}
-	merged := proto.HeartbeatResp{OK: true}
-	for _, resp := range resps {
-		merged.Recovering = merged.Recovering || resp.Recovering
-	}
-	return merged, nil
 }
 
 // GCReport reconciles a benefactor's chunk inventory with every member

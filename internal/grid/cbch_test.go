@@ -182,10 +182,10 @@ func TestReaderFailsOverMidReadToReplica(t *testing.T) {
 		HeartbeatInterval:   100 * time.Millisecond,
 	})
 	cl := testClient(t, c, client.Config{
-		ChunkSize:   32 << 10,
-		Replication: 2,
-		StripeWidth: 2,
-		ReadAhead:   1, // keep the prefetch window behind the kill point
+		ChunkSize:      32 << 10,
+		Replication:    2,
+		StripeWidth:    2,
+		ReadAheadBytes: 32 << 10, // keep the prefetch window behind the kill point
 	})
 	data := payload(55, 512<<10)
 	writeFile(t, cl, "fo.n1.t0", data)
@@ -250,7 +250,7 @@ func TestReaderFailsOverMidReadToReplica(t *testing.T) {
 // async receives) and later reads must be unaffected.
 func TestReaderCloseDrainsInflightPrefetches(t *testing.T) {
 	c := testCluster(t, 2, manager.Config{})
-	cl := testClient(t, c, client.Config{ChunkSize: 32 << 10, StripeWidth: 2, ReadAhead: 8})
+	cl := testClient(t, c, client.Config{ChunkSize: 32 << 10, StripeWidth: 2, ReadAheadBytes: 8 * 32 << 10})
 	data := payload(56, 1<<20)
 	writeFile(t, cl, "drain.n1.t0", data)
 

@@ -11,8 +11,8 @@ import (
 )
 
 // TestBatchedReadFailsOverMidBatchReplicaDeath kills a replica while the
-// reader has batched BGetBatch requests addressed to it ahead. The invariant under test is per-chunk — not per-batch —
-// failover: chunks the dead node's batches could not serve are re-fetched
+// reader has batched BGetBatch requests addressed to it ahead. The
+// invariant under test is per-chunk — not per-batch — failover: chunks the dead node's batches could not serve are re-fetched
 // individually from the surviving replica, chunks any batch did serve are
 // never fetched twice (BytesFetched stays exactly the file size), and the
 // restored bytes are identical.
@@ -23,11 +23,10 @@ func TestBatchedReadFailsOverMidBatchReplicaDeath(t *testing.T) {
 		HeartbeatInterval:   100 * time.Millisecond,
 	})
 	cl := testClient(t, c, client.Config{
-		ChunkSize:   16 << 10,
-		Replication: 2,
-		StripeWidth: 2,
-		ReadBatch:   8,
-		ReadAhead:   8, // keep the prefetch window behind the kill point
+		ChunkSize:      16 << 10,
+		Replication:    2,
+		StripeWidth:    2,
+		ReadAheadBytes: 8 * 16 << 10, // keep the prefetch window behind the kill point
 	})
 	data := payload(73, 512<<10) // 32 chunks
 	writeFile(t, cl, "muxfo.n1.t0", data)

@@ -16,8 +16,8 @@ import (
 )
 
 // The tests below drive the restore scheduler of a client with no
-// read-side switch set (no ReadAhead, ReadAheadBytes, ReadBatch)
-// over real sockets: what a user gets by default.
+// read-side switch set (no ReadAheadBytes) over real sockets: what a user
+// gets by default.
 
 // TestDefaultReaderBatchesSmallChunksNotLarge pins the two batch bounds of
 // the default 4 MB window. At 64 KB chunks every refill puts several
@@ -208,8 +208,8 @@ func (c *gaugedConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestStopAndWaitIsTheDegenerateScheduler runs the one scheduler at
-// ReadAhead = 1, ReadBatch = 1 and checks it is stop-and-wait: never a
+// TestStopAndWaitIsTheDegenerateScheduler runs the one scheduler with a
+// one-chunk ReadAheadBytes and checks it is stop-and-wait: never a
 // second request on the wire before the previous reply arrived, and no
 // bytes batched. The default reader on the same image must overlap
 // requests, which shows the gauge can see the difference.
@@ -244,8 +244,8 @@ func TestStopAndWaitIsTheDegenerateScheduler(t *testing.T) {
 		return g.overlapped.Load(), r.BytesBatched()
 	}
 
-	if overlapped, batched := restore(client.Config{ReadAhead: 1, ReadBatch: 1}); overlapped != 0 || batched != 0 {
-		t.Fatalf("ReadAhead=1 ReadBatch=1: %d requests overlapped another, %d bytes batched; want 0, 0", overlapped, batched)
+	if overlapped, batched := restore(client.Config{ReadAheadBytes: 32 << 10}); overlapped != 0 || batched != 0 {
+		t.Fatalf("ReadAheadBytes = one chunk: %d requests overlapped another, %d bytes batched; want 0, 0", overlapped, batched)
 	}
 	if overlapped, batched := restore(client.Config{}); overlapped == 0 || batched != int64(len(data)) {
 		t.Fatalf("default reader: %d requests overlapped, %d of %d bytes batched; want > 0 and all", overlapped, batched, len(data))

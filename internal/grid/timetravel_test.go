@@ -2,11 +2,13 @@ package grid
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
 
 	"stdchk/internal/client"
+	"stdchk/internal/core"
 	"stdchk/internal/federation"
 )
 
@@ -174,13 +176,25 @@ func TestFederatedTimeTravel(t *testing.T) {
 	}
 	// The instant must resolve manager-side, under the dataset stripe:
 	// one lightweight MStatVersion probe and the map fetch — no MHistory
-	// walk (the old client-side fallback, kept only for old servers).
+	// walk.
 	afterAsOf := c.Stats()
 	if d := afterAsOf.Histories - beforeAsOf.Histories; d != 0 {
 		t.Fatalf("as-of open issued %d MHistory RPCs, want 0 (server-side resolution)", d)
 	}
 	if d := afterAsOf.StatVersions - beforeAsOf.StatVersions; d != 1 {
 		t.Fatalf("as-of open issued %d MStatVersion probes, want 1", d)
+	}
+	// An instant older than v1 is not-found from that same one probe: the
+	// refusal is the owner's answer, not a cue to walk the history.
+	if _, err := clA.Open("tt.n0", client.OpenOptions{AsOf: v1.CommittedAt.Add(-time.Nanosecond)}); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("as-of open older than v1: err = %v, want core.ErrNotFound", err)
+	}
+	afterOld := c.Stats()
+	if d := afterOld.Histories - afterAsOf.Histories; d != 0 {
+		t.Fatalf("as-of open older than v1 issued %d MHistory RPCs, want 0", d)
+	}
+	if d := afterOld.StatVersions - afterAsOf.StatVersions; d != 1 {
+		t.Fatalf("as-of open older than v1 issued %d MStatVersion probes, want 1", d)
 	}
 
 	// Full restore of v2, then incremental restore of v2 against a local

@@ -707,49 +707,24 @@ func (c *catalog) getMap(name string, ver core.VersionID) (string, *core.ChunkMa
 }
 
 // statVersion resolves a name to its committed version identity — the
-// MStatVersion fast path. It touches only the dataset stripe (RLock), no
-// chunk stripes and no map assembly: the cheapest possible answer to "is
-// the version I cached still current?".
-func (c *catalog) statVersion(name string) (string, core.DatasetID, core.VersionID, error) {
+// MStatVersion fast path — or, when asOf is set, to the newest version
+// committed at or before that instant. It touches only the dataset stripe
+// (RLock), no chunk stripes and no map assembly: the cheapest possible
+// answer to "is the version I cached still current?".
+func (c *catalog) statVersion(name string, asOf time.Time) (string, core.DatasetID, core.VersionID, error) {
 	sh := c.dsShardOf(namespace.DatasetOf(name))
 	sh.rlock()
 	defer sh.runlock()
-	ds, v, err := c.lookupLocked(sh, name, 0)
-	if err != nil {
-		return "", 0, 0, err
+	var (
+		ds  *dataset
+		v   *version
+		err error
+	)
+	if asOf.IsZero() {
+		ds, v, err = c.lookupLocked(sh, name, 0)
+	} else {
+		ds, v, err = c.lookupAsOfLocked(sh, name, asOf)
 	}
-	return v.fileName, ds.id, v.id, nil
-}
-
-// getMapAsOf is getMap with as-of resolution: it serves the newest
-// version committed at or before asOf, resolved under the same dataset
-// stripe RLock that serves the map — one round trip where the client
-// previously paid an MHistory walk plus a getMap. The hot-map cache
-// applies unchanged (keyed by the resolved version).
-func (c *catalog) getMapAsOf(name string, asOf time.Time) (string, *core.ChunkMap, error) {
-	key := namespace.DatasetOf(name)
-	sh := c.dsShardOf(key)
-	sh.rlock()
-	defer sh.runlock()
-	ds, v, err := c.lookupAsOfLocked(sh, name, asOf)
-	if err != nil {
-		return "", nil, err
-	}
-	if fileName, m := c.maps.get(key, v.id); m != nil {
-		return fileName, m, nil
-	}
-	gen := c.maps.generation()
-	m := c.buildMap(ds, v)
-	c.maps.put(gen, key, v.fileName, m.Clone())
-	return v.fileName, m, nil
-}
-
-// statVersionAsOf is statVersion with as-of resolution.
-func (c *catalog) statVersionAsOf(name string, asOf time.Time) (string, core.DatasetID, core.VersionID, error) {
-	sh := c.dsShardOf(namespace.DatasetOf(name))
-	sh.rlock()
-	defer sh.runlock()
-	ds, v, err := c.lookupAsOfLocked(sh, name, asOf)
 	if err != nil {
 		return "", 0, 0, err
 	}

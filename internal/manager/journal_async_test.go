@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"stdchk/internal/core"
+	"stdchk/internal/faultpoint"
 	"stdchk/internal/proto"
 )
 
@@ -269,4 +270,61 @@ func TestAsyncJournalRecordAfterClose(t *testing.T) {
 	}
 	// close is idempotent.
 	j.close()
+}
+
+// TestDurabilityFsyncFolderEscalatesCommits pins the per-folder fsync tier
+// on a journaled manager whose journal does not fsync (FsyncJournal off):
+// a commit into a DurabilityFsync folder is fsynced before it is
+// acknowledged and a commit into a default folder is not; and when that
+// fsync fails, the durable folder's commit fails unacknowledged while the
+// default folder's commit, which asks for no fsync, still succeeds.
+func TestDurabilityFsyncFolderEscalatesCommits(t *testing.T) {
+	defer faultpoint.Reset()
+	m, _ := newJournaledManager(t, t.TempDir(), false, false)
+	defer m.Close()
+	if err := m.Invoke(proto.MPolicySet, proto.PolicySetReq{
+		Folder: "durable", Policy: core.Policy{Kind: core.PolicyNone, Durability: core.DurabilityFsync},
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(name string, seed int) error {
+		var alloc proto.AllocResp
+		if err := m.Invoke(proto.MAlloc, proto.AllocReq{
+			Name: name, StripeWidth: 1, ChunkSize: 1 << 10, ReserveBytes: 4 << 10, Replication: 1,
+		}, &alloc); err != nil {
+			return err
+		}
+		chunks, total := commitChunks(int64(seed), 4, 1<<10)
+		for i := range chunks {
+			chunks[i].Locations = []core.NodeID{alloc.Stripe[0].ID}
+		}
+		return m.Invoke(proto.MCommit, proto.CommitReq{WriteID: alloc.WriteID, FileSize: total, Chunks: chunks}, nil)
+	}
+	fsyncsAfter := func(name string, seed int) int64 {
+		t.Helper()
+		before := m.Stats().JournalFsyncs
+		if err := commit(name, seed); err != nil {
+			t.Fatalf("commit %s: %v", name, err)
+		}
+		return m.Stats().JournalFsyncs - before
+	}
+	if d := fsyncsAfter("plain.n1.t0", 1); d != 0 {
+		t.Fatalf("commit in a default folder fsynced the journal %d times, want 0", d)
+	}
+	if d := fsyncsAfter("durable.n1.t0", 2); d < 1 {
+		t.Fatal("commit in a DurabilityFsync folder was acknowledged without an fsync")
+	}
+
+	if err := faultpoint.Enable("manager.journal.fsync", faultpoint.Config{Mode: faultpoint.ModeError}); err != nil {
+		t.Fatal(err)
+	}
+	if err := commit("plain.n1.t1", 3); err != nil {
+		t.Fatalf("default-folder commit failed with the fsync faultpoint armed: %v", err)
+	}
+	if err := commit("durable.n1.t1", 4); err == nil {
+		t.Fatal("DurabilityFsync commit acknowledged although its fsync failed")
+	}
+	if _, _, err := m.cat.getMap("durable.n1.t1", 0); err == nil {
+		t.Fatal("the failed durable commit is visible in the catalog")
+	}
 }

@@ -242,7 +242,7 @@ func TestStatVersionResolvesLikeGetMap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sName, sDS, sVer, err := c.statVersion(name)
+		sName, sDS, sVer, err := c.statVersion(name, time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestStatVersionResolvesLikeGetMap(t *testing.T) {
 				name, sName, sDS, sVer, gName, gm.Dataset, gm.Version)
 		}
 	}
-	if _, _, _, err := c.statVersion("sv.n9"); err == nil {
+	if _, _, _, err := c.statVersion("sv.n9", time.Time{}); err == nil {
 		t.Fatal("statVersion of unknown dataset succeeded")
 	}
 }

@@ -3,7 +3,6 @@ package manager
 import (
 	"time"
 
-	"stdchk/internal/core"
 	"stdchk/internal/metrics"
 	"stdchk/internal/proto"
 	"stdchk/internal/wire"
@@ -179,18 +178,8 @@ func (m *Manager) handleGetMap(req proto.GetMapReq) (wire.Resp, error) {
 	if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
 		return wire.Resp{}, err
 	}
-	var (
-		name string
-		cm   *core.ChunkMap
-		err  error
-	)
-	asOf := req.Version == 0 && !req.AsOf.IsZero()
-	if asOf {
-		name, cm, err = m.cat.getMapAsOf(req.Name, req.AsOf)
-	} else {
-		name, cm, err = m.cat.getMap(req.Name, req.Version)
-	}
-	return reply(proto.GetMapResp{Name: name, Map: cm, AsOfResolved: asOf}, err)
+	name, cm, err := m.cat.getMap(req.Name, req.Version)
+	return reply(proto.GetMapResp{Name: name, Map: cm}, err)
 }
 
 func (m *Manager) handleStatVersion(req proto.StatVersionReq) (wire.Resp, error) {
@@ -199,19 +188,8 @@ func (m *Manager) handleStatVersion(req proto.StatVersionReq) (wire.Resp, error)
 	if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
 		return wire.Resp{}, err
 	}
-	var (
-		name string
-		ds   core.DatasetID
-		ver  core.VersionID
-		err  error
-	)
-	asOf := !req.AsOf.IsZero()
-	if asOf {
-		name, ds, ver, err = m.cat.statVersionAsOf(req.Name, req.AsOf)
-	} else {
-		name, ds, ver, err = m.cat.statVersion(req.Name)
-	}
-	return reply(proto.StatVersionResp{Name: name, Dataset: ds, Version: ver, AsOfResolved: asOf}, err)
+	name, ds, ver, err := m.cat.statVersion(req.Name, req.AsOf)
+	return reply(proto.StatVersionResp{Name: name, Dataset: ds, Version: ver}, err)
 }
 
 func (m *Manager) handlePolicySet(req proto.PolicySetReq) (wire.Resp, error) {

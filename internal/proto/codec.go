@@ -508,17 +508,15 @@ func (r *CommitReq) ParseMeta(b []byte) error {
 	return p.end()
 }
 
-// AppendMeta appends the response's binary meta: name, as-of flag, map.
+// AppendMeta appends the response's binary meta: name, map.
 func (r GetMapResp) AppendMeta(dst []byte) []byte {
-	dst = appendString(dst, r.Name)
-	dst = appendBool(dst, r.AsOfResolved)
-	return appendMap(dst, r.Map)
+	return appendMap(appendString(dst, r.Name), r.Map)
 }
 
 // ParseMeta decodes AppendMeta's layout.
 func (r *GetMapResp) ParseMeta(b []byte) error {
 	p := parser{b: b}
-	*r = GetMapResp{Name: p.string(), AsOfResolved: p.bool(), Map: p.chunkMap()}
+	*r = GetMapResp{Name: p.string(), Map: p.chunkMap()}
 	return p.end()
 }
 

@@ -168,7 +168,7 @@ var binaryMetas = []struct {
 		return r
 	}},
 	{"GetMapResp", func(g *gen) metaCodec {
-		return &GetMapResp{Name: g.str(), Map: g.chunkMap(), AsOfResolved: g.bool()}
+		return &GetMapResp{Name: g.str(), Map: g.chunkMap()}
 	}},
 	{"GetMapsResp", func(g *gen) metaCodec { return &GetMapsResp{Maps: g.namedMaps()} }},
 	{"GCReportReq", func(g *gen) metaCodec { return &GCReportReq{ID: core.NodeID(g.str()), IDs: g.ids()} }},

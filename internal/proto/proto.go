@@ -340,12 +340,6 @@ type AbortReq struct {
 type GetMapReq struct {
 	Name    string         `json:"name"`
 	Version core.VersionID `json:"version,omitempty"`
-	// AsOf, when set (and Version is 0), asks the manager to resolve the
-	// newest version committed at or before this instant under the dataset
-	// stripe — one round trip instead of a client-side MHistory walk. Old
-	// servers ignore the field and resolve latest; the response's
-	// AsOfResolved echo tells the client whether to fall back.
-	AsOf time.Time `json:"asOf,omitempty"`
 	// PartitionEpoch mirrors AllocReq.PartitionEpoch.
 	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
 }
@@ -354,10 +348,6 @@ type GetMapReq struct {
 type GetMapResp struct {
 	Name string         `json:"name"`
 	Map  *core.ChunkMap `json:"map"`
-	// AsOfResolved confirms the server honored GetMapReq.AsOf. Absent in
-	// replies from servers predating as-of resolution, which is the
-	// client's signal to resolve via MHistory instead.
-	AsOfResolved bool `json:"asOfResolved,omitempty"`
 }
 
 // GetMapsReq batch-fetches the latest chunk-maps of several datasets
@@ -460,8 +450,9 @@ type DiffResp struct {
 // timestep's version.
 type StatVersionReq struct {
 	Name string `json:"name"`
-	// AsOf mirrors GetMapReq.AsOf: resolve the newest version committed
-	// at or before this instant instead of the latest.
+	// AsOf, when set, resolves the newest version committed at or before
+	// this instant instead — the one as-of resolver, under the dataset
+	// stripe. An instant older than every commit is core.ErrNotFound.
 	AsOf time.Time `json:"asOf,omitempty"`
 	// PartitionEpoch mirrors AllocReq.PartitionEpoch.
 	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
@@ -475,8 +466,6 @@ type StatVersionResp struct {
 	Name    string         `json:"name"`
 	Dataset core.DatasetID `json:"dataset"`
 	Version core.VersionID `json:"version"`
-	// AsOfResolved mirrors GetMapResp.AsOfResolved.
-	AsOfResolved bool `json:"asOfResolved,omitempty"`
 }
 
 // ListReq lists datasets under a folder ("" = all).
