@@ -39,9 +39,9 @@ func BenchmarkEmitChunkPipelineCbCH(b *testing.B) {
 // Open (latest, or an explicit OpenOptions.Version) of a committed 8-chunk image plus a full read and
 // Close, against an unshaped in-process manager and 4 benefactors. The
 // cached variants re-open through the client chunk-map cache (explicit
-// version: zero manager RPCs; latest: one MStatVersion probe); uncached
-// is the historical full-getMap path. The bench-compare CI job gates
-// allocs/op on this path.
+// version: zero manager RPCs; latest: one MGetMap answered without a
+// map); uncached fetches the full map every time. The bench-compare CI
+// job gates allocs/op on this path.
 func BenchmarkOpenRead(b *testing.B) {
 	for _, variant := range []struct {
 		name         string

@@ -160,10 +160,10 @@ type Config struct {
 	ReadAheadBytes int64
 	// MapCacheEntries bounds the client's chunk-map cache (see mapCache):
 	// explicit-version re-opens hit it with zero manager RPCs, "latest"
-	// opens revalidate with one MStatVersion probe. 0 selects the default
-	// (256 entries); negative disables caching — every open then pays a
-	// full MGetMap, the baseline the package's benchmarks and tests
-	// compare the cache against.
+	// opens send one MGetMap that carries no map back while the cached
+	// version is current. 0 selects the default (256 entries); negative
+	// disables caching — every open then fetches the full map, the
+	// baseline the package's benchmarks and tests compare the cache against.
 	MapCacheEntries int
 	// Writer is an optional identity stamped on every version this client
 	// commits, surfaced in the dataset's version history (provenance: which
@@ -228,9 +228,12 @@ type Client struct {
 	// so the steady-state pipeline allocates nothing per chunk.
 	chunkPool sync.Pool
 
-	// onChunkGet / onChunkPut observe pool traffic; nil outside tests.
-	onChunkGet func(*[]byte)
-	onChunkPut func(*[]byte)
+	// onChunkGet / onChunkPut observe pool traffic, and onBatchBody a
+	// batch reply body taken (true) or returned to the wire pool (false);
+	// nil outside tests.
+	onChunkGet  func(*[]byte)
+	onChunkPut  func(*[]byte)
+	onBatchBody func(body []byte, taken bool)
 
 	benefMu    sync.Mutex
 	benefAddrs map[core.NodeID]string // node id -> service address cache
@@ -384,12 +387,10 @@ func (o OpenOptions) validate() error {
 // version does not share with the caller's local baseline copy.
 //
 // The chunk-map cache makes re-opens cheap: an explicit version that hits
-// needs no manager RPC at all (committed versions are immutable), and a
-// warm latest/timestep open revalidates with one lightweight MStatVersion
-// probe — name to committed version identity, no location payload —
-// paying the full map fetch only when the resolved version is not cached.
-// A cold open (no version of the dataset cached) skips the probe and
-// keeps the historical single-RPC getMap shape. Any revalidation error
+// needs no manager RPC at all (committed versions are immutable), and
+// every latest/timestep open is one MGetMap carrying the version the
+// cache holds for the name (Have): the owner answers with no map when the
+// name still resolves to it, and with the full map otherwise. Any error
 // (not-found, federation partition epoch mismatch, member unreachable)
 // propagates instead of falling back to the cache: a cached map must
 // never mask the metadata plane refusing the request.
@@ -448,38 +449,37 @@ func (c *Client) resolveAsOf(name string, asOf time.Time) (core.VersionID, error
 // chunk-map, serving from the client cache when it can.
 func (c *Client) openMap(name string, ver core.VersionID) (string, *core.ChunkMap, error) {
 	dsKey := namespace.DatasetOf(name)
-	if ver != 0 {
-		if fileName, cm := c.maps.get(dsKey, ver); cm != nil {
-			return fileName, cm, nil
-		}
-		return c.fetchMap(name, dsKey, ver)
-	}
-	if !c.maps.hasDataset(dsKey) {
-		// Nothing cached for this dataset (or caching disabled): the
-		// revalidation probe cannot save the fetch, so keep the
-		// historical single-RPC cold path.
-		return c.fetchMap(name, dsKey, 0)
-	}
-	sv, err := c.mgr.StatVersion(proto.StatVersionReq{Name: name})
-	if err != nil {
-		return "", nil, fmt.Errorf("client: open %s: %w", name, err)
-	}
-	if fileName, cm := c.maps.get(dsKey, sv.Version); cm != nil {
+	req := proto.GetMapReq{Name: name, Version: ver}
+	if ver == 0 {
+		req.Have = c.maps.have(dsKey, name)
+	} else if fileName, cm := c.maps.get(dsKey, ver); cm != nil {
 		return fileName, cm, nil
 	}
-	// Fetch the exact version the probe resolved: a commit racing this
-	// open must not slide a different version under the cache key.
-	return c.fetchMap(name, dsKey, sv.Version)
+	resp, err := c.fetchMap(dsKey, req)
+	if err != nil || resp.Map != nil {
+		return resp.Name, resp.Map, err
+	}
+	if fileName, cm := c.maps.get(dsKey, resp.Version); cm != nil {
+		return fileName, cm, nil
+	}
+	// Evicted since have picked it: fetch that exact version, so a commit
+	// racing this open cannot slide a different one under the cache key.
+	resp, err = c.fetchMap(dsKey, proto.GetMapReq{Name: name, Version: resp.Version})
+	return resp.Name, resp.Map, err
 }
 
-// fetchMap pays the full MGetMap and caches the result.
-func (c *Client) fetchMap(name, dsKey string, ver core.VersionID) (string, *core.ChunkMap, error) {
-	resp, err := c.mgr.GetMap(proto.GetMapReq{Name: name, Version: ver})
+// fetchMap sends one MGetMap and caches the map the reply carries. A
+// reply to a Have it no longer matches counts as a cache miss.
+func (c *Client) fetchMap(dsKey string, req proto.GetMapReq) (proto.GetMapResp, error) {
+	resp, err := c.mgr.GetMap(req)
 	if err != nil {
-		return "", nil, fmt.Errorf("client: open %s: %w", name, err)
+		return resp, fmt.Errorf("client: open %s: %w", req.Name, err)
+	}
+	if req.Have != 0 && resp.Map != nil {
+		c.maps.misses.Add(1)
 	}
 	c.maps.put(dsKey, resp.Name, resp.Map)
-	return resp.Name, resp.Map, nil
+	return resp, nil
 }
 
 // History reports the dataset's version lineage, oldest first: identity,

@@ -38,9 +38,9 @@ type ManagerEndpoint interface {
 	// Diff reports the byte ranges that changed between two committed
 	// versions of a dataset.
 	Diff(req proto.DiffReq) (proto.DiffResp, error)
-	// StatVersion resolves a name to its committed version identity (no
-	// location payload): the chunk-map cache's lightweight "is my cached
-	// map still the latest?" revalidation probe.
+	// StatVersion resolves a name, or the newest version as of an instant,
+	// to its committed version identity (no location payload): how an
+	// as-of open learns which version to serve.
 	StatVersion(req proto.StatVersionReq) (proto.StatVersionResp, error)
 	// List summarizes datasets, optionally restricted to a folder.
 	List(folder string) ([]core.DatasetInfo, error)

@@ -13,9 +13,9 @@ import (
 // (dataset key, version). Checkpoint versions are immutable once
 // committed — the chunk list of (dataset, version) never changes — so an
 // explicit-version open that hits serves its map with zero manager RPCs.
-// A "latest" open revalidates with one MStatVersion round trip (name →
-// committed version identity, a few bytes) and falls back to the cached
-// map on match; only a genuinely new version pays the full MGetMap.
+// A "latest" open is one MGetMap naming the version it would serve (have):
+// the owner answers with no map when the name still resolves to it, and
+// only a genuinely new version pays for the full map.
 //
 // This is the client half of the restart fast path: a DMTCP-style restart
 // storm re-opens the same checkpoint from every process of a job, and
@@ -119,22 +119,26 @@ func (c *mapCache) put(dataset, fileName string, m *core.ChunkMap) {
 	}
 }
 
-// hasDataset reports whether any version of the dataset is cached. A
-// "latest" open only pays the revalidation probe when this is true —
-// with nothing cached, the probe could not save the map fetch, so the
-// cold path keeps the historical single-RPC shape.
-func (c *mapCache) hasDataset(dataset string) bool {
+// have picks the version a "latest" open of name offers as
+// GetMapReq.Have: the cached entry whose file name is name, else the
+// dataset's newest cached version, else 0. It counts no hit or miss.
+func (c *mapCache) have(dataset, name string) core.VersionID {
 	if !c.enabled() {
-		return false
+		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key := range c.byKey {
-		if key.dataset == dataset {
-			return true
+	var newest core.VersionID
+	for key, el := range c.byKey {
+		if key.dataset != dataset {
+			continue
 		}
+		if el.Value.(*mapCacheEntry).fileName == name {
+			return key.version
+		}
+		newest = max(newest, key.version)
 	}
-	return false
+	return newest
 }
 
 // invalidateDataset drops every cached version of one dataset (local

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"stdchk/internal/core"
+	"stdchk/internal/namespace"
 	"stdchk/internal/proto"
 )
 
@@ -16,11 +17,17 @@ type fakeMetadata struct {
 	getMaps      int
 	statVersions int
 	deletes      int
+	// unchanged counts GetMap replies that carried no map because the
+	// name resolved to the request's Have; reqs records every request.
+	unchanged int
+	reqs      []proto.GetMapReq
 	// chains maps a dataset key to its committed versions in order.
 	chains map[string][]*core.ChunkMap
-	// statVersionErr, when set, fails StatVersion (the restarted-owner /
+	// getMapErr, when set, fails GetMap (the restarted-owner /
 	// epoch-mismatch shape).
-	statVersionErr error
+	getMapErr error
+	// beforeReply, when set, runs inside GetMap before it answers.
+	beforeReply func(proto.GetMapReq)
 }
 
 func newFakeMetadata() *fakeMetadata {
@@ -45,29 +52,47 @@ func (f *fakeMetadata) fileName(dataset string, m *core.ChunkMap) string {
 	return fmt.Sprintf("%s.t%d", dataset, m.Version)
 }
 
-func (f *fakeMetadata) GetMap(req proto.GetMapReq) (proto.GetMapResp, error) {
-	f.getMaps++
-	chain := f.chains[req.Name]
-	if len(chain) == 0 {
-		return proto.GetMapResp{}, core.ErrNotFound
-	}
-	if req.Version == 0 {
-		m := chain[len(chain)-1]
-		return proto.GetMapResp{Name: f.fileName(req.Name, m), Map: m.Clone()}, nil
-	}
-	for _, m := range chain {
-		if m.Version == req.Version {
-			return proto.GetMapResp{Name: f.fileName(req.Name, m), Map: m.Clone()}, nil
+// resolve finds the version name (a dataset key or a full file name)
+// selects, as the manager's catalog does; ver, when set, wins.
+func (f *fakeMetadata) resolve(name string, ver core.VersionID) (string, *core.ChunkMap) {
+	dataset := namespace.DatasetOf(name)
+	chain := f.chains[dataset]
+	for i := len(chain) - 1; i >= 0; i-- {
+		m := chain[i]
+		switch {
+		case ver != 0 && m.Version != ver:
+		case ver == 0 && name != dataset && f.fileName(dataset, m) != name:
+		default:
+			return f.fileName(dataset, m), m
 		}
 	}
-	return proto.GetMapResp{}, core.ErrNotFound
+	return "", nil
+}
+
+func (f *fakeMetadata) GetMap(req proto.GetMapReq) (proto.GetMapResp, error) {
+	f.getMaps++
+	f.reqs = append(f.reqs, req)
+	if f.beforeReply != nil {
+		f.beforeReply(req)
+	}
+	if f.getMapErr != nil {
+		return proto.GetMapResp{}, f.getMapErr
+	}
+	name, m := f.resolve(req.Name, req.Version)
+	if m == nil {
+		return proto.GetMapResp{}, core.ErrNotFound
+	}
+	resp := proto.GetMapResp{Name: name, Version: m.Version}
+	if m.Version == req.Have {
+		f.unchanged++
+		return resp, nil
+	}
+	resp.Map = m.Clone()
+	return resp, nil
 }
 
 func (f *fakeMetadata) StatVersion(req proto.StatVersionReq) (proto.StatVersionResp, error) {
 	f.statVersions++
-	if f.statVersionErr != nil {
-		return proto.StatVersionResp{}, f.statVersionErr
-	}
 	chain := f.chains[req.Name]
 	if len(chain) == 0 {
 		return proto.StatVersionResp{}, core.ErrNotFound
@@ -191,21 +216,30 @@ func TestMapCacheExplicitVersionZeroRPCs(t *testing.T) {
 	}
 }
 
-// TestMapCacheLatestRevalidation: a cold "latest" open keeps the
-// historical single-RPC shape (nothing cached to revalidate), a warm
-// one costs exactly one MStatVersion probe and zero getMaps — and a
-// commit of version v+1 invalidates the cached answer, forcing one full
-// fetch of the new map.
+// TestMapCacheLatestRevalidation: every "latest" open is exactly one
+// GetMap and never a StatVersion. Cold, it carries no Have and gets the
+// full map; warm, it names the cached version, the reply carries no map
+// and the open is served from the cache; after a commit of version v+1
+// the one GetMap brings the full v+1 map instead of the stale one. A
+// cached explicit version costs no RPC at all.
 func TestMapCacheLatestRevalidation(t *testing.T) {
 	f := newFakeMetadata()
 	f.commit("app.n1", 1, []core.NodeID{"b1:1"})
 	c := cacheTestClient(t, f, 0)
+	counts := func(stage string, getMaps, unchanged int) {
+		t.Helper()
+		if f.getMaps != getMaps || f.unchanged != unchanged || f.statVersions != 0 {
+			t.Fatalf("%s: %d getMaps (%d unchanged), %d statVersions; want %d (%d unchanged), 0",
+				stage, f.getMaps, f.unchanged, f.statVersions, getMaps, unchanged)
+		}
+	}
 
 	if _, err := c.Open("app.n1"); err != nil {
 		t.Fatal(err)
 	}
-	if f.statVersions != 0 || f.getMaps != 1 {
-		t.Fatalf("cold latest open: %d statVersions, %d getMaps; want 0, 1", f.statVersions, f.getMaps)
+	counts("cold latest open", 1, 0)
+	if f.reqs[0].Have != 0 {
+		t.Fatalf("cold latest open offered Have %d, want 0", f.reqs[0].Have)
 	}
 	r, err := c.Open("app.n1")
 	if err != nil {
@@ -215,12 +249,13 @@ func TestMapCacheLatestRevalidation(t *testing.T) {
 		t.Fatalf("warm latest open served version %d, want 1", r.Map().Version)
 	}
 	r.Close()
-	if f.statVersions != 1 || f.getMaps != 1 {
-		t.Fatalf("warm latest open: %d statVersions, %d getMaps; want 1, 1", f.statVersions, f.getMaps)
+	counts("warm latest open", 2, 1)
+	if s := c.MapCacheStats(); s.Hits != 1 || s.Misses != 0 {
+		t.Fatalf("warm latest open: cache stats %+v, want 1 hit / 0 misses", s)
 	}
 
-	// Version v+1 commits elsewhere: the revalidation probe must see it
-	// and the client must fetch the new map, not serve the stale one.
+	// Version v+1 commits elsewhere: the one GetMap must bring its map,
+	// not let the client serve the stale one.
 	f.commit("app.n1", 2, []core.NodeID{"b2:1"})
 	r, err = c.Open("app.n1")
 	if err != nil {
@@ -230,20 +265,79 @@ func TestMapCacheLatestRevalidation(t *testing.T) {
 		t.Fatalf("post-commit latest open served version %d, want 2", r.Map().Version)
 	}
 	r.Close()
-	if f.statVersions != 2 || f.getMaps != 2 {
-		t.Fatalf("post-commit open: %d statVersions, %d getMaps; want 2, 2", f.statVersions, f.getMaps)
+	counts("post-commit open", 3, 1)
+	if f.reqs[2].Have != 1 {
+		t.Fatalf("post-commit open offered Have %d, want the cached 1", f.reqs[2].Have)
 	}
 	// The superseded version remains cached and servable explicitly.
 	if _, err := c.Open("app.n1", OpenOptions{Version: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if f.getMaps != 2 {
-		t.Fatalf("explicit open of superseded version refetched (%d getMaps)", f.getMaps)
+	counts("cached explicit-version open", 3, 1)
+}
+
+// TestMapCacheHaveOrder: a latest open offers the version cached under
+// the very file name it opens, else the dataset's newest cached version,
+// else nothing.
+func TestMapCacheHaveOrder(t *testing.T) {
+	f := newFakeMetadata()
+	for v := core.VersionID(1); v <= 3; v++ {
+		f.commit("app.n1", v, []core.NodeID{"b1:1"})
+	}
+	c := cacheTestClient(t, f, 0)
+	for _, v := range []core.VersionID{1, 2} {
+		if _, err := c.Open("app.n1", OpenOptions{Version: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		have core.VersionID
+	}{
+		{"app.n1.t1", 1}, // its own entry, although version 2 is newer
+		{"app.n1", 2},    // no entry by that name: the newest cached
+		{"app.n1.t3", 3}, // the previous open cached version 3
+		{"other.n1", 0},  // nothing of the dataset cached
+	} {
+		before := len(f.reqs)
+		c.Open(tc.name)
+		if len(f.reqs) != before+1 || f.reqs[before].Have != tc.have {
+			t.Fatalf("open %s sent %+v, want one GetMap with Have %d", tc.name, f.reqs[before:], tc.have)
+		}
 	}
 }
 
-// TestMapCacheRevalidationErrorDoesNotServeCache: when the revalidation
-// probe fails — a federation owner restarted without its partition
+// TestMapCacheEvictedBeforeUnchangedReply: when the entry a latest open
+// offered is evicted before the owner's "unchanged" reply arrives, the
+// client refetches that exact version — one more GetMap, by version, no
+// Have — and serves it.
+func TestMapCacheEvictedBeforeUnchangedReply(t *testing.T) {
+	f := newFakeMetadata()
+	f.commit("app.n1", 1, []core.NodeID{"b1:1"})
+	c := cacheTestClient(t, f, 0)
+	if _, err := c.Open("app.n1"); err != nil {
+		t.Fatal(err)
+	}
+	f.beforeReply = func(req proto.GetMapReq) {
+		if req.Have != 0 {
+			c.InvalidateMaps("app.n1")
+		}
+	}
+	r, err := c.Open("app.n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Map().Version != 1 {
+		t.Fatalf("served version %d, want 1", r.Map().Version)
+	}
+	want := []proto.GetMapReq{{Name: "app.n1"}, {Name: "app.n1", Have: 1}, {Name: "app.n1", Version: 1}}
+	if !reflect.DeepEqual(f.reqs, want) || f.unchanged != 1 {
+		t.Fatalf("requests %+v (%d unchanged replies), want %+v (1 unchanged)", f.reqs, f.unchanged, want)
+	}
+}
+
+// TestMapCacheRevalidationErrorDoesNotServeCache: when the warm open's
+// GetMap fails — a federation owner restarted without its partition
 // identity answers ErrEpochMismatch — the open must fail rather than
 // fall back to the cached map.
 func TestMapCacheRevalidationErrorDoesNotServeCache(t *testing.T) {
@@ -253,9 +347,12 @@ func TestMapCacheRevalidationErrorDoesNotServeCache(t *testing.T) {
 	if _, err := c.Open("app.n1"); err != nil {
 		t.Fatal(err)
 	}
-	f.statVersionErr = core.ErrEpochMismatch
+	f.getMapErr = core.ErrEpochMismatch
 	if _, err := c.Open("app.n1"); !errors.Is(err, core.ErrEpochMismatch) {
-		t.Fatalf("open with failing revalidation returned %v, want ErrEpochMismatch", err)
+		t.Fatalf("open with failing GetMap returned %v, want ErrEpochMismatch", err)
+	}
+	if s := c.MapCacheStats(); s.Hits != 0 {
+		t.Fatalf("failed open recorded %d cache hits: the cached map was served", s.Hits)
 	}
 }
 
@@ -281,7 +378,7 @@ func TestMapCacheDeleteInvalidates(t *testing.T) {
 }
 
 // TestMapCacheDisabled: MapCacheEntries < 0 restores the historical
-// behavior — every open is one full getMap, no revalidation probes.
+// behavior — every open is one full getMap, never an "unchanged" reply.
 func TestMapCacheDisabled(t *testing.T) {
 	f := newFakeMetadata()
 	f.commit("app.n1", 1, []core.NodeID{"b1:1"})

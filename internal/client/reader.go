@@ -109,7 +109,7 @@ type Reader struct {
 	pending  map[int]chan fetchResult
 	next     int // next chunk index to hand to the application
 	off      int // offset within the current chunk
-	cur      []byte
+	cur      fetchResult
 	started  int   // chunks dispatched so far
 	inflight int64 // bytes dispatched but not yet handed to the application
 	budget   int64 // read-ahead window in bytes
@@ -117,9 +117,48 @@ type Reader struct {
 	err      error
 }
 
+// fetchResult is one chunk delivered to its pending channel. data is
+// either a pooled buffer of its own or, when batch is set, a slice of
+// that batch's reply body.
 type fetchResult struct {
-	data []byte
-	err  error
+	data  []byte
+	batch *batch
+	err   error
+}
+
+// release hands the chunk's memory back: its own buffer to the wire pool,
+// or its reference to the batch reply.
+func (res fetchResult) release() {
+	if res.batch != nil {
+		res.batch.release()
+	} else if res.data != nil {
+		wire.PutBuf(res.data)
+	}
+}
+
+// batch is one BGetBatch round trip — its request IDs, reply and reply
+// body in one allocation. The chunks it serves alias the body instead of
+// copying out of it: each delivered chunk holds a reference, as does
+// fetchBatch while it frames the reply, and the last release returns the
+// body to the wire pool. A body stays pinned until its last chunk is
+// consumed, and a refill's chunks go to the application in map order, so
+// a reader pins at most about 2 × ReadAheadBytes of bodies: the window in
+// flight plus the consumed part of the refill the application is reading.
+type batch struct {
+	c    *Client
+	ids  [readBatchIDs]core.ChunkID
+	resp proto.BatchGetResp
+	body []byte
+	refs atomic.Int32
+}
+
+func (b *batch) release() {
+	if b.refs.Add(-1) == 0 && b.body != nil {
+		if b.c.onBatchBody != nil {
+			b.c.onBatchBody(b.body, false)
+		}
+		wire.PutBuf(b.body)
+	}
 }
 
 func newReader(c *Client, name string, cm *core.ChunkMap) *Reader {
@@ -215,7 +254,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 	if r.err != nil {
 		return 0, r.err
 	}
-	if r.cur == nil || r.off >= len(r.cur) {
+	if r.off >= len(r.cur.data) {
 		if r.next >= len(r.cm.Chunks) {
 			return 0, io.EOF
 		}
@@ -224,7 +263,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	n := copy(p, r.cur[r.off:])
+	n := copy(p, r.cur.data[r.off:])
 	r.off += n
 	return n, nil
 }
@@ -257,21 +296,17 @@ func (r *Reader) advanceLocked() error {
 	res := <-ch
 	r.mu.Lock()
 	if r.closed {
-		// Closed while blocked: the result's buffer has no consumer.
-		if res.data != nil {
-			wire.PutBuf(res.data)
-		}
+		// Closed while blocked: the result has no consumer.
+		res.release()
 		return core.ErrClosed
 	}
 	if res.err != nil {
 		return res.err
 	}
 	// The previous chunk has been fully copied out to the application;
-	// its pool-backed fetch buffer can go back to the wire pool.
-	if r.cur != nil {
-		wire.PutBuf(r.cur)
-	}
-	r.cur = res.data
+	// its memory can go back.
+	r.cur.release()
+	r.cur = res
 	r.off = 0
 	r.inflight -= r.cm.Chunks[r.next].Size
 	r.next++
@@ -356,9 +391,9 @@ func (r *Reader) dispatchLocked(from, to int) {
 // fetchBatch retrieves one node's share of a refill with a single
 // BGetBatch request over the shared multiplexed pool. The reply carries
 // per-slot sizes (-1 = unserved) and the served chunks concatenated in
-// request order; each served chunk is hash-verified and copied into its
-// own pooled buffer before delivery, so every chunk's buffer is released
-// on its own. Any slot the batch could not serve — request-level
+// request order; each served chunk is hash-verified and delivered in
+// place, as a slice of the reply body holding a reference to it (see
+// batch). Any slot the batch could not serve — request-level
 // transport failure, per-slot miss, integrity mismatch, malformed
 // framing — falls back to the per-chunk fetch, which walks that chunk's
 // replicas.
@@ -373,47 +408,45 @@ func (r *Reader) fetchBatch(node core.NodeID, items []batchItem) {
 		fallback(items)
 		return
 	}
-	ids := make([]core.ChunkID, len(items))
+	b := &batch{c: r.c}
+	b.refs.Store(1)
+	defer b.release()
+	ids := b.ids[:len(items)]
 	for i, it := range items {
 		ids[i] = r.cm.Chunks[it.idx].ID
 	}
-	var resp proto.BatchGetResp
-	body, err := r.c.dataPool.Call(addr, proto.BGetBatch, proto.BatchGetReq{IDs: ids}, nil, &resp)
-	if err != nil || len(resp.Sizes) != len(items) {
-		if body != nil {
-			wire.PutBuf(body)
-		}
+	b.body, err = r.c.dataPool.Call(addr, proto.BGetBatch, proto.BatchGetReq{IDs: ids}, nil, &b.resp)
+	if b.body != nil && r.c.onBatchBody != nil {
+		r.c.onBatchBody(b.body, true)
+	}
+	if err != nil || len(b.resp.Sizes) != len(items) {
 		fallback(items)
 		return
 	}
 	var off int64
 	for i, it := range items {
-		sz := resp.Sizes[i]
+		sz := b.resp.Sizes[i]
 		if sz < 0 {
 			go r.fetch(it.idx, it.ch)
 			continue
 		}
-		if off+sz > int64(len(body)) {
+		if off+sz > int64(len(b.body)) {
 			// Sizes promise more bytes than arrived: nothing at or past
 			// this slot can be framed.
 			fallback(items[i:])
 			break
 		}
-		data := body[off : off+sz]
+		data := b.body[off : off+sz]
 		off += sz
 		ref := r.cm.Chunks[it.idx]
 		if sz != ref.Size || core.HashChunk(data) != ref.ID {
 			go r.fetch(it.idx, it.ch)
 			continue
 		}
-		buf := wire.GetBuf(len(data))
-		copy(buf, data)
 		r.bytesFetched.Add(sz)
 		r.bytesBatched.Add(sz)
-		it.ch <- fetchResult{data: buf}
-	}
-	if body != nil {
-		wire.PutBuf(body)
+		b.refs.Add(1)
+		it.ch <- fetchResult{data: data, batch: b}
 	}
 }
 
@@ -511,10 +544,10 @@ func (r *Reader) ReadAll() ([]byte, error) {
 }
 
 // Close releases the reader. Outstanding prefetches are drained
-// asynchronously so their pool-backed buffers return to the wire pool
-// instead of leaking: each in-flight fetch delivers exactly one result to
-// its (buffered) channel, and an abandoned channel would strand that
-// buffer outside the pool forever.
+// asynchronously so their memory returns to the wire pool instead of
+// leaking: each in-flight fetch delivers exactly one result to its
+// (buffered) channel, and an abandoned channel would strand that chunk's
+// buffer — or pin its whole batch reply — outside the pool forever.
 func (r *Reader) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -523,16 +556,10 @@ func (r *Reader) Close() error {
 	}
 	r.closed = true
 	for _, ch := range r.pending {
-		go func(ch chan fetchResult) {
-			if res := <-ch; res.data != nil {
-				wire.PutBuf(res.data)
-			}
-		}(ch)
+		go func(ch chan fetchResult) { (<-ch).release() }(ch)
 	}
 	r.pending = map[int]chan fetchResult{}
-	if r.cur != nil {
-		wire.PutBuf(r.cur)
-		r.cur = nil
-	}
+	r.cur.release()
+	r.cur = fetchResult{}
 	return nil
 }

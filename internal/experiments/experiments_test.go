@@ -245,10 +245,10 @@ func TestFedLoadSmoke(t *testing.T) {
 // TestRestartLoadSmoke runs the restart-storm sweep briefly over real
 // sockets through the federation router and gates the read fast path's
 // acceptance criteria on the JSON records: a warm explicit-version
-// re-open issues ZERO getMap RPCs (and zero revalidation probes), a warm
-// "latest" re-open issues exactly one MStatVersion per open and zero
-// getMaps, and cold opens hit the manager-side hot-map cache once per
-// (dataset, version) is built.
+// re-open issues ZERO getMap RPCs (and zero statVersions), a warm
+// "latest" re-open issues exactly one MGetMap per open — answered without
+// a map, so no hot-map cache lookup — and no statVersion, and cold opens
+// hit the manager-side hot-map cache once per (dataset, version) is built.
 func TestRestartLoadSmoke(t *testing.T) {
 	var buf, js bytes.Buffer
 	if err := RestartLoad(Config{Runs: 1, Out: &buf, JSON: &js}); err != nil {
@@ -308,13 +308,11 @@ func TestRestartLoadSmoke(t *testing.T) {
 					r.GetMaps, r.StatVersions, r)
 			}
 		case r.Phase == "warm" && r.Mode == "latest":
-			// One lightweight revalidation probe per open, never a map.
-			if r.GetMaps != 0 {
-				t.Fatalf("warm latest re-opens issued %d getMaps, want 0: %+v", r.GetMaps, r)
-			}
-			if r.StatVersions != r.Opens {
-				t.Fatalf("warm latest re-opens issued %d statVersions for %d opens: %+v",
-					r.StatVersions, r.Opens, r)
+			// One MGetMap per open, answered "unchanged": no probe, and no
+			// map built, so the manager's hot-map cache is not consulted.
+			if r.GetMaps != r.Opens || r.StatVersions != 0 || r.MgrCacheHits != 0 {
+				t.Fatalf("warm latest re-opens issued %d getMaps + %d statVersions (%d hot-map hits) for %d opens, want %d + 0 (0): %+v",
+					r.GetMaps, r.StatVersions, r.MgrCacheHits, r.Opens, r.Opens, r)
 			}
 		case r.Phase == "cold":
 			if r.GetMaps <= 0 {

@@ -29,9 +29,10 @@ import (
 //   - version: explicit-version opens. A warm client serves these from
 //     its cache with ZERO manager RPCs (committed versions are
 //     immutable).
-//   - latest: "newest version" opens. A warm client revalidates with one
-//     MStatVersion probe (name → version identity, no location payload)
-//     and reuses the cached map on match.
+//   - latest: "newest version" opens. A warm client sends one MGetMap
+//     naming the version it holds; the owner answers without a map (and
+//     without building one) while that is still the newest, and the
+//     client reuses its cached map.
 //
 // The JSON records carry the per-phase manager RPC deltas (getMaps,
 // statVersions) and the manager-side hot-map cache counters, so the
@@ -207,7 +208,7 @@ func RestartLoad(cfg Config) error {
 			}
 		}
 	}
-	fmt.Fprintf(cfg.Out, "warm re-opens: explicit-version = zero manager RPCs, latest = one MStatVersion each;\n")
+	fmt.Fprintf(cfg.Out, "warm re-opens: explicit-version = zero manager RPCs, latest = one MGetMap (unchanged reply) each;\n")
 	fmt.Fprintf(cfg.Out, "cold opens share the manager's hot-map cache (one location sort per version, not per reader)\n")
 	fmt.Fprintf(cfg.Out, "paper: read performance minimizes restart delays (§IV.A); 1-CPU boxes time-slice readers, see EXPERIMENTS.md\n\n")
 

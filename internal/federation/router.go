@@ -256,7 +256,8 @@ func (r *Router) HasChunks(name string, ids []core.ChunkID) ([]bool, error) {
 	return resp.Present, nil
 }
 
-// GetMap fetches a committed chunk-map from the owner of req.Name.
+// GetMap fetches a committed chunk-map from the owner of req.Name, or
+// only its version when that is req.Have.
 func (r *Router) GetMap(req proto.GetMapReq) (proto.GetMapResp, error) {
 	req.PartitionEpoch = r.wireEpoch()
 	var resp proto.GetMapResp
@@ -324,11 +325,11 @@ func (r *Router) Diff(req proto.DiffReq) (proto.DiffResp, error) {
 	return resp, err
 }
 
-// StatVersion resolves a name to its committed version identity on the
-// owner of req.Name — the client chunk-map cache's "latest" revalidation
-// probe. The partition epoch rides along like every dataset-scoped call,
-// so a member restarted without its federation identity answers
-// ErrEpochMismatch and the client must not trust (or serve) a cached map.
+// StatVersion resolves a name (or the newest version as of req.AsOf) to
+// its committed version identity on the owner of req.Name — the client's
+// as-of open. The partition epoch rides along like every dataset-scoped
+// call, so a member restarted without its federation identity answers
+// ErrEpochMismatch.
 func (r *Router) StatVersion(req proto.StatVersionReq) (proto.StatVersionResp, error) {
 	req.PartitionEpoch = r.wireEpoch()
 	var resp proto.StatVersionResp

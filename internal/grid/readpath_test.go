@@ -16,10 +16,11 @@ import (
 
 // TestReadPathCacheEndToEnd drives the whole read fast path over real
 // sockets: repeat opens are served by the client chunk-map cache (zero
-// getMaps for explicit versions, one MStatVersion probe for latest), a
-// second client's cold opens hit the manager-side hot-map cache, and —
-// the correctness half — a commit of version v+1 invalidates both layers
-// so "latest" never serves stale bytes.
+// RPCs for explicit versions; for latest, one MGetMap whose reply carries
+// no map and builds nothing on the manager), a second client's cold opens
+// hit the manager-side hot-map cache, and — the correctness half — a
+// commit of version v+1 invalidates both layers so "latest" never serves
+// stale bytes.
 func TestReadPathCacheEndToEnd(t *testing.T) {
 	c, err := Start(Options{
 		Benefactors:       3,
@@ -74,17 +75,25 @@ func TestReadPathCacheEndToEnd(t *testing.T) {
 	}
 	base := c.Stats()
 
-	// Warm latest re-open: one revalidation probe, no map fetch, and the
-	// bytes still verify (integrity is checked per chunk on read).
+	// Warm latest re-open: one GetMap answered "unchanged" (no map built,
+	// the manager's hot-map cache untouched), served from the client
+	// cache, and the bytes still verify (integrity is checked per chunk).
+	hits := cl1.MapCacheStats().Hits
 	if got := readLatest(cl1); !bytes.Equal(got, v1) {
 		t.Fatal("warm open read wrong bytes")
 	}
 	after := c.Stats()
-	if d := after.GetMaps - base.GetMaps; d != 0 {
-		t.Fatalf("warm latest re-open issued %d getMaps, want 0", d)
+	if d := after.GetMaps - base.GetMaps; d != 1 {
+		t.Fatalf("warm latest re-open issued %d getMaps, want 1", d)
 	}
-	if d := after.StatVersions - base.StatVersions; d != 1 {
-		t.Fatalf("warm latest re-open issued %d statVersions, want 1", d)
+	if d := after.StatVersions - base.StatVersions; d != 0 {
+		t.Fatalf("warm latest re-open issued %d statVersions, want 0", d)
+	}
+	if after.MapCache != base.MapCache {
+		t.Fatalf("warm latest re-open moved the manager's hot-map cache: %+v -> %+v", base.MapCache, after.MapCache)
+	}
+	if d := cl1.MapCacheStats().Hits - hits; d != 1 {
+		t.Fatalf("warm latest re-open recorded %d client cache hits, want 1", d)
 	}
 
 	// A second client is cold client-side but the manager has the map
@@ -101,8 +110,13 @@ func TestReadPathCacheEndToEnd(t *testing.T) {
 	// "latest" would return v1's bytes.
 	v2 := fedImage(52, 64<<10)
 	write("rp.n1.t1", v2)
+	beforeV2 := c.Stats()
 	if got := readLatest(cl1); !bytes.Equal(got, v2) {
 		t.Fatal("open after commit of v+1 served stale bytes")
+	}
+	if s := c.Stats(); s.GetMaps-beforeV2.GetMaps != 1 || s.StatVersions != beforeV2.StatVersions {
+		t.Fatalf("open after commit of v+1 issued %d getMaps + %d statVersions, want 1 + 0",
+			s.GetMaps-beforeV2.GetMaps, s.StatVersions-beforeV2.StatVersions)
 	}
 	if got := readLatest(cl2); !bytes.Equal(got, v2) {
 		t.Fatal("second client served stale bytes after commit of v+1")
@@ -137,10 +151,10 @@ func TestReadPathCacheEndToEnd(t *testing.T) {
 }
 
 // TestFederatedCachedMapEpochCheck pins the federation satellite: a
-// client holding a warm cached map keeps revalidating "latest" opens
-// through the owner member, so when that member is restarted WITHOUT its
-// federation identity (a real misconfiguration: -federation flags
-// dropped), the epoch check refuses the probe and the client surfaces
+// client holding a warm cached map still sends every "latest" open's
+// MGetMap to the owner member, so when that member is restarted WITHOUT
+// its federation identity (a real misconfiguration: -federation flags
+// dropped), the epoch check refuses the GetMap and the client surfaces
 // ErrEpochMismatch instead of quietly serving its cached map.
 func TestFederatedCachedMapEpochCheck(t *testing.T) {
 	const managers = 2
@@ -203,11 +217,18 @@ func TestFederatedCachedMapEpochCheck(t *testing.T) {
 	c.Managers[0] = repl
 	c.Manager = repl
 
-	// A "latest" open must revalidate — and the replacement, seeing a
+	// A "latest" open must ask the owner — and the replacement, seeing a
 	// partition epoch it does not carry, must refuse. The cached map is
 	// NOT served.
+	hits := cl.MapCacheStats().Hits
 	if _, err := cl.Open(name); !errors.Is(err, core.ErrEpochMismatch) {
 		t.Fatalf("latest open against de-federated owner returned %v, want ErrEpochMismatch", err)
+	}
+	if s := repl.Stats(); s.GetMaps != 1 || s.StatVersions != 0 {
+		t.Fatalf("the refused open reached the owner as %d getMaps + %d statVersions, want 1 + 0", s.GetMaps, s.StatVersions)
+	}
+	if cl.MapCacheStats().Hits != hits {
+		t.Fatal("the refused open was served from the client cache")
 	}
 
 	// An explicit-version open never consults the manager: committed

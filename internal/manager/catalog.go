@@ -681,14 +681,16 @@ func (c *catalog) forEachRefShard(refs []core.ChunkRef, instrumented bool, fn fu
 
 // getMap returns the chunk-map for a file name or dataset key. Version 0
 // means the latest version; a full A.Ni.Tj name selects that timestep's
-// version if present.
+// version if present. When the name resolves to have (non-zero), the
+// caller already holds that map: getMap answers the file name and a nil
+// map, building nothing and leaving the hot-map cache untouched.
 //
 // The hot-map cache sits in front of buildMap: a hit serves a clone of
 // the memoized wire-ready map (locations already sorted) with no chunk
 // stripe traffic; a miss builds, serves, and memoizes. Both run under the
 // dataset stripe's RLock, so a commit or delete of this dataset (write
 // lock) can never interleave between version resolution and cache fill.
-func (c *catalog) getMap(name string, ver core.VersionID) (string, *core.ChunkMap, error) {
+func (c *catalog) getMap(name string, ver, have core.VersionID) (string, *core.ChunkMap, error) {
 	key := namespace.DatasetOf(name)
 	sh := c.dsShardOf(key)
 	sh.rlock()
@@ -696,6 +698,9 @@ func (c *catalog) getMap(name string, ver core.VersionID) (string, *core.ChunkMa
 	ds, v, err := c.lookupLocked(sh, name, ver)
 	if err != nil {
 		return "", nil, err
+	}
+	if v.id == have {
+		return v.fileName, nil, nil
 	}
 	if fileName, m := c.maps.get(key, v.id); m != nil {
 		return fileName, m, nil
@@ -707,10 +712,10 @@ func (c *catalog) getMap(name string, ver core.VersionID) (string, *core.ChunkMa
 }
 
 // statVersion resolves a name to its committed version identity — the
-// MStatVersion fast path — or, when asOf is set, to the newest version
+// MStatVersion answer — or, when asOf is set, to the newest version
 // committed at or before that instant. It touches only the dataset stripe
 // (RLock), no chunk stripes and no map assembly: the cheapest possible
-// answer to "is the version I cached still current?".
+// answer to "which version does this name, or this instant, resolve to?".
 func (c *catalog) statVersion(name string, asOf time.Time) (string, core.DatasetID, core.VersionID, error) {
 	sh := c.dsShardOf(namespace.DatasetOf(name))
 	sh.rlock()

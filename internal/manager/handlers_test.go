@@ -2,6 +2,7 @@ package manager
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -248,5 +249,57 @@ func TestFullWriteCycleOverWire(t *testing.T) {
 		WriteID: alloc.WriteID, FileSize: total, Chunks: chunks,
 	}, nil); !errors.Is(err, core.ErrAlreadyCommitted) {
 		t.Fatalf("double commit: %v", err)
+	}
+}
+
+// TestHandleGetMapHave: a GetMap whose Have is the version the name
+// resolves to answers the file name and that version with a nil map, and
+// builds nothing: the hot-map cache counters do not move. Any other Have —
+// stale after a commit, or naming another timestep — gets the full map.
+func TestHandleGetMapHave(t *testing.T) {
+	m := startManager(t, Config{})
+	for i := 0; i < 4; i++ {
+		id := fmt.Sprintf("have%d:1", i)
+		if err := mcall(t, m.Addr(), proto.MRegister,
+			proto.RegisterReq{ID: core.NodeID(id), Addr: id, Capacity: 1 << 30, Free: 1 << 30}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	getMap := func(req proto.GetMapReq) proto.GetMapResp {
+		t.Helper()
+		var resp proto.GetMapResp
+		if err := mcall(t, m.Addr(), proto.MGetMap, req, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if _, err := DriveCheckpoint(m, "have.n1.t0", 1, 0, 8, 4<<10, false); err != nil {
+		t.Fatal(err)
+	}
+	v1 := getMap(proto.GetMapReq{Name: "have.n1"})
+	if v1.Map == nil || v1.Version != v1.Map.Version || v1.Name != "have.n1.t0" {
+		t.Fatalf("cold fetch = %+v, want the full map of have.n1.t0", v1)
+	}
+
+	before := m.Stats().MapCache
+	for _, name := range []string{"have.n1", "have.n1.t0"} {
+		got := getMap(proto.GetMapReq{Name: name, Have: v1.Version})
+		if got.Map != nil || got.Version != v1.Version || got.Name != "have.n1.t0" {
+			t.Fatalf("GetMap %s with Have %d = %+v, want name and version, no map", name, v1.Version, got)
+		}
+	}
+	if after := m.Stats().MapCache; after != before {
+		t.Fatalf("Have hits moved the hot-map cache: %+v -> %+v", before, after)
+	}
+
+	if _, err := DriveCheckpoint(m, "have.n1.t1", 1, 1, 8, 4<<10, false); err != nil {
+		t.Fatal(err)
+	}
+	v2 := getMap(proto.GetMapReq{Name: "have.n1", Have: v1.Version})
+	if v2.Map == nil || v2.Version == v1.Version || v2.Version != v2.Map.Version || v2.Name != "have.n1.t1" {
+		t.Fatalf("latest after a commit with a stale Have = %+v, want the full map of have.n1.t1", v2)
+	}
+	if old := getMap(proto.GetMapReq{Name: "have.n1.t0", Have: v2.Version}); old.Map == nil || old.Version != v1.Version {
+		t.Fatalf("have.n1.t0 with Have %d = %+v, want the full map of version %d", v2.Version, old, v1.Version)
 	}
 }

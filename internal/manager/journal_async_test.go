@@ -324,7 +324,7 @@ func TestDurabilityFsyncFolderEscalatesCommits(t *testing.T) {
 	if err := commit("durable.n1.t1", 4); err == nil {
 		t.Fatal("DurabilityFsync commit acknowledged although its fsync failed")
 	}
-	if _, _, err := m.cat.getMap("durable.n1.t1", 0); err == nil {
+	if _, _, err := m.cat.getMap("durable.n1.t1", 0, 0); err == nil {
 		t.Fatal("the failed durable commit is visible in the catalog")
 	}
 }

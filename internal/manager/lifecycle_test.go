@@ -178,7 +178,7 @@ func TestDecommissionJournaledAndReplayed(t *testing.T) {
 	m1.decommission("n1")
 	noLocations := func(m *Manager, when string) {
 		t.Helper()
-		_, cm, err := m.cat.getMap("dec.n1", 0)
+		_, cm, err := m.cat.getMap("dec.n1", 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -570,7 +570,7 @@ func (m *Manager) handleGetMaps(req proto.GetMapsReq) (wire.Resp, error) {
 			}
 			continue
 		}
-		fileName, cm, err := m.cat.getMap(name, 0)
+		fileName, cm, err := m.cat.getMap(name, 0, 0)
 		if err != nil {
 			continue
 		}

@@ -151,7 +151,7 @@ func TestCatalogCommitAndGetMap(t *testing.T) {
 	if err := cm.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	name, got, err := c.getMap("app.n1", 0)
+	name, got, err := c.getMap("app.n1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCatalogCOWSharing(t *testing.T) {
 		t.Fatal("wrong chunk orphaned")
 	}
 	// v1 still fully resolvable.
-	_, m, err := c.getMap("cow.n1", 0)
+	_, m, err := c.getMap("cow.n1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestCatalogDeleteWholeDataset(t *testing.T) {
 	if len(orphans) != 2 {
 		t.Fatalf("%d orphans, want 2", len(orphans))
 	}
-	if _, _, err := c.getMap("d.n1", 0); !errors.Is(err, core.ErrNotFound) {
+	if _, _, err := c.getMap("d.n1", 0, 0); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("getMap after delete: %v", err)
 	}
 	if _, err := c.deleteVersion("d.n1", 0); !errors.Is(err, core.ErrNotFound) {

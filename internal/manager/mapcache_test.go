@@ -33,14 +33,14 @@ func TestHotMapCacheServesRepeatGetMaps(t *testing.T) {
 	if _, _, err := c.commit("hot.n1.t0", "hot", 1, 64, false, total, chunks, ""); err != nil {
 		t.Fatal(err)
 	}
-	name1, m1, err := c.getMap("hot.n1", 0)
+	name1, m1, err := c.getMap("hot.n1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := c.maps.snapshot(); s.Hits != 0 || s.Misses != 1 {
 		t.Fatalf("after first getMap: %+v, want 0 hits / 1 miss", s)
 	}
-	name2, m2, err := c.getMap("hot.n1", 0)
+	name2, m2, err := c.getMap("hot.n1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestHotMapCacheServesRepeatGetMaps(t *testing.T) {
 	// Hits return clones: mutating one served map must not poison the
 	// cache for the next reader.
 	m2.Locations[0][0] = "poisoned:1"
-	_, m3, err := c.getMap("hot.n1", 0)
+	_, m3, err := c.getMap("hot.n1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestHotMapCacheCommitInvalidates(t *testing.T) {
 	if _, _, err := c.commit("inv.n1.t0", "inv", 1, 64, false, total, chunks, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.getMap("inv.n1", 0); err != nil {
+	if _, _, err := c.getMap("inv.n1", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	// v+1 shares v1's chunks copy-on-write but adds a replica location.
@@ -95,7 +95,7 @@ func TestHotMapCacheCommitInvalidates(t *testing.T) {
 		t.Fatalf("commit of v+1 recorded %d invalidations, want 1", s.Invalidations)
 	}
 	// The rebuilt v1 map must see the merged location.
-	_, m, err := c.getMap("inv.n1.t0", 0)
+	_, m, err := c.getMap("inv.n1.t0", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestHotMapCacheDeleteInvalidates(t *testing.T) {
 	if _, _, err := c.commit("del.n1.t0", "del", 1, 64, false, total, chunks, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.getMap("del.n1", 0); err != nil {
+	if _, _, err := c.getMap("del.n1", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.deleteVersion("del.n1", 0); err != nil {
@@ -143,7 +143,7 @@ func TestHotMapCachePruneInvalidates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := c.getMap("pr.n1", 0); err != nil {
+	if _, _, err := c.getMap("pr.n1", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	invBefore := c.maps.snapshot().Invalidations
@@ -153,7 +153,7 @@ func TestHotMapCachePruneInvalidates(t *testing.T) {
 	if got := c.maps.snapshot().Invalidations; got != invBefore+1 {
 		t.Fatalf("trim recorded %d invalidations, want %d", got, invBefore+1)
 	}
-	if _, _, err := c.getMap("pr.n1", 0); err != nil {
+	if _, _, err := c.getMap("pr.n1", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	invBefore = c.maps.snapshot().Invalidations
@@ -174,14 +174,14 @@ func TestHotMapCacheReplicaDeathFlushes(t *testing.T) {
 	if _, _, err := c.commit("rd.n1.t0", "rd", 1, 64, false, total, chunks, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.getMap("rd.n1", 0); err != nil {
+	if _, _, err := c.getMap("rd.n1", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	c.dropLocationEverywhere("dead:1")
 	if s := c.maps.snapshot(); s.Invalidations != 1 {
 		t.Fatalf("replica death recorded %d invalidations, want 1", s.Invalidations)
 	}
-	_, m, err := c.getMap("rd.n1", 0)
+	_, m, err := c.getMap("rd.n1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestHotMapCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := m.cat.getMap("off.n1", 0); err != nil {
+		if _, _, err := m.cat.getMap("off.n1", 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +238,7 @@ func TestStatVersionResolvesLikeGetMap(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"sv.n1", "sv.n1.t1"} {
-		gName, gm, err := c.getMap(name, 0)
+		gName, gm, err := c.getMap(name, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -178,8 +178,12 @@ func (m *Manager) handleGetMap(req proto.GetMapReq) (wire.Resp, error) {
 	if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
 		return wire.Resp{}, err
 	}
-	name, cm, err := m.cat.getMap(req.Name, req.Version)
-	return reply(proto.GetMapResp{Name: name, Map: cm}, err)
+	name, cm, err := m.cat.getMap(req.Name, req.Version, req.Have)
+	ver := req.Have
+	if cm != nil {
+		ver = cm.Version
+	}
+	return reply(proto.GetMapResp{Name: name, Version: ver, Map: cm}, err)
 }
 
 func (m *Manager) handleStatVersion(req proto.StatVersionReq) (wire.Resp, error) {

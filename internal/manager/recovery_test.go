@@ -98,7 +98,7 @@ func TestManagerJournalRestartRestoresCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	name, cm, err := m2.cat.getMap("jr.n1", 0)
+	name, cm, err := m2.cat.getMap("jr.n1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCatalogRestoreIdempotentAndCounterSafe(t *testing.T) {
 		t.Fatalf("new version id %d not after restored id 9", cm2.Version)
 	}
 	// Restored map still resolvable with locations intact.
-	_, got, err := c.getMap("r.n1.t0", 0)
+	_, got, err := c.getMap("r.n1.t0", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

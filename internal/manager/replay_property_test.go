@@ -512,7 +512,7 @@ func TestJournalReplayToleratesDeleteCommitInversion(t *testing.T) {
 		if err != nil {
 			t.Fatalf("replay with %d stripes refused the inverted journal: %v", stripes, err)
 		}
-		if _, _, err := m.cat.getMap("inv.nB", 0); err != nil {
+		if _, _, err := m.cat.getMap("inv.nB", 0, 0); err != nil {
 			t.Fatalf("replay with %d stripes lost B's version: %v", stripes, err)
 		}
 		if !m.cat.referenced(x) {

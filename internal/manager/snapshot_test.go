@@ -316,7 +316,7 @@ func TestSnapshotTornJournalAtTruncationBoundary(t *testing.T) {
 	// All 5 snapshot-covered files must be present, plus the intact
 	// suffix: t1 commits minus the torn final record.
 	for i := 0; i < 5; i++ {
-		if _, _, err := m2.cat.getMap(fmt.Sprintf("tt.n%d", i), 0); err != nil {
+		if _, _, err := m2.cat.getMap(fmt.Sprintf("tt.n%d", i), 0, 0); err != nil {
 			t.Fatalf("snapshot-covered dataset tt.n%d lost: %v", i, err)
 		}
 	}
@@ -535,7 +535,7 @@ func TestCrashAtFaultpointsRecoversAcknowledgedCommits(t *testing.T) {
 			}
 			defer m2.Close()
 			for _, name := range acked {
-				if _, _, err := m2.cat.getMap(name, 0); err != nil {
+				if _, _, err := m2.cat.getMap(name, 0, 0); err != nil {
 					t.Fatalf("crash at %s lost acknowledged commit %s: %v", point, name, err)
 				}
 			}

@@ -273,7 +273,7 @@ func TestRetentionPropertyNoLiveChunkOrphaned(t *testing.T) {
 			}
 			sh.runlock()
 			for _, ver := range vers {
-				_, cm, err := c.getMap(key, ver)
+				_, cm, err := c.getMap(key, ver, 0)
 				if err != nil {
 					t.Fatalf("trial %d: surviving %s@%d no longer resolves: %v", trial, key, ver, err)
 				}

@@ -508,15 +508,16 @@ func (r *CommitReq) ParseMeta(b []byte) error {
 	return p.end()
 }
 
-// AppendMeta appends the response's binary meta: name, map.
+// AppendMeta appends the response's binary meta: name, version, map.
 func (r GetMapResp) AppendMeta(dst []byte) []byte {
-	return appendMap(appendString(dst, r.Name), r.Map)
+	dst = binary.AppendUvarint(appendString(dst, r.Name), uint64(r.Version))
+	return appendMap(dst, r.Map)
 }
 
 // ParseMeta decodes AppendMeta's layout.
 func (r *GetMapResp) ParseMeta(b []byte) error {
 	p := parser{b: b}
-	*r = GetMapResp{Name: p.string(), Map: p.chunkMap()}
+	*r = GetMapResp{Name: p.string(), Version: core.VersionID(p.uvarint()), Map: p.chunkMap()}
 	return p.end()
 }
 

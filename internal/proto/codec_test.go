@@ -168,7 +168,7 @@ var binaryMetas = []struct {
 		return r
 	}},
 	{"GetMapResp", func(g *gen) metaCodec {
-		return &GetMapResp{Name: g.str(), Map: g.chunkMap()}
+		return &GetMapResp{Name: g.str(), Version: core.VersionID(g.i64()), Map: g.chunkMap()}
 	}},
 	{"GetMapsResp", func(g *gen) metaCodec { return &GetMapsResp{Maps: g.namedMaps()} }},
 	{"GCReportReq", func(g *gen) metaCodec { return &GCReportReq{ID: core.NodeID(g.str()), IDs: g.ids()} }},
@@ -231,6 +231,8 @@ func FuzzMetaCodec(f *testing.F) {
 		f.Add(seed)
 		f.Add(m.gen(&gen{b: seed}).AppendMeta(nil))
 	}
+	// An "unchanged" map reply: name and version, no map.
+	f.Add(GetMapResp{Name: "app.n1.t9", Version: 9}.AppendMeta(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // a count of 2^63
 	f.Add(binary.AppendUvarint(nil, 1<<40))                                   // a count no input could back
@@ -403,6 +405,19 @@ func TestBinaryIffCarriesChunkIDs(t *testing.T) {
 	if len(listed) != len(binaryMetas) {
 		t.Error("binaryMetas names a message twice")
 	}
+
+	// The conditional map fetch: the request names versions only and stays
+	// JSON; the reply carries its version ahead of the map, which an
+	// "unchanged" answer leaves out.
+	raw, err := wire.MarshalMeta(GetMapReq{Name: "app.n1", Have: 7})
+	var req GetMapReq
+	if err != nil || raw[0] != '{' || wire.UnmarshalMeta(raw, &req) != nil || req.Have != 7 {
+		t.Errorf("GetMapReq{Have: 7} travels as %q (%v) and decodes to %+v", raw, err, req)
+	}
+	enc := GetMapResp{Name: "a", Version: 300}.AppendMeta(nil)
+	if want := []byte{1, 'a', 0xac, 0x02, 0}; !bytes.Equal(enc, want) {
+		t.Errorf("unchanged GetMapResp encodes as % x, want % x (name, version, absent map)", enc, want)
+	}
 }
 
 // TestIDListFitsOneFrame: a registration and a GC report carrying
@@ -465,7 +480,7 @@ func BenchmarkMetaCodec(b *testing.B) {
 		{"HasReq128", &HasReq{IDs: ids[:128]}},
 		{"CommitReq8", commit(8)},
 		{"CommitReq542", commit(542)},
-		{"GetMapResp542", &GetMapResp{Name: "app.n1.t9", Map: cm}},
+		{"GetMapResp542", &GetMapResp{Name: "app.n1.t9", Version: 9, Map: cm}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			raw, _ := wire.MarshalMeta(bc.v)

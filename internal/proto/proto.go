@@ -63,7 +63,8 @@ const (
 	// MHasChunks asks which chunk hashes the system already stores
 	// (incremental checkpointing dedup query).
 	MHasChunks = "m.haschunks"
-	// MGetMap fetches the chunk-map of a committed version.
+	// MGetMap fetches the chunk-map of a committed version, or only the
+	// version when it is the one the caller holds (GetMapReq.Have).
 	MGetMap = "m.getmap"
 	// MGetMaps batch-fetches the latest chunk-maps of several datasets in
 	// one round trip (cross-member map prefetch: a restart storm warms a
@@ -77,10 +78,9 @@ const (
 	// versions of a dataset from their chunk-maps (the catalog query
 	// plane's compare operation; incremental restore's planning input).
 	MDiff = "m.diff"
-	// MStatVersion resolves a name to its committed version identity —
-	// no location payload. It is the lightweight revalidation probe behind
-	// the client's chunk-map cache: a "latest" open asks only "is my cached
-	// map still the newest version?" instead of refetching the full map.
+	// MStatVersion resolves a name, or the newest version committed as of
+	// an instant, to its committed version identity — no location
+	// payload. It is how an as-of open learns which version to serve.
 	MStatVersion = "m.statversion"
 	// MList lists datasets, optionally restricted to a folder.
 	MList = "m.list"
@@ -340,14 +340,19 @@ type AbortReq struct {
 type GetMapReq struct {
 	Name    string         `json:"name"`
 	Version core.VersionID `json:"version,omitempty"`
+	// Have is the version of this name's map the caller already holds
+	// (0 = none). When the name resolves to it, the reply carries no map.
+	Have core.VersionID `json:"have,omitempty"`
 	// PartitionEpoch mirrors AllocReq.PartitionEpoch.
 	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
 }
 
-// GetMapResp carries the chunk-map.
+// GetMapResp carries the resolved version and its chunk-map. Map is nil
+// when Version is the request's Have: the caller's copy is current.
 type GetMapResp struct {
-	Name string         `json:"name"`
-	Map  *core.ChunkMap `json:"map"`
+	Name    string         `json:"name"`
+	Version core.VersionID `json:"version"`
+	Map     *core.ChunkMap `json:"map"`
 }
 
 // GetMapsReq batch-fetches the latest chunk-maps of several datasets
@@ -606,9 +611,9 @@ type ManagerStats struct {
 	DedupChunks  int64 `json:"dedupChunks"`
 	DedupHits    int64 `json:"dedupHits"`
 	// GetMaps counts MGetMap RPCs and StatVersions the MStatVersion
-	// revalidation probes. A warm client chunk-map cache shows up here
+	// (as-of) resolutions. A warm client chunk-map cache shows up here
 	// directly: explicit-version re-opens add to neither, "latest"
-	// re-opens add one StatVersion and zero GetMaps.
+	// re-opens one GetMap answered without a map (and no MapCache lookup).
 	GetMaps      int64 `json:"getMaps"`
 	StatVersions int64 `json:"statVersions"`
 	// Histories and Diffs count the catalog query plane's MHistory and

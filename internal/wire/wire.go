@@ -10,7 +10,7 @@
 //
 // and the header is a fixed layout, decoded without reflection:
 //
-//	version  1 byte, frameVersion (3)
+//	version  1 byte, frameVersion (4)
 //	flags    1 byte, bit 0 = an error string follows the op
 //	sid      uvarint session tag, 0 = untagged
 //	op       uvarint length + bytes
@@ -50,10 +50,10 @@ const (
 	// MaxBodyLen bounds a bulk body (a chunk plus slack).
 	MaxBodyLen = 256 << 20
 	// frameVersion is the first byte of every control header. It changes
-	// when the header layout or a message's binary meta layout does (3:
-	// GetMapResp lost its as-of flag); a peer speaking any other version
-	// is refused with ErrFrameVersion.
-	frameVersion = 3
+	// when the header layout or a message's binary meta layout does (4:
+	// GetMapResp gained the resolved version); a peer speaking any other
+	// version is refused with ErrFrameVersion.
+	frameVersion = 4
 )
 
 // flagErr marks a header that carries an error string after the op.
