@@ -577,8 +577,7 @@ func cmdStats(args []string) error {
 	fmt.Printf("logical bytes: %d, stored bytes: %d\n", s.LogicalBytes, s.StoredBytes)
 	fmt.Printf("active sessions: %d, transactions: %d\n", s.ActiveSessions, s.Transactions)
 	fmt.Printf("dedup probes: %d rpcs / %d chunks, hits: %d\n", s.DedupBatches, s.DedupChunks, s.DedupHits)
-	fmt.Printf("map fetches: %d, as-of resolutions: %d, hot-map cache: %d hits / %d misses / %d invalidations\n",
-		s.GetMaps, s.StatVersions, s.MapCache.Hits, s.MapCache.Misses, s.MapCache.Invalidations)
+	fmt.Printf("map fetches: %d, as-of resolutions: %d\n", s.GetMaps, s.StatVersions)
 	fmt.Printf("catalog queries: %d histories, %d diffs, %d prefetch batches\n",
 		s.Histories, s.Diffs, s.PrefetchBatches)
 	fmt.Printf("replicas copied: %d, chunks collected: %d, versions pruned: %d\n",

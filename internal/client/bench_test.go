@@ -44,16 +44,16 @@ func BenchmarkEmitChunkPipelineCbCH(b *testing.B) {
 // job gates allocs/op on this path.
 func BenchmarkOpenRead(b *testing.B) {
 	for _, variant := range []struct {
-		name         string
-		cacheEntries int
-		version      bool // open by explicit version
+		name    string
+		cached  bool
+		version bool // open by explicit version
 	}{
-		{"version-cached", 0, true},
-		{"latest-cached", 0, false},
-		{"latest-uncached", -1, false},
+		{"version-cached", true, true},
+		{"latest-cached", true, false},
+		{"latest-uncached", false, false},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
-			benchOpenRead(b, variant.cacheEntries, variant.version)
+			benchOpenRead(b, variant.cached, variant.version)
 		})
 	}
 }
@@ -289,19 +289,21 @@ func benchReadPath(b *testing.B, cfg client.Config) {
 	}
 }
 
-func benchOpenRead(b *testing.B, cacheEntries int, byVersion bool) {
+func benchOpenRead(b *testing.B, cached, byVersion bool) {
 	mgr := benchCluster(b, nil)
 	cl, err := client.New(client.Config{
-		ManagerAddr:     mgr.Addr(),
-		StripeWidth:     4,
-		ChunkSize:       64 << 10,
-		Replication:     1,
-		MapCacheEntries: cacheEntries,
+		ManagerAddr: mgr.Addr(),
+		StripeWidth: 4,
+		ChunkSize:   64 << 10,
+		Replication: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer cl.Close()
+	if !cached {
+		client.DisableMapCache(cl)
+	}
 
 	const name = "bench.n2.t0"
 	w, err := cl.Create(name)

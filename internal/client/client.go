@@ -158,13 +158,6 @@ type Config struct {
 	// flight, so ReadAheadBytes at or below the smallest chunk is
 	// stop-and-wait: one chunk request outstanding.
 	ReadAheadBytes int64
-	// MapCacheEntries bounds the client's chunk-map cache (see mapCache):
-	// explicit-version re-opens hit it with zero manager RPCs, "latest"
-	// opens send one MGetMap that carries no map back while the cached
-	// version is current. 0 selects the default (256 entries); negative
-	// disables caching — every open then fetches the full map, the
-	// baseline the package's benchmarks and tests compare the cache against.
-	MapCacheEntries int
 	// Writer is an optional identity stamped on every version this client
 	// commits, surfaced in the dataset's version history (provenance: which
 	// job/rank wrote each checkpoint). Empty leaves lineage anonymous.
@@ -279,10 +272,6 @@ func New(cfg Config) (*Client, error) {
 		return nil, errors.New("client: ManagerAddr or Endpoint is required")
 	}
 	cfg = cfg.withDefaults()
-	cacheEntries := cfg.MapCacheEntries
-	if cacheEntries == 0 {
-		cacheEntries = defaultClientMapCacheEntries
-	}
 	mgr := cfg.Endpoint
 	if mgr == nil {
 		r, err := federation.NewRouter(federation.RouterConfig{
@@ -299,7 +288,7 @@ func New(cfg Config) (*Client, error) {
 		cfg:        cfg,
 		dataPool:   wire.NewSharedPool(cfg.Shaper, dataPoolConnsPerAddr),
 		mgr:        mgr,
-		maps:       newMapCache(cacheEntries),
+		maps:       newMapCache(mapCacheEntries),
 		benefAddrs: make(map[core.NodeID]string),
 	}, nil
 }

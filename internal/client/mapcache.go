@@ -17,18 +17,18 @@ import (
 // the owner answers with no map when the name still resolves to it, and
 // only a genuinely new version pays for the full map.
 //
-// This is the client half of the restart fast path: a DMTCP-style restart
-// storm re-opens the same checkpoint from every process of a job, and
-// without the cache each open is a full map fetch (§IV.E read
-// performance; the manager-side hotMapCache covers the server half).
+// This is the restart fast path: a process that re-opens a checkpoint it
+// has opened before pays no map transfer (§IV.E read performance). The
+// manager keeps no such cache; it builds every map it sends from its
+// current replica sets.
 //
-// Staleness: cached location sets can lag replicas added after the fetch
-// (benign — locations only grow while a version lives) and, for
-// explicit-version hits, cannot see deletes or replica death on the
-// manager. The reader's per-chunk replica failover absorbs individual
-// stale locations; a fully stale map surfaces as a read error, and
-// re-opening after Invalidate gives the fresh view. A TTL for long-lived
-// caches under replica churn is a recorded follow-on.
+// Staleness: cached location sets lag replicas repair added after the
+// fetch and, for explicit-version hits, cannot see deletes or replica
+// death on the manager. The reader's per-chunk replica failover walks
+// every location the map names; when all of a chunk's have failed, the
+// Reader fetches that version's map once more and installs it here (see
+// Reader.untried), so a donor lost after repair costs one map fetch, not
+// the read.
 type mapCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -53,13 +53,14 @@ type mapCacheEntry struct {
 	m *core.ChunkMap
 }
 
-// defaultClientMapCacheEntries bounds the client cache when the config
-// does not. A restarting job re-opens a handful of datasets; 256 covers
-// generous multi-dataset jobs while keeping worst-case memory modest.
-const defaultClientMapCacheEntries = 256
+// mapCacheEntries bounds the client cache. A restarting job re-opens a
+// handful of datasets; 256 covers generous multi-dataset jobs while
+// keeping worst-case memory modest.
+const mapCacheEntries = 256
 
 // newMapCache builds a cache of up to capEntries maps; capEntries <= 0
-// disables caching (Config.MapCacheEntries < 0, the benchmark baseline).
+// disables caching (the baseline the package's tests and BenchmarkOpenRead
+// compare the cache against).
 func newMapCache(capEntries int) *mapCache {
 	c := &mapCache{cap: capEntries}
 	if capEntries > 0 {

@@ -171,11 +171,16 @@ func (f *fakeMetadata) ManagerStats() (proto.ManagerStats, error) {
 func (f *fakeMetadata) Benefactors() ([]core.BenefactorInfo, error) { return nil, nil }
 func (f *fakeMetadata) Close() error                                { return nil }
 
+// cacheTestClient builds a client over f whose chunk-map cache holds up
+// to entries maps: 0 keeps the built-in size, negative disables it.
 func cacheTestClient(t *testing.T, f *fakeMetadata, entries int) *Client {
 	t.Helper()
-	c, err := New(Config{Endpoint: f, MapCacheEntries: entries})
+	c, err := New(Config{Endpoint: f})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if entries != 0 {
+		c.maps = newMapCache(entries)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
@@ -377,8 +382,8 @@ func TestMapCacheDeleteInvalidates(t *testing.T) {
 	}
 }
 
-// TestMapCacheDisabled: MapCacheEntries < 0 restores the historical
-// behavior — every open is one full getMap, never an "unchanged" reply.
+// TestMapCacheDisabled: with the cache off every open is one full getMap,
+// never an "unchanged" reply.
 func TestMapCacheDisabled(t *testing.T) {
 	f := newFakeMetadata()
 	f.commit("app.n1", 1, []core.NodeID{"b1:1"})
@@ -395,7 +400,7 @@ func TestMapCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestMapCacheLRUEviction: the cache holds at most MapCacheEntries maps;
+// TestMapCacheLRUEviction: the cache holds at most its capacity in maps;
 // the least recently used falls out first.
 func TestMapCacheLRUEviction(t *testing.T) {
 	f := newFakeMetadata()

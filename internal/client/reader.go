@@ -3,11 +3,13 @@ package client
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"stdchk/internal/core"
+	"stdchk/internal/namespace"
 	"stdchk/internal/proto"
 	"stdchk/internal/wire"
 )
@@ -75,8 +77,9 @@ func (b *baseline) chunk(ref core.ChunkRef) ([]byte, bool) {
 // integrity failure — demotes only the affected chunks to that per-chunk
 // fetch, which walks the chunk's replicas over the same pool; chunks the
 // batch did serve are never re-fetched (per-chunk, not per-batch,
-// failover). ReadAheadBytes at or below the smallest chunk is
-// stop-and-wait.
+// failover). A chunk whose every listed replica failed costs the Reader
+// one re-fetch of its version's map, for replicas repair added since the
+// open. ReadAheadBytes at or below the smallest chunk is stop-and-wait.
 type Reader struct {
 	c    *Client
 	name string
@@ -95,6 +98,11 @@ type Reader struct {
 	// base, when non-nil, serves chunks shared with a local baseline
 	// version without touching the network (incremental restore).
 	base *baseline
+	// refresh guards the one re-fetch of this version's map a Reader may
+	// make, and fresh holds its answer (nil if it failed or never ran);
+	// see untried.
+	refresh sync.Once
+	fresh   *core.ChunkMap
 
 	// bytesFetched / bytesLocal split the bytes handed to the application
 	// by source: network fetches vs. hash-verified local baseline copies.
@@ -451,8 +459,8 @@ func (r *Reader) fetchBatch(node core.NodeID, items []batchItem) {
 }
 
 // fetch retrieves one chunk, trying each replica in the preference order
-// installed at open time and verifying content integrity against the
-// chunk's content-based name.
+// installed at open time, then any replica the version's current map adds
+// (untried).
 func (r *Reader) fetch(idx int, ch chan<- fetchResult) {
 	ref := r.cm.Chunks[idx]
 	if r.base != nil {
@@ -466,9 +474,26 @@ func (r *Reader) fetch(idx int, ch chan<- fetchResult) {
 			return
 		}
 	}
-	locs := r.locs[idx]
+	body, err := r.fetchFrom(idx, r.locs[idx])
+	if err != nil {
+		if more := r.untried(idx); len(more) > 0 {
+			body, err = r.fetchFrom(idx, more)
+		}
+	}
+	if err != nil {
+		ch <- fetchResult{err: fmt.Errorf("reader: %w", err)}
+		return
+	}
+	r.bytesFetched.Add(int64(len(body)))
+	ch <- fetchResult{data: body}
+}
+
+// fetchFrom tries nodes in order for chunk idx, verifying content
+// integrity against the chunk's content-based name.
+func (r *Reader) fetchFrom(idx int, nodes []core.NodeID) ([]byte, error) {
+	ref := r.cm.Chunks[idx]
 	var lastErr error
-	for _, node := range locs {
+	for _, node := range nodes {
 		addr, err := r.resolve(node)
 		if err != nil {
 			lastErr = err
@@ -484,14 +509,46 @@ func (r *Reader) fetch(idx int, ch chan<- fetchResult) {
 			wire.PutBuf(body)
 			continue
 		}
-		r.bytesFetched.Add(int64(len(body)))
-		ch <- fetchResult{data: body}
-		return
+		return body, nil
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("chunk %d has no replicas: %w", idx, core.ErrNotFound)
 	}
-	ch <- fetchResult{err: fmt.Errorf("reader: %w", lastErr)}
+	return nil, lastErr
+}
+
+// untried returns the replicas of chunk idx that the version's current
+// map names and the open-time map did not: background repair may have
+// copied the chunk since that map was fetched, perhaps long ago into the
+// client cache. The first call fetches the version's map again — by
+// version, with no Have, since the cached copy is the stale one — and
+// installs it in the client cache; later calls reuse that answer, so a
+// Reader asks at most once. A closed Reader asks nothing.
+func (r *Reader) untried(idx int) []core.NodeID {
+	r.refresh.Do(func() {
+		r.mu.Lock()
+		closed := r.closed
+		r.mu.Unlock()
+		if closed {
+			return
+		}
+		resp, err := r.c.mgr.GetMap(proto.GetMapReq{Name: r.name, Version: r.cm.Version})
+		if err != nil || resp.Map == nil || len(resp.Map.Locations) != len(r.cm.Chunks) {
+			return
+		}
+		r.c.maps.put(namespace.DatasetOf(resp.Name), resp.Name, resp.Map)
+		r.fresh = resp.Map
+	})
+	if r.fresh == nil {
+		return nil
+	}
+	var more []core.NodeID
+	for _, node := range r.fresh.Locations[idx] {
+		if !slices.Contains(r.locs[idx], node) {
+			more = append(more, node)
+		}
+	}
+	return more
 }
 
 // resolve maps a benefactor node ID to its current address. Node IDs

@@ -35,8 +35,7 @@ import (
 //     client reuses its cached map.
 //
 // The JSON records carry the per-phase manager RPC deltas (getMaps,
-// statVersions) and the manager-side hot-map cache counters, so the
-// zero-RPC warm-path claim is asserted, not eyeballed
+// statVersions), so the zero-RPC warm-path claim is asserted, not eyeballed
 // (TestRestartLoadSmoke gates it in CI). The cache-off baseline, where
 // every open pays a full MGetMap, is a historical row in EXPERIMENTS.md.
 //
@@ -63,7 +62,6 @@ func RestartLoad(cfg Config) error {
 		OpensPerSec  float64 `json:"opensPerSec"`
 		GetMaps      int64   `json:"getMaps"`
 		StatVersions int64   `json:"statVersions"`
-		MgrCacheHits int64   `json:"managerMapCacheHits"`
 	}
 
 	jdir, err := os.MkdirTemp("", "stdchk-restartload")
@@ -123,8 +121,8 @@ func RestartLoad(cfg Config) error {
 
 	fmt.Fprintf(cfg.Out, "Restart storm (§V read path): %d readers x %d datasets through a %d-manager router, cold vs warm chunk-map caches\n",
 		readersSweep[len(readersSweep)-1], datasets, managers)
-	fmt.Fprintf(cfg.Out, "%-9s %8s %6s %10s %12s %10s %14s %10s\n",
-		"mode", "readers", "phase", "opens", "opens/s", "getMaps", "statVersions", "mgr hits")
+	fmt.Fprintf(cfg.Out, "%-9s %8s %6s %10s %12s %10s %14s\n",
+		"mode", "readers", "phase", "opens", "opens/s", "getMaps", "statVersions")
 
 	var cells []cell
 	openOne := func(cl *client.Client, mode string, d int) error {
@@ -197,19 +195,17 @@ func RestartLoad(cfg Config) error {
 					OpensPerSec:  float64(opens) / elapsed.Seconds(),
 					GetMaps:      after.GetMaps - before.GetMaps,
 					StatVersions: after.StatVersions - before.StatVersions,
-					MgrCacheHits: after.MapCache.Hits - before.MapCache.Hits,
 				}
 				cells = append(cells, cl)
-				fmt.Fprintf(cfg.Out, "%-9s %8d %6s %10d %12.0f %10d %14d %10d\n",
-					mode, readers, phase, cl.Opens, cl.OpensPerSec, cl.GetMaps, cl.StatVersions, cl.MgrCacheHits)
+				fmt.Fprintf(cfg.Out, "%-9s %8d %6s %10d %12.0f %10d %14d\n",
+					mode, readers, phase, cl.Opens, cl.OpensPerSec, cl.GetMaps, cl.StatVersions)
 			}
 			for _, cl := range clients {
 				cl.Close()
 			}
 		}
 	}
-	fmt.Fprintf(cfg.Out, "warm re-opens: explicit-version = zero manager RPCs, latest = one MGetMap (unchanged reply) each;\n")
-	fmt.Fprintf(cfg.Out, "cold opens share the manager's hot-map cache (one location sort per version, not per reader)\n")
+	fmt.Fprintf(cfg.Out, "warm re-opens: explicit-version = zero manager RPCs, latest = one MGetMap (unchanged reply) each\n")
 	fmt.Fprintf(cfg.Out, "paper: read performance minimizes restart delays (§IV.A); 1-CPU boxes time-slice readers, see EXPERIMENTS.md\n\n")
 
 	restartCells, err := restartRecoveryCells(cfg, jdir)

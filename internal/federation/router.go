@@ -510,9 +510,6 @@ func MergeStats(all []proto.ManagerStats) proto.ManagerStats {
 		agg.Histories += st.Histories
 		agg.Diffs += st.Diffs
 		agg.PrefetchBatches += st.PrefetchBatches
-		agg.MapCache.Hits += st.MapCache.Hits
-		agg.MapCache.Misses += st.MapCache.Misses
-		agg.MapCache.Invalidations += st.MapCache.Invalidations
 		agg.ReplicasCopied += st.ReplicasCopied
 		// Repair gauges and counters are partition-local work, so they sum
 		// like the other partitioned quantities.

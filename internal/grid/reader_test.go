@@ -105,6 +105,59 @@ func TestDefaultReaderFailsOverPerChunk(t *testing.T) {
 	}
 }
 
+// TestReadAfterRepairAndDonorDeath: a map fetched before background
+// repair lists one replica per chunk. Once repair has copied every chunk
+// and a donor stops, a read must find the copies — through a fresh client,
+// whose map the manager builds from its current replica sets, and through
+// the client that read before repair, whose cached map the manager
+// confirms as "unchanged" and whose Reader fetches the version's map again
+// when every replica it lists for a chunk has failed.
+func TestReadAfterRepairAndDonorDeath(t *testing.T) {
+	const chunk = 16 << 10
+	c := testCluster(t, 3, manager.Config{
+		HeartbeatInterval:   100 * time.Millisecond,
+		ReplicationInterval: 50 * time.Millisecond,
+		DefaultReplication:  2,
+		// One chunk copied per round: the first read below comes long
+		// before repair has finished.
+		RepairBytesPerRound: chunk,
+	})
+	cfg := client.Config{StripeWidth: 3, ChunkSize: chunk, Replication: 2}
+	cl := testClient(t, c, cfg)
+	data := payload(76, 24*chunk)
+	writeFile(t, cl, "repaired.n1.t0", data)
+	if got := readFile(t, cl, "repaired.n1"); !bytes.Equal(got, data) {
+		t.Fatal("read before repair is not byte-identical")
+	}
+
+	awaitReplicationTargets(t, c, 10*time.Second)
+	if err := c.StopBenefactor(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		cl   *client.Client
+	}{
+		{"fresh-client", testClient(t, c, cfg)},
+		{"same-client", cl},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			r, err := arm.cl.Open("repaired.n1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			got, err := r.ReadAll()
+			if err != nil {
+				t.Fatalf("read after repair and donor death: %v", err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("read after repair and donor death is not byte-identical")
+			}
+		})
+	}
+}
+
 // stopNode stops the benefactor with the given node ID.
 func stopNode(t *testing.T, c *Cluster, id core.NodeID) {
 	t.Helper()

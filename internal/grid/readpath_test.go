@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -17,10 +18,9 @@ import (
 // TestReadPathCacheEndToEnd drives the whole read fast path over real
 // sockets: repeat opens are served by the client chunk-map cache (zero
 // RPCs for explicit versions; for latest, one MGetMap whose reply carries
-// no map and builds nothing on the manager), a second client's cold opens
-// hit the manager-side hot-map cache, and — the correctness half — a
-// commit of version v+1 invalidates both layers so "latest" never serves
-// stale bytes.
+// no map and builds nothing on the manager), a second client's cold open
+// is one MGetMap returning the identical map, and — the correctness half —
+// after a commit of version v+1 "latest" never serves stale bytes.
 func TestReadPathCacheEndToEnd(t *testing.T) {
 	c, err := Start(Options{
 		Benefactors:       3,
@@ -53,7 +53,7 @@ func TestReadPathCacheEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	readLatest := func(cl *client.Client) []byte {
+	readLatestMap := func(cl *client.Client) ([]byte, *core.ChunkMap) {
 		t.Helper()
 		r, err := cl.Open("rp.n1")
 		if err != nil {
@@ -64,6 +64,11 @@ func TestReadPathCacheEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		return got, r.Map()
+	}
+	readLatest := func(cl *client.Client) []byte {
+		t.Helper()
+		got, _ := readLatestMap(cl)
 		return got
 	}
 
@@ -75,11 +80,12 @@ func TestReadPathCacheEndToEnd(t *testing.T) {
 	}
 	base := c.Stats()
 
-	// Warm latest re-open: one GetMap answered "unchanged" (no map built,
-	// the manager's hot-map cache untouched), served from the client
-	// cache, and the bytes still verify (integrity is checked per chunk).
+	// Warm latest re-open: one GetMap answered "unchanged" (no map built),
+	// served from the client cache, and the bytes still verify (integrity
+	// is checked per chunk).
 	hits := cl1.MapCacheStats().Hits
-	if got := readLatest(cl1); !bytes.Equal(got, v1) {
+	warm, warmMap := readLatestMap(cl1)
+	if !bytes.Equal(warm, v1) {
 		t.Fatal("warm open read wrong bytes")
 	}
 	after := c.Stats()
@@ -89,24 +95,25 @@ func TestReadPathCacheEndToEnd(t *testing.T) {
 	if d := after.StatVersions - base.StatVersions; d != 0 {
 		t.Fatalf("warm latest re-open issued %d statVersions, want 0", d)
 	}
-	if after.MapCache != base.MapCache {
-		t.Fatalf("warm latest re-open moved the manager's hot-map cache: %+v -> %+v", base.MapCache, after.MapCache)
-	}
 	if d := cl1.MapCacheStats().Hits - hits; d != 1 {
 		t.Fatalf("warm latest re-open recorded %d client cache hits, want 1", d)
 	}
 
-	// A second client is cold client-side but the manager has the map
-	// memoized: its fetch must be a hot-map cache hit.
-	if got := readLatest(cl2); !bytes.Equal(got, v1) {
+	// A second client is cold client-side: its fetch is one GetMap, and
+	// the map the manager builds for it is the one the first client holds.
+	cold, coldMap := readLatestMap(cl2)
+	if !bytes.Equal(cold, v1) {
 		t.Fatal("second client read wrong bytes")
 	}
 	after2 := c.Stats()
-	if d := after2.MapCache.Hits - after.MapCache.Hits; d != 1 {
-		t.Fatalf("second client's fetch recorded %d hot-map cache hits, want 1", d)
+	if d := after2.GetMaps - after.GetMaps; d != 1 {
+		t.Fatalf("second client's open issued %d getMaps, want 1", d)
+	}
+	if !reflect.DeepEqual(coldMap, warmMap) {
+		t.Fatalf("second client's map differs from the first's:\n%+v\n%+v", coldMap, warmMap)
 	}
 
-	// Version v+1: both cache layers must be invalidated — a stale
+	// Version v+1: the client cache must not answer for it — a stale
 	// "latest" would return v1's bytes.
 	v2 := fedImage(52, 64<<10)
 	write("rp.n1.t1", v2)

@@ -1,8 +1,10 @@
 package manager
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,14 +38,6 @@ import (
 type catalog struct {
 	ds []*datasetShard // len is a power of two
 	ck []*chunkShard   // len is a power of two
-
-	// maps memoizes wire-ready chunk-maps per (dataset, version) so
-	// repeat getMaps — the restart-storm shape — skip the per-chunk
-	// location sorting and chunk-stripe lock traffic of buildMap. It is
-	// consulted and filled under the dataset stripe's RLock and
-	// invalidated by commit/delete/restore (dataset-scoped, under the
-	// stripe's write lock) and replica death (full flush). Leaf lock.
-	maps *hotMapCache
 
 	nextDataset  atomic.Uint64
 	nextVersion  atomic.Uint64
@@ -201,9 +195,8 @@ func newCatalog() *catalog { return newCatalogStripes(defaultStripes) }
 func newCatalogStripes(stripes int) *catalog {
 	n := normalizeStripes(stripes)
 	c := &catalog{
-		ds:   make([]*datasetShard, n),
-		ck:   make([]*chunkShard, n),
-		maps: newHotMapCache(defaultMapCacheEntries),
+		ds: make([]*datasetShard, n),
+		ck: make([]*chunkShard, n),
 	}
 	for i := range c.ds {
 		c.ds[i] = &datasetShard{byName: make(map[string]*dataset)}
@@ -529,8 +522,9 @@ func commitPlan(fileName string, chunkSize int64, variable bool, fileSize int64,
 
 // commit atomically publishes a version. Chunks without explicit locations
 // must already exist in the content index (copy-on-write reuse); chunks
-// with locations are new uploads. Returns the version and the number of
-// newly stored bytes.
+// with locations are new uploads. Returns the version's identity and the
+// number of newly stored bytes; the map itself is built only when read
+// (getMap).
 //
 // Copy-on-write sharing is purely content-addressed, so versions committed
 // with different chunking regimes — or different CbCH boundary sets — share
@@ -545,15 +539,15 @@ func commitPlan(fileName string, chunkSize int64, variable bool, fileSize int64,
 // commit already holds a reference to, and a commit that fails validation
 // was never observable by dedup probes or copy-on-write validation — the
 // same all-or-nothing visibility the single-lock catalog gave.
-func (c *catalog) commit(fileName string, folder string, replication int, chunkSize int64, variable bool, fileSize int64, chunks []proto.CommitChunk, writer string) (*core.ChunkMap, int64, error) {
+func (c *catalog) commit(fileName string, folder string, replication int, chunkSize int64, variable bool, fileSize int64, chunks []proto.CommitChunk, writer string) (core.DatasetID, core.VersionID, int64, error) {
 	key := namespace.DatasetOf(fileName)
 	refs, charges, err := commitPlan(fileName, chunkSize, variable, fileSize, chunks)
 	if err != nil {
-		return nil, 0, err
+		return 0, 0, 0, err
 	}
 	newBytes, err := c.chargeChunks(fileName, charges)
 	if err != nil {
-		return nil, 0, err
+		return 0, 0, 0, err
 	}
 
 	sh := c.dsShardOf(key)
@@ -589,7 +583,7 @@ func (c *catalog) commit(fileName string, folder string, replication int, chunkS
 			}
 			sh.unlock()
 			c.unchargeChunks(charges)
-			return nil, 0, fmt.Errorf("commit %s: journal: %w", fileName, err)
+			return 0, 0, 0, fmt.Errorf("commit %s: journal: %w", fileName, err)
 		}
 	}
 	if replication > 0 {
@@ -608,18 +602,13 @@ func (c *catalog) commit(fileName string, folder string, replication int, chunkS
 	}
 	ds.versions = append(ds.versions, v)
 	c.logicalBytes.Add(fileSize)
-	// Drop the dataset's memoized maps while the write lock is held: the
-	// version chain changed, and chargeChunks may have merged fresh
-	// locations into chunks earlier versions share.
-	c.maps.invalidateDataset(key)
-	m := c.buildMap(ds, v)
 	// Confirm inside the dataset critical section: the instant the version
 	// becomes visible (lock release) its chunks are published, and no
 	// delete of this version can interleave between publish and confirm
 	// (which could otherwise decrement a re-created entry's pending count).
 	c.confirmChunks(charges)
 	sh.unlock()
-	return m, newBytes, nil
+	return ds.id, verID, newBytes, nil
 }
 
 // buildMap materializes a core.ChunkMap for a version, with current
@@ -646,7 +635,7 @@ func (c *catalog) buildMap(ds *dataset, v *version) *core.ChunkMap {
 			for id := range e.locations {
 				locs = append(locs, id)
 			}
-			sort.Slice(locs, func(a, b int) bool { return locs[a] < locs[b] })
+			slices.Sort(locs)
 			m.Locations[i] = locs
 		}
 	})
@@ -662,20 +651,29 @@ func (c *catalog) forEachRefShard(refs []core.ChunkRef, instrumented bool, fn fu
 	if len(refs) == 0 {
 		return
 	}
-	byShard := make(map[uint32][]int)
-	for i, ref := range refs {
-		si := c.ckIndexOf(ref.ID)
-		byShard[si] = append(byShard[si], i)
+	// Ref indices sorted by stripe: each stripe's share is one run, and the
+	// grouping costs one allocation whatever the map's size.
+	shard := func(i int) uint32 { return c.ckIndexOf(refs[i].ID) }
+	order := make([]int, len(refs))
+	for i := range order {
+		order[i] = i
 	}
-	for si, idx := range byShard {
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(shard(a), shard(b)) })
+	for start := 0; start < len(order); {
+		si := shard(order[start])
+		end := start + 1
+		for end < len(order) && shard(order[end]) == si {
+			end++
+		}
 		sh := c.ck[si]
 		if instrumented {
 			sh.rlock()
 		} else {
 			sh.mu.RLock()
 		}
-		fn(sh, idx)
+		fn(sh, order[start:end])
 		sh.runlock()
+		start = end
 	}
 }
 
@@ -683,16 +681,15 @@ func (c *catalog) forEachRefShard(refs []core.ChunkRef, instrumented bool, fn fu
 // means the latest version; a full A.Ni.Tj name selects that timestep's
 // version if present. When the name resolves to have (non-zero), the
 // caller already holds that map: getMap answers the file name and a nil
-// map, building nothing and leaving the hot-map cache untouched.
+// map, building nothing.
 //
-// The hot-map cache sits in front of buildMap: a hit serves a clone of
-// the memoized wire-ready map (locations already sorted) with no chunk
-// stripe traffic; a miss builds, serves, and memoizes. Both run under the
-// dataset stripe's RLock, so a commit or delete of this dataset (write
-// lock) can never interleave between version resolution and cache fill.
+// Otherwise every call builds the map afresh under the dataset stripe's
+// RLock, so a served map always carries the content index's current
+// replica sets — including replicas background repair added after the
+// commit — and no commit or delete of this dataset can interleave between
+// version resolution and the build.
 func (c *catalog) getMap(name string, ver, have core.VersionID) (string, *core.ChunkMap, error) {
-	key := namespace.DatasetOf(name)
-	sh := c.dsShardOf(key)
+	sh := c.dsShardOf(namespace.DatasetOf(name))
 	sh.rlock()
 	defer sh.runlock()
 	ds, v, err := c.lookupLocked(sh, name, ver)
@@ -702,13 +699,7 @@ func (c *catalog) getMap(name string, ver, have core.VersionID) (string, *core.C
 	if v.id == have {
 		return v.fileName, nil, nil
 	}
-	if fileName, m := c.maps.get(key, v.id); m != nil {
-		return fileName, m, nil
-	}
-	gen := c.maps.generation()
-	m := c.buildMap(ds, v)
-	c.maps.put(gen, key, v.fileName, m.Clone())
-	return v.fileName, m, nil
+	return v.fileName, c.buildMap(ds, v), nil
 }
 
 // statVersion resolves a name to its committed version identity — the
@@ -897,9 +888,8 @@ func appendRange(rs []proto.ByteRange, off, n int64) []proto.ByteRange {
 // funnel through it. It journals one "delete" entry per victim BEFORE
 // any effect becomes visible (mirroring commit's ordering — and closing
 // the old gap where trim/purge removals were never journaled, so replay
-// resurrected pruned versions), invalidates the dataset's hot maps in
-// exactly one place, dereferences the victims' chunks, and removes the
-// dataset entirely when no version survives.
+// resurrected pruned versions), dereferences the victims' chunks, and
+// removes the dataset entirely when no version survives.
 //
 // Callers hold sh's write lock and pass victims ∪ kept == ds.versions.
 // A journal failure aborts with nothing applied; entries already
@@ -917,9 +907,6 @@ func (c *catalog) removeVersionsLocked(sh *datasetShard, ds *dataset, victims, k
 			}
 		}
 	}
-	// A removed version must not be servable from the hot-map cache: its
-	// chunks may lose their last reference and be garbage collected.
-	c.maps.invalidateDataset(ds.name)
 	orphans := c.dropVersions(victims)
 	ds.versions = kept
 	if len(ds.versions) == 0 {
@@ -1033,32 +1020,22 @@ func (c *catalog) adoptLocation(id core.ChunkID, node core.NodeID) bool {
 }
 
 // dropLocation removes one replica location of one chunk (scrub-reported
-// corruption) and reports whether it existed. A real drop flushes the
-// hot-map cache: a cached map pointing at the quarantined replica would
-// send readers to a chunk the node just deleted.
+// corruption) and reports whether it existed.
 func (c *catalog) dropLocation(id core.ChunkID, node core.NodeID) bool {
 	sh := c.ck[c.ckIndexOf(id)]
 	sh.lock()
+	defer sh.unlock()
 	e, ok := sh.chunks[id]
 	if ok {
 		_, ok = e.locations[node]
 		delete(e.locations, node)
-	}
-	sh.unlock()
-	if ok {
-		c.maps.invalidateAll()
 	}
 	return ok
 }
 
 // dropLocationEverywhere removes a node from all chunk location sets
 // (permanent decommission; not used for mere offline transitions, where
-// the node may come back with its chunks intact). This is the one event
-// that shrinks location sets while versions stay alive, so the whole
-// hot-map cache is flushed: a node's chunks span datasets, and a cached
-// map pointing at the dead replica would defeat reader failover. The
-// flush runs after the scrub — its generation bump also discards any map
-// built concurrently from half-scrubbed stripes. Returns the number of
+// the node may come back with its chunks intact). Returns the number of
 // locations dropped (decommission telemetry).
 func (c *catalog) dropLocationEverywhere(node core.NodeID) int {
 	dropped := 0
@@ -1072,7 +1049,6 @@ func (c *catalog) dropLocationEverywhere(node core.NodeID) int {
 		}
 		sh.unlock()
 	}
-	c.maps.invalidateAll()
 	return dropped
 }
 

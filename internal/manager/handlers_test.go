@@ -6,7 +6,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"reflect"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,6 +32,18 @@ func startManager(t *testing.T, cfg Config) *Manager {
 	}
 	t.Cleanup(func() { m.Close() })
 	return m
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }
 
 func mcall(t *testing.T, addr, op string, req interface{}, resp interface{}) error {
@@ -254,8 +268,9 @@ func TestFullWriteCycleOverWire(t *testing.T) {
 
 // TestHandleGetMapHave: a GetMap whose Have is the version the name
 // resolves to answers the file name and that version with a nil map, and
-// builds nothing: the hot-map cache counters do not move. Any other Have —
-// stale after a commit, or naming another timestep — gets the full map.
+// builds nothing: it allocates the same for an 8-chunk and a 512-chunk
+// version. Any other Have — stale after a commit, or naming another
+// timestep — gets the full map.
 func TestHandleGetMapHave(t *testing.T) {
 	m := startManager(t, Config{})
 	for i := 0; i < 4; i++ {
@@ -281,15 +296,35 @@ func TestHandleGetMapHave(t *testing.T) {
 		t.Fatalf("cold fetch = %+v, want the full map of have.n1.t0", v1)
 	}
 
-	before := m.Stats().MapCache
 	for _, name := range []string{"have.n1", "have.n1.t0"} {
 		got := getMap(proto.GetMapReq{Name: name, Have: v1.Version})
 		if got.Map != nil || got.Version != v1.Version || got.Name != "have.n1.t0" {
 			t.Fatalf("GetMap %s with Have %d = %+v, want name and version, no map", name, v1.Version, got)
 		}
 	}
-	if after := m.Stats().MapCache; after != before {
-		t.Fatalf("Have hits moved the hot-map cache: %+v -> %+v", before, after)
+	if _, err := DriveCheckpoint(m, "hbig.n1.t0", 2, 0, 512, 4<<10, false); err != nil {
+		t.Fatal(err)
+	}
+	big := getMap(proto.GetMapReq{Name: "hbig.n1"})
+	if big.Map == nil || len(big.Map.Chunks) != 512 {
+		t.Fatalf("cold fetch of hbig.n1 = %+v, want a 512-chunk map", big)
+	}
+	haveAllocs := func(name string, have core.VersionID) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := m.handleGetMap(proto.GetMapReq{Name: name, Have: have}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Under the race detector sync.Pool (namespace parsing's regexp uses
+	// one) drops items at random, so counts may differ by one; building a
+	// 512-chunk map would cost hundreds.
+	slack := 0.0
+	if raceBuild() {
+		slack = 1
+	}
+	if small, large := haveAllocs("have.n1", v1.Version), haveAllocs("hbig.n1", big.Version); math.Abs(large-small) > slack {
+		t.Fatalf("a Have hit allocates %v times for 8 chunks and %v for 512: it built the map", small, large)
 	}
 
 	if _, err := DriveCheckpoint(m, "have.n1.t1", 1, 1, 8, 4<<10, false); err != nil {

@@ -616,7 +616,7 @@ func (m *Manager) replayJournal(watermark uint64) error {
 		replayed++
 		switch e.Op {
 		case "commit":
-			_, _, err := m.cat.commit(e.Name, namespace.FolderOf(e.Name), e.Replication, e.ChunkSize, e.Variable, e.FileSize, e.Chunks, e.Writer)
+			_, _, _, err := m.cat.commit(e.Name, namespace.FolderOf(e.Name), e.Replication, e.ChunkSize, e.Variable, e.FileSize, e.Chunks, e.Writer)
 			if err != nil {
 				return fmt.Errorf("entry %d (commit %s): %w", i, e.Name, err)
 			}

@@ -213,11 +213,11 @@ func TestUnderReplicatedPriorityBands(t *testing.T) {
 	for i := range bulk {
 		bulk[i].Locations = []core.NodeID{"n1", "n2"}
 	}
-	if _, _, err := c.commit("b.n1.t0", "b", 3, 10, false, btotal, bulk, ""); err != nil {
+	if _, _, _, err := c.commit("b.n1.t0", "b", 3, 10, false, btotal, bulk, ""); err != nil {
 		t.Fatal(err)
 	}
 	critical, ctotal := commitChunks(52, 2, 10)
-	if _, _, err := c.commit("c.n1.t0", "c", 2, 10, false, ctotal, critical, ""); err != nil {
+	if _, _, _, err := c.commit("c.n1.t0", "c", 2, 10, false, ctotal, critical, ""); err != nil {
 		t.Fatal(err)
 	}
 

@@ -85,13 +85,6 @@ type Config struct {
 	// SessionTTL expires abandoned write sessions, garbage collecting
 	// their space reservations.
 	SessionTTL time.Duration
-	// MapCacheEntries bounds the hot-map cache in front of getMap
-	// (memoized wire-ready chunk-maps per dataset version; see
-	// hotMapCache). 0 selects the default (1024 entries); negative
-	// disables the cache — the baseline the package's benchmarks and
-	// tests compare against, where every getMap rebuilds and re-sorts its
-	// location sets.
-	MapCacheEntries int
 	// PruneInterval paces the folder-policy pruner.
 	PruneInterval time.Duration
 	// JournalPath, when set, persists commits/deletes/policies to an
@@ -273,13 +266,6 @@ func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
 			return nil, fmt.Errorf("manager: %w", err)
 		}
 		m.fed = ms
-	}
-	if cfg.MapCacheEntries != 0 {
-		n := cfg.MapCacheEntries
-		if n < 0 {
-			n = 0 // disabled
-		}
-		m.cat.maps = newHotMapCache(n)
 	}
 	if cfg.JournalPath != "" {
 		// Recovery order: newest valid snapshot first (checksum-verified,
@@ -605,7 +591,7 @@ func (m *Manager) handleCommit(req proto.CommitReq) (wire.Resp, error) {
 	// The catalog journals the commit itself (via the journal hook, inside
 	// the dataset stripe's critical section) so journal order matches
 	// publication order.
-	cm, newBytes, err := m.cat.commit(s.name, namespace.FolderOf(s.name), s.replication, s.chunkSize, s.variable, req.FileSize, req.Chunks, s.writer)
+	dsID, verID, newBytes, err := m.cat.commit(s.name, namespace.FolderOf(s.name), s.replication, s.chunkSize, s.variable, req.FileSize, req.Chunks, s.writer)
 	if err != nil {
 		return wire.Resp{}, err
 	}
@@ -615,7 +601,7 @@ func (m *Manager) handleCommit(req proto.CommitReq) (wire.Resp, error) {
 	// Apply the folder's replace policy synchronously: a new image makes
 	// old ones obsolete at commit time (paper §IV.D "Automated replace").
 	m.applyReplacePolicy(s.name)
-	return wire.Resp{Meta: proto.CommitResp{Dataset: cm.Dataset, Version: cm.Version, NewBytes: newBytes}}, nil
+	return wire.Resp{Meta: proto.CommitResp{Dataset: dsID, Version: verID, NewBytes: newBytes}}, nil
 }
 
 func (m *Manager) handleAbort(req proto.AbortReq) (wire.Resp, error) {
@@ -721,7 +707,6 @@ func (m *Manager) Stats() proto.ManagerStats {
 		Histories:          m.stats.histories.Load(),
 		Diffs:              m.stats.diffs.Load(),
 		PrefetchBatches:    m.stats.prefetchBatches.Load(),
-		MapCache:           m.cat.maps.snapshot(),
 		ReplicasCopied:     m.stats.replicasCopied.Load(),
 		Repair: proto.RepairStats{
 			Pending:         m.stats.repairPending.Load(),

@@ -141,25 +141,25 @@ func payloadBytes(seed int64, n int) []byte {
 func TestCatalogCommitAndGetMap(t *testing.T) {
 	c := newCatalog()
 	chunks, total := commitChunks(1, 3, 100)
-	cm, newBytes, err := c.commit("app.n1.t0", "app", 2, 100, false, total, chunks, "")
+	dsID, ver, newBytes, err := c.commit("app.n1.t0", "app", 2, 100, false, total, chunks, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if newBytes != total {
 		t.Fatalf("newBytes = %d, want %d", newBytes, total)
 	}
-	if err := cm.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	name, got, err := c.getMap("app.n1", 0, 0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if name != "app.n1.t0" {
 		t.Fatalf("resolved name %q", name)
 	}
-	if len(got.Chunks) != 3 || got.FileSize != total {
-		t.Fatalf("map mismatch: %+v", got)
+	if got.Dataset != dsID || got.Version != ver || len(got.Chunks) != 3 || got.FileSize != total {
+		t.Fatalf("map mismatch: %+v, commit said dataset %d version %d", got, dsID, ver)
 	}
 }
 
@@ -190,7 +190,7 @@ func TestCatalogCommitValidation(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cs, fs := tt.mut()
-			if _, _, err := c.commit("x.n1.t0", "x", 1, 100, false, fs, cs, ""); err == nil {
+			if _, _, _, err := c.commit("x.n1.t0", "x", 1, 100, false, fs, cs, ""); err == nil {
 				t.Fatal("invalid commit accepted")
 			}
 		})
@@ -200,7 +200,7 @@ func TestCatalogCommitValidation(t *testing.T) {
 func TestCatalogCOWSharing(t *testing.T) {
 	c := newCatalog()
 	chunks, total := commitChunks(3, 4, 50)
-	if _, _, err := c.commit("cow.n1.t0", "cow", 1, 50, false, total, chunks, ""); err != nil {
+	if _, _, _, err := c.commit("cow.n1.t0", "cow", 1, 50, false, total, chunks, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Second version shares chunks 0..2 (no locations = COW reference)
@@ -212,7 +212,7 @@ func TestCatalogCOWSharing(t *testing.T) {
 		{ID: chunks[2].ID, Size: 50},
 		{ID: core.HashChunk(newData), Size: 50, Locations: []core.NodeID{"n2"}},
 	}
-	_, newBytes, err := c.commit("cow.n1.t1", "cow", 1, 50, false, total, shared, "")
+	_, _, newBytes, err := c.commit("cow.n1.t1", "cow", 1, 50, false, total, shared, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestCatalogCOWSharing(t *testing.T) {
 func TestCatalogDeleteWholeDataset(t *testing.T) {
 	c := newCatalog()
 	chunks, total := commitChunks(4, 2, 10)
-	if _, _, err := c.commit("d.n1.t0", "d", 1, 10, false, total, chunks, ""); err != nil {
+	if _, _, _, err := c.commit("d.n1.t0", "d", 1, 10, false, total, chunks, ""); err != nil {
 		t.Fatal(err)
 	}
 	orphans, err := c.deleteVersion("d.n1", 0)
@@ -276,7 +276,7 @@ func TestCatalogHasChunksAndReferenced(t *testing.T) {
 	c := newCatalog()
 	chunks, total := commitChunks(5, 2, 10)
 	ghost := core.HashChunk([]byte("ghost"))
-	if _, _, err := c.commit("h.n1.t0", "h", 1, 10, false, total, chunks, ""); err != nil {
+	if _, _, _, err := c.commit("h.n1.t0", "h", 1, 10, false, total, chunks, ""); err != nil {
 		t.Fatal(err)
 	}
 	got := c.hasChunks([]core.ChunkID{chunks[0].ID, ghost})
@@ -292,7 +292,7 @@ func TestCatalogTrimVersions(t *testing.T) {
 	c := newCatalog()
 	for ts := 0; ts < 5; ts++ {
 		chunks, total := commitChunks(int64(10+ts), 2, 10)
-		if _, _, err := c.commit(fmt.Sprintf("t.n1.t%d", ts), "t", 1, 10, false, total, chunks, ""); err != nil {
+		if _, _, _, err := c.commit(fmt.Sprintf("t.n1.t%d", ts), "t", 1, 10, false, total, chunks, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestCatalogTrimVersions(t *testing.T) {
 func TestCatalogPurgeOlderThan(t *testing.T) {
 	c := newCatalog()
 	chunks, total := commitChunks(20, 2, 10)
-	if _, _, err := c.commit("p.n1.t0", "p", 1, 10, false, total, chunks, ""); err != nil {
+	if _, _, _, err := c.commit("p.n1.t0", "p", 1, 10, false, total, chunks, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Nothing younger than the far past.
@@ -343,7 +343,7 @@ func TestCatalogDryRunRetentionMatchesSweep(t *testing.T) {
 	c := newCatalog()
 	for ts := 0; ts < 5; ts++ {
 		chunks, total := commitChunks(int64(40+ts), 2, 10)
-		if _, _, err := c.commit(fmt.Sprintf("dr.n1.t%d", ts), "dr", 1, 10, false, total, chunks, ""); err != nil {
+		if _, _, _, err := c.commit(fmt.Sprintf("dr.n1.t%d", ts), "dr", 1, 10, false, total, chunks, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -388,7 +388,7 @@ func TestCatalogDryRunRetentionMatchesSweep(t *testing.T) {
 func TestCatalogUnderReplicated(t *testing.T) {
 	c := newCatalog()
 	chunks, total := commitChunks(30, 3, 10)
-	if _, _, err := c.commit("u.n1.t0", "u", 2, 10, false, total, chunks, ""); err != nil {
+	if _, _, _, err := c.commit("u.n1.t0", "u", 2, 10, false, total, chunks, ""); err != nil {
 		t.Fatal(err)
 	}
 	jobs := c.underReplicated(nil)
@@ -423,10 +423,10 @@ func TestCatalogUnderReplicatedSharedChunkMaxTarget(t *testing.T) {
 	shared := []proto.CommitChunk{{
 		ID: core.HashChunk(data), Size: 10, Locations: []core.NodeID{"n1", "n2"},
 	}}
-	if _, _, err := c.commit("ua.n1.t0", "ua", 2, 10, false, 10, shared, ""); err != nil {
+	if _, _, _, err := c.commit("ua.n1.t0", "ua", 2, 10, false, 10, shared, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.commit("ub.n1.t0", "ub", 3, 10, false, 10, shared, ""); err != nil {
+	if _, _, _, err := c.commit("ub.n1.t0", "ub", 3, 10, false, 10, shared, ""); err != nil {
 		t.Fatal(err)
 	}
 	jobs := c.underReplicated(nil)

@@ -205,9 +205,6 @@ func (c *catalog) restore(fileName string, cm *core.ChunkMap) error {
 	ds.versions = append(ds.versions, v)
 	sort.Slice(ds.versions, func(i, j int) bool { return ds.versions[i].id < ds.versions[j].id })
 	c.logicalBytes.Add(cm.FileSize)
-	// The restored version may reorder the chain's latest and merges
-	// recovered locations; memoized maps for this dataset are stale.
-	c.maps.invalidateDataset(key)
 	c.confirmChunks(charges)
 	return nil
 }

@@ -213,12 +213,12 @@ func TestCatalogRestoreIdempotentAndCounterSafe(t *testing.T) {
 	}
 	// New commits must not collide with restored IDs.
 	moreChunks, moreTotal := commitChunks(91, 1, 10)
-	cm2, _, err := c.commit("r.n1.t1", "r", 1, 10, false, moreTotal, moreChunks, "")
+	_, ver2, _, err := c.commit("r.n1.t1", "r", 1, 10, false, moreTotal, moreChunks, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cm2.Version <= 9 {
-		t.Fatalf("new version id %d not after restored id 9", cm2.Version)
+	if ver2 <= 9 {
+		t.Fatalf("new version id %d not after restored id 9", ver2)
 	}
 	// Restored map still resolvable with locations intact.
 	_, got, err := c.getMap("r.n1.t0", 0, 0)

@@ -345,7 +345,7 @@ func TestConcurrentCommitsMatchSingleLockReference(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for _, ca := range plan[w] {
-				if _, _, err := striped.commit(ca.name, "cc", 1, 512, false, ca.size, ca.chunks, ""); err != nil {
+				if _, _, _, err := striped.commit(ca.name, "cc", 1, 512, false, ca.size, ca.chunks, ""); err != nil {
 					errCh <- err
 					return
 				}
@@ -361,7 +361,7 @@ func TestConcurrentCommitsMatchSingleLockReference(t *testing.T) {
 	ref := newCatalogStripes(1)
 	for w := 0; w < writers; w++ {
 		for _, ca := range plan[w] {
-			if _, _, err := ref.commit(ca.name, "cc", 1, 512, false, ca.size, ca.chunks, ""); err != nil {
+			if _, _, _, err := ref.commit(ca.name, "cc", 1, 512, false, ca.size, ca.chunks, ""); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -531,7 +531,7 @@ func TestJournalReplayToleratesDeleteCommitInversion(t *testing.T) {
 		}
 		// Live COW validation must stay strict after replay ends.
 		ghost := []proto.CommitChunk{{ID: core.HashChunk([]byte("ghost")), Size: 64}}
-		if _, _, err := m.cat.commit("inv.nC.t0", "inv", 1, 64, false, 64, ghost, ""); err == nil {
+		if _, _, _, err := m.cat.commit("inv.nC.t0", "inv", 1, 64, false, 64, ghost, ""); err == nil {
 			t.Fatal("lenient COW validation leaked out of replay mode")
 		}
 		m.Close()
@@ -557,7 +557,7 @@ func TestPendingReferencesInvisibleUntilPublished(t *testing.T) {
 	}
 	// A COW commit against the pending chunk must be rejected.
 	cow := []proto.CommitChunk{{ID: id, Size: 64}}
-	if _, _, err := c.commit("peer.n1.t0", "peer", 1, 64, false, 64, cow, ""); err == nil {
+	if _, _, _, err := c.commit("peer.n1.t0", "peer", 1, 64, false, 64, cow, ""); err == nil {
 		t.Fatal("copy-on-write reference to an unpublished chunk accepted")
 	}
 	// GC must still protect the in-flight upload.
@@ -568,7 +568,7 @@ func TestPendingReferencesInvisibleUntilPublished(t *testing.T) {
 	if got := c.hasChunks([]core.ChunkID{id}); !got[0] {
 		t.Fatal("confirmed chunk invisible to dedup probe")
 	}
-	if _, _, err := c.commit("peer.n1.t0", "peer", 1, 64, false, 64, cow, ""); err != nil {
+	if _, _, _, err := c.commit("peer.n1.t0", "peer", 1, 64, false, 64, cow, ""); err != nil {
 		t.Fatalf("copy-on-write reference to a published chunk rejected: %v", err)
 	}
 }
@@ -580,7 +580,7 @@ func TestPendingReferencesInvisibleUntilPublished(t *testing.T) {
 func TestCatalogCommitRollbackOnBadSharedChunk(t *testing.T) {
 	c := newCatalogStripes(16)
 	good, total := commitChunks(77, 3, 64)
-	if _, _, err := c.commit("rb.n1.t0", "rb", 1, 64, false, total, good, ""); err != nil {
+	if _, _, _, err := c.commit("rb.n1.t0", "rb", 1, 64, false, total, good, ""); err != nil {
 		t.Fatal(err)
 	}
 	before := snapshotCatalog(c, true)
@@ -590,7 +590,7 @@ func TestCatalogCommitRollbackOnBadSharedChunk(t *testing.T) {
 		{ID: good[0].ID, Size: 64},                             // valid COW reference
 		{ID: core.HashChunk([]byte("never-stored")), Size: 64}, // unknown COW -> fail
 	}
-	if _, _, err := c.commit("rb.n1.t1", "rb", 1, 64, false, 3*64, bad, ""); err == nil {
+	if _, _, _, err := c.commit("rb.n1.t1", "rb", 1, 64, false, 3*64, bad, ""); err == nil {
 		t.Fatal("commit with unknown shared chunk accepted")
 	}
 	after := snapshotCatalog(c, true)

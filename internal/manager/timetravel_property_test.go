@@ -30,7 +30,7 @@ func commitSynth(t *testing.T, c *catalog, name, folder string, chunkSize int64,
 		chunks[i] = synthChunk(p)
 		total += int64(len(p))
 	}
-	if _, _, err := c.commit(name, folder, 1, chunkSize, false, total, chunks, "prop"); err != nil {
+	if _, _, _, err := c.commit(name, folder, 1, chunkSize, false, total, chunks, "prop"); err != nil {
 		t.Fatalf("commit %s: %v", name, err)
 	}
 }

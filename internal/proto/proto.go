@@ -613,7 +613,7 @@ type ManagerStats struct {
 	// GetMaps counts MGetMap RPCs and StatVersions the MStatVersion
 	// (as-of) resolutions. A warm client chunk-map cache shows up here
 	// directly: explicit-version re-opens add to neither, "latest"
-	// re-opens one GetMap answered without a map (and no MapCache lookup).
+	// re-opens one GetMap answered without a map.
 	GetMaps      int64 `json:"getMaps"`
 	StatVersions int64 `json:"statVersions"`
 	// Histories and Diffs count the catalog query plane's MHistory and
@@ -622,8 +622,9 @@ type ManagerStats struct {
 	Histories       int64 `json:"histories,omitempty"`
 	Diffs           int64 `json:"diffs,omitempty"`
 	PrefetchBatches int64 `json:"prefetchBatches,omitempty"`
-	// MapCache reports the manager-side hot-map cache in front of getMap
-	// (memoized wire-ready location sets per dataset version).
+	// MapCache is always zero: the manager memoizes no maps and builds
+	// each one when it is read. The field stays only because the
+	// benchmark module's manager.mapcache_hit_ratio reads it.
 	MapCache        MapCacheStats `json:"mapCache"`
 	ReplicasCopied  int64         `json:"replicasCopied"`
 	ChunksCollected int64         `json:"chunksCollected"`
@@ -715,10 +716,9 @@ type LatencyStats struct {
 	Buckets   []int64 `json:"buckets,omitempty"`
 }
 
-// MapCacheStats reports a chunk-map cache's effectiveness: Hits served
-// without rebuilding (manager) or refetching (client) the map, Misses
-// that paid the full path, and Invalidations from commits, deletes and
-// replica death.
+// MapCacheStats reports the client chunk-map cache's effectiveness: Hits
+// served without refetching the map, Misses that paid the full fetch, and
+// Invalidations from local deletes.
 type MapCacheStats struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
