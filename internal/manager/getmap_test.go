@@ -73,6 +73,69 @@ func TestGetMapServesCurrentLocations(t *testing.T) {
 	locations("after dropLocationEverywhere", []core.NodeID{"n2:1"}, []core.NodeID{"n3:1"})
 }
 
+// TestHotMapCacheCommitInvalidates: after a commit of version v+1 that
+// shares v's chunks copy-on-write and adds a replica location, a getMap
+// of v lists the merged location. (The name dates from the manager's
+// map cache, which a commit had to invalidate; getMap now builds every
+// map on read.)
+func TestHotMapCacheCommitInvalidates(t *testing.T) {
+	c := newCatalogStripes(16)
+	chunks, total := mapTestChunks(2, 2, 64, []core.NodeID{"n1:1"})
+	if _, _, _, err := c.commit("inv.n1.t0", "inv", 1, 64, false, total, chunks, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.getMap("inv.n1", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	shared := make([]proto.CommitChunk, len(chunks))
+	for i, ch := range chunks {
+		shared[i] = proto.CommitChunk{ID: ch.ID, Size: ch.Size, Locations: []core.NodeID{"n9:1"}}
+	}
+	if _, _, _, err := c.commit("inv.n1.t1", "inv", 1, 64, false, total, shared, ""); err != nil {
+		t.Fatal(err)
+	}
+	_, m, err := c.getMap("inv.n1.t0", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, n := range m.Locations[0] {
+		if n == "n9:1" {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("map of v missing merged location n9:1: %v", m.Locations[0])
+	}
+}
+
+// TestHotMapCacheReplicaDeathFlushes: after dropLocationEverywhere
+// (permanent replica death) a getMap no longer names the dead node.
+// (The name dates from the manager's map cache, which replica death had
+// to flush; getMap now builds every map on read.)
+func TestHotMapCacheReplicaDeathFlushes(t *testing.T) {
+	c := newCatalogStripes(16)
+	chunks, total := mapTestChunks(4, 2, 64, []core.NodeID{"dead:1", "live:1"})
+	if _, _, _, err := c.commit("rd.n1.t0", "rd", 1, 64, false, total, chunks, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.getMap("rd.n1", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	c.dropLocationEverywhere("dead:1")
+	_, m, err := c.getMap("rd.n1", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, locs := range m.Locations {
+		for _, n := range locs {
+			if n == "dead:1" {
+				t.Fatalf("chunk %d still lists the dead replica: %v", i, locs)
+			}
+		}
+	}
+}
+
 // TestStatVersionResolvesLikeGetMap: the lightweight probe must agree
 // with getMap on both dataset-key (latest) and full-name (timestep)
 // resolution.
