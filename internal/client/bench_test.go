@@ -26,7 +26,8 @@ func BenchmarkEmitChunkPipeline(b *testing.B) {
 
 // BenchmarkEmitChunkPipelineCbCH is the same write with the streaming
 // content-defined boundary finder in the path: the delta against the
-// fixed-size bench is the rolling-hash scan cost on the filling thread.
+// fixed-size bench is the staging and the rolling-hash scan, which run on
+// the stage goroutine between Write and the hasher.
 func BenchmarkEmitChunkPipelineCbCH(b *testing.B) {
 	benchEmitChunkPipeline(b, client.Config{
 		StripeWidth: 4,
@@ -106,8 +107,9 @@ func BenchmarkReadPath(b *testing.B) {
 // donors that acknowledge nothing until Close has returned, so nothing
 // drains behind the application and the image (an eighth of the default
 // buffer) must be taken in whole. The MB/s is memcpy speed plus one Alloc
-// round trip; anything that makes Write wait for a pipeline stage shows
-// here first. Rides the bench-compare allocs gate: the queues between the
+// round trip, for content-defined chunks too (their boundaries are found
+// behind Write, on the stage goroutine); anything that makes Write wait
+// for a pipeline stage shows here first. Rides the bench-compare allocs gate: the queues between the
 // stages must not cost a checkpoint a window's worth of slots.
 func BenchmarkWriteOAB(b *testing.B) {
 	for _, variant := range []struct {

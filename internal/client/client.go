@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stdchk/internal/chunker"
@@ -117,8 +118,11 @@ type Config struct {
 	// bytes in flight: bytes accepted from the application and not yet
 	// acknowledged by a benefactor (0 = 64 MB). It is also the only thing
 	// Write waits for: an image that fits is taken in as fast as the
-	// application's thread copies (and, with ChunkCbCH, scans) it,
-	// however slowly it drains, and WriteMetrics.BufferWait is zero.
+	// application's thread copies it, however slowly it drains, and
+	// WriteMetrics.BufferWait is zero. With ChunkCbCH it also bounds the
+	// memory the staged image pins: each copied byte is admitted, plus
+	// one max span per staging segment for the carry of a span that
+	// crosses into it.
 	// Every chunk it admits is sent without waiting for an earlier one's
 	// ack, whatever the chunk size; BufferBytes = ChunkSize is
 	// stop-and-wait, one chunk in the whole pipeline.
@@ -216,54 +220,86 @@ type Client struct {
 	// restart fast path. See mapCache.
 	maps *mapCache
 
-	// chunkPool recycles write-path chunk buffers: filled → hashed →
-	// uploaded (or dedup-hit) → returned. Buffers are handled as *[]byte
-	// so the steady-state pipeline allocates nothing per chunk.
-	chunkPool sync.Pool
+	// chunkPool and segPool recycle the write path's chunk buffers and
+	// staging segments. A buffer goes back when the last chunk holding its
+	// bytes is acknowledged, deduplicated or dropped, so the steady-state
+	// pipeline allocates nothing per chunk.
+	chunkPool, segPool sync.Pool
 
-	// onChunkGet / onChunkPut observe pool traffic, and onBatchBody a
-	// batch reply body taken (true) or returned to the wire pool (false);
-	// nil outside tests.
-	onChunkGet  func(*[]byte)
-	onChunkPut  func(*[]byte)
+	// onChunkGet / onChunkPut observe chunk-buffer traffic, onSegment a
+	// segment taken (true) or returned (false), and onBatchBody a batch
+	// reply body taken or returned to the wire pool; nil outside tests.
+	onChunkGet  func(*pooledBuf)
+	onChunkPut  func(*pooledBuf)
+	onSegment   func(seg *pooledBuf, taken bool)
 	onBatchBody func(body []byte, taken bool)
 
 	benefMu    sync.Mutex
 	benefAddrs map[core.NodeID]string // node id -> service address cache
 }
 
-// getChunkBuf returns an empty chunk buffer with at least size capacity.
-func (c *Client) getChunkBuf(size int64) *[]byte {
-	if v := c.chunkPool.Get(); v != nil {
-		bp := v.(*[]byte)
-		if int64(cap(*bp)) >= size {
-			*bp = (*bp)[:0]
-			if c.onChunkGet != nil {
-				c.onChunkGet(bp)
-			}
-			return bp
-		}
-	}
-	b := make([]byte, 0, size)
-	bp := &b
-	if c.onChunkGet != nil {
-		c.onChunkGet(bp)
-	}
-	return bp
+// segmentSize is the size of a staging segment.
+const segmentSize = 1 << 20
+
+// pooledBuf is a write-path buffer: a chunk buffer, filled by append, or a
+// staging segment of segmentSize bytes, written in place. Every chunk
+// whose bytes it holds keeps a reference; the last unref returns it to its
+// pool.
+type pooledBuf struct {
+	b    []byte
+	seg  bool
+	refs atomic.Int32
 }
 
-// putChunkBuf returns a chunk buffer to the pool. Each buffer handed out
-// by getChunkBuf must come back exactly once, and never after its bytes
-// have been handed to anyone else.
-func (c *Client) putChunkBuf(bp *[]byte) {
-	if bp == nil {
+// getChunkBuf returns an empty chunk buffer with at least size capacity,
+// holding one reference.
+func (c *Client) getChunkBuf(size int64) *pooledBuf {
+	pb, _ := c.chunkPool.Get().(*pooledBuf)
+	if pb == nil || int64(cap(pb.b)) < size {
+		pb = &pooledBuf{b: make([]byte, 0, size)}
+	}
+	pb.refs.Store(1)
+	if c.onChunkGet != nil {
+		c.onChunkGet(pb)
+	}
+	return pb
+}
+
+// getSegment returns a staging segment holding one reference.
+func (c *Client) getSegment() *pooledBuf {
+	pb, _ := c.segPool.Get().(*pooledBuf)
+	if pb == nil {
+		pb = &pooledBuf{b: make([]byte, segmentSize), seg: true}
+	}
+	pb.refs.Store(1)
+	if c.onSegment != nil {
+		c.onSegment(pb, true)
+	}
+	return pb
+}
+
+// unref drops one reference to pb; the last returns it to its pool. A
+// reference is dropped exactly once, and never before the bytes it pins
+// have been hashed and sent.
+func (c *Client) unref(pb *pooledBuf) {
+	switch n := pb.refs.Add(-1); {
+	case n < 0:
+		panic("client: pooled buffer released more often than referenced")
+	case n > 0:
+		return
+	}
+	if pb.seg {
+		if c.onSegment != nil {
+			c.onSegment(pb, false)
+		}
+		c.segPool.Put(pb)
 		return
 	}
 	if c.onChunkPut != nil {
-		c.onChunkPut(bp)
+		c.onChunkPut(pb)
 	}
-	*bp = (*bp)[:0]
-	c.chunkPool.Put(bp)
+	pb.b = pb.b[:0]
+	c.chunkPool.Put(pb)
 }
 
 // New returns a client for the given configuration.

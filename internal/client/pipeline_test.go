@@ -146,13 +146,14 @@ func TestHasherBatchesQueuedChunks(t *testing.T) {
 			}
 			defer cl.Close()
 			w := &Writer{c: cl, name: "pinned.n1.t0"}
-			w.cond = sync.NewCond(&w.mu)
-			w.hashQ.init()
+			w.cond.L = &w.mu
+			w.hashQ.init(0)
 			w.growCommitChunks(c.chunks)
 			for i := 0; i < c.chunks; i++ {
-				buf := fill(512, byte(i))
-				w.inflight += int64(len(buf))
-				w.hashQ.push(chunkItem{idx: i, buf: &buf, flush: i == c.flushAt})
+				buf := cl.getChunkBuf(512)
+				buf.b = append(buf.b, fill(512, byte(i))...)
+				w.inflight += int64(len(buf.b))
+				w.hashQ.push(chunkItem{idx: i, chunk: bufChunk(buf), flush: i == c.flushAt})
 			}
 			w.hashQ.close()
 			w.hashWg.Add(1)
@@ -250,39 +251,66 @@ func TestBatchedDedupProbes(t *testing.T) {
 	}
 }
 
-// bufTracker asserts the chunk-buffer pool discipline: every buffer handed
-// out comes back exactly once, and nothing is returned that was not handed
-// out.
+// bufTracker asserts the write path's pool discipline: every chunk buffer
+// and staging segment handed out comes back exactly once, and nothing is
+// returned that was not handed out. It also follows the pooled capacity
+// outstanding (pinned) and its peak.
 type bufTracker struct {
 	t *testing.T
 
-	mu          sync.Mutex
-	outstanding map[*[]byte]bool
-	gets, puts  int
-	violations  []string
+	mu           sync.Mutex
+	outstanding  map[*pooledBuf]bool
+	bufs, segs   int // chunk buffers and segments handed out
+	back         int // buffers of either kind returned
+	pinned, peak int64
+	violations   []string
 }
 
 func trackChunkBufs(t *testing.T, c *Client) *bufTracker {
-	tr := &bufTracker{t: t, outstanding: make(map[*[]byte]bool)}
-	c.onChunkGet = func(bp *[]byte) {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		tr.gets++
-		if tr.outstanding[bp] {
-			tr.violations = append(tr.violations, fmt.Sprintf("buffer %p handed out twice", bp))
+	tr := &bufTracker{t: t, outstanding: make(map[*pooledBuf]bool)}
+	c.onChunkGet, c.onChunkPut = tr.take, tr.give
+	c.onSegment = func(seg *pooledBuf, taken bool) {
+		if taken {
+			tr.take(seg)
+		} else {
+			tr.give(seg)
 		}
-		tr.outstanding[bp] = true
-	}
-	c.onChunkPut = func(bp *[]byte) {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		tr.puts++
-		if !tr.outstanding[bp] {
-			tr.violations = append(tr.violations, fmt.Sprintf("buffer %p double-returned to the pool", bp))
-		}
-		delete(tr.outstanding, bp)
 	}
 	return tr
+}
+
+func (tr *bufTracker) take(pb *pooledBuf) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if pb.seg {
+		tr.segs++
+	} else {
+		tr.bufs++
+	}
+	if tr.outstanding[pb] {
+		tr.violations = append(tr.violations, fmt.Sprintf("buffer %p handed out twice", pb))
+	}
+	tr.outstanding[pb] = true
+	tr.pinned += int64(cap(pb.b))
+	tr.peak = max(tr.peak, tr.pinned)
+}
+
+func (tr *bufTracker) give(pb *pooledBuf) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.back++
+	if !tr.outstanding[pb] {
+		tr.violations = append(tr.violations, fmt.Sprintf("buffer %p double-returned to the pool", pb))
+	}
+	delete(tr.outstanding, pb)
+	tr.pinned -= int64(cap(pb.b))
+}
+
+// counts returns how many chunk buffers and segments were handed out.
+func (tr *bufTracker) counts() (bufs, segs int) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.bufs, tr.segs
 }
 
 func (tr *bufTracker) check() {
@@ -293,104 +321,109 @@ func (tr *bufTracker) check() {
 		tr.t.Error(v)
 	}
 	if len(tr.outstanding) != 0 {
-		tr.t.Errorf("%d chunk buffers never returned to the pool (%d gets, %d puts)",
-			len(tr.outstanding), tr.gets, tr.puts)
+		tr.t.Errorf("%d buffers never returned to the pool (%d chunk buffers and %d segments out, %d back)",
+			len(tr.outstanding), tr.bufs, tr.segs, tr.back)
 	}
-	if tr.gets != tr.puts {
-		tr.t.Errorf("pool imbalance: %d gets, %d puts", tr.gets, tr.puts)
+	if tr.bufs+tr.segs != tr.back {
+		tr.t.Errorf("pool imbalance: %d chunk buffers and %d segments out, %d back", tr.bufs, tr.segs, tr.back)
 	}
 }
 
-// TestChunkBufferLifecycleDedupHit covers the write → dedup-hit path under
-// the race detector: buffers released by the dedup short-circuit must come
-// back exactly once.
-func TestChunkBufferLifecycleDedupHit(t *testing.T) {
-	mgr, _ := startCluster(t, 2, 0)
-	_ = mgr
-	cl, err := New(Config{
-		ManagerAddr: mgr.Addr(),
-		StripeWidth: 2,
-		ChunkSize:   64 << 10,
-		Incremental: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	tr := trackChunkBufs(t, cl)
+// allProtocols is every write protocol, for tests that hold for each.
+var allProtocols = []Protocol{SlidingWindow, IncrementalWrite, CompleteLocalWrite}
 
-	data := fill(16*64<<10, 5)
-	for i := 0; i < 3; i++ { // v0 uploads; v1, v2 dedup every chunk
-		w, err := cl.Create("life.n1.t" + fmt.Sprint(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write(data); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Wait(); err != nil {
-			t.Fatal(err)
-		}
+// TestChunkBufferLifecycleDedupHit covers the write → dedup-hit path under
+// the race detector, for each protocol: buffers released by the dedup
+// short-circuit — one-chunk buffers, and the staging segments and carries
+// of the incremental and complete-local protocols (48 KB chunks do not
+// divide a segment, so some chunks are carries) — come back exactly once,
+// and no goroutine of the writer outlives Wait.
+func TestChunkBufferLifecycleDedupHit(t *testing.T) {
+	for _, p := range allProtocols {
+		t.Run(p.String(), func(t *testing.T) {
+			mgr, _ := startCluster(t, 2, 0)
+			cl, err := New(Config{
+				ManagerAddr:   mgr.Addr(),
+				StripeWidth:   2,
+				ChunkSize:     48 << 10,
+				Incremental:   true,
+				Protocol:      p,
+				TempFileBytes: 512 << 10,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			tr := trackChunkBufs(t, cl)
+
+			data := fill(3*segmentSize+777, 5)
+			mustStore(t, cl, "life.n1.t0", data) // v0 uploads and warms the pool
+			baseline := settledGoroutines()
+			for i := 1; i < 3; i++ { // v1, v2 dedup every chunk
+				w := mustStore(t, cl, fmt.Sprintf("life.n1.t%d", i), data)
+				if m := w.Metrics(); m.Deduped != int64(len(data)) {
+					t.Fatalf("identical rewrite deduped %d of %d bytes", m.Deduped, len(data))
+				}
+				writerGoroutinesGone(t, baseline)
+			}
+			tr.check()
+			if _, segs := tr.counts(); (segs == 0) != (p == SlidingWindow) {
+				t.Fatalf("%s took %d staging segments", p, segs)
+			}
+		})
 	}
-	tr.check()
 }
 
 // TestChunkBufferLifecycleCbCH covers the variable-size (CbCH) write path
-// under the race detector: spans cut by the streaming boundary finder are
-// smaller than the pooled buffer capacity, and every buffer — uploaded or
-// dedup-hit — must still come back exactly once.
+// under the race detector, for each protocol: chunks are slices of staging
+// segments, spans that cross a segment boundary are carries, and every
+// segment and carry — uploaded or dedup-hit — comes back exactly once,
+// with no goroutine of the writer left after Wait.
 func TestChunkBufferLifecycleCbCH(t *testing.T) {
-	mgr, _ := startCluster(t, 2, 0)
-	cl, err := New(Config{
-		ManagerAddr: mgr.Addr(),
-		StripeWidth: 2,
-		Chunking:    ChunkCbCH,
-		CbCH:        chunker.StreamParams{Window: 48, Bits: 12, Min: 4 << 10, Max: 64 << 10},
-		Incremental: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	tr := trackChunkBufs(t, cl)
+	for _, p := range allProtocols {
+		t.Run(p.String(), func(t *testing.T) {
+			mgr, _ := startCluster(t, 2, 0)
+			cl, err := New(Config{
+				ManagerAddr:   mgr.Addr(),
+				StripeWidth:   2,
+				Chunking:      ChunkCbCH,
+				CbCH:          chunker.StreamParams{Window: 48, Bits: 12, Min: 4 << 10, Max: 64 << 10},
+				Incremental:   true,
+				Protocol:      p,
+				TempFileBytes: 512 << 10,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			tr := trackChunkBufs(t, cl)
 
-	data := fill(16*64<<10+777, 6)
-	for i := 0; i < 2; i++ { // v0 uploads; v1 dedups every span
-		w, err := cl.Create("cbchlife.n1.t" + fmt.Sprint(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write(data); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if i == 1 {
+			data := randBytes(3*segmentSize+777, 6)
+			mustStore(t, cl, "cbchlife.n1.t0", data) // v0 uploads and warms the pool
+			baseline := settledGoroutines()
+			w := mustStore(t, cl, "cbchlife.n1.t1", data) // v1 dedups every span
 			if m := w.Metrics(); m.Deduped != int64(len(data)) {
 				t.Fatalf("identical rewrite deduped %d of %d bytes", m.Deduped, len(data))
 			}
-		}
-	}
-	tr.check()
+			writerGoroutinesGone(t, baseline)
+			tr.check()
+			if carries, segs := tr.counts(); segs < 2*4 || carries == 0 {
+				t.Fatalf("two 3 MB images took %d segments and %d carries; want at least 8 and 1", segs, carries)
+			}
 
-	r, err := cl.Open("cbchlife.n1.t1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("CbCH readback mismatch")
+			r, err := cl.Open("cbchlife.n1.t1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			got, err := r.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("CbCH readback mismatch")
+			}
+		})
 	}
 }
 
@@ -404,7 +437,9 @@ func (r rejectingStore) Put(id core.ChunkID, data []byte) (bool, error) {
 
 // TestChunkBufferLifecycleUploadError covers the write → upload-error
 // path: when a benefactor rejects chunks, the writer fails but every
-// buffer still comes back exactly once.
+// buffer — one-chunk buffers, staging segments, carries — still comes
+// back exactly once, whether the failure reaches Write first or only
+// Close and Wait, and no goroutine of the writer outlives Wait.
 func TestChunkBufferLifecycleUploadError(t *testing.T) {
 	mgr, err := manager.New(manager.Config{})
 	if err != nil {
@@ -422,34 +457,48 @@ func TestChunkBufferLifecycleUploadError(t *testing.T) {
 		t.Cleanup(func() { bf.Close() })
 	}
 	waitForBenefactors(t, mgr, 2)
-	cl, err := New(Config{
-		ManagerAddr: mgr.Addr(),
-		StripeWidth: 2,
-		ChunkSize:   64 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	tr := trackChunkBufs(t, cl)
+	cbch := chunker.StreamParams{Window: 48, Bits: 12, Min: 4 << 10, Max: 64 << 10}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"fixed sliding-window", Config{ChunkSize: 64 << 10}},
+		{"cbch sliding-window", Config{Chunking: ChunkCbCH, CbCH: cbch}},
+		{"cbch incremental", Config{Chunking: ChunkCbCH, CbCH: cbch, Protocol: IncrementalWrite, TempFileBytes: 512 << 10}},
+		{"fixed complete-local", Config{ChunkSize: 48 << 10, Protocol: CompleteLocalWrite}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := settledGoroutines()
+			cfg := tc.cfg
+			cfg.ManagerAddr, cfg.StripeWidth = mgr.Addr(), 2
+			cl, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := trackChunkBufs(t, cl)
 
-	w, err := cl.Create("fail.n1.t0")
-	if err != nil {
-		t.Fatal(err)
+			w, err := cl.Create("fail.n1.t0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var writeErr error
+			for i := 0; i < 8 && writeErr == nil; i++ {
+				_, writeErr = w.Write(randBytes(512<<10, int64(i)))
+			}
+			closeErr := w.Close()
+			waitErr := w.Wait()
+			if writeErr == nil && closeErr == nil && waitErr == nil {
+				t.Fatal("writer succeeded against full benefactors")
+			}
+			if !errors.Is(waitErr, core.ErrNoSpace) && !errors.Is(closeErr, core.ErrNoSpace) && !errors.Is(writeErr, core.ErrNoSpace) {
+				t.Fatalf("expected ErrNoSpace somewhere; write=%v close=%v wait=%v", writeErr, closeErr, waitErr)
+			}
+			tr.check()
+			// The failed puts dialed the pool; its goroutines go with the client.
+			cl.Close()
+			writerGoroutinesGone(t, baseline)
+		})
 	}
-	var writeErr error
-	for i := 0; i < 8 && writeErr == nil; i++ {
-		_, writeErr = w.Write(fill(2*64<<10, byte(i)))
-	}
-	closeErr := w.Close()
-	waitErr := w.Wait()
-	if writeErr == nil && closeErr == nil && waitErr == nil {
-		t.Fatal("writer succeeded against full benefactors")
-	}
-	if !errors.Is(waitErr, core.ErrNoSpace) && !errors.Is(closeErr, core.ErrNoSpace) && !errors.Is(writeErr, core.ErrNoSpace) {
-		t.Fatalf("expected ErrNoSpace somewhere; write=%v close=%v wait=%v", writeErr, closeErr, waitErr)
-	}
-	tr.check()
 }
 
 // TestPartialFinalChunkRoundTrip pins the final-short-chunk path of the
@@ -492,4 +541,46 @@ func TestPartialFinalChunkRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("readback mismatch")
 	}
+}
+
+// TestChunkBufferLifecycleOpenCarry fails a staged session while the span
+// that crosses a segment boundary is still open in its carry: Close and
+// Wait must still hand the carry back, once.
+func TestChunkBufferLifecycleOpenCarry(t *testing.T) {
+	mgr, _ := startCluster(t, 2, 0)
+	cl, err := New(Config{
+		ManagerAddr: mgr.Addr(),
+		StripeWidth: 2,
+		Chunking:    ChunkCbCH,
+		CbCH:        chunker.StreamParams{Window: 48, Bits: 12, Min: 4 << 10, Max: 64 << 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tr := trackChunkBufs(t, cl)
+
+	// A zero run offers no boundary, so the span open at the end of the
+	// first segment runs on into the second, whose one byte leaves it open.
+	data := randBytes(segmentSize+1, 7)
+	clear(data[segmentSize-16<<10:])
+	w, err := cl.Create("carry.n1.t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the stage to open a carry", func() bool {
+		carries, _ := tr.counts()
+		return carries == 1
+	})
+	w.fail(errors.New("injected failure"))
+	if err := w.Close(); err == nil {
+		t.Fatal("Close of a failed session returned nil")
+	}
+	if err := w.Wait(); err == nil {
+		t.Fatal("Wait of a failed session returned nil")
+	}
+	tr.check()
 }

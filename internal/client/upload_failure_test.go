@@ -35,9 +35,9 @@ func settledGoroutines() int {
 	return n
 }
 
-// mustStore writes one image through to its commit: the warm-up that
-// dials the pool's connections before a baseline is taken.
-func mustStore(t *testing.T, cl *Client, name string, data []byte) {
+// mustStore writes one image through to its commit — as the warm-up that
+// dials the pool's connections before a baseline is taken, say.
+func mustStore(t *testing.T, cl *Client, name string, data []byte) *Writer {
 	t.Helper()
 	w, err := cl.Create(name)
 	if err != nil {
@@ -51,6 +51,27 @@ func mustStore(t *testing.T, cl *Client, name string, data []byte) {
 	}
 	if err := w.Wait(); err != nil {
 		t.Fatal(err)
+	}
+	return w
+}
+
+// writerGoroutinesGone waits, once Wait has returned, for the goroutine
+// count to fall back to baseline with no goroutine of a Writer — stage,
+// hasher, uploader or put — left. A goroutine that has signalled its
+// WaitGroup is still listed until it returns, so it polls the stacks too,
+// not only the count.
+func writerGoroutinesGone(t *testing.T, baseline int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		n, stacks := runtime.NumGoroutine(), string(buf[:runtime.Stack(buf, true)])
+		if n <= baseline && !strings.Contains(stacks, "client.(*Writer)") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines after the session, %d before Create:\n%s", n, baseline, stacks)
+			return
+		}
 	}
 }
 
@@ -71,19 +92,7 @@ func checkFailedSessionLeftNothing(t *testing.T, mgr *manager.Manager, cl *Clien
 		}
 	}
 	tr.check()
-	// A goroutine that has signalled its WaitGroup is still listed until it
-	// returns, so poll the stacks too, not only the count.
-	buf := make([]byte, 1<<20)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		n, stacks := runtime.NumGoroutine(), string(buf[:runtime.Stack(buf, true)])
-		if n <= baseline && !strings.Contains(stacks, "client.(*Writer)") {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("%d goroutines after the failed session, %d before Create:\n%s", n, baseline, stacks)
-			return
-		}
-	}
+	writerGoroutinesGone(t, baseline)
 }
 
 func TestUnreachableStripeNodeFailsAtFirstPut(t *testing.T) {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,8 +110,8 @@ func randBytes(n int, seed int64) []byte {
 	return b
 }
 
-// queued is the number of chunks waiting in q.
-func queued(q *chunkQueue) int {
+// queued is the number of items waiting in q.
+func queued[T any](q *fifo[T]) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.items) - q.head
@@ -255,18 +258,27 @@ func TestFullBufferBlocksUntilOneAck(t *testing.T) {
 }
 
 // TestCbCHCutsMatchSplit: the writer cuts an image where one scan over
-// the whole of it would, whatever sizes the application writes in.
+// the whole of it would, whatever sizes the application writes in and
+// however they fall on the staging segments — including a Max cut that
+// runs across a segment boundary, through a zero run that offers no
+// boundary of its own.
 func TestCbCHCutsMatchSplit(t *testing.T) {
 	mgr, _ := startCluster(t, 2, 0)
 	params := chunker.StreamParams{Window: 48, Bits: 11, Min: 2 << 10, Max: 16 << 10}
-	data := randBytes(1<<20+777, 26)
+	data := randBytes(3*segmentSize+777, 26)
+	clear(data[segmentSize-40<<10 : segmentSize+40<<10])
 	spans := params.Split(data)
+	if !slices.ContainsFunc(spans, func(sp chunker.Span) bool {
+		return sp.Len == params.Max && sp.Off < segmentSize && sp.Off+sp.Len > segmentSize
+	}) {
+		t.Fatal("no Max cut crosses the first segment boundary; the zero run no longer forces one")
+	}
 	cl, err := New(Config{ManagerAddr: mgr.Addr(), StripeWidth: 2, Chunking: ChunkCbCH, CbCH: params})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for _, block := range []int{1, 4093, 64 << 10, 1 << 20, len(data)} {
+	for _, block := range []int{1, 4093, 64 << 10, segmentSize - 1, segmentSize, segmentSize + 1, segmentSize + 777, len(data)} {
 		t.Run(fmt.Sprintf("%d B writes", block), func(t *testing.T) {
 			w, err := cl.Create("cuts.n1.t0")
 			if err != nil {
@@ -295,4 +307,83 @@ func TestCbCHCutsMatchSplit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBufferBytesBoundsPinnedMemory: under CbCH, BufferBytes bounds the
+// memory a writer pins, not only the bytes it counts. No put is ever
+// acknowledged, so nothing drains: the writer takes in what the window
+// admits and then Write waits for good. By then the pooled capacity handed
+// out — staging segments and carries — is at most BufferBytes, plus the
+// segment being filled and one max span. A writer that kept each ≈ 60 KB
+// span in a buffer a max span long (256 KB) would pin about 4 × as much.
+func TestBufferBytesBoundsPinnedMemory(t *testing.T) {
+	const buffer = 8 << 20
+	puts := newToll()
+	mgr, acked := tollCluster(t, 4, puts)
+	cl, err := New(Config{ManagerAddr: mgr.Addr(), StripeWidth: 4, Replication: 1, Chunking: ChunkCbCH, BufferBytes: buffer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tr := trackChunkBufs(t, cl)
+	bound := int64(buffer + segmentSize + cl.cfg.CbCH.Max)
+
+	data := randBytes(2*buffer, 29)
+	w, err := cl.Create("pinned.n1.t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		var err error
+		for off := 0; off < len(data) && err == nil; off += 1 << 20 {
+			_, err = w.Write(data[off : off+1<<20])
+		}
+		wrote <- err
+	}()
+	stacks := make([]byte, 1<<20)
+	waitFor(t, "Write to wait for room in the window", func() bool {
+		return strings.Contains(string(stacks[:runtime.Stack(stacks, true)]), "client.(*Writer).admit")
+	})
+	// Whatever the stage still cuts from what was admitted is pinned by
+	// now; wait until that settles too.
+	var last int64
+	for still := 0; still < 10; time.Sleep(20 * time.Millisecond) {
+		tr.mu.Lock()
+		now := tr.pinned
+		tr.mu.Unlock()
+		if now == last {
+			still++
+		} else {
+			last, still = now, 0
+		}
+	}
+	select {
+	case err := <-wrote:
+		t.Fatalf("an image of twice the buffer was taken in whole with no put acknowledged (err %v)", err)
+	default:
+	}
+	tr.mu.Lock()
+	peak := tr.peak
+	tr.mu.Unlock()
+	if peak > bound || acked.Load() != 0 {
+		t.Fatalf("with a %d-byte window full and %d puts acknowledged, %d bytes of pooled buffers were out at once; want at most %d",
+			buffer, acked.Load(), peak, bound)
+	}
+	t.Logf("peak pinned %d bytes under a %d-byte window (bound %d)", peak, buffer, bound)
+
+	puts.open()
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if m := w.Metrics(); m.BufferWait <= 0 {
+		t.Fatal("Write waited for the buffer and BufferWait is zero")
+	}
+	tr.check()
 }

@@ -21,22 +21,21 @@ import (
 //
 //   - sliding-window: Write lands in a bounded memory buffer that uploader
 //     goroutines drain directly to the stripe; no local disk at all.
-//   - incremental: Write fills bounded in-memory temporary files; each full
-//     temp file is handed to a background pusher, overlapping data creation
+//   - incremental: Write fills bounded temporary files; each full temp
+//     file is handed to the background stage, overlapping data creation
 //     with remote propagation.
 //   - complete-local: Write stages the whole image on the local disk
 //     (paced by its model); the push to stdchk happens only after Close.
 //
-// The remote data path is a pipeline of recycled chunk buffers: the
-// application (or pusher) thread fills pooled buffers, a hashing stage
-// computes SHA-1 off the application thread and batches dedup probes into
-// one MHasChunks RPC per in-flight window, and per-stripe-node uploaders
-// stream the chunks out and return the buffers to the pool. The
-// application thread therefore pays only the memcpy into the buffer — no
-// hashing, no allocation, no per-chunk manager RPCs — and waits in one
-// place only: admit, when Config.BufferBytes is full. The queue ahead of
-// the hasher holds whatever the window admitted; it has no count bound
-// of its own that the application could meet first.
+// The remote data path is a pipeline of recycled buffers: the application
+// thread copies into pooled buffers, a hashing stage computes SHA-1 off the
+// application thread and batches dedup probes into one MHasChunks RPC per
+// in-flight window, and per-stripe-node uploaders stream the chunks out
+// and release them. The application thread therefore pays only the memcpy
+// into the buffer — no hashing, no allocation, no per-chunk manager RPCs —
+// and waits in one place only: admit, when Config.BufferBytes is full. The
+// queues between the stages hold whatever the window admitted; they have
+// no count bound of their own that the application could meet first.
 //
 // Uploads open no connection of their own: every BPut rides the client's
 // shared multiplexed pool (Client.dataPool), as many at once as
@@ -46,11 +45,14 @@ import (
 // first put to it, as a session failure from Write, Close and Wait — not
 // at Create.
 //
-// With Config.Chunking == ChunkCbCH the filling thread additionally runs a
-// streaming rolling-hash boundary finder, so cuts are content-anchored
-// (variable-size spans) instead of offset-anchored; the downstream stages
-// are size-agnostic and unchanged. That scan is work the application
-// thread does, at about SHA-1 speed, not a wait.
+// A fixed-size sliding-window write cuts on the application thread, into
+// one-chunk buffers: offsets cost nothing to find. Every other write is
+// staged: Write copies into pooled segments, and a stage goroutine cuts
+// chunks out of them as slices that pin their segment. With
+// Config.Chunking == ChunkCbCH the cuts are content-anchored by a rolling
+// hash (variable-size spans) — a scan at about SHA-1 speed that the
+// application thread does not wait for; the stages after it are
+// size-agnostic.
 type Writer struct {
 	c        *Client
 	name     string
@@ -59,10 +61,11 @@ type Writer struct {
 	openedAt time.Time
 
 	mu           sync.Mutex
-	cond         *sync.Cond
+	cond         sync.Cond     // on mu: the window, the temp count or err moved
 	err          error         // sticky first failure
 	failed       chan struct{} // closed when err is first set
-	inflight     int64         // bytes accepted but not yet stored remotely
+	inflight     int64         // window bytes admitted and not yet released
+	held         int64         // the most of those the stage can hold until more arrive
 	commitChunks []proto.CommitChunk
 	closedAt     time.Time
 	storedAt     time.Time
@@ -75,30 +78,34 @@ type Writer struct {
 	chunkSize int64 // fixed chunk size, or the CbCH max span bound
 	reserved  int64
 
-	// cbch, when non-nil, is the streaming content-defined boundary
-	// finder: instead of cutting at fixed chunkSize offsets, the filling
-	// thread scans each application write with a rolling hash and emits
-	// variable-size spans (cbch.Params().Min..Max). The rest of the
-	// pipeline — hashing stage, dedup batching, round-robin uploaders —
-	// is size-agnostic and unchanged.
+	// cbch, when non-nil, is the streaming content-defined boundary finder
+	// the stage cuts with: variable-size spans (cbch.Params().Min..Max)
+	// instead of fixed chunkSize offsets.
 	cbch *chunker.Stream
 
-	cur      *[]byte // pooled buffer being filled; nil between chunks
+	cur      *pooledBuf // fixed-size sliding window: the chunk being filled
 	chunkIdx int
+
+	// Staging: Write fills seg up to fill; pending holds ranges not yet
+	// handed to the stage (the temp file being filled, or the whole
+	// complete-local image). copyAdmits: Write admits the bytes it copies.
+	copyAdmits bool
+	seg        *pooledBuf
+	fill       int
+	pending    []segRange
+	tempBytes  int64
+	temps      int // temp files handed to the stage and not yet cut (mu)
+	stageQ     fifo[segRange]
+	stageWg    sync.WaitGroup
 
 	workers  []*uploadWorker // one per stripe node; fixed after newWriter
 	workerWg sync.WaitGroup
 
-	// hashing stage between the filling thread and the uploaders
-	hashQ  chunkQueue
+	// hashing stage between the cutting thread and the uploaders
+	hashQ  fifo[chunkItem]
 	hashWg sync.WaitGroup
 
 	bufferWait time.Duration // time admit spent waiting on the window
-
-	// incremental-write staging
-	temp      []byte
-	tempQueue chan []byte
-	pushWg    sync.WaitGroup
 
 	done    chan struct{}
 	waitErr error
@@ -112,14 +119,28 @@ type uploadWorker struct {
 	ch   chan hashedChunk
 }
 
-// chunkItem is a filled, not-yet-hashed chunk travelling from the filling
-// thread to the hashing stage. flush asks the hasher to probe/dispatch its
-// current batch once this chunk is folded in (set at the end of a Write
-// call and at end of file, so a whole application write becomes one dedup
-// probe).
+// chunk is one chunk in flight: its bytes, the pooled buffer they pin, and
+// cost, what it holds of the write window — its length, plus a max span
+// when its buffer is a carry.
+type chunk struct {
+	data []byte
+	buf  *pooledBuf
+	cost int64
+}
+
+// bufChunk is the chunk that is the whole of a chunk buffer.
+func bufChunk(pb *pooledBuf) chunk {
+	return chunk{data: pb.b, buf: pb, cost: int64(len(pb.b))}
+}
+
+// chunkItem is a cut, not-yet-hashed chunk travelling to the hashing stage.
+// flush asks the hasher to probe/dispatch its current batch once this
+// chunk is folded in (set on the last chunk of an application Write or of
+// a staging segment, and at end of file, so a write or a segment becomes
+// one dedup probe).
 type chunkItem struct {
-	idx   int
-	buf   *[]byte
+	idx int
+	chunk
 	flush bool
 }
 
@@ -128,25 +149,33 @@ type chunkItem struct {
 type hashedChunk struct {
 	idx int
 	id  core.ChunkID
-	buf *[]byte
+	chunk
 }
 
-// chunkQueue is the FIFO between the filling thread and the hasher: one
-// producer, one consumer, and no capacity of its own — what bounds it is
-// the write window its chunks were admitted against. It grows on demand,
-// so a small checkpoint pays for a few slots, not for a window's worth.
-// init must be called before use.
-type chunkQueue struct {
+// segRange is a staging segment's bytes from where the stage left off up
+// to end. last marks the end of a temp file.
+type segRange struct {
+	seg  *pooledBuf
+	end  int
+	last bool
+}
+
+// fifo is a queue between two pipeline stages: one producer, one consumer,
+// and no capacity of its own — what bounds it is the write window its
+// items were admitted against. It grows on demand past the slots init
+// gives it, so a small checkpoint pays for a few slots, not for a window's
+// worth. init must be called before use.
+type fifo[T any] struct {
 	mu     sync.Mutex
 	ready  sync.Cond // an item was pushed or the queue closed
-	items  []chunkItem
+	items  []T
 	head   int // items[:head] have been popped
 	closed bool
 }
 
-func (q *chunkQueue) init() { q.ready.L = &q.mu }
+func (q *fifo[T]) init(slots int) { q.ready.L, q.items = &q.mu, make([]T, 0, slots) }
 
-func (q *chunkQueue) push(item chunkItem) {
+func (q *fifo[T]) push(item T) {
 	q.mu.Lock()
 	q.items = append(q.items, item)
 	q.mu.Unlock()
@@ -154,7 +183,7 @@ func (q *chunkQueue) push(item chunkItem) {
 }
 
 // close marks the end of the stream; pop still returns what is queued.
-func (q *chunkQueue) close() {
+func (q *fifo[T]) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
@@ -163,7 +192,7 @@ func (q *chunkQueue) close() {
 
 // pop returns the oldest item. On an empty queue it reports false — at
 // once when wait is false, otherwise only after close.
-func (q *chunkQueue) pop(wait bool) (item chunkItem, ok bool) {
+func (q *fifo[T]) pop(wait bool) (item T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.head == len(q.items) {
@@ -173,7 +202,8 @@ func (q *chunkQueue) pop(wait bool) (item chunkItem, ok bool) {
 		q.ready.Wait()
 	}
 	item = q.items[q.head]
-	q.items[q.head] = chunkItem{} // keep no reference to a popped buffer
+	var zero T
+	q.items[q.head] = zero // keep no reference to a popped buffer
 	q.head++
 	if q.head == len(q.items) {
 		q.items, q.head = q.items[:0], 0
@@ -202,7 +232,7 @@ func newWriter(c *Client, name string) (*Writer, error) {
 		failed:   make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	w.cond = sync.NewCond(&w.mu)
+	w.cond.L = &w.mu
 
 	chunkSize := c.cfg.ChunkSize
 	if chunkSize <= 0 {
@@ -243,19 +273,23 @@ func newWriter(c *Client, name string) (*Writer, error) {
 		go w.runUploader(worker)
 	}
 
-	w.hashQ.init()
+	w.hashQ.init(0)
 	w.hashWg.Add(1)
 	go w.runHasher()
 
-	if w.protocol == IncrementalWrite {
-		// Capacity one bounds outstanding temp files to: one being
-		// filled, one queued, one being pushed.
-		w.tempQueue = make(chan []byte, 1)
-		w.pushWg.Add(1)
-		go w.runTempPusher()
+	if w.staged() {
+		if w.copyAdmits = w.protocol == SlidingWindow; w.copyAdmits {
+			w.held = 2 * chunkSize // an open span and the reservation of its carry
+		}
+		w.stageQ.init(8) // a few segments' ranges: rarely regrown
+		w.stageWg.Add(1)
+		go w.runStage()
 	}
 	return w, nil
 }
+
+// staged reports whether Write copies into segments for the stage to cut.
+func (w *Writer) staged() bool { return w.protocol != SlidingWindow || w.cbch != nil }
 
 // Name returns the file name being written.
 func (w *Writer) Name() string { return w.name }
@@ -281,25 +315,21 @@ func (w *Writer) Write(p []byte) (int, error) {
 	}
 
 	switch w.protocol {
-	case SlidingWindow:
+	case SlidingWindow, IncrementalWrite:
 		w.c.cfg.Mem.Acquire(len(p))
-		return len(p), w.appendChunked(p)
-	case IncrementalWrite:
-		w.c.cfg.Mem.Acquire(len(p))
-		return len(p), w.appendTemp(p)
 	case CompleteLocalWrite:
 		if w.c.cfg.LocalDisk != nil {
 			w.c.cfg.LocalDisk.Write(len(p))
 		} else {
 			w.c.cfg.Mem.Acquire(len(p))
 		}
-		w.mu.Lock()
-		w.temp = append(w.temp, p...)
-		w.mu.Unlock()
-		return len(p), nil
 	default:
 		return 0, fmt.Errorf("client: unknown protocol %v", w.protocol)
 	}
+	if !w.staged() {
+		return len(p), w.appendChunked(p)
+	}
+	return len(p), w.stage(p)
 }
 
 // ensureReservation extends the eager space reservation as the file grows.
@@ -324,25 +354,23 @@ func (w *Writer) ensureReservation() error {
 	return nil
 }
 
-// appendChunked accumulates bytes into pooled chunk buffers and emits
-// completed chunks to the hashing stage. Fixed mode cuts at chunkSize
-// offsets; CbCH mode cuts wherever the streaming boundary finder anchors a
-// span end (at most chunkSize bytes, its max bound, so the pooled buffer
-// never reallocates). The chunk completing when p runs out is flagged to
-// flush the hasher's dedup batch, so one application Write maps to at most
-// one dedup probe.
+// appendChunked is the fixed-size sliding window's filling path: it
+// accumulates bytes into pooled one-chunk buffers on the application
+// thread and emits each full chunk to the hashing stage. The chunk
+// completing when p runs out is flagged to flush the hasher's dedup batch,
+// so one application Write maps to at most one dedup probe.
 func (w *Writer) appendChunked(p []byte) error {
 	for len(p) > 0 {
 		if w.cur == nil {
 			w.cur = w.c.getChunkBuf(w.chunkSize)
 		}
-		take, cut := w.nextCut(p)
-		*w.cur = append(*w.cur, p[:take]...)
+		take, cut := w.nextCut(p, int64(len(w.cur.b)))
+		w.cur.b = append(w.cur.b, p[:take]...)
 		p = p[take:]
 		if cut {
 			buf := w.cur
 			w.cur = nil
-			if err := w.emitChunk(buf, len(p) == 0); err != nil {
+			if err := w.emitChunk(bufChunk(buf), len(p) == 0); err != nil {
 				return err
 			}
 		}
@@ -350,85 +378,206 @@ func (w *Writer) appendChunked(p []byte) error {
 	return nil
 }
 
-// nextCut decides how many of p's bytes extend the current chunk and
-// whether they complete it. The CbCH stream tracks the span length
-// internally and stays in lockstep with w.cur because every byte it
-// accepts is appended there.
-func (w *Writer) nextCut(p []byte) (take int, cut bool) {
+// nextCut decides how many of p's bytes extend a span that already holds
+// span bytes, and whether they complete it. The CbCH stream tracks the
+// span internally and stays in lockstep because every byte it accepts
+// joins the span.
+func (w *Writer) nextCut(p []byte, span int64) (take int, cut bool) {
 	if w.cbch != nil {
 		return w.cbch.Feed(p)
 	}
-	room := int(w.chunkSize) - len(*w.cur)
-	if room > len(p) {
+	room := w.chunkSize - span
+	if room > int64(len(p)) {
 		return len(p), false
 	}
-	return room, true
+	return int(room), true
 }
 
-// appendTemp implements the incremental-write staging.
-func (w *Writer) appendTemp(p []byte) error {
-	limit := w.c.cfg.TempFileBytes
+// stage copies p into staging segments: the one copy the application
+// pays. Under the sliding window each piece is admitted as it is copied —
+// a segment after the first also reserves a max span for the carry of the
+// span that may cross into it — and goes to the stage at once. Incremental
+// writes hand theirs over a temp file at a time, complete-local after
+// Close; their stage admits each chunk it cuts.
+func (w *Writer) stage(p []byte) error {
 	for len(p) > 0 {
-		room := limit - int64(len(w.temp))
-		take := int64(len(p))
-		if take > room {
-			take = room
+		fresh := w.seg == nil || w.fill == segmentSize
+		n := min(len(p), segmentSize-w.fill%segmentSize)
+		if w.protocol == IncrementalWrite {
+			n = min(n, int(w.c.cfg.TempFileBytes-w.tempBytes))
 		}
-		w.temp = append(w.temp, p[:take]...)
-		p = p[take:]
-		if int64(len(w.temp)) >= limit {
-			if err := w.flushTemp(); err != nil {
+		if w.copyAdmits {
+			cost := int64(n)
+			if fresh && w.seg != nil {
+				cost += w.chunkSize
+			}
+			w.mu.Lock()
+			err := w.admit(cost)
+			w.mu.Unlock()
+			if err != nil {
 				return err
+			}
+		}
+		if fresh {
+			w.seg, w.fill = w.c.getSegment(), 0
+		}
+		copy(w.seg.b[w.fill:], p[:n])
+		w.fill += n
+		p = p[n:]
+		if w.copyAdmits {
+			w.stageQ.push(segRange{seg: w.seg, end: w.fill})
+			continue
+		}
+		if k := len(w.pending) - 1; k >= 0 && w.pending[k].seg == w.seg {
+			w.pending[k].end = w.fill
+		} else {
+			w.pending = append(w.pending, segRange{seg: w.seg, end: w.fill})
+		}
+		if w.protocol == IncrementalWrite {
+			if w.tempBytes += int64(n); w.tempBytes == w.c.cfg.TempFileBytes {
+				if err := w.flushTemp(); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// flushTemp hands the current temp file to the background pusher. Blocks
-// when too many temps are outstanding, which is what bounds local space
-// usage (the point of incremental writes over complete-local writes).
-// Backpressure is a plain channel send raced against the failure signal,
-// so waiting costs no wakeups.
+// flushTemp hands the current temp file to the stage. Blocks while two
+// temp files are outstanding — one queued, one being pushed — which is
+// what bounds local space usage (the point of incremental writes over
+// complete-local writes).
 func (w *Writer) flushTemp() error {
-	if len(w.temp) == 0 {
+	if len(w.pending) == 0 {
 		return nil
 	}
-	t := w.temp
-	w.temp = nil
-	select {
-	case w.tempQueue <- t:
-		return nil
-	case <-w.failed:
-		w.mu.Lock()
-		err := w.err
-		w.mu.Unlock()
+	w.mu.Lock()
+	for w.err == nil && w.temps >= 2 {
+		w.cond.Wait()
+	}
+	w.temps++
+	err := w.err
+	w.mu.Unlock()
+	if err != nil {
 		return err
 	}
+	w.pending[len(w.pending)-1].last = true
+	for _, r := range w.pending {
+		w.stageQ.push(r)
+	}
+	w.pending, w.tempBytes = w.pending[:0], 0
+	return nil
 }
 
-func (w *Writer) runTempPusher() {
-	defer w.pushWg.Done()
-	for t := range w.tempQueue {
-		// Temp files are bounded and short-lived: they are read back
-		// from the OS cache, so the push pays a memory copy, not a disk
-		// read (the complete-local protocol, whose staged file is
-		// large, does pay the disk read). This extra copy is what keeps
-		// incremental writes slightly behind the sliding window.
-		w.c.cfg.Mem.Acquire(len(t))
-		if err := w.appendChunked(t); err != nil {
-			w.fail(err)
+// runStage is a staged writer's cutting stage, the incremental protocol's
+// temp pusher generalised. It feeds the ranges it is handed to nextCut and
+// emits each chunk as a slice of its segment, holding a reference. A span
+// still open when its segment runs out is copied into a chunk buffer, the
+// carry, and finished there. A segment's last chunk closes the hasher's
+// probe batch. A temp file is modelled as read back from the OS cache:
+// the stage pays that read's memory pace. On a failed session it drops
+// what it is handed.
+func (w *Writer) runStage() {
+	defer w.stageWg.Done()
+	var (
+		seg   *pooledBuf // being cut; the stage holds the reference it came with
+		pos   int        // how far into seg the cuts have looked
+		start int        // where the open span begins in seg
+		span  int64      // the open span's length
+		carry *pooledBuf // the open span's bytes, once it crossed into seg
+	)
+	cut := func() chunk {
+		ch := chunk{cost: span}
+		if carry != nil {
+			ch.data, ch.buf, carry = carry.b, carry, nil
+			ch.cost += w.chunkSize
+		} else {
+			seg.refs.Add(1)
+			ch.data, ch.buf = seg.b[start:pos], seg
 		}
+		start, span = pos, 0
+		return ch
+	}
+	for {
+		r, ok := w.stageQ.pop(true)
+		if !ok {
+			break
+		}
+		live := !w.hasFailed()
+		if r.seg != seg {
+			if seg != nil {
+				// The reservation Write made for this boundary goes to the
+				// carry of a span crossing it, or back to the window.
+				if live && span > 0 && carry == nil {
+					carry = w.c.getChunkBuf(w.chunkSize)
+					carry.b = append(carry.b, seg.b[start:pos]...)
+				} else if w.copyAdmits {
+					w.unwind(w.chunkSize)
+				}
+				w.c.unref(seg)
+			}
+			seg, pos, start = r.seg, 0, 0
+		}
+		if w.protocol == IncrementalWrite {
+			w.c.cfg.Mem.Acquire(r.end - pos)
+		}
+		var last chunk // emitted once the next cut shows it is not the range's last
+		for p := seg.b[pos:r.end]; live && len(p) > 0; {
+			take, end := w.nextCut(p, span)
+			if carry != nil {
+				carry.b = append(carry.b, p[:take]...)
+			}
+			p, pos, span = p[take:], pos+take, span+int64(take)
+			if end {
+				if last.buf != nil {
+					live = w.emitChunk(last, false) == nil
+				}
+				last = cut()
+			}
+		}
+		pos = r.end
+		if last.buf != nil {
+			// A failed emit released the chunk; the next range sees the failure.
+			_ = w.emitChunk(last, r.end == segmentSize || r.last)
+		}
+		if r.last {
+			w.mu.Lock()
+			w.temps--
+			w.cond.Broadcast()
+			w.mu.Unlock()
+		}
+	}
+	if seg == nil {
+		return
+	}
+	if span > 0 && !w.hasFailed() {
+		_ = w.emitChunk(cut(), true) // failing, it released the chunk: nothing follows
+	} else if carry != nil {
+		w.c.unref(carry)
+	}
+	w.c.unref(seg)
+}
+
+// hasFailed reports whether the session has failed.
+func (w *Writer) hasFailed() bool {
+	select {
+	case <-w.failed:
+		return true
+	default:
+		return false
 	}
 }
 
 // admit is the one place a session waits for room: it blocks while the
-// write window (Config.BufferBytes) cannot take n more bytes — unless the
-// window is empty, so a chunk larger than the whole window still passes —
-// and then counts them in flight. w.mu must be held.
+// write window (Config.BufferBytes) cannot take n more bytes — unless it
+// holds no more than w.held, which is what the stage may hold until more
+// bytes arrive (and zero when the stage admits: an empty window), so a
+// chunk larger than the whole window still passes — and then counts them
+// in flight. w.mu must be held.
 func (w *Writer) admit(n int64) error {
 	full := func() bool {
-		return w.err == nil && w.inflight+n > w.c.cfg.BufferBytes && w.inflight > 0
+		return w.err == nil && w.inflight+n > w.c.cfg.BufferBytes && w.inflight > w.held
 	}
 	if full() {
 		start := time.Now()
@@ -444,25 +593,26 @@ func (w *Writer) admit(n int64) error {
 	return nil
 }
 
-// emitChunk hands a full (or final short) chunk to the hashing stage,
-// taking ownership of the pooled buffer. It blocks while the in-memory
-// window is full, and on nothing else; hashing, dedup and upload all
-// happen downstream, off this thread.
-func (w *Writer) emitChunk(buf *[]byte, flush bool) error {
-	n := int64(len(*buf))
+// emitChunk hands a cut chunk to the hashing stage, taking over its
+// reference. Unless its bytes were admitted as they were copied, it first
+// waits for room in the write window, and on nothing else; hashing, dedup
+// and upload all happen downstream, off this thread.
+func (w *Writer) emitChunk(ch chunk, flush bool) error {
 	w.mu.Lock()
-	if err := w.admit(n); err != nil {
-		w.mu.Unlock()
-		w.c.putChunkBuf(buf)
-		return err
+	if !w.copyAdmits {
+		if err := w.admit(ch.cost); err != nil {
+			w.mu.Unlock()
+			w.c.unref(ch.buf)
+			return err
+		}
 	}
 	idx := w.chunkIdx
 	w.chunkIdx++
 	w.growCommitChunks(idx + 1)
-	w.commitChunks[idx].Size = n
+	w.commitChunks[idx].Size = int64(len(ch.data))
 	w.mu.Unlock()
 
-	w.hashQ.push(chunkItem{idx: idx, buf: buf, flush: flush})
+	w.hashQ.push(chunkItem{idx: idx, chunk: ch, flush: flush})
 	return nil
 }
 
@@ -475,8 +625,9 @@ func (w *Writer) growCommitChunks(n int) {
 // runHasher is the hashing stage: it names chunks (SHA-1) off the
 // application thread and gathers them into batches that cost one MHasChunks
 // dedup probe each. A batch closes on a flush marker (end of an application
-// Write), on reaching maxProbeBatch, or when the queue momentarily runs dry
-// — whichever comes first — so chunks are never held back waiting for more.
+// Write or of a staging segment), on reaching maxProbeBatch, or when the
+// queue momentarily runs dry — whichever comes first — so chunks are never
+// held back waiting for more.
 func (w *Writer) runHasher() {
 	defer w.hashWg.Done()
 	batch := make([]hashedChunk, 0, maxProbeBatch)
@@ -502,11 +653,11 @@ func (w *Writer) runHasher() {
 // hashInto names one chunk, records it in the commit map, and folds it
 // into the pending batch. It reports whether the batch should flush now.
 func (w *Writer) hashInto(batch *[]hashedChunk, item chunkItem) bool {
-	id := core.HashChunk(*item.buf)
+	id := core.HashChunk(item.data)
 	w.mu.Lock()
 	w.commitChunks[item.idx].ID = id
 	w.mu.Unlock()
-	*batch = append(*batch, hashedChunk{idx: item.idx, id: id, buf: item.buf})
+	*batch = append(*batch, hashedChunk{idx: item.idx, id: id, chunk: item.chunk})
 	return item.flush || len(*batch) >= maxProbeBatch
 }
 
@@ -517,10 +668,7 @@ func (w *Writer) flushBatch(batch []hashedChunk, ids []core.ChunkID) {
 	if len(batch) == 0 {
 		return
 	}
-	w.mu.Lock()
-	err := w.err
-	w.mu.Unlock()
-	if err != nil {
+	if w.hasFailed() {
 		w.releaseChunks(batch)
 		return
 	}
@@ -543,13 +691,10 @@ func (w *Writer) flushBatch(batch []hashedChunk, ids []core.ChunkID) {
 	for i, hc := range batch {
 		if i < len(present) && present[i] {
 			// Chunk already stored: copy-on-write reuse, no upload.
-			n := int64(len(*hc.buf))
 			w.mu.Lock()
-			w.deduped += n
-			w.inflight -= n
-			w.cond.Broadcast()
+			w.deduped += int64(len(hc.data))
 			w.mu.Unlock()
-			w.c.putChunkBuf(hc.buf)
+			w.release(hc.chunk)
 			continue
 		}
 		w.dispatch(hc)
@@ -563,20 +708,28 @@ func (w *Writer) dispatch(hc hashedChunk) {
 	w.workers[hc.idx%len(w.workers)].ch <- hc
 }
 
-// releaseChunks drops a batch on the failure path: window accounting is
-// unwound and every buffer goes back to the pool exactly once.
+// releaseChunks drops a batch on the failure path.
 func (w *Writer) releaseChunks(batch []hashedChunk) {
-	var n int64
 	for _, hc := range batch {
-		n += int64(len(*hc.buf))
+		w.release(hc.chunk)
 	}
+}
+
+// release is a chunk's one way out of the pipeline — after its upload
+// completed or failed, on a dedup hit, or when a failed session drops it:
+// its cost leaves the write window and its reference to its buffer is
+// dropped, exactly once.
+func (w *Writer) release(ch chunk) {
+	w.unwind(ch.cost)
+	w.c.unref(ch.buf)
+}
+
+// unwind returns n bytes to the write window.
+func (w *Writer) unwind(n int64) {
 	w.mu.Lock()
 	w.inflight -= n
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	for _, hc := range batch {
-		w.c.putChunkBuf(hc.buf)
-	}
 }
 
 // runUploader is one stripe node's upload loop: every chunk the write
@@ -591,19 +744,15 @@ func (w *Writer) releaseChunks(batch []hashedChunk) {
 // commit map is index-addressed, so completion order is irrelevant. Any
 // failed put fails the whole session (sticky), after which queued chunks
 // drain unsent; the loop returns only when every in-flight call has
-// settled, so every pooled buffer is back exactly once. The pool copies or
-// writes a body before Call returns, so returning the buffer is safe.
+// settled, so every chunk is released exactly once. The pool copies or
+// writes a body before Call returns, so releasing the chunk then is safe.
 func (w *Writer) runUploader(worker *uploadWorker) {
 	defer w.workerWg.Done()
 	var calls sync.WaitGroup
 	window := make(chan struct{}, maxNodePuts)
 	for item := range worker.ch {
-		n := int64(len(*item.buf))
-		w.mu.Lock()
-		failed := w.err != nil
-		w.mu.Unlock()
-		if failed {
-			w.settleUpload(item, n)
+		if w.hasFailed() {
+			w.release(item.chunk)
 			continue
 		}
 		window <- struct{}{}
@@ -611,32 +760,21 @@ func (w *Writer) runUploader(worker *uploadWorker) {
 		go func() {
 			defer calls.Done()
 			defer func() { <-window }()
-			_, err := w.c.dataPool.Call(worker.addr, proto.BPut, proto.PutReq{ID: item.id}, *item.buf, nil)
+			_, err := w.c.dataPool.Call(worker.addr, proto.BPut, proto.PutReq{ID: item.id}, item.data, nil)
 			if err != nil {
 				w.fail(fmt.Errorf("upload chunk %d to stripe node %s: %w", item.idx, worker.addr, err))
 			} else {
-				w.recordUpload(item, worker, n)
+				w.recordUpload(item, worker)
 			}
-			w.settleUpload(item, n)
+			w.release(item.chunk)
 		}()
 	}
 	calls.Wait()
 }
 
-// settleUpload unwinds one chunk's write-window accounting and returns
-// its buffer to the pool, after its upload completed, failed, or was
-// skipped on an already-failed session.
-func (w *Writer) settleUpload(item hashedChunk, n int64) {
+func (w *Writer) recordUpload(item hashedChunk, worker *uploadWorker) {
 	w.mu.Lock()
-	w.inflight -= n
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	w.c.putChunkBuf(item.buf)
-}
-
-func (w *Writer) recordUpload(item hashedChunk, worker *uploadWorker, n int64) {
-	w.mu.Lock()
-	w.uploaded += n
+	w.uploaded += int64(len(item.data))
 	w.commitChunks[item.idx].Locations = append(w.commitChunks[item.idx].Locations, worker.id)
 	w.mu.Unlock()
 }
@@ -668,23 +806,13 @@ func (w *Writer) Close() error {
 	firstErr := w.err
 	w.mu.Unlock()
 
+	// On a failed session these hand back what they were given.
 	var closeErr error
-	if firstErr == nil {
-		switch w.protocol {
-		case SlidingWindow:
-			if w.cur != nil {
-				buf := w.cur
-				w.cur = nil
-				closeErr = w.emitChunk(buf, true)
-			}
-		case IncrementalWrite:
-			closeErr = w.flushTemp()
-		case CompleteLocalWrite:
-			// Local staging already complete; push happens in background.
-		}
-	} else if w.cur != nil && w.protocol == SlidingWindow {
-		w.c.putChunkBuf(w.cur)
+	if buf := w.cur; buf != nil {
 		w.cur = nil
+		closeErr = w.emitChunk(bufChunk(buf), true)
+	} else if w.protocol == IncrementalWrite {
+		closeErr = w.flushTemp()
 	}
 
 	w.mu.Lock()
@@ -715,36 +843,22 @@ func (w *Writer) Close() error {
 func (w *Writer) finish() {
 	defer close(w.done)
 
-	if w.protocol == IncrementalWrite {
-		close(w.tempQueue)
-		w.pushWg.Wait()
-		if w.cur != nil {
-			buf := w.cur
-			w.cur = nil
-			if err := w.emitChunk(buf, true); err != nil {
-				w.waitErr = err
-			}
+	if w.staged() {
+		if w.protocol == CompleteLocalWrite && w.c.cfg.LocalDisk != nil {
+			// The push reads the staged image back from local disk, paced
+			// by the disk model: a complete staged image does not fit the
+			// cache.
+			w.c.cfg.LocalDisk.Read(int(w.written))
 		}
-	}
-	if w.protocol == CompleteLocalWrite {
-		// Push the staged file: the read back from local disk is paced
-		// by the disk model (a complete staged image does not fit the
-		// cache), then chunks flow through the regular upload path.
-		data := w.temp
-		w.temp = nil
-		if w.c.cfg.LocalDisk != nil {
-			w.c.cfg.LocalDisk.Read(len(data))
+		// What was staged and not handed over — the complete-local image,
+		// or what a failed session left — goes to the stage, which cuts it
+		// or drops it; then the stage drains.
+		for _, r := range w.pending {
+			w.stageQ.push(r)
 		}
-		if err := w.appendChunked(data); err != nil {
-			w.waitErr = err
-		}
-		if w.cur != nil {
-			buf := w.cur
-			w.cur = nil
-			if err := w.emitChunk(buf, true); err != nil && w.waitErr == nil {
-				w.waitErr = err
-			}
-		}
+		w.pending = nil
+		w.stageQ.close()
+		w.stageWg.Wait()
 	}
 
 	// All producers are done: drain the hashing stage, then the uploaders.
@@ -876,7 +990,7 @@ type WriteMetrics struct {
 	// OpenToStored is the time until all remote I/O completed and the
 	// map committed (ASB interval).
 	OpenToStored time.Duration
-	// BufferWait is the total time the session's filling thread — under
+	// BufferWait is the total time the session's admitting thread — under
 	// the sliding-window protocol the application, inside Write and
 	// Close — waited for room in the Config.BufferBytes window. It is
 	// the only wait the pipeline imposes on that thread: zero when the

@@ -97,42 +97,50 @@ func TestCbCHLiveIncrementalCheckpointing(t *testing.T) {
 	}
 }
 
-// TestCbCHAllProtocolsRoundTrip: the streaming boundary finder sits in the
-// shared chunk-emit path, so all three write protocols must produce
-// correct (and identical) committed content with variable-size chunks.
+// TestCbCHAllProtocolsRoundTrip: every write but the fixed-size sliding
+// window is staged — copied into segments that a stage goroutine cuts —
+// and the streaming boundary finder runs on that stage, so all three
+// write protocols must produce correct (and identical) committed content
+// with variable-size chunks, and with fixed-size ones that do not divide a
+// segment (96 KB), whose chunks sometimes span two.
 func TestCbCHAllProtocolsRoundTrip(t *testing.T) {
 	c := testCluster(t, 3, manager.Config{})
 	data := payload(81, 3<<20+4321)
 	for _, p := range []client.Protocol{client.SlidingWindow, client.IncrementalWrite, client.CompleteLocalWrite} {
 		t.Run(p.String(), func(t *testing.T) {
-			cl := testClient(t, c, client.Config{
-				Protocol:      p,
-				Chunking:      client.ChunkCbCH,
-				CbCH:          cbchTestParams(),
-				StripeWidth:   2,
-				TempFileBytes: 256 << 10,
-			})
-			name := fmt.Sprintf("cbchproto%d.n1.t0", p)
-			writeFile(t, cl, name, data)
-			if got := readFile(t, cl, name); !bytes.Equal(got, data) {
-				t.Fatalf("%s: CbCH round trip corrupted", p)
-			}
-			// The committed map must be flagged variable with in-bounds
-			// heterogeneous spans.
-			r, err := cl.Open(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			m := r.Map()
-			if !m.Variable {
-				t.Fatal("committed map not flagged Variable")
-			}
-			if err := m.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if len(m.Chunks) < 20 {
-				t.Fatalf("only %d chunks; CbCH bounds not applied", len(m.Chunks))
+			for _, mode := range []client.ChunkingMode{client.ChunkCbCH, client.ChunkFixed} {
+				t.Run(mode.String(), func(t *testing.T) {
+					cl := testClient(t, c, client.Config{
+						Protocol:      p,
+						Chunking:      mode,
+						CbCH:          cbchTestParams(),
+						ChunkSize:     96 << 10,
+						StripeWidth:   2,
+						TempFileBytes: 256 << 10,
+					})
+					name := fmt.Sprintf("%sproto%d.n1.t0", mode, p)
+					writeFile(t, cl, name, data)
+					if got := readFile(t, cl, name); !bytes.Equal(got, data) {
+						t.Fatalf("%s: %s round trip corrupted", p, mode)
+					}
+					// The committed map must be flagged variable (CbCH only)
+					// with in-bounds spans.
+					r, err := cl.Open(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer r.Close()
+					m := r.Map()
+					if m.Variable != (mode == client.ChunkCbCH) {
+						t.Fatalf("committed map flagged Variable=%v under %s chunking", m.Variable, mode)
+					}
+					if err := m.Validate(); err != nil {
+						t.Fatal(err)
+					}
+					if len(m.Chunks) < 20 {
+						t.Fatalf("only %d chunks; %s bounds not applied", len(m.Chunks), mode)
+					}
+				})
 			}
 		})
 	}
