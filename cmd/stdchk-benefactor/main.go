@@ -20,7 +20,6 @@ import (
 
 	"stdchk/internal/benefactor"
 	"stdchk/internal/core"
-	"stdchk/internal/federation"
 	"stdchk/internal/hashing"
 	"stdchk/internal/store"
 )
@@ -56,7 +55,7 @@ func run(args []string) error {
 	cfg := benefactor.Config{
 		ID:            core.NodeID(*id),
 		ListenAddr:    *listen,
-		ManagerAddrs:  federation.SplitMembers(*mgr),
+		ManagerAddr:   *mgr,
 		Capacity:      *capacity,
 		GCInterval:    *gcEvery,
 		GCGrace:       *gcGrace,

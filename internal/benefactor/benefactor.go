@@ -29,15 +29,14 @@ type Config struct {
 	// ListenAddr is the chunk-service address ("127.0.0.1:0" for
 	// ephemeral).
 	ListenAddr string
-	// ManagerAddr is the metadata manager to register with. Empty runs
-	// the node unmanaged (unit tests). Ignored when ManagerAddrs is set.
+	// ManagerAddr is the metadata manager to register with, or a
+	// comma-separated federation member list (federation.SplitMembers
+	// syntax). The node registers and heartbeats with every member (each
+	// manager allocates stripes from its own registry), and garbage
+	// collection intersects the members' answers so a chunk is deleted
+	// only when no member references it. Empty runs the node unmanaged
+	// (unit tests).
 	ManagerAddr string
-	// ManagerAddrs lists a federated metadata plane's members. The node
-	// registers and heartbeats with every member (each manager allocates
-	// stripes from its own registry), and garbage collection intersects
-	// the members' answers so a chunk is deleted only when no member
-	// references it.
-	ManagerAddrs []string
 	// Capacity is the contributed space in bytes (0 = unlimited). Used
 	// when Store is nil.
 	Capacity int64
@@ -157,7 +156,7 @@ func New(cfg Config) (*Benefactor, error) {
 		MaxConnInflight: cfg.MaxConnInflight,
 	})
 
-	if members := cfg.managerMembers(); len(members) > 0 {
+	if members := federation.SplitMembers(cfg.ManagerAddr); len(members) > 0 {
 		r, err := federation.NewRouter(federation.RouterConfig{
 			Members: members,
 			Shaper:  cfg.DialShaper,
@@ -179,18 +178,6 @@ func New(cfg Config) (*Benefactor, error) {
 		go b.scrubLoop()
 	}
 	return b, nil
-}
-
-// managerMembers resolves the metadata-plane member list: the federation
-// list when configured, else the single manager address, else none.
-func (c Config) managerMembers() []string {
-	if len(c.ManagerAddrs) > 0 {
-		return c.ManagerAddrs
-	}
-	if c.ManagerAddr != "" {
-		return []string{c.ManagerAddr}
-	}
-	return nil
 }
 
 // ID returns the node's identity.

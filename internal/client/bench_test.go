@@ -59,6 +59,67 @@ func BenchmarkOpenRead(b *testing.B) {
 	}
 }
 
+// BenchmarkRoutedCall measures one routed metadata round trip through the
+// client's Router against a one-manager in-process cluster over sockets:
+// "stat" is Client.Stat, "open-latest" a warm latest Open (one MGetMap
+// the manager answers "unchanged") closed unread. Allocation count is the
+// metric of interest: looking up an op's route and stamping its epoch
+// must add none. Rides the bench-compare allocs gate.
+func BenchmarkRoutedCall(b *testing.B) {
+	mgr := benchCluster(b, nil)
+	cl, err := client.New(client.Config{
+		ManagerAddr: mgr.Addr(),
+		StripeWidth: 1,
+		ChunkSize:   64 << 10,
+		Replication: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+
+	const name = "bench.n4.t0"
+	w, err := cl.Create(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := w.Write(make([]byte, 4<<10)); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Wait(); err != nil {
+		b.Fatal(err)
+	}
+	open := func() error {
+		r, err := cl.Open(name)
+		if err != nil {
+			return err
+		}
+		return r.Close()
+	}
+	if err := open(); err != nil { // warm the chunk-map cache
+		b.Fatal(err)
+	}
+	for _, variant := range []struct {
+		name string
+		op   func() error
+	}{
+		{"stat", func() error { _, err := cl.Stat(name); return err }},
+		{"open-latest", open},
+	} {
+		b.Run(variant.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := variant.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkUploadPipeline contrasts two settings of the one upload loop
 // over the same stripe: "serial" is its degenerate stop-and-wait setting
 // (BufferBytes = ChunkSize: one chunk in the whole pipeline), "mux" the

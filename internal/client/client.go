@@ -463,8 +463,8 @@ func (c *Client) Open(name string, opts ...OpenOptions) (*Reader, error) {
 // MStatVersion probe carrying the instant. An instant older than every
 // commit is core.ErrNotFound.
 func (c *Client) resolveAsOf(name string, asOf time.Time) (core.VersionID, error) {
-	sv, err := c.mgr.StatVersion(proto.StatVersionReq{Name: name, AsOf: asOf})
-	if err != nil {
+	var sv proto.StatVersionResp
+	if err := c.mgr.Call(proto.MStatVersion, name, &proto.StatVersionReq{Name: name, AsOf: asOf}, &sv); err != nil {
 		return 0, fmt.Errorf("client: open %s as of %s: %w", name, asOf.Format(time.RFC3339), err)
 	}
 	return sv.Version, nil
@@ -496,8 +496,8 @@ func (c *Client) openMap(name string, ver core.VersionID) (string, *core.ChunkMa
 // fetchMap sends one MGetMap and caches the map the reply carries. A
 // reply to a Have it no longer matches counts as a cache miss.
 func (c *Client) fetchMap(dsKey string, req proto.GetMapReq) (proto.GetMapResp, error) {
-	resp, err := c.mgr.GetMap(req)
-	if err != nil {
+	var resp proto.GetMapResp
+	if err := c.mgr.Call(proto.MGetMap, req.Name, &req, &resp); err != nil {
 		return resp, fmt.Errorf("client: open %s: %w", req.Name, err)
 	}
 	if req.Have != 0 && resp.Map != nil {
@@ -511,8 +511,8 @@ func (c *Client) fetchMap(dsKey string, req proto.GetMapReq) (proto.GetMapResp, 
 // commit time, writer, size, and how much each version shares with its
 // predecessor.
 func (c *Client) History(name string) (proto.HistoryResp, error) {
-	resp, err := c.mgr.History(proto.HistoryReq{Name: name})
-	if err != nil {
+	var resp proto.HistoryResp
+	if err := c.mgr.Call(proto.MHistory, name, &proto.HistoryReq{Name: name}, &resp); err != nil {
 		return proto.HistoryResp{}, fmt.Errorf("client: history %s: %w", name, err)
 	}
 	return resp, nil
@@ -522,8 +522,8 @@ func (c *Client) History(name string) (proto.HistoryResp, error) {
 // from (0 = latest for to). Bytes outside the returned ranges are
 // guaranteed identical in both versions.
 func (c *Client) Diff(name string, from, to core.VersionID) (proto.DiffResp, error) {
-	resp, err := c.mgr.Diff(proto.DiffReq{Name: name, From: from, To: to})
-	if err != nil {
+	var resp proto.DiffResp
+	if err := c.mgr.Call(proto.MDiff, name, &proto.DiffReq{Name: name, From: from, To: to}, &resp); err != nil {
 		return proto.DiffResp{}, fmt.Errorf("client: diff %s: %w", name, err)
 	}
 	return resp, nil
@@ -554,7 +554,7 @@ func (c *Client) MapCacheStats() proto.MapCacheStats { return c.maps.snapshot() 
 // dataset's cached chunk-maps are dropped — a deleted version's chunks
 // may be garbage collected, so serving it from cache would read garbage.
 func (c *Client) Delete(name string, ver core.VersionID) error {
-	if err := c.mgr.Delete(proto.DeleteReq{Name: name, Version: ver}); err != nil {
+	if err := c.mgr.Call(proto.MDelete, name, &proto.DeleteReq{Name: name, Version: ver}, nil); err != nil {
 		return fmt.Errorf("client: delete %s: %w", name, err)
 	}
 	c.InvalidateMaps(name)
@@ -580,11 +580,11 @@ func (c *Client) List(folder string) ([]core.DatasetInfo, error) {
 
 // Stat summarizes one dataset.
 func (c *Client) Stat(name string) (core.DatasetInfo, error) {
-	info, err := c.mgr.Stat(name)
-	if err != nil {
+	var resp proto.StatResp
+	if err := c.mgr.Call(proto.MStat, name, &proto.StatReq{Name: name}, &resp); err != nil {
 		return core.DatasetInfo{}, fmt.Errorf("client: stat %s: %w", name, err)
 	}
-	return info, nil
+	return resp.Dataset, nil
 }
 
 // SetPolicy attaches a data-lifetime policy to a folder.
@@ -592,7 +592,7 @@ func (c *Client) SetPolicy(folder string, p core.Policy) error {
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("client: set policy: %w", err)
 	}
-	if err := c.mgr.SetPolicy(folder, p); err != nil {
+	if err := c.mgr.Call(proto.MPolicySet, "", &proto.PolicySetReq{Folder: folder, Policy: p}, nil); err != nil {
 		return fmt.Errorf("client: set policy on %q: %w", folder, err)
 	}
 	return nil
@@ -600,11 +600,11 @@ func (c *Client) SetPolicy(folder string, p core.Policy) error {
 
 // GetPolicy reads a folder's policy.
 func (c *Client) GetPolicy(folder string) (core.Policy, error) {
-	p, err := c.mgr.GetPolicy(folder)
-	if err != nil {
+	var resp proto.PolicyGetResp
+	if err := c.mgr.Call(proto.MPolicyGet, "", &proto.PolicyGetReq{Folder: folder}, &resp); err != nil {
 		return core.Policy{}, fmt.Errorf("client: get policy of %q: %w", folder, err)
 	}
-	return p, nil
+	return resp.Policy, nil
 }
 
 // PolicyDryRun audits retention without mutating anything: for each

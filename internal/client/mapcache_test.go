@@ -69,41 +69,71 @@ func (f *fakeMetadata) resolve(name string, ver core.VersionID) (string, *core.C
 	return "", nil
 }
 
-func (f *fakeMetadata) GetMap(req proto.GetMapReq) (proto.GetMapResp, error) {
+// Call serves the ops the cache tests drive; the rest are not implemented.
+func (f *fakeMetadata) Call(op, name string, req, resp interface{}) error {
+	switch op {
+	case proto.MGetMap:
+		return f.getMap(*req.(*proto.GetMapReq), resp.(*proto.GetMapResp))
+	case proto.MStatVersion:
+		return f.statVersion(*req.(*proto.StatVersionReq), resp.(*proto.StatVersionResp))
+	case proto.MDelete:
+		f.deletes++
+		delete(f.chains, req.(*proto.DeleteReq).Name)
+		return nil
+	case proto.MHistory:
+		return f.history(*req.(*proto.HistoryReq), resp.(*proto.HistoryResp))
+	case proto.MStat, proto.MReplStatus:
+		return core.ErrNotFound
+	case proto.MPolicySet, proto.MPolicyGet:
+		return nil
+	}
+	return errors.New("fake: not implemented")
+}
+
+func (f *fakeMetadata) getMap(req proto.GetMapReq, resp *proto.GetMapResp) error {
 	f.getMaps++
 	f.reqs = append(f.reqs, req)
 	if f.beforeReply != nil {
 		f.beforeReply(req)
 	}
 	if f.getMapErr != nil {
-		return proto.GetMapResp{}, f.getMapErr
+		return f.getMapErr
 	}
 	name, m := f.resolve(req.Name, req.Version)
 	if m == nil {
-		return proto.GetMapResp{}, core.ErrNotFound
+		return core.ErrNotFound
 	}
-	resp := proto.GetMapResp{Name: name, Version: m.Version}
+	*resp = proto.GetMapResp{Name: name, Version: m.Version}
 	if m.Version == req.Have {
 		f.unchanged++
-		return resp, nil
+		return nil
 	}
 	resp.Map = m.Clone()
-	return resp, nil
+	return nil
 }
 
-func (f *fakeMetadata) StatVersion(req proto.StatVersionReq) (proto.StatVersionResp, error) {
+func (f *fakeMetadata) statVersion(req proto.StatVersionReq, resp *proto.StatVersionResp) error {
 	f.statVersions++
 	chain := f.chains[req.Name]
 	if len(chain) == 0 {
-		return proto.StatVersionResp{}, core.ErrNotFound
+		return core.ErrNotFound
 	}
 	m := chain[len(chain)-1]
-	return proto.StatVersionResp{Name: f.fileName(req.Name, m), Dataset: m.Dataset, Version: m.Version}, nil
+	*resp = proto.StatVersionResp{Name: f.fileName(req.Name, m), Dataset: m.Dataset, Version: m.Version}
+	return nil
 }
 
-func (f *fakeMetadata) Delete(req proto.DeleteReq) error {
-	f.deletes++
-	delete(f.chains, req.Name)
+func (f *fakeMetadata) history(req proto.HistoryReq, resp *proto.HistoryResp) error {
+	chain := f.chains[req.Name]
+	if len(chain) == 0 {
+		return core.ErrNotFound
+	}
+	for _, m := range chain {
+		resp.Versions = append(resp.Versions, proto.VersionLineage{
+			Version: m.Version, Name: f.fileName(req.Name, m),
+			FileSize: m.FileSize, CommittedAt: m.CreatedAt, Chunks: len(m.Chunks),
+		})
+	}
 	return nil
 }
 
@@ -119,51 +149,9 @@ func (f *fakeMetadata) GetMaps(req proto.GetMapsReq) (proto.GetMapsResp, error) 
 	}
 	return resp, nil
 }
-func (f *fakeMetadata) History(req proto.HistoryReq) (proto.HistoryResp, error) {
-	chain := f.chains[req.Name]
-	if len(chain) == 0 {
-		return proto.HistoryResp{}, core.ErrNotFound
-	}
-	var resp proto.HistoryResp
-	for _, m := range chain {
-		resp.Versions = append(resp.Versions, proto.VersionLineage{
-			Version: m.Version, Name: f.fileName(req.Name, m),
-			FileSize: m.FileSize, CommittedAt: m.CreatedAt, Chunks: len(m.Chunks),
-		})
-	}
-	return resp, nil
-}
-func (f *fakeMetadata) Diff(proto.DiffReq) (proto.DiffResp, error) {
-	return proto.DiffResp{}, errors.New("fake: not implemented")
-}
-func (f *fakeMetadata) Alloc(proto.AllocReq) (proto.AllocResp, error) {
-	return proto.AllocResp{}, errors.New("fake: not implemented")
-}
-func (f *fakeMetadata) Extend(string, proto.ExtendReq) (proto.ExtendResp, error) {
-	return proto.ExtendResp{}, errors.New("fake: not implemented")
-}
-func (f *fakeMetadata) Commit(string, proto.CommitReq) (proto.CommitResp, error) {
-	return proto.CommitResp{}, errors.New("fake: not implemented")
-}
-func (f *fakeMetadata) Abort(string, proto.AbortReq) error {
-	return errors.New("fake: not implemented")
-}
-func (f *fakeMetadata) HasChunks(string, []core.ChunkID) ([]bool, error) {
-	return nil, errors.New("fake: not implemented")
-}
 func (f *fakeMetadata) List(string) ([]core.DatasetInfo, error) { return nil, nil }
-func (f *fakeMetadata) Stat(string) (core.DatasetInfo, error) {
-	return core.DatasetInfo{}, core.ErrNotFound
-}
-func (f *fakeMetadata) SetPolicy(string, core.Policy) error { return nil }
-func (f *fakeMetadata) GetPolicy(string) (core.Policy, error) {
-	return core.Policy{}, nil
-}
 func (f *fakeMetadata) PolicyDryRun(proto.PolicyDryRunReq) (proto.PolicyDryRunResp, error) {
 	return proto.PolicyDryRunResp{}, nil
-}
-func (f *fakeMetadata) ReplStatus(string) (proto.ReplStatusResp, error) {
-	return proto.ReplStatusResp{}, core.ErrNotFound
 }
 func (f *fakeMetadata) ManagerStats() (proto.ManagerStats, error) {
 	return proto.ManagerStats{}, nil

@@ -14,6 +14,7 @@ import (
 	"stdchk/internal/chunker"
 	"stdchk/internal/core"
 	"stdchk/internal/manager"
+	"stdchk/internal/proto"
 	"stdchk/internal/store"
 )
 
@@ -112,13 +113,18 @@ type probeRecorder struct {
 	batches []int
 }
 
-func (p *probeRecorder) HasChunks(_ string, ids []core.ChunkID) ([]bool, error) {
+func (p *probeRecorder) Call(op, name string, req, resp interface{}) error {
+	if op != proto.MHasChunks {
+		return p.fakeMetadata.Call(op, name, req, resp)
+	}
+	ids := req.(*proto.HasReq).IDs
 	p.batches = append(p.batches, len(ids))
 	present := make([]bool, len(ids))
 	for i := range present {
 		present[i] = true
 	}
-	return present, nil
+	resp.(*proto.HasResp).Present = present
+	return nil
 }
 
 // TestHasherBatchesQueuedChunks pins the batching rule where it is

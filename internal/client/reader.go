@@ -532,7 +532,8 @@ func (r *Reader) untried(idx int) []core.NodeID {
 		if closed {
 			return
 		}
-		resp, err := r.c.mgr.GetMap(proto.GetMapReq{Name: r.name, Version: r.cm.Version})
+		var resp proto.GetMapResp
+		err := r.c.mgr.Call(proto.MGetMap, r.name, &proto.GetMapReq{Name: r.name, Version: r.cm.Version}, &resp)
 		if err != nil || resp.Map == nil || len(resp.Map.Locations) != len(r.cm.Chunks) {
 			return
 		}

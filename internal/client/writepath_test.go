@@ -17,6 +17,7 @@ import (
 	"stdchk/internal/core"
 	"stdchk/internal/federation"
 	"stdchk/internal/manager"
+	"stdchk/internal/proto"
 	"stdchk/internal/store"
 )
 
@@ -57,9 +58,11 @@ type tollEndpoint struct {
 	toll *toll
 }
 
-func (e tollEndpoint) HasChunks(name string, ids []core.ChunkID) ([]bool, error) {
-	e.toll.pass()
-	return e.ManagerEndpoint.HasChunks(name, ids)
+func (e tollEndpoint) Call(op, name string, req, resp interface{}) error {
+	if op == proto.MHasChunks {
+		e.toll.pass()
+	}
+	return e.ManagerEndpoint.Call(op, name, req, resp)
 }
 
 // tollCluster starts a manager and width donors whose puts wait at puts.

@@ -254,8 +254,8 @@ func newWriter(c *Client, name string) (*Writer, error) {
 		Replication:  c.cfg.Replication,
 		Writer:       c.cfg.Writer,
 	}
-	sess, err := c.mgr.Alloc(req)
-	if err != nil {
+	var sess proto.AllocResp
+	if err := c.mgr.Call(proto.MAlloc, name, &req, &sess); err != nil {
 		return nil, fmt.Errorf("client: create %s: %w", name, err)
 	}
 	w.sess = sess
@@ -344,7 +344,7 @@ func (w *Writer) ensureReservation() error {
 	}
 	quantum := w.c.cfg.ReserveQuantum
 	ext := (need + quantum - 1) / quantum * quantum
-	if _, err := w.c.mgr.Extend(w.name, proto.ExtendReq{WriteID: w.sess.WriteID, Bytes: ext}); err != nil {
+	if err := w.c.mgr.Call(proto.MExtend, w.name, &proto.ExtendReq{WriteID: w.sess.WriteID, Bytes: ext}, nil); err != nil {
 		w.fail(fmt.Errorf("extend reservation: %w", err))
 		return err
 	}
@@ -682,14 +682,14 @@ func (w *Writer) flushBatch(batch []hashedChunk, ids []core.ChunkID) {
 	for _, hc := range batch {
 		ids = append(ids, hc.id)
 	}
-	present, err := w.c.mgr.HasChunks(w.name, ids)
-	if err != nil {
+	var has proto.HasResp
+	if err := w.c.mgr.Call(proto.MHasChunks, w.name, &proto.HasReq{IDs: ids}, &has); err != nil {
 		w.fail(fmt.Errorf("dedup query: %w", err))
 		w.releaseChunks(batch)
 		return
 	}
 	for i, hc := range batch {
-		if i < len(present) && present[i] {
+		if i < len(has.Present) && has.Present[i] {
 			// Chunk already stored: copy-on-write reuse, no upload.
 			w.mu.Lock()
 			w.deduped += int64(len(hc.data))
@@ -906,8 +906,8 @@ func (w *Writer) commit() error {
 	w.mu.Unlock()
 
 	req := proto.CommitReq{WriteID: w.sess.WriteID, FileSize: written, Chunks: chunks}
-	resp, err := w.c.mgr.Commit(w.name, req)
-	if err != nil {
+	var resp proto.CommitResp
+	if err := w.c.mgr.Call(proto.MCommit, w.name, &req, &resp); err != nil {
 		return fmt.Errorf("commit %s: %w", w.name, err)
 	}
 
@@ -949,7 +949,8 @@ const pessimisticTimeout = 2 * time.Minute
 func (w *Writer) awaitReplication() error {
 	deadline := time.Now().Add(pessimisticTimeout)
 	for {
-		st, err := w.c.mgr.ReplStatus(w.name)
+		var st proto.ReplStatusResp
+		err := w.c.mgr.Call(proto.MReplStatus, w.name, &proto.ReplStatusReq{Name: w.name}, &st)
 		if err == nil && st.Level >= st.Target {
 			return nil
 		}
@@ -972,7 +973,7 @@ func (w *Writer) Wait() error {
 
 // abort releases the manager-side session after a failure.
 func (w *Writer) abort() {
-	_ = w.c.mgr.Abort(w.name, proto.AbortReq{WriteID: w.sess.WriteID})
+	_ = w.c.mgr.Call(proto.MAbort, w.name, &proto.AbortReq{WriteID: w.sess.WriteID}, nil)
 }
 
 // Metrics exposes the timing and byte counters the evaluation uses.

@@ -80,20 +80,6 @@ func (d Durability) String() string {
 	}
 }
 
-// ParseDurability parses the string form produced by String.
-func ParseDurability(s string) (Durability, error) {
-	switch s {
-	case "", "default":
-		return DurabilityDefault, nil
-	case "relaxed":
-		return DurabilityRelaxed, nil
-	case "fsync":
-		return DurabilityFsync, nil
-	default:
-		return 0, fmt.Errorf("unknown durability %q", s)
-	}
-}
-
 // Retention is a per-folder version-retention schedule, orthogonal to
 // the lifetime Kind the way Durability is. A zero Retention retains
 // everything. When set, the retention worker keeps, per dataset:

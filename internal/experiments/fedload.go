@@ -134,7 +134,7 @@ func fedLoadCell(managers, writers int, dur time.Duration, imageSize int64, chun
 		return fedLoadResult{}, err
 	}
 	defer router.Close()
-	if err := router.CheckHealth(); err != nil {
+	if _, err := router.MemberStats(); err != nil {
 		return fedLoadResult{}, fmt.Errorf("federation unhealthy at start: %w", err)
 	}
 	for i := 0; i < benefactors; i++ {
@@ -196,10 +196,11 @@ func driveRouterCheckpoint(r *federation.Router, name string, seed int64, t, chu
 	var ops int64
 	reserve := int64(chunksPer) * chunkSize / 2
 
-	alloc, err := r.Alloc(proto.AllocReq{
+	var alloc proto.AllocResp
+	err := r.Call(proto.MAlloc, name, &proto.AllocReq{
 		Name: name, StripeWidth: 4, ChunkSize: chunkSize,
 		Variable: variable, ReserveBytes: reserve, Replication: 1,
-	})
+	}, &alloc)
 	ops++
 	if err != nil {
 		return ops, err
@@ -209,24 +210,24 @@ func driveRouterCheckpoint(r *federation.Router, name string, seed int64, t, chu
 		locs = append(locs, st.ID)
 	}
 
-	if _, err := r.Extend(name, proto.ExtendReq{WriteID: alloc.WriteID, Bytes: reserve}); err != nil {
+	if err := r.Call(proto.MExtend, name, &proto.ExtendReq{WriteID: alloc.WriteID, Bytes: reserve}, nil); err != nil {
 		return ops + 1, err
 	}
 	ops++
 
 	ids, chunks, fileSize := manager.BuildCheckpoint(seed, t, chunksPer, chunkSize, variable, locs)
 
-	if _, err := r.HasChunks(name, ids); err != nil {
+	if err := r.Call(proto.MHasChunks, name, &proto.HasReq{IDs: ids}, &proto.HasResp{}); err != nil {
 		return ops + 1, err
 	}
 	ops++
 
-	if _, err := r.Commit(name, proto.CommitReq{WriteID: alloc.WriteID, FileSize: fileSize, Chunks: chunks}); err != nil {
+	if err := r.Call(proto.MCommit, name, &proto.CommitReq{WriteID: alloc.WriteID, FileSize: fileSize, Chunks: chunks}, &proto.CommitResp{}); err != nil {
 		return ops + 1, err
 	}
 	ops++
 
-	if _, err := r.GetMap(proto.GetMapReq{Name: name}); err != nil {
+	if err := r.Call(proto.MGetMap, name, &proto.GetMapReq{Name: name}, &proto.GetMapResp{}); err != nil {
 		return ops + 1, err
 	}
 	ops++

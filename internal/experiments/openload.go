@@ -187,7 +187,7 @@ func newOpenLoadGrid(managers, benefactors, maxPending int) (*openLoadGrid, erro
 		return nil, err
 	}
 	g.router = router
-	if err := router.CheckHealth(); err != nil {
+	if _, err := router.MemberStats(); err != nil {
 		g.close()
 		return nil, fmt.Errorf("federation unhealthy at start: %w", err)
 	}

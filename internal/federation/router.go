@@ -18,12 +18,12 @@ import (
 
 // Router is the client-side front of the metadata plane, whatever its
 // size: every stdchk client and benefactor reaches the managers through
-// one, and a lone manager is a federation of one member. It maps every
-// dataset-scoped RPC (alloc/extend/commit/getMap/stat/delete/replication
-// status) to the member owning the dataset's partition, and
-// fans membership-scoped RPCs (register, heartbeat, GC reconciliation,
-// list, stats) out to all members with merged replies. The members share
-// one connection pool; CheckHealth probes them all.
+// one, and a lone manager is a federation of one member. Call sends an op
+// where its proto.Route says: dataset-scoped ops to the member owning the
+// dataset's partition, folder policy writes to every member, policy reads
+// to any. The ops whose replies from several members must be merged
+// (register, heartbeat, GC reconciliation, list, stats) have their own
+// methods. The members share one connection pool.
 //
 // A Router is safe for concurrent use. It is the implementation behind
 // the client package's ManagerEndpoint seam (client.New builds one from
@@ -178,6 +178,42 @@ func (r *Router) wireEpoch() uint64 {
 	return r.ms.epoch
 }
 
+// Call sends one manager op where proto.RouteOf(op) routes it. An owner op
+// goes to the member owning name's dataset, stamped with the partition
+// epoch when req embeds proto.Epoch, under callOwner's retry policy. An
+// any-member op takes the first member that answers. An every-member op is
+// sent to all members, which Call can only do when it has no reply to merge
+// (resp nil); the ops with a merged reply have their own methods. req and
+// resp are pointers, resp nil when the reply is not wanted; name matters
+// only to owner ops.
+func (r *Router) Call(op, name string, req, resp interface{}) error {
+	switch proto.RouteOf(op) {
+	case proto.RouteOwner:
+		if e, ok := req.(interface{ SetPartitionEpoch(uint64) }); ok {
+			e.SetPartitionEpoch(r.wireEpoch())
+		}
+		return r.callOwner(name, op, req, resp)
+	case proto.RouteAny:
+		var firstErr error
+		for i := range r.ms.members {
+			err := r.call(i, op, req, resp)
+			if err == nil {
+				return nil
+			}
+			if firstErr == nil {
+				firstErr = err
+			}
+		}
+		return firstErr
+	case proto.RouteEvery:
+		if resp != nil {
+			return fmt.Errorf("federation: %s goes to every member and its replies need a merge; Call cannot serve it", op)
+		}
+		return r.fanOut(func(i int) error { return r.call(i, op, req, nil) })
+	}
+	return fmt.Errorf("federation: %s has no route", op)
+}
+
 // fanOut runs fn once per member, concurrently, and returns the
 // lowest-indexed member's error (every member is attempted, so one dead
 // member can neither keep another from being asked nor stretch the call's
@@ -203,161 +239,44 @@ func (r *Router) fanOut(fn func(i int) error) error {
 	return nil
 }
 
-// CheckHealth probes every member with a stats call and returns the first
-// failure (nil when the whole federation answered).
-func (r *Router) CheckHealth() error {
-	return r.fanOut(func(i int) error {
-		var st proto.ManagerStats
-		return r.call(i, proto.MStats, nil, &st)
-	})
-}
-
-// ---- dataset-scoped endpoints (routed to the partition owner) ----
-
-// Alloc opens a write session on the owner of req.Name.
-func (r *Router) Alloc(req proto.AllocReq) (proto.AllocResp, error) {
-	req.PartitionEpoch = r.wireEpoch()
-	var resp proto.AllocResp
-	err := r.callOwner(req.Name, proto.MAlloc, req, &resp)
-	return resp, err
-}
-
-// Extend grows a session's reservation on the owner of name (sessions
-// are member-local: the WriteID only means something to the member that
-// allocated it).
-func (r *Router) Extend(name string, req proto.ExtendReq) (proto.ExtendResp, error) {
-	var resp proto.ExtendResp
-	err := r.callOwner(name, proto.MExtend, req, &resp)
-	return resp, err
-}
-
-// Commit publishes a session's chunk-map on the owner of name.
-func (r *Router) Commit(name string, req proto.CommitReq) (proto.CommitResp, error) {
-	var resp proto.CommitResp
-	err := r.callOwner(name, proto.MCommit, req, &resp)
-	return resp, err
-}
-
-// Abort abandons a session on the owner of name.
-func (r *Router) Abort(name string, req proto.AbortReq) error {
-	return r.callOwner(name, proto.MAbort, req, nil)
-}
-
-// HasChunks answers a write session's dedup probe from the owner of name.
-// The probe deliberately does NOT fan out: a copy-on-write commit is
-// validated against the owner's content index, so only the owner's answer
-// may suppress an upload — a chunk known solely to another member would
-// commit as an unresolvable reference.
-func (r *Router) HasChunks(name string, ids []core.ChunkID) ([]bool, error) {
-	var resp proto.HasResp
-	if err := r.callOwner(name, proto.MHasChunks, proto.HasReq{IDs: ids}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Present, nil
-}
-
-// GetMap fetches a committed chunk-map from the owner of req.Name, or
-// only its version when that is req.Have.
-func (r *Router) GetMap(req proto.GetMapReq) (proto.GetMapResp, error) {
-	req.PartitionEpoch = r.wireEpoch()
-	var resp proto.GetMapResp
-	err := r.callOwner(req.Name, proto.MGetMap, req, &resp)
-	return resp, err
-}
-
 // GetMaps batch-fetches committed chunk-maps, grouping req.Names by
 // partition owner so each touched member is asked exactly once. The
 // call keeps the manager's best-effort contract: names a member does
 // not know are silently absent from the merged reply (prefetch is an
 // optimization, the per-name GetMap path remains authoritative).
 func (r *Router) GetMaps(req proto.GetMapsReq) (proto.GetMapsResp, error) {
-	req.PartitionEpoch = r.wireEpoch()
-	byOwner := make(map[int][]string)
+	byOwner := make([][]string, r.ms.Len())
 	for _, name := range req.Names {
 		i, _ := r.ms.OwnerOf(name)
 		byOwner[i] = append(byOwner[i], name)
 	}
-	var (
-		mu     sync.Mutex
-		merged proto.GetMapsResp
-		wg     sync.WaitGroup
-		errs   = make([]error, r.ms.Len())
-	)
-	for i, names := range byOwner {
-		wg.Add(1)
-		go func(i int, names []string) {
-			defer wg.Done()
-			var resp proto.GetMapsResp
-			mreq := proto.GetMapsReq{Names: names, PartitionEpoch: req.PartitionEpoch}
-			if err := r.callOwner(names[0], proto.MGetMaps, mreq, &resp); err != nil {
-				errs[i] = err
-				return
-			}
-			mu.Lock()
-			merged.Maps = append(merged.Maps, resp.Maps...)
-			mu.Unlock()
-		}(i, names)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return proto.GetMapsResp{}, err
+	resps := make([]proto.GetMapsResp, r.ms.Len())
+	err := r.fanOut(func(i int) error {
+		if len(byOwner[i]) == 0 {
+			return nil
 		}
+		return r.Call(proto.MGetMaps, byOwner[i][0], &proto.GetMapsReq{Names: byOwner[i]}, &resps[i])
+	})
+	if err != nil {
+		return proto.GetMapsResp{}, err
+	}
+	var merged proto.GetMapsResp
+	for _, resp := range resps {
+		merged.Maps = append(merged.Maps, resp.Maps...)
 	}
 	return merged, nil
 }
 
-// History reports a dataset's version lineage from the owner of req.Name.
-func (r *Router) History(req proto.HistoryReq) (proto.HistoryResp, error) {
-	req.PartitionEpoch = r.wireEpoch()
-	var resp proto.HistoryResp
-	err := r.callOwner(req.Name, proto.MHistory, req, &resp)
-	return resp, err
-}
-
-// Diff computes the changed byte ranges between two versions on the
-// owner of req.Name — both versions of a dataset live on one member, so
-// the diff never crosses a partition boundary.
-func (r *Router) Diff(req proto.DiffReq) (proto.DiffResp, error) {
-	req.PartitionEpoch = r.wireEpoch()
-	var resp proto.DiffResp
-	err := r.callOwner(req.Name, proto.MDiff, req, &resp)
-	return resp, err
-}
-
 // StatVersion resolves a name (or the newest version as of req.AsOf) to
-// its committed version identity on the owner of req.Name — the client's
-// as-of open. The partition epoch rides along like every dataset-scoped
-// call, so a member restarted without its federation identity answers
-// ErrEpochMismatch.
+// its committed version identity on the owner of req.Name: Call with
+// proto.MStatVersion, kept as a method for the benchmark module's probes.
 func (r *Router) StatVersion(req proto.StatVersionReq) (proto.StatVersionResp, error) {
-	req.PartitionEpoch = r.wireEpoch()
 	var resp proto.StatVersionResp
-	err := r.callOwner(req.Name, proto.MStatVersion, req, &resp)
+	err := r.Call(proto.MStatVersion, req.Name, &req, &resp)
 	return resp, err
 }
 
-// Stat summarizes one dataset from its owner.
-func (r *Router) Stat(name string) (core.DatasetInfo, error) {
-	var resp proto.StatResp
-	err := r.callOwner(name, proto.MStat, proto.StatReq{Name: name, PartitionEpoch: r.wireEpoch()}, &resp)
-	return resp.Dataset, err
-}
-
-// Delete removes a version (or dataset) on its owner.
-func (r *Router) Delete(req proto.DeleteReq) error {
-	req.PartitionEpoch = r.wireEpoch()
-	return r.callOwner(req.Name, proto.MDelete, req, nil)
-}
-
-// ReplStatus reports a dataset's replication level from its owner.
-func (r *Router) ReplStatus(name string) (proto.ReplStatusResp, error) {
-	var resp proto.ReplStatusResp
-	err := r.callOwner(name, proto.MReplStatus, proto.ReplStatusReq{Name: name, PartitionEpoch: r.wireEpoch()}, &resp)
-	return resp, err
-}
-
-// ---- membership-scoped endpoints (fanned out, replies merged) ----
+// ---- merged fan-outs ----
 
 // List merges dataset summaries from every member. Dataset and version
 // IDs are member-local identifiers, so the merged list orders by name.
@@ -375,36 +294,6 @@ func (r *Router) List(folder string) ([]core.DatasetInfo, error) {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
 	return out, nil
-}
-
-// SetPolicy attaches a folder policy on every member: a folder's datasets
-// hash across the whole federation, and each member prunes only the
-// datasets it owns, so the policy must exist everywhere to be complete.
-// The fan-out is not atomic: on error some members may hold the new
-// policy and some the old, and nothing reconciles them — the caller must
-// retry until it succeeds (a policy anti-entropy sweep is a recorded
-// ROADMAP follow-on of static membership).
-func (r *Router) SetPolicy(folder string, p core.Policy) error {
-	return r.fanOut(func(i int) error {
-		return r.call(i, proto.MPolicySet, proto.PolicySetReq{Folder: folder, Policy: p}, nil)
-	})
-}
-
-// GetPolicy reads a folder policy from the first healthy member
-// (SetPolicy keeps all members in agreement).
-func (r *Router) GetPolicy(folder string) (core.Policy, error) {
-	var firstErr error
-	for i := range r.ms.members {
-		var resp proto.PolicyGetResp
-		if err := r.call(i, proto.MPolicyGet, proto.PolicyGetReq{Folder: folder}, &resp); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		return resp.Policy, nil
-	}
-	return core.Policy{}, firstErr
 }
 
 // PolicyDryRun audits the next retention sweep across the whole

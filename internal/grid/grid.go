@@ -188,7 +188,7 @@ func (c *Cluster) startBenefactor(spec benefSpec) (*benefactor.Benefactor, error
 	b, err := benefactor.New(benefactor.Config{
 		ID:            spec.id,
 		ListenAddr:    "127.0.0.1:0",
-		ManagerAddrs:  c.ManagerAddrs(),
+		ManagerAddr:   strings.Join(c.ManagerAddrs(), ","),
 		Store:         st,
 		GCInterval:    c.opts.GCInterval,
 		GCGrace:       c.opts.GCGrace,

@@ -222,11 +222,11 @@ func TestOverloadShedsTypedRetryAfter(t *testing.T) {
 // driveOverloadRouterCheckpoint is the retry-after-honoring client: the
 // federation router's calls back off on typed sheds internally.
 func driveOverloadRouterCheckpoint(r *federation.Router, name string, chunks int, chunkSize int64) error {
-	alloc, err := r.Alloc(proto.AllocReq{
+	var alloc proto.AllocResp
+	if err := r.Call(proto.MAlloc, name, &proto.AllocReq{
 		Name: name, StripeWidth: 1, ChunkSize: chunkSize,
 		ReserveBytes: int64(chunks) * chunkSize, Replication: 1,
-	})
-	if err != nil {
+	}, &alloc); err != nil {
 		return fmt.Errorf("alloc: %w", err)
 	}
 	locs := make([]core.NodeID, 0, len(alloc.Stripe))
@@ -234,12 +234,12 @@ func driveOverloadRouterCheckpoint(r *federation.Router, name string, chunks int
 		locs = append(locs, st.ID)
 	}
 	_, commit, fileSize := manager.BuildCheckpoint(2, 0, chunks, chunkSize, false, locs)
-	if _, err := r.Commit(name, proto.CommitReq{
+	if err := r.Call(proto.MCommit, name, &proto.CommitReq{
 		WriteID: alloc.WriteID, FileSize: fileSize, Chunks: commit,
-	}); err != nil {
+	}, &proto.CommitResp{}); err != nil {
 		return fmt.Errorf("commit: %w", err)
 	}
-	if _, err := r.GetMap(proto.GetMapReq{Name: name}); err != nil {
+	if err := r.Call(proto.MGetMap, name, &proto.GetMapReq{Name: name}, &proto.GetMapResp{}); err != nil {
 		return fmt.Errorf("getmap: %w", err)
 	}
 	return nil

@@ -94,12 +94,12 @@ func TestPartitionEpochMismatch(t *testing.T) {
 		}
 	}
 	goodEpoch := mgrs[0].fed.Epoch()
-	err := mgrs[0].Invoke(proto.MAlloc, proto.AllocReq{Name: name, PartitionEpoch: goodEpoch ^ 1, ReserveBytes: 1}, nil)
+	err := mgrs[0].Invoke(proto.MAlloc, proto.AllocReq{Name: name, Epoch: proto.Epoch{PartitionEpoch: goodEpoch ^ 1}, ReserveBytes: 1}, nil)
 	if !errors.Is(err, core.ErrEpochMismatch) {
 		t.Fatalf("stale epoch: %v, want ErrEpochMismatch", err)
 	}
 	var alloc proto.AllocResp
-	if err := mgrs[0].Invoke(proto.MAlloc, proto.AllocReq{Name: name, PartitionEpoch: goodEpoch, ReserveBytes: 1}, &alloc); err != nil {
+	if err := mgrs[0].Invoke(proto.MAlloc, proto.AllocReq{Name: name, Epoch: proto.Epoch{PartitionEpoch: goodEpoch}, ReserveBytes: 1}, &alloc); err != nil {
 		t.Fatalf("matching epoch rejected: %v", err)
 	}
 	if err := mgrs[0].Invoke(proto.MAbort, proto.AbortReq{WriteID: alloc.WriteID}, nil); err != nil {
@@ -118,7 +118,7 @@ func TestPartitionEpochMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { solo.Close() })
-	err = solo.Invoke(proto.MStat, proto.StatReq{Name: name, PartitionEpoch: goodEpoch}, nil)
+	err = solo.Invoke(proto.MStat, proto.StatReq{Name: name, Epoch: proto.Epoch{PartitionEpoch: goodEpoch}}, nil)
 	if !errors.Is(err, core.ErrEpochMismatch) {
 		t.Fatalf("standalone manager accepted a federated epoch: %v", err)
 	}

@@ -113,6 +113,7 @@ func TestHandleUnknownOp(t *testing.T) {
 // which ops the table gates and times, so moving an op in or out of
 // admission control — or of the latency histograms operators read — is a
 // visible change to this test, not a side effect of editing a handler.
+// Every op must also have a proto.Route, or no router can send it.
 func TestOpTableCoversEveryManagerOp(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "../proto/proto.go", nil, 0)
 	if err != nil {
@@ -147,6 +148,9 @@ func TestOpTableCoversEveryManagerOp(t *testing.T) {
 	m := startManager(t, Config{})
 	var gatedOps, timedOps []string
 	for op := range declared {
+		if proto.RouteOf(op) == 0 {
+			t.Errorf("proto declares %s but gives it no route", op)
+		}
 		e := m.ops[op]
 		if e == nil {
 			t.Errorf("proto declares %s but the manager's op table has no entry for it", op)

@@ -321,10 +321,10 @@ func TestHistoryDiffHandlers(t *testing.T) {
 
 	// A router-stamped epoch against a standalone manager is the
 	// misconfiguration the epoch check exists for.
-	if err := m.Invoke(proto.MHistory, proto.HistoryReq{Name: "hd.n1", PartitionEpoch: 0xbeef}, &hist); err == nil {
+	if err := m.Invoke(proto.MHistory, proto.HistoryReq{Name: "hd.n1", Epoch: proto.Epoch{PartitionEpoch: 0xbeef}}, &hist); err == nil {
 		t.Fatal("standalone manager accepted an epoch-stamped history request")
 	}
-	if err := m.Invoke(proto.MDiff, proto.DiffReq{Name: "hd.n1", PartitionEpoch: 0xbeef}, &d); err == nil {
+	if err := m.Invoke(proto.MDiff, proto.DiffReq{Name: "hd.n1", Epoch: proto.Epoch{PartitionEpoch: 0xbeef}}, &d); err == nil {
 		t.Fatal("standalone manager accepted an epoch-stamped diff request")
 	}
 }

@@ -88,7 +88,12 @@ const (
 	MStat = "m.stat"
 	// MDelete removes a version or a whole dataset.
 	MDelete = "m.delete"
-	// MPolicySet sets a folder's data-lifetime policy.
+	// MPolicySet sets a folder's data-lifetime policy. It goes to every
+	// member: a folder's datasets hash across the whole federation and
+	// each member prunes only its own, so the policy must exist
+	// everywhere. The fan-out is not atomic: on error some members may
+	// hold the new policy and some the old, and the caller retries until
+	// it succeeds.
 	MPolicySet = "m.policyset"
 	// MPolicyGet reads a folder's policy.
 	MPolicyGet = "m.policyget"
@@ -107,6 +112,50 @@ const (
 	// MStats returns manager-wide statistics.
 	MStats = "m.stats"
 )
+
+// Route says which members of a federated metadata plane serve a manager
+// op. A lone manager is a federation of one, so every route reaches it.
+type Route uint8
+
+const (
+	// RouteOwner ops go to the member owning the partition of the
+	// dataset they name, carrying the caller's partition epoch when the
+	// request embeds Epoch.
+	RouteOwner Route = iota + 1
+	// RouteEvery ops go to every member: each holds its own partition and
+	// its own benefactor registry, so replies are merged.
+	RouteEvery
+	// RouteAny ops go to the first member that answers: every member
+	// holds the same answer.
+	RouteAny
+)
+
+// RouteOf returns op's route, or 0 when op is not a manager op.
+func RouteOf(op string) Route {
+	switch op {
+	case MAlloc, MExtend, MCommit, MAbort, MHasChunks, MGetMap, MGetMaps,
+		MHistory, MDiff, MStatVersion, MStat, MDelete, MReplStatus:
+		return RouteOwner
+	case MRegister, MHeartbeat, MList, MPolicySet, MPolicyDryRun, MGCReport,
+		MBenefactors, MStats:
+		return RouteEvery
+	case MPolicyGet:
+		return RouteAny
+	}
+	return 0
+}
+
+// Epoch is the federation partition epoch a dataset-scoped request
+// carries: 0 when the caller is not federation-aware, and federated
+// members then skip the epoch check but still enforce partition ownership
+// of the name. Requests embed it, so the JSON field sits where the struct
+// declares it and one setter stamps every such request.
+type Epoch struct {
+	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
+}
+
+// SetPartitionEpoch stamps the request with epoch.
+func (e *Epoch) SetPartitionEpoch(epoch uint64) { e.PartitionEpoch = epoch }
 
 // PutReq accompanies a BPut body.
 type PutReq struct {
@@ -260,10 +309,7 @@ type HeartbeatResp struct {
 type AllocReq struct {
 	// Name is the full file name (A.Ni.Tj convention when applicable).
 	Name string `json:"name"`
-	// PartitionEpoch is the caller's federation partition epoch (0 when
-	// the caller is not federation-aware; federated members then skip the
-	// epoch check but still enforce partition ownership of Name).
-	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
+	Epoch
 	// StripeWidth is the number of benefactors to stripe across.
 	StripeWidth int `json:"stripeWidth"`
 	// ChunkSize is the striping chunk size — in the variable (CbCH)
@@ -343,8 +389,7 @@ type GetMapReq struct {
 	// Have is the version of this name's map the caller already holds
 	// (0 = none). When the name resolves to it, the reply carries no map.
 	Have core.VersionID `json:"have,omitempty"`
-	// PartitionEpoch mirrors AllocReq.PartitionEpoch.
-	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
+	Epoch
 }
 
 // GetMapResp carries the resolved version and its chunk-map. Map is nil
@@ -361,11 +406,10 @@ type GetMapResp struct {
 // response — the caller falls back to per-name MGetMap for the rest.
 type GetMapsReq struct {
 	Names []string `json:"names"`
-	// PartitionEpoch mirrors AllocReq.PartitionEpoch. Ownership of each
-	// name is checked individually; non-owned names are skipped, not
-	// errors, so a router can fan one batch per member without
-	// partition-exact pre-splitting.
-	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
+	// Ownership of each name is checked individually; non-owned names
+	// are skipped, not errors, so a router can fan one batch per member
+	// without partition-exact pre-splitting.
+	Epoch
 }
 
 // GetMapsResp returns the resolved maps, at most one per requested name.
@@ -377,8 +421,7 @@ type GetMapsResp struct {
 // be a dataset key or any full file name of the dataset.
 type HistoryReq struct {
 	Name string `json:"name"`
-	// PartitionEpoch mirrors AllocReq.PartitionEpoch.
-	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
+	Epoch
 }
 
 // VersionLineage is one committed version in a dataset's history,
@@ -420,8 +463,7 @@ type DiffReq struct {
 	Name string         `json:"name"`
 	From core.VersionID `json:"from,omitempty"`
 	To   core.VersionID `json:"to,omitempty"`
-	// PartitionEpoch mirrors AllocReq.PartitionEpoch.
-	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
+	Epoch
 }
 
 // ByteRange is one half-open changed span [Offset, Offset+Length) in
@@ -459,8 +501,7 @@ type StatVersionReq struct {
 	// this instant instead — the one as-of resolver, under the dataset
 	// stripe. An instant older than every commit is core.ErrNotFound.
 	AsOf time.Time `json:"asOf,omitempty"`
-	// PartitionEpoch mirrors AllocReq.PartitionEpoch.
-	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
+	Epoch
 }
 
 // StatVersionResp carries the resolved version identity — deliberately no
@@ -486,8 +527,7 @@ type ListResp struct {
 // StatReq describes one dataset by name (dataset key or full file name).
 type StatReq struct {
 	Name string `json:"name"`
-	// PartitionEpoch mirrors AllocReq.PartitionEpoch.
-	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
+	Epoch
 }
 
 // StatResp carries the dataset summary.
@@ -499,8 +539,7 @@ type StatResp struct {
 type DeleteReq struct {
 	Name    string         `json:"name"`
 	Version core.VersionID `json:"version,omitempty"`
-	// PartitionEpoch mirrors AllocReq.PartitionEpoch.
-	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
+	Epoch
 }
 
 // PolicySetReq attaches a policy to a folder.
@@ -570,8 +609,7 @@ type BenefactorsResp struct {
 // version.
 type ReplStatusReq struct {
 	Name string `json:"name"`
-	// PartitionEpoch mirrors AllocReq.PartitionEpoch.
-	PartitionEpoch uint64 `json:"partitionEpoch,omitempty"`
+	Epoch
 }
 
 // ReplStatusResp reports the level.

@@ -185,9 +185,6 @@ func TestSharedPoolConcurrent(t *testing.T) {
 	_, addr := delayEchoServer(t, ServerConfig{})
 	pool := NewSharedPool(nil, 1)
 	defer pool.Close()
-	if !pool.Shared() {
-		t.Fatal("NewSharedPool not in shared mode")
-	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)

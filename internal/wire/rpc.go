@@ -427,9 +427,6 @@ func NewSharedPool(shaper Shaper, perAddrConns int) *Pool {
 	}
 }
 
-// Shared reports whether the pool runs in shared-connection mode.
-func (p *Pool) Shared() bool { return p.mux }
-
 // Call performs one RPC against addr using a pooled connection. On
 // transport errors the connection is discarded and the call retried once on
 // a fresh connection. Response-body ownership matches Conn.Call.

@@ -300,7 +300,9 @@ func StartManager(cfg ManagerConfig) (*Manager, error) {
 type BenefactorConfig struct {
 	// ListenAddr is the chunk-service address (default "127.0.0.1:0").
 	ListenAddr string
-	// ManagerAddr is the manager to register with.
+	// ManagerAddr is the manager to register with, or a comma-separated
+	// federation member list (the same syntax as Options.ManagerAddr):
+	// the node registers with every member.
 	ManagerAddr string
 	// Capacity is the contributed space in bytes (0 = unlimited).
 	Capacity int64
