@@ -119,10 +119,13 @@ type Config struct {
 	// acknowledged by a benefactor (0 = 64 MB). It is also the only thing
 	// Write waits for: an image that fits is taken in as fast as the
 	// application's thread copies it, however slowly it drains, and
-	// WriteMetrics.BufferWait is zero. With ChunkCbCH it also bounds the
-	// memory the staged image pins: each copied byte is admitted, plus
-	// one max span per staging segment for the carry of a span that
-	// crosses into it.
+	// WriteMetrics.BufferWait is zero. It also bounds the memory the
+	// staged image pins: Write admits each byte it copies into a staging
+	// segment, so with nothing acknowledged a writer pins at most
+	// BufferBytes plus the segment being filled. Fixed chunks never cross
+	// a segment. Under ChunkCbCH the window also counts one max span per
+	// segment, reserved for the carry of a span that crosses into it, and
+	// the bound grows by one max span.
 	// Every chunk it admits is sent without waiting for an earlier one's
 	// ack, whatever the chunk size; BufferBytes = ChunkSize is
 	// stop-and-wait, one chunk in the whole pipeline.
@@ -220,8 +223,8 @@ type Client struct {
 	// restart fast path. See mapCache.
 	maps *mapCache
 
-	// chunkPool and segPool recycle the write path's chunk buffers and
-	// staging segments. A buffer goes back when the last chunk holding its
+	// chunkPool and segPool recycle the write path's carries and staging
+	// segments. A buffer goes back when the last chunk holding its
 	// bytes is acknowledged, deduplicated or dropped, so the steady-state
 	// pipeline allocates nothing per chunk.
 	chunkPool, segPool sync.Pool
@@ -238,21 +241,21 @@ type Client struct {
 	benefAddrs map[core.NodeID]string // node id -> service address cache
 }
 
-// segmentSize is the size of a staging segment.
+// segmentSize is the size of a pooled staging segment. A fixed chunk
+// larger than that is staged in a segment of its own size.
 const segmentSize = 1 << 20
 
-// pooledBuf is a write-path buffer: a chunk buffer, filled by append, or a
-// staging segment of segmentSize bytes, written in place. Every chunk
-// whose bytes it holds keeps a reference; the last unref returns it to its
-// pool.
+// pooledBuf is a write-path buffer: a CbCH carry, filled by append, or a
+// staging segment, written in place. Every chunk whose bytes it holds
+// keeps a reference; the last unref returns it to its pool.
 type pooledBuf struct {
 	b    []byte
 	seg  bool
 	refs atomic.Int32
 }
 
-// getChunkBuf returns an empty chunk buffer with at least size capacity,
-// holding one reference.
+// getChunkBuf returns an empty chunk buffer, a CbCH carry, with at least
+// size capacity, holding one reference.
 func (c *Client) getChunkBuf(size int64) *pooledBuf {
 	pb, _ := c.chunkPool.Get().(*pooledBuf)
 	if pb == nil || int64(cap(pb.b)) < size {
@@ -265,11 +268,12 @@ func (c *Client) getChunkBuf(size int64) *pooledBuf {
 	return pb
 }
 
-// getSegment returns a staging segment holding one reference.
-func (c *Client) getSegment() *pooledBuf {
+// getSegment returns a staging segment of at least size bytes, holding
+// one reference. A segment is never smaller than segmentSize.
+func (c *Client) getSegment(size int) *pooledBuf {
 	pb, _ := c.segPool.Get().(*pooledBuf)
-	if pb == nil {
-		pb = &pooledBuf{b: make([]byte, segmentSize), seg: true}
+	if pb == nil || len(pb.b) < size {
+		pb = &pooledBuf{b: make([]byte, max(size, segmentSize)), seg: true}
 	}
 	pb.refs.Store(1)
 	if c.onSegment != nil {

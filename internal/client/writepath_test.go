@@ -260,11 +260,70 @@ func TestFullBufferBlocksUntilOneAck(t *testing.T) {
 	}
 }
 
+// TestFullBufferBlocksAtOneChunk: with BufferBytes = ChunkSize one chunk
+// fills the window, whichever stripe node it went to, so the second
+// chunk's Write waits for the first put's ack. The stage may hold back
+// ChunkSize − 1 bytes without making Write wait, never a whole chunk.
+func TestFullBufferBlocksAtOneChunk(t *testing.T) {
+	const chunk = 16 << 10
+	puts := newToll()
+	mgr, acked := tollCluster(t, 2, puts)
+	cl, err := New(Config{ManagerAddr: mgr.Addr(), StripeWidth: 2, Replication: 1, ChunkSize: chunk, BufferBytes: chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	w, err := cl.Create("saw.n1.t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := randBytes(2*chunk, 26)
+	within(t, 20*time.Second, "one chunk into a one-chunk buffer", func() {
+		_, err = w.Write(data[:chunk])
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	second := make(chan error, 1)
+	go func() {
+		_, err := w.Write(data[chunk:])
+		second <- err
+	}()
+	select {
+	case err := <-second:
+		t.Fatalf("the second chunk was admitted with the first unacknowledged (err %v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	puts.letOne()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the first chunk's ack did not unblock the second chunk's Write")
+	}
+	if n := acked.Load(); n != 1 {
+		t.Fatalf("%d puts were acknowledged before the second chunk was admitted, want 1", n)
+	}
+
+	puts.open()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCbCHCutsMatchSplit: the writer cuts an image where one scan over
 // the whole of it would, whatever sizes the application writes in and
 // however they fall on the staging segments — including a Max cut that
 // runs across a segment boundary, through a zero run that offers no
-// boundary of its own.
+// boundary of its own. Fixed chunks of the same image, under the same
+// sliding window, end at exact ChunkSize offsets with a short last chunk:
+// 64 KB divides a segment, 48 KB does not, and 1.5 MB is larger than one.
 func TestCbCHCutsMatchSplit(t *testing.T) {
 	mgr, _ := startCluster(t, 2, 0)
 	params := chunker.StreamParams{Window: 48, Bits: 11, Min: 2 << 10, Max: 16 << 10}
@@ -276,37 +335,58 @@ func TestCbCHCutsMatchSplit(t *testing.T) {
 	}) {
 		t.Fatal("no Max cut crosses the first segment boundary; the zero run no longer forces one")
 	}
-	cl, err := New(Config{ManagerAddr: mgr.Addr(), StripeWidth: 2, Chunking: ChunkCbCH, CbCH: params})
-	if err != nil {
-		t.Fatal(err)
+	type chunking struct {
+		name  string
+		cl    *Client
+		spans []chunker.Span
 	}
-	defer cl.Close()
+	client := func(cfg Config) *Client {
+		cfg.ManagerAddr, cfg.StripeWidth = mgr.Addr(), 2
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	chunkings := []chunking{{"cbch", client(Config{Chunking: ChunkCbCH, CbCH: params}), spans}}
+	for _, size := range []int64{64 << 10, 48 << 10, 3 << 19} {
+		var fixed []chunker.Span
+		for off := int64(0); off < int64(len(data)); off += size {
+			fixed = append(fixed, chunker.Span{Off: off, Len: min(size, int64(len(data))-off)})
+		}
+		chunkings = append(chunkings, chunking{fmt.Sprintf("fixed %d B", size), client(Config{ChunkSize: size}), fixed})
+	}
 	for _, block := range []int{1, 4093, 64 << 10, segmentSize - 1, segmentSize, segmentSize + 1, segmentSize + 777, len(data)} {
 		t.Run(fmt.Sprintf("%d B writes", block), func(t *testing.T) {
-			w, err := cl.Create("cuts.n1.t0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for off := 0; off < len(data); off += block {
-				if _, err := w.Write(data[off:min(off+block, len(data))]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Wait(); err != nil {
-				t.Fatal(err)
-			}
-			if len(w.commitChunks) != len(spans) {
-				t.Fatalf("the writer cut %d chunks, Split cuts %d", len(w.commitChunks), len(spans))
-			}
-			for i, sp := range spans {
-				want := core.HashChunk(data[sp.Off : sp.Off+sp.Len])
-				if got := w.commitChunks[i]; got.ID != want || got.Size != sp.Len {
-					t.Fatalf("chunk %d: %d bytes named %v, want Split's %d bytes at offset %d named %v",
-						i, got.Size, got.ID, sp.Len, sp.Off, want)
-				}
+			for _, ck := range chunkings {
+				t.Run(ck.name, func(t *testing.T) {
+					w, err := ck.cl.Create("cuts.n1.t0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					for off := 0; off < len(data); off += block {
+						if _, err := w.Write(data[off:min(off+block, len(data))]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := w.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if err := w.Wait(); err != nil {
+						t.Fatal(err)
+					}
+					if len(w.commitChunks) != len(ck.spans) {
+						t.Fatalf("the writer cut %d chunks, want %d", len(w.commitChunks), len(ck.spans))
+					}
+					for i, sp := range ck.spans {
+						want := core.HashChunk(data[sp.Off : sp.Off+sp.Len])
+						if got := w.commitChunks[i]; got.ID != want || got.Size != sp.Len {
+							t.Fatalf("chunk %d: %d bytes named %v, want %d bytes at offset %d named %v",
+								i, got.Size, got.ID, sp.Len, sp.Off, want)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -387,6 +467,65 @@ func TestBufferBytesBoundsPinnedMemory(t *testing.T) {
 	}
 	if m := w.Metrics(); m.BufferWait <= 0 {
 		t.Fatal("Write waited for the buffer and BufferWait is zero")
+	}
+	tr.check()
+}
+
+// TestBufferBytesBoundsPinnedMemoryFixedChunks is the fixed-size case of
+// TestBufferBytesBoundsPinnedMemory: fixed chunks are staged too, a
+// segment holds whole chunks and none is ever carried, so with no put
+// acknowledged the pooled capacity out is at most BufferBytes plus the
+// segment being filled.
+func TestBufferBytesBoundsPinnedMemoryFixedChunks(t *testing.T) {
+	const buffer = 8 << 20
+	puts := newToll()
+	mgr, acked := tollCluster(t, 4, puts)
+	cl, err := New(Config{ManagerAddr: mgr.Addr(), StripeWidth: 4, Replication: 1, ChunkSize: 64 << 10, BufferBytes: buffer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tr := trackChunkBufs(t, cl)
+
+	data := randBytes(2*buffer, 30)
+	w, err := cl.Create("pinned.n1.t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		var err error
+		for off := 0; off < len(data) && err == nil; off += 1 << 20 {
+			_, err = w.Write(data[off : off+1<<20])
+		}
+		wrote <- err
+	}()
+	stacks := make([]byte, 1<<20)
+	waitFor(t, "Write to wait for room in the window", func() bool {
+		return strings.Contains(string(stacks[:runtime.Stack(stacks, true)]), "client.(*Writer).admit")
+	})
+	select {
+	case err := <-wrote:
+		t.Fatalf("an image of twice the buffer was taken in whole with no put acknowledged (err %v)", err)
+	default:
+	}
+	tr.mu.Lock()
+	peak, carries := tr.peak, tr.bufs
+	tr.mu.Unlock()
+	if bound := int64(buffer + segmentSize); peak > bound || carries != 0 || acked.Load() != 0 {
+		t.Fatalf("with a %d-byte window full and %d puts acknowledged, %d bytes of pooled buffers and %d carries were out; want at most %d and none",
+			buffer, acked.Load(), peak, carries, bound)
+	}
+
+	puts.open()
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
 	}
 	tr.check()
 }

@@ -28,14 +28,15 @@ import (
 //     (paced by its model); the push to stdchk happens only after Close.
 //
 // The remote data path is a pipeline of recycled buffers: the application
-// thread copies into pooled buffers, a hashing stage computes SHA-1 off the
-// application thread and batches dedup probes into one MHasChunks RPC per
-// in-flight window, and per-stripe-node uploaders stream the chunks out
-// and release them. The application thread therefore pays only the memcpy
-// into the buffer — no hashing, no allocation, no per-chunk manager RPCs —
-// and waits in one place only: admit, when Config.BufferBytes is full. The
-// queues between the stages hold whatever the window admitted; they have
-// no count bound of their own that the application could meet first.
+// thread copies into pooled staging segments, a stage goroutine cuts
+// chunks out of them, a hashing stage computes SHA-1 and batches dedup
+// probes into one MHasChunks RPC per in-flight window, and per-stripe-node
+// uploaders stream the chunks out and release them. The application thread
+// therefore pays only the memcpy into the segment — no cutting, no
+// hashing, no allocation, no per-chunk manager RPCs — and waits in one
+// place only: admit, when Config.BufferBytes is full. The queues between
+// the stages hold whatever the window admitted; they have no count bound
+// of their own that the application could meet first.
 //
 // Uploads open no connection of their own: every BPut rides the client's
 // shared multiplexed pool (Client.dataPool), as many at once as
@@ -45,13 +46,13 @@ import (
 // first put to it, as a session failure from Write, Close and Wait — not
 // at Create.
 //
-// A fixed-size sliding-window write cuts on the application thread, into
-// one-chunk buffers: offsets cost nothing to find. Every other write is
-// staged: Write copies into pooled segments, and a stage goroutine cuts
-// chunks out of them as slices that pin their segment. With
-// Config.Chunking == ChunkCbCH the cuts are content-anchored by a rolling
-// hash (variable-size spans) — a scan at about SHA-1 speed that the
-// application thread does not wait for; the stages after it are
+// Every write is staged the same way: the stage cuts each chunk as a
+// slice that pins its segment. Fixed-size chunks end at ChunkSize offsets,
+// and a segment holds a whole number of them, so none crosses into the
+// next. With Config.Chunking == ChunkCbCH the cuts are content-anchored by
+// a rolling hash (variable-size spans) — a scan at about SHA-1 speed that
+// the application thread does not wait for — and a span crossing a
+// segment boundary is finished in a carry. The stages after the cut are
 // size-agnostic.
 type Writer struct {
 	c        *Client
@@ -83,25 +84,25 @@ type Writer struct {
 	// instead of fixed chunkSize offsets.
 	cbch *chunker.Stream
 
-	cur      *pooledBuf // fixed-size sliding window: the chunk being filled
 	chunkIdx int
 
-	// Staging: Write fills seg up to fill; pending holds ranges not yet
-	// handed to the stage (the temp file being filled, or the whole
-	// complete-local image). copyAdmits: Write admits the bytes it copies.
+	// Staging: Write fills seg up to fill, and a segment up to segLen;
+	// pending holds ranges not yet handed to the stage (the temp file
+	// being filled, or the whole complete-local image). copyAdmits: Write
+	// admits the bytes it copies.
 	copyAdmits bool
 	seg        *pooledBuf
 	fill       int
+	segLen     int
 	pending    []segRange
 	tempBytes  int64
 	temps      int // temp files handed to the stage and not yet cut (mu)
 	stageQ     fifo[segRange]
-	stageWg    sync.WaitGroup
 
 	workers  []*uploadWorker // one per stripe node; fixed after newWriter
 	workerWg sync.WaitGroup
 
-	// hashing stage between the cutting thread and the uploaders
+	// hashing stage between the cutting stage and the uploaders
 	hashQ  fifo[chunkItem]
 	hashWg sync.WaitGroup
 
@@ -128,16 +129,11 @@ type chunk struct {
 	cost int64
 }
 
-// bufChunk is the chunk that is the whole of a chunk buffer.
-func bufChunk(pb *pooledBuf) chunk {
-	return chunk{data: pb.b, buf: pb, cost: int64(len(pb.b))}
-}
-
 // chunkItem is a cut, not-yet-hashed chunk travelling to the hashing stage.
 // flush asks the hasher to probe/dispatch its current batch once this
-// chunk is folded in (set on the last chunk of an application Write or of
-// a staging segment, and at end of file, so a write or a segment becomes
-// one dedup probe).
+// chunk is folded in (set on the last chunk of a staging segment and at
+// end of file, so a segment becomes at most one dedup probe per
+// maxProbeBatch chunks).
 type chunkItem struct {
 	idx int
 	chunk
@@ -266,6 +262,7 @@ func newWriter(c *Client, name string) (*Writer, error) {
 	w.chunkSize = chunkSize
 	w.reserved = c.cfg.ReserveQuantum
 
+	w.workers = make([]*uploadWorker, 0, len(sess.Stripe))
 	for _, st := range sess.Stripe {
 		worker := &uploadWorker{id: st.ID, addr: st.Addr, ch: make(chan hashedChunk, 4)}
 		w.workers = append(w.workers, worker)
@@ -277,25 +274,28 @@ func newWriter(c *Client, name string) (*Writer, error) {
 	w.hashWg.Add(1)
 	go w.runHasher()
 
-	if w.staged() {
-		if w.copyAdmits = w.protocol == SlidingWindow; w.copyAdmits {
-			w.held = 2 * chunkSize // an open span and the reservation of its carry
-		}
-		w.stageQ.init(8) // a few segments' ranges: rarely regrown
-		w.stageWg.Add(1)
-		go w.runStage()
+	// A segment holds whole fixed chunks — one chunk when it is larger
+	// than a segment — so the stage never carries one.
+	w.segLen = segmentSize
+	if w.cbch == nil {
+		w.segLen = max(int(chunkSize), segmentSize-segmentSize%int(chunkSize))
 	}
+	if w.copyAdmits = w.protocol == SlidingWindow; w.copyAdmits {
+		w.held = 2 * chunkSize // an open CbCH span and the reservation of its carry
+		if w.cbch == nil {
+			w.held = chunkSize - 1 // an open fixed chunk
+		}
+	}
+	w.stageQ.init(8) // a few segments' ranges: rarely regrown
+	go w.runStage()
 	return w, nil
 }
-
-// staged reports whether Write copies into segments for the stage to cut.
-func (w *Writer) staged() bool { return w.protocol != SlidingWindow || w.cbch != nil }
 
 // Name returns the file name being written.
 func (w *Writer) Name() string { return w.name }
 
 // Write implements io.Writer. Data is accepted in application-sized blocks
-// and re-chunked to the striping chunk size.
+// and copied into staging segments; the stage re-chunks it behind Write.
 func (w *Writer) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	if w.closed {
@@ -326,9 +326,6 @@ func (w *Writer) Write(p []byte) (int, error) {
 	default:
 		return 0, fmt.Errorf("client: unknown protocol %v", w.protocol)
 	}
-	if !w.staged() {
-		return len(p), w.appendChunked(p)
-	}
 	return len(p), w.stage(p)
 }
 
@@ -354,30 +351,6 @@ func (w *Writer) ensureReservation() error {
 	return nil
 }
 
-// appendChunked is the fixed-size sliding window's filling path: it
-// accumulates bytes into pooled one-chunk buffers on the application
-// thread and emits each full chunk to the hashing stage. The chunk
-// completing when p runs out is flagged to flush the hasher's dedup batch,
-// so one application Write maps to at most one dedup probe.
-func (w *Writer) appendChunked(p []byte) error {
-	for len(p) > 0 {
-		if w.cur == nil {
-			w.cur = w.c.getChunkBuf(w.chunkSize)
-		}
-		take, cut := w.nextCut(p, int64(len(w.cur.b)))
-		w.cur.b = append(w.cur.b, p[:take]...)
-		p = p[take:]
-		if cut {
-			buf := w.cur
-			w.cur = nil
-			if err := w.emitChunk(bufChunk(buf), len(p) == 0); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // nextCut decides how many of p's bytes extend a span that already holds
 // span bytes, and whether they complete it. The CbCH stream tracks the
 // span internally and stays in lockstep because every byte it accepts
@@ -394,21 +367,23 @@ func (w *Writer) nextCut(p []byte, span int64) (take int, cut bool) {
 }
 
 // stage copies p into staging segments: the one copy the application
-// pays. Under the sliding window each piece is admitted as it is copied —
-// a segment after the first also reserves a max span for the carry of the
-// span that may cross into it — and goes to the stage at once. Incremental
-// writes hand theirs over a temp file at a time, complete-local after
-// Close; their stage admits each chunk it cuts.
+// pays. Under the sliding window each piece — at most the window — is
+// admitted as it is copied and goes to the stage at once; under CbCH a
+// segment after the first also reserves a max span for the carry of the
+// span that may cross into it. Incremental writes hand theirs over a temp
+// file at a time, complete-local after Close; their stage admits each
+// chunk it cuts.
 func (w *Writer) stage(p []byte) error {
 	for len(p) > 0 {
-		fresh := w.seg == nil || w.fill == segmentSize
-		n := min(len(p), segmentSize-w.fill%segmentSize)
+		fresh := w.seg == nil || w.fill == w.segLen
+		n := min(len(p), w.segLen-w.fill%w.segLen)
 		if w.protocol == IncrementalWrite {
 			n = min(n, int(w.c.cfg.TempFileBytes-w.tempBytes))
 		}
 		if w.copyAdmits {
+			n = int(min(int64(n), w.c.cfg.BufferBytes))
 			cost := int64(n)
-			if fresh && w.seg != nil {
+			if fresh && w.seg != nil && w.cbch != nil {
 				cost += w.chunkSize
 			}
 			w.mu.Lock()
@@ -419,7 +394,7 @@ func (w *Writer) stage(p []byte) error {
 			}
 		}
 		if fresh {
-			w.seg, w.fill = w.c.getSegment(), 0
+			w.seg, w.fill = w.c.getSegment(w.segLen), 0
 		}
 		copy(w.seg.b[w.fill:], p[:n])
 		w.fill += n
@@ -470,16 +445,16 @@ func (w *Writer) flushTemp() error {
 	return nil
 }
 
-// runStage is a staged writer's cutting stage, the incremental protocol's
-// temp pusher generalised. It feeds the ranges it is handed to nextCut and
-// emits each chunk as a slice of its segment, holding a reference. A span
-// still open when its segment runs out is copied into a chunk buffer, the
-// carry, and finished there. A segment's last chunk closes the hasher's
-// probe batch. A temp file is modelled as read back from the OS cache:
-// the stage pays that read's memory pace. On a failed session it drops
-// what it is handed.
+// runStage is the writer's cutting stage, the incremental protocol's temp
+// pusher generalised. It feeds the ranges it is handed to nextCut and
+// emits each chunk as a slice of its segment, holding a reference. A CbCH
+// span still open when its segment runs out is copied into a chunk
+// buffer, the carry, and finished there. A segment's last chunk closes the
+// hasher's probe batch. A temp file is modelled as read back from the OS
+// cache, the complete-local image from the local disk: the stage pays that
+// read's pace. On a failed session it drops what it is handed. Once Close
+// has closed its queue and it has cut the rest, it finishes the session.
 func (w *Writer) runStage() {
-	defer w.stageWg.Done()
 	var (
 		seg   *pooledBuf // being cut; the stage holds the reference it came with
 		pos   int        // how far into seg the cuts have looked
@@ -506,13 +481,21 @@ func (w *Writer) runStage() {
 		}
 		live := !w.hasFailed()
 		if r.seg != seg {
+			if seg == nil && w.protocol == CompleteLocalWrite {
+				// Close handed over the whole image, read back at once: it
+				// does not fit the cache.
+				w.mu.Lock()
+				written := w.written
+				w.mu.Unlock()
+				w.c.cfg.LocalDisk.Read(int(written))
+			}
 			if seg != nil {
 				// The reservation Write made for this boundary goes to the
 				// carry of a span crossing it, or back to the window.
 				if live && span > 0 && carry == nil {
 					carry = w.c.getChunkBuf(w.chunkSize)
 					carry.b = append(carry.b, seg.b[start:pos]...)
-				} else if w.copyAdmits {
+				} else if w.copyAdmits && w.cbch != nil {
 					w.unwind(w.chunkSize)
 				}
 				w.c.unref(seg)
@@ -539,7 +522,7 @@ func (w *Writer) runStage() {
 		pos = r.end
 		if last.buf != nil {
 			// A failed emit released the chunk; the next range sees the failure.
-			_ = w.emitChunk(last, r.end == segmentSize || r.last)
+			_ = w.emitChunk(last, r.end == w.segLen || r.last)
 		}
 		if r.last {
 			w.mu.Lock()
@@ -548,15 +531,15 @@ func (w *Writer) runStage() {
 			w.mu.Unlock()
 		}
 	}
-	if seg == nil {
-		return
-	}
 	if span > 0 && !w.hasFailed() {
 		_ = w.emitChunk(cut(), true) // failing, it released the chunk: nothing follows
 	} else if carry != nil {
 		w.c.unref(carry)
 	}
-	w.c.unref(seg)
+	if seg != nil {
+		w.c.unref(seg)
+	}
+	w.finish()
 }
 
 // hasFailed reports whether the session has failed.
@@ -624,8 +607,8 @@ func (w *Writer) growCommitChunks(n int) {
 
 // runHasher is the hashing stage: it names chunks (SHA-1) off the
 // application thread and gathers them into batches that cost one MHasChunks
-// dedup probe each. A batch closes on a flush marker (end of an application
-// Write or of a staging segment), on reaching maxProbeBatch, or when the
+// dedup probe each. A batch closes on a flush marker (a staging segment's
+// last chunk, or end of file), on reaching maxProbeBatch, or when the
 // queue momentarily runs dry — whichever comes first — so chunks are never
 // held back waiting for more.
 func (w *Writer) runHasher() {
@@ -806,22 +789,24 @@ func (w *Writer) Close() error {
 	firstErr := w.err
 	w.mu.Unlock()
 
-	// On a failed session these hand back what they were given.
+	// On a failed session this hands back what it was given.
 	var closeErr error
-	if buf := w.cur; buf != nil {
-		w.cur = nil
-		closeErr = w.emitChunk(bufChunk(buf), true)
-	} else if w.protocol == IncrementalWrite {
+	if w.protocol == IncrementalWrite {
 		closeErr = w.flushTemp()
 	}
-
+	// What was staged and not handed over — the complete-local image, or
+	// what a failed session left — goes to the stage, which cuts it or
+	// drops it and then finishes the session: pipeline drain and teardown
+	// happen there even on the error path, so no goroutine races a closing
+	// channel.
+	for _, r := range w.pending {
+		w.stageQ.push(r)
+	}
+	w.pending = nil
 	w.mu.Lock()
 	w.closedAt = time.Now()
 	w.mu.Unlock()
-
-	// finish() owns pipeline drain and teardown even on the error path,
-	// so background goroutines never race a closing channel.
-	go w.finish()
+	w.stageQ.close()
 	if closeErr != nil {
 		return closeErr
 	}
@@ -839,27 +824,10 @@ func (w *Writer) Close() error {
 }
 
 // finish drains the pipeline, commits the chunk-map (session semantics)
-// and, when configured, pushes map replicas to the stripe benefactors.
+// and, when configured, pushes map replicas to the stripe benefactors. The
+// stage runs it once it has cut everything.
 func (w *Writer) finish() {
 	defer close(w.done)
-
-	if w.staged() {
-		if w.protocol == CompleteLocalWrite && w.c.cfg.LocalDisk != nil {
-			// The push reads the staged image back from local disk, paced
-			// by the disk model: a complete staged image does not fit the
-			// cache.
-			w.c.cfg.LocalDisk.Read(int(w.written))
-		}
-		// What was staged and not handed over — the complete-local image,
-		// or what a failed session left — goes to the stage, which cuts it
-		// or drops it; then the stage drains.
-		for _, r := range w.pending {
-			w.stageQ.push(r)
-		}
-		w.pending = nil
-		w.stageQ.close()
-		w.stageWg.Wait()
-	}
 
 	// All producers are done: drain the hashing stage, then the uploaders.
 	w.hashQ.close()
@@ -992,10 +960,9 @@ type WriteMetrics struct {
 	// map committed (ASB interval).
 	OpenToStored time.Duration
 	// BufferWait is the total time the session's admitting thread — under
-	// the sliding-window protocol the application, inside Write and
-	// Close — waited for room in the Config.BufferBytes window. It is
-	// the only wait the pipeline imposes on that thread: zero when the
-	// image fits the buffer.
+	// the sliding-window protocol the application, inside Write — waited
+	// for room in the Config.BufferBytes window. It is the only wait the
+	// pipeline imposes on that thread: zero when the image fits the buffer.
 	BufferWait time.Duration
 }
 
