@@ -109,21 +109,19 @@ func parseFile(path string) (map[string]*result, error) {
 	out := make(map[string]*result)
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		name, r, ok := parseLine(sc.Text())
-		if !ok {
-			continue
+		for name, r := range parseLine(sc.Text()) {
+			agg, exists := out[name]
+			if !exists {
+				out[name] = r
+				continue
+			}
+			// Running average across repetitions.
+			n := float64(agg.runs)
+			agg.NsPerOp = (agg.NsPerOp*n + r.NsPerOp) / (n + 1)
+			agg.BytesPerOp = (agg.BytesPerOp*n + r.BytesPerOp) / (n + 1)
+			agg.AllocsPerOp = (agg.AllocsPerOp*n + r.AllocsPerOp) / (n + 1)
+			agg.runs++
 		}
-		agg, exists := out[name]
-		if !exists {
-			out[name] = r
-			continue
-		}
-		// Running average across repetitions.
-		n := float64(agg.runs)
-		agg.NsPerOp = (agg.NsPerOp*n + r.NsPerOp) / (n + 1)
-		agg.BytesPerOp = (agg.BytesPerOp*n + r.BytesPerOp) / (n + 1)
-		agg.AllocsPerOp = (agg.AllocsPerOp*n + r.AllocsPerOp) / (n + 1)
-		agg.runs++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -131,13 +129,18 @@ func parseFile(path string) (map[string]*result, error) {
 	return out, nil
 }
 
-// parseLine parses one benchmark result line, e.g.
+// parseLine parses one benchmark result line into results keyed by
+// benchmark name (none for any other line), e.g.
 //
 //	BenchmarkWireFrame/meta=128-4  100  1234 ns/op  56 B/op  7 allocs/op
-func parseLine(line string) (string, *result, bool) {
+//
+// An allocation count a benchmark reports with b.ReportMetric under a unit
+// ending in "-allocs/op" (say "ckpt-allocs/op") is a result of its own,
+// keyed "<name> <unit>", and gates like allocs/op.
+func parseLine(line string) map[string]*result {
 	fields := strings.Fields(line)
 	if len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return "", nil, false
+		return nil
 	}
 	name := fields[0]
 	// Strip the trailing -<GOMAXPROCS> so runs on different machines
@@ -147,27 +150,26 @@ func parseLine(line string) (string, *result, bool) {
 			name = name[:i]
 		}
 	}
+	out := make(map[string]*result)
 	r := &result{runs: 1}
-	found := false
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
 			continue
 		}
-		switch fields[i+1] {
-		case "ns/op":
+		switch unit := fields[i+1]; {
+		case unit == "ns/op":
 			r.NsPerOp = v
-			found = true
-		case "B/op":
+			out[name] = r
+		case unit == "B/op":
 			r.BytesPerOp = v
-			found = true
-		case "allocs/op":
+			out[name] = r
+		case unit == "allocs/op":
 			r.AllocsPerOp = v
-			found = true
+			out[name] = r
+		case strings.HasSuffix(unit, "-allocs/op"):
+			out[name+" "+unit] = &result{AllocsPerOp: v, runs: 1}
 		}
 	}
-	if !found {
-		return "", nil, false
-	}
-	return name, r, true
+	return out
 }

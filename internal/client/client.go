@@ -269,10 +269,18 @@ func (c *Client) getChunkBuf(size int64) *pooledBuf {
 }
 
 // getSegment returns a staging segment of at least size bytes, holding
-// one reference. A segment is never smaller than segmentSize.
+// one reference. A segment is never smaller than segmentSize. A pooled
+// segment too short for size goes back for the next writer that fits it,
+// so writers of 1 MB segments and of larger fixed chunks sharing a client
+// keep each other's segments pooled; the larger ones then allocate
+// whenever the pool hands them a short one.
 func (c *Client) getSegment(size int) *pooledBuf {
 	pb, _ := c.segPool.Get().(*pooledBuf)
-	if pb == nil || len(pb.b) < size {
+	if pb != nil && len(pb.b) < size {
+		c.segPool.Put(pb)
+		pb = nil
+	}
+	if pb == nil {
 		pb = &pooledBuf{b: make([]byte, max(size, segmentSize)), seg: true}
 	}
 	pb.refs.Store(1)

@@ -182,6 +182,61 @@ func TestHasherBatchesQueuedChunks(t *testing.T) {
 	}
 }
 
+// TestFixedChunkProbeBatches pins where the stage closes probe batches
+// under fixed chunks: at no segment boundary, so a segment holding one
+// 1 MB chunk does not cost one probe per chunk. The hasher starts only
+// once the stage has cut every chunk and closed its queue, so batches
+// close only at flush markers, at maxProbeBatch and at the end.
+func TestFixedChunkProbeBatches(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		chunkSize int64
+		segments  int
+		want      []int
+	}{
+		{"1 MB chunks, one per segment", 1 << 20, 4, []int{4}},
+		{"64 KB chunks, 16 per segment", 64 << 10, 3, []int{maxProbeBatch, 16}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := &probeRecorder{fakeMetadata: newFakeMetadata()}
+			cl, err := New(Config{Endpoint: rec, Incremental: true, ChunkSize: c.chunkSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			w := &Writer{
+				c: cl, name: "pinned.n1.t0", protocol: SlidingWindow, copyAdmits: true,
+				chunkSize: c.chunkSize, segLen: segmentSize,
+				failed: make(chan struct{}), done: make(chan struct{}),
+			}
+			w.cond.L = &w.mu
+			w.hashQ.init(0)
+			w.stageQ.init(c.segments)
+			for i := 0; i < c.segments; i++ {
+				seg := cl.getSegment(segmentSize)
+				copy(seg.b, fill(segmentSize, byte(i)))
+				w.inflight += segmentSize
+				w.stageQ.push(segRange{seg: seg, end: segmentSize})
+			}
+			w.stageQ.close()
+			w.hashWg.Add(1)
+			go w.runStage()
+			for closed := false; !closed; time.Sleep(time.Millisecond) {
+				w.hashQ.mu.Lock()
+				closed = w.hashQ.closed
+				w.hashQ.mu.Unlock()
+			}
+			w.runHasher()
+			<-w.done // the fake manager fails the commit; only the probes matter
+
+			if !slices.Equal(rec.batches, c.want) {
+				t.Fatalf("%d segments of %d-byte chunks were probed in batches of %v, want %v",
+					c.segments, c.chunkSize, rec.batches, c.want)
+			}
+		})
+	}
+}
+
 // TestBatchedDedupProbes is the end-to-end half: through a real manager
 // every chunk is probed exactly once, the second version dedups entirely
 // and reads back. How many probes that takes depends on whether the

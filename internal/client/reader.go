@@ -555,7 +555,9 @@ func (r *Reader) untried(idx int) []core.NodeID {
 // resolve maps a benefactor node ID to its current address. Node IDs
 // default to their service address (host:port), which needs no lookup —
 // committed data stays readable even while the manager is down. Custom
-// IDs are resolved through the manager's registry and cached.
+// IDs are resolved through the manager's registry and cached. A node the
+// registry does not list is retryable, not missing: a manager that just
+// took over lists a benefactor only once it has re-registered.
 func (r *Reader) resolve(node core.NodeID) (string, error) {
 	if strings.ContainsRune(string(node), ':') {
 		return string(node), nil
@@ -577,7 +579,7 @@ func (r *Reader) resolve(node core.NodeID) (string, error) {
 	addr, ok = r.c.benefAddrs[node]
 	r.c.benefMu.Unlock()
 	if !ok {
-		return "", fmt.Errorf("benefactor %s: %w", node, core.ErrNotFound)
+		return "", fmt.Errorf("benefactor %s not registered: %w", node, core.ErrRetryable)
 	}
 	return addr, nil
 }

@@ -131,9 +131,10 @@ type chunk struct {
 
 // chunkItem is a cut, not-yet-hashed chunk travelling to the hashing stage.
 // flush asks the hasher to probe/dispatch its current batch once this
-// chunk is folded in (set on the last chunk of a staging segment and at
-// end of file, so a segment becomes at most one dedup probe per
-// maxProbeBatch chunks).
+// chunk is folded in (set at the end of a temp file or of the file, and
+// on a CbCH segment's last chunk, so such a segment becomes at most one
+// dedup probe per maxProbeBatch spans). Fixed chunks set it on no segment
+// boundary: a 1 MB segment holds a single 1 MB chunk.
 type chunkItem struct {
 	idx int
 	chunk
@@ -449,8 +450,8 @@ func (w *Writer) flushTemp() error {
 // pusher generalised. It feeds the ranges it is handed to nextCut and
 // emits each chunk as a slice of its segment, holding a reference. A CbCH
 // span still open when its segment runs out is copied into a chunk
-// buffer, the carry, and finished there. A segment's last chunk closes the
-// hasher's probe batch. A temp file is modelled as read back from the OS
+// buffer, the carry, and finished there. A CbCH segment's last span and a
+// temp file's last chunk close the hasher's probe batch. A temp file is modelled as read back from the OS
 // cache, the complete-local image from the local disk: the stage pays that
 // read's pace. On a failed session it drops what it is handed. Once Close
 // has closed its queue and it has cut the rest, it finishes the session.
@@ -522,7 +523,7 @@ func (w *Writer) runStage() {
 		pos = r.end
 		if last.buf != nil {
 			// A failed emit released the chunk; the next range sees the failure.
-			_ = w.emitChunk(last, r.end == w.segLen || r.last)
+			_ = w.emitChunk(last, r.last || w.cbch != nil && r.end == w.segLen)
 		}
 		if r.last {
 			w.mu.Lock()
@@ -607,10 +608,11 @@ func (w *Writer) growCommitChunks(n int) {
 
 // runHasher is the hashing stage: it names chunks (SHA-1) off the
 // application thread and gathers them into batches that cost one MHasChunks
-// dedup probe each. A batch closes on a flush marker (a staging segment's
-// last chunk, or end of file), on reaching maxProbeBatch, or when the
-// queue momentarily runs dry — whichever comes first — so chunks are never
-// held back waiting for more.
+// dedup probe each. A batch closes on a flush marker (see chunkItem), on
+// reaching maxProbeBatch, or when the queue momentarily runs dry —
+// whichever comes first — so chunks are never held back waiting for more.
+// Without incremental checkpointing there is no probe to share: each
+// chunk is dispatched as soon as it is named.
 func (w *Writer) runHasher() {
 	defer w.hashWg.Done()
 	batch := make([]hashedChunk, 0, maxProbeBatch)
@@ -641,7 +643,7 @@ func (w *Writer) hashInto(batch *[]hashedChunk, item chunkItem) bool {
 	w.commitChunks[item.idx].ID = id
 	w.mu.Unlock()
 	*batch = append(*batch, hashedChunk{idx: item.idx, id: id, chunk: item.chunk})
-	return item.flush || len(*batch) >= maxProbeBatch
+	return item.flush || len(*batch) >= maxProbeBatch || !w.c.cfg.Incremental
 }
 
 // flushBatch resolves one batch: a single dedup probe (when incremental

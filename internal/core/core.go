@@ -151,7 +151,10 @@ var (
 	// ErrRetryable marks a transient transport failure (dial refused,
 	// connection reset, timeout) on a call that may be retried: the remote
 	// never answered, so it may simply be restarting. Application-level
-	// replies — including remote errors — are never wrapped in it.
+	// replies — including remote errors — are never wrapped in it. The
+	// one local use: a reader whose chunk-map names a benefactor the
+	// registry does not list yet (it has not re-registered since a
+	// manager took over).
 	ErrRetryable = errors.New("transient transport failure")
 )
 

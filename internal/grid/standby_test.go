@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -67,38 +68,50 @@ func TestHotStandbyTakeover(t *testing.T) {
 		t.Fatal(err)
 	}
 	killed := time.Now()
-	readBack := func(name string) ([]byte, error) {
-		r, err := cl.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		defer r.Close()
-		return r.ReadAll()
-	}
-	// Zero acknowledged commits lost: each reads back byte-identical.
-	for name, data := range acked {
+	// await retries op until it succeeds, failing on any error that is not
+	// one of the delays allowed or when takeoverBound runs out.
+	await := func(what string, op func() error, delays ...error) {
 		for {
-			got, err := readBack(name)
+			err := op()
 			if err == nil {
-				if !bytes.Equal(got, data) {
-					t.Fatalf("%s corrupted across failover", name)
-				}
-				break
+				return
 			}
-			// Until the replacement is bound the owner never answers
-			// (retryable); until quorum restores the dataset it answers
-			// not-found, and so does its registry for a benefactor that
-			// has not re-registered yet. Anything else is a failure, not
-			// a delay.
-			if !errors.Is(err, core.ErrRetryable) && !errors.Is(err, core.ErrNotFound) {
-				t.Fatalf("read %s during takeover: %v", name, err)
+			if !slices.ContainsFunc(delays, func(d error) bool { return errors.Is(err, d) }) {
+				t.Fatalf("%s during takeover: %v", what, err)
 			}
 			if time.Since(killed) > takeoverBound {
-				t.Fatalf("%s not served %v after the primary died (took over: %v): %v",
-					name, takeoverBound, standby.TookOver(), err)
+				t.Fatalf("%s: not served %v after the primary died (took over: %v): %v",
+					what, takeoverBound, standby.TookOver(), err)
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
+	}
+	for name := range acked {
+		// Until the replacement is bound the owner never answers
+		// (retryable); until quorum restores the dataset it answers
+		// not-found.
+		await("stat "+name, func() error { _, err := cl.Stat(name); return err },
+			core.ErrRetryable, core.ErrNotFound)
+	}
+	t.Logf("takeover: every acknowledged checkpoint served again %v after the primary died", time.Since(killed).Round(time.Millisecond))
+
+	// Zero acknowledged commits lost: each reads back byte-identical. A
+	// served dataset is never not-found; only a benefactor that has not
+	// re-registered with the replacement yet may delay the read, and the
+	// reader reports that as retryable.
+	for name, data := range acked {
+		await("read "+name, func() error {
+			r, err := cl.Open(name)
+			if err != nil {
+				return err
+			}
+			defer r.Close()
+			got, err := r.ReadAll()
+			if err == nil && !bytes.Equal(got, data) {
+				t.Fatalf("%s corrupted across failover", name)
+			}
+			return err
+		}, core.ErrRetryable)
 	}
 	t.Logf("takeover: every acknowledged checkpoint read back %v after the primary died", time.Since(killed).Round(time.Millisecond))
 	// Hand the replacement to the cluster for cleanup bookkeeping.
