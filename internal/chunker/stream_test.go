@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"stdchk/internal/core"
 	"stdchk/internal/hashing"
@@ -119,8 +120,17 @@ func firstDiff(a, b []Span) int {
 	return min(len(a), len(b))
 }
 
+// setScanKernel is hashing's test switch: it turns Rolling.Scan's AVX2
+// kernel off, or back on where the CPU has it, and reports the previous
+// setting. The kernel has no exported knob, so the tests here reach the
+// switch by name.
+//
+//go:linkname setScanKernel stdchk/internal/hashing.setScanKernel
+func setScanKernel(on bool) (was bool)
+
 // FuzzStreamFeed: for any bytes, any valid parameters and any slicing of
-// the stream into Feed calls, Stream produces referenceSplit's spans.
+// the stream into Feed calls, Stream produces referenceSplit's spans, on
+// Rolling.Scan's AVX2 kernel (where the CPU has it) and its scalar loop.
 func FuzzStreamFeed(f *testing.F) {
 	zeros := make([]byte, 300)
 	noise := make([]byte, 300)
@@ -144,9 +154,14 @@ func FuzzStreamFeed(f *testing.F) {
 		if err := Validate(want, int64(len(data))); err != nil {
 			t.Fatalf("reference: %v", err)
 		}
-		for _, b := range []int{1 + int(block), len(data) + 1} {
-			if got := feedInBlocks(p, data, b); !slices.Equal(got, want) {
-				t.Fatalf("%+v, block %d: %d spans, want %d; first difference at span %d", p, b, len(got), len(want), firstDiff(got, want))
+		defer setScanKernel(setScanKernel(true))
+		for _, kernel := range []bool{true, false} {
+			setScanKernel(kernel)
+			for _, b := range []int{1 + int(block), len(data) + 1} {
+				if got := feedInBlocks(p, data, b); !slices.Equal(got, want) {
+					t.Fatalf("%+v, kernel %v, block %d: %d spans, want %d; first difference at span %d",
+						p, kernel, b, len(got), len(want), firstDiff(got, want))
+				}
 			}
 		}
 	})

@@ -9,12 +9,25 @@
 // chunk. SHA1 is crypto/sha1.Sum, except on amd64 CPUs with the SHA
 // extensions (sha_ni in /proc/cpuinfo), where a Go-assembly block function
 // (sha1block_amd64.s) computes the same digest at about twice the speed:
-// go1.24's crypto/sha1 has no SHA-NI path. The CPU alone decides; the
-// standard purego build tag compiles the assembly out, and SHA1Impl says
-// which one runs. The kernel is a bounded fork of one stdlib function and
-// is to be deleted — its file header has the condition — once the pinned
+// go1.24's crypto/sha1 has no SHA-NI path. SHA1Impl says which one runs.
+// That kernel is a bounded fork of one stdlib function and is to be
+// deleted — its file header has the condition — once the pinned
 // toolchain's crypto/sha1 matches it (BenchmarkSHA1 kernel ≈ stdlib).
+//
+// A second kernel (rolling_amd64.s) finds Rolling.Scan's boundary
+// candidates sixteen positions at a time on AVX2, for k ≤ 16 bits; a
+// candidate cuts only after its full 64-bit window hash is checked, so
+// Scan cuts exactly where its scalar loop does, and that loop remains the
+// path everywhere else and the tests' reference. It runs on amd64 CPUs
+// with AVX2 whose OS saves the YMM registers (OSXSAVE, then XCR0 read
+// with XGETBV). For both kernels the CPU alone decides: there is no
+// option, and the standard purego build tag compiles the assembly out.
 package hashing
+
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // WindowHash computes an FNV-1a style 64-bit hash of the window. CbCH calls
 // it once per window position; its cost is O(len(window)), which is what
@@ -187,7 +200,15 @@ func (r *Rolling) Scan(p []byte, k uint) int {
 	in, out := p[w:], p[:len(p)-w]
 	out = out[:len(in)]
 	n, i := 0, 0
-	for ; i < len(in)-1; i += 2 {
+	// On AVX2 the kernel finds the cut, or leaves fewer than 16 positions
+	// to the scalar loop, which is the reference and the fallback.
+	if useAVX2 && k <= 16 && len(in) >= 16 {
+		var cut bool
+		if i, h, cut = r.scanWide(p, uint16(mask)); cut {
+			n = w + i
+		}
+	}
+	for ; n == 0 && i < len(in)-1; i += 2 {
 		d1 := uint64(in[i]) - uint64(out[i])*powW
 		d2 := uint64(in[i+1]) - uint64(out[i+1])*powW
 		h1 := h*rollingPrime + d1
@@ -215,6 +236,66 @@ func (r *Rolling) Scan(p []byte, k uint) int {
 	copy(r.buf, p[end-w:end])
 	r.head = 0
 	return n
+}
+
+// useAVX2 selects scanWide, the AVX2 kernel behind Scan for k ≤ 16. The
+// CPU alone sets it (detectAVX2); the purego tag and other architectures
+// compile the kernel out. Tests turn it off to reach the scalar loop.
+var useAVX2 = detectAVX2()
+
+// setScanKernel turns Scan's AVX2 kernel off, or back on where the CPU
+// has it, and reports the previous setting. Only tests call it, the
+// chunker package's through go:linkname.
+func setScanKernel(on bool) (was bool) {
+	was, useAVX2 = useAVX2, on && detectAVX2()
+	return was
+}
+
+// scanWide is Scan past the lead p[:w] on the AVX2 kernel, for k ≤ 16.
+// The kernel carries only the low 16 bits of the hash, which name the
+// candidates: positions whose low k bits are zero. A candidate cuts only
+// if its full 64-bit hash, HashFull of its window, is non-zero (see
+// cuts). scanWide returns how many positions it consumed (position i
+// ends the window at p[w+i]), the 64-bit hash after them and whether the
+// last one cuts. Without a cut it leaves fewer than 16 positions.
+func (r *Rolling) scanWide(p []byte, mask uint16) (i int, h uint64, cut bool) {
+	w := r.window
+	in, out := p[w:], p[:len(p)-w]
+	h16, powW := uint16(r.hash), uint16(r.powW)
+	for {
+		j, cands, next := scanAVX2(in[i:], out[i:], h16, powW, mask)
+		i += j
+		if cands == 0 {
+			return i, HashFull(p[i : i+w]), false
+		}
+		resume := i + 16
+		h16 = next
+		for m := cands & 0x55555555; m != 0; m &= m - 1 {
+			c := i + bits.TrailingZeros32(m)/2
+			if h = HashFull(p[c+1 : c+1+w]); h != 0 {
+				return c + 1, h, true
+			}
+			// A zero hash is an all-zero window but for a 2^-64 chance,
+			// and in a zero run every position is a candidate. Every
+			// window ending before the next non-zero byte z is all zero
+			// too: resume at the window ending at z, from hash 0.
+			if z := c + 1 + zeroRun(p[c+1:]); z-w > c+1 {
+				resume, h16 = z-w, 0
+				break
+			}
+		}
+		i = resume
+	}
+}
+
+// zeroRun returns how many zero bytes p starts with.
+func zeroRun(p []byte) int {
+	i := 0
+	for ; i+8 <= len(p) && binary.LittleEndian.Uint64(p[i:]) == 0; i += 8 {
+	}
+	for ; i < len(p) && p[i] == 0; i++ {
+	}
+	return i
 }
 
 // Slide moves the window over all of p without looking for boundaries.

@@ -23,9 +23,6 @@ func detectSHANI() bool {
 	return ecx1&ssse3 != 0 && ecx1&sse41 != 0 && ebx7&sha != 0
 }
 
-// cpuid executes CPUID with EAX=leaf, ECX=subleaf.
-func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
-
 // blockSHANI folds the whole 64-byte blocks of p into h. It reads
 // p[:len(p)&^63] and nothing else. Callers check useSHANI first.
 //
