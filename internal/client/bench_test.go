@@ -1,6 +1,8 @@
 package client_test
 
 import (
+	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -14,6 +16,7 @@ import (
 	"stdchk/internal/core"
 	"stdchk/internal/manager"
 	"stdchk/internal/store"
+	"stdchk/internal/workload"
 )
 
 // BenchmarkEmitChunkPipeline measures the full sliding-window write path —
@@ -35,6 +38,53 @@ func BenchmarkEmitChunkPipelineCbCH(b *testing.B) {
 		Chunking:    client.ChunkCbCH,
 		CbCH:        chunker.StreamParams{Window: 48, Bits: 18, Min: 256 << 10, Max: 1 << 20},
 	})
+}
+
+// BenchmarkEmitChunkPipelineIncremental is the incr_blcr shape: default
+// CbCH parameters, Incremental on, and each op writes the second version
+// of an 8 MB BLCR-like image over a stored first version, with a marker
+// stamped into each of its megabytes so a few spans are new every op. So
+// the dedup probes fire and mostly hit, and the serial stages are the
+// scan, SHA-1 — on the batcher and the namers it starts — and the probes.
+func BenchmarkEmitChunkPipelineIncremental(b *testing.B) {
+	mgr := benchCluster(b, nil)
+	cl, err := client.New(client.Config{
+		ManagerAddr: mgr.Addr(), StripeWidth: 4, Replication: 1,
+		Chunking: client.ChunkCbCH, Incremental: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	trace := workload.BLCR5Min(1, 2, 8<<20)
+	write := func(name string, img []byte) {
+		w, err := cl.Create(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for off := 0; off < len(img); off += 1 << 20 {
+			if _, err := w.Write(img[off:min(off+1<<20, len(img))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	write("incr.n1.t0", trace.Images[0])
+	img := trace.Images[1]
+	b.SetBytes(int64(len(img)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for off := 0; off < len(img); off += 1 << 20 {
+			binary.LittleEndian.PutUint64(img[off:], uint64(i))
+		}
+		write(fmt.Sprintf("incr.n1.t%d", i+1), img)
+	}
 }
 
 // BenchmarkOpenRead measures the restart fast path end to end: one op is

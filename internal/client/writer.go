@@ -2,6 +2,7 @@ package client
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -29,14 +30,15 @@ import (
 //
 // The remote data path is a pipeline of recycled buffers: the application
 // thread copies into pooled staging segments, a stage goroutine cuts
-// chunks out of them, a hashing stage computes SHA-1 and batches dedup
-// probes into one MHasChunks RPC per in-flight window, and per-stripe-node
-// uploaders stream the chunks out and release them. The application thread
-// therefore pays only the memcpy into the segment — no cutting, no
-// hashing, no allocation, no per-chunk manager RPCs — and waits in one
-// place only: admit, when Config.BufferBytes is full. The queues between
-// the stages hold whatever the window admitted; they have no count bound
-// of their own that the application could meet first.
+// chunks out of them, a batcher (helped by namers on spare cores) names
+// them by SHA-1 and batches dedup probes into one MHasChunks RPC per
+// in-flight window, and per-stripe-node uploaders stream the chunks out
+// and release them. The application thread therefore pays only the memcpy
+// into the segment — no cutting, no hashing, no allocation, no per-chunk
+// manager RPCs — and waits in one place only: admit, when
+// Config.BufferBytes is full. The queues between the stages hold whatever
+// the window admitted; they have no count bound of their own that the
+// application could meet first.
 //
 // Uploads open no connection of their own: every BPut rides the client's
 // shared multiplexed pool (Client.dataPool), as many at once as
@@ -50,10 +52,10 @@ import (
 // slice that pins its segment. Fixed-size chunks end at ChunkSize offsets,
 // and a segment holds a whole number of them, so none crosses into the
 // next. With Config.Chunking == ChunkCbCH the cuts are content-anchored by
-// a rolling hash (variable-size spans) — a scan at about SHA-1 speed that
-// the application thread does not wait for — and a span crossing a
-// segment boundary is finished in a carry. The stages after the cut are
-// size-agnostic.
+// a rolling hash (variable-size spans) — a scan at about twice SHA-1's
+// speed that the application thread does not wait for — and a span
+// crossing a segment boundary is finished in a carry. The stages after
+// the cut are size-agnostic.
 type Writer struct {
 	c        *Client
 	name     string
@@ -102,9 +104,11 @@ type Writer struct {
 	workers  []*uploadWorker // one per stripe node; fixed after newWriter
 	workerWg sync.WaitGroup
 
-	// hashing stage between the cutting stage and the uploaders
+	// naming stage between the cutting stage and the uploaders
 	hashQ  fifo[chunkItem]
 	hashWg sync.WaitGroup
+	queued int64 // bytes emitted to hashQ and not yet taken by the batcher (mu)
+	namers int   // namer goroutines started (mu)
 
 	bufferWait time.Duration // time admit spent waiting on the window
 
@@ -117,7 +121,7 @@ type Writer struct {
 type uploadWorker struct {
 	id   core.NodeID
 	addr string
-	ch   chan hashedChunk
+	ch   chan chunkItem
 }
 
 // chunk is one chunk in flight: its bytes, the pooled buffer they pin, and
@@ -129,24 +133,18 @@ type chunk struct {
 	cost int64
 }
 
-// chunkItem is a cut, not-yet-hashed chunk travelling to the hashing stage.
-// flush asks the hasher to probe/dispatch its current batch once this
-// chunk is folded in (set at the end of a temp file or of the file, and
-// on a CbCH segment's last chunk, so such a segment becomes at most one
-// dedup probe per maxProbeBatch spans). Fixed chunks set it on no segment
-// boundary: a 1 MB segment holds a single 1 MB chunk.
+// chunkItem is a cut chunk on its way to the uploaders; id is its SHA-1
+// once named. flush asks the batcher to probe/dispatch its current batch
+// once this chunk is folded in (set at the end of a temp file or of the
+// file, and on a CbCH segment's last chunk, so such a segment becomes at
+// most one dedup probe per maxProbeBatch spans). Fixed chunks set it on no
+// segment boundary: a 1 MB segment holds a single 1 MB chunk.
 type chunkItem struct {
-	idx int
+	idx   int
+	id    core.ChunkID
+	named bool
 	chunk
 	flush bool
-}
-
-// hashedChunk is a chunk with its content name, staged for one batched
-// dedup probe and then dispatch to its round-robin stripe worker.
-type hashedChunk struct {
-	idx int
-	id  core.ChunkID
-	chunk
 }
 
 // segRange is a staging segment's bytes from where the stage left off up
@@ -157,17 +155,19 @@ type segRange struct {
 	last bool
 }
 
-// fifo is a queue between two pipeline stages: one producer, one consumer,
-// and no capacity of its own — what bounds it is the write window its
-// items were admitted against. It grows on demand past the slots init
-// gives it, so a small checkpoint pays for a few slots, not for a window's
-// worth. init must be called before use.
+// fifo is a queue between two pipeline stages: one producer and one
+// consumer that pops in order — for the hash queue, the batcher, which
+// namers may run ahead of (see take). It has no capacity of its own — what
+// bounds it is the write window its items were admitted against. It grows
+// on demand past the slots init gives it, so a small checkpoint pays for a
+// few slots, not for a window's worth. init must be called before use.
 type fifo[T any] struct {
-	mu     sync.Mutex
-	ready  sync.Cond // an item was pushed or the queue closed
-	items  []T
-	head   int // items[:head] have been popped
-	closed bool
+	mu      sync.Mutex
+	ready   sync.Cond // an item was pushed or named, or the queue closed
+	items   []T
+	head    int // items[:head] have been popped
+	claimed int // items[head:claimed] are being or have been named
+	closed  bool
 }
 
 func (q *fifo[T]) init(slots int) { q.ready.L, q.items = &q.mu, make([]T, 0, slots) }
@@ -176,7 +176,7 @@ func (q *fifo[T]) push(item T) {
 	q.mu.Lock()
 	q.items = append(q.items, item)
 	q.mu.Unlock()
-	q.ready.Signal()
+	q.ready.Broadcast()
 }
 
 // close marks the end of the stream; pop still returns what is queued.
@@ -184,7 +184,7 @@ func (q *fifo[T]) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
-	q.ready.Signal()
+	q.ready.Broadcast()
 }
 
 // pop returns the oldest item. On an empty queue it reports false — at
@@ -198,14 +198,20 @@ func (q *fifo[T]) pop(wait bool) (item T, ok bool) {
 		}
 		q.ready.Wait()
 	}
+	return q.popHead(), true
+}
+
+// popHead pops the oldest item of a non-empty queue. q.mu must be held.
+func (q *fifo[T]) popHead() (item T) {
 	item = q.items[q.head]
 	var zero T
 	q.items[q.head] = zero // keep no reference to a popped buffer
 	q.head++
+	q.claimed = max(q.claimed, q.head)
 	if q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
+		q.items, q.head, q.claimed = q.items[:0], 0, 0
 	}
-	return item, true
+	return item
 }
 
 // maxProbeBatch caps how many chunk IDs one MHasChunks dedup probe
@@ -265,7 +271,7 @@ func newWriter(c *Client, name string) (*Writer, error) {
 
 	w.workers = make([]*uploadWorker, 0, len(sess.Stripe))
 	for _, st := range sess.Stripe {
-		worker := &uploadWorker{id: st.ID, addr: st.Addr, ch: make(chan hashedChunk, 4)}
+		worker := &uploadWorker{id: st.ID, addr: st.Addr, ch: make(chan chunkItem, 4)}
 		w.workers = append(w.workers, worker)
 		w.workerWg.Add(1)
 		go w.runUploader(worker)
@@ -451,7 +457,7 @@ func (w *Writer) flushTemp() error {
 // emits each chunk as a slice of its segment, holding a reference. A CbCH
 // span still open when its segment runs out is copied into a chunk
 // buffer, the carry, and finished there. A CbCH segment's last span and a
-// temp file's last chunk close the hasher's probe batch. A temp file is modelled as read back from the OS
+// temp file's last chunk close the batcher's probe batch. A temp file is modelled as read back from the OS
 // cache, the complete-local image from the local disk: the stage pays that
 // read's pace. On a failed session it drops what it is handed. Once Close
 // has closed its queue and it has cut the rest, it finishes the session.
@@ -577,10 +583,11 @@ func (w *Writer) admit(n int64) error {
 	return nil
 }
 
-// emitChunk hands a cut chunk to the hashing stage, taking over its
-// reference. Unless its bytes were admitted as they were copied, it first
-// waits for room in the write window, and on nothing else; hashing, dedup
-// and upload all happen downstream, off this thread.
+// emitChunk hands a cut chunk to the batcher, taking over its reference.
+// Unless its bytes were admitted as they were copied, it first waits for
+// room in the write window, and on nothing else; hashing, dedup and upload
+// all happen downstream, off this thread. Once a segment's worth of bytes
+// waits to be named it starts a namer, up to one per spare processor.
 func (w *Writer) emitChunk(ch chunk, flush bool) error {
 	w.mu.Lock()
 	if !w.copyAdmits {
@@ -594,9 +601,18 @@ func (w *Writer) emitChunk(ch chunk, flush bool) error {
 	w.chunkIdx++
 	w.growCommitChunks(idx + 1)
 	w.commitChunks[idx].Size = int64(len(ch.data))
+	w.queued += int64(len(ch.data))
+	spawn := w.queued >= segmentSize && w.namers < runtime.GOMAXPROCS(0)-1
+	if spawn {
+		w.namers++
+	}
 	w.mu.Unlock()
 
 	w.hashQ.push(chunkItem{idx: idx, chunk: ch, flush: flush})
+	if spawn {
+		w.hashWg.Add(1) // the batcher still holds hashWg: finish has not begun waiting
+		go w.runNamer()
+	}
 	return nil
 }
 
@@ -606,25 +622,25 @@ func (w *Writer) growCommitChunks(n int) {
 	}
 }
 
-// runHasher is the hashing stage: it names chunks (SHA-1) off the
-// application thread and gathers them into batches that cost one MHasChunks
-// dedup probe each. A batch closes on a flush marker (see chunkItem), on
-// reaching maxProbeBatch, or when the queue momentarily runs dry —
-// whichever comes first — so chunks are never held back waiting for more.
-// Without incremental checkpointing there is no probe to share: each
-// chunk is dispatched as soon as it is named.
+// runHasher is the batcher: it takes chunks in cut order, names those no
+// namer has (SHA-1) off the application thread, and gathers them into
+// batches that cost one MHasChunks dedup probe each. A batch closes on a
+// flush marker (see chunkItem), on reaching maxProbeBatch, or when the
+// queue momentarily runs dry — whichever comes first — so chunks are never
+// held back waiting for more. Without incremental checkpointing there is
+// no probe to share: each chunk is dispatched as soon as it is named.
 func (w *Writer) runHasher() {
 	defer w.hashWg.Done()
-	batch := make([]hashedChunk, 0, maxProbeBatch)
+	batch := make([]chunkItem, 0, maxProbeBatch)
 	ids := make([]core.ChunkID, 0, maxProbeBatch)
 	for {
-		item, ok := w.hashQ.pop(true)
+		item, ok := w.take(true)
 		if !ok {
 			return
 		}
 		flush := w.hashInto(&batch, item)
 		for !flush {
-			next, ok := w.hashQ.pop(false)
+			next, ok := w.take(false)
 			if !ok {
 				break // queue dry: probe what we have
 			}
@@ -635,21 +651,83 @@ func (w *Writer) runHasher() {
 	}
 }
 
-// hashInto names one chunk, records it in the commit map, and folds it
-// into the pending batch. It reports whether the batch should flush now.
-func (w *Writer) hashInto(batch *[]hashedChunk, item chunkItem) bool {
-	id := core.HashChunk(item.data)
+// take pops the oldest queued chunk for the batcher — named by a namer, or
+// unclaimed, for the batcher to name — and names the next unclaimed chunk
+// itself while a namer still holds the oldest. On an empty queue it
+// reports false: at once when wait is false, otherwise only after close.
+func (w *Writer) take(wait bool) (item chunkItem, ok bool) {
+	q := &w.hashQ
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		switch {
+		case q.head == len(q.items):
+			if !wait || q.closed {
+				return item, false
+			}
+			q.ready.Wait()
+		case q.head == q.claimed || q.items[q.head].named:
+			return q.popHead(), true
+		case !w.nameAhead():
+			q.ready.Wait() // for the namer holding the oldest
+		}
+	}
+}
+
+// nameAhead claims the oldest chunk nobody has claimed and names it in
+// place, dropping q.mu meanwhile; the batcher pops no claimed chunk before
+// it is named, so its slot stays put. It reports false when none is left
+// to claim. w.hashQ.mu must be held.
+func (w *Writer) nameAhead() bool {
+	q := &w.hashQ
+	i := q.claimed
+	if i == len(q.items) {
+		return false
+	}
+	q.claimed++
+	data := q.items[i].data
+	q.mu.Unlock()
+	id := hashChunk(data)
+	q.mu.Lock()
+	q.items[i].id, q.items[i].named = id, true
+	q.ready.Broadcast()
+	return true
+}
+
+// runNamer names queued chunks ahead of the batcher until the queue closes.
+func (w *Writer) runNamer() {
+	defer w.hashWg.Done()
+	q := &w.hashQ
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for !q.closed || q.claimed < len(q.items) {
+		if !w.nameAhead() {
+			q.ready.Wait()
+		}
+	}
+}
+
+var hashChunk = core.HashChunk // a variable so tests can count the names
+
+// hashInto names one chunk unless a namer has, records it in the commit
+// map, and folds it into the pending batch. It reports whether the batch
+// should flush now.
+func (w *Writer) hashInto(batch *[]chunkItem, item chunkItem) bool {
+	if !item.named {
+		item.id = hashChunk(item.data)
+	}
 	w.mu.Lock()
-	w.commitChunks[item.idx].ID = id
+	w.commitChunks[item.idx].ID = item.id
+	w.queued -= int64(len(item.data))
 	w.mu.Unlock()
-	*batch = append(*batch, hashedChunk{idx: item.idx, id: id, chunk: item.chunk})
+	*batch = append(*batch, item)
 	return item.flush || len(*batch) >= maxProbeBatch || !w.c.cfg.Incremental
 }
 
 // flushBatch resolves one batch: a single dedup probe (when incremental
 // checkpointing is on), then dispatch of the misses to their round-robin
 // stripe workers and release of the hits.
-func (w *Writer) flushBatch(batch []hashedChunk, ids []core.ChunkID) {
+func (w *Writer) flushBatch(batch []chunkItem, ids []core.ChunkID) {
 	if len(batch) == 0 {
 		return
 	}
@@ -687,14 +765,14 @@ func (w *Writer) flushBatch(batch []hashedChunk, ids []core.ChunkID) {
 }
 
 // dispatch routes one named chunk to its round-robin stripe worker. Only
-// the hasher calls it, and finish waits the hasher out before teardown
-// closes the worker channels.
-func (w *Writer) dispatch(hc hashedChunk) {
+// the batcher calls it — namers only name — and finish waits the batcher
+// out before teardown closes the worker channels.
+func (w *Writer) dispatch(hc chunkItem) {
 	w.workers[hc.idx%len(w.workers)].ch <- hc
 }
 
 // releaseChunks drops a batch on the failure path.
-func (w *Writer) releaseChunks(batch []hashedChunk) {
+func (w *Writer) releaseChunks(batch []chunkItem) {
 	for _, hc := range batch {
 		w.release(hc.chunk)
 	}
@@ -723,8 +801,8 @@ func (w *Writer) unwind(n int64) {
 // does not wait for the previous chunk's ack — on a high-latency path the
 // buffer, not the RTT, sets the upload rate, and the puts that queue
 // behind a transmission leave as one. It is its own goroutine so that
-// starting a put never costs the hasher its processor (direct dispatch
-// from the hasher: lan_64k OAB −28%). Acks settle in any order: recordUpload
+// starting a put never costs the batcher its processor (direct dispatch
+// from the batcher: lan_64k OAB −28%). Acks settle in any order: recordUpload
 // appends locations to commitChunks[idx] under the session lock and the
 // commit map is index-addressed, so completion order is irrelevant. Any
 // failed put fails the whole session (sticky), after which queued chunks
@@ -757,7 +835,7 @@ func (w *Writer) runUploader(worker *uploadWorker) {
 	calls.Wait()
 }
 
-func (w *Writer) recordUpload(item hashedChunk, worker *uploadWorker) {
+func (w *Writer) recordUpload(item chunkItem, worker *uploadWorker) {
 	w.mu.Lock()
 	w.uploaded += int64(len(item.data))
 	w.commitChunks[item.idx].Locations = append(w.commitChunks[item.idx].Locations, worker.id)
@@ -859,7 +937,7 @@ func (w *Writer) finish() {
 }
 
 // teardown closes the worker channels and waits for the uploaders to
-// drain. finish calls it once, after the hasher — the only sender — exited.
+// drain. finish calls it once, after the batcher — the only sender — exited.
 func (w *Writer) teardown() {
 	for _, worker := range w.workers {
 		close(worker.ch)
