@@ -30,7 +30,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"time"
 
 	"stdchk/internal/client"
@@ -576,10 +578,7 @@ func cmdStats(args []string) error {
 	fmt.Printf("datasets: %d, versions: %d, unique chunks: %d\n", s.Datasets, s.Versions, s.UniqueChunks)
 	fmt.Printf("logical bytes: %d, stored bytes: %d\n", s.LogicalBytes, s.StoredBytes)
 	fmt.Printf("active sessions: %d, transactions: %d\n", s.ActiveSessions, s.Transactions)
-	fmt.Printf("dedup probes: %d rpcs / %d chunks, hits: %d\n", s.DedupBatches, s.DedupChunks, s.DedupHits)
-	fmt.Printf("map fetches: %d, as-of resolutions: %d\n", s.GetMaps, s.StatVersions)
-	fmt.Printf("catalog queries: %d histories, %d diffs, %d prefetch batches\n",
-		s.Histories, s.Diffs, s.PrefetchBatches)
+	fmt.Printf("dedup probes: %d rpcs / %d chunks, hits: %d\n", s.Ops[proto.MHasChunks].Count, s.DedupChunks, s.DedupHits)
 	fmt.Printf("replicas copied: %d, chunks collected: %d, versions pruned: %d\n",
 		s.ReplicasCopied, s.ChunksCollected, s.VersionsPruned)
 	rp := s.Repair
@@ -615,20 +614,13 @@ func cmdStats(args []string) error {
 		fmt.Printf("  shed callers were hinted to retry after %v\n",
 			time.Duration(a.RetryAfterMicros)*time.Microsecond)
 	}
-	printLatency("alloc latency", s.AllocLatency)
-	printLatency("commit latency", s.CommitLatency)
-	return nil
-}
-
-// printLatency renders one of the manager's log2-bucket op histograms.
-func printLatency(label string, ls proto.LatencyStats) {
-	if ls.Count == 0 {
-		return
+	fmt.Printf("%-17s %9s %7s %9s %9s\n", "op", "count", "errors", "p50", "p99")
+	for _, op := range slices.Sorted(maps.Keys(s.Ops)) {
+		if st := s.Ops[op]; st.Count > 0 {
+			fmt.Printf("%-17s %9d %7d %9v %9v\n", op, st.Count, st.Errors,
+				metrics.Percentile(st.Latency.Buckets, 0.50).Round(time.Microsecond),
+				metrics.Percentile(st.Latency.Buckets, 0.99).Round(time.Microsecond))
+		}
 	}
-	mean := time.Duration(ls.SumMicros/ls.Count) * time.Microsecond
-	fmt.Printf("%s: %d ops, mean %v, p50 %v, p99 %v, p999 %v\n",
-		label, ls.Count, mean,
-		metrics.Percentile(ls.Buckets, 0.50).Round(time.Microsecond),
-		metrics.Percentile(ls.Buckets, 0.99).Round(time.Microsecond),
-		metrics.Percentile(ls.Buckets, 0.999).Round(time.Microsecond))
+	return nil
 }

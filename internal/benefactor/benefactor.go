@@ -11,6 +11,7 @@ import (
 	"log"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -96,6 +97,7 @@ type Benefactor struct {
 	id     core.NodeID
 	chunks store.Store
 	srv    *wire.Server
+	ops    *wire.OpTable
 	pool   *wire.Pool
 	// mgrs fronts the metadata plane (one manager or a federation); nil
 	// when the node runs unmanaged.
@@ -150,8 +152,9 @@ func New(cfg Config) (*Benefactor, error) {
 	for _, id := range b.chunks.Inventory() {
 		b.births[id] = now
 	}
+	b.registerOps()
 	b.srv = wire.NewServerWithConfig(ln, wire.ServerConfig{
-		Handler:         b.handle,
+		Handler:         b.ops.Serve,
 		Shaper:          cfg.Shaper,
 		MaxConnInflight: cfg.MaxConnInflight,
 	})
@@ -211,50 +214,30 @@ func (b *Benefactor) logf(format string, args ...interface{}) {
 	}
 }
 
-// handle dispatches one RPC.
-func (b *Benefactor) handle(req *wire.Req) (wire.Resp, error) {
-	switch req.Op {
-	case proto.BPut:
-		var put proto.PutReq
-		if err := wire.UnmarshalMeta(req.Meta, &put); err != nil {
-			return wire.Resp{}, err
-		}
-		if err := b.putChunk(put.ID, req.Body); err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{}, nil
-	case proto.BGet:
-		var get proto.GetReq
-		if err := wire.UnmarshalMeta(req.Meta, &get); err != nil {
-			return wire.Resp{}, err
-		}
+// registerOps builds the op table: every proto.B* op the benefactor
+// serves is declared here, once.
+func (b *Benefactor) registerOps() {
+	b.ops = wire.NewOpTable("benefactor")
+	ok := wire.Resp{Meta: proto.HeartbeatResp{OK: true}}
+	wire.On(b.ops, proto.BPut, func(put proto.PutReq, body []byte) (wire.Resp, error) {
+		return wire.Resp{}, b.putChunk(put.ID, body)
+	})
+	wire.On(b.ops, proto.BGet, func(get proto.GetReq, _ []byte) (wire.Resp, error) {
 		data, err := b.fetchChunk(get.ID)
-		if err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{Body: data, Recycle: true}, nil
-	case proto.BGetBatch:
-		var batch proto.BatchGetReq
-		if err := wire.UnmarshalMeta(req.Meta, &batch); err != nil {
-			return wire.Resp{}, err
-		}
+		return wire.Resp{Body: data, Recycle: true}, err
+	})
+	wire.On(b.ops, proto.BGetBatch, func(batch proto.BatchGetReq, _ []byte) (wire.Resp, error) {
 		meta, body := b.fetchBatch(batch.IDs)
 		return wire.Resp{Meta: meta, Body: body, Recycle: body != nil}, nil
-	case proto.BHas:
-		var has proto.HasReq
-		if err := wire.UnmarshalMeta(req.Meta, &has); err != nil {
-			return wire.Resp{}, err
-		}
+	})
+	wire.On(b.ops, proto.BHas, func(has proto.HasReq, _ []byte) (wire.Resp, error) {
 		present := make([]bool, len(has.IDs))
 		for i, id := range has.IDs {
 			present[i] = b.chunks.Has(id)
 		}
 		return wire.Resp{Meta: proto.HasResp{Present: present}}, nil
-	case proto.BDel:
-		var del proto.DelReq
-		if err := wire.UnmarshalMeta(req.Meta, &del); err != nil {
-			return wire.Resp{}, err
-		}
+	})
+	wire.On(b.ops, proto.BDel, func(del proto.DelReq, _ []byte) (wire.Resp, error) {
 		for _, id := range del.IDs {
 			if err := b.chunks.Delete(id); err != nil {
 				return wire.Resp{}, err
@@ -263,33 +246,27 @@ func (b *Benefactor) handle(req *wire.Req) (wire.Resp, error) {
 			delete(b.births, id)
 			b.mu.Unlock()
 		}
-		return wire.Resp{Meta: proto.HeartbeatResp{OK: true}}, nil
-	case proto.BReplicate:
-		var rep proto.ReplicateReq
-		if err := wire.UnmarshalMeta(req.Meta, &rep); err != nil {
-			return wire.Resp{}, err
-		}
-		if err := b.replicateTo(rep.ID, rep.Target); err != nil {
-			return wire.Resp{}, err
-		}
-		return wire.Resp{Meta: proto.HeartbeatResp{OK: true}}, nil
-	case proto.BMapPut:
-		var mp proto.MapPutReq
-		if err := wire.UnmarshalMeta(req.Meta, &mp); err != nil {
-			return wire.Resp{}, err
-		}
+		return ok, nil
+	})
+	wire.On(b.ops, proto.BReplicate, func(rep proto.ReplicateReq, _ []byte) (wire.Resp, error) {
+		return ok, b.replicateTo(rep.ID, rep.Target)
+	})
+	wire.On(b.ops, proto.BMapPut, func(mp proto.MapPutReq, _ []byte) (wire.Resp, error) {
 		if mp.Name == "" || mp.Map == nil {
 			return wire.Resp{}, errors.New("benefactor: mapput requires name and map")
 		}
 		b.mu.Lock()
 		b.maps[mp.Name+"#"+fmt.Sprint(mp.Map.Version)] = mp.Map.Clone()
 		b.mu.Unlock()
-		return wire.Resp{Meta: proto.HeartbeatResp{OK: true}}, nil
-	case proto.BMapList:
+		return ok, nil
+	})
+	wire.On(b.ops, proto.BMapList, func(struct{}, []byte) (wire.Resp, error) {
 		return wire.Resp{Meta: b.mapList()}, nil
-	case proto.BPing:
-		return wire.Resp{Meta: proto.HeartbeatResp{OK: true}}, nil
-	case proto.BStats:
+	})
+	wire.On(b.ops, proto.BPing, func(struct{}, []byte) (wire.Resp, error) {
+		return ok, nil
+	})
+	wire.On(b.ops, proto.BStats, func(struct{}, []byte) (wire.Resp, error) {
 		b.mu.Lock()
 		scrubbed, corrupt := b.scrubbed, b.corruptFound
 		b.mu.Unlock()
@@ -299,10 +276,9 @@ func (b *Benefactor) handle(req *wire.Req) (wire.Resp, error) {
 			Chunks:         b.chunks.Len(),
 			ScrubbedChunks: scrubbed,
 			CorruptChunks:  corrupt,
+			Ops:            b.ops.Stats(),
 		}}, nil
-	default:
-		return wire.Resp{}, fmt.Errorf("benefactor: unknown op %q", req.Op)
-	}
+	})
 }
 
 // putChunk stores one chunk. Its birth is recorded before the store has
@@ -444,7 +420,7 @@ func (b *Benefactor) mapList() proto.MapListResp {
 	resp := proto.MapListResp{Maps: make([]proto.NamedMap, 0, len(b.maps))}
 	for key, m := range b.maps {
 		name := key
-		if i := lastIndexByte(key, '#'); i >= 0 {
+		if i := strings.LastIndexByte(key, '#'); i >= 0 {
 			name = key[:i]
 		}
 		resp.Maps = append(resp.Maps, proto.NamedMap{Name: name, Map: m.Clone()})
@@ -456,15 +432,6 @@ func (b *Benefactor) mapList() proto.MapListResp {
 		return resp.Maps[i].Map.Version < resp.Maps[j].Map.Version
 	})
 	return resp
-}
-
-func lastIndexByte(s string, c byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // managerLoop keeps the node's soft state fresh across the metadata

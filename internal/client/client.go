@@ -127,8 +127,10 @@ type Config struct {
 	// segment, reserved for the carry of a span that crosses into it, and
 	// the bound grows by one max span.
 	// Every chunk it admits is sent without waiting for an earlier one's
-	// ack, whatever the chunk size; BufferBytes = ChunkSize is
-	// stop-and-wait, one chunk in the whole pipeline.
+	// ack, whatever the chunk size, and Write waits only while the window
+	// lacks room for a whole chunk, so one ack lets the next chunk in at
+	// any window/chunk ratio; BufferBytes = ChunkSize is stop-and-wait,
+	// one chunk in the whole pipeline.
 	BufferBytes int64
 	// TempFileBytes bounds incremental-write temporary files.
 	TempFileBytes int64

@@ -84,7 +84,7 @@ func TestSingleExtendSpansMultipleQuanta(t *testing.T) {
 	if _, err := w.Write(fill(2<<20, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := mgr.Stats().Extends; got != 1 {
+	if got := mgr.Stats().Ops[proto.MExtend].Count; got != 1 {
 		t.Fatalf("first multi-quantum Write cost %d MExtend RPCs, want 1", got)
 	}
 	if w.reserved < 2<<20 {
@@ -94,7 +94,7 @@ func TestSingleExtendSpansMultipleQuanta(t *testing.T) {
 	if _, err := w.Write(fill(1<<20, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := mgr.Stats().Extends; got != 2 {
+	if got := mgr.Stats().Ops[proto.MExtend].Count; got != 2 {
 		t.Fatalf("after second jump: %d MExtend RPCs, want 2", got)
 	}
 	if err := w.Close(); err != nil {
@@ -276,8 +276,8 @@ func TestBatchedDedupProbes(t *testing.T) {
 	if st.DedupChunks != chunks {
 		t.Fatalf("dedup probes covered %d chunks, want %d", st.DedupChunks, chunks)
 	}
-	if st.DedupBatches < 1 || st.DedupBatches > chunks {
-		t.Fatalf("%d chunks took %d MHasChunks RPCs, want between 1 and %d", chunks, st.DedupBatches, chunks)
+	if probes := st.Ops[proto.MHasChunks].Count; probes < 1 || probes > chunks {
+		t.Fatalf("%d chunks took %d MHasChunks RPCs, want between 1 and %d", chunks, probes, chunks)
 	}
 
 	// Same content again: every chunk is a dedup hit, still batched.

@@ -529,3 +529,205 @@ func TestBufferBytesBoundsPinnedMemoryFixedChunks(t *testing.T) {
 	}
 	tr.check()
 }
+
+// TestTwoChunkWindowStaysPipelined: a window of two chunks is a pipeline,
+// not stop-and-wait over the whole window. With puts held, an image
+// written in one Write fills the window with two chunks; one
+// acknowledgement lets the third chunk in while the second is still in
+// flight.
+func TestTwoChunkWindowStaysPipelined(t *testing.T) {
+	const chunk = 16 << 10
+	puts := newToll()
+	mgr, acked := tollCluster(t, 1, puts)
+	cl, err := New(Config{ManagerAddr: mgr.Addr(), StripeWidth: 1, Replication: 1, ChunkSize: chunk, BufferBytes: 2 * chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	w, err := cl.Create("pipe.n1.t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := randBytes(5*chunk, 31)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := w.Write(data)
+		wrote <- err
+	}()
+	cut := func() int {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.chunkIdx
+	}
+	waitFor(t, "two chunks to fill the window", func() bool { return cut() == 2 })
+	time.Sleep(100 * time.Millisecond)
+	if n := cut(); n != 2 {
+		t.Fatalf("%d chunks were admitted to a two-chunk window with no put acknowledged", n)
+	}
+	puts.letOne()
+	deadline := time.Now().Add(5 * time.Second)
+	for cut() < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n, a := cut(), acked.Load(); n != 3 || a != 1 {
+		t.Fatalf("after one acknowledged put, %d chunks were admitted and %d puts acknowledged; want the third chunk in with one ack", n, a)
+	}
+
+	puts.open()
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(w.commitChunks); n != 5 {
+		t.Fatalf("committed %d chunks, want 5", n)
+	}
+}
+
+// TestWindowProperties holds the write window to three properties over
+// randomized chunking, chunk size, window, write sizes, stripe width and
+// protocol, with puts held and then acknowledged one at a time:
+//   - pinned: with nothing acknowledged, the pooled capacity out is at
+//     most BufferBytes plus the segment being filled, plus a max span
+//     under CbCH (the bound Config.BufferBytes documents for the sliding
+//     window);
+//   - liveness: whenever the writer waits in admit, the window lacks room
+//     for a whole chunk's cost — its length, plus a carry's reservation
+//     of a max span under CbCH;
+//   - the cuts equal StreamParams.Split's, or exact ChunkSize offsets.
+func TestWindowProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	stacks := make([]byte, 1<<20)
+	inAdmit := func() bool {
+		return strings.Contains(string(stacks[:runtime.Stack(stacks, true)]), "client.(*Writer).admit")
+	}
+	for trial := 0; trial < 12; trial++ {
+		cfg := Config{Replication: 1, StripeWidth: 1 + rng.Intn(3)}
+		var unit int64 // one chunk's largest cost in the window
+		if rng.Intn(2) == 0 {
+			cfg.ChunkSize = []int64{4 << 10, 12 << 10, 16 << 10}[rng.Intn(3)]
+			unit = cfg.ChunkSize
+		} else {
+			cfg.Chunking = ChunkCbCH
+			cfg.CbCH = chunker.StreamParams{Window: 48, Bits: 10, Min: 512, Max: []int64{4 << 10, 8 << 10}[rng.Intn(2)]}
+			unit = 2 * cfg.CbCH.Max
+		}
+		cfg.BufferBytes = unit * []int64{1, 2, 3, 5, 8}[rng.Intn(5)]
+		cfg.BufferBytes += rng.Int63n(unit / 2)
+		if rng.Intn(3) == 0 {
+			cfg.Protocol = IncrementalWrite
+			cfg.TempFileBytes = cfg.BufferBytes/2 + rng.Int63n(cfg.BufferBytes)
+		}
+		maxWrite := 1 + rng.Intn(int(3*cfg.BufferBytes))
+		data := randBytes(int(3*cfg.BufferBytes)+rng.Intn(int(unit)), int64(trial))
+		name := fmt.Sprintf("trial %d: %d-wide, window %d, chunk %d, cbch max %d, writes ≤ %d, incremental %v",
+			trial, cfg.StripeWidth, cfg.BufferBytes, cfg.ChunkSize, cfg.CbCH.Max, maxWrite, cfg.Protocol == IncrementalWrite)
+		t.Run(fmt.Sprint(trial), func(t *testing.T) {
+			puts := newToll()
+			mgr, acked := tollCluster(t, cfg.StripeWidth, puts)
+			cfg.ManagerAddr = mgr.Addr()
+			cl, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			tr := trackChunkBufs(t, cl)
+			w, err := cl.Create("window.n1.t0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrote := make(chan error, 1)
+			go func() {
+				for off := 0; off < len(data); {
+					n := min(1+rng.Intn(maxWrite), len(data)-off)
+					if _, err := w.Write(data[off : off+n]); err != nil {
+						wrote <- err
+						return
+					}
+					off += n
+				}
+				wrote <- w.Close()
+			}()
+			// settle waits until the pipeline stops moving and reports
+			// whether the writer is waiting in admit, with its window.
+			type state struct {
+				inflight, acked int64
+				chunks          int
+				waiting         bool
+			}
+			settle := func() state {
+				var last state
+				for still := 0; still < 25; time.Sleep(2 * time.Millisecond) {
+					w.mu.Lock()
+					now := state{inflight: w.inflight, chunks: w.chunkIdx}
+					w.mu.Unlock()
+					now.acked, now.waiting = acked.Load(), inAdmit()
+					if now == last {
+						still++
+					} else {
+						last, still = now, 0
+					}
+				}
+				return last
+			}
+			live := func(s state) {
+				t.Helper()
+				if s.waiting && cfg.BufferBytes-s.inflight >= unit {
+					t.Fatalf("%s: the writer waits in admit with %d of %d window bytes in flight — room for a whole chunk (%d)",
+						name, s.inflight, cfg.BufferBytes, unit)
+				}
+			}
+
+			s := settle()
+			if !s.waiting {
+				t.Fatalf("%s: an image of three windows did not fill the window with no put acknowledged", name)
+			}
+			live(s)
+			if cfg.Protocol == SlidingWindow {
+				bound := cfg.BufferBytes + int64(w.segLen)
+				if cfg.Chunking == ChunkCbCH {
+					bound += cfg.CbCH.Max
+				}
+				tr.mu.Lock()
+				peak := tr.peak
+				tr.mu.Unlock()
+				if peak > bound {
+					t.Fatalf("%s: %d bytes of pooled buffers out with nothing acknowledged, want at most %d", name, peak, bound)
+				}
+			}
+			for step := 0; step < 4; step++ {
+				puts.letOne()
+				live(settle())
+			}
+
+			puts.open()
+			if err := <-wrote; err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			var spans []chunker.Span
+			if cfg.Chunking == ChunkCbCH {
+				spans = cfg.CbCH.Split(data)
+			} else {
+				for off := int64(0); off < int64(len(data)); off += cfg.ChunkSize {
+					spans = append(spans, chunker.Span{Off: off, Len: min(cfg.ChunkSize, int64(len(data))-off)})
+				}
+			}
+			if len(w.commitChunks) != len(spans) {
+				t.Fatalf("%s: the writer cut %d chunks, want %d", name, len(w.commitChunks), len(spans))
+			}
+			for i, sp := range spans {
+				if got, want := w.commitChunks[i], core.HashChunk(data[sp.Off:sp.Off+sp.Len]); got.ID != want || got.Size != sp.Len {
+					t.Fatalf("%s: chunk %d is %d bytes named %v, want %d bytes at offset %d", name, i, got.Size, got.ID, sp.Len, sp.Off)
+				}
+			}
+			tr.check()
+		})
+	}
+}

@@ -374,12 +374,14 @@ func (w *Writer) nextCut(p []byte, span int64) (take int, cut bool) {
 }
 
 // stage copies p into staging segments: the one copy the application
-// pays. Under the sliding window each piece — at most the window — is
-// admitted as it is copied and goes to the stage at once; under CbCH a
-// segment after the first also reserves a max span for the carry of the
-// span that may cross into it. Incremental writes hand theirs over a temp
-// file at a time, complete-local after Close; their stage admits each
-// chunk it cuts.
+// pays. Under the sliding window each piece is admitted as it is copied
+// and goes to the stage at once: as much of the segment's room as the
+// window has room for, once it has room for a chunk, so a window of a
+// few chunks stays pipelined — one acknowledgement lets the next chunk
+// in. Under CbCH a segment after the first also reserves a max span for
+// the carry of the span that may cross into it. Incremental writes hand
+// theirs over a temp file at a time, complete-local after Close; their
+// stage admits each chunk it cuts.
 func (w *Writer) stage(p []byte) error {
 	for len(p) > 0 {
 		fresh := w.seg == nil || w.fill == w.segLen
@@ -388,17 +390,17 @@ func (w *Writer) stage(p []byte) error {
 			n = min(n, int(w.c.cfg.TempFileBytes-w.tempBytes))
 		}
 		if w.copyAdmits {
-			n = int(min(int64(n), w.c.cfg.BufferBytes))
-			cost := int64(n)
+			var carry int64 // the reservation for a span crossing into a fresh segment
 			if fresh && w.seg != nil && w.cbch != nil {
-				cost += w.chunkSize
+				carry = w.chunkSize
 			}
 			w.mu.Lock()
-			err := w.admit(cost)
+			got, err := w.admit(carry+min(int64(n), w.chunkSize), carry+int64(n))
 			w.mu.Unlock()
 			if err != nil {
 				return err
 			}
+			n = int(got - carry)
 		}
 		if fresh {
 			w.seg, w.fill = w.c.getSegment(w.segLen), 0
@@ -560,14 +562,15 @@ func (w *Writer) hasFailed() bool {
 }
 
 // admit is the one place a session waits for room: it blocks while the
-// write window (Config.BufferBytes) cannot take n more bytes — unless it
-// holds no more than w.held, which is what the stage may hold until more
-// bytes arrive (and zero when the stage admits: an empty window), so a
-// chunk larger than the whole window still passes — and then counts them
-// in flight. w.mu must be held.
-func (w *Writer) admit(n int64) error {
+// write window (Config.BufferBytes) cannot take least more bytes — unless
+// it holds no more than w.held, which is what the stage may hold until
+// more bytes arrive (and zero when the stage admits: an empty window), so
+// a chunk larger than the whole window still passes — and then counts in
+// flight as many of the n bytes offered as fit, and least at the fewest.
+// It returns how many it counted. w.mu must be held.
+func (w *Writer) admit(least, n int64) (int64, error) {
 	full := func() bool {
-		return w.err == nil && w.inflight+n > w.c.cfg.BufferBytes && w.inflight > w.held
+		return w.err == nil && w.inflight+least > w.c.cfg.BufferBytes && w.inflight > w.held
 	}
 	if full() {
 		start := time.Now()
@@ -577,10 +580,11 @@ func (w *Writer) admit(n int64) error {
 		w.bufferWait += time.Since(start)
 	}
 	if w.err != nil {
-		return w.err
+		return 0, w.err
 	}
+	n = max(least, min(n, w.c.cfg.BufferBytes-w.inflight))
 	w.inflight += n
-	return nil
+	return n, nil
 }
 
 // emitChunk hands a cut chunk to the batcher, taking over its reference.
@@ -591,7 +595,7 @@ func (w *Writer) admit(n int64) error {
 func (w *Writer) emitChunk(ch chunk, flush bool) error {
 	w.mu.Lock()
 	if !w.copyAdmits {
-		if err := w.admit(ch.cost); err != nil {
+		if _, err := w.admit(ch.cost, ch.cost); err != nil {
 			w.mu.Unlock()
 			w.c.unref(ch.buf)
 			return err

@@ -323,7 +323,8 @@ func openLoadLevel(g *openLoadGrid, level int, rate float64, dur time.Duration, 
 	elapsed := time.Since(start)
 
 	after := g.mergedStats().Admission
-	count, _, buckets := hist.Snapshot()
+	lat := hist.Snapshot()
+	count, buckets := lat.Count, lat.Buckets
 	res := openLoadResult{
 		offered:     float64(n) / elapsed.Seconds(),
 		achieved:    float64(count) / elapsed.Seconds(),

@@ -193,8 +193,8 @@ func RestartLoad(cfg Config) error {
 					Experiment: "restartload", Mode: mode, Readers: readers, Phase: phase,
 					Opens:        opens,
 					OpensPerSec:  float64(opens) / elapsed.Seconds(),
-					GetMaps:      after.GetMaps - before.GetMaps,
-					StatVersions: after.StatVersions - before.StatVersions,
+					GetMaps:      after.Ops[proto.MGetMap].Count - before.Ops[proto.MGetMap].Count,
+					StatVersions: after.Ops[proto.MStatVersion].Count - before.Ops[proto.MStatVersion].Count,
 				}
 				cells = append(cells, cl)
 				fmt.Fprintf(cfg.Out, "%-9s %8d %6s %10d %12.0f %10d %14d\n",

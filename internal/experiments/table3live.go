@@ -7,6 +7,7 @@ import (
 	"stdchk/internal/client"
 	"stdchk/internal/core"
 	"stdchk/internal/device"
+	"stdchk/internal/proto"
 	"stdchk/internal/workload"
 )
 
@@ -31,8 +32,8 @@ func liveCbCHParams(chunk int64) chunker.StreamParams {
 // incremental checkpointing on, once with fixed-size chunks (FsCH) and
 // once with content-based variable-size chunks (CbCH), and the detected
 // similarity is read off the writer's byte accounting. The manager's
-// MHasChunks counters (DedupBatches/DedupChunks/DedupHits) provide the
-// server-side ground truth for the same quantity. The offline ratio of
+// MHasChunks record (its op-table count, DedupChunks, DedupHits) provides
+// the server-side ground truth for the same quantity. The offline ratio of
 // the identical boundary parameterization is printed alongside so
 // harness-vs-wire divergence is visible.
 func Table3Live(cfg Config) error {
@@ -139,7 +140,7 @@ func Table3Live(cfg Config) error {
 		}
 		fmt.Fprintf(cfg.Out, "%-38s %11.1f%% %11.1f%% %14.1f %12d %12d\n",
 			m.name, 100*live, 100*offline.SimilarityRatio(), float64(uploaded)/1e6,
-			after.DedupHits-before.DedupHits, after.DedupBatches-before.DedupBatches)
+			after.DedupHits-before.DedupHits, after.Ops[proto.MHasChunks].Count-before.Ops[proto.MHasChunks].Count)
 
 		cl.Delete(fmt.Sprintf("live%d.n1", mi), 0)
 		return nil

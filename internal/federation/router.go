@@ -369,7 +369,7 @@ func MergeStats(all []proto.ManagerStats) proto.ManagerStats {
 	if len(all) == 1 {
 		return all[0]
 	}
-	var agg proto.ManagerStats
+	agg := proto.ManagerStats{Ops: make(map[string]metrics.OpStats)}
 	for _, st := range all {
 		if st.Benefactors > agg.Benefactors {
 			agg.Benefactors = st.Benefactors
@@ -389,16 +389,11 @@ func MergeStats(all []proto.ManagerStats) proto.ManagerStats {
 		agg.LogicalBytes += st.LogicalBytes
 		agg.StoredBytes += st.StoredBytes
 		agg.ActiveSessions += st.ActiveSessions
-		agg.Transactions += st.Transactions
-		agg.Extends += st.Extends
-		agg.DedupBatches += st.DedupBatches
+		for op, s := range st.Ops {
+			agg.Ops[op] = agg.Ops[op].Merge(s)
+		}
 		agg.DedupChunks += st.DedupChunks
 		agg.DedupHits += st.DedupHits
-		agg.GetMaps += st.GetMaps
-		agg.StatVersions += st.StatVersions
-		agg.Histories += st.Histories
-		agg.Diffs += st.Diffs
-		agg.PrefetchBatches += st.PrefetchBatches
 		agg.ReplicasCopied += st.ReplicasCopied
 		// Repair gauges and counters are partition-local work, so they sum
 		// like the other partitioned quantities.
@@ -424,10 +419,7 @@ func MergeStats(all []proto.ManagerStats) proto.ManagerStats {
 		agg.StripeContention += st.StripeContention
 		agg.Registry.Ops += st.Registry.Ops
 		agg.Registry.Contended += st.Registry.Contended
-		agg.Registry.Allocs += st.Registry.Allocs
-		agg.Registry.Reserves += st.Registry.Reserves
 		agg.Registry.Releases += st.Registry.Releases
-		agg.Registry.Heartbeats += st.Registry.Heartbeats
 		// Admission: throughput counters sum; bounds and high-water marks
 		// are per-member properties, so the merged view takes the max
 		// (the federation "respected its bounds" iff every member did).
@@ -444,18 +436,9 @@ func MergeStats(all []proto.ManagerStats) proto.ManagerStats {
 		if st.Admission.RetryAfterMicros > agg.Admission.RetryAfterMicros {
 			agg.Admission.RetryAfterMicros = st.Admission.RetryAfterMicros
 		}
-		agg.AllocLatency = mergeLatency(agg.AllocLatency, st.AllocLatency)
-		agg.CommitLatency = mergeLatency(agg.CommitLatency, st.CommitLatency)
 	}
+	agg.SetOpViews()
 	return agg
-}
-
-// mergeLatency combines two wire-form latency histograms element-wise.
-func mergeLatency(dst, src proto.LatencyStats) proto.LatencyStats {
-	dst.Count += src.Count
-	dst.SumMicros += src.SumMicros
-	dst.Buckets = metrics.MergeBuckets(dst.Buckets, src.Buckets)
-	return dst
 }
 
 // MemberStats snapshots every member's counters, indexed by member.

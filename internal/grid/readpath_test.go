@@ -13,6 +13,7 @@ import (
 	"stdchk/internal/device"
 	"stdchk/internal/federation"
 	"stdchk/internal/manager"
+	"stdchk/internal/proto"
 )
 
 // TestReadPathCacheEndToEnd drives the whole read fast path over real
@@ -89,10 +90,10 @@ func TestReadPathCacheEndToEnd(t *testing.T) {
 		t.Fatal("warm open read wrong bytes")
 	}
 	after := c.Stats()
-	if d := after.GetMaps - base.GetMaps; d != 1 {
+	if d := after.Ops[proto.MGetMap].Count - base.Ops[proto.MGetMap].Count; d != 1 {
 		t.Fatalf("warm latest re-open issued %d getMaps, want 1", d)
 	}
-	if d := after.StatVersions - base.StatVersions; d != 0 {
+	if d := after.Ops[proto.MStatVersion].Count - base.Ops[proto.MStatVersion].Count; d != 0 {
 		t.Fatalf("warm latest re-open issued %d statVersions, want 0", d)
 	}
 	if d := cl1.MapCacheStats().Hits - hits; d != 1 {
@@ -106,7 +107,7 @@ func TestReadPathCacheEndToEnd(t *testing.T) {
 		t.Fatal("second client read wrong bytes")
 	}
 	after2 := c.Stats()
-	if d := after2.GetMaps - after.GetMaps; d != 1 {
+	if d := after2.Ops[proto.MGetMap].Count - after.Ops[proto.MGetMap].Count; d != 1 {
 		t.Fatalf("second client's open issued %d getMaps, want 1", d)
 	}
 	if !reflect.DeepEqual(coldMap, warmMap) {
@@ -121,9 +122,11 @@ func TestReadPathCacheEndToEnd(t *testing.T) {
 	if got := readLatest(cl1); !bytes.Equal(got, v2) {
 		t.Fatal("open after commit of v+1 served stale bytes")
 	}
-	if s := c.Stats(); s.GetMaps-beforeV2.GetMaps != 1 || s.StatVersions != beforeV2.StatVersions {
-		t.Fatalf("open after commit of v+1 issued %d getMaps + %d statVersions, want 1 + 0",
-			s.GetMaps-beforeV2.GetMaps, s.StatVersions-beforeV2.StatVersions)
+	s := c.Stats()
+	getMaps := s.Ops[proto.MGetMap].Count - beforeV2.Ops[proto.MGetMap].Count
+	statVersions := s.Ops[proto.MStatVersion].Count - beforeV2.Ops[proto.MStatVersion].Count
+	if getMaps != 1 || statVersions != 0 {
+		t.Fatalf("open after commit of v+1 issued %d getMaps + %d statVersions, want 1 + 0", getMaps, statVersions)
 	}
 	if got := readLatest(cl2); !bytes.Equal(got, v2) {
 		t.Fatal("second client served stale bytes after commit of v+1")
@@ -149,10 +152,10 @@ func TestReadPathCacheEndToEnd(t *testing.T) {
 		t.Fatalf("explicit old-version read failed: %v", err)
 	}
 	afterOld := c.Stats()
-	if d := afterOld.GetMaps - before.GetMaps; d != 0 {
+	if d := afterOld.Ops[proto.MGetMap].Count - before.Ops[proto.MGetMap].Count; d != 0 {
 		t.Fatalf("cached explicit-version open issued %d getMaps, want 0", d)
 	}
-	if d := afterOld.StatVersions - before.StatVersions; d != 0 {
+	if d := afterOld.Ops[proto.MStatVersion].Count - before.Ops[proto.MStatVersion].Count; d != 0 {
 		t.Fatalf("cached explicit-version open issued %d statVersions, want 0", d)
 	}
 }
@@ -231,8 +234,8 @@ func TestFederatedCachedMapEpochCheck(t *testing.T) {
 	if _, err := cl.Open(name); !errors.Is(err, core.ErrEpochMismatch) {
 		t.Fatalf("latest open against de-federated owner returned %v, want ErrEpochMismatch", err)
 	}
-	if s := repl.Stats(); s.GetMaps != 1 || s.StatVersions != 0 {
-		t.Fatalf("the refused open reached the owner as %d getMaps + %d statVersions, want 1 + 0", s.GetMaps, s.StatVersions)
+	if s := repl.Stats(); s.Ops[proto.MGetMap].Count != 1 || s.Ops[proto.MStatVersion].Count != 0 {
+		t.Fatalf("the refused open reached the owner as %d getMaps + %d statVersions, want 1 + 0", s.Ops[proto.MGetMap].Count, s.Ops[proto.MStatVersion].Count)
 	}
 	if cl.MapCacheStats().Hits != hits {
 		t.Fatal("the refused open was served from the client cache")

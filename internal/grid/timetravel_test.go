@@ -10,6 +10,7 @@ import (
 	"stdchk/internal/client"
 	"stdchk/internal/core"
 	"stdchk/internal/federation"
+	"stdchk/internal/proto"
 )
 
 // TestFederatedTimeTravel is the acceptance test for the version query
@@ -178,10 +179,10 @@ func TestFederatedTimeTravel(t *testing.T) {
 	// one lightweight MStatVersion probe and the map fetch — no MHistory
 	// walk.
 	afterAsOf := c.Stats()
-	if d := afterAsOf.Histories - beforeAsOf.Histories; d != 0 {
+	if d := afterAsOf.Ops[proto.MHistory].Count - beforeAsOf.Ops[proto.MHistory].Count; d != 0 {
 		t.Fatalf("as-of open issued %d MHistory RPCs, want 0 (server-side resolution)", d)
 	}
-	if d := afterAsOf.StatVersions - beforeAsOf.StatVersions; d != 1 {
+	if d := afterAsOf.Ops[proto.MStatVersion].Count - beforeAsOf.Ops[proto.MStatVersion].Count; d != 1 {
 		t.Fatalf("as-of open issued %d MStatVersion probes, want 1", d)
 	}
 	// An instant older than v1 is not-found from that same one probe: the
@@ -190,10 +191,10 @@ func TestFederatedTimeTravel(t *testing.T) {
 		t.Fatalf("as-of open older than v1: err = %v, want core.ErrNotFound", err)
 	}
 	afterOld := c.Stats()
-	if d := afterOld.Histories - afterAsOf.Histories; d != 0 {
+	if d := afterOld.Ops[proto.MHistory].Count - afterAsOf.Ops[proto.MHistory].Count; d != 0 {
 		t.Fatalf("as-of open older than v1 issued %d MHistory RPCs, want 0", d)
 	}
-	if d := afterOld.StatVersions - afterAsOf.StatVersions; d != 1 {
+	if d := afterOld.Ops[proto.MStatVersion].Count - afterAsOf.Ops[proto.MStatVersion].Count; d != 1 {
 		t.Fatalf("as-of open older than v1 issued %d MStatVersion probes, want 1", d)
 	}
 

@@ -124,33 +124,38 @@ func TestPartitionEpochMismatch(t *testing.T) {
 	}
 }
 
-// TestRegistryStatsCounters checks the striped registry's per-op counters
-// surface through ManagerStats like the PR 3 stripe counters do.
+// TestRegistryStatsCounters checks the registry's traffic surfaces through
+// ManagerStats: allocs, extends and heartbeats in the op table record,
+// reservation returns and node-table lock acquisitions in RegistryStats.
 func TestRegistryStatsCounters(t *testing.T) {
-	r := newRegistry(time.Minute, 0)
-	r.register(regReq("s1", 1<<20), 0)
-	r.register(regReq("s2", 1<<20), 0)
-	if err := r.heartbeat(proto.HeartbeatReq{ID: "s1", Free: 1 << 20}); err != nil {
+	m := startManager(t, Config{})
+	for _, id := range []string{"s1", "s2"} {
+		if err := m.Invoke(proto.MRegister, regReq(id, 1<<20), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Invoke(proto.MHeartbeat, proto.HeartbeatReq{ID: "s1", Free: 1 << 20}, nil); err != nil {
 		t.Fatal(err)
 	}
-	stripe, err := r.allocateStripe(2, 1024)
-	if err != nil {
+	var alloc proto.AllocResp
+	if err := m.Invoke(proto.MAlloc, proto.AllocReq{Name: "r.n1.t0", StripeWidth: 2, ReserveBytes: 2048}, &alloc); err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]core.NodeID, 0, len(stripe))
-	for _, s := range stripe {
-		ids = append(ids, s.ID)
+	if err := m.Invoke(proto.MExtend, proto.ExtendReq{WriteID: alloc.WriteID, Bytes: 1024}, nil); err != nil {
+		t.Fatal(err)
 	}
-	r.reserve(ids, 512)
-	r.release(ids, 1536)
-	st := r.statsSnapshot()
-	if st.Allocs != 1 || st.Reserves != 1 || st.Releases != 1 || st.Heartbeats != 1 {
-		t.Fatalf("per-op counters: %+v", st)
+	if err := m.Invoke(proto.MAbort, proto.AbortReq{WriteID: alloc.WriteID}, nil); err != nil {
+		t.Fatal(err)
 	}
-	if st.Ops == 0 {
-		t.Fatalf("node-table lock ops never counted: %+v", st)
+	st := m.Stats()
+	if st.Ops[proto.MAlloc].Count != 1 || st.Ops[proto.MExtend].Count != 1 || st.Registry.Releases != 1 || st.Ops[proto.MHeartbeat].Count != 1 {
+		t.Fatalf("allocs %d, extends %d, releases %d, heartbeats %d; want 1 each",
+			st.Ops[proto.MAlloc].Count, st.Ops[proto.MExtend].Count, st.Registry.Releases, st.Ops[proto.MHeartbeat].Count)
 	}
-	for _, info := range r.list() {
+	if st.Registry.Ops == 0 {
+		t.Fatalf("node-table lock ops never counted: %+v", st.Registry)
+	}
+	for _, info := range m.reg.list() {
 		if info.Reserved != 0 {
 			t.Fatalf("node %s left with %d reserved after full release", info.ID, info.Reserved)
 		}
@@ -214,10 +219,6 @@ func TestRegistryConcurrentAlloc(t *testing.T) {
 		if info.Reserved != 0 {
 			t.Fatalf("node %s left with %d reserved bytes", info.ID, info.Reserved)
 		}
-	}
-	st := r.statsSnapshot()
-	if st.Allocs != workers*rounds {
-		t.Fatalf("allocs counter %d, want %d", st.Allocs, workers*rounds)
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"stdchk/internal/benefactor"
 	"stdchk/internal/core"
+	"stdchk/internal/metrics"
 	"stdchk/internal/proto"
 	"stdchk/internal/wire"
 )
@@ -106,15 +108,11 @@ func TestHandleUnknownOp(t *testing.T) {
 	}
 }
 
-// TestOpTableCoversEveryManagerOp reads the manager op constants out of
-// proto's source (every string constant named M*, valued "m.*") and holds
-// the op table to them: an op without an entry would be refused as
-// unknown, and an entry without a constant is unreachable. It also pins
-// which ops the table gates and times, so moving an op in or out of
-// admission control — or of the latency histograms operators read — is a
-// visible change to this test, not a side effect of editing a handler.
-// Every op must also have a proto.Route, or no router can send it.
-func TestOpTableCoversEveryManagerOp(t *testing.T) {
+// protoOps reads one service's op constants out of proto's source: every
+// string constant named prefix* whose value starts with the lower-case
+// prefix and a dot ("M" finds "m.alloc", "B" finds "b.put").
+func protoOps(t *testing.T, prefix string) map[string]bool {
+	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), "../proto/proto.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -128,53 +126,148 @@ func TestOpTableCoversEveryManagerOp(t *testing.T) {
 		for _, spec := range gd.Specs {
 			vs := spec.(*ast.ValueSpec)
 			for i, name := range vs.Names {
-				if i >= len(vs.Values) || !strings.HasPrefix(name.Name, "M") {
+				if i >= len(vs.Values) || !strings.HasPrefix(name.Name, prefix) {
 					continue
 				}
 				lit, ok := vs.Values[i].(*ast.BasicLit)
 				if !ok || lit.Kind != token.STRING {
 					continue
 				}
-				if op, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(op, "m.") {
+				if op, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(op, strings.ToLower(prefix)+".") {
 					declared[op] = true
 				}
 			}
 		}
 	}
+	return declared
+}
+
+// checkTableCovers holds a daemon's op table record to proto: an entry
+// for every declared op, none for anything else but the unknown-op slot.
+func checkTableCovers(t *testing.T, daemon string, declared map[string]bool, served map[string]metrics.OpStats) {
+	t.Helper()
+	for op := range declared {
+		if _, ok := served[op]; !ok {
+			t.Errorf("proto declares %s but the %s's op table has no entry for it", op, daemon)
+		}
+	}
+	for op := range served {
+		if !declared[op] && op != wire.UnknownOp {
+			t.Errorf("the %s's op table serves %s, which proto does not declare", daemon, op)
+		}
+	}
+}
+
+// TestOpTableCoversEveryManagerOp reads the manager and benefactor op
+// constants out of proto's source and holds each daemon's op table to
+// them: one entry per op, and every entry records what it dispatches.
+// The admission-gated set is pinned by behaviour: with the gate full,
+// exactly the gated ops are shed.
+func TestOpTableCoversEveryManagerOp(t *testing.T) {
+	declared := protoOps(t, "M")
 	if len(declared) < 22 {
 		t.Fatalf("found only %d manager ops in proto.go; the scan is broken", len(declared))
 	}
-
-	m := startManager(t, Config{})
-	var gatedOps, timedOps []string
+	m := startManager(t, Config{MaxPendingOps: 1})
+	checkTableCovers(t, "manager", declared, m.Stats().Ops)
 	for op := range declared {
 		if proto.RouteOf(op) == 0 {
 			t.Errorf("proto declares %s but gives it no route", op)
 		}
-		e := m.ops[op]
-		if e == nil {
-			t.Errorf("proto declares %s but the manager's op table has no entry for it", op)
-			continue
-		}
-		if e.flags&gated != 0 {
+	}
+
+	if err := m.adm.enter(); err != nil {
+		t.Fatal(err)
+	}
+	var gatedOps []string
+	for op := range declared {
+		if err := m.Invoke(op, nil, nil); errors.Is(err, core.ErrRetryAfter{}) {
 			gatedOps = append(gatedOps, op)
 		}
-		if e.flags&timed != 0 {
-			timedOps = append(timedOps, op)
-		}
 	}
-	for op := range m.ops {
-		if !declared[op] {
-			t.Errorf("op table serves %s, which proto does not declare", op)
-		}
-	}
+	m.adm.exit()
 	sort.Strings(gatedOps)
-	sort.Strings(timedOps)
 	if want := []string{proto.MAlloc, proto.MCommit, proto.MExtend}; !reflect.DeepEqual(gatedOps, want) {
 		t.Errorf("admission-gated ops = %v, want exactly %v", gatedOps, want)
 	}
-	if want := []string{proto.MAlloc, proto.MCommit}; !reflect.DeepEqual(timedOps, want) {
-		t.Errorf("timed ops = %v, want exactly %v", timedOps, want)
+	for op, st := range m.Stats().Ops {
+		if declared[op] && (st.Count != 1 || st.Latency.Count != 1) {
+			t.Errorf("%s dispatched once: recorded count %d, latency samples %d; want 1 and 1", op, st.Count, st.Latency.Count)
+		}
+	}
+
+	bDeclared := protoOps(t, "B")
+	if len(bDeclared) < 10 {
+		t.Fatalf("found only %d benefactor ops in proto.go; the scan is broken", len(bDeclared))
+	}
+	b, err := benefactor.New(benefactor.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	for op := range bDeclared {
+		_ = mcall(t, b.Addr(), op, nil, nil)
+	}
+	var st proto.StatsResp
+	if err := mcall(t, b.Addr(), proto.BStats, nil, &st); err != nil {
+		t.Fatal(err)
+	}
+	checkTableCovers(t, "benefactor", bDeclared, st.Ops)
+	for op, s := range st.Ops {
+		if bDeclared[op] && (s.Count != 1 || s.Latency.Count != 1) {
+			t.Errorf("benefactor %s dispatched once: recorded count %d, latency samples %d; want 1 and 1", op, s.Count, s.Latency.Count)
+		}
+	}
+}
+
+// TestUnknownOpsShareOneSlot: the op table records requests for ops it
+// does not declare in one slot, so a peer naming 10,000 distinct ops
+// grows nothing.
+func TestUnknownOpsShareOneSlot(t *testing.T) {
+	m := startManager(t, Config{})
+	before := len(m.Stats().Ops)
+	conn, err := wire.Dial(m.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const n = 10000
+	for i := 0; i < n; i++ {
+		if _, err := conn.Call(fmt.Sprintf("m.bogus%d", i), nil, nil, nil); err == nil {
+			t.Fatalf("unknown op %d accepted", i)
+		}
+	}
+	ops := m.Stats().Ops
+	if len(ops) != before {
+		t.Fatalf("%d unknown ops grew the op table record from %d to %d entries", n, before, len(ops))
+	}
+	if u := ops[wire.UnknownOp]; u.Count != n || u.Errors != n {
+		t.Fatalf("unknown-op slot recorded %d calls and %d errors, want %d and %d", u.Count, u.Errors, n, n)
+	}
+}
+
+// TestInvokeAndSocketBothCount: an op dispatched in-process through
+// Invoke and the same op sent over a socket land in the same record.
+func TestInvokeAndSocketBothCount(t *testing.T) {
+	m := startManager(t, Config{})
+	if err := m.Invoke(proto.MList, proto.ListReq{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := mcall(t, m.Addr(), proto.MList, proto.ListReq{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Invoke(proto.MStat, proto.StatReq{Name: "missing.n1.t0"}, nil); err == nil {
+		t.Fatal("stat of a missing dataset succeeded")
+	}
+	if err := mcall(t, m.Addr(), proto.MStat, proto.StatReq{Name: "missing.n1.t0"}, nil); err == nil {
+		t.Fatal("stat of a missing dataset succeeded")
+	}
+	ops := m.Stats().Ops
+	if st := ops[proto.MList]; st.Count != 2 || st.Errors != 0 || st.Latency.Count != 2 {
+		t.Fatalf("m.list through Invoke and a socket: %+v, want count 2, no errors, 2 latency samples", st)
+	}
+	if st := ops[proto.MStat]; st.Count != 2 || st.Errors != 2 {
+		t.Fatalf("failed m.stat through Invoke and a socket: %+v, want count 2 and errors 2", st)
 	}
 }
 

@@ -191,21 +191,13 @@ type Manager struct {
 	// adm gates mutating metadata ops; always constructed (unbounded
 	// when MaxPendingOps is zero) so depth accounting is uniform.
 	adm *admission
-	// ops is the op table handle dispatches through: one entry per RPC,
-	// built once by registerOps and read-only afterwards.
-	ops map[string]*opEntry
+	// ops is the op table the server and Invoke dispatch through: one
+	// entry per RPC, built once by registerOps and read-only afterwards.
+	ops *wire.OpTable
 
 	stats struct {
-		transactions       atomic.Int64
-		extends            atomic.Int64
-		dedupBatches       atomic.Int64
 		dedupChunksQueried atomic.Int64
 		dedupHits          atomic.Int64
-		getMaps            atomic.Int64
-		statVersions       atomic.Int64
-		histories          atomic.Int64
-		diffs              atomic.Int64
-		prefetchBatches    atomic.Int64
 		replicasCopied     atomic.Int64
 		// Repair plane (proto.RepairStats). The first two are gauges
 		// sampled at the last scheduler round; the rest are cumulative.
@@ -304,7 +296,7 @@ func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
 		}
 	}
 	m.srv = wire.NewServerWithConfig(ln, wire.ServerConfig{
-		Handler:         m.handle,
+		Handler:         m.ops.Serve,
 		Shaper:          cfg.Shaper,
 		MaxConnInflight: cfg.MaxConnInflight,
 		Overload:        m.adm.overloadHook,
@@ -453,15 +445,6 @@ func (m *Manager) checkPartition(name string, epoch uint64) error {
 	return nil
 }
 
-// handle dispatches one RPC through the op table (see ops.go).
-func (m *Manager) handle(r *wire.Req) (wire.Resp, error) {
-	e := m.ops[r.Op]
-	if e == nil {
-		return wire.Resp{}, fmt.Errorf("manager: unknown op %q", r.Op)
-	}
-	return e.serve(r.Meta)
-}
-
 func (m *Manager) handleRegister(req proto.RegisterReq) (wire.Resp, error) {
 	if req.ID == "" || req.Addr == "" {
 		return wire.Resp{}, errors.New("manager: register requires id and addr")
@@ -511,7 +494,6 @@ func (m *Manager) handleRegister(req proto.RegisterReq) (wire.Resp, error) {
 }
 
 func (m *Manager) handleAlloc(req proto.AllocReq) (wire.Resp, error) {
-	m.stats.transactions.Add(1)
 	if req.Name == "" {
 		return wire.Resp{}, errors.New("manager: alloc requires a file name")
 	}
@@ -546,8 +528,6 @@ func (m *Manager) handleAlloc(req proto.AllocReq) (wire.Resp, error) {
 // partition; the client falls back to per-name fetches for the rest. An
 // epoch mismatch still fails the whole batch (router config drift).
 func (m *Manager) handleGetMaps(req proto.GetMapsReq) (wire.Resp, error) {
-	m.stats.transactions.Add(1)
-	m.stats.prefetchBatches.Add(1)
 	var resp proto.GetMapsResp
 	for _, name := range req.Names {
 		if err := m.checkPartition(name, req.PartitionEpoch); err != nil {
@@ -566,8 +546,6 @@ func (m *Manager) handleGetMaps(req proto.GetMapsReq) (wire.Resp, error) {
 }
 
 func (m *Manager) handleExtend(req proto.ExtendReq) (wire.Resp, error) {
-	m.stats.transactions.Add(1)
-	m.stats.extends.Add(1)
 	s, err := m.sess.get(req.WriteID)
 	if err != nil {
 		return wire.Resp{}, err
@@ -582,7 +560,6 @@ func (m *Manager) handleExtend(req proto.ExtendReq) (wire.Resp, error) {
 }
 
 func (m *Manager) handleCommit(req proto.CommitReq) (wire.Resp, error) {
-	m.stats.transactions.Add(1)
 	s, err := m.sess.close(req.WriteID)
 	if err != nil {
 		return wire.Resp{}, err
@@ -605,7 +582,6 @@ func (m *Manager) handleCommit(req proto.CommitReq) (wire.Resp, error) {
 }
 
 func (m *Manager) handleAbort(req proto.AbortReq) (wire.Resp, error) {
-	m.stats.transactions.Add(1)
 	s, err := m.sess.close(req.WriteID)
 	if err != nil {
 		return wire.Resp{}, err
@@ -615,7 +591,6 @@ func (m *Manager) handleAbort(req proto.AbortReq) (wire.Resp, error) {
 }
 
 func (m *Manager) handleDelete(req proto.DeleteReq) (wire.Resp, error) {
-	m.stats.transactions.Add(1)
 	if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
 		return wire.Resp{}, err
 	}
@@ -676,10 +651,9 @@ func (m *Manager) Stats() proto.ManagerStats {
 		}
 	}
 	jBatches, jBatchLen, jFsyncs, jErrs := m.journal.counters()
-	return proto.ManagerStats{
+	s := proto.ManagerStats{
+		Ops:                m.ops.Stats(),
 		Admission:          m.adm.snapshot(),
-		AllocLatency:       m.ops[proto.MAlloc].latency(),
-		CommitLatency:      m.ops[proto.MCommit].latency(),
 		CatalogStripes:     dsStripes,
 		ChunkStripes:       ckStripes,
 		SessionStripes:     sessStripes,
@@ -697,16 +671,8 @@ func (m *Manager) Stats() proto.ManagerStats {
 		LogicalBytes:       logical,
 		StoredBytes:        stored,
 		ActiveSessions:     m.sess.active(),
-		Transactions:       m.stats.transactions.Load(),
-		Extends:            m.stats.extends.Load(),
-		DedupBatches:       m.stats.dedupBatches.Load(),
 		DedupChunks:        m.stats.dedupChunksQueried.Load(),
 		DedupHits:          m.stats.dedupHits.Load(),
-		GetMaps:            m.stats.getMaps.Load(),
-		StatVersions:       m.stats.statVersions.Load(),
-		Histories:          m.stats.histories.Load(),
-		Diffs:              m.stats.diffs.Load(),
-		PrefetchBatches:    m.stats.prefetchBatches.Load(),
 		ReplicasCopied:     m.stats.replicasCopied.Load(),
 		Repair: proto.RepairStats{
 			Pending:         m.stats.repairPending.Load(),
@@ -727,20 +693,22 @@ func (m *Manager) Stats() proto.ManagerStats {
 		Snapshots:       m.stats.snapshots.Load(),
 		SnapshotSeq:     int64(m.stats.snapshotSeq.Load()),
 	}
+	s.SetOpViews()
+	return s
 }
 
 // Invoke dispatches one manager RPC in-process, bypassing the TCP framing
-// but exercising the exact handler path (request decode, counters, catalog,
-// journal). req is marshalled exactly as a frame's meta would be; resp, when
-// non-nil, receives the handler's response metadata. Load harnesses
-// (BenchmarkManagerOps, the managerload experiment) use it to measure the
-// metadata plane without the socket stack in front.
+// but exercising the exact handler path (the op table's decode and
+// record, catalog, journal). req is marshalled exactly as a frame's meta
+// would be; resp, when non-nil, receives the handler's response metadata.
+// Load harnesses (BenchmarkManagerOps, the managerload experiment) use it
+// to measure the metadata plane without the socket stack in front.
 func (m *Manager) Invoke(op string, req, resp interface{}) error {
 	meta, err := wire.MarshalMeta(req)
 	if err != nil {
 		return fmt.Errorf("manager: invoke %s: %w", op, err)
 	}
-	out, err := m.handle(&wire.Req{Op: op, Meta: meta})
+	out, err := m.ops.Serve(&wire.Req{Op: op, Meta: meta})
 	if err != nil {
 		return err
 	}

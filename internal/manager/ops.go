@@ -3,66 +3,33 @@ package manager
 import (
 	"time"
 
-	"stdchk/internal/metrics"
 	"stdchk/internal/proto"
 	"stdchk/internal/wire"
 )
 
-// opFlags are the properties of a manager op that handle acts on, so no
+// opFlags are the properties of a manager op that on acts on, so no
 // handler spells them out itself.
 type opFlags uint8
 
-const (
-	// gated ops are the mutating metadata ops the admission gate bounds:
-	// each holds an admission slot from after its request decodes until
-	// its response is built, and is shed with core.ErrRetryAfter when the
-	// gate is full.
-	gated opFlags = 1 << iota
-	// timed ops sit on a checkpoint's critical path: their service time
-	// (queueing excluded — the gate sheds instead of queueing) is observed
-	// in the entry's latency histogram.
-	timed
-)
+// gated ops are the mutating metadata ops the admission gate bounds: each
+// holds an admission slot from after its request decodes until its
+// response is built, and is shed with core.ErrRetryAfter when the gate is
+// full.
+const gated opFlags = 1
 
-// opEntry is one row of the manager's op table.
-type opEntry struct {
-	flags opFlags
-	// lat is the op's service-time histogram; only timed ops observe it.
-	lat metrics.LatencyHistogram
-	// serve decodes the request meta and runs the op under its flags.
-	serve func(meta []byte) (wire.Resp, error)
-}
-
-// latency exports the entry's histogram in wire form.
-func (e *opEntry) latency() proto.LatencyStats {
-	count, sum, buckets := e.lat.Snapshot()
-	return proto.LatencyStats{Count: count, SumMicros: sum, Buckets: buckets}
-}
-
-// on declares op: its request type (decoded by its own binary layout when
-// it has one, as JSON otherwise; ops without a request take struct{}), its
-// flags, and its handler. The decode, the admission enter/exit pairing
-// and the latency observation live here and nowhere else.
+// on declares op on the manager's op table (wire.On: decode, count,
+// errors, latency) with its flags; the admission enter/exit pairing lives
+// here and nowhere else.
 func on[Req any](m *Manager, op string, flags opFlags, fn func(Req) (wire.Resp, error)) {
-	e := &opEntry{flags: flags}
-	e.serve = func(meta []byte) (wire.Resp, error) {
-		var req Req
-		if err := wire.UnmarshalMeta(meta, &req); err != nil {
-			return wire.Resp{}, err
-		}
-		if e.flags&gated != 0 {
+	wire.On(m.ops, op, func(req Req, _ []byte) (wire.Resp, error) {
+		if flags&gated != 0 {
 			if err := m.adm.enter(); err != nil {
 				return wire.Resp{}, err
 			}
 			defer m.adm.exit()
 		}
-		if e.flags&timed != 0 {
-			start := time.Now()
-			defer func() { e.lat.Observe(time.Since(start)) }()
-		}
 		return fn(req)
-	}
-	m.ops[op] = e
+	})
 }
 
 // reply wraps a handler's typed answer as the response meta.
@@ -77,12 +44,12 @@ func reply(meta interface{}, err error) (wire.Resp, error) {
 // is declared here, once (TestOpTableCoversEveryManagerOp holds it to
 // that).
 func (m *Manager) registerOps() {
-	m.ops = make(map[string]*opEntry)
+	m.ops = wire.NewOpTable("manager")
 	on(m, proto.MRegister, 0, m.handleRegister)
 	on(m, proto.MHeartbeat, 0, m.handleHeartbeat)
-	on(m, proto.MAlloc, gated|timed, m.handleAlloc)
+	on(m, proto.MAlloc, gated, m.handleAlloc)
 	on(m, proto.MExtend, gated, m.handleExtend)
-	on(m, proto.MCommit, gated|timed, m.handleCommit)
+	on(m, proto.MCommit, gated, m.handleCommit)
 	on(m, proto.MAbort, 0, m.handleAbort)
 	on(m, proto.MHasChunks, 0, m.handleHasChunks)
 	on(m, proto.MGetMap, 0, m.handleGetMap)
@@ -92,16 +59,12 @@ func (m *Manager) registerOps() {
 	on(m, proto.MPolicySet, 0, m.handlePolicySet)
 	on(m, proto.MGCReport, 0, m.handleGCReport)
 	on(m, proto.MHistory, 0, func(req proto.HistoryReq) (wire.Resp, error) {
-		m.stats.transactions.Add(1)
-		m.stats.histories.Add(1)
 		if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
 			return wire.Resp{}, err
 		}
 		return reply(m.cat.history(req.Name))
 	})
 	on(m, proto.MDiff, 0, func(req proto.DiffReq) (wire.Resp, error) {
-		m.stats.transactions.Add(1)
-		m.stats.diffs.Add(1)
 		if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
 			return wire.Resp{}, err
 		}
@@ -159,7 +122,6 @@ func (m *Manager) handleHeartbeat(req proto.HeartbeatReq) (wire.Resp, error) {
 }
 
 func (m *Manager) handleHasChunks(req proto.HasReq) (wire.Resp, error) {
-	m.stats.dedupBatches.Add(1)
 	m.stats.dedupChunksQueried.Add(int64(len(req.IDs)))
 	present := m.cat.hasChunks(req.IDs)
 	var hits int64
@@ -173,8 +135,6 @@ func (m *Manager) handleHasChunks(req proto.HasReq) (wire.Resp, error) {
 }
 
 func (m *Manager) handleGetMap(req proto.GetMapReq) (wire.Resp, error) {
-	m.stats.transactions.Add(1)
-	m.stats.getMaps.Add(1)
 	if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
 		return wire.Resp{}, err
 	}
@@ -187,8 +147,6 @@ func (m *Manager) handleGetMap(req proto.GetMapReq) (wire.Resp, error) {
 }
 
 func (m *Manager) handleStatVersion(req proto.StatVersionReq) (wire.Resp, error) {
-	m.stats.transactions.Add(1)
-	m.stats.statVersions.Add(1)
 	if err := m.checkPartition(req.Name, req.PartitionEpoch); err != nil {
 		return wire.Resp{}, err
 	}

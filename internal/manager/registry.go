@@ -41,11 +41,9 @@ type registry struct {
 	ring   []core.NodeID // registration order, for round-robin allocation
 	cursor atomic.Uint64 // next ring start for stripe allocation
 
-	// per-op counters, exposed as proto.RegistryStats.
-	allocs     atomic.Int64
-	reserves   atomic.Int64
-	releases   atomic.Int64
-	heartbeats atomic.Int64
+	// releases counts reservation returns, including session expiry,
+	// which is no RPC (proto.RegistryStats.Releases).
+	releases atomic.Int64
 }
 
 type benefactorState struct {
@@ -113,7 +111,6 @@ func (r *registry) lookup(id core.NodeID) (*benefactorState, bool) {
 // reconciliation re-adopts whatever they still hold. A suspect node's
 // heartbeat restores it to online.
 func (r *registry) heartbeat(req proto.HeartbeatReq) error {
-	r.heartbeats.Add(1)
 	st, ok := r.lookup(req.ID)
 	if !ok {
 		return fmt.Errorf("heartbeat from unregistered node %s: %w", req.ID, core.ErrNotFound)
@@ -236,7 +233,6 @@ func (r *registry) allocateStripe(width int, perNodeBytes int64) ([]proto.Stripe
 	if width <= 0 {
 		width = 1
 	}
-	r.allocs.Add(1)
 	r.tbl.rlock()
 	defer r.tbl.runlock()
 	n := len(r.ring)
@@ -264,7 +260,6 @@ func (r *registry) allocateStripe(width int, perNodeBytes int64) ([]proto.Stripe
 
 // reserve adds bytes to existing per-node reservations (MExtend).
 func (r *registry) reserve(ids []core.NodeID, perNodeBytes int64) {
-	r.reserves.Add(1)
 	for _, id := range ids {
 		if st, ok := r.lookup(id); ok {
 			st.mu.Lock()
@@ -347,15 +342,12 @@ func (r *registry) pickTargets(n int, exclude map[core.NodeID]struct{}, perBytes
 	return out
 }
 
-// statsSnapshot copies the registry's lock and per-op counters.
+// statsSnapshot copies the registry's lock and release counters.
 func (r *registry) statsSnapshot() proto.RegistryStats {
 	lk := r.tbl.snapshot()
 	return proto.RegistryStats{
-		Ops:        lk.Ops,
-		Contended:  lk.Contended,
-		Allocs:     r.allocs.Load(),
-		Reserves:   r.reserves.Load(),
-		Releases:   r.releases.Load(),
-		Heartbeats: r.heartbeats.Load(),
+		Ops:       lk.Ops,
+		Contended: lk.Contended,
+		Releases:  r.releases.Load(),
 	}
 }

@@ -315,8 +315,8 @@ func TestHistoryDiffHandlers(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.Stats()
-	if st.Histories != 1 || st.Diffs != 1 {
-		t.Fatalf("stats count %d histories / %d diffs, want 1 / 1", st.Histories, st.Diffs)
+	if st.Ops[proto.MHistory].Count != 1 || st.Ops[proto.MDiff].Count != 1 {
+		t.Fatalf("stats count %d histories / %d diffs, want 1 / 1", st.Ops[proto.MHistory].Count, st.Ops[proto.MDiff].Count)
 	}
 
 	// A router-stamped epoch against a standalone manager is the

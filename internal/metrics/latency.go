@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -45,14 +46,30 @@ func (h *LatencyHistogram) Observe(d time.Duration) {
 	h.buckets[latencyBucket(d)].Add(1)
 }
 
-// Count returns the number of samples observed.
-func (h *LatencyHistogram) Count() int64 { return h.count.Load() }
+// LatencyStats is the wire form of a latency histogram: log2-spaced
+// microsecond buckets (bucket i counts observations in [2^i, 2^(i+1))
+// µs) plus count and sum for the mean. Percentiles are derived
+// client-side; merging across federation members is element-wise
+// addition.
+type LatencyStats struct {
+	Count     int64   `json:"count"`
+	SumMicros int64   `json:"sumMicros"`
+	Buckets   []int64 `json:"buckets,omitempty"`
+}
 
-// Snapshot returns the histogram's current counters as a wire-friendly
-// (count, sumMicros, buckets) triple; trailing empty buckets are trimmed.
-func (h *LatencyHistogram) Snapshot() (count, sumMicros int64, buckets []int64) {
-	count = h.count.Load()
-	sumMicros = h.sum.Load()
+// Merge returns the sum of s and o, sharing no buckets with either — the
+// federation-side combiner.
+func (s LatencyStats) Merge(o LatencyStats) LatencyStats {
+	s.Count += o.Count
+	s.SumMicros += o.SumMicros
+	s.Buckets = MergeBuckets(slices.Clone(s.Buckets), o.Buckets)
+	return s
+}
+
+// Snapshot returns the histogram's current counters in wire form;
+// trailing empty buckets are trimmed.
+func (h *LatencyHistogram) Snapshot() LatencyStats {
+	s := LatencyStats{Count: h.count.Load(), SumMicros: h.sum.Load()}
 	last := -1
 	var full [LatencyBuckets]int64
 	for i := range h.buckets {
@@ -61,10 +78,24 @@ func (h *LatencyHistogram) Snapshot() (count, sumMicros int64, buckets []int64) 
 			last = i
 		}
 	}
-	if last < 0 {
-		return count, sumMicros, nil
+	if last >= 0 {
+		s.Buckets = append([]int64(nil), full[:last+1]...)
 	}
-	return count, sumMicros, append([]int64(nil), full[:last+1]...)
+	return s
+}
+
+// OpStats is what a daemon's op table records for one op: how many
+// requests it dispatched, how many of those failed, and their service
+// times (Latency.Count equals Count).
+type OpStats struct {
+	Count   int64        `json:"count"`
+	Errors  int64        `json:"errors,omitempty"`
+	Latency LatencyStats `json:"latency"`
+}
+
+// Merge returns the sum of s and o — the federation-side combiner.
+func (s OpStats) Merge(o OpStats) OpStats {
+	return OpStats{Count: s.Count + o.Count, Errors: s.Errors + o.Errors, Latency: s.Latency.Merge(o.Latency)}
 }
 
 // Percentile returns the q-quantile (0 < q ≤ 1) latency from log2-µs

@@ -16,7 +16,8 @@ func TestLatencyHistogramPercentiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(100 * time.Millisecond)
 	}
-	count, sum, buckets := h.Snapshot()
+	s := h.Snapshot()
+	count, sum, buckets := s.Count, s.SumMicros, s.Buckets
 	if count != 100 {
 		t.Fatalf("count = %d", count)
 	}
@@ -49,7 +50,8 @@ func TestLatencyHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	count, _, buckets := h.Snapshot()
+	s := h.Snapshot()
+	count, buckets := s.Count, s.Buckets
 	if count != 8000 {
 		t.Fatalf("count = %d", count)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"stdchk/internal/core"
+	"stdchk/internal/metrics"
 )
 
 // Benefactor service operations (served by internal/benefactor).
@@ -42,7 +43,7 @@ const (
 	BMapList = "b.maplist"
 	// BPing is a liveness probe.
 	BPing = "b.ping"
-	// BStats returns storage statistics.
+	// BStats returns storage statistics and the op table record.
 	BStats = "b.stats"
 )
 
@@ -233,6 +234,8 @@ type StatsResp struct {
 	// CorruptChunks the chunks the scrub quarantined.
 	ScrubbedChunks int64 `json:"scrubbedChunks,omitempty"`
 	CorruptChunks  int64 `json:"corruptChunks,omitempty"`
+	// Ops is the benefactor's op table record (wire.OpTable.Stats).
+	Ops map[string]metrics.OpStats `json:"ops,omitempty"`
 }
 
 // MaxRegisterChunks bounds the chunk inventory a RegisterReq carries for
@@ -634,32 +637,26 @@ type ManagerStats struct {
 	LogicalBytes       int64 `json:"logicalBytes"`
 	StoredBytes        int64 `json:"storedBytes"`
 	ActiveSessions     int   `json:"activeSessions"`
-	Transactions       int64 `json:"transactions"`
-	// Extends counts MExtend RPCs: the writer extends its reservation by
-	// as many quanta as a Write requires in one call, so this stays at
-	// one per reservation jump regardless of how many quanta it spans.
-	Extends int64 `json:"extends"`
-	// DedupBatches counts MHasChunks RPCs and DedupChunks the chunk IDs
-	// they carried; their ratio is the writer's dedup-probe batching
-	// factor (one RPC per in-flight window of emitted chunks). DedupHits
-	// counts the probes answered "already stored" — the manager-side
-	// ground truth for chunks that incremental checkpointing kept off the
-	// wire.
-	DedupBatches int64 `json:"dedupBatches"`
-	DedupChunks  int64 `json:"dedupChunks"`
-	DedupHits    int64 `json:"dedupHits"`
-	// GetMaps counts MGetMap RPCs and StatVersions the MStatVersion
-	// (as-of) resolutions. A warm client chunk-map cache shows up here
-	// directly: explicit-version re-opens add to neither, "latest"
-	// re-opens one GetMap answered without a map.
-	GetMaps      int64 `json:"getMaps"`
-	StatVersions int64 `json:"statVersions"`
-	// Histories and Diffs count the catalog query plane's MHistory and
-	// MDiff RPCs; PrefetchBatches counts MGetMaps batch map fetches (the
-	// cross-member prefetch that warms a restart storm's map caches).
-	Histories       int64 `json:"histories,omitempty"`
-	Diffs           int64 `json:"diffs,omitempty"`
-	PrefetchBatches int64 `json:"prefetchBatches,omitempty"`
+	// Ops is the manager's op table record: count, errors and service
+	// time of every op it declares (wire.OpTable.Stats), summed across
+	// members in a merged view.
+	Ops map[string]metrics.OpStats `json:"ops,omitempty"`
+	// Transactions, Extends, GetMaps, StatVersions, AllocLatency and
+	// CommitLatency are views over Ops (SetOpViews) that the benchmark
+	// module reads. Transactions counts the paper's §V manager
+	// transactions (TransactionOps), Extends MExtend, GetMaps MGetMap and
+	// StatVersions MStatVersion; the latencies are MAlloc's and MCommit's.
+	Transactions  int64        `json:"transactions"`
+	Extends       int64        `json:"extends"`
+	GetMaps       int64        `json:"getMaps"`
+	StatVersions  int64        `json:"statVersions"`
+	AllocLatency  LatencyStats `json:"allocLatency"`
+	CommitLatency LatencyStats `json:"commitLatency"`
+	// DedupChunks counts the chunk IDs MHasChunks probes carried and
+	// DedupHits those answered "already stored" — the manager-side ground
+	// truth for chunks that incremental checkpointing kept off the wire.
+	DedupChunks int64 `json:"dedupChunks"`
+	DedupHits   int64 `json:"dedupHits"`
 	// MapCache is always zero: the manager memoizes no maps and builds
 	// each one when it is read. The field stays only because the
 	// benchmark module's manager.mapcache_hit_ratio reads it.
@@ -697,10 +694,10 @@ type ManagerStats struct {
 	CatalogStripes []StripeStats `json:"catalogStripes,omitempty"`
 	ChunkStripes   []StripeStats `json:"chunkStripes,omitempty"`
 	SessionStripes []StripeStats `json:"sessionStripes,omitempty"`
-	// Registry reports the benefactor registry's lock-acquisition and
-	// per-op counters: like the stripes above, its Ops/Contended ratio
-	// measures how often registry traffic (alloc round-robin, extends,
-	// releases, heartbeats) found the node table held.
+	// Registry reports the benefactor registry's lock acquisitions: like
+	// the stripes above, its Ops/Contended ratio measures how often
+	// registry traffic (alloc round-robin, extends, releases, heartbeats)
+	// found the node table held.
 	Registry         RegistryStats `json:"registry"`
 	StripeOps        int64         `json:"stripeOps"`
 	StripeContention int64         `json:"stripeContention"`
@@ -710,11 +707,23 @@ type ManagerStats struct {
 	// Admission reports the manager's load-shedding plane: pending-op
 	// bounds, queue depths, and how many requests were admitted vs shed.
 	Admission AdmissionStats `json:"admission"`
-	// AllocLatency and CommitLatency are server-side service-time
-	// histograms for the two metadata ops that dominate a checkpoint's
-	// critical path (session open and commit publish).
-	AllocLatency  LatencyStats `json:"allocLatency"`
-	CommitLatency LatencyStats `json:"commitLatency"`
+}
+
+// TransactionOps are the ops ManagerStats.Transactions counts: session
+// open, extend, commit and abort, delete, and the map and catalog reads.
+var TransactionOps = []string{MAlloc, MExtend, MCommit, MAbort, MDelete, MGetMap, MGetMaps, MStatVersion, MHistory, MDiff}
+
+// SetOpViews sets the fields that are views over s.Ops.
+func (s *ManagerStats) SetOpViews() {
+	s.Transactions = 0
+	for _, op := range TransactionOps {
+		s.Transactions += s.Ops[op].Count
+	}
+	s.Extends = s.Ops[MExtend].Count
+	s.GetMaps = s.Ops[MGetMap].Count
+	s.StatVersions = s.Ops[MStatVersion].Count
+	s.AllocLatency = s.Ops[MAlloc].Latency
+	s.CommitLatency = s.Ops[MCommit].Latency
 }
 
 // AdmissionStats reports manager-side admission control: the global
@@ -743,16 +752,8 @@ type AdmissionStats struct {
 	RetryAfterMicros int64 `json:"retryAfterMicros,omitempty"`
 }
 
-// LatencyStats is the wire form of a latency histogram: log2-spaced
-// microsecond buckets (bucket i counts observations in [2^i, 2^(i+1))
-// µs) plus count and sum for the mean. Percentiles are derived
-// client-side; merging across federation members is element-wise
-// addition.
-type LatencyStats struct {
-	Count     int64   `json:"count"`
-	SumMicros int64   `json:"sumMicros"`
-	Buckets   []int64 `json:"buckets,omitempty"`
-}
+// LatencyStats is the wire form of a latency histogram.
+type LatencyStats = metrics.LatencyStats
 
 // MapCacheStats reports the client chunk-map cache's effectiveness: Hits
 // served without refetching the map, Misses that paid the full fetch, and
@@ -772,19 +773,15 @@ type StripeStats struct {
 }
 
 // RegistryStats reports the benefactor registry's node-table lock
-// acquisition counts plus per-operation counters.
+// acquisition counts and its reservation returns.
 type RegistryStats struct {
 	// Ops / Contended count node-table lock acquisitions, as StripeStats
 	// does for the metadata stripes.
 	Ops       int64 `json:"ops"`
 	Contended int64 `json:"contended"`
-	// Allocs counts round-robin stripe allocations, Reserves the
-	// reservation growths (MExtend), Releases the reservation returns
-	// (commit/abort/expiry), and Heartbeats the soft-state refreshes.
-	Allocs     int64 `json:"allocs"`
-	Reserves   int64 `json:"reserves"`
-	Releases   int64 `json:"releases"`
-	Heartbeats int64 `json:"heartbeats"`
+	// Releases counts reservation returns (commit, abort and session
+	// expiry).
+	Releases int64 `json:"releases"`
 }
 
 // RepairStats reports the manager's priority repair plane. Pending and
