@@ -39,7 +39,6 @@ import (
 	"stdchk/internal/core"
 	"stdchk/internal/federation"
 	"stdchk/internal/metrics"
-	"stdchk/internal/proto"
 )
 
 func main() {
@@ -573,46 +572,10 @@ func cmdStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("benefactors: %d (%d online, %d suspect, %d dead)\n",
-		s.Benefactors, s.OnlineBenefactors, s.SuspectBenefactors, s.DeadBenefactors)
-	fmt.Printf("datasets: %d, versions: %d, unique chunks: %d\n", s.Datasets, s.Versions, s.UniqueChunks)
-	fmt.Printf("logical bytes: %d, stored bytes: %d\n", s.LogicalBytes, s.StoredBytes)
-	fmt.Printf("active sessions: %d, transactions: %d\n", s.ActiveSessions, s.Transactions)
-	fmt.Printf("dedup probes: %d rpcs / %d chunks, hits: %d\n", s.Ops[proto.MHasChunks].Count, s.DedupChunks, s.DedupHits)
-	fmt.Printf("replicas copied: %d, chunks collected: %d, versions pruned: %d\n",
-		s.ReplicasCopied, s.ChunksCollected, s.VersionsPruned)
-	rp := s.Repair
-	fmt.Printf("repair: %d pending (%d critical), %d bytes copied, %d failed copies\n",
-		rp.Pending, rp.Critical, rp.CopiedBytes, rp.Failed)
-	fmt.Printf("churn: %d locations reconciled on rejoin, %d decommissions, %d corrupt replicas scrubbed out\n",
-		rp.Reconciled, rp.Decommissions, rp.CorruptReported)
-	contended := 0.0
-	if s.StripeOps > 0 {
-		contended = 100 * float64(s.StripeContention) / float64(s.StripeOps)
-	}
-	fmt.Printf("metadata stripes: %d catalog / %d chunk / %d session, lock ops: %d (%.1f%% contended)\n",
-		len(s.CatalogStripes), len(s.ChunkStripes), len(s.SessionStripes), s.StripeOps, contended)
-	if s.JournalBatches > 0 || s.JournalReplayed > 0 || s.JournalErrors > 0 ||
-		s.Snapshots > 0 || s.SnapshotSeq > 0 {
-		amort := 0.0
-		if s.JournalFsyncs > 0 {
-			amort = float64(s.JournalBatchLen) / float64(s.JournalFsyncs)
-		}
-		fmt.Printf("journal: %d batches / %d records, %d fsyncs (%.1f records/fsync), %d errors\n",
-			s.JournalBatches, s.JournalBatchLen, s.JournalFsyncs, amort, s.JournalErrors)
-		fmt.Printf("recovery: %d entries replayed at start, %d snapshots taken, snapshot watermark %d\n",
-			s.JournalReplayed, s.Snapshots, s.SnapshotSeq)
-	}
-	a := s.Admission
-	bound := "unbounded"
-	if a.MaxPending > 0 {
-		bound = fmt.Sprintf("bound %d", a.MaxPending)
-	}
-	fmt.Printf("admission (%s): %d admitted, %d shed, %d conn-shed, queue depth %d (peak %d)\n",
-		bound, a.Admitted, a.Shed, a.ConnShed, a.QueueDepth, a.PeakQueueDepth)
-	if a.Shed > 0 || a.ConnShed > 0 {
-		fmt.Printf("  shed callers were hinted to retry after %v\n",
-			time.Duration(a.RetryAfterMicros)*time.Microsecond)
+	fmt.Printf("metadata stripes: %d catalog / %d chunk / %d session\n",
+		len(s.CatalogStripes), len(s.ChunkStripes), len(s.SessionStripes))
+	for _, name := range slices.Sorted(maps.Keys(s.Counters)) {
+		fmt.Printf("%-26s %12d\n", name, s.Counters[name].Value)
 	}
 	fmt.Printf("%-17s %9s %7s %9s %9s\n", "op", "count", "errors", "p50", "p99")
 	for _, op := range slices.Sorted(maps.Keys(s.Ops)) {

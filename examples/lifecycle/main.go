@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"stdchk"
+	"stdchk/internal/proto"
 )
 
 func main() {
@@ -110,6 +111,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("versions pruned by policy engine: %d\n", stats.VersionsPruned)
+	fmt.Printf("versions pruned by policy engine: %d\n", stats.Counters[proto.CtrVersionsPruned].Value)
 	return nil
 }

@@ -8,9 +8,10 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-)
 
-import "stdchk"
+	"stdchk"
+	"stdchk/internal/proto"
+)
 
 func main() {
 	if err := run(); err != nil {
@@ -89,6 +90,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("catalog: %d dataset(s), %d version(s), %d unique chunk(s)\n",
-		stats.Datasets, stats.Versions, stats.UniqueChunks)
+		stats.Counters[proto.CtrDatasets].Value, stats.Counters[proto.CtrVersions].Value,
+		stats.Counters[proto.CtrUniqueChunks].Value)
 	return nil
 }

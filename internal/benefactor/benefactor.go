@@ -13,10 +13,12 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stdchk/internal/core"
 	"stdchk/internal/federation"
+	"stdchk/internal/metrics"
 	"stdchk/internal/proto"
 	"stdchk/internal/store"
 	"stdchk/internal/wire"
@@ -109,12 +111,14 @@ type Benefactor struct {
 	maps   map[string]*core.ChunkMap // chunk-map replicas for recovery
 	// Scrub state (guarded by mu). scrubCursor resumes the inventory walk
 	// across ticks; corrupt accumulates quarantined chunk IDs until a
-	// successful heartbeat delivers them to the manager; the counters feed
-	// BStats.
-	scrubCursor  core.ChunkID
-	corrupt      []core.ChunkID
-	scrubbed     int64
-	corruptFound int64
+	// successful heartbeat delivers them to the manager.
+	scrubCursor core.ChunkID
+	corrupt     []core.ChunkID
+
+	// counters is the node's counter record (BStats): the chunks its
+	// scrub verified and the ones it quarantined.
+	counters              metrics.Counters
+	scrubbed, quarantined *atomic.Int64
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -138,6 +142,8 @@ func New(cfg Config) (*Benefactor, error) {
 		maps:   make(map[string]*core.ChunkMap),
 		stop:   make(chan struct{}),
 	}
+	b.scrubbed = b.counters.Sum("scrub.verified")
+	b.quarantined = b.counters.Sum("scrub.quarantined")
 	if b.chunks == nil {
 		b.chunks = store.NewMemory(cfg.Capacity, nil)
 	}
@@ -237,17 +243,6 @@ func (b *Benefactor) registerOps() {
 		}
 		return wire.Resp{Meta: proto.HasResp{Present: present}}, nil
 	})
-	wire.On(b.ops, proto.BDel, func(del proto.DelReq, _ []byte) (wire.Resp, error) {
-		for _, id := range del.IDs {
-			if err := b.chunks.Delete(id); err != nil {
-				return wire.Resp{}, err
-			}
-			b.mu.Lock()
-			delete(b.births, id)
-			b.mu.Unlock()
-		}
-		return ok, nil
-	})
 	wire.On(b.ops, proto.BReplicate, func(rep proto.ReplicateReq, _ []byte) (wire.Resp, error) {
 		return ok, b.replicateTo(rep.ID, rep.Target)
 	})
@@ -267,16 +262,12 @@ func (b *Benefactor) registerOps() {
 		return ok, nil
 	})
 	wire.On(b.ops, proto.BStats, func(struct{}, []byte) (wire.Resp, error) {
-		b.mu.Lock()
-		scrubbed, corrupt := b.scrubbed, b.corruptFound
-		b.mu.Unlock()
 		return wire.Resp{Meta: proto.StatsResp{
-			Used:           b.chunks.Used(),
-			Capacity:       b.chunks.Capacity(),
-			Chunks:         b.chunks.Len(),
-			ScrubbedChunks: scrubbed,
-			CorruptChunks:  corrupt,
-			Ops:            b.ops.Stats(),
+			Used:     b.chunks.Used(),
+			Capacity: b.chunks.Capacity(),
+			Chunks:   b.chunks.Len(),
+			Counters: b.counters.Snapshot(),
+			Ops:      b.ops.Stats(),
 		}}, nil
 	})
 }

@@ -35,7 +35,7 @@ func call(t *testing.T, addr, op string, meta interface{}, body []byte, out inte
 	return respBody
 }
 
-func TestPutGetHasDel(t *testing.T) {
+func TestPutGetHas(t *testing.T) {
 	b := startNode(t, Config{})
 	data := []byte("the chunk payload")
 	id := core.HashChunk(data)
@@ -51,16 +51,6 @@ func TestPutGetHasDel(t *testing.T) {
 	call(t, b.Addr(), proto.BHas, proto.HasReq{IDs: []core.ChunkID{id, ghost}}, nil, &has)
 	if !has.Present[0] || has.Present[1] {
 		t.Fatalf("has = %v", has.Present)
-	}
-
-	call(t, b.Addr(), proto.BDel, proto.DelReq{IDs: []core.ChunkID{id}}, nil, nil)
-	conn, err := wire.Dial(b.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Call(proto.BGet, proto.GetReq{ID: id}, nil, nil); !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("get after del: %v", err)
 	}
 }
 

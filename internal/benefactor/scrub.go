@@ -69,8 +69,8 @@ func (b *Benefactor) ScrubOnce() (checked, corrupt int) {
 	}
 	b.mu.Lock()
 	b.scrubCursor = last
-	b.scrubbed += int64(checked)
 	b.mu.Unlock()
+	b.scrubbed.Add(int64(checked))
 	return checked, corrupt
 }
 
@@ -110,10 +110,10 @@ func (b *Benefactor) quarantine(id core.ChunkID) {
 	pending := slices.Contains(b.corrupt, id)
 	if !pending {
 		b.corrupt = append(b.corrupt, id)
-		b.corruptFound++
 	}
 	b.mu.Unlock()
 	if !pending {
+		b.quarantined.Add(1)
 		b.logf("scrub: chunk %s failed verification, quarantined", id.Short())
 	}
 }

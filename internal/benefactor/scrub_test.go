@@ -47,8 +47,8 @@ func TestScrubCursorResumesAndWraps(t *testing.T) {
 	}
 	var stats proto.StatsResp
 	call(t, b.Addr(), proto.BStats, nil, nil, &stats)
-	if stats.ScrubbedChunks != int64(total) || stats.CorruptChunks != 0 {
-		t.Fatalf("stats report %d scrubbed / %d corrupt, want %d / 0", stats.ScrubbedChunks, stats.CorruptChunks, total)
+	if got, corrupt := counter(t, stats, "scrub.verified"), counter(t, stats, "scrub.quarantined"); got != int64(total) || corrupt != 0 {
+		t.Fatalf("stats report %d scrubbed / %d corrupt, want %d / 0", got, corrupt, total)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestScrubQuarantinesCorruptChunk(t *testing.T) {
 	}
 	var stats proto.StatsResp
 	call(t, b.Addr(), proto.BStats, nil, nil, &stats)
-	if stats.CorruptChunks != 1 {
-		t.Fatalf("stats report %d corrupt chunks, want 1", stats.CorruptChunks)
+	if n := counter(t, stats, "scrub.quarantined"); n != 1 {
+		t.Fatalf("stats report %d corrupt chunks, want 1", n)
 	}
 
 	// The quarantined chunk is gone from the inventory: the next round
@@ -159,9 +159,20 @@ func TestServePathQuarantinesCorruptChunk(t *testing.T) {
 			}
 			var stats proto.StatsResp
 			call(t, b.Addr(), proto.BStats, nil, nil, &stats)
-			if stats.CorruptChunks != 1 {
-				t.Fatalf("stats report %d corrupt chunks, want 1", stats.CorruptChunks)
+			if n := counter(t, stats, "scrub.quarantined"); n != 1 {
+				t.Fatalf("stats report %d corrupt chunks, want 1", n)
 			}
 		})
 	}
+}
+
+// counter reads the named counter from a BStats reply, failing the test
+// when the benefactor declares no such counter.
+func counter(t *testing.T, st proto.StatsResp, name string) int64 {
+	t.Helper()
+	c, ok := st.Counters[name]
+	if !ok {
+		t.Fatalf("benefactor declares no counter %q", name)
+	}
+	return c.Value
 }

@@ -15,6 +15,7 @@ import (
 	"stdchk/internal/client"
 	"stdchk/internal/core"
 	"stdchk/internal/manager"
+	"stdchk/internal/proto"
 	"stdchk/internal/store"
 	"stdchk/internal/workload"
 )
@@ -346,9 +347,10 @@ func benchCluster(b *testing.B, newStore func() store.Store) *manager.Manager {
 		}
 		b.Cleanup(func() { bf.Close() })
 	}
-	for deadline := time.Now().Add(5 * time.Second); mgr.Stats().OnlineBenefactors < 4; {
+	online := func() int64 { return mgr.Stats().Counters[proto.CtrBenefactorsOnline].Value }
+	for deadline := time.Now().Add(5 * time.Second); online() < 4; {
 		if time.Now().After(deadline) {
-			b.Fatalf("only %d benefactors registered", mgr.Stats().OnlineBenefactors)
+			b.Fatalf("only %d benefactors registered", online())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -44,9 +44,10 @@ func startCluster(t *testing.T, width int, capacity int64) (*manager.Manager, []
 func waitForBenefactors(t *testing.T, mgr *manager.Manager, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for mgr.Stats().OnlineBenefactors < want {
+	online := func() int64 { return mgr.Stats().Counters[proto.CtrBenefactorsOnline].Value }
+	for online() < int64(want) {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d benefactors registered", mgr.Stats().OnlineBenefactors, want)
+			t.Fatalf("only %d of %d benefactors registered", online(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -79,8 +79,8 @@ func writerGoroutinesGone(t *testing.T, baseline int) {
 // tests, once Wait has returned.
 func checkFailedSessionLeftNothing(t *testing.T, mgr *manager.Manager, cl *Client, tr *bufTracker, baseline int) {
 	t.Helper()
-	if n := mgr.Stats().ActiveSessions; n != 0 {
-		t.Errorf("%d write sessions still open on the manager; the failed one was not aborted", n)
+	if n, ok := mgr.Stats().Counters["sessions.active"]; !ok || n.Value != 0 {
+		t.Errorf("write sessions still open on the manager: %+v (declared: %v); the failed one was not aborted", n, ok)
 	}
 	benefs, err := cl.Benefactors()
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"stdchk/internal/device"
 	"stdchk/internal/grid"
 	"stdchk/internal/manager"
+	"stdchk/internal/proto"
 )
 
 // ChurnLoad drives the node-lifecycle and repair machinery with the
@@ -217,8 +218,9 @@ func ChurnLoad(cfg Config) error {
 
 	var cells []cell
 	repairBefore := func() (int64, int64, int64, int64) {
-		s := c.Manager.Stats().Repair
-		return s.CopiedBytes, s.Failed, s.Reconciled, s.Decommissions
+		s := c.Manager.Stats().Counters
+		return s[proto.CtrRepairCopiedBytes].Value, s[proto.CtrRepairFailed].Value,
+			s[proto.CtrRepairReconciled].Value, s[proto.CtrDecommissions].Value
 	}
 	emit := func(cl cell) {
 		cells = append(cells, cl)

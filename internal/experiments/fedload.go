@@ -162,7 +162,7 @@ func fedLoadCell(managers, writers int, dur time.Duration, imageSize int64, chun
 		go func(spec workload.WriterSpec) {
 			defer wg.Done()
 			for t := 0; time.Now().Before(deadline); t++ {
-				n, err := driveRouterCheckpoint(router, spec.FileName(t), spec.Seed, t, chunksPerCk, chunkSize, spec.CbCH)
+				n, err := manager.DriveCheckpoint(router.Call, spec.FileName(t), spec.Seed, t, chunksPerCk, chunkSize, spec.CbCH)
 				ops.Add(n)
 				if err != nil {
 					errOnce.Do(func() { loadErr = err })
@@ -186,50 +186,4 @@ func fedLoadCell(managers, writers int, dur time.Duration, imageSize int64, chun
 		ckps:       total / manager.DriveCheckpointOps / elapsed.Seconds(),
 		memberTxns: memberTxns,
 	}, nil
-}
-
-// driveRouterCheckpoint pushes one synthetic writer checkpoint through
-// the partition router over real sockets — the same five metadata RPCs
-// and the same payload shape as manager.DriveCheckpoint, so managerload
-// (in-process) and fedload (federated, on the wire) measure one workload.
-func driveRouterCheckpoint(r *federation.Router, name string, seed int64, t, chunksPer int, chunkSize int64, variable bool) (int64, error) {
-	var ops int64
-	reserve := int64(chunksPer) * chunkSize / 2
-
-	var alloc proto.AllocResp
-	err := r.Call(proto.MAlloc, name, &proto.AllocReq{
-		Name: name, StripeWidth: 4, ChunkSize: chunkSize,
-		Variable: variable, ReserveBytes: reserve, Replication: 1,
-	}, &alloc)
-	ops++
-	if err != nil {
-		return ops, err
-	}
-	locs := make([]core.NodeID, 0, len(alloc.Stripe))
-	for _, st := range alloc.Stripe {
-		locs = append(locs, st.ID)
-	}
-
-	if err := r.Call(proto.MExtend, name, &proto.ExtendReq{WriteID: alloc.WriteID, Bytes: reserve}, nil); err != nil {
-		return ops + 1, err
-	}
-	ops++
-
-	ids, chunks, fileSize := manager.BuildCheckpoint(seed, t, chunksPer, chunkSize, variable, locs)
-
-	if err := r.Call(proto.MHasChunks, name, &proto.HasReq{IDs: ids}, &proto.HasResp{}); err != nil {
-		return ops + 1, err
-	}
-	ops++
-
-	if err := r.Call(proto.MCommit, name, &proto.CommitReq{WriteID: alloc.WriteID, FileSize: fileSize, Chunks: chunks}, &proto.CommitResp{}); err != nil {
-		return ops + 1, err
-	}
-	ops++
-
-	if err := r.Call(proto.MGetMap, name, &proto.GetMapReq{Name: name}, &proto.GetMapResp{}); err != nil {
-		return ops + 1, err
-	}
-	ops++
-	return ops, nil
 }

@@ -187,6 +187,7 @@ func managerLoadCell(journal string, writers int, dur time.Duration, imageSize i
 	var loadErr error
 	start := time.Now()
 	deadline := start.Add(dur)
+	invoke := func(op, _ string, req, resp interface{}) error { return m.Invoke(op, req, resp) }
 	var wg sync.WaitGroup
 	for _, spec := range specs {
 		wg.Add(1)
@@ -195,7 +196,7 @@ func managerLoadCell(journal string, writers int, dur time.Duration, imageSize i
 			for t := 0; time.Now().Before(deadline); t++ {
 				// The identical driver BenchmarkManagerOps runs, so the
 				// CI-gated benchmark and this sweep measure one workload.
-				n, err := manager.DriveCheckpoint(m, spec.FileName(t), spec.Seed, t, chunksPerCk, chunkSize, spec.CbCH)
+				n, err := manager.DriveCheckpoint(invoke, spec.FileName(t), spec.Seed, t, chunksPerCk, chunkSize, spec.CbCH)
 				ops.Add(n)
 				if err != nil {
 					errOnce.Do(func() { loadErr = err })

@@ -242,7 +242,7 @@ func openLoadCapacity(router *federation.Router, dur time.Duration, workers, chu
 			defer wg.Done()
 			for t := 0; time.Now().Before(deadline); t++ {
 				name := fmt.Sprintf("olcal.n%d.t%d", w, t)
-				_, err := driveRouterCheckpoint(router, name, int64(w), t, chunksPerCk, chunkSize, w%2 == 1)
+				_, err := manager.DriveCheckpoint(router.Call, name, int64(w), t, chunksPerCk, chunkSize, w%2 == 1)
 				if err != nil {
 					errOnce.Do(func() { loadErr = err })
 					return
@@ -285,7 +285,7 @@ func openLoadLevel(g *openLoadGrid, level int, rate float64, dur time.Duration, 
 		n = 8
 	}
 	sched := workload.PoissonSchedule(int64(4242+level), rate, n)
-	before := g.mergedStats().Admission
+	before := g.mergedStats().Counters
 
 	var hist metrics.LatencyHistogram
 	var shedFailed, dropped, otherErrors atomic.Int64
@@ -307,7 +307,7 @@ func openLoadLevel(g *openLoadGrid, level int, rate float64, dur time.Duration, 
 			defer wg.Done()
 			defer func() { <-sem }()
 			name := fmt.Sprintf("ol.l%d.n%d", level, i)
-			_, err := driveRouterCheckpoint(g.router, name, int64(i), 0, chunksPerCk, chunkSize, i%2 == 1)
+			_, err := manager.DriveCheckpoint(g.router.Call, name, int64(i), 0, chunksPerCk, chunkSize, i%2 == 1)
 			if err != nil {
 				if core.IsRetryAfter(err) {
 					shedFailed.Add(1)
@@ -322,7 +322,7 @@ func openLoadLevel(g *openLoadGrid, level int, rate float64, dur time.Duration, 
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	after := g.mergedStats().Admission
+	after := g.mergedStats().Counters
 	lat := hist.Snapshot()
 	count, buckets := lat.Count, lat.Buckets
 	res := openLoadResult{
@@ -334,9 +334,9 @@ func openLoadLevel(g *openLoadGrid, level int, rate float64, dur time.Duration, 
 		completed:   count,
 		shedFailed:  shedFailed.Load(),
 		dropped:     dropped.Load(),
-		shed:        after.Shed - before.Shed,
-		connShed:    after.ConnShed - before.ConnShed,
-		peakDepth:   after.PeakQueueDepth,
+		shed:        after[proto.CtrShed].Value - before[proto.CtrShed].Value,
+		connShed:    after[proto.CtrConnShed].Value - before[proto.CtrConnShed].Value,
+		peakDepth:   after[proto.CtrPeakQueueDepth].Value,
 		otherErrors: otherErrors.Load(),
 	}
 	if res.otherErrors > 0 {

@@ -235,7 +235,7 @@ type restartCell struct {
 	Experiment  string  `json:"experiment"` // "restartload"
 	Mode        string  `json:"mode"`       // "restart-journal" | "restart-snapshot"
 	Entries     int64   `json:"entriesReplayed"`
-	Datasets    int     `json:"datasets"`
+	Datasets    int64   `json:"datasets"`
 	RestartMs   float64 `json:"restartMs"`
 	SnapshotSeq int64   `json:"snapshotSeq,omitempty"`
 }
@@ -283,8 +283,9 @@ func restartRecoveryCells(cfg Config, jdir string) ([]restartCell, error) {
 		return nil
 	}
 	commitRound := func(m *manager.Manager, t, datasets int) error {
+		invoke := func(op, _ string, req, resp interface{}) error { return m.Invoke(op, req, resp) }
 		for d := 0; d < datasets; d++ {
-			if _, err := manager.DriveCheckpoint(m, fmt.Sprintf("rr.n%d.t%d", d, t), int64(d), t, chunksPer, rChunkSize, false); err != nil {
+			if _, err := manager.DriveCheckpoint(invoke, fmt.Sprintf("rr.n%d.t%d", d, t), int64(d), t, chunksPer, rChunkSize, false); err != nil {
 				return err
 			}
 		}
@@ -344,10 +345,10 @@ func restartRecoveryCells(cfg Config, jdir string) ([]restartCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	jStats := m2.Stats()
+	jStats := m2.Stats().Counters
 	cells := []restartCell{{
 		Experiment: "restartload", Mode: "restart-journal",
-		Entries: jStats.JournalReplayed, Datasets: jStats.Datasets, RestartMs: jMs,
+		Entries: jStats[proto.CtrJournalReplayed].Value, Datasets: jStats[proto.CtrDatasets].Value, RestartMs: jMs,
 	}}
 
 	// Snapshot the recovered catalog, commit a short tail, snapshot again
@@ -382,17 +383,18 @@ func restartRecoveryCells(cfg Config, jdir string) ([]restartCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	sStats := m3.Stats()
+	sStats := m3.Stats().Counters
 	m3.Close()
 	cells = append(cells, restartCell{
 		Experiment: "restartload", Mode: "restart-snapshot",
-		Entries: sStats.JournalReplayed, Datasets: sStats.Datasets, RestartMs: sMs,
-		SnapshotSeq: sStats.SnapshotSeq,
+		Entries: sStats[proto.CtrJournalReplayed].Value, Datasets: sStats[proto.CtrDatasets].Value, RestartMs: sMs,
+		SnapshotSeq: sStats[proto.CtrSnapshotSeq].Value,
 	})
 
+	j, sn := cells[0], cells[1]
 	fmt.Fprintf(cfg.Out, "metadata-plane restart (%d datasets, %d commits): full journal replay %d entries in %.1f ms;\n",
-		jStats.Datasets, rDatasets*rVersions, jStats.JournalReplayed, jMs)
+		j.Datasets, rDatasets*rVersions, j.Entries, jMs)
 	fmt.Fprintf(cfg.Out, "snapshot + suffix replays %d entries in %.1f ms (snapshot watermark %d, journal truncated past the previous one)\n\n",
-		sStats.JournalReplayed, sMs, sStats.SnapshotSeq)
+		sn.Entries, sMs, sn.SnapshotSeq)
 	return cells, nil
 }

@@ -3,7 +3,11 @@ package federation
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"stdchk/internal/metrics"
+	"stdchk/internal/proto"
 )
 
 // TestOwnerExactlyOne is the partition-mapping property test: for any key
@@ -127,5 +131,45 @@ func TestNewMembershipValidation(t *testing.T) {
 	}
 	if ms.Len() != 2 || ms.Members()[1] != "b:1" {
 		t.Fatalf("membership mangled: %v", ms.Members())
+	}
+}
+
+// TestMergeStats: merging members' snapshots adds their op records and
+// summed counters and takes the larger of each maxed counter; the views
+// follow the merged record. A lone member's snapshot comes back as it is.
+func TestMergeStats(t *testing.T) {
+	member := func(datasets, online, peak int64, allocs int) proto.ManagerStats {
+		s := proto.ManagerStats{
+			Counters: map[string]metrics.Counter{
+				proto.CtrDatasets:          {Value: datasets},
+				proto.CtrDedupHits:         {Value: 2 * datasets},
+				proto.CtrBenefactorsOnline: {Value: online, Max: true},
+				proto.CtrPeakQueueDepth:    {Value: peak, Max: true},
+			},
+			Ops:            map[string]metrics.OpStats{proto.MAlloc: {Count: int64(allocs)}},
+			CatalogStripes: []proto.StripeStats{{Ops: 1}},
+		}
+		s.SetViews()
+		return s
+	}
+	a, b := member(3, 4, 7, 1), member(5, 4, 2, 2)
+	got := MergeStats([]proto.ManagerStats{a, b})
+	want := map[string]metrics.Counter{
+		proto.CtrDatasets:          {Value: 8},
+		proto.CtrDedupHits:         {Value: 16},
+		proto.CtrBenefactorsOnline: {Value: 4, Max: true},
+		proto.CtrPeakQueueDepth:    {Value: 7, Max: true},
+	}
+	if !reflect.DeepEqual(got.Counters, want) {
+		t.Fatalf("merged counters %v, want %v", got.Counters, want)
+	}
+	if got.Ops[proto.MAlloc].Count != 3 || got.Transactions != 3 || got.DedupHits != 16 {
+		t.Fatalf("merged ops %v, transactions %d, dedup hits %d; want 3, 3, 16", got.Ops, got.Transactions, got.DedupHits)
+	}
+	if got.CatalogStripes != nil {
+		t.Fatalf("merged view kept per-stripe detail: %v", got.CatalogStripes)
+	}
+	if lone := MergeStats([]proto.ManagerStats{a}); !reflect.DeepEqual(lone, a) {
+		t.Fatalf("a lone member's snapshot came back changed:\n got  %+v\n want %+v", lone, a)
 	}
 }

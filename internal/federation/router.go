@@ -341,9 +341,7 @@ func (r *Router) PolicyDryRun(req proto.PolicyDryRunReq) (proto.PolicyDryRunResp
 }
 
 // ManagerStats merges every member's counters into a federation-wide
-// snapshot: partitioned quantities (datasets, versions, chunks, bytes,
-// transaction counters) sum; benefactor counts — every member sees the
-// same donor pool — take the maximum. Per-stripe detail stays per member
+// snapshot (MergeStats). Per-stripe detail stays per member
 // (MemberStats).
 func (r *Router) ManagerStats() (proto.ManagerStats, error) {
 	all, err := r.MemberStats()
@@ -359,9 +357,9 @@ func (r *Router) ManagerStats() (proto.ManagerStats, error) {
 	return agg, nil
 }
 
-// MergeStats folds per-member manager counters into one federation-wide
-// snapshot: partitioned quantities sum, benefactor counts (every member
-// sees the same donor pool) take the maximum, per-stripe detail is
+// MergeStats folds per-member manager snapshots into one federation-wide
+// snapshot: op records add, each counter merges by the kind its member
+// declared (summed or maxed, metrics.Counter.Merge), per-stripe detail is
 // dropped — except that one member's snapshot is returned as it is.
 // Shared by the Router's remote path and the grid's in-process
 // aggregation.
@@ -369,75 +367,16 @@ func MergeStats(all []proto.ManagerStats) proto.ManagerStats {
 	if len(all) == 1 {
 		return all[0]
 	}
-	agg := proto.ManagerStats{Ops: make(map[string]metrics.OpStats)}
+	agg := proto.ManagerStats{Ops: make(map[string]metrics.OpStats), Counters: make(map[string]metrics.Counter)}
 	for _, st := range all {
-		if st.Benefactors > agg.Benefactors {
-			agg.Benefactors = st.Benefactors
-		}
-		if st.OnlineBenefactors > agg.OnlineBenefactors {
-			agg.OnlineBenefactors = st.OnlineBenefactors
-		}
-		if st.SuspectBenefactors > agg.SuspectBenefactors {
-			agg.SuspectBenefactors = st.SuspectBenefactors
-		}
-		if st.DeadBenefactors > agg.DeadBenefactors {
-			agg.DeadBenefactors = st.DeadBenefactors
-		}
-		agg.Datasets += st.Datasets
-		agg.Versions += st.Versions
-		agg.UniqueChunks += st.UniqueChunks
-		agg.LogicalBytes += st.LogicalBytes
-		agg.StoredBytes += st.StoredBytes
-		agg.ActiveSessions += st.ActiveSessions
 		for op, s := range st.Ops {
 			agg.Ops[op] = agg.Ops[op].Merge(s)
 		}
-		agg.DedupChunks += st.DedupChunks
-		agg.DedupHits += st.DedupHits
-		agg.ReplicasCopied += st.ReplicasCopied
-		// Repair gauges and counters are partition-local work, so they sum
-		// like the other partitioned quantities.
-		agg.Repair.Pending += st.Repair.Pending
-		agg.Repair.Critical += st.Repair.Critical
-		agg.Repair.CopiedBytes += st.Repair.CopiedBytes
-		agg.Repair.Failed += st.Repair.Failed
-		agg.Repair.CorruptReported += st.Repair.CorruptReported
-		agg.Repair.Reconciled += st.Repair.Reconciled
-		agg.Repair.Decommissions += st.Repair.Decommissions
-		agg.ChunksCollected += st.ChunksCollected
-		agg.VersionsPruned += st.VersionsPruned
-		agg.JournalBatches += st.JournalBatches
-		agg.JournalBatchLen += st.JournalBatchLen
-		agg.JournalFsyncs += st.JournalFsyncs
-		agg.JournalErrors += st.JournalErrors
-		agg.JournalReplayed += st.JournalReplayed
-		agg.Snapshots += st.Snapshots
-		if st.SnapshotSeq > agg.SnapshotSeq {
-			agg.SnapshotSeq = st.SnapshotSeq // watermarks are member-local; report the newest
-		}
-		agg.StripeOps += st.StripeOps
-		agg.StripeContention += st.StripeContention
-		agg.Registry.Ops += st.Registry.Ops
-		agg.Registry.Contended += st.Registry.Contended
-		agg.Registry.Releases += st.Registry.Releases
-		// Admission: throughput counters sum; bounds and high-water marks
-		// are per-member properties, so the merged view takes the max
-		// (the federation "respected its bounds" iff every member did).
-		agg.Admission.Admitted += st.Admission.Admitted
-		agg.Admission.Shed += st.Admission.Shed
-		agg.Admission.ConnShed += st.Admission.ConnShed
-		agg.Admission.QueueDepth += st.Admission.QueueDepth
-		if st.Admission.PeakQueueDepth > agg.Admission.PeakQueueDepth {
-			agg.Admission.PeakQueueDepth = st.Admission.PeakQueueDepth
-		}
-		if st.Admission.MaxPending > agg.Admission.MaxPending {
-			agg.Admission.MaxPending = st.Admission.MaxPending
-		}
-		if st.Admission.RetryAfterMicros > agg.Admission.RetryAfterMicros {
-			agg.Admission.RetryAfterMicros = st.Admission.RetryAfterMicros
+		for name, c := range st.Counters {
+			agg.Counters[name] = agg.Counters[name].Merge(c)
 		}
 	}
-	agg.SetOpViews()
+	agg.SetViews()
 	return agg
 }
 

@@ -158,7 +158,7 @@ func TestChurnMidStormRestartReconcilesWithoutRecopy(t *testing.T) {
 
 	// The disk-intact rejoin must re-adopt the victim's inventory.
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Manager.Stats().Repair.Reconciled <= 0 {
+	for counter(t, c.Manager.Stats(), "repair.reconciled") <= 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("restart under storm reconciled 0 locations, want > 0")
 		}
@@ -178,7 +178,7 @@ func TestChurnMidStormRestartReconcilesWithoutRecopy(t *testing.T) {
 
 	// Quiescent flap: all chunks at target, so the rejoin must re-adopt
 	// the donor's inventory without copying a single repair byte.
-	before := c.Manager.Stats().Repair
+	before := c.Manager.Stats()
 	if err := c.StopBenefactor(1); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestChurnMidStormRestartReconcilesWithoutRecopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(10 * time.Second)
-	for c.Manager.Stats().Repair.Reconciled <= before.Reconciled {
+	for counter(t, c.Manager.Stats(), "repair.reconciled") <= counter(t, before, "repair.reconciled") {
 		if time.Now().After(deadline) {
 			t.Fatal("quiescent flap never reconciled the rejoining donor's inventory")
 		}
@@ -194,10 +194,9 @@ func TestChurnMidStormRestartReconcilesWithoutRecopy(t *testing.T) {
 	}
 	time.Sleep(500 * time.Millisecond) // several replication rounds
 	awaitReplicationTargets(t, c, 5*time.Second)
-	after := c.Manager.Stats().Repair
-	if after.CopiedBytes != before.CopiedBytes {
-		t.Fatalf("quiescent flap re-replicated %d bytes; reconciliation should have healed it for free",
-			after.CopiedBytes-before.CopiedBytes)
+	after := c.Manager.Stats()
+	if d := counter(t, after, "repair.copied_bytes") - counter(t, before, "repair.copied_bytes"); d != 0 {
+		t.Fatalf("quiescent flap re-replicated %d bytes; reconciliation should have healed it for free", d)
 	}
 	verify()
 }
@@ -225,7 +224,7 @@ func TestScrubCorruptionQuarantinedAndRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Manager.Stats().Repair.CorruptReported < 1 {
+	for counter(t, c.Manager.Stats(), "repair.corrupt_reported") < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("scrub corruption never reported to the manager")
 		}
@@ -235,7 +234,7 @@ func TestScrubCorruptionQuarantinedAndRepaired(t *testing.T) {
 	// The dropped location leaves the chunk one failure from loss; repair
 	// must bring it back to target from the surviving replica.
 	awaitReplicationTargets(t, c, 15*time.Second)
-	if copied := c.Manager.Stats().Repair.CopiedBytes; copied <= 0 {
+	if copied := counter(t, c.Manager.Stats(), "repair.copied_bytes"); copied <= 0 {
 		t.Fatalf("quarantined replica healed with %d copied bytes, want > 0", copied)
 	}
 	if got := readFile(t, cl, "scrub.n1.t0"); !bytes.Equal(got, img) {
@@ -257,7 +256,7 @@ func TestServedCorruptionQuarantinedAndRepaired(t *testing.T) {
 	img := payload(811, 128<<10)
 	writeFile(t, cl, "served.n1.t0", img)
 	awaitReplicationTargets(t, c, 15*time.Second)
-	copiedBefore := c.Manager.Stats().Repair.CopiedBytes
+	copiedBefore := counter(t, c.Manager.Stats(), "repair.copied_bytes")
 
 	victim := c.Benefactors[0]
 	flipped := 0
@@ -281,7 +280,7 @@ func TestServedCorruptionQuarantinedAndRepaired(t *testing.T) {
 		t.Fatal("file not byte-identical when one donor serves corrupt replicas")
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Manager.Stats().Repair.CorruptReported < 1 {
+	for counter(t, c.Manager.Stats(), "repair.corrupt_reported") < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("corruption caught while serving was never reported to the manager")
 		}
@@ -292,7 +291,7 @@ func TestServedCorruptionQuarantinedAndRepaired(t *testing.T) {
 	}
 
 	awaitReplicationTargets(t, c, 15*time.Second)
-	if copied := c.Manager.Stats().Repair.CopiedBytes; copied <= copiedBefore {
+	if copied := counter(t, c.Manager.Stats(), "repair.copied_bytes"); copied <= copiedBefore {
 		t.Fatalf("repair copied %d bytes before the corruption and %d after, want growth", copiedBefore, copied)
 	}
 	if got := readFile(t, cl, "served.n1.t0"); !bytes.Equal(got, img) {

@@ -171,7 +171,7 @@ func TestManagerCrashAtCommitPathPreservesCheckpoints(t *testing.T) {
 					t.Fatalf("crash at %s: acknowledged checkpoint %s corrupted (%d bytes read)", point, name, len(got))
 				}
 			}
-			if st := c.Manager.Stats(); st.SnapshotSeq == 0 {
+			if counter(t, c.Manager.Stats(), "snapshot.watermark") == 0 {
 				t.Fatal("restart did not recover from the snapshot")
 			}
 		})

@@ -53,8 +53,8 @@ func TestFederatedGrid(t *testing.T) {
 
 	// Every member must see the whole donor pool.
 	for i, m := range c.Managers {
-		if st := m.Stats(); st.OnlineBenefactors != benefactors {
-			t.Fatalf("member %d sees %d/%d benefactors", i, st.OnlineBenefactors, benefactors)
+		if n := counter(t, m.Stats(), "benefactors.online"); n != benefactors {
+			t.Fatalf("member %d sees %d/%d benefactors", i, n, benefactors)
 		}
 	}
 
@@ -85,16 +85,17 @@ func TestFederatedGrid(t *testing.T) {
 	for i := 0; i < datasets; i++ {
 		wantPer[federation.OwnerIndex(fmt.Sprintf("fedgrid.n%d", i), managers)]++
 	}
-	total := 0
+	var total int64
 	for i, m := range c.Managers {
 		st := m.Stats()
-		if st.Datasets != wantPer[i] {
-			t.Fatalf("member %d holds %d datasets, partition function says %d", i, st.Datasets, wantPer[i])
+		n := counter(t, st, "catalog.datasets")
+		if n != int64(wantPer[i]) {
+			t.Fatalf("member %d holds %d datasets, partition function says %d", i, n, wantPer[i])
 		}
 		if st.Federation == nil || st.Federation.MemberIndex != i || len(st.Federation.Members) != managers {
 			t.Fatalf("member %d stats carry federation info %+v", i, st.Federation)
 		}
-		total += st.Datasets
+		total += n
 	}
 	if total != datasets {
 		t.Fatalf("federation holds %d datasets, want %d", total, datasets)
@@ -154,8 +155,8 @@ func TestFederatedGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Datasets != datasets || stats.OnlineBenefactors != benefactors {
-		t.Fatalf("merged stats: datasets %d benefactors %d", stats.Datasets, stats.OnlineBenefactors)
+	if ds, bs := counter(t, stats, "catalog.datasets"), counter(t, stats, "benefactors.online"); ds != datasets || bs != benefactors {
+		t.Fatalf("merged stats: datasets %d benefactors %d", ds, bs)
 	}
 	if stats.Federation == nil || len(stats.Federation.Members) != managers {
 		t.Fatalf("merged stats missing federation info: %+v", stats.Federation)

@@ -245,9 +245,8 @@ func (c *Cluster) AwaitOnline(n int, timeout time.Duration) error {
 	for {
 		min := -1
 		for _, m := range c.Managers {
-			stats := m.Stats()
-			if min < 0 || stats.OnlineBenefactors < min {
-				min = stats.OnlineBenefactors
+			if online := onlineBenefactors(m); min < 0 || online < min {
+				min = online
 			}
 		}
 		if min >= n {
@@ -260,6 +259,11 @@ func (c *Cluster) AwaitOnline(n int, timeout time.Duration) error {
 	}
 }
 
+// onlineBenefactors is how many donors m counts online.
+func onlineBenefactors(m *manager.Manager) int {
+	return int(m.Stats().Counters[proto.CtrBenefactorsOnline].Value)
+}
+
 // AwaitOffline blocks until the manager notices at most n online
 // benefactors (heartbeat expiry after failure injection).
 func (c *Cluster) AwaitOffline(n int, timeout time.Duration) error {
@@ -267,8 +271,8 @@ func (c *Cluster) AwaitOffline(n int, timeout time.Duration) error {
 	for {
 		max := 0
 		for _, m := range c.Managers {
-			if stats := m.Stats(); stats.OnlineBenefactors > max {
-				max = stats.OnlineBenefactors
+			if online := onlineBenefactors(m); online > max {
+				max = online
 			}
 		}
 		if max <= n {

@@ -14,6 +14,7 @@ import (
 	"stdchk/internal/core"
 	"stdchk/internal/device"
 	"stdchk/internal/manager"
+	"stdchk/internal/proto"
 )
 
 // testCluster starts an unshaped cluster suitable for unit-speed tests.
@@ -564,7 +565,18 @@ func TestManagerStatsTransactions(t *testing.T) {
 	if stats.Transactions < 3 {
 		t.Fatalf("transactions = %d, want >= 3", stats.Transactions)
 	}
-	if stats.Datasets != 1 || stats.Versions != 1 {
-		t.Fatalf("datasets %d versions %d", stats.Datasets, stats.Versions)
+	if ds, vs := counter(t, stats, "catalog.datasets"), counter(t, stats, "catalog.versions"); ds != 1 || vs != 1 {
+		t.Fatalf("datasets %d versions %d", ds, vs)
 	}
+}
+
+// counter reads the named counter from st, failing the test when the
+// manager declares no such counter.
+func counter(t testing.TB, st proto.ManagerStats, name string) int64 {
+	t.Helper()
+	c, ok := st.Counters[name]
+	if !ok {
+		t.Fatalf("manager declares no counter %q", name)
+	}
+	return c.Value
 }

@@ -79,11 +79,11 @@ func TestManyWritersSaturation(t *testing.T) {
 	}
 
 	stats := c.Manager.Stats()
-	if stats.Datasets != writers {
-		t.Fatalf("manager has %d datasets, want %d", stats.Datasets, writers)
+	if n := counter(t, stats, "catalog.datasets"); n != int64(writers) {
+		t.Fatalf("manager has %d datasets, want %d", n, writers)
 	}
-	if stats.Versions != writers*checkpoints {
-		t.Fatalf("manager has %d versions, want %d", stats.Versions, writers*checkpoints)
+	if n := counter(t, stats, "catalog.versions"); n != int64(writers*checkpoints) {
+		t.Fatalf("manager has %d versions, want %d", n, writers*checkpoints)
 	}
 	if len(stats.CatalogStripes) == 0 || len(stats.ChunkStripes) == 0 {
 		t.Fatal("per-stripe counters missing from ManagerStats")

@@ -141,7 +141,7 @@ func TestOverloadShedsTypedRetryAfter(t *testing.T) {
 
 	// Wait until the stalled commit actually occupies the slot.
 	deadline := time.Now().Add(5 * time.Second)
-	for mgrs[0].Stats().Admission.QueueDepth < maxPending {
+	for counter(t, mgrs[0].Stats(), "admission.queue_depth") < maxPending {
 		if time.Now().After(deadline) {
 			t.Fatal("stalled commit never occupied the admission slot")
 		}
@@ -205,17 +205,17 @@ func TestOverloadShedsTypedRetryAfter(t *testing.T) {
 	}
 
 	st := mgrs[0].Stats()
-	if st.Admission.Shed < 1 {
-		t.Fatalf("no shed recorded: %+v", st.Admission)
+	if counter(t, st, "admission.shed") < 1 {
+		t.Fatalf("no shed recorded: %+v", st.Counters)
 	}
-	if st.Admission.PeakQueueDepth > maxPending {
-		t.Fatalf("peak queue depth %d exceeds bound %d", st.Admission.PeakQueueDepth, maxPending)
+	if peak := counter(t, st, "admission.peak_depth"); peak > maxPending {
+		t.Fatalf("peak queue depth %d exceeds bound %d", peak, maxPending)
 	}
-	if st.Admission.MaxPending != maxPending || st.Admission.Admitted <= 0 {
-		t.Fatalf("implausible admission stats: %+v", st.Admission)
+	if counter(t, st, "admission.max_pending") != maxPending || counter(t, st, "admission.admitted") <= 0 {
+		t.Fatalf("implausible admission stats: %+v", st.Counters)
 	}
-	if st.Admission.RetryAfterMicros != hint.Microseconds() {
-		t.Fatalf("stats advertise hint %dµs, configured %v", st.Admission.RetryAfterMicros, hint)
+	if us := counter(t, st, "admission.retry_after_us"); us != hint.Microseconds() {
+		t.Fatalf("stats advertise hint %dµs, configured %v", us, hint)
 	}
 }
 
@@ -287,16 +287,16 @@ func TestOverloadUnboundedBaseline(t *testing.T) {
 	}
 
 	st := mgrs[0].Stats()
-	if st.Admission.Shed != 0 || st.Admission.ConnShed != 0 {
-		t.Fatalf("unbounded gate shed traffic: %+v", st.Admission)
+	if counter(t, st, "admission.shed") != 0 || counter(t, st, "admission.conn_shed") != 0 {
+		t.Fatalf("unbounded gate shed traffic: %+v", st.Counters)
 	}
-	if st.Admission.MaxPending != 0 {
-		t.Fatalf("unbounded gate advertises a bound: %+v", st.Admission)
+	if counter(t, st, "admission.max_pending") != 0 {
+		t.Fatalf("unbounded gate advertises a bound: %+v", st.Counters)
 	}
-	if st.Admission.Admitted < writers {
-		t.Fatalf("admitted %d < %d writers: %+v", st.Admission.Admitted, writers, st.Admission)
+	if n := counter(t, st, "admission.admitted"); n < writers {
+		t.Fatalf("admitted %d < %d writers: %+v", n, writers, st.Counters)
 	}
-	if st.Admission.PeakQueueDepth < 1 {
-		t.Fatalf("depth accounting dead: %+v", st.Admission)
+	if counter(t, st, "admission.peak_depth") < 1 {
+		t.Fatalf("depth accounting dead: %+v", st.Counters)
 	}
 }

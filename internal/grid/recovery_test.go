@@ -124,8 +124,7 @@ func TestSessionExpiryReleasesReservations(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	stats := c.Manager.Stats()
-	if stats.ActiveSessions != 0 {
-		t.Fatalf("active sessions = %d after expiry", stats.ActiveSessions)
+	if n := counter(t, c.Manager.Stats(), "sessions.active"); n != 0 {
+		t.Fatalf("active sessions = %d after expiry", n)
 	}
 }

@@ -26,8 +26,8 @@ func TestManyChunkCheckpointCommits(t *testing.T) {
 	cl := testClient(t, c, client.Config{StripeWidth: 4, ChunkSize: chunkSize, Replication: 1, PushMapReplicas: true})
 	data := payload(20, chunks*chunkSize)
 	writeFile(t, cl, "many.n1.t0", data)
-	if st := c.Stats(); st.UniqueChunks != chunks {
-		t.Fatalf("manager indexed %d chunks, want %d", st.UniqueChunks, chunks)
+	if n := counter(t, c.Stats(), "catalog.chunks"); n != chunks {
+		t.Fatalf("manager indexed %d chunks, want %d", n, chunks)
 	}
 	if got := readFile(t, cl, "many.n1.t0"); !bytes.Equal(got, data) {
 		t.Fatalf("restored %d bytes, want %d; content mismatch", len(got), len(data))
@@ -94,12 +94,12 @@ func TestLargeInventoryDonorRegisters(t *testing.T) {
 	if err := c.AwaitOnline(2, 10*time.Second); err != nil {
 		t.Fatalf("the large-inventory donor never registered: %v", err)
 	}
-	if n := c.Stats().Benefactors; n != 2 {
+	if n := counter(t, c.Stats(), "benefactors.total"); n != 2 {
 		t.Fatalf("%d benefactors registered, want 2", n)
 	}
 	// The node is online before the manager has walked its inventory.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		n := c.Stats().Repair.Reconciled
+		n := counter(t, c.Stats(), "repair.reconciled")
 		if n == int64(len(live)) {
 			break
 		}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"stdchk/internal/core"
-	"stdchk/internal/proto"
 )
 
 // defaultRetryAfterHint is the backoff handed to shed callers when the
@@ -78,17 +77,4 @@ func (a *admission) bumpPeak(depth int64) {
 func (a *admission) overloadHook(op string) error {
 	a.connShed.Add(1)
 	return core.ErrRetryAfter{Delay: a.hint}
-}
-
-// snapshot exports the gate's counters.
-func (a *admission) snapshot() proto.AdmissionStats {
-	return proto.AdmissionStats{
-		MaxPending:       a.max,
-		QueueDepth:       a.cur.Load(),
-		PeakQueueDepth:   a.peak.Load(),
-		Admitted:         a.admitted.Load(),
-		Shed:             a.shed.Load(),
-		ConnShed:         a.connShed.Load(),
-		RetryAfterMicros: a.hint.Microseconds(),
-	}
 }

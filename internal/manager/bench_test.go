@@ -54,6 +54,7 @@ func benchManagerOps(b *testing.B, cfg Config) {
 		}
 	}
 
+	invoke := func(op, _ string, req, resp interface{}) error { return m.Invoke(op, req, resp) }
 	var writerSeq atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -61,7 +62,7 @@ func benchManagerOps(b *testing.B, cfg Config) {
 		w := writerSeq.Add(1)
 		for t := 0; pb.Next(); t++ {
 			name := fmt.Sprintf("bench.n%d.t%d", w, t)
-			if _, err := DriveCheckpoint(m, name, w, t, 8, 8<<10, false); err != nil {
+			if _, err := DriveCheckpoint(invoke, name, w, t, 8, 8<<10, false); err != nil {
 				b.Fatal(err)
 			}
 		}

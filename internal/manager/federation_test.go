@@ -126,7 +126,8 @@ func TestPartitionEpochMismatch(t *testing.T) {
 
 // TestRegistryStatsCounters checks the registry's traffic surfaces through
 // ManagerStats: allocs, extends and heartbeats in the op table record,
-// reservation returns and node-table lock acquisitions in RegistryStats.
+// reservation returns and node-table lock acquisitions in the counter
+// record.
 func TestRegistryStatsCounters(t *testing.T) {
 	m := startManager(t, Config{})
 	for _, id := range []string{"s1", "s2"} {
@@ -148,12 +149,13 @@ func TestRegistryStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.Stats()
-	if st.Ops[proto.MAlloc].Count != 1 || st.Ops[proto.MExtend].Count != 1 || st.Registry.Releases != 1 || st.Ops[proto.MHeartbeat].Count != 1 {
+	releases := counter(t, st, "registry.releases")
+	if st.Ops[proto.MAlloc].Count != 1 || st.Ops[proto.MExtend].Count != 1 || releases != 1 || st.Ops[proto.MHeartbeat].Count != 1 {
 		t.Fatalf("allocs %d, extends %d, releases %d, heartbeats %d; want 1 each",
-			st.Ops[proto.MAlloc].Count, st.Ops[proto.MExtend].Count, st.Registry.Releases, st.Ops[proto.MHeartbeat].Count)
+			st.Ops[proto.MAlloc].Count, st.Ops[proto.MExtend].Count, releases, st.Ops[proto.MHeartbeat].Count)
 	}
-	if st.Registry.Ops == 0 {
-		t.Fatalf("node-table lock ops never counted: %+v", st.Registry)
+	if counter(t, st, "registry.lock_ops") == 0 {
+		t.Fatalf("node-table lock ops never counted: %+v", st.Counters)
 	}
 	for _, info := range m.reg.list() {
 		if info.Reserved != 0 {

@@ -12,6 +12,7 @@ import (
 
 	"stdchk/internal/core"
 	"stdchk/internal/faultpoint"
+	"stdchk/internal/metrics"
 	"stdchk/internal/namespace"
 	"stdchk/internal/proto"
 )
@@ -115,14 +116,12 @@ type journal struct {
 	done    chan struct{}
 	logf    func(format string, args ...interface{})
 
-	// Durability counters (ManagerStats.Journal*). batches counts flush
-	// batches reaching the file, batchLen the entries they carried (their
-	// ratio is the group-commit amortization), fsyncs the fsync syscalls,
-	// errs the write/flush/fsync failures observed.
-	batches  atomic.Int64
-	batchLen atomic.Int64
-	fsyncs   atomic.Int64
-	errs     atomic.Int64
+	// Durability counters, declared in the manager's counter record by
+	// openJournal. batches counts flush batches reaching the file,
+	// batchLen the entries they carried (their ratio is the group-commit
+	// amortization), fsyncs the fsync syscalls, errs the write/flush/fsync
+	// failures observed.
+	batches, batchLen, fsyncs, errs *atomic.Int64
 }
 
 type seqEntry struct {
@@ -151,7 +150,7 @@ const journalQueueDepth = 1024
 // writer's in-order delivery assumes tickets are dense from its starting
 // point — raising seq after the writer starts would open a ticket gap it
 // waits on forever.
-func openJournal(path string, syncMode, fsyncMode bool, logf func(string, ...interface{}), seqFloor uint64) (*journal, error) {
+func openJournal(path string, syncMode, fsyncMode bool, logf func(string, ...interface{}), seqFloor uint64, counters *metrics.Counters) (*journal, error) {
 	entries, goodOff, torn, err := scanJournal(path)
 	if err != nil {
 		return nil, err
@@ -169,7 +168,12 @@ func openJournal(path string, syncMode, fsyncMode bool, logf func(string, ...int
 	if err != nil {
 		return nil, fmt.Errorf("open journal %s: %w", path, err)
 	}
-	j := &journal{f: f, w: bufio.NewWriter(f), path: path, entries: entries, sync: syncMode, fsync: fsyncMode, logf: logf}
+	j := &journal{f: f, w: bufio.NewWriter(f), path: path, entries: entries, sync: syncMode, fsync: fsyncMode, logf: logf,
+		batches:  counters.Sum("journal.batches"),
+		batchLen: counters.Sum(proto.CtrJournalRecords),
+		fsyncs:   counters.Sum(proto.CtrJournalFsyncs),
+		errs:     counters.Sum("journal.errors"),
+	}
 	// Resume ticketing above every persisted ticket and the snapshot
 	// watermark so new entries always order after replayed ones.
 	for _, e := range entries {
@@ -528,14 +532,6 @@ func (j *journal) truncateTo(watermark uint64) (kept, dropped int, err error) {
 	return kept, dropped, nil
 }
 
-// counters snapshots the journal durability counters.
-func (j *journal) counters() (batches, batchLen, fsyncs, errs int64) {
-	if j == nil {
-		return 0, 0, 0, 0
-	}
-	return j.batches.Load(), j.batchLen.Load(), j.fsyncs.Load(), j.errs.Load()
-}
-
 // close drains the async queue (writing every acknowledged entry in
 // ticket order), flushes, and closes the file. It returns the journal's
 // sticky first write error, so callers learn about entries the writer
@@ -638,7 +634,7 @@ func (m *Manager) replayJournal(watermark uint64) error {
 			return fmt.Errorf("entry %d: unknown journal op %q", i, e.Op)
 		}
 	}
-	m.stats.journalReplayed.Store(int64(replayed))
+	m.ctr.journalReplayed.Store(int64(replayed))
 	if replayed > 0 {
 		m.logf("replayed %d journal entries (watermark %d)", replayed, watermark)
 	}

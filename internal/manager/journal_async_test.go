@@ -13,6 +13,7 @@ import (
 
 	"stdchk/internal/core"
 	"stdchk/internal/faultpoint"
+	"stdchk/internal/metrics"
 	"stdchk/internal/proto"
 )
 
@@ -249,7 +250,7 @@ func TestAsyncJournalCloseDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	if got := m2.Stats().Versions; got != commits {
+	if got := counter(t, m2.Stats(), "catalog.versions"); got != commits {
 		t.Fatalf("replay after drained close restored %d versions, want %d", got, commits)
 	}
 }
@@ -257,7 +258,7 @@ func TestAsyncJournalCloseDrains(t *testing.T) {
 // TestAsyncJournalRecordAfterClose: a record attempted after close must
 // report ErrClosed, not hang or panic against the closed queue.
 func TestAsyncJournalRecordAfterClose(t *testing.T) {
-	j, err := openJournal(filepath.Join(t.TempDir(), "c.journal"), false, false, nil, 0)
+	j, err := openJournal(filepath.Join(t.TempDir(), "c.journal"), false, false, nil, 0, new(metrics.Counters))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,7 +191,7 @@ func TestDecommissionJournaledAndReplayed(t *testing.T) {
 		}
 	}
 	noLocations(m1, "live")
-	if got := m1.Stats().Repair.Decommissions; got != 1 {
+	if got := counter(t, m1.Stats(), "repair.decommissions"); got != 1 {
 		t.Fatalf("decommissions stat = %d, want 1", got)
 	}
 	m1.Close()

@@ -7,24 +7,26 @@ import (
 	"stdchk/internal/proto"
 )
 
-// DriveCheckpoint pushes one synthetic writer checkpoint through the
-// manager's metadata plane in-process (Invoke): alloc, extend, a batched
-// dedup probe, commit, and a chunk-map fetch — the §V.E transaction mix.
-// The first half of the chunks is "stable" content identical across the
-// writer's versions (uploaded at t=0, copy-on-write references after);
-// the rest is fresh per version. Variable (CbCH-style) checkpoints commit
-// a shorter final span to exercise variable-size validation.
+// DriveCheckpoint pushes one synthetic writer checkpoint through a
+// metadata plane: alloc, extend, a batched dedup probe, commit, and a
+// chunk-map fetch — the §V.E transaction mix. call sends each RPC, with
+// federation.Router.Call's signature: a Router's Call goes over the wire
+// to the dataset's owner, and in-process callers pass a closure over a
+// Manager's Invoke. The first half of the chunks is "stable" content
+// identical across the writer's versions (uploaded at t=0, copy-on-write
+// references after); the rest is fresh per version. Variable
+// (CbCH-style) checkpoints commit a shorter final span to exercise
+// variable-size validation.
 //
-// BenchmarkManagerOps and the managerload experiment share this driver so
-// the CI-gated benchmark and the experiment always measure the same
-// workload. Returns the number of RPCs issued (also on error, for tps
-// accounting).
-func DriveCheckpoint(m *Manager, name string, seed int64, t, chunksPer int, chunkSize int64, variable bool) (int64, error) {
+// BenchmarkManagerOps and the managerload, restartload, fedload and
+// openload experiments all drive this one workload. Returns the number
+// of RPCs issued (also on error, for tps accounting).
+func DriveCheckpoint(call func(op, name string, req, resp interface{}) error, name string, seed int64, t, chunksPer int, chunkSize int64, variable bool) (int64, error) {
 	var ops int64
 	reserve := int64(chunksPer) * chunkSize / 2
 
 	var alloc proto.AllocResp
-	err := m.Invoke(proto.MAlloc, proto.AllocReq{
+	err := call(proto.MAlloc, name, &proto.AllocReq{
 		Name: name, StripeWidth: 4, ChunkSize: chunkSize,
 		Variable: variable, ReserveBytes: reserve, Replication: 1,
 	}, &alloc)
@@ -37,24 +39,24 @@ func DriveCheckpoint(m *Manager, name string, seed int64, t, chunksPer int, chun
 		locs = append(locs, st.ID)
 	}
 
-	if err := m.Invoke(proto.MExtend, proto.ExtendReq{WriteID: alloc.WriteID, Bytes: reserve}, nil); err != nil {
+	if err := call(proto.MExtend, name, &proto.ExtendReq{WriteID: alloc.WriteID, Bytes: reserve}, nil); err != nil {
 		return ops + 1, err
 	}
 	ops++
 
 	ids, chunks, fileSize := BuildCheckpoint(seed, t, chunksPer, chunkSize, variable, locs)
 
-	if err := m.Invoke(proto.MHasChunks, proto.HasReq{IDs: ids}, nil); err != nil {
+	if err := call(proto.MHasChunks, name, &proto.HasReq{IDs: ids}, nil); err != nil {
 		return ops + 1, err
 	}
 	ops++
 
-	if err := m.Invoke(proto.MCommit, proto.CommitReq{WriteID: alloc.WriteID, FileSize: fileSize, Chunks: chunks}, nil); err != nil {
+	if err := call(proto.MCommit, name, &proto.CommitReq{WriteID: alloc.WriteID, FileSize: fileSize, Chunks: chunks}, nil); err != nil {
 		return ops + 1, err
 	}
 	ops++
 
-	if err := m.Invoke(proto.MGetMap, proto.GetMapReq{Name: name}, nil); err != nil {
+	if err := call(proto.MGetMap, name, &proto.GetMapReq{Name: name}, nil); err != nil {
 		return ops + 1, err
 	}
 	ops++
@@ -69,9 +71,7 @@ const DriveCheckpointOps = 5
 // pushes: the dedup-probe ID list, the commit chunk list, and the file
 // size. The first half of the chunks is stable across the writer's
 // versions (uploaded at t=0, copy-on-write references after); the rest is
-// fresh per version. Shared with the socket-path federation driver
-// (fedload) so the in-process and over-the-wire sweeps measure the same
-// workload.
+// fresh per version.
 func BuildCheckpoint(seed int64, t, chunksPer int, chunkSize int64, variable bool, locs []core.NodeID) ([]core.ChunkID, []proto.CommitChunk, int64) {
 	ids := make([]core.ChunkID, chunksPer)
 	chunks := make([]proto.CommitChunk, chunksPer)

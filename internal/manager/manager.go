@@ -19,6 +19,7 @@ import (
 	"stdchk/internal/core"
 	"stdchk/internal/faultpoint"
 	"stdchk/internal/federation"
+	"stdchk/internal/metrics"
 	"stdchk/internal/namespace"
 	"stdchk/internal/proto"
 	"stdchk/internal/wire"
@@ -195,25 +196,11 @@ type Manager struct {
 	// entry per RPC, built once by registerOps and read-only afterwards.
 	ops *wire.OpTable
 
-	stats struct {
-		dedupChunksQueried atomic.Int64
-		dedupHits          atomic.Int64
-		replicasCopied     atomic.Int64
-		// Repair plane (proto.RepairStats). The first two are gauges
-		// sampled at the last scheduler round; the rest are cumulative.
-		repairPending       atomic.Int64
-		repairCritical      atomic.Int64
-		repairCopiedBytes   atomic.Int64
-		repairFailed        atomic.Int64
-		repairCorrupt       atomic.Int64 // corrupt replicas reported by scrubbing
-		repairReconciled    atomic.Int64 // locations re-adopted from rejoin inventories
-		repairDecommissions atomic.Int64
-		chunksCollected     atomic.Int64
-		versionsPruned      atomic.Int64
-		journalReplayed     atomic.Int64
-		snapshots           atomic.Int64
-		snapshotSeq         atomic.Uint64
-	}
+	// counters is the manager's counter record (Stats().Counters), each
+	// counter declared once in declareCounters (the journal's in
+	// openJournal); ctr holds the handles its paths count with.
+	counters metrics.Counters
+	ctr      counterHandles
 
 	stop chan struct{}
 	// repairKick nudges the replication scheduler to run immediately
@@ -249,6 +236,7 @@ func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
 		repairKick: make(chan struct{}, 1),
 	}
 	m.registerOps()
+	m.declareCounters()
 	if len(cfg.FederationMembers) > 0 {
 		if cfg.MemberIndex < 0 || cfg.MemberIndex >= len(cfg.FederationMembers) {
 			return nil, fmt.Errorf("manager: member index %d outside federation of %d", cfg.MemberIndex, len(cfg.FederationMembers))
@@ -269,7 +257,7 @@ func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
 		if err != nil {
 			return nil, fmt.Errorf("manager: load snapshot: %w", err)
 		}
-		j, err := openJournal(cfg.JournalPath, syncJournal, cfg.FsyncJournal, m.logf, watermark)
+		j, err := openJournal(cfg.JournalPath, syncJournal, cfg.FsyncJournal, m.logf, watermark, &m.counters)
 		if err != nil {
 			return nil, fmt.Errorf("manager: %w", err)
 		}
@@ -482,7 +470,7 @@ func (m *Manager) handleRegister(req proto.RegisterReq) (wire.Resp, error) {
 		}
 	}
 	if resp.Reconciled > 0 {
-		m.stats.repairReconciled.Add(int64(resp.Reconciled))
+		m.ctr.repairReconciled.Add(int64(resp.Reconciled))
 		m.logf("benefactor %s rejoined: %d locations reconciled, %d garbage", req.ID, resp.Reconciled, len(resp.Garbage))
 	}
 	if prev == core.NodeDead || resp.Reconciled > 0 {
@@ -622,78 +610,128 @@ func (m *Manager) handleGCReport(req proto.GCReportReq) (wire.Resp, error) {
 	// round for chunks that never die. Federated members therefore do not
 	// count; the merged stat undercounts (reads 0) rather than lies.
 	if m.fed == nil {
-		m.stats.chunksCollected.Add(int64(len(deletable)))
+		m.ctr.chunksCollected.Add(int64(len(deletable)))
 	}
 	return wire.Resp{Meta: proto.GCReportResp{Deletable: deletable}}, nil
 }
 
-// Stats returns a snapshot of manager counters: what MStats serves, and
-// what in-process callers read.
-func (m *Manager) Stats() proto.ManagerStats {
-	total, online, suspectN, deadN := m.reg.counts()
-	datasets, versions, chunks, logical, stored := m.cat.counters()
-	dsStripes, ckStripes := m.cat.stripeSnapshot()
-	sessStripes := m.sess.stripeSnapshot()
-	regStats := m.reg.statsSnapshot()
-	stripeOps, stripeContended := regStats.Ops, regStats.Contended
-	for _, s := range [][]proto.StripeStats{dsStripes, ckStripes, sessStripes} {
-		for _, st := range s {
-			stripeOps += st.Ops
-			stripeContended += st.Contended
+// counterHandles are the manager's event counters: each is one
+// declaration in declareCounters and is counted where the event happens.
+type counterHandles struct {
+	dedupChunks, dedupHits, replicasCopied                         *atomic.Int64
+	repairPending, repairCritical, repairCopiedBytes, repairFailed *atomic.Int64
+	repairCorrupt, repairReconciled, repairDecommissions           *atomic.Int64
+	chunksCollected, versionsPruned                                *atomic.Int64
+	journalReplayed, snapshots, snapshotSeq                        *atomic.Int64
+}
+
+// declareCounters declares the manager's counter record: every counter
+// it reports, once, with how federation members' readings merge —
+// summed for work on a member's own partition, maxed for what every
+// member sees (the donor pool) or a bound each member holds.
+func (m *Manager) declareCounters() {
+	c := &m.counters
+	m.ctr = counterHandles{
+		// MHasChunks probes: the chunk IDs they carried, and those
+		// answered "already stored" — the chunks incremental
+		// checkpointing kept off the wire.
+		dedupChunks: c.Sum(proto.CtrDedupChunks),
+		dedupHits:   c.Sum(proto.CtrDedupHits),
+		// Replicas the repair scheduler created, and their bytes.
+		replicasCopied:    c.Sum("repair.replicas"),
+		repairCopiedBytes: c.Sum(proto.CtrRepairCopiedBytes),
+		// Gauges sampled at the last scheduler round: under-replicated
+		// chunks, and those down to one live replica (repaired first).
+		repairPending:  c.Sum("repair.pending"),
+		repairCritical: c.Sum("repair.critical"),
+		// Copy jobs that failed against every live source in a round.
+		repairFailed: c.Sum(proto.CtrRepairFailed),
+		// Replica locations dropped on scrub reports, re-adopted from
+		// rejoin inventories, and nodes declared dead.
+		repairCorrupt:       c.Sum("repair.corrupt_reported"),
+		repairReconciled:    c.Sum(proto.CtrRepairReconciled),
+		repairDecommissions: c.Sum(proto.CtrDecommissions),
+		// Chunks a standalone manager's GC rounds found unreferenced (a
+		// federated member's reply is one vote, so it counts nothing).
+		chunksCollected: c.Sum("gc.chunks_collected"),
+		versionsPruned:  c.Sum(proto.CtrVersionsPruned),
+		// Journal entries replayed at start past the snapshot watermark,
+		// snapshots taken, and the newest snapshot's watermark.
+		journalReplayed: c.Sum(proto.CtrJournalReplayed),
+		snapshots:       c.Sum("snapshot.taken"),
+		snapshotSeq:     c.Max(proto.CtrSnapshotSeq),
+	}
+
+	// The donor pool, by lifecycle state: every member sees all of it.
+	c.MaxFunc("benefactors.total", func() int64 { n, _, _, _ := m.reg.counts(); return int64(n) })
+	c.MaxFunc(proto.CtrBenefactorsOnline, func() int64 { _, n, _, _ := m.reg.counts(); return int64(n) })
+	c.MaxFunc("benefactors.suspect", func() int64 { _, _, n, _ := m.reg.counts(); return int64(n) })
+	c.MaxFunc("benefactors.dead", func() int64 { _, _, _, n := m.reg.counts(); return int64(n) })
+
+	c.SumFunc(proto.CtrDatasets, func() int64 { n, _, _, _, _ := m.cat.counters(); return int64(n) })
+	c.SumFunc(proto.CtrVersions, func() int64 { _, n, _, _, _ := m.cat.counters(); return int64(n) })
+	c.SumFunc(proto.CtrUniqueChunks, func() int64 { _, _, n, _, _ := m.cat.counters(); return int64(n) })
+	c.SumFunc(proto.CtrLogicalBytes, m.cat.logicalBytes.Load)
+	c.SumFunc(proto.CtrStoredBytes, m.cat.storedBytes.Load)
+	c.SumFunc("sessions.active", func() int64 { return int64(m.sess.active()) })
+
+	// Lock acquisitions on every metadata stripe and the registry's node
+	// table, and those that found the lock held: their ratio is the §V.E
+	// metadata-plane serialization. The registry's share is also
+	// reported alone, with its reservation returns (commit, abort and
+	// session expiry).
+	c.SumFunc(proto.CtrLockOps, func() int64 { return m.lockTotals().Ops })
+	c.SumFunc(proto.CtrLockContended, func() int64 { return m.lockTotals().Contended })
+	c.SumFunc("registry.lock_ops", m.reg.tbl.ops.Load)
+	c.SumFunc("registry.lock_contended", m.reg.tbl.contended.Load)
+	c.SumFunc("registry.releases", m.reg.releases.Load)
+
+	// Admission (alloc/extend/commit): requests admitted, shed at the
+	// global gate with a retry-after, and shed earlier at a connection's
+	// inflight bound; the queue's depth now and at its peak; the
+	// configured bound (0 = unbounded) and retry-after hint.
+	c.SumFunc("admission.admitted", m.adm.admitted.Load)
+	c.SumFunc(proto.CtrShed, m.adm.shed.Load)
+	c.SumFunc(proto.CtrConnShed, m.adm.connShed.Load)
+	c.SumFunc("admission.queue_depth", m.adm.cur.Load)
+	c.MaxFunc(proto.CtrPeakQueueDepth, m.adm.peak.Load)
+	c.Max("admission.max_pending").Store(int64(m.adm.max))
+	c.Max("admission.retry_after_us").Store(m.adm.hint.Microseconds())
+}
+
+// lockTotals adds up the lock acquisitions of every metadata stripe and
+// the registry's node table.
+func (m *Manager) lockTotals() proto.StripeStats {
+	t := m.reg.tbl.snapshot()
+	ds, ck := m.cat.stripeSnapshot()
+	for _, stripes := range [][]proto.StripeStats{ds, ck, m.sess.stripeSnapshot()} {
+		for _, st := range stripes {
+			t.Ops += st.Ops
+			t.Contended += st.Contended
 		}
 	}
-	var fedInfo *proto.FederationInfo
+	return t
+}
+
+// Stats returns a snapshot of the manager's counters and op records:
+// what MStats serves, and what in-process callers read.
+func (m *Manager) Stats() proto.ManagerStats {
+	dsStripes, ckStripes := m.cat.stripeSnapshot()
+	s := proto.ManagerStats{
+		Counters:       m.counters.Snapshot(),
+		Ops:            m.ops.Stats(),
+		CatalogStripes: dsStripes,
+		ChunkStripes:   ckStripes,
+		SessionStripes: m.sess.stripeSnapshot(),
+	}
 	if m.fed != nil {
-		fedInfo = &proto.FederationInfo{
+		s.Federation = &proto.FederationInfo{
 			Members:     m.fed.Members(),
 			MemberIndex: m.cfg.MemberIndex,
 			Epoch:       m.fed.Epoch(),
 		}
 	}
-	jBatches, jBatchLen, jFsyncs, jErrs := m.journal.counters()
-	s := proto.ManagerStats{
-		Ops:                m.ops.Stats(),
-		Admission:          m.adm.snapshot(),
-		CatalogStripes:     dsStripes,
-		ChunkStripes:       ckStripes,
-		SessionStripes:     sessStripes,
-		Registry:           regStats,
-		StripeOps:          stripeOps,
-		StripeContention:   stripeContended,
-		Federation:         fedInfo,
-		Benefactors:        total,
-		OnlineBenefactors:  online,
-		SuspectBenefactors: suspectN,
-		DeadBenefactors:    deadN,
-		Datasets:           datasets,
-		Versions:           versions,
-		UniqueChunks:       chunks,
-		LogicalBytes:       logical,
-		StoredBytes:        stored,
-		ActiveSessions:     m.sess.active(),
-		DedupChunks:        m.stats.dedupChunksQueried.Load(),
-		DedupHits:          m.stats.dedupHits.Load(),
-		ReplicasCopied:     m.stats.replicasCopied.Load(),
-		Repair: proto.RepairStats{
-			Pending:         m.stats.repairPending.Load(),
-			Critical:        m.stats.repairCritical.Load(),
-			CopiedBytes:     m.stats.repairCopiedBytes.Load(),
-			Failed:          m.stats.repairFailed.Load(),
-			CorruptReported: m.stats.repairCorrupt.Load(),
-			Reconciled:      m.stats.repairReconciled.Load(),
-			Decommissions:   m.stats.repairDecommissions.Load(),
-		},
-		ChunksCollected: m.stats.chunksCollected.Load(),
-		VersionsPruned:  m.stats.versionsPruned.Load(),
-		JournalBatches:  jBatches,
-		JournalBatchLen: jBatchLen,
-		JournalFsyncs:   jFsyncs,
-		JournalErrors:   jErrs,
-		JournalReplayed: m.stats.journalReplayed.Load(),
-		Snapshots:       m.stats.snapshots.Load(),
-		SnapshotSeq:     int64(m.stats.snapshotSeq.Load()),
-	}
-	s.SetOpViews()
+	s.SetViews()
 	return s
 }
 
@@ -763,7 +801,7 @@ func (m *Manager) decommission(id core.NodeID) {
 	// dead node is worse than a replayed journal missing one drop.
 	m.journalRecord(journalEntry{Op: "decommission", Name: string(id)})
 	dropped := m.cat.dropLocationEverywhere(id)
-	m.stats.repairDecommissions.Add(1)
+	m.ctr.repairDecommissions.Add(1)
 	m.logf("benefactor %s dead (silent past %v): decommissioned, %d chunk locations dropped", id, m.cfg.DeadTimeout, dropped)
 	m.kickRepair()
 }

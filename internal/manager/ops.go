@@ -114,7 +114,7 @@ func (m *Manager) handleHeartbeat(req proto.HeartbeatReq) (wire.Resp, error) {
 				dropped++
 			}
 		}
-		m.stats.repairCorrupt.Add(int64(len(req.Corrupt)))
+		m.ctr.repairCorrupt.Add(int64(len(req.Corrupt)))
 		m.logf("benefactor %s reported %d corrupt chunks (%d locations dropped)", req.ID, len(req.Corrupt), dropped)
 		m.kickRepair()
 	}
@@ -122,7 +122,7 @@ func (m *Manager) handleHeartbeat(req proto.HeartbeatReq) (wire.Resp, error) {
 }
 
 func (m *Manager) handleHasChunks(req proto.HasReq) (wire.Resp, error) {
-	m.stats.dedupChunksQueried.Add(int64(len(req.IDs)))
+	m.ctr.dedupChunks.Add(int64(len(req.IDs)))
 	present := m.cat.hasChunks(req.IDs)
 	var hits int64
 	for _, p := range present {
@@ -130,7 +130,7 @@ func (m *Manager) handleHasChunks(req proto.HasReq) (wire.Resp, error) {
 			hits++
 		}
 	}
-	m.stats.dedupHits.Add(hits)
+	m.ctr.dedupHits.Add(hits)
 	return wire.Resp{Meta: proto.HasResp{Present: present}}, nil
 }
 

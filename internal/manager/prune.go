@@ -92,7 +92,7 @@ func (m *Manager) applyReplacePolicy(fileName string) {
 		return
 	}
 	if removed > 0 {
-		m.stats.versionsPruned.Add(int64(removed))
+		m.ctr.versionsPruned.Add(int64(removed))
 		m.logf("replace policy on %s: pruned %d versions, %d chunks orphaned", fileName, removed, len(orphans))
 	}
 }
@@ -130,7 +130,7 @@ func (m *Manager) retentionOnce(now time.Time) int {
 			m.logf("retention on folder %q: %v", folder, err)
 		}
 		if removed > 0 {
-			m.stats.versionsPruned.Add(int64(removed))
+			m.ctr.versionsPruned.Add(int64(removed))
 			m.logf("retention on folder %q: pruned %d versions, %d chunks orphaned", folder, removed, len(orphans))
 		}
 		total += removed

@@ -8,12 +8,13 @@ import (
 	"time"
 
 	"stdchk/internal/core"
+	"stdchk/internal/metrics"
 	"stdchk/internal/proto"
 )
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.log")
-	j, err := openJournal(path, false, false, nil, 0)
+	j, err := openJournal(path, false, false, nil, 0, new(metrics.Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	j.close()
 
-	j2, err := openJournal(path, false, false, nil, 0)
+	j2, err := openJournal(path, false, false, nil, 0, new(metrics.Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestJournalRoundTrip(t *testing.T) {
 
 func TestJournalTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.log")
-	j, err := openJournal(path, false, false, nil, 0)
+	j, err := openJournal(path, false, false, nil, 0, new(metrics.Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestJournalTornTail(t *testing.T) {
 	// Append a torn (half-written) record.
 	appendFile(t, path, `{"op":"commit","name":"torn`)
 
-	j2, err := openJournal(path, false, false, nil, 0)
+	j2, err := openJournal(path, false, false, nil, 0, new(metrics.Counters))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ type registry struct {
 	cursor atomic.Uint64 // next ring start for stripe allocation
 
 	// releases counts reservation returns, including session expiry,
-	// which is no RPC (proto.RegistryStats.Releases).
+	// which is no RPC.
 	releases atomic.Int64
 }
 
@@ -340,14 +340,4 @@ func (r *registry) pickTargets(n int, exclude map[core.NodeID]struct{}, perBytes
 		c.st.mu.Unlock()
 	}
 	return out
-}
-
-// statsSnapshot copies the registry's lock and release counters.
-func (r *registry) statsSnapshot() proto.RegistryStats {
-	lk := r.tbl.snapshot()
-	return proto.RegistryStats{
-		Ops:       lk.Ops,
-		Contended: lk.Contended,
-		Releases:  r.releases.Load(),
-	}
 }

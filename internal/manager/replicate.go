@@ -153,8 +153,8 @@ func (m *Manager) replicateOnce() int {
 			critical++
 		}
 	}
-	m.stats.repairPending.Store(int64(len(jobs)))
-	m.stats.repairCritical.Store(int64(critical))
+	m.ctr.repairPending.Store(int64(len(jobs)))
+	m.ctr.repairCritical.Store(int64(critical))
 	if len(jobs) == 0 {
 		return 0
 	}
@@ -237,7 +237,7 @@ func (m *Manager) replicateChunk(job replJob) int {
 		for _, tgt := range targets {
 			m.reg.release([]core.NodeID{tgt.ID}, job.size)
 		}
-		m.stats.repairFailed.Add(int64(len(targets)))
+		m.ctr.repairFailed.Add(int64(len(targets)))
 		return 0
 	}
 	copied := 0
@@ -257,14 +257,14 @@ func (m *Manager) replicateChunk(job replJob) int {
 		// Free, a failed one never used the space.
 		m.reg.release([]core.NodeID{tgt.ID}, job.size)
 		if !ok {
-			m.stats.repairFailed.Add(1)
+			m.ctr.repairFailed.Add(1)
 			continue
 		}
 		// Shadow-map commit: the new location becomes part of the
 		// authoritative chunk-map only after the copy succeeded.
 		m.cat.addLocation(job.id, tgt.ID)
-		m.stats.replicasCopied.Add(1)
-		m.stats.repairCopiedBytes.Add(job.size)
+		m.ctr.replicasCopied.Add(1)
+		m.ctr.repairCopiedBytes.Add(job.size)
 		copied++
 	}
 	return copied

@@ -302,7 +302,7 @@ func (m *Manager) loadSnapshot() (uint64, error) {
 		if err := m.installSnapshot(st); err != nil {
 			return 0, fmt.Errorf("install %s: %w", p, err)
 		}
-		m.stats.snapshotSeq.Store(st.Watermark)
+		m.ctr.snapshotSeq.Store(int64(st.Watermark))
 		m.logf("loaded snapshot %s: %d datasets at watermark %d", filepath.Base(p), len(st.Datasets), st.Watermark)
 		return st.Watermark, nil
 	}
@@ -398,8 +398,8 @@ func (m *Manager) snapshotOnce(truncate bool) (uint64, error) {
 	if err := writeSnapshotFile(snapshotPath(m.cfg.JournalPath, st.Watermark), st); err != nil {
 		return 0, err
 	}
-	m.stats.snapshots.Add(1)
-	m.stats.snapshotSeq.Store(st.Watermark)
+	m.ctr.snapshots.Add(1)
+	m.ctr.snapshotSeq.Store(int64(st.Watermark))
 	if !truncate {
 		return st.Watermark, nil
 	}

@@ -155,14 +155,15 @@ func TestSnapshotRecoveryEquivalentToFullReplay(t *testing.T) {
 			if !reflect.DeepEqual(snapA, live) {
 				t.Fatalf("recovery diverged from the live pre-shutdown catalog:\nrecovered: %+v\nlive:      %+v", snapA, live)
 			}
-			if stB.JournalReplayed != int64(len(entries)) {
-				t.Fatalf("full replay applied %d of %d entries", stB.JournalReplayed, len(entries))
+			replayedA, replayedB := counter(t, stA, "journal.replayed"), counter(t, stB, "journal.replayed")
+			if replayedB != int64(len(entries)) {
+				t.Fatalf("full replay applied %d of %d entries", replayedB, len(entries))
 			}
-			if stA.JournalReplayed >= stB.JournalReplayed {
+			if replayedA >= replayedB {
 				t.Fatalf("snapshot recovery replayed %d entries, full replay %d — the watermark skipped nothing",
-					stA.JournalReplayed, stB.JournalReplayed)
+					replayedA, replayedB)
 			}
-			if stA.SnapshotSeq == 0 {
+			if counter(t, stA, "snapshot.watermark") == 0 {
 				t.Fatal("snapshot recovery reported no watermark")
 			}
 		})
@@ -205,9 +206,8 @@ func TestSnapshotTruncationBoundsRestart(t *testing.T) {
 	}
 	commitFile(t, m, "tb.n0.t2", 400, 8)
 	live := snapshotCatalog(m.cat, false)
-	st := m.Stats()
-	if st.Snapshots != 2 {
-		t.Fatalf("Snapshots stat = %d, want 2", st.Snapshots)
+	if n := counter(t, m.Stats(), "snapshot.taken"); n != 2 {
+		t.Fatalf("snapshot.taken = %d, want 2", n)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -223,8 +223,8 @@ func TestSnapshotTruncationBoundsRestart(t *testing.T) {
 	}
 	// The suffix replayed must be bounded by what happened since the
 	// previous snapshot, not the full 17-entry history.
-	if st2 := m2.Stats(); st2.JournalReplayed >= 17 || st2.JournalReplayed < 1 {
-		t.Fatalf("restart replayed %d entries, want a small suffix", st2.JournalReplayed)
+	if n := counter(t, m2.Stats(), "journal.replayed"); n >= 17 || n < 1 {
+		t.Fatalf("restart replayed %d entries, want a small suffix", n)
 	}
 }
 
@@ -273,8 +273,8 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 	if got := snapshotCatalog(m2.cat, false); !reflect.DeepEqual(got, live) {
 		t.Fatalf("fallback recovery diverged from live catalog:\nrecovered: %+v\nlive:      %+v", got, live)
 	}
-	if st := m2.Stats(); st.SnapshotSeq == 0 || st.SnapshotSeq >= int64(w2) {
-		t.Fatalf("fallback recovered from watermark %d, want the previous snapshot's (< %d, > 0)", st.SnapshotSeq, w2)
+	if w := counter(t, m2.Stats(), "snapshot.watermark"); w == 0 || w >= int64(w2) {
+		t.Fatalf("fallback recovered from watermark %d, want the previous snapshot's (< %d, > 0)", w, w2)
 	}
 }
 
@@ -372,8 +372,8 @@ func TestJournalErrorSurfacing(t *testing.T) {
 			if err := m.cat.journalHook(journalEntry{Op: "delete", Name: "je.n0.t0"}); err == nil {
 				t.Fatal("journal accepted records after a write failure")
 			}
-			if st := m.Stats(); st.JournalErrors == 0 {
-				t.Fatal("JournalErrors stat did not count the failure")
+			if counter(t, m.Stats(), "journal.errors") == 0 {
+				t.Fatal("journal.errors did not count the failure")
 			}
 			if err := m.Close(); err == nil {
 				t.Fatal("Close returned nil despite a journal write failure")
@@ -407,8 +407,8 @@ func TestSnapshotFaultsAreAtomic(t *testing.T) {
 			if snaps, _ := listSnapshots(journalPath); len(snaps) != 0 {
 				t.Fatalf("failed snapshot left files behind: %v", snaps)
 			}
-			if st := m.Stats(); st.Snapshots != 0 {
-				t.Fatalf("failed snapshot counted in stats: %d", st.Snapshots)
+			if n := counter(t, m.Stats(), "snapshot.taken"); n != 0 {
+				t.Fatalf("failed snapshot counted in stats: %d", n)
 			}
 			if err := m.Close(); err != nil {
 				t.Fatal(err)

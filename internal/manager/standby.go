@@ -3,6 +3,7 @@ package manager
 import (
 	"fmt"
 	"log"
+	"net"
 	"sync"
 	"time"
 
@@ -124,15 +125,21 @@ func (s *Standby) watch() {
 	}
 }
 
-// probe checks primary liveness with a stats request.
+// probe checks primary liveness with one MStats request. The whole probe,
+// dial included, is bounded by ProbeInterval: a primary that accepts the
+// connection and then stalls fails the probe like one that refuses it.
 func (s *Standby) probe() bool {
-	conn, err := wire.Dial(s.cfg.PrimaryAddr, nil)
+	deadline := time.Now().Add(s.cfg.ProbeInterval)
+	conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", s.cfg.PrimaryAddr)
 	if err != nil {
 		return false
 	}
 	defer conn.Close()
-	_, err = conn.Call(proto.MStats, nil, nil, nil)
-	return err == nil
+	if conn.SetDeadline(deadline) != nil || wire.Write(conn, &wire.Msg{Op: proto.MStats}) != nil {
+		return false
+	}
+	resp, err := wire.Read(conn)
+	return err == nil && resp.Err == ""
 }
 
 // takeover starts the replacement manager.

@@ -364,16 +364,6 @@ func (r *HasResp) ParseMeta(b []byte) error {
 	return p.end()
 }
 
-// AppendMeta appends the request's binary meta: the ID list.
-func (r DelReq) AppendMeta(dst []byte) []byte { return appendIDs(dst, r.IDs) }
-
-// ParseMeta decodes AppendMeta's layout.
-func (r *DelReq) ParseMeta(b []byte) error {
-	p := parser{b: b}
-	*r = DelReq{IDs: p.ids()}
-	return p.end()
-}
-
 // AppendMeta appends the request's binary meta: chunk ID, then target.
 func (r ReplicateReq) AppendMeta(dst []byte) []byte {
 	dst = append(dst, r.ID[:]...)

@@ -147,7 +147,6 @@ var binaryMetas = []struct {
 		}
 		return r
 	}},
-	{"DelReq", func(g *gen) metaCodec { return &DelReq{IDs: g.ids()} }},
 	{"ReplicateReq", func(g *gen) metaCodec { return &ReplicateReq{ID: g.id(), Target: g.str()} }},
 	{"MapPutReq", func(g *gen) metaCodec { return &MapPutReq{Name: g.str(), Map: g.chunkMap()} }},
 	{"MapListResp", func(g *gen) metaCodec { return &MapListResp{Maps: g.namedMaps()} }},

@@ -32,8 +32,6 @@ const (
 	BGetBatch = "b.getbatch"
 	// BHas asks which of a set of chunks the benefactor holds.
 	BHas = "b.has"
-	// BDel deletes chunks (GC executor).
-	BDel = "b.del"
 	// BReplicate instructs the benefactor to push one of its chunks to
 	// another benefactor (manager-driven background replication).
 	BReplicate = "b.replicate"
@@ -197,11 +195,6 @@ type HasResp struct {
 	Present []bool `json:"present"`
 }
 
-// DelReq lists chunks to delete.
-type DelReq struct {
-	IDs []core.ChunkID `json:"ids"`
-}
-
 // ReplicateReq instructs a benefactor to copy a chunk to Target.
 type ReplicateReq struct {
 	ID     core.ChunkID `json:"id"`
@@ -230,10 +223,9 @@ type StatsResp struct {
 	Used     int64 `json:"used"`
 	Capacity int64 `json:"capacity"`
 	Chunks   int   `json:"chunks"`
-	// ScrubbedChunks counts integrity-scrub verifications since start;
-	// CorruptChunks the chunks the scrub quarantined.
-	ScrubbedChunks int64 `json:"scrubbedChunks,omitempty"`
-	CorruptChunks  int64 `json:"corruptChunks,omitempty"`
+	// Counters is the benefactor's counter record (metrics.Counters):
+	// its integrity scrub's verifications and quarantines.
+	Counters map[string]metrics.Counter `json:"counters,omitempty"`
 	// Ops is the benefactor's op table record (wire.OpTable.Stats).
 	Ops map[string]metrics.OpStats `json:"ops,omitempty"`
 }
@@ -622,99 +614,88 @@ type ReplStatusResp struct {
 	Target  int            `json:"target"`
 }
 
-// ManagerStats aggregates manager-side counters (MStats).
+// ManagerStats is what MStats serves: the manager's counter record and
+// op table, and the per-stripe lock detail.
 type ManagerStats struct {
-	Benefactors       int `json:"benefactors"`
-	OnlineBenefactors int `json:"onlineBenefactors"`
-	// SuspectBenefactors and DeadBenefactors split the not-online nodes by
-	// lifecycle state: suspects missed heartbeats past the node TTL, dead
-	// nodes stayed silent past the dead timeout and were decommissioned.
-	SuspectBenefactors int   `json:"suspectBenefactors,omitempty"`
-	DeadBenefactors    int   `json:"deadBenefactors,omitempty"`
-	Datasets           int   `json:"datasets"`
-	Versions           int   `json:"versions"`
-	UniqueChunks       int   `json:"uniqueChunks"`
-	LogicalBytes       int64 `json:"logicalBytes"`
-	StoredBytes        int64 `json:"storedBytes"`
-	ActiveSessions     int   `json:"activeSessions"`
+	// Counters is the manager's counter record (metrics.Counters): every
+	// counter it declares, by name, with its merge kind. A merged view
+	// sums or maxes each counter across members.
+	Counters map[string]metrics.Counter `json:"counters,omitempty"`
 	// Ops is the manager's op table record: count, errors and service
 	// time of every op it declares (wire.OpTable.Stats), summed across
 	// members in a merged view.
 	Ops map[string]metrics.OpStats `json:"ops,omitempty"`
-	// Transactions, Extends, GetMaps, StatVersions, AllocLatency and
-	// CommitLatency are views over Ops (SetOpViews) that the benchmark
-	// module reads. Transactions counts the paper's §V manager
-	// transactions (TransactionOps), Extends MExtend, GetMaps MGetMap and
-	// StatVersions MStatVersion; the latencies are MAlloc's and MCommit's.
-	Transactions  int64        `json:"transactions"`
-	Extends       int64        `json:"extends"`
-	GetMaps       int64        `json:"getMaps"`
-	StatVersions  int64        `json:"statVersions"`
-	AllocLatency  LatencyStats `json:"allocLatency"`
-	CommitLatency LatencyStats `json:"commitLatency"`
-	// DedupChunks counts the chunk IDs MHasChunks probes carried and
-	// DedupHits those answered "already stored" — the manager-side ground
-	// truth for chunks that incremental checkpointing kept off the wire.
-	DedupChunks int64 `json:"dedupChunks"`
-	DedupHits   int64 `json:"dedupHits"`
-	// MapCache is always zero: the manager memoizes no maps and builds
-	// each one when it is read. The field stays only because the
-	// benchmark module's manager.mapcache_hit_ratio reads it.
-	MapCache        MapCacheStats `json:"mapCache"`
-	ReplicasCopied  int64         `json:"replicasCopied"`
-	ChunksCollected int64         `json:"chunksCollected"`
-	VersionsPruned  int64         `json:"versionsPruned"`
-	// Repair reports the priority repair scheduler (liveness-deficit
-	// bands, byte budget) and the scrub-driven corruption healing loop.
-	Repair RepairStats `json:"repair"`
-	// Journal* report the metadata journal's durability pipeline.
-	// JournalBatches counts flush batches reaching the file and
-	// JournalBatchLen the entries they carried — their ratio is the
-	// group-commit amortization (entries per flush/fsync). JournalFsyncs
-	// counts fsync syscalls; JournalErrors counts write/flush/fsync
-	// failures (the first also sticks: later commits fail fast and the
-	// manager's Close returns it).
-	JournalBatches  int64 `json:"journalBatches,omitempty"`
-	JournalBatchLen int64 `json:"journalBatchLen,omitempty"`
-	JournalFsyncs   int64 `json:"journalFsyncs,omitempty"`
-	JournalErrors   int64 `json:"journalErrors,omitempty"`
-	// JournalReplayed counts journal entries replayed at startup (past any
-	// snapshot's watermark); Snapshots counts catalog snapshots taken since
-	// start and SnapshotSeq the newest snapshot's ticket watermark.
-	JournalReplayed int64 `json:"journalReplayed,omitempty"`
-	Snapshots       int64 `json:"snapshots,omitempty"`
-	SnapshotSeq     int64 `json:"snapshotSeq,omitempty"`
+	// The fields up to CatalogStripes are views over Ops and Counters
+	// (SetViews) that the benchmark module reads. Transactions counts the
+	// paper's §V manager transactions (TransactionOps), Extends MExtend,
+	// GetMaps MGetMap and StatVersions MStatVersion; the latencies are
+	// MAlloc's and MCommit's. MapCache is always zero: the manager
+	// memoizes no maps and builds each one when it is read.
+	Transactions     int64         `json:"transactions"`
+	Extends          int64         `json:"extends"`
+	GetMaps          int64         `json:"getMaps"`
+	StatVersions     int64         `json:"statVersions"`
+	AllocLatency     LatencyStats  `json:"allocLatency"`
+	CommitLatency    LatencyStats  `json:"commitLatency"`
+	MapCache         MapCacheStats `json:"mapCache"`
+	LogicalBytes     int64         `json:"logicalBytes"`
+	StoredBytes      int64         `json:"storedBytes"`
+	DedupChunks      int64         `json:"dedupChunks"`
+	DedupHits        int64         `json:"dedupHits"`
+	JournalBatchLen  int64         `json:"journalBatchLen,omitempty"`
+	JournalFsyncs    int64         `json:"journalFsyncs,omitempty"`
+	StripeOps        int64         `json:"stripeOps"`
+	StripeContention int64         `json:"stripeContention"`
 	// CatalogStripes, ChunkStripes and SessionStripes report per-stripe
 	// lock-acquisition counters for the manager's striped metadata plane
 	// (dataset catalog, content-addressed chunk index, session table).
-	// StripeOps and StripeContention aggregate them plus the registry's
+	// CtrLockOps and CtrLockContended total them plus the registry's
 	// node-table lock: their ratio is the fraction of metadata lock
 	// acquisitions that found the lock held — the direct measure of §V.E
 	// metadata-plane serialization.
 	CatalogStripes []StripeStats `json:"catalogStripes,omitempty"`
 	ChunkStripes   []StripeStats `json:"chunkStripes,omitempty"`
 	SessionStripes []StripeStats `json:"sessionStripes,omitempty"`
-	// Registry reports the benefactor registry's lock acquisitions: like
-	// the stripes above, its Ops/Contended ratio measures how often
-	// registry traffic (alloc round-robin, extends, releases, heartbeats)
-	// found the node table held.
-	Registry         RegistryStats `json:"registry"`
-	StripeOps        int64         `json:"stripeOps"`
-	StripeContention int64         `json:"stripeContention"`
 	// Federation identifies this manager's place in a federated
 	// deployment; nil on a standalone manager.
 	Federation *FederationInfo `json:"federation,omitempty"`
-	// Admission reports the manager's load-shedding plane: pending-op
-	// bounds, queue depths, and how many requests were admitted vs shed.
-	Admission AdmissionStats `json:"admission"`
 }
+
+// Names of the manager counters that code outside the manager reads: the
+// views above, the grid, the experiments and the examples. The manager
+// declares each of these, and every other counter, once; a counter that
+// nothing reads by name has no constant here.
+const (
+	CtrBenefactorsOnline = "benefactors.online"
+	CtrDatasets          = "catalog.datasets"
+	CtrVersions          = "catalog.versions"
+	CtrUniqueChunks      = "catalog.chunks"
+	CtrLogicalBytes      = "catalog.logical_bytes"
+	CtrStoredBytes       = "catalog.stored_bytes"
+	CtrDedupChunks       = "dedup.chunks"
+	CtrDedupHits         = "dedup.hits"
+	CtrVersionsPruned    = "prune.versions"
+	CtrRepairCopiedBytes = "repair.copied_bytes"
+	CtrRepairFailed      = "repair.failed"
+	CtrRepairReconciled  = "repair.reconciled"
+	CtrDecommissions     = "repair.decommissions"
+	CtrJournalRecords    = "journal.records"
+	CtrJournalFsyncs     = "journal.fsyncs"
+	CtrJournalReplayed   = "journal.replayed"
+	CtrSnapshotSeq       = "snapshot.watermark"
+	CtrLockOps           = "locks.ops"
+	CtrLockContended     = "locks.contended"
+	CtrShed              = "admission.shed"
+	CtrConnShed          = "admission.conn_shed"
+	CtrPeakQueueDepth    = "admission.peak_depth"
+)
 
 // TransactionOps are the ops ManagerStats.Transactions counts: session
 // open, extend, commit and abort, delete, and the map and catalog reads.
 var TransactionOps = []string{MAlloc, MExtend, MCommit, MAbort, MDelete, MGetMap, MGetMaps, MStatVersion, MHistory, MDiff}
 
-// SetOpViews sets the fields that are views over s.Ops.
-func (s *ManagerStats) SetOpViews() {
+// SetViews sets the fields that are views over s.Ops and s.Counters.
+func (s *ManagerStats) SetViews() {
 	s.Transactions = 0
 	for _, op := range TransactionOps {
 		s.Transactions += s.Ops[op].Count
@@ -724,32 +705,14 @@ func (s *ManagerStats) SetOpViews() {
 	s.StatVersions = s.Ops[MStatVersion].Count
 	s.AllocLatency = s.Ops[MAlloc].Latency
 	s.CommitLatency = s.Ops[MCommit].Latency
-}
-
-// AdmissionStats reports manager-side admission control: the global
-// pending-op queue (alloc/extend/commit), its high-water mark, and shed
-// counts. Shed is requests rejected at the global gate with a typed
-// retry-after; ConnShed is frames rejected earlier still, at a
-// connection's inflight budget, before the dispatcher ever saw them.
-type AdmissionStats struct {
-	// MaxPending is the configured global pending-op bound (0 =
-	// unbounded: depth is tracked but nothing is shed).
-	MaxPending int `json:"maxPending,omitempty"`
-	// QueueDepth is the instantaneous count of admitted, unfinished ops.
-	QueueDepth int64 `json:"queueDepth"`
-	// PeakQueueDepth is the high-water mark of QueueDepth since start —
-	// under a working admission gate it never exceeds MaxPending.
-	PeakQueueDepth int64 `json:"peakQueueDepth"`
-	// Admitted and Shed partition gated requests: every gated request
-	// either entered the queue or was rejected with retry-after.
-	Admitted int64 `json:"admitted"`
-	Shed     int64 `json:"shed"`
-	// ConnShed counts session-tagged frames shed at a connection's
-	// inflight bound by the wire server's overload hook.
-	ConnShed int64 `json:"connShed"`
-	// RetryAfterMicros is the configured backoff hint handed to shed
-	// callers, in microseconds.
-	RetryAfterMicros int64 `json:"retryAfterMicros,omitempty"`
+	s.LogicalBytes = s.Counters[CtrLogicalBytes].Value
+	s.StoredBytes = s.Counters[CtrStoredBytes].Value
+	s.DedupChunks = s.Counters[CtrDedupChunks].Value
+	s.DedupHits = s.Counters[CtrDedupHits].Value
+	s.JournalBatchLen = s.Counters[CtrJournalRecords].Value
+	s.JournalFsyncs = s.Counters[CtrJournalFsyncs].Value
+	s.StripeOps = s.Counters[CtrLockOps].Value
+	s.StripeContention = s.Counters[CtrLockContended].Value
 }
 
 // LatencyStats is the wire form of a latency histogram.
@@ -770,42 +733,6 @@ type StripeStats struct {
 	Ops int64 `json:"ops"`
 	// Contended counts acquisitions that found the stripe already held.
 	Contended int64 `json:"contended"`
-}
-
-// RegistryStats reports the benefactor registry's node-table lock
-// acquisition counts and its reservation returns.
-type RegistryStats struct {
-	// Ops / Contended count node-table lock acquisitions, as StripeStats
-	// does for the metadata stripes.
-	Ops       int64 `json:"ops"`
-	Contended int64 `json:"contended"`
-	// Releases counts reservation returns (commit, abort and session
-	// expiry).
-	Releases int64 `json:"releases"`
-}
-
-// RepairStats reports the manager's priority repair plane. Pending and
-// Critical are gauges sampled at the last scheduler round: the number of
-// under-replicated chunks the round saw, and how many of those were down
-// to a single live replica (the critical band, repaired first). The rest
-// are cumulative counters since start.
-type RepairStats struct {
-	// Pending is the under-replicated job count at the last round (after
-	// the per-band round caps); Critical the 1-live-replica subset.
-	Pending  int64 `json:"pending"`
-	Critical int64 `json:"critical"`
-	// CopiedBytes accumulates the bytes of successfully created repair
-	// replicas; Failed counts jobs whose copy failed against every live
-	// source in a round (retried next round).
-	CopiedBytes int64 `json:"copiedBytes"`
-	Failed      int64 `json:"failed"`
-	// CorruptReported counts corrupt chunk locations dropped on benefactor
-	// scrub reports; Reconciled counts replica locations re-adopted from
-	// re-registration inventories (flap healing without re-replication).
-	CorruptReported int64 `json:"corruptReported"`
-	Reconciled      int64 `json:"reconciled"`
-	// Decommissions counts nodes declared dead and decommissioned.
-	Decommissions int64 `json:"decommissions"`
 }
 
 // FederationInfo describes a manager's membership in a federated

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"stdchk"
+	"stdchk/internal/proto"
 )
 
 func startCluster(t *testing.T, n int) *stdchk.Cluster {
@@ -202,7 +203,7 @@ func TestStandaloneManagerAndBenefactor(t *testing.T) {
 	defer ben.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for mgr.Stats().OnlineBenefactors == 0 {
+	for mgr.Stats().Counters[proto.CtrBenefactorsOnline].Value == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("benefactor never registered")
 		}
@@ -283,8 +284,8 @@ func TestPublicAPIFederatedCluster(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("federated round trip failed: %v", err)
 	}
-	if st := c.Stats(); st.Datasets != 3 {
-		t.Fatalf("merged cluster stats report %d datasets, want 3", st.Datasets)
+	if n := c.Stats().Counters[proto.CtrDatasets].Value; n != 3 {
+		t.Fatalf("merged cluster stats report %d datasets, want 3", n)
 	}
 	list, err := cl.List("fedapi")
 	if err != nil {
