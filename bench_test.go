@@ -1,7 +1,6 @@
 package stdchk_test
 
 import (
-	"io"
 	"testing"
 
 	"stdchk/internal/experiments"
@@ -26,7 +25,7 @@ func benchExperiment(b *testing.B, name string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.Run(experiments.Config{Scale: benchScale, Runs: 1, Out: io.Discard}); err != nil {
+		if _, err := r.Run(experiments.Config{Scale: benchScale, Runs: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -48,48 +48,47 @@ func run(args []string) error {
 		for _, r := range experiments.All() {
 			fmt.Printf("%-8s %s\n", r.Name, r.Title)
 		}
-		for _, r := range experiments.Ablations() {
-			fmt.Printf("%-8s %s\n", r.Name, r.Title)
-		}
 		return nil
 	}
-	cfg := experiments.Config{
-		Scale: *scale, Runs: *runs, Out: os.Stdout,
-		FsyncJournal: *fsyncJrnl,
+	var selected []experiments.Runner
+	for _, r := range experiments.All() {
+		switch {
+		case *ablations && r.Ablation,
+			!*ablations && *exp == "all" && !r.Ablation,
+			!*ablations && r.Name == *exp:
+			selected = append(selected, r)
+		}
 	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown experiment %q (use -list)", *exp)
+	}
+	var js *os.File
 	if *jsonPath != "" {
-		jf, err := os.Create(*jsonPath)
+		f, err := os.Create(*jsonPath)
 		if err != nil {
 			return fmt.Errorf("create %s: %w", *jsonPath, err)
 		}
-		defer jf.Close()
-		cfg.JSON = jf
+		defer f.Close()
+		js = f
 	}
 
-	runAll := func(runners []experiments.Runner) error {
-		for _, r := range runners {
-			fmt.Printf("=== %s: %s ===\n", r.Name, r.Title)
-			start := time.Now()
-			if err := r.Run(cfg); err != nil {
-				return fmt.Errorf("%s: %w", r.Name, err)
-			}
-			fmt.Printf("(%s completed in %v)\n\n", r.Name, time.Since(start).Round(time.Millisecond))
+	cfg := experiments.Config{Scale: *scale, Runs: *runs, FsyncJournal: *fsyncJrnl}
+	for _, r := range selected {
+		fmt.Printf("=== %s: %s ===\n", r.Name, r.Title)
+		start := time.Now()
+		tables, err := r.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", r.Name, err)
 		}
-		return nil
+		if err := experiments.Print(os.Stdout, tables); err != nil {
+			return err
+		}
+		if js != nil {
+			if err := experiments.EncodeJSON(js, r.Name, tables); err != nil {
+				return err
+			}
+		}
+		fmt.Printf("(%s completed in %v)\n\n", r.Name, time.Since(start).Round(time.Millisecond))
 	}
-	if *ablations {
-		return runAll(experiments.Ablations())
-	}
-	if *exp == "all" {
-		return runAll(experiments.All())
-	}
-	r, ok := experiments.Find(*exp)
-	if !ok {
-		r, ok = experiments.FindAblation(*exp)
-	}
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (use -list)", *exp)
-	}
-	fmt.Printf("=== %s: %s ===\n", r.Name, r.Title)
-	return r.Run(cfg)
+	return nil
 }

@@ -65,11 +65,6 @@ type Config struct {
 	// Shaper wraps accepted connections with device models (the node's
 	// NIC/disk).
 	Shaper wire.Shaper
-	// MaxConnInflight bounds concurrently dispatched session-tagged
-	// frames per connection (0 = wire.DefaultConnInflight). Pipelined
-	// clients ride this: a window of tagged BPut/BGetBatch frames is
-	// served concurrently, while untagged (serial) clients are untouched.
-	MaxConnInflight int
 	// DialShaper wraps outbound connections (replication pushes, manager
 	// calls).
 	DialShaper wire.Shaper
@@ -159,10 +154,11 @@ func New(cfg Config) (*Benefactor, error) {
 		b.births[id] = now
 	}
 	b.registerOps()
+	// Every donor serves wire.DefaultConnInflight tagged frames per
+	// connection at once, the budget the writer's maxNodePuts is sized to.
 	b.srv = wire.NewServerWithConfig(ln, wire.ServerConfig{
-		Handler:         b.ops.Serve,
-		Shaper:          cfg.Shaper,
-		MaxConnInflight: cfg.MaxConnInflight,
+		Handler: b.ops.Serve,
+		Shaper:  cfg.Shaper,
 	})
 
 	if members := federation.SplitMembers(cfg.ManagerAddr); len(members) > 0 {

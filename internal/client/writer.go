@@ -219,7 +219,7 @@ func (q *fifo[T]) popHead() (item T) {
 const maxProbeBatch = 32
 
 // maxNodePuts caps the put goroutines one Writer runs per stripe node. It
-// is sized to a default donor's dispatch budget — wire.DefaultConnInflight
+// is sized to a donor's dispatch budget — wire.DefaultConnInflight
 // concurrent handlers on each of the data pool's connections to it — past
 // which the donor serves a frame inline on the connection's read loop and
 // more puts in flight buy nothing. The write window is Config.BufferBytes,

@@ -14,42 +14,28 @@ import (
 	"stdchk/internal/workload"
 )
 
-// Ablations returns the extension experiments: design-choice benches that
-// the paper argues qualitatively (DESIGN.md §7) plus the paper's stated
-// future work.
-func Ablations() []Runner {
-	return []Runner{
-		{Name: "ablation-rolling", Title: "Rolling-hash CbCH vs paper's overlap/no-overlap", Run: AblationRolling},
-		{Name: "ablation-xenfix", Title: "Ordered Xen dumps restore similarity", Run: AblationXenFix},
-		{Name: "ablation-writepriority", Title: "Replication write-priority throttling", Run: AblationWritePriority},
-		{Name: "ablation-readpath", Title: "Restart read throughput vs stripe width and read-ahead", Run: AblationReadPath},
-	}
-}
-
-// FindAblation locates an ablation runner by name.
-func FindAblation(name string) (Runner, bool) {
-	for _, r := range Ablations() {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Runner{}, false
-}
+// The ablations (Runner.Ablation) bench design choices the paper argues
+// only qualitatively — the CbCH hash, replication's write priority, the
+// restart read path — plus the paper's stated future work, ordered Xen
+// dumps (§V.E).
 
 // AblationRolling compares the paper's overlap CbCH (window hash
 // recomputed at every byte) against an O(1)-per-byte rolling-hash variant,
 // on the same BLCR trace. The paper motivates GPU offload with overlap
 // CbCH's cost; the rolling hash is the software fix LBFS used.
-func AblationRolling(cfg Config) error {
+func AblationRolling(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	size := cfg.scaled(279_600_000)
 	if size < 16<<20 {
 		size = 16 << 20
 	}
 	tr := workload.BLCR5Min(21, 5, size)
-	fmt.Fprintf(cfg.Out, "Ablation: overlap CbCH vs rolling-hash CbCH (BLCR-5min, %d x %d MB)\n",
-		tr.Count(), size>>20)
-	fmt.Fprintf(cfg.Out, "%-36s %12s %12s\n", "technique", "similarity", "MB/s")
+	t := Table{
+		Name:    "rolling",
+		Title:   fmt.Sprintf("Ablation: overlap CbCH vs rolling-hash CbCH (BLCR-5min, %d x %d MB)", tr.Count(), size>>20),
+		Keys:    []string{"technique"},
+		Columns: []Column{col("similarity", "%", 1), col("throughput", "MB/s", 1)},
+	}
 	for _, h := range []chunker.Chunker{
 		chunker.ContentDefined{Window: 20, Bits: 14, Advance: 1},
 		chunker.ContentDefined{Window: 20, Bits: 14, Advance: 1, Rolling: true},
@@ -57,18 +43,17 @@ func AblationRolling(cfg Config) error {
 		chunker.Fixed{Size: 256 << 10},
 	} {
 		stats := chunker.EvalTrace(h, tr.Images)
-		fmt.Fprintf(cfg.Out, "%-36s %11.1f%% %12.1f\n",
-			h.Name(), 100*stats.SimilarityRatio(), stats.ThroughputMBps())
+		t.add(labels(h.Name()), 100*stats.SimilarityRatio(), stats.ThroughputMBps())
 	}
-	fmt.Fprintf(cfg.Out, "takeaway: the rolling hash keeps overlap CbCH's similarity detection at a\n")
-	fmt.Fprintf(cfg.Out, "fraction of its cost — an alternative to the paper's proposed GPU offload\n\n")
-	return nil
+	t.note("takeaway: the rolling hash keeps overlap CbCH's similarity detection at a")
+	t.note("fraction of its cost — an alternative to the paper's proposed GPU offload")
+	return []Table{t}, nil
 }
 
 // AblationXenFix evaluates the paper's stated future work: Xen checkpoint
 // images that preserve page order (and keep per-page metadata stable)
 // become dedup-friendly again.
-func AblationXenFix(cfg Config) error {
+func AblationXenFix(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	size := cfg.scaled(1_024_800_000)
 	if size < 16<<20 {
@@ -77,8 +62,12 @@ func AblationXenFix(cfg Config) error {
 	shuffled := workload.Xen(workload.XenParams{Seed: 31, Images: 4, Size: size})
 	ordered := workload.Xen(workload.XenParams{Seed: 31, Images: 4, Size: size, PreserveOrder: true})
 
-	fmt.Fprintf(cfg.Out, "Ablation: Xen page-order fix (%d x %d MB VM images)\n", 4, size>>20)
-	fmt.Fprintf(cfg.Out, "%-28s %18s %18s\n", "heuristic", "shuffled (stock)", "ordered (fix)")
+	t := Table{
+		Name:    "xen-order",
+		Title:   fmt.Sprintf("Ablation: Xen page-order fix (%d x %d MB VM images)", 4, size>>20),
+		Keys:    []string{"heuristic"},
+		Columns: []Column{col("shuffled (stock)", "%", 1), col("ordered (fix)", "%", 1)},
+	}
 	for _, h := range []chunker.Chunker{
 		chunker.Fixed{Size: 4 << 10},
 		chunker.Fixed{Size: 256 << 10},
@@ -86,18 +75,17 @@ func AblationXenFix(cfg Config) error {
 	} {
 		s1 := chunker.EvalTrace(h, shuffled.Images)
 		s2 := chunker.EvalTrace(h, ordered.Images)
-		fmt.Fprintf(cfg.Out, "%-28s %17.1f%% %17.1f%%\n",
-			h.Name(), 100*s1.SimilarityRatio(), 100*s2.SimilarityRatio())
+		t.add(labels(h.Name()), 100*s1.SimilarityRatio(), 100*s2.SimilarityRatio())
 	}
-	fmt.Fprintf(cfg.Out, "takeaway: ordering pages (and stabilizing per-page metadata) restores the\n")
-	fmt.Fprintf(cfg.Out, "similarity that stock Xen destroys (paper §V.E 'surprising result')\n\n")
-	return nil
+	t.note("takeaway: ordering pages (and stabilizing per-page metadata) restores the")
+	t.note("similarity that stock Xen destroys (paper §V.E 'surprising result')")
+	return []Table{t}, nil
 }
 
 // AblationWritePriority measures foreground write bandwidth while the
 // replication scheduler runs with and without write priority
 // (paper §IV.A: "Creation of new files has priority over replication").
-func AblationWritePriority(cfg Config) error {
+func AblationWritePriority(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	size := cfg.scaled(1 << 30)
 
@@ -176,20 +164,26 @@ func AblationWritePriority(cfg Config) error {
 		return sum.Mean(), nil
 	}
 
-	with, err := run(true)
-	if err != nil {
-		return err
+	t := Table{
+		Name:    "write-priority",
+		Title:   fmt.Sprintf("Ablation: foreground ASB while replication runs (target r=3, %d MB files)", size>>20),
+		Keys:    []string{"scheduler"},
+		Columns: []Column{col("ASB", "MB/s", 1)},
 	}
-	without, err := run(false)
-	if err != nil {
-		return err
+	for _, priority := range []bool{true, false} {
+		asb, err := run(priority)
+		if err != nil {
+			return nil, err
+		}
+		label := "with write priority"
+		if !priority {
+			label = "without write priority"
+		}
+		t.add(labels(label), asb)
 	}
-	fmt.Fprintf(cfg.Out, "Ablation: foreground ASB while replication runs (target r=3, %d MB files)\n", size>>20)
-	fmt.Fprintf(cfg.Out, "%-28s %12.1f MB/s\n", "with write priority", with)
-	fmt.Fprintf(cfg.Out, "%-28s %12.1f MB/s\n", "without write priority", without)
-	fmt.Fprintf(cfg.Out, "note: replication copies move benefactor-to-benefactor, off the client's\n")
-	fmt.Fprintf(cfg.Out, "links, so in this topology the interference the paper's priority rule\n")
-	fmt.Fprintf(cfg.Out, "guards against is modest; the rule matters when donors' disks/links are\n")
-	fmt.Fprintf(cfg.Out, "the shared bottleneck (narrower pools, busier donors)\n\n")
-	return nil
+	t.note("note: replication copies move benefactor-to-benefactor, off the client's")
+	t.note("links, so in this topology the interference the paper's priority rule")
+	t.note("guards against is modest; the rule matters when donors' disks/links are")
+	t.note("the shared bottleneck (narrower pools, busier donors)")
+	return []Table{t}, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -43,7 +42,7 @@ import (
 // Config.Runs sets the number of death+rejoin cycles (the time-to-repair
 // distribution); Config.Scale has no effect — the shape is fixed so the
 // band arithmetic (budget rounds per band) is preserved.
-func ChurnLoad(cfg Config) error {
+func ChurnLoad(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	const (
 		donors      = 6
@@ -60,23 +59,9 @@ func ChurnLoad(cfg Config) error {
 		healWait    = 30 * time.Second
 	)
 
-	type cell struct {
-		Experiment      string  `json:"experiment"`
-		Phase           string  `json:"phase"` // "flap" | "death" | "rejoin"
-		Run             int     `json:"run"`
-		Donor           string  `json:"donor"`
-		CriticalClearMs float64 `json:"criticalClearMs"` // kill -> critical band empty
-		RepairedMs      float64 `json:"repairedMs"`      // kill -> all chunks at target
-		CopiedBytes     int64   `json:"copiedBytes"`
-		Failed          int64   `json:"failed"`
-		Reconciled      int64   `json:"reconciled"`
-		Decommissions   int64   `json:"decommissions"`
-		ZeroLoss        bool    `json:"zeroLoss"`
-	}
-
 	dir, err := os.MkdirTemp("", "stdchk-churnload")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
 
@@ -96,7 +81,7 @@ func ChurnLoad(cfg Config) error {
 		GCInterval: time.Hour,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer c.Close()
 
@@ -119,15 +104,7 @@ func ChurnLoad(cfg Config) error {
 		for i := 0; i < count; i++ {
 			name := fmt.Sprintf("churn-r%d-%d.n1.t0", repl, i)
 			data := readloadImage(uint64(base+i)*0x9E3779B97F4A7C15+5, fileSize)
-			w, err := cl.Create(name)
-			if err == nil {
-				if _, err = w.Write(data); err == nil {
-					if err = w.Close(); err == nil {
-						err = w.Wait()
-					}
-				}
-			}
-			if err != nil {
+			if _, err := writeImage(cl, name, data); err != nil {
 				return fmt.Errorf("churnload: stage %s: %w", name, err)
 			}
 			sets = append(sets, dataset{name: name, data: data})
@@ -135,10 +112,10 @@ func ChurnLoad(cfg Config) error {
 		return nil
 	}
 	if err := stage(2, repl2Files, 0); err != nil {
-		return err
+		return nil, err
 	}
 	if err := stage(3, repl3Files, 100); err != nil {
-		return err
+		return nil, err
 	}
 
 	// awaitHealed polls the on-demand under-replication scan until every
@@ -182,7 +159,7 @@ func ChurnLoad(cfg Config) error {
 		}
 	}
 	if _, _, _, err := awaitHealed(time.Now(), false); err != nil {
-		return fmt.Errorf("churnload: staging never reached replication targets: %w", err)
+		return nil, fmt.Errorf("churnload: staging never reached replication targets: %w", err)
 	}
 
 	// verifyAll restores every dataset through a fresh client (fresh
@@ -211,32 +188,38 @@ func ChurnLoad(cfg Config) error {
 		return nil
 	}
 
-	fmt.Fprintf(cfg.Out, "Churn: %d disk-backed donors, %d repl-2 + %d repl-3 files (%d KB chunks), TTL %v, dead %v, budget %d KB/round\n",
-		donors, repl2Files, repl3Files, chunkSize>>10, nodeTTL, deadTimeout, byteBudget>>10)
-	fmt.Fprintf(cfg.Out, "%-8s %-4s %-9s %14s %12s %12s %10s %9s\n",
-		"phase", "run", "donor", "critClear(ms)", "repaired(ms)", "copied(B)", "reconciled", "zeroLoss")
-
-	var cells []cell
+	t := Table{
+		Name: "churn",
+		Title: fmt.Sprintf("Churn: %d disk-backed donors, %d repl-2 + %d repl-3 files (%d KB chunks), TTL %v, dead %v, budget %d KB/round",
+			donors, repl2Files, repl3Files, chunkSize>>10, nodeTTL, deadTimeout, byteBudget>>10),
+		Keys: []string{"phase", "run", "donor"},
+		Columns: []Column{
+			// critClear: kill -> critical band empty; repaired: kill ->
+			// all chunks at target.
+			col("critClear", "ms", 1), col("repaired", "ms", 1), col("copied", "B", 0),
+			col("failed", "", 0), col("reconciled", "", 0), col("decommissions", "", 0), col("zeroLoss", "bool", 0),
+		},
+	}
 	repairBefore := func() (int64, int64, int64, int64) {
 		s := c.Manager.Stats().Counters
 		return s[proto.CtrRepairCopiedBytes].Value, s[proto.CtrRepairFailed].Value,
 			s[proto.CtrRepairReconciled].Value, s[proto.CtrDecommissions].Value
 	}
-	emit := func(cl cell) {
-		cells = append(cells, cl)
-		fmt.Fprintf(cfg.Out, "%-8s %-4d %-9s %14.1f %12.1f %12d %10d %9v\n",
-			cl.Phase, cl.Run, cl.Donor, cl.CriticalClearMs, cl.RepairedMs, cl.CopiedBytes, cl.Reconciled, cl.ZeroLoss)
+	// emit adds a phase's row; every phase has passed verifyAll, so
+	// zeroLoss is true.
+	emit := func(phase string, run int, donor string, critMs, repMs float64, copied, failed, reconciled, decommissions int64) {
+		t.add(labels(phase, run, donor), critMs, repMs, float64(copied), float64(failed), float64(reconciled), float64(decommissions), 1)
 	}
 
 	// --- flap: kill + disk-intact restart inside the TTL ---------------
 	flapDonor := 0
 	copied0, _, rec0, _ := repairBefore()
 	if err := c.StopBenefactor(flapDonor); err != nil {
-		return err
+		return nil, err
 	}
 	killT := time.Now()
 	if _, err := c.RestartBenefactor(flapDonor); err != nil {
-		return err
+		return nil, err
 	}
 	// The rejoin is complete once the registration's inventory reconciled.
 	for deadline := time.Now().Add(healWait); ; {
@@ -244,25 +227,21 @@ func ChurnLoad(cfg Config) error {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("churnload: flap rejoin never reconciled")
+			return nil, fmt.Errorf("churnload: flap rejoin never reconciled")
 		}
 		time.Sleep(pollEvery)
 	}
 	if err := c.AwaitOnline(donors, healWait); err != nil {
-		return err
+		return nil, err
 	}
 	if _, _, _, err := awaitHealed(killT, false); err != nil {
-		return err
+		return nil, err
 	}
 	if err := verifyAll(); err != nil {
-		return err
+		return nil, err
 	}
 	copied1, _, rec1, _ := repairBefore()
-	emit(cell{
-		Experiment: "churnload", Phase: "flap", Run: 0, Donor: "benef-0",
-		RepairedMs:  float64(time.Since(killT).Microseconds()) / 1000,
-		CopiedBytes: copied1 - copied0, Reconciled: rec1 - rec0, ZeroLoss: true,
-	})
+	emit("flap", 0, "benef-0", 0, float64(time.Since(killT).Microseconds())/1000, copied1-copied0, 0, rec1-rec0, 0)
 
 	// --- death + rejoin cycles -----------------------------------------
 	for run := 0; run < cfg.Runs; run++ {
@@ -271,18 +250,18 @@ func ChurnLoad(cfg Config) error {
 		copied0, failed0, rec0, dec0 := repairBefore()
 
 		if err := c.StopBenefactor(victim); err != nil {
-			return err
+			return nil, err
 		}
 		killT := time.Now()
 		critMs, repMs, sawSplit, err := awaitHealed(killT, true)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !sawSplit {
-			return fmt.Errorf("churnload: run %d: never observed critical band empty while bulk repairs outstanding — priority repair did not engage", run)
+			return nil, fmt.Errorf("churnload: run %d: never observed critical band empty while bulk repairs outstanding — priority repair did not engage", run)
 		}
 		if critMs > repMs {
-			return fmt.Errorf("churnload: run %d: critical band cleared at %.1f ms, after full repair at %.1f ms", run, critMs, repMs)
+			return nil, fmt.Errorf("churnload: run %d: critical band cleared at %.1f ms, after full repair at %.1f ms", run, critMs, repMs)
 		}
 		// Wait out the dead timeout: the silent donor must be declared
 		// dead and decommissioned, not linger as a suspect forever.
@@ -291,59 +270,41 @@ func ChurnLoad(cfg Config) error {
 				break
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("churnload: run %d: %s never decommissioned past DeadTimeout", run, donor)
+				return nil, fmt.Errorf("churnload: run %d: %s never decommissioned past DeadTimeout", run, donor)
 			}
 			time.Sleep(pollEvery)
 		}
 		// Zero-loss while the donor is still dead: all data must restore
 		// from the survivors alone.
 		if err := verifyAll(); err != nil {
-			return fmt.Errorf("churnload: run %d death: %w", run, err)
+			return nil, fmt.Errorf("churnload: run %d death: %w", run, err)
 		}
 		copied1, failed1, _, dec1 := repairBefore()
 		if copied1 == copied0 {
-			return fmt.Errorf("churnload: run %d: death repaired with zero copied bytes", run)
+			return nil, fmt.Errorf("churnload: run %d: death repaired with zero copied bytes", run)
 		}
-		emit(cell{
-			Experiment: "churnload", Phase: "death", Run: run, Donor: donor,
-			CriticalClearMs: critMs, RepairedMs: repMs,
-			CopiedBytes: copied1 - copied0, Failed: failed1 - failed0,
-			Decommissions: dec1 - dec0, ZeroLoss: true,
-		})
+		emit("death", run, donor, critMs, repMs, copied1-copied0, failed1-failed0, 0, dec1-dec0)
 
 		// Rejoin: the decommissioned donor returns with its disk intact.
 		_, _, rec0, _ = repairBefore()
 		if _, err := c.RestartBenefactor(victim); err != nil {
-			return err
+			return nil, err
 		}
 		rejoinT := time.Now()
 		if err := c.AwaitOnline(donors, healWait); err != nil {
-			return fmt.Errorf("churnload: run %d: dead donor %s could not rejoin: %w", run, donor, err)
+			return nil, fmt.Errorf("churnload: run %d: dead donor %s could not rejoin: %w", run, donor, err)
 		}
 		if _, _, _, err := awaitHealed(rejoinT, false); err != nil {
-			return err
+			return nil, err
 		}
 		if err := verifyAll(); err != nil {
-			return fmt.Errorf("churnload: run %d rejoin: %w", run, err)
+			return nil, fmt.Errorf("churnload: run %d rejoin: %w", run, err)
 		}
 		_, _, rec1, _ := repairBefore()
-		emit(cell{
-			Experiment: "churnload", Phase: "rejoin", Run: run, Donor: donor,
-			RepairedMs: float64(time.Since(rejoinT).Microseconds()) / 1000,
-			Reconciled: rec1 - rec0, ZeroLoss: true,
-		})
+		emit("rejoin", run, donor, 0, float64(time.Since(rejoinT).Microseconds())/1000, 0, 0, rec1-rec0, 0)
 	}
 
-	fmt.Fprintf(cfg.Out, "flap heals by inventory reconciliation (no copies); death repairs critical-first under the byte budget, then decommissions; rejoin re-adopts surviving replicas\n")
-	fmt.Fprintf(cfg.Out, "paper: §IV.A data replication + soft-state registration mask donation churn; every restore above was byte-identical\n\n")
-
-	if cfg.JSON != nil {
-		enc := json.NewEncoder(cfg.JSON)
-		for _, cl := range cells {
-			if err := enc.Encode(cl); err != nil {
-				return fmt.Errorf("churnload: json: %w", err)
-			}
-		}
-	}
-	return nil
+	t.note("flap heals by inventory reconciliation (no copies); death repairs critical-first under the byte budget, then decommissions; rejoin re-adopts surviving replicas")
+	t.note("paper: §IV.A data replication + soft-state registration mask donation churn; every restore above was byte-identical")
+	return []Table{t}, nil
 }

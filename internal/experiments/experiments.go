@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V). Each experiment is a named runner that drives the real
 // stdchk stack — manager, benefactors, clients over loopback TCP — with
-// device models calibrated to the paper's testbed, and prints rows in the
-// paper's layout next to the paper's reported values.
+// device models calibrated to the paper's testbed, and returns its result
+// tables (results.go) in the paper's layout, with the paper's reported
+// values in the footers.
 //
 // Sizes are scaled down by Config.Scale (default 64: the paper's 1 GB
 // test file becomes 16 MB) so a full sweep finishes in minutes; bandwidth
@@ -13,8 +14,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"stdchk/internal/client"
@@ -22,6 +23,7 @@ import (
 	"stdchk/internal/device"
 	"stdchk/internal/grid"
 	"stdchk/internal/manager"
+	"stdchk/internal/metrics"
 )
 
 // Config parameterizes a run.
@@ -31,12 +33,6 @@ type Config struct {
 	// Runs is the number of repetitions per configuration (the paper
 	// averages 20; 3 keeps the full sweep quick).
 	Runs int
-	// Out receives the formatted tables.
-	Out io.Writer
-	// JSON, when non-nil, receives machine-readable result records
-	// (JSON lines) from experiments that emit them (managerload). The
-	// nightly CI job archives this stream.
-	JSON io.Writer
 	// FsyncJournal runs journaled experiments with group-commit fsync
 	// (stdchk-bench -fsync-journal): commits wait for their batch's fsync,
 	// concurrent commits share it. The managerload sweep always measures
@@ -50,9 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Runs <= 0 {
 		c.Runs = 3
-	}
-	if c.Out == nil {
-		c.Out = io.Discard
 	}
 	return c
 }
@@ -86,11 +79,16 @@ type Runner struct {
 	Name string
 	// Title is the paper artifact it regenerates.
 	Title string
-	// Run executes the experiment and prints its table(s).
-	Run func(Config) error
+	// Ablation marks the design-choice benches that the paper argues
+	// qualitatively, plus its stated future work; stdchk-bench runs them
+	// with -ablations rather than in -exp all.
+	Ablation bool
+	// Run executes the experiment and returns its tables.
+	Run func(Config) ([]Table, error)
 }
 
-// All returns the experiment registry in paper order.
+// All returns the experiment registry: the paper's evaluation in paper
+// order, then the ablations.
 func All() []Runner {
 	return []Runner{
 		{Name: "table1", Title: "Table 1: time to write 1 GB (local vs FUSE vs /stdchk/null)", Run: Table1},
@@ -113,6 +111,10 @@ func All() []Runner {
 		{Name: "openload", Title: "Open-loop traffic: latency vs Poisson offered load over mux'd connections, with the admission-control ablation", Run: OpenLoad},
 		{Name: "readload", Title: "Pipelined data plane (§IV.E read path): restore MB/s vs chunk size, serial stop-and-wait vs batched mux transport", Run: ReadLoad},
 		{Name: "churnload", Title: "Benefactor churn (§III donation dynamics): flap/death/rejoin cycles, priority repair timeline, zero-loss restores", Run: ChurnLoad},
+		{Name: "ablation-rolling", Title: "Rolling-hash CbCH vs paper's overlap/no-overlap", Ablation: true, Run: AblationRolling},
+		{Name: "ablation-xenfix", Title: "Ordered Xen dumps restore similarity", Ablation: true, Run: AblationXenFix},
+		{Name: "ablation-writepriority", Title: "Replication write-priority throttling", Ablation: true, Run: AblationWritePriority},
+		{Name: "ablation-readpath", Title: "Restart read throughput vs stripe width and read-ahead", Ablation: true, Run: AblationReadPath},
 	}
 }
 
@@ -175,6 +177,23 @@ func writeOnce(cl *client.Client, name string, size int64, block int) (client.Wr
 	return w.Metrics(), nil
 }
 
+// writeImage writes img through a fresh writer in one Write and returns
+// the metrics once the version is committed.
+func writeImage(cl *client.Client, name string, img []byte) (client.WriteMetrics, error) {
+	w, err := cl.Create(name)
+	if err == nil {
+		if _, err = w.Write(img); err == nil {
+			if err = w.Close(); err == nil {
+				err = w.Wait()
+			}
+		}
+	}
+	if err != nil {
+		return client.WriteMetrics{}, err
+	}
+	return w.Metrics(), nil
+}
+
 // appBlock is the application write granularity used throughout the
 // evaluation (a typical FUSE max write of the era).
 const appBlock = 128 << 10
@@ -193,15 +212,69 @@ func protoClient(c *grid.Cluster, p client.Protocol, width int, chunk int64, buf
 	return cl, err
 }
 
-// fmtMB formats a throughput cell.
-func fmtMB(v float64) string { return fmt.Sprintf("%7.1f", v) }
+// memo holds the tables of the sweeps that several runners share (Figures
+// 2 and 3 read one protocol sweep, Figures 4 and 5 one buffer sweep),
+// keyed by sweep and configuration.
+var memo struct {
+	mu     sync.Mutex
+	tables map[string][]Table
+}
 
-// sortedKeys returns sorted map keys for deterministic table output.
-func sortedKeys(m map[int]float64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// memoized returns the tables run produced for key, running it on the
+// first call.
+func memoized(key string, run func() ([]Table, error)) ([]Table, error) {
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	if t, ok := memo.tables[key]; ok {
+		return t, nil
 	}
-	sort.Ints(out)
-	return out
+	t, err := run()
+	if err != nil {
+		return nil, err
+	}
+	if memo.tables == nil {
+		memo.tables = map[string][]Table{}
+	}
+	memo.tables[key] = t
+	return t, nil
+}
+
+// fileSeq numbers the files measureCell writes, so no two share a name.
+var fileSeq atomic.Int64
+
+// cellMeans are the means of one measurement cell's repetitions.
+type cellMeans struct {
+	oab, asb float64 // MB/s
+	probe    float64 // mean of the probe's values
+}
+
+// measureCell runs one cell's repetitions on cluster c: each writes a
+// size-byte file through a fresh client (newClient), hands the client
+// and the file name to probe when probe is set, then deletes the file
+// and closes the client. CollectAll then reclaims the deleted chunks.
+func measureCell(c *grid.Cluster, runs int, size int64, newClient func() (*client.Client, error), probe func(*client.Client, string) (float64, error)) (cellMeans, error) {
+	var oab, asb, pr metrics.Summary
+	for run := 0; run < runs; run++ {
+		cl, err := newClient()
+		if err != nil {
+			return cellMeans{}, err
+		}
+		name := fmt.Sprintf("cell.n%d.t0", fileSeq.Add(1))
+		m, err := writeOnce(cl, name, size, appBlock)
+		if err == nil && probe != nil {
+			var v float64
+			v, err = probe(cl, name)
+			pr.Add(v)
+		}
+		if err != nil {
+			cl.Close()
+			return cellMeans{}, err
+		}
+		oab.Add(m.OABMBps())
+		asb.Add(m.ASBMBps())
+		cl.Delete(name, 0)
+		cl.Close()
+	}
+	c.CollectAll()
+	return cellMeans{oab: oab.Mean(), asb: asb.Mean(), probe: pr.Mean()}, nil
 }

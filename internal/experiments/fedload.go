@@ -1,18 +1,15 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"stdchk/internal/core"
 	"stdchk/internal/federation"
 	"stdchk/internal/manager"
 	"stdchk/internal/proto"
-	"stdchk/internal/workload"
 )
 
 // FedLoad extends the §V.E manager-load sweep across a federated metadata
@@ -32,7 +29,7 @@ import (
 // Like managerload, the checkpoint shape (64 KB, 32 chunks) and the sweep
 // sizes are fixed so runs stay comparable; Config.Scale has no effect
 // here and only Runs stretches the per-cell duration.
-func FedLoad(cfg Config) error {
+func FedLoad(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	const (
 		imageSize   = 64 << 10
@@ -43,77 +40,56 @@ func FedLoad(cfg Config) error {
 	writersSweep := []int{16, 64}
 	cellDur := 200 * time.Millisecond * time.Duration(cfg.Runs)
 
-	type cell struct {
-		Experiment string  `json:"experiment"`
-		Managers   int     `json:"managers"`
-		Writers    int     `json:"writers"`
-		TPS        float64 `json:"tps"`
-		Checkpoint float64 `json:"checkpointsPerSec"`
-		MemberTxns []int64 `json:"memberTransactions"`
+	t := Table{
+		Name:    "fedload",
+		Title:   fmt.Sprintf("Federated metadata plane load (§V.E extension): %d-chunk checkpoints of %d KB over real sockets", chunksPerCk, imageSize>>10),
+		Keys:    []string{"managers", "writers"},
+		Columns: []Column{col("tps", "1/s", 0), col("ckpts/s", "1/s", 0)},
 	}
-
-	fmt.Fprintf(cfg.Out, "Federated metadata plane load (§V.E extension): %d-chunk checkpoints of %d KB over real sockets\n",
-		chunksPerCk, imageSize>>10)
-	fmt.Fprintf(cfg.Out, "GOMAXPROCS=%d (aggregate scaling needs enough CPUs to run the members in parallel)\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintf(cfg.Out, "%-9s %8s %12s %14s %22s\n", "managers", "writers", "tps", "ckpts/s", "member txn spread")
-
-	var cells []cell
+	// The member transaction spread: one column per member of the
+	// largest federation, "-" past a row's member count.
+	maxManagers := managersSweep[len(managersSweep)-1]
+	for i := 0; i < maxManagers; i++ {
+		t.Columns = append(t.Columns, col(fmt.Sprintf("member %d txns", i), "", 0))
+	}
+	t.note("GOMAXPROCS=%d (aggregate scaling needs enough CPUs to run the members in parallel)", runtime.GOMAXPROCS(0))
 	tpsAt := make(map[[2]int]float64)
 	for _, w := range writersSweep {
 		for _, n := range managersSweep {
-			res, err := fedLoadCell(n, w, cellDur, imageSize, chunksPerCk, benefactors)
+			tps, ckps, memberTxns, err := fedLoadCell(n, w, cellDur, imageSize, chunksPerCk, benefactors)
 			if err != nil {
-				return fmt.Errorf("fedload %dx%d: %w", n, w, err)
+				return nil, fmt.Errorf("fedload %dx%d: %w", n, w, err)
 			}
-			fmt.Fprintf(cfg.Out, "%-9d %8d %12.0f %14.0f %22s\n",
-				n, w, res.tps, res.ckps, fmtSpread(res.memberTxns))
-			tpsAt[[2]int{n, w}] = res.tps
-			cells = append(cells, cell{
-				Experiment: "fedload", Managers: n, Writers: w,
-				TPS: res.tps, Checkpoint: res.ckps, MemberTxns: res.memberTxns,
-			})
+			cells := []float64{tps, ckps}
+			for i := 0; i < maxManagers; i++ {
+				v := math.NaN()
+				if i < len(memberTxns) {
+					v = float64(memberTxns[i])
+				}
+				cells = append(cells, v)
+			}
+			t.add(labels(n, w), cells...)
+			tpsAt[[2]int{n, w}] = tps
 		}
+	}
+	scaling := Table{
+		Name:    "scaling",
+		Title:   "Aggregate tps vs one manager",
+		Keys:    []string{"writers"},
+		Columns: []Column{col("2 managers", "x", 2), col("4 managers", "x", 2)},
 	}
 	for _, w := range writersSweep {
-		base := tpsAt[[2]int{1, w}]
-		if base > 0 {
-			fmt.Fprintf(cfg.Out, "aggregate tps at %d writers: %.2fx (2 managers), %.2fx (4 managers) vs one manager\n",
-				w, tpsAt[[2]int{2, w}]/base, tpsAt[[2]int{4, w}]/base)
+		if base := tpsAt[[2]int{1, w}]; base > 0 {
+			scaling.add(labels(w), tpsAt[[2]int{2, w}]/base, tpsAt[[2]int{4, w}]/base)
 		}
 	}
-	fmt.Fprintf(cfg.Out, "paper: one manager sustains well over 1,000 transactions per second (§V.E); federation multiplies managers\n\n")
-
-	if cfg.JSON != nil {
-		enc := json.NewEncoder(cfg.JSON)
-		for _, c := range cells {
-			if err := enc.Encode(c); err != nil {
-				return fmt.Errorf("fedload: json: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-func fmtSpread(txns []int64) string {
-	s := ""
-	for i, t := range txns {
-		if i > 0 {
-			s += "/"
-		}
-		s += fmt.Sprintf("%d", t)
-	}
-	return s
-}
-
-type fedLoadResult struct {
-	tps        float64
-	ckps       float64
-	memberTxns []int64
+	scaling.note("paper: one manager sustains well over 1,000 transactions per second (§V.E); federation multiplies managers")
+	return []Table{t, scaling}, nil
 }
 
 // fedLoadCell runs one (managers, writers) configuration for roughly dur:
 // a real federation over loopback TCP with a shared partition router.
-func fedLoadCell(managers, writers int, dur time.Duration, imageSize int64, chunksPerCk, benefactors int) (fedLoadResult, error) {
+func fedLoadCell(managers, writers int, dur time.Duration, imageSize int64, chunksPerCk, benefactors int) (tps, ckps float64, memberTxns []int64, err error) {
 	mgrs, members, err := manager.NewFederation(managers, manager.Config{
 		HeartbeatInterval:   time.Hour, // load cells outlive no heartbeats
 		ReplicationInterval: time.Hour,
@@ -121,7 +97,7 @@ func fedLoadCell(managers, writers int, dur time.Duration, imageSize int64, chun
 		SessionTTL:          time.Hour,
 	})
 	if err != nil {
-		return fedLoadResult{}, err
+		return 0, 0, nil, err
 	}
 	defer func() {
 		for _, m := range mgrs {
@@ -131,11 +107,11 @@ func fedLoadCell(managers, writers int, dur time.Duration, imageSize int64, chun
 
 	router, err := federation.NewRouter(federation.RouterConfig{Members: members})
 	if err != nil {
-		return fedLoadResult{}, err
+		return 0, 0, nil, err
 	}
 	defer router.Close()
 	if _, err := router.MemberStats(); err != nil {
-		return fedLoadResult{}, fmt.Errorf("federation unhealthy at start: %w", err)
+		return 0, 0, nil, fmt.Errorf("federation unhealthy at start: %w", err)
 	}
 	for i := 0; i < benefactors; i++ {
 		req := proto.RegisterReq{
@@ -145,45 +121,15 @@ func fedLoadCell(managers, writers int, dur time.Duration, imageSize int64, chun
 			Free:     1 << 40,
 		}
 		if _, err := router.Register(req); err != nil {
-			return fedLoadResult{}, err
+			return 0, 0, nil, err
 		}
 	}
 
-	specs := workload.ManyWriters(42, writers, 0, imageSize)
-	chunkSize := imageSize / int64(chunksPerCk)
-	var ops atomic.Int64
-	var errOnce sync.Once
-	var loadErr error
-	start := time.Now()
-	deadline := start.Add(dur)
-	var wg sync.WaitGroup
-	for _, spec := range specs {
-		wg.Add(1)
-		go func(spec workload.WriterSpec) {
-			defer wg.Done()
-			for t := 0; time.Now().Before(deadline); t++ {
-				n, err := manager.DriveCheckpoint(router.Call, spec.FileName(t), spec.Seed, t, chunksPerCk, chunkSize, spec.CbCH)
-				ops.Add(n)
-				if err != nil {
-					errOnce.Do(func() { loadErr = err })
-					return
-				}
-			}
-		}(spec)
+	if tps, ckps, err = driveWriters(router.Call, writers, dur, imageSize, chunksPerCk); err != nil {
+		return 0, 0, nil, err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if loadErr != nil {
-		return fedLoadResult{}, loadErr
+	for _, m := range mgrs {
+		memberTxns = append(memberTxns, m.Stats().Transactions)
 	}
-	memberTxns := make([]int64, len(mgrs))
-	for i, m := range mgrs {
-		memberTxns[i] = m.Stats().Transactions
-	}
-	total := float64(ops.Load())
-	return fedLoadResult{
-		tps:        total / elapsed.Seconds(),
-		ckps:       total / manager.DriveCheckpointOps / elapsed.Seconds(),
-		memberTxns: memberTxns,
-	}, nil
+	return tps, ckps, memberTxns, nil
 }

@@ -16,7 +16,7 @@ import (
 // paper reports slightly lower OAB with FsCH (hashing overhead, worst with
 // large buffers where the write is memory-bound) in exchange for ~24% less
 // storage space and network effort.
-func Fig7(cfg Config) error {
+func Fig7(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	chunk := cfg.chunkSize()
 	images := 75
@@ -27,14 +27,16 @@ func Fig7(cfg Config) error {
 
 	c, err := paperCluster(4, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer c.Close()
 
-	fmt.Fprintf(cfg.Out, "Figure 7: sliding window ± FsCH, %d successive BLCR images of %d KB (scaled 1/%d)\n",
-		images, imgSize>>10, cfg.Scale)
-	fmt.Fprintf(cfg.Out, "%-14s %-8s %10s %10s %14s\n",
-		"buffer", "FsCH", "OAB MB/s", "ASB MB/s", "bytes saved")
+	t := Table{
+		Name:    "fsch",
+		Title:   fmt.Sprintf("Figure 7: sliding window ± FsCH, %d successive BLCR images of %d KB (scaled 1/%d)", images, imgSize>>10, cfg.Scale),
+		Keys:    []string{"buffer (paper)", "FsCH"},
+		Columns: []Column{col("OAB", "MB/s", 1), col("ASB", "MB/s", 1), col("bytes saved", "%", 1)},
+	}
 
 	for _, paperBuf := range []int64{64 << 20, 128 << 20, 256 << 20} {
 		for _, incremental := range []bool{false, true} {
@@ -49,30 +51,17 @@ func Fig7(cfg Config) error {
 				Semantics:   core.WriteOptimistic,
 			}, device.PaperNode())
 			if err != nil {
-				return err
+				return nil, err
 			}
 			var oab, asb metrics.Summary
 			var logical, uploaded int64
 			for i, img := range tr.Images {
 				name := fmt.Sprintf("fsch%d%v.n1.t%d", paperBuf>>20, incremental, i)
-				w, err := cl.Create(name)
+				m, err := writeImage(cl, name, img)
 				if err != nil {
 					cl.Close()
-					return err
+					return nil, err
 				}
-				if _, err := w.Write(img); err != nil {
-					cl.Close()
-					return err
-				}
-				if err := w.Close(); err != nil {
-					cl.Close()
-					return err
-				}
-				if err := w.Wait(); err != nil {
-					cl.Close()
-					return err
-				}
-				m := w.Metrics()
 				oab.Add(m.OABMBps())
 				asb.Add(m.ASBMBps())
 				logical += m.Bytes
@@ -82,15 +71,14 @@ func Fig7(cfg Config) error {
 			if logical > 0 {
 				saved = 100 * float64(logical-uploaded) / float64(logical)
 			}
-			fmt.Fprintf(cfg.Out, "%5dMB (paper) %-8v %s %s %13.1f%%\n",
-				paperBuf>>20, incremental, fmtMB(oab.Mean()), fmtMB(asb.Mean()), saved)
+			t.add(labels(fmt.Sprintf("%dMB", paperBuf>>20), incremental), oab.Mean(), asb.Mean(), saved)
 			// Clear state between configurations.
 			cl.Delete(fmt.Sprintf("fsch%d%v.n1", paperBuf>>20, incremental), 0)
 			cl.Close()
 			c.CollectAll()
 		}
 	}
-	fmt.Fprintf(cfg.Out, "paper: SW-FsCH ≈116 MB/s OAB / 84 MB/s ASB, 24%% space+network saving;\n")
-	fmt.Fprintf(cfg.Out, "       at 256 MB buffers OAB drops ≈25%% (memory-bound write pays the hashing)\n\n")
-	return nil
+	t.note("paper: SW-FsCH ≈116 MB/s OAB / 84 MB/s ASB, 24%% space+network saving;")
+	t.note("       at 256 MB buffers OAB drops ≈25%% (memory-bound write pays the hashing)")
+	return []Table{t}, nil
 }

@@ -16,7 +16,7 @@ import (
 // at 10-second intervals. The paper sustains ≈280 MB/s aggregate, limited
 // by the testbed's networking configuration — modelled here as a shared
 // fabric cap.
-func Fig8(cfg Config) error {
+func Fig8(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	const (
 		clients       = 7
@@ -39,7 +39,7 @@ func Fig8(cfg Config) error {
 
 	c, err := paperCluster(20, fabricBps)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer c.Close()
 
@@ -82,21 +82,31 @@ func Fig8(cfg Config) error {
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
-		return err
+		return nil, err
 	}
 	elapsed := time.Since(start)
 
-	fmt.Fprintf(cfg.Out, "Figure 8: %d clients x %d files x %d MB over 20 benefactors (scaled 1/%d)\n",
-		clients, files, fileSize>>20, cfg.Scale)
-	fmt.Fprintf(cfg.Out, "%10s %12s\n", "t (bucket)", "MB/s")
-	for _, p := range agg.Series() {
-		fmt.Fprintf(cfg.Out, "%10v %12.1f\n", p.T, p.MBps)
+	series := Table{
+		Name:    "aggregate",
+		Title:   fmt.Sprintf("Figure 8: %d clients x %d files x %d KB over 20 benefactors (scaled 1/%d)", clients, files, fileSize>>10, cfg.Scale),
+		Keys:    []string{"t (bucket)"},
+		Columns: []Column{col("aggregate", "MB/s", 1)},
 	}
-	fmt.Fprintf(cfg.Out, "total: %.1f MB in %v; sustained peak (3 buckets): %.1f MB/s\n",
-		float64(agg.Total())/1e6, elapsed.Round(time.Millisecond), agg.SustainedPeak(3))
+	for _, p := range agg.Series() {
+		series.add(labels(p.T), p.MBps)
+	}
 	stats := c.Manager.Stats()
-	fmt.Fprintf(cfg.Out, "manager transactions: %d (%0.1f per write)\n",
-		stats.Transactions, float64(stats.Transactions)/float64(clients*files))
-	fmt.Fprintf(cfg.Out, "paper: sustained ≈280 MB/s (fabric-limited), ≈2800 transactions for 700 writes\n\n")
-	return nil
+	summary := Table{
+		Name:  "summary",
+		Title: "Figure 8 summary",
+		Keys:  []string{"clients"},
+		Columns: []Column{
+			col("total", "MB", 1), col("elapsed", "s", 3), col("sustained peak (3 buckets)", "MB/s", 1),
+			col("fabric cap", "MB/s", 1), col("manager transactions", "", 0), col("per write", "", 1),
+		},
+	}
+	summary.add(labels(clients), float64(agg.Total())/1e6, elapsed.Seconds(), agg.SustainedPeak(3),
+		fabricBps/1e6, float64(stats.Transactions), float64(stats.Transactions)/float64(clients*files))
+	summary.note("paper: sustained ≈280 MB/s (fabric-limited), ≈2800 transactions for 700 writes")
+	return []Table{series, summary}, nil
 }

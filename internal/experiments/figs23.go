@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"stdchk/internal/client"
 	"stdchk/internal/device"
@@ -10,164 +9,117 @@ import (
 	"stdchk/internal/metrics"
 )
 
-// protocolSweepResult holds Figures 2 and 3: OAB and ASB per protocol per
-// stripe width, plus the width-independent baselines.
-type protocolSweepResult struct {
-	widths []int
-	// oab[proto][width], asb[proto][width] in MB/s
-	oab map[string]map[int]float64
-	asb map[string]map[int]float64
-	// baselines in MB/s
-	local float64
-	fuse  float64
-	nfs   float64
-}
+// sweepWidths are the stripe widths of Figures 2 to 5.
+var sweepWidths = []int{1, 2, 4, 8}
 
-var sweepMemo struct {
-	mu  sync.Mutex
-	key string
-	res *protocolSweepResult
+// widthColumns are one MB/s column per stripe width.
+func widthColumns(widths []int) []Column {
+	cols := make([]Column, len(widths))
+	for i, w := range widths {
+		cols[i] = col(fmt.Sprintf("width %d", w), "MB/s", 1)
+	}
+	return cols
 }
 
 // runProtocolSweep measures CLW, IW and SW across stripe widths on a
-// paper-calibrated cluster. Figures 2 and 3 share one sweep (memoized per
+// paper-calibrated cluster and returns the OAB table (Figure 2) and the
+// ASB table (Figure 3). The two figures share one sweep (memoized per
 // config).
-func runProtocolSweep(cfg Config) (*protocolSweepResult, error) {
-	key := fmt.Sprintf("%d/%d", cfg.Scale, cfg.Runs)
-	sweepMemo.mu.Lock()
-	defer sweepMemo.mu.Unlock()
-	if sweepMemo.key == key && sweepMemo.res != nil {
-		return sweepMemo.res, nil
-	}
+func runProtocolSweep(cfg Config) ([]Table, error) {
+	return memoized(fmt.Sprintf("protocol/%d/%d", cfg.Scale, cfg.Runs), func() ([]Table, error) {
+		size := cfg.scaled(1 << 30)
+		chunk := cfg.chunkSize()
+		// Figure 2 uses modest staging (the buffer-size effect is swept
+		// separately in Figures 4-5): 32 MB of window/temp per 1 GB file.
+		buffer := cfg.scaled(32 << 20)
+		temp := cfg.scaled(32 << 20)
 
-	size := cfg.scaled(1 << 30)
-	chunk := cfg.chunkSize()
-	// Figure 2 uses modest staging (the buffer-size effect is swept
-	// separately in Figures 4-5): 32 MB of window/temp per 1 GB file.
-	buffer := cfg.scaled(32 << 20)
-	temp := cfg.scaled(32 << 20)
-
-	c, err := paperCluster(8, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-
-	res := &protocolSweepResult{
-		widths: []int{1, 2, 4, 8},
-		oab:    map[string]map[int]float64{},
-		asb:    map[string]map[int]float64{},
-	}
-	protocols := []client.Protocol{
-		client.CompleteLocalWrite,
-		client.IncrementalWrite,
-		client.SlidingWindow,
-	}
-	fileNo := 0
-	for _, p := range protocols {
-		label := p.String()
-		res.oab[label] = map[int]float64{}
-		res.asb[label] = map[int]float64{}
-		for _, width := range res.widths {
-			var oab, asb metrics.Summary
-			for run := 0; run < cfg.Runs; run++ {
-				cl, err := protoClient(c, p, width, chunk, buffer, temp, device.PaperNode())
-				if err != nil {
-					return nil, err
-				}
-				fileNo++
-				name := fmt.Sprintf("sweep.n%d.t%d", fileNo, 0)
-				m, err := writeOnce(cl, name, size, appBlock)
-				if err != nil {
-					cl.Close()
-					return nil, fmt.Errorf("sweep %s width %d: %w", label, width, err)
-				}
-				oab.Add(m.OABMBps())
-				asb.Add(m.ASBMBps())
-				cl.Delete(name, 0)
-				cl.Close()
-			}
-			c.CollectAll()
-			res.oab[label][width] = oab.Mean()
-			res.asb[label][width] = asb.Mean()
+		c, err := paperCluster(8, 0)
+		if err != nil {
+			return nil, err
 		}
-	}
+		defer c.Close()
 
-	// Width-independent baselines on the same calibration.
-	res.local, res.fuse, res.nfs = runBaselines(size)
+		params := fmt.Sprintf("(file %d MB scaled 1/%d, chunk %d KB, %d runs)", size>>20, cfg.Scale, chunk>>10, cfg.Runs)
+		oab := Table{Name: "oab", Title: "Figure 2: observed application bandwidth (OAB) " + params,
+			Keys: []string{"protocol"}, Columns: widthColumns(sweepWidths)}
+		asb := Table{Name: "asb", Title: "Figure 3: achieved storage bandwidth (ASB) " + params,
+			Keys: []string{"protocol"}, Columns: widthColumns(sweepWidths)}
+		for _, p := range []client.Protocol{client.CompleteLocalWrite, client.IncrementalWrite, client.SlidingWindow} {
+			var oabRow, asbRow []float64
+			for _, width := range sweepWidths {
+				m, err := measureCell(c, cfg.Runs, size, func() (*client.Client, error) {
+					return protoClient(c, p, width, chunk, buffer, temp, device.PaperNode())
+				}, nil)
+				if err != nil {
+					return nil, fmt.Errorf("sweep %s width %d: %w", p, width, err)
+				}
+				oabRow = append(oabRow, m.oab)
+				asbRow = append(asbRow, m.asb)
+			}
+			oab.add(labels(p), oabRow...)
+			asb.add(labels(p), asbRow...)
+		}
 
-	sweepMemo.key = key
-	sweepMemo.res = res
-	return res, nil
+		// Width-independent baselines on the same calibration: the
+		// paper draws them as flat lines, so every width carries the one
+		// measurement.
+		for _, b := range []struct {
+			label string
+			kind  fsiface.BaselineKind
+		}{{"local I/O", fsiface.BaselineLocal}, {"FUSE", fsiface.BaselineFuseLocal}, {"NFS", fsiface.BaselineNFS}} {
+			v := runBaseline(b.kind, size)
+			flat := make([]float64, len(sweepWidths))
+			for i := range flat {
+				flat[i] = v
+			}
+			oab.add(labels(b.label), flat...)
+			asb.add(labels(b.label), flat...)
+		}
+		oab.note("local I/O, FUSE and NFS are width-independent")
+		oab.note("paper: SW/IW OAB ≈110 MB/s saturating at width 2; CLW ≈ FUSE-local; NFS 24.8 MB/s")
+		asb.note("local I/O, FUSE and NFS are width-independent")
+		asb.note("paper: SW/IW OAB ≈110 MB/s saturating at width 2; CLW ≈ FUSE-local; NFS 24.8 MB/s")
+		asb.note("       ASB ordering SW > IW > CLW; SW approaches the NIC limit at width ≥ 2")
+		return []Table{oab, asb}, nil
+	})
 }
 
-// runBaselines measures the Local, FUSE and NFS write paths for the same
-// file size.
-func runBaselines(size int64) (local, fuse, nfs float64) {
-	run := func(kind fsiface.BaselineKind) float64 {
-		node := device.NewNode(device.PaperNode())
-		b := fsiface.NewBaseline(kind, node, fsiface.NewNFSServer())
-		buf := make([]byte, appBlock)
-		for w := int64(0); w < size; w += int64(len(buf)) {
-			n := int64(len(buf))
-			if w+n > size {
-				n = size - w
-			}
-			b.Write(buf[:n])
+// runBaseline measures one of the Local, FUSE and NFS write paths for a
+// file of size bytes, in MB/s.
+func runBaseline(kind fsiface.BaselineKind, size int64) float64 {
+	node := device.NewNode(device.PaperNode())
+	b := fsiface.NewBaseline(kind, node, fsiface.NewNFSServer())
+	buf := make([]byte, appBlock)
+	for w := int64(0); w < size; w += int64(len(buf)) {
+		n := int64(len(buf))
+		if w+n > size {
+			n = size - w
 		}
-		b.Close()
-		return metrics.MBps(size, b.Duration())
+		b.Write(buf[:n])
 	}
-	return run(fsiface.BaselineLocal), run(fsiface.BaselineFuseLocal), run(fsiface.BaselineNFS)
+	b.Close()
+	return metrics.MBps(size, b.Duration())
 }
 
 // Fig2 regenerates the observed application bandwidth plot: SW and IW
 // reach ~110 MB/s and saturate the client with two Gigabit benefactors;
 // CLW tracks local FUSE writes; NFS trails far behind.
-func Fig2(cfg Config) error {
-	cfg = cfg.withDefaults()
-	res, err := runProtocolSweep(cfg)
+func Fig2(cfg Config) ([]Table, error) {
+	t, err := runProtocolSweep(cfg.withDefaults())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	printSweep(cfg, res, "Figure 2: observed application bandwidth (OAB), MB/s", res.oab)
-	return nil
+	return t[:1], nil
 }
 
 // Fig3 regenerates the achieved storage bandwidth plot: CLW is worst
 // (serialized local write then push), SW is best and saturates the client
 // NIC at width 2.
-func Fig3(cfg Config) error {
-	cfg = cfg.withDefaults()
-	res, err := runProtocolSweep(cfg)
+func Fig3(cfg Config) ([]Table, error) {
+	t, err := runProtocolSweep(cfg.withDefaults())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	printSweep(cfg, res, "Figure 3: achieved storage bandwidth (ASB), MB/s", res.asb)
-	return nil
-}
-
-func printSweep(cfg Config, res *protocolSweepResult, title string, table map[string]map[int]float64) {
-	fmt.Fprintf(cfg.Out, "%s (file %d MB scaled 1/%d, chunk %d KB, %d runs)\n",
-		title, cfg.scaled(1<<30)>>20, cfg.Scale, cfg.chunkSize()>>10, cfg.Runs)
-	fmt.Fprintf(cfg.Out, "%-16s", "stripe width")
-	for _, w := range res.widths {
-		fmt.Fprintf(cfg.Out, "%8d", w)
-	}
-	fmt.Fprintln(cfg.Out)
-	for _, label := range []string{"complete-local", "incremental", "sliding-window"} {
-		row, ok := table[label]
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(cfg.Out, "%-16s", label)
-		for _, w := range res.widths {
-			fmt.Fprintf(cfg.Out, " %s", fmtMB(row[w]))
-		}
-		fmt.Fprintln(cfg.Out)
-	}
-	fmt.Fprintf(cfg.Out, "%-16s %s (width-independent)\n", "local I/O", fmtMB(res.local))
-	fmt.Fprintf(cfg.Out, "%-16s %s (width-independent)\n", "FUSE", fmtMB(res.fuse))
-	fmt.Fprintf(cfg.Out, "%-16s %s (width-independent)\n", "NFS", fmtMB(res.nfs))
-	fmt.Fprintf(cfg.Out, "paper: SW/IW OAB ≈110 MB/s saturating at width 2; CLW ≈ FUSE-local; NFS 24.8 MB/s\n\n")
+	return t[1:], nil
 }

@@ -5,134 +5,77 @@ import (
 
 	"stdchk/internal/client"
 	"stdchk/internal/device"
-	"stdchk/internal/metrics"
 )
 
-// swBufferSweep measures the sliding-window protocol across stripe widths
-// and buffer sizes (Figures 4 and 5 share it).
-type swBufferResult struct {
-	widths  []int
-	buffers []int64 // paper-sized buffer bytes
-	oab     map[int64]map[int]float64
-	asb     map[int64]map[int]float64
-}
+// runSWBufferSweep measures the sliding-window protocol across stripe
+// widths and buffer sizes and returns the OAB table (Figure 4) and the
+// ASB table (Figure 5). The two figures share one sweep (memoized per
+// config).
+func runSWBufferSweep(cfg Config) ([]Table, error) {
+	return memoized(fmt.Sprintf("swbuffer/%d/%d", cfg.Scale, cfg.Runs), func() ([]Table, error) {
+		size := cfg.scaled(1 << 30)
+		chunk := cfg.chunkSize()
 
-func runSWBufferSweep(cfg Config) (*swBufferResult, error) {
-	size := cfg.scaled(1 << 30)
-	chunk := cfg.chunkSize()
+		c, err := paperCluster(8, 0)
+		if err != nil {
+			return nil, err
+		}
+		defer c.Close()
 
-	c, err := paperCluster(8, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-
-	res := &swBufferResult{
-		widths:  []int{1, 2, 4, 8},
-		buffers: []int64{32 << 20, 64 << 20, 128 << 20, 256 << 20, 512 << 20},
-		oab:     map[int64]map[int]float64{},
-		asb:     map[int64]map[int]float64{},
-	}
-	fileNo := 0
-	for _, paperBuf := range res.buffers {
-		res.oab[paperBuf] = map[int]float64{}
-		res.asb[paperBuf] = map[int]float64{}
-		for _, width := range res.widths {
-			var oab, asb metrics.Summary
-			for run := 0; run < cfg.Runs; run++ {
-				cl, err := protoClient(c, client.SlidingWindow, width, chunk,
-					cfg.scaled(paperBuf), 0, device.PaperNode())
+		params := fmt.Sprintf("(file %d MB scaled 1/%d, %d runs)", size>>20, cfg.Scale, cfg.Runs)
+		oab := Table{Name: "oab", Title: "Figure 4: sliding-window OAB by buffer size " + params,
+			Keys: []string{"buffer (paper)"}, Columns: widthColumns(sweepWidths)}
+		asb := Table{Name: "asb", Title: "Figure 5: sliding-window ASB by buffer size " + params,
+			Keys: []string{"buffer (paper)"}, Columns: widthColumns(sweepWidths)}
+		for _, paperBuf := range []int64{32 << 20, 64 << 20, 128 << 20, 256 << 20, 512 << 20} {
+			var oabRow, asbRow []float64
+			for _, width := range sweepWidths {
+				m, err := measureCell(c, cfg.Runs, size, func() (*client.Client, error) {
+					return protoClient(c, client.SlidingWindow, width, chunk, cfg.scaled(paperBuf), 0, device.PaperNode())
+				}, nil)
 				if err != nil {
-					return nil, err
-				}
-				fileNo++
-				name := fmt.Sprintf("swbuf.n%d.t0", fileNo)
-				m, err := writeOnce(cl, name, size, appBlock)
-				if err != nil {
-					cl.Close()
 					return nil, fmt.Errorf("sw buffer %dMB width %d: %w", paperBuf>>20, width, err)
 				}
-				oab.Add(m.OABMBps())
-				asb.Add(m.ASBMBps())
-				cl.Delete(name, 0)
-				cl.Close()
+				oabRow = append(oabRow, m.oab)
+				asbRow = append(asbRow, m.asb)
 			}
-			c.CollectAll()
-			res.oab[paperBuf][width] = oab.Mean()
-			res.asb[paperBuf][width] = asb.Mean()
+			label := labels(fmt.Sprintf("%dMB", paperBuf>>20))
+			oab.add(label, oabRow...)
+			asb.add(label, asbRow...)
 		}
-	}
-	return res, nil
-}
-
-var swMemo struct {
-	key string
-	res *swBufferResult
-}
-
-func swSweepMemo(cfg Config) (*swBufferResult, error) {
-	sweepMemo.mu.Lock()
-	defer sweepMemo.mu.Unlock()
-	key := fmt.Sprintf("%d/%d", cfg.Scale, cfg.Runs)
-	if swMemo.key == key && swMemo.res != nil {
-		return swMemo.res, nil
-	}
-	res, err := runSWBufferSweep(cfg)
-	if err != nil {
-		return nil, err
-	}
-	swMemo.key, swMemo.res = key, res
-	return res, nil
+		for _, t := range []*Table{&oab, &asb} {
+			t.note("paper: saturation at width 2; larger buffers raise OAB toward memory speed")
+		}
+		return []Table{oab, asb}, nil
+	})
 }
 
 // Fig4 regenerates the sliding-window OAB vs buffer-size plot: larger
 // buffers absorb more of the file and raise the application-perceived
 // bandwidth; the network saturates at stripe width 2.
-func Fig4(cfg Config) error {
-	cfg = cfg.withDefaults()
-	res, err := swSweepMemo(cfg)
+func Fig4(cfg Config) ([]Table, error) {
+	t, err := runSWBufferSweep(cfg.withDefaults())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	printSWSweep(cfg, res, "Figure 4: sliding-window OAB by buffer size, MB/s", res.oab)
-	return nil
+	return t[:1], nil
 }
 
 // Fig5 regenerates the sliding-window ASB vs buffer-size plot: storage
 // bandwidth is buffer-insensitive (the network is the bottleneck) and
 // saturates at width 2.
-func Fig5(cfg Config) error {
-	cfg = cfg.withDefaults()
-	res, err := swSweepMemo(cfg)
+func Fig5(cfg Config) ([]Table, error) {
+	t, err := runSWBufferSweep(cfg.withDefaults())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	printSWSweep(cfg, res, "Figure 5: sliding-window ASB by buffer size, MB/s", res.asb)
-	return nil
-}
-
-func printSWSweep(cfg Config, res *swBufferResult, title string, table map[int64]map[int]float64) {
-	fmt.Fprintf(cfg.Out, "%s (file %d MB scaled 1/%d, %d runs)\n",
-		title, cfg.scaled(1<<30)>>20, cfg.Scale, cfg.Runs)
-	fmt.Fprintf(cfg.Out, "%-18s", "buffer \\ width")
-	for _, w := range res.widths {
-		fmt.Fprintf(cfg.Out, "%8d", w)
-	}
-	fmt.Fprintln(cfg.Out)
-	for _, buf := range res.buffers {
-		fmt.Fprintf(cfg.Out, "%5dMB (paper)   ", buf>>20)
-		for _, w := range res.widths {
-			fmt.Fprintf(cfg.Out, " %s", fmtMB(table[buf][w]))
-		}
-		fmt.Fprintln(cfg.Out)
-	}
-	fmt.Fprintf(cfg.Out, "paper: saturation at width 2; larger buffers raise OAB toward memory speed\n\n")
+	return t[1:], nil
 }
 
 // Fig6 regenerates the 10 Gbps testbed experiment (§V.D): one fast client
 // (10 Gbps NIC) striping over 1 Gbps benefactors aggregates their
 // bandwidth — the paper reaches 325 MB/s OAB and 225 MB/s ASB at width 4.
-func Fig6(cfg Config) error {
+func Fig6(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	size := cfg.scaled(1 << 30)
 	chunk := cfg.chunkSize()
@@ -140,36 +83,25 @@ func Fig6(cfg Config) error {
 
 	c, err := paperCluster(4, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer c.Close()
 
-	fmt.Fprintf(cfg.Out, "Figure 6: 10 Gbps client, sliding window, buffer 512 MB (scaled 1/%d), %d runs\n",
-		cfg.Scale, cfg.Runs)
-	fmt.Fprintf(cfg.Out, "%-14s %10s %10s\n", "stripe width", "OAB MB/s", "ASB MB/s")
-	fileNo := 0
-	for _, width := range []int{1, 2, 3, 4} {
-		var oab, asb metrics.Summary
-		for run := 0; run < cfg.Runs; run++ {
-			cl, err := protoClient(c, client.SlidingWindow, width, chunk, buffer, 0, device.PaperTenGigClient())
-			if err != nil {
-				return err
-			}
-			fileNo++
-			name := fmt.Sprintf("tengig.n%d.t0", fileNo)
-			m, err := writeOnce(cl, name, size, appBlock)
-			if err != nil {
-				cl.Close()
-				return fmt.Errorf("fig6 width %d: %w", width, err)
-			}
-			oab.Add(m.OABMBps())
-			asb.Add(m.ASBMBps())
-			cl.Delete(name, 0)
-			cl.Close()
-		}
-		c.CollectAll()
-		fmt.Fprintf(cfg.Out, "%-14d %s %s\n", width, fmtMB(oab.Mean()), fmtMB(asb.Mean()))
+	t := Table{
+		Name:    "tengig",
+		Title:   fmt.Sprintf("Figure 6: 10 Gbps client, sliding window, buffer 512 MB (scaled 1/%d), %d runs", cfg.Scale, cfg.Runs),
+		Keys:    []string{"stripe width"},
+		Columns: []Column{col("OAB", "MB/s", 1), col("ASB", "MB/s", 1)},
 	}
-	fmt.Fprintf(cfg.Out, "paper: OAB rises to ≈325 MB/s, ASB to ≈225 MB/s at width 4 (no saturation)\n\n")
-	return nil
+	for _, width := range []int{1, 2, 3, 4} {
+		m, err := measureCell(c, cfg.Runs, size, func() (*client.Client, error) {
+			return protoClient(c, client.SlidingWindow, width, chunk, buffer, 0, device.PaperTenGigClient())
+		}, nil)
+		if err != nil {
+			return nil, fmt.Errorf("fig6 width %d: %w", width, err)
+		}
+		t.add(labels(width), m.oab, m.asb)
+	}
+	t.note("paper: OAB rises to ≈325 MB/s, ASB to ≈225 MB/s at width 4 (no saturation)")
+	return []Table{t}, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,7 +39,7 @@ import (
 // data transfer. Each checkpoint costs five metadata RPCs: alloc, extend,
 // a batched dedup probe, commit (half the chunks shared copy-on-write
 // after the first version), and a chunk-map fetch.
-func ManagerLoad(cfg Config) error {
+func ManagerLoad(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	const (
 		imageSize   = 64 << 10
@@ -50,20 +49,6 @@ func ManagerLoad(cfg Config) error {
 	writersSweep := []int{1, 4, 16, 64, 256}
 	cellDur := 200 * time.Millisecond * time.Duration(cfg.Runs)
 
-	type cell struct {
-		Variant    string  `json:"variant"`
-		Writers    int     `json:"writers"`
-		Journal    string  `json:"journal,omitempty"`
-		TPS        float64 `json:"tps"`
-		Checkpoint float64 `json:"checkpointsPerSec"`
-		Contended  int64   `json:"stripeContention"`
-		StripeOps  int64   `json:"stripeOps"`
-		// Group-commit accounting (journaled variants): fsync syscalls and
-		// the records they covered — their ratio is the amortization that
-		// makes durable commits affordable under concurrency.
-		JournalFsyncs   int64 `json:"journalFsyncs,omitempty"`
-		JournalBatchLen int64 `json:"journalBatchLen,omitempty"`
-	}
 	variants := []struct {
 		name    string
 		journal string // "" | "async" | "fsync"
@@ -75,79 +60,65 @@ func ManagerLoad(cfg Config) error {
 		{"striped+jfsync", "fsync"},
 	}
 
-	fmt.Fprintf(cfg.Out, "Manager metadata-plane load (§V.E): %d-chunk checkpoints of %d KB, 5 metadata RPCs per checkpoint\n",
-		chunksPerCk, imageSize>>10)
-	fmt.Fprintf(cfg.Out, "GOMAXPROCS=%d\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintf(cfg.Out, "%-14s %8s %12s %14s %16s\n", "variant", "writers", "tps", "ckpts/s", "lock contention")
-
-	var cells []cell
-	tpsAt := make(map[string]map[int]float64)
+	t := Table{
+		Name:  "load",
+		Title: fmt.Sprintf("Manager metadata-plane load (§V.E): %d-chunk checkpoints of %d KB, 5 metadata RPCs per checkpoint", chunksPerCk, imageSize>>10),
+		Keys:  []string{"variant", "writers"},
+		Columns: []Column{
+			col("tps", "1/s", 0), col("ckpts/s", "1/s", 0), col("lock contention", "%", 1),
+			col("contended", "", 0), col("stripe ops", "", 0),
+			// Group-commit accounting (journaled variants): fsync syscalls
+			// and the records they covered — their ratio is the
+			// amortization that makes durable commits affordable under
+			// concurrency.
+			col("journal fsyncs", "", 0), col("journal records", "", 0),
+		},
+	}
+	t.note("GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
 	for _, v := range variants {
-		tpsAt[v.name] = make(map[int]float64)
 		for _, w := range writersSweep {
-			c, err := managerLoadCell(v.journal, w, cellDur, imageSize, chunksPerCk, benefactors)
+			cells, err := managerLoadCell(v.journal, w, cellDur, imageSize, chunksPerCk, benefactors)
 			if err != nil {
-				return fmt.Errorf("managerload %s/%d: %w", v.name, w, err)
+				return nil, fmt.Errorf("managerload %s/%d: %w", v.name, w, err)
 			}
-			contPct := 0.0
-			if c.stripeOps > 0 {
-				contPct = 100 * float64(c.contended) / float64(c.stripeOps)
-			}
-			fmt.Fprintf(cfg.Out, "%-14s %8d %12.0f %14.0f %11.1f%% (%d/%d)\n",
-				v.name, w, c.tps, c.ckps, contPct, c.contended, c.stripeOps)
-			tpsAt[v.name][w] = c.tps
-			cells = append(cells, cell{
-				Variant: v.name, Writers: w, Journal: v.journal,
-				TPS: c.tps, Checkpoint: c.ckps,
-				Contended: c.contended, StripeOps: c.stripeOps,
-				JournalFsyncs: c.fsyncs, JournalBatchLen: c.batchLen,
-			})
+			t.add(labels(v.name, w), cells...)
 		}
 	}
 
 	ratio := func(num, den string, w int) float64 {
-		if tpsAt[den][w] <= 0 {
+		n, _ := t.cell(fmt.Sprintf("%s/%d", num, w), "tps")
+		d, _ := t.cell(fmt.Sprintf("%s/%d", den, w), "tps")
+		if d <= 0 {
 			return 0
 		}
-		return tpsAt[num][w] / tpsAt[den][w]
+		return n / d
 	}
-	fmt.Fprintf(cfg.Out, "journaled/unjournaled tps: %.2fx at 64 writers, %.2fx at 256 writers (what the ordered async writer costs)\n",
-		ratio("striped+jasync", "striped", 64), ratio("striped+jasync", "striped", 256))
-	var fsAmort float64
-	for _, c := range cells {
-		if c.Variant == "striped+jfsync" && c.Writers == writersSweep[len(writersSweep)-1] && c.JournalFsyncs > 0 {
-			fsAmort = float64(c.JournalBatchLen) / float64(c.JournalFsyncs)
-		}
+	top := writersSweep[len(writersSweep)-1]
+	var perFsync float64
+	if fsyncs, _ := t.cell(fmt.Sprintf("striped+jfsync/%d", top), "journal fsyncs"); fsyncs > 0 {
+		records, _ := t.cell(fmt.Sprintf("striped+jfsync/%d", top), "journal records")
+		perFsync = records / fsyncs
 	}
-	fmt.Fprintf(cfg.Out, "group-commit fsync tps: %.2fx of relaxed async at 256 writers, %.1f records amortized per fsync\n",
-		ratio("striped+jfsync", "striped+jasync", 256), fsAmort)
-	fmt.Fprintf(cfg.Out, "paper: manager sustains well over 1,000 transactions per second (§V.E)\n\n")
-
-	if cfg.JSON != nil {
-		enc := json.NewEncoder(cfg.JSON)
-		for _, c := range cells {
-			if err := enc.Encode(c); err != nil {
-				return fmt.Errorf("managerload: json: %w", err)
-			}
-		}
+	ratios := Table{
+		Name:    "ratios",
+		Title:   "Manager load ratios",
+		Keys:    []string{"measure", "writers"},
+		Columns: []Column{col("value", "", 2)},
 	}
-	return nil
-}
-
-type loadResult struct {
-	tps       float64
-	ckps      float64
-	contended int64
-	stripeOps int64
-	fsyncs    int64
-	batchLen  int64
+	ratios.add(labels("journaled/unjournaled tps", 64), ratio("striped+jasync", "striped", 64))
+	ratios.add(labels("journaled/unjournaled tps", top), ratio("striped+jasync", "striped", top))
+	ratios.add(labels("group-commit fsync/relaxed async tps", top), ratio("striped+jfsync", "striped+jasync", top))
+	ratios.add(labels("records amortized per fsync", top), perFsync)
+	ratios.note("journaled/unjournaled is what the ordered async writer costs")
+	ratios.note("paper: manager sustains well over 1,000 transactions per second (§V.E)")
+	return []Table{t, ratios}, nil
 }
 
 // managerLoadCell runs one (journal-mode, writers) configuration for
-// roughly dur and returns the measured rates. journal "" runs unjournaled;
-// "async"/"fsync" journal to a fresh temp file (fsync = group-commit
-// durability).
-func managerLoadCell(journal string, writers int, dur time.Duration, imageSize int64, chunksPerCk, benefactors int) (loadResult, error) {
+// roughly dur and returns its row of the load table. journal "" runs
+// unjournaled; "async"/"fsync" journal to a fresh temp file (fsync =
+// group-commit durability).
+func managerLoadCell(journal string, writers int, dur time.Duration, imageSize int64, chunksPerCk, benefactors int) ([]float64, error) {
 	mcfg := manager.Config{
 		HeartbeatInterval:   time.Hour, // load cells outlive no heartbeats
 		ReplicationInterval: time.Hour,
@@ -157,7 +128,7 @@ func managerLoadCell(journal string, writers int, dur time.Duration, imageSize i
 	if journal != "" {
 		dir, err := os.MkdirTemp("", "stdchk-managerload")
 		if err != nil {
-			return loadResult{}, err
+			return nil, err
 		}
 		defer os.RemoveAll(dir)
 		mcfg.JournalPath = filepath.Join(dir, "journal")
@@ -165,7 +136,7 @@ func managerLoadCell(journal string, writers int, dur time.Duration, imageSize i
 	}
 	m, err := manager.New(mcfg)
 	if err != nil {
-		return loadResult{}, err
+		return nil, err
 	}
 	defer m.Close()
 	for i := 0; i < benefactors; i++ {
@@ -176,10 +147,30 @@ func managerLoadCell(journal string, writers int, dur time.Duration, imageSize i
 			Free:     1 << 40,
 		}
 		if err := m.Invoke(proto.MRegister, req, nil); err != nil {
-			return loadResult{}, err
+			return nil, err
 		}
 	}
 
+	invoke := func(op, _ string, req, resp interface{}) error { return m.Invoke(op, req, resp) }
+	tps, ckps, err := driveWriters(invoke, writers, dur, imageSize, chunksPerCk)
+	if err != nil {
+		return nil, err
+	}
+	stats := m.Stats()
+	contPct := 0.0
+	if stats.StripeOps > 0 {
+		contPct = 100 * float64(stats.StripeContention) / float64(stats.StripeOps)
+	}
+	return []float64{tps, ckps, contPct, float64(stats.StripeContention), float64(stats.StripeOps),
+		float64(stats.JournalFsyncs), float64(stats.JournalBatchLen)}, nil
+}
+
+// driveWriters runs one checkpoint loop per writer (workload.ManyWriters)
+// through call for about dur, each checkpoint chunksPerCk chunks of an
+// imageSize image, and returns metadata RPCs and checkpoints per second.
+// It is the driver BenchmarkManagerOps runs, so the CI-gated benchmark
+// and the load sweeps measure one workload.
+func driveWriters(call func(op, name string, req, resp interface{}) error, writers int, dur time.Duration, imageSize int64, chunksPerCk int) (tps, ckps float64, err error) {
 	specs := workload.ManyWriters(42, writers, 0, imageSize)
 	chunkSize := imageSize / int64(chunksPerCk)
 	var ops atomic.Int64
@@ -187,16 +178,13 @@ func managerLoadCell(journal string, writers int, dur time.Duration, imageSize i
 	var loadErr error
 	start := time.Now()
 	deadline := start.Add(dur)
-	invoke := func(op, _ string, req, resp interface{}) error { return m.Invoke(op, req, resp) }
 	var wg sync.WaitGroup
 	for _, spec := range specs {
 		wg.Add(1)
 		go func(spec workload.WriterSpec) {
 			defer wg.Done()
 			for t := 0; time.Now().Before(deadline); t++ {
-				// The identical driver BenchmarkManagerOps runs, so the
-				// CI-gated benchmark and this sweep measure one workload.
-				n, err := manager.DriveCheckpoint(invoke, spec.FileName(t), spec.Seed, t, chunksPerCk, chunkSize, spec.CbCH)
+				n, err := manager.DriveCheckpoint(call, spec.FileName(t), spec.Seed, t, chunksPerCk, chunkSize, spec.CbCH)
 				ops.Add(n)
 				if err != nil {
 					errOnce.Do(func() { loadErr = err })
@@ -206,19 +194,7 @@ func managerLoadCell(journal string, writers int, dur time.Duration, imageSize i
 		}(spec)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	if loadErr != nil {
-		return loadResult{}, loadErr
-	}
-	stats := m.Stats()
+	secs := time.Since(start).Seconds()
 	total := float64(ops.Load())
-	res := loadResult{
-		tps:       total / elapsed.Seconds(),
-		ckps:      total / manager.DriveCheckpointOps / elapsed.Seconds(),
-		contended: stats.StripeContention,
-		stripeOps: stats.StripeOps,
-		fsyncs:    stats.JournalFsyncs,
-		batchLen:  stats.JournalBatchLen,
-	}
-	return res, nil
+	return total / secs, total / manager.DriveCheckpointOps / secs, loadErr
 }

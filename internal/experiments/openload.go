@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -32,7 +31,7 @@ import (
 // overload level against an unbounded-queue federation to show what the
 // admission gate buys: bounded queue depth and a flat tail instead of
 // unbounded growth.
-func OpenLoad(cfg Config) error {
+func OpenLoad(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	const (
 		managers    = 2
@@ -44,67 +43,44 @@ func OpenLoad(cfg Config) error {
 	chunkSize := int64(imageSize / chunksPerCk)
 	levelDur := 400 * time.Millisecond * time.Duration(cfg.Runs)
 
-	fmt.Fprintf(cfg.Out, "Open-loop traffic: Poisson checkpoint arrivals vs a %d-manager federation (mux'd conns, admission bound %d)\n",
-		managers, maxPending)
-	fmt.Fprintf(cfg.Out, "GOMAXPROCS=%d; latency measured from scheduled arrival (coordinated-omission-free)\n", runtime.GOMAXPROCS(0))
-
 	grid, err := newOpenLoadGrid(managers, benefactors, maxPending)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer grid.close()
 
 	// Closed-loop calibration: the plane's approximate capacity in
 	// checkpoints/s anchors the offered-load sweep so levels mean the
 	// same thing on a laptop and a 32-core CI box.
-	capacity, err := openLoadCapacity(grid.router, 250*time.Millisecond*time.Duration(cfg.Runs), 8, chunksPerCk, chunkSize)
+	// Eight closed-loop writers, the anchor for offered-load fractions.
+	_, capacity, err := driveWriters(grid.router.Call, 8, 250*time.Millisecond*time.Duration(cfg.Runs), imageSize, chunksPerCk)
 	if err != nil {
-		return fmt.Errorf("openload: calibrate: %w", err)
+		return nil, fmt.Errorf("openload: calibrate: %w", err)
 	}
-	fmt.Fprintf(cfg.Out, "calibrated closed-loop capacity: ~%.0f checkpoints/s\n\n", capacity)
-
-	type cell struct {
-		Experiment string  `json:"experiment"`
-		Variant    string  `json:"variant"`
-		Offered    float64 `json:"offeredPerSec"`
-		Achieved   float64 `json:"achievedPerSec"`
-		P50Micros  int64   `json:"p50Micros"`
-		P99Micros  int64   `json:"p99Micros"`
-		P999Micros int64   `json:"p999Micros"`
-		Completed  int64   `json:"completed"`
-		ShedFailed int64   `json:"shedFailed"`
-		Dropped    int64   `json:"dropped"`
-		Shed       int64   `json:"shed"`
-		ConnShed   int64   `json:"connShed"`
-		PeakDepth  int64   `json:"peakQueueDepth"`
+	calib := Table{
+		Name:    "capacity",
+		Title:   fmt.Sprintf("Open-loop traffic: Poisson checkpoint arrivals vs a %d-manager federation (mux'd conns, admission bound %d)", managers, maxPending),
+		Keys:    []string{"calibration"},
+		Columns: []Column{col("capacity", "ckpt/s", 0)},
 	}
-	var cells []cell
+	calib.add(labels("closed-loop"), capacity)
+	calib.note("GOMAXPROCS=%d; latency measured from scheduled arrival (coordinated-omission-free)", runtime.GOMAXPROCS(0))
 
-	fmt.Fprintf(cfg.Out, "%-10s %10s %10s %10s %10s %10s %8s %8s %8s %10s\n",
-		"load", "offered/s", "achvd/s", "p50", "p99", "p999", "shed", "connshed", "failed", "peakdepth")
+	sweep := Table{Name: "levels", Title: "Latency vs offered load", Keys: []string{"load"}, Columns: openLoadColumns}
 	levels := []float64{0.25, 0.5, 0.75, 1.0, 1.5}
+	var last openLoadResult
 	for li, frac := range levels {
 		rate := capacity * frac
 		if rate < 20 {
 			rate = 20
 		}
-		res, err := openLoadLevel(grid, li, rate, levelDur, chunksPerCk, chunkSize)
+		last, err = openLoadLevel(grid, li, rate, levelDur, chunksPerCk, chunkSize)
 		if err != nil {
-			return fmt.Errorf("openload level %.2fx: %w", frac, err)
+			return nil, fmt.Errorf("openload level %.2fx: %w", frac, err)
 		}
-		fmt.Fprintf(cfg.Out, "%-10s %10.0f %10.0f %10v %10v %10v %8d %8d %8d %10d\n",
-			fmt.Sprintf("%.2fx", frac), res.offered, res.achieved,
-			res.p50.Round(10*time.Microsecond), res.p99.Round(10*time.Microsecond),
-			res.p999.Round(10*time.Microsecond), res.shed, res.connShed, res.shedFailed, res.peakDepth)
-		cells = append(cells, cell{
-			Experiment: "openload", Variant: "admission", Offered: res.offered,
-			Achieved: res.achieved, P50Micros: res.p50.Microseconds(),
-			P99Micros: res.p99.Microseconds(), P999Micros: res.p999.Microseconds(),
-			Completed: res.completed, ShedFailed: res.shedFailed, Dropped: res.dropped,
-			Shed: res.shed, ConnShed: res.connShed, PeakDepth: res.peakDepth,
-		})
+		sweep.add(labels(fmt.Sprintf("%.2fx", frac)), last.cells()...)
 	}
-	fmt.Fprintf(cfg.Out, "\nunder overload the admission gate sheds with typed retry-after: peak queue depth stays ≤ %d by construction\n", maxPending)
+	sweep.note("under overload the admission gate sheds with typed retry-after: peak queue depth stays ≤ %d by construction", maxPending)
 
 	// Ablation: the same overload level against an UNBOUNDED queue. The
 	// server accepts everything; queue depth (and therefore tail latency)
@@ -112,7 +88,7 @@ func OpenLoad(cfg Config) error {
 	grid.close()
 	unbounded, err := newOpenLoadGrid(managers, benefactors, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer unbounded.close()
 	overloadRate := capacity * 1.5
@@ -121,37 +97,30 @@ func OpenLoad(cfg Config) error {
 	}
 	ares, err := openLoadLevel(unbounded, len(levels), overloadRate, levelDur, chunksPerCk, chunkSize)
 	if err != nil {
-		return fmt.Errorf("openload ablation: %w", err)
+		return nil, fmt.Errorf("openload ablation: %w", err)
 	}
-	fmt.Fprintf(cfg.Out, "\nablation at 1.50x offered load      %10s %10s %10s %8s %8s %8s %10s\n",
-		"p50", "p99", "p999", "shed", "connshed", "failed", "peakdepth")
-	bounded := cells[len(cells)-1]
-	fmt.Fprintf(cfg.Out, "  admission (bound %4d)            %10v %10v %10v %8d %8d %8d %10d\n",
-		maxPending, time.Duration(bounded.P50Micros)*time.Microsecond,
-		time.Duration(bounded.P99Micros)*time.Microsecond,
-		time.Duration(bounded.P999Micros)*time.Microsecond,
-		bounded.Shed, bounded.ConnShed, bounded.ShedFailed, bounded.PeakDepth)
-	fmt.Fprintf(cfg.Out, "  unbounded queue                   %10v %10v %10v %8d %8d %8d %10d\n",
-		ares.p50.Round(10*time.Microsecond), ares.p99.Round(10*time.Microsecond),
-		ares.p999.Round(10*time.Microsecond), ares.shed, ares.connShed, ares.shedFailed, ares.peakDepth)
-	cells = append(cells, cell{
-		Experiment: "openload", Variant: "unbounded", Offered: ares.offered,
-		Achieved: ares.achieved, P50Micros: ares.p50.Microseconds(),
-		P99Micros: ares.p99.Microseconds(), P999Micros: ares.p999.Microseconds(),
-		Completed: ares.completed, ShedFailed: ares.shedFailed, Dropped: ares.dropped,
-		Shed: ares.shed, ConnShed: ares.connShed, PeakDepth: ares.peakDepth,
-	})
-	fmt.Fprintln(cfg.Out)
+	ablation := Table{Name: "ablation", Title: "ablation at 1.50x offered load", Keys: []string{"variant"}, Columns: openLoadColumns}
+	ablation.add(labels(fmt.Sprintf("admission (bound %d)", maxPending)), last.cells()...)
+	ablation.add(labels("unbounded queue"), ares.cells()...)
+	return []Table{calib, sweep, ablation}, nil
+}
 
-	if cfg.JSON != nil {
-		enc := json.NewEncoder(cfg.JSON)
-		for _, c := range cells {
-			if err := enc.Encode(c); err != nil {
-				return fmt.Errorf("openload: json: %w", err)
-			}
-		}
+// openLoadColumns are the columns of one offered-load level.
+var openLoadColumns = []Column{
+	col("offered", "1/s", 0), col("achieved", "1/s", 0),
+	col("p50", "µs", 0), col("p99", "µs", 0), col("p999", "µs", 0),
+	col("completed", "", 0), col("shed", "", 0), col("connshed", "", 0),
+	col("failed", "", 0), col("dropped", "", 0), col("peakdepth", "", 0),
+}
+
+// cells returns a level's row in openLoadColumns order.
+func (r openLoadResult) cells() []float64 {
+	return []float64{
+		r.offered, r.achieved,
+		float64(r.p50.Microseconds()), float64(r.p99.Microseconds()), float64(r.p999.Microseconds()),
+		float64(r.completed), float64(r.shed), float64(r.connShed),
+		float64(r.shedFailed), float64(r.dropped), float64(r.peakDepth),
 	}
-	return nil
 }
 
 // openLoadGrid is the traffic-plane fixture: a federation of managers
@@ -224,39 +193,6 @@ func (g *openLoadGrid) mergedStats() proto.ManagerStats {
 		all[i] = m.Stats()
 	}
 	return federation.MergeStats(all)
-}
-
-// openLoadCapacity estimates the plane's closed-loop checkpoint
-// throughput with a small worker fleet — the anchor for offered-load
-// fractions.
-func openLoadCapacity(router *federation.Router, dur time.Duration, workers, chunksPerCk int, chunkSize int64) (float64, error) {
-	var ops atomic.Int64
-	var errOnce sync.Once
-	var loadErr error
-	start := time.Now()
-	deadline := start.Add(dur)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for t := 0; time.Now().Before(deadline); t++ {
-				name := fmt.Sprintf("olcal.n%d.t%d", w, t)
-				_, err := manager.DriveCheckpoint(router.Call, name, int64(w), t, chunksPerCk, chunkSize, w%2 == 1)
-				if err != nil {
-					errOnce.Do(func() { loadErr = err })
-					return
-				}
-				ops.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if loadErr != nil {
-		return 0, loadErr
-	}
-	elapsed := time.Since(start)
-	return float64(ops.Load()) / elapsed.Seconds(), nil
 }
 
 // openLoadMaxOutstanding bounds concurrently in-flight open-loop

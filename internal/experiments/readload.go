@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -39,7 +38,7 @@ import (
 // over 4 benefactors, chunk sizes 32 KB / 256 KB / 1 MB; Config.Runs sets
 // the repetitions averaged per cell. Everything runs over real loopback
 // sockets.
-func ReadLoad(cfg Config) error {
+func ReadLoad(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	const (
 		imageSize   = 8 << 20
@@ -47,17 +46,6 @@ func ReadLoad(cfg Config) error {
 		linkDelay   = time.Millisecond
 	)
 	chunkSizes := []int64{32 << 10, 256 << 10, 1 << 20}
-
-	type cell struct {
-		Experiment string  `json:"experiment"`
-		ChunkKB    int64   `json:"chunkKB"`
-		Mode       string  `json:"mode"` // "serial" | "pipelined"
-		FileBytes  int64   `json:"fileBytes"`
-		Fetched    int64   `json:"fetchedBytes"`
-		Batched    int64   `json:"batchedBytes"`
-		RestoreMs  float64 `json:"restoreMs"`
-		MBps       float64 `json:"mbps"`
-	}
 
 	c, err := grid.Start(grid.Options{
 		Benefactors:       benefactors,
@@ -71,18 +59,28 @@ func ReadLoad(cfg Config) error {
 		GCInterval: time.Hour,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer c.Close()
 
-	fmt.Fprintf(cfg.Out, "Pipelined vs serial restore: %d MB image over %d benefactors, %v request latency on the client link\n",
-		imageSize>>20, benefactors, linkDelay)
-	fmt.Fprintf(cfg.Out, "%-8s %-10s %8s %9s %11s %11s\n",
-		"chunk", "mode", "MB/s", "ms", "fetched", "batched")
-
+	t := Table{
+		Name:  "restore",
+		Title: fmt.Sprintf("Pipelined vs serial restore: %d MB image over %d benefactors, %v request latency on the client link", imageSize>>20, benefactors, linkDelay),
+		Keys:  []string{"chunk", "mode"},
+		Columns: []Column{
+			col("restore", "MB/s", 1), col("restore time", "ms", 1),
+			col("fetched", "B", 0), col("batched", "B", 0),
+		},
+	}
+	speedup := Table{
+		Name:    "speedup",
+		Title:   "Pipelined speedup over serial",
+		Keys:    []string{"chunk"},
+		Columns: []Column{col("speedup", "x", 1)},
+	}
 	readerProfile := device.Profile{LinkDelay: linkDelay}
-	var cells []cell
 	for ci, chunkSize := range chunkSizes {
+		chunkLabel := fmt.Sprintf("%d KB", chunkSize>>10)
 		name := fmt.Sprintf("rl.n%d.t0", ci)
 		data := readloadImage(uint64(ci)*0x9E3779B97F4A7C15+1, imageSize)
 
@@ -93,22 +91,15 @@ func ReadLoad(cfg Config) error {
 			Semantics: core.WriteOptimistic,
 		}, device.Unshaped())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		w, err := wcl.Create(name)
-		if err == nil {
-			if _, err = w.Write(data); err == nil {
-				if err = w.Close(); err == nil {
-					err = w.Wait()
-				}
-			}
-		}
+		_, err = writeImage(wcl, name, data)
 		wcl.Close()
 		if err != nil {
-			return fmt.Errorf("readload: stage %s: %w", name, err)
+			return nil, fmt.Errorf("readload: stage %s: %w", name, err)
 		}
 
-		var perMode [2]cell
+		var restoreMs [2]float64
 		for mi, mode := range []string{"serial", "pipelined"} {
 			rcfg := client.Config{
 				StripeWidth: benefactors, ChunkSize: chunkSize, Replication: 1,
@@ -120,38 +111,36 @@ func ReadLoad(cfg Config) error {
 			}
 			rcl, _, err := c.NewClient(rcfg, readerProfile)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			acc := cell{
-				Experiment: "readload", ChunkKB: chunkSize >> 10, Mode: mode,
-				FileBytes: imageSize,
-			}
+			var fetched, batched int64
+			var ms float64
 			for rep := 0; rep < cfg.Runs; rep++ {
 				start := time.Now()
 				r, err := rcl.Open(name)
 				if err != nil {
 					rcl.Close()
-					return fmt.Errorf("readload %s %dKB: %w", mode, chunkSize>>10, err)
+					return nil, fmt.Errorf("readload %s %dKB: %w", mode, chunkSize>>10, err)
 				}
 				got, err := r.ReadAll()
 				elapsed := time.Since(start)
-				fetched, batched := r.BytesFetched(), r.BytesBatched()
+				fetched, batched = r.BytesFetched(), r.BytesBatched()
 				r.Close()
 				if err != nil {
 					rcl.Close()
-					return fmt.Errorf("readload %s %dKB: %w", mode, chunkSize>>10, err)
+					return nil, fmt.Errorf("readload %s %dKB: %w", mode, chunkSize>>10, err)
 				}
 				if !bytes.Equal(got, data) {
 					rcl.Close()
-					return fmt.Errorf("readload %s %dKB: restore is not byte-identical to the committed image", mode, chunkSize>>10)
+					return nil, fmt.Errorf("readload %s %dKB: restore is not byte-identical to the committed image", mode, chunkSize>>10)
 				}
 				if fetched != imageSize {
 					rcl.Close()
-					return fmt.Errorf("readload %s %dKB: fetched %d bytes for a %d-byte image", mode, chunkSize>>10, fetched, imageSize)
+					return nil, fmt.Errorf("readload %s %dKB: fetched %d bytes for a %d-byte image", mode, chunkSize>>10, fetched, imageSize)
 				}
 				if mode == "serial" && batched != 0 {
 					rcl.Close()
-					return fmt.Errorf("readload serial %dKB: %d bytes rode BGetBatch on the stop-and-wait plane", chunkSize>>10, batched)
+					return nil, fmt.Errorf("readload serial %dKB: %d bytes rode BGetBatch on the stop-and-wait plane", chunkSize>>10, batched)
 				}
 				if mode == "pipelined" {
 					// Below 1 MB every refill puts at least two chunks on
@@ -163,35 +152,21 @@ func ReadLoad(cfg Config) error {
 					}
 					if batched != want {
 						rcl.Close()
-						return fmt.Errorf("readload pipelined %dKB: %d bytes served by BGetBatch, want %d", chunkSize>>10, batched, want)
+						return nil, fmt.Errorf("readload pipelined %dKB: %d bytes served by BGetBatch, want %d", chunkSize>>10, batched, want)
 					}
 				}
-				acc.Fetched, acc.Batched = fetched, batched
-				acc.RestoreMs += float64(elapsed.Microseconds()) / 1000
+				ms += float64(elapsed.Microseconds()) / 1000
 			}
 			rcl.Close()
-			acc.RestoreMs /= float64(cfg.Runs)
-			acc.MBps = float64(imageSize) / 1e6 / (acc.RestoreMs / 1000)
-			perMode[mi] = acc
-			cells = append(cells, acc)
-			fmt.Fprintf(cfg.Out, "%-8s %-10s %8.1f %9.1f %11d %11d\n",
-				fmt.Sprintf("%d KB", chunkSize>>10), acc.Mode, acc.MBps, acc.RestoreMs, acc.Fetched, acc.Batched)
+			ms /= float64(cfg.Runs)
+			restoreMs[mi] = ms
+			t.add(labels(chunkLabel, mode), float64(imageSize)/1e6/(ms/1000), ms, float64(fetched), float64(batched))
 		}
-		fmt.Fprintf(cfg.Out, "  -> pipelined speedup at %d KB chunks: %.1fx\n",
-			chunkSize>>10, perMode[0].RestoreMs/perMode[1].RestoreMs)
+		speedup.add(labels(chunkLabel), restoreMs[0]/restoreMs[1])
 	}
-	fmt.Fprintf(cfg.Out, "serial (ReadAheadBytes = one chunk) pays the link latency once per chunk; the default reader's window overlaps it and batches amortize it per request\n")
-	fmt.Fprintf(cfg.Out, "paper: striped, pipelined transfers hide per-request cost (§IV.E read-ahead; §V.D); 1-CPU boxes time-slice reader and servers, see EXPERIMENTS.md\n\n")
-
-	if cfg.JSON != nil {
-		enc := json.NewEncoder(cfg.JSON)
-		for _, cl := range cells {
-			if err := enc.Encode(cl); err != nil {
-				return fmt.Errorf("readload: json: %w", err)
-			}
-		}
-	}
-	return nil
+	t.note("serial (ReadAheadBytes = one chunk) pays the link latency once per chunk; the default reader's window overlaps it and batches amortize it per request")
+	speedup.note("paper: striped, pipelined transfers hide per-request cost (§IV.E read-ahead; §V.D); 1-CPU boxes time-slice reader and servers, see EXPERIMENTS.md")
+	return []Table{t, speedup}, nil
 }
 
 // readloadImage builds a deterministic pseudo-random image: xorshift64

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,7 +33,7 @@ import (
 //     without building one) while that is still the newest, and the
 //     client reuses its cached map.
 //
-// The JSON records carry the per-phase manager RPC deltas (getMaps,
+// The table carries the per-phase manager RPC deltas (getMaps,
 // statVersions), so the zero-RPC warm-path claim is asserted, not eyeballed
 // (TestRestartLoadSmoke gates it in CI). The cache-off baseline, where
 // every open pays a full MGetMap, is a historical row in EXPERIMENTS.md.
@@ -42,7 +41,7 @@ import (
 // Like managerload/fedload the shape is fixed (Config.Scale has no
 // effect): 2 federated managers over real sockets, 8 datasets x 2
 // versions of 256 KB in 32 KB chunks.
-func RestartLoad(cfg Config) error {
+func RestartLoad(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	const (
 		managers    = 2
@@ -53,20 +52,9 @@ func RestartLoad(cfg Config) error {
 	)
 	readersSweep := []int{4, 16}
 
-	type cell struct {
-		Experiment   string  `json:"experiment"`
-		Mode         string  `json:"mode"`
-		Readers      int     `json:"readers"`
-		Phase        string  `json:"phase"`
-		Opens        int64   `json:"opens"`
-		OpensPerSec  float64 `json:"opensPerSec"`
-		GetMaps      int64   `json:"getMaps"`
-		StatVersions int64   `json:"statVersions"`
-	}
-
 	jdir, err := os.MkdirTemp("", "stdchk-restartload")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer os.RemoveAll(jdir)
 	c, err := grid.Start(grid.Options{
@@ -87,7 +75,7 @@ func RestartLoad(cfg Config) error {
 		GCInterval: time.Hour,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer c.Close()
 
@@ -98,7 +86,7 @@ func RestartLoad(cfg Config) error {
 		Semantics: core.WriteOptimistic,
 	}, device.Unshaped())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	names := make([]string, datasets)
 	latest := make([]core.VersionID, datasets)
@@ -107,24 +95,27 @@ func RestartLoad(cfg Config) error {
 		for t := 0; t < versionsPer; t++ {
 			if _, err := writeOnce(seeder, fmt.Sprintf("rl.n%d.t%d", d, t), imageSize, appBlock); err != nil {
 				seeder.Close()
-				return err
+				return nil, err
 			}
 		}
 		info, err := seeder.Stat(names[d])
 		if err != nil {
 			seeder.Close()
-			return err
+			return nil, err
 		}
 		latest[d] = info.Versions[len(info.Versions)-1].Version
 	}
 	seeder.Close()
 
-	fmt.Fprintf(cfg.Out, "Restart storm (§V read path): %d readers x %d datasets through a %d-manager router, cold vs warm chunk-map caches\n",
-		readersSweep[len(readersSweep)-1], datasets, managers)
-	fmt.Fprintf(cfg.Out, "%-9s %8s %6s %10s %12s %10s %14s\n",
-		"mode", "readers", "phase", "opens", "opens/s", "getMaps", "statVersions")
-
-	var cells []cell
+	t := Table{
+		Name: "opens",
+		Title: fmt.Sprintf("Restart storm (§V read path): %d readers x %d datasets through a %d-manager router, cold vs warm chunk-map caches",
+			readersSweep[len(readersSweep)-1], datasets, managers),
+		Keys: []string{"mode", "readers", "phase"},
+		Columns: []Column{
+			col("opens", "", 0), col("opens/s", "1/s", 0), col("getMaps", "", 0), col("statVersions", "", 0),
+		},
+	}
 	openOne := func(cl *client.Client, mode string, d int) error {
 		var r *client.Reader
 		var err error
@@ -152,7 +143,7 @@ func RestartLoad(cfg Config) error {
 					Semantics: core.WriteOptimistic,
 				}, device.Unshaped())
 				if err != nil {
-					return err
+					return nil, err
 				}
 				clients[i] = cl
 			}
@@ -184,63 +175,31 @@ func RestartLoad(cfg Config) error {
 				wg.Wait()
 				close(errCh)
 				for err := range errCh {
-					return fmt.Errorf("restartload %s/%d/%s: %w", mode, readers, phase, err)
+					return nil, fmt.Errorf("restartload %s/%d/%s: %w", mode, readers, phase, err)
 				}
 				elapsed := time.Since(start)
 				after := c.Stats()
 				opens := int64(readers) * int64(datasets) * int64(rounds)
-				cl := cell{
-					Experiment: "restartload", Mode: mode, Readers: readers, Phase: phase,
-					Opens:        opens,
-					OpensPerSec:  float64(opens) / elapsed.Seconds(),
-					GetMaps:      after.Ops[proto.MGetMap].Count - before.Ops[proto.MGetMap].Count,
-					StatVersions: after.Ops[proto.MStatVersion].Count - before.Ops[proto.MStatVersion].Count,
-				}
-				cells = append(cells, cl)
-				fmt.Fprintf(cfg.Out, "%-9s %8d %6s %10d %12.0f %10d %14d\n",
-					mode, readers, phase, cl.Opens, cl.OpensPerSec, cl.GetMaps, cl.StatVersions)
+				t.add(labels(mode, readers, phase), float64(opens), float64(opens)/elapsed.Seconds(),
+					float64(after.Ops[proto.MGetMap].Count-before.Ops[proto.MGetMap].Count),
+					float64(after.Ops[proto.MStatVersion].Count-before.Ops[proto.MStatVersion].Count))
 			}
 			for _, cl := range clients {
 				cl.Close()
 			}
 		}
 	}
-	fmt.Fprintf(cfg.Out, "warm re-opens: explicit-version = zero manager RPCs, latest = one MGetMap (unchanged reply) each\n")
-	fmt.Fprintf(cfg.Out, "paper: read performance minimizes restart delays (§IV.A); 1-CPU boxes time-slice readers, see EXPERIMENTS.md\n\n")
+	t.note("warm re-opens: explicit-version = zero manager RPCs, latest = one MGetMap (unchanged reply) each")
+	t.note("paper: read performance minimizes restart delays (§IV.A); 1-CPU boxes time-slice readers, see EXPERIMENTS.md")
 
-	restartCells, err := restartRecoveryCells(cfg, jdir)
+	recovery, err := restartRecovery(cfg, jdir)
 	if err != nil {
-		return fmt.Errorf("restartload: recovery cells: %w", err)
+		return nil, fmt.Errorf("restartload: recovery cells: %w", err)
 	}
-
-	if cfg.JSON != nil {
-		enc := json.NewEncoder(cfg.JSON)
-		for _, cl := range cells {
-			if err := enc.Encode(cl); err != nil {
-				return fmt.Errorf("restartload: json: %w", err)
-			}
-		}
-		for _, rc := range restartCells {
-			if err := enc.Encode(rc); err != nil {
-				return fmt.Errorf("restartload: json: %w", err)
-			}
-		}
-	}
-	return nil
+	return []Table{t, recovery}, nil
 }
 
-// restartCell records one metadata-plane restart measurement: how long the
-// manager took to come back and how much journal it had to replay.
-type restartCell struct {
-	Experiment  string  `json:"experiment"` // "restartload"
-	Mode        string  `json:"mode"`       // "restart-journal" | "restart-snapshot"
-	Entries     int64   `json:"entriesReplayed"`
-	Datasets    int64   `json:"datasets"`
-	RestartMs   float64 `json:"restartMs"`
-	SnapshotSeq int64   `json:"snapshotSeq,omitempty"`
-}
-
-// restartRecoveryCells measures the manager's own restart latency — the
+// restartRecovery measures the manager's own restart latency — the
 // §IV.A "minimize restart delays" goal applied to the metadata plane
 // itself. A fixed synthetic history (64 datasets x 32 versions of
 // 16-chunk checkpoints, the managerload driver, pruned to the two newest
@@ -251,7 +210,7 @@ type restartCell struct {
 // recovery loads the newest snapshot and replays only the short suffix
 // behind it. The smoke test gates that the snapshot restart replays
 // strictly less and recovers the identical dataset count.
-func restartRecoveryCells(cfg Config, jdir string) ([]restartCell, error) {
+func restartRecovery(cfg Config, jdir string) (Table, error) {
 	const (
 		rDatasets  = 64
 		rVersions  = 32
@@ -260,7 +219,7 @@ func restartRecoveryCells(cfg Config, jdir string) ([]restartCell, error) {
 	)
 	rdir := filepath.Join(jdir, "restart")
 	if err := os.MkdirAll(rdir, 0o755); err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	mcfg := manager.Config{
 		HeartbeatInterval:   time.Hour,
@@ -312,16 +271,16 @@ func restartRecoveryCells(cfg Config, jdir string) ([]restartCell, error) {
 	// Build the history.
 	m, err := manager.New(mcfg)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	if err := seedBenefactors(m); err != nil {
 		m.Close()
-		return nil, err
+		return Table{}, err
 	}
 	for t := 0; t < rVersions; t++ {
 		if err := commitRound(m, t, rDatasets); err != nil {
 			m.Close()
-			return nil, err
+			return Table{}, err
 		}
 		// Checkpoint-storage churn: keep the two newest versions per
 		// dataset, delete the rest — so the journal records the full
@@ -332,69 +291,67 @@ func restartRecoveryCells(cfg Config, jdir string) ([]restartCell, error) {
 		if t >= 2 {
 			if err := deleteRound(m, t-2, rDatasets); err != nil {
 				m.Close()
-				return nil, err
+				return Table{}, err
 			}
 		}
 	}
 	if err := m.Close(); err != nil {
-		return nil, err
+		return Table{}, err
 	}
 
 	// Restart 1: the journal alone — replay from entry one.
 	m2, jMs, err := timedRestart()
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	jStats := m2.Stats().Counters
-	cells := []restartCell{{
-		Experiment: "restartload", Mode: "restart-journal",
-		Entries: jStats[proto.CtrJournalReplayed].Value, Datasets: jStats[proto.CtrDatasets].Value, RestartMs: jMs,
-	}}
 
 	// Snapshot the recovered catalog, commit a short tail, snapshot again
 	// (truncating the journal past the first watermark), then a few more
 	// commits that only the journal suffix carries.
 	if err := seedBenefactors(m2); err != nil {
 		m2.Close()
-		return nil, err
+		return Table{}, err
 	}
 	if _, err := m2.Snapshot(); err != nil {
 		m2.Close()
-		return nil, err
+		return Table{}, err
 	}
 	if err := commitRound(m2, rVersions, 8); err != nil {
 		m2.Close()
-		return nil, err
+		return Table{}, err
 	}
 	if _, err := m2.Snapshot(); err != nil {
 		m2.Close()
-		return nil, err
+		return Table{}, err
 	}
 	if err := commitRound(m2, rVersions+1, 4); err != nil {
 		m2.Close()
-		return nil, err
+		return Table{}, err
 	}
 	if err := m2.Close(); err != nil {
-		return nil, err
+		return Table{}, err
 	}
 
 	// Restart 2: newest snapshot + journal suffix.
 	m3, sMs, err := timedRestart()
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	sStats := m3.Stats().Counters
 	m3.Close()
-	cells = append(cells, restartCell{
-		Experiment: "restartload", Mode: "restart-snapshot",
-		Entries: sStats[proto.CtrJournalReplayed].Value, Datasets: sStats[proto.CtrDatasets].Value, RestartMs: sMs,
-		SnapshotSeq: sStats[proto.CtrSnapshotSeq].Value,
-	})
 
-	j, sn := cells[0], cells[1]
-	fmt.Fprintf(cfg.Out, "metadata-plane restart (%d datasets, %d commits): full journal replay %d entries in %.1f ms;\n",
-		j.Datasets, rDatasets*rVersions, j.Entries, jMs)
-	fmt.Fprintf(cfg.Out, "snapshot + suffix replays %d entries in %.1f ms (snapshot watermark %d, journal truncated past the previous one)\n\n",
-		sn.Entries, sMs, sn.SnapshotSeq)
-	return cells, nil
+	t := Table{
+		Name:  "recovery",
+		Title: fmt.Sprintf("Metadata-plane restart (%d datasets, %d commits): full journal replay vs snapshot + suffix", rDatasets, rDatasets*rVersions),
+		Keys:  []string{"mode"},
+		Columns: []Column{
+			col("entries replayed", "", 0), col("datasets", "", 0), col("restart", "ms", 1), col("snapshot watermark", "", 0),
+		},
+	}
+	t.add(labels("restart-journal"), float64(jStats[proto.CtrJournalReplayed].Value), float64(jStats[proto.CtrDatasets].Value), jMs, 0)
+	t.add(labels("restart-snapshot"), float64(sStats[proto.CtrJournalReplayed].Value), float64(sStats[proto.CtrDatasets].Value), sMs,
+		float64(sStats[proto.CtrSnapshotSeq].Value))
+	t.note("snapshot + suffix replays only the entries past the newest snapshot's watermark; the journal is truncated past the previous one")
+	return t, nil
 }

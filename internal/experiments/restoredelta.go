@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -31,7 +30,7 @@ import (
 // Like managerload/fedload the shape is fixed (Config.Scale has no
 // effect): 512 KB images in 32 KB chunks, delta fractions 1/16, 1/4,
 // 1/2; Config.Runs sets the repetitions averaged per cell.
-func RestoreDelta(cfg Config) error {
+func RestoreDelta(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	const (
 		managers  = 2
@@ -40,17 +39,6 @@ func RestoreDelta(cfg Config) error {
 		nChunks   = imageSize / chunkSize
 	)
 	deltaFracs := []float64{1.0 / 16, 1.0 / 4, 1.0 / 2}
-
-	type cell struct {
-		Experiment string  `json:"experiment"`
-		DeltaFrac  float64 `json:"deltaFrac"`
-		Mode       string  `json:"mode"` // "full" | "incremental"
-		FileBytes  int64   `json:"fileBytes"`
-		DiffBytes  int64   `json:"diffBytes"`
-		Fetched    int64   `json:"fetchedBytes"`
-		Local      int64   `json:"localBytes"`
-		RestoreMs  float64 `json:"restoreMs"`
-	}
 
 	c, err := grid.Start(grid.Options{
 		Managers:          managers,
@@ -65,7 +53,7 @@ func RestoreDelta(cfg Config) error {
 		GCInterval: time.Hour,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer c.Close()
 
@@ -74,7 +62,7 @@ func RestoreDelta(cfg Config) error {
 		Semantics: core.WriteOptimistic,
 	}, device.Unshaped())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer cl.Close()
 
@@ -89,23 +77,10 @@ func RestoreDelta(cfg Config) error {
 	baseVer := make([]core.VersionID, len(deltaFracs))
 	newVer := make([]core.VersionID, len(deltaFracs))
 	newData := make([][]byte, len(deltaFracs))
-	writeImage := func(name string, data []byte) error {
-		w, err := cl.Create(name)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		return w.Wait()
-	}
 	for d, frac := range deltaFracs {
 		names[d] = fmt.Sprintf("rd.n%d", d)
-		if err := writeImage(names[d]+".t0", baseData); err != nil {
-			return err
+		if _, err := writeImage(cl, names[d]+".t0", baseData); err != nil {
+			return nil, err
 		}
 		mutated := append([]byte(nil), baseData...)
 		changed := int(float64(nChunks) * frac)
@@ -120,13 +95,13 @@ func RestoreDelta(cfg Config) error {
 				mutated[j] ^= 0xA5
 			}
 		}
-		if err := writeImage(names[d]+".t1", mutated); err != nil {
-			return err
+		if _, err := writeImage(cl, names[d]+".t1", mutated); err != nil {
+			return nil, err
 		}
 		newData[d] = mutated
 		info, err := cl.Stat(names[d])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		baseVer[d] = info.Versions[0].Version
 		newVer[d] = info.Versions[1].Version
@@ -135,19 +110,25 @@ func RestoreDelta(cfg Config) error {
 	// Warm the client's chunk-map cache for every dataset in one batched
 	// round trip per federation member (MGetMaps through the Router).
 	if _, err := cl.PrefetchMaps(names); err != nil {
-		return err
+		return nil, err
 	}
 
-	fmt.Fprintf(cfg.Out, "Full vs incremental restore: %d KB images in %d KB chunks through a %d-manager router\n",
-		imageSize>>10, chunkSize>>10, managers)
-	fmt.Fprintf(cfg.Out, "%-7s %10s %10s %13s %12s %12s %10s\n",
-		"delta", "mode", "bytes", "diff bytes", "fetched", "local", "ms")
-
-	var cells []cell
-	restore := func(d int, mode string) (cell, error) {
+	t := Table{
+		Name:  "restore",
+		Title: fmt.Sprintf("Full vs incremental restore: %d KB images in %d KB chunks through a %d-manager router", imageSize>>10, chunkSize>>10, managers),
+		Keys:  []string{"delta", "mode"},
+		Columns: []Column{
+			col("bytes", "B", 0), col("diff bytes", "B", 0), col("fetched", "B", 0),
+			col("local", "B", 0), col("restore time", "ms", 1),
+		},
+	}
+	// restore reads version t1 of dataset d back, fully or against the
+	// local t0 baseline, checks it byte for byte, and returns its row's
+	// cells.
+	restore := func(d int, mode string) ([]float64, error) {
 		diff, err := cl.Diff(names[d], baseVer[d], newVer[d])
 		if err != nil {
-			return cell{}, err
+			return nil, err
 		}
 		opt := client.OpenOptions{Version: newVer[d]}
 		if mode == "incremental" {
@@ -157,55 +138,40 @@ func RestoreDelta(cfg Config) error {
 		start := time.Now()
 		r, err := cl.Open(names[d], opt)
 		if err != nil {
-			return cell{}, err
+			return nil, err
 		}
 		got, err := r.ReadAll()
 		if err != nil {
 			r.Close()
-			return cell{}, err
+			return nil, err
 		}
 		elapsed := time.Since(start)
 		fetched, local := r.BytesFetched(), r.BytesLocal()
 		r.Close()
 		if !bytes.Equal(got, newData[d]) {
-			return cell{}, fmt.Errorf("%s restore of %s.t1 is not byte-identical to the committed image", mode, names[d])
+			return nil, fmt.Errorf("%s restore of %s.t1 is not byte-identical to the committed image", mode, names[d])
 		}
-		return cell{
-			Experiment: "restoredelta", DeltaFrac: deltaFracs[d], Mode: mode,
-			FileBytes: int64(len(got)), DiffBytes: diff.DiffBytes,
-			Fetched: fetched, Local: local,
-			RestoreMs: float64(elapsed.Microseconds()) / 1000,
-		}, nil
+		return []float64{float64(len(got)), float64(diff.DiffBytes), float64(fetched), float64(local),
+			float64(elapsed.Microseconds()) / 1000}, nil
 	}
-	for d := range deltaFracs {
+	for d, frac := range deltaFracs {
 		for _, mode := range []string{"full", "incremental"} {
 			// Average the latency over Runs; byte counters are per restore
-			// and identical across repetitions, so the last cell carries them.
-			var acc cell
+			// and identical across repetitions, so the last one carries them.
+			var cells []float64
+			var ms float64
 			for rep := 0; rep < cfg.Runs; rep++ {
-				cc, err := restore(d, mode)
-				if err != nil {
-					return fmt.Errorf("restoredelta %s %.3f: %w", mode, deltaFracs[d], err)
+				var err error
+				if cells, err = restore(d, mode); err != nil {
+					return nil, fmt.Errorf("restoredelta %s %.3f: %w", mode, frac, err)
 				}
-				cc.RestoreMs += acc.RestoreMs
-				acc = cc
+				ms += cells[4]
 			}
-			acc.RestoreMs /= float64(cfg.Runs)
-			cells = append(cells, acc)
-			fmt.Fprintf(cfg.Out, "%-7.3f %10s %10d %13d %12d %12d %10.1f\n",
-				acc.DeltaFrac, acc.Mode, acc.FileBytes, acc.DiffBytes, acc.Fetched, acc.Local, acc.RestoreMs)
+			cells[4] = ms / float64(cfg.Runs)
+			t.add(labels(fmt.Sprintf("%.3f", frac), mode), cells...)
 		}
 	}
-	fmt.Fprintf(cfg.Out, "incremental restores fetch only the version delta; unchanged chunks are hash-verified local copies\n")
-	fmt.Fprintf(cfg.Out, "paper: read performance minimizes restart delays (§IV.A); 1-CPU boxes time-slice reader and servers, see EXPERIMENTS.md\n\n")
-
-	if cfg.JSON != nil {
-		enc := json.NewEncoder(cfg.JSON)
-		for _, cl := range cells {
-			if err := enc.Encode(cl); err != nil {
-				return fmt.Errorf("restoredelta: json: %w", err)
-			}
-		}
-	}
-	return nil
+	t.note("incremental restores fetch only the version delta; unchanged chunks are hash-verified local copies")
+	t.note("paper: read performance minimizes restart delays (§IV.A); 1-CPU boxes time-slice reader and servers, see EXPERIMENTS.md")
+	return []Table{t}, nil
 }

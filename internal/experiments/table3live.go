@@ -36,7 +36,7 @@ func liveCbCHParams(chunk int64) chunker.StreamParams {
 // the server-side ground truth for the same quantity. The offline ratio of
 // the identical boundary parameterization is printed alongside so
 // harness-vs-wire divergence is visible.
-func Table3Live(cfg Config) error {
+func Table3Live(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	images := 4
 	size := cfg.scaled(279_600_000) // BLCR average checkpoint, 279.6 MB
@@ -49,14 +49,19 @@ func Table3Live(cfg Config) error {
 
 	c, err := paperCluster(4, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer c.Close()
 
-	fmt.Fprintf(cfg.Out, "Table 3 (live): detected similarity through the wire path, %d BLCR images of %d KB (scaled 1/%d)\n",
-		images, size>>10, cfg.Scale)
-	fmt.Fprintf(cfg.Out, "%-38s %12s %12s %14s %12s %12s\n",
-		"technique", "live dedup", "offline", "uploaded MB", "dedup hits", "probe RPCs")
+	t := Table{
+		Name:  "live-similarity",
+		Title: fmt.Sprintf("Table 3 (live): detected similarity through the wire path, %d BLCR images of %d KB (scaled 1/%d)", images, size>>10, cfg.Scale),
+		Keys:  []string{"technique"},
+		Columns: []Column{
+			col("live dedup", "%", 1), col("offline", "%", 1), col("uploaded", "MB", 1),
+			col("dedup hits", "", 0), col("probe RPCs", "", 0),
+		},
+	}
 
 	type mode struct {
 		name    string
@@ -90,7 +95,7 @@ func Table3Live(cfg Config) error {
 	}
 
 	// runMode writes the trace through one chunking configuration and
-	// prints its row; the client is scoped here so every error path
+	// adds its row; the client is scoped here so every error path
 	// releases its connections.
 	runMode := func(mi int, m mode) error {
 		tr := workload.BLCR5Min(42, images, size)
@@ -108,20 +113,10 @@ func Table3Live(cfg Config) error {
 		var logical, deduped, uploaded int64
 		for i, img := range tr.Images {
 			name := fmt.Sprintf("live%d.n1.t%d", mi, i)
-			w, err := cl.Create(name)
+			wm, err := writeImage(cl, name, img)
 			if err != nil {
 				return err
 			}
-			if _, err := w.Write(img); err != nil {
-				return err
-			}
-			if err := w.Close(); err != nil {
-				return err
-			}
-			if err := w.Wait(); err != nil {
-				return err
-			}
-			wm := w.Metrics()
 			uploaded += wm.Uploaded
 			if i > 0 {
 				logical += wm.Bytes
@@ -138,21 +133,20 @@ func Table3Live(cfg Config) error {
 		if logical > 0 {
 			live = float64(deduped) / float64(logical)
 		}
-		fmt.Fprintf(cfg.Out, "%-38s %11.1f%% %11.1f%% %14.1f %12d %12d\n",
-			m.name, 100*live, 100*offline.SimilarityRatio(), float64(uploaded)/1e6,
-			after.DedupHits-before.DedupHits, after.Ops[proto.MHasChunks].Count-before.Ops[proto.MHasChunks].Count)
+		t.add(labels(m.name), 100*live, 100*offline.SimilarityRatio(), float64(uploaded)/1e6,
+			float64(after.DedupHits-before.DedupHits), float64(after.Ops[proto.MHasChunks].Count-before.Ops[proto.MHasChunks].Count))
 
 		cl.Delete(fmt.Sprintf("live%d.n1", mi), 0)
 		return nil
 	}
 	for mi, m := range modes {
 		if err := runMode(mi, m); err != nil {
-			return err
+			return nil, err
 		}
 		c.CollectAll()
 	}
-	fmt.Fprintf(cfg.Out, "paper: FsCH detects ~25%% on BLCR-5min (offset-aligned prefix only); overlap CbCH ~84%%.\n")
-	fmt.Fprintf(cfg.Out, "       Live dedup tracks the offline ratio of the same boundary set: what the harness\n")
-	fmt.Fprintf(cfg.Out, "       predicts is what the wire path saves (bytes never uploaded, counted by DedupHits).\n\n")
-	return nil
+	t.note("paper: FsCH detects ~25%% on BLCR-5min (offset-aligned prefix only); overlap CbCH ~84%%.")
+	t.note("       Live dedup tracks the offline ratio of the same boundary set: what the harness")
+	t.note("       predicts is what the wire path saves (bytes never uploaded, counted by DedupHits).")
+	return []Table{t}, nil
 }

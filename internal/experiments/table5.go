@@ -68,7 +68,7 @@ func (s *stdchkSink) WriteImage(name string, img []byte) (time.Duration, int64, 
 // (baseline) or to stdchk via the sliding window with FsCH. The paper
 // reports stdchk improving total execution time by 1.3%, the checkpointing
 // time by 27%, and the stored data volume by 69%.
-func Table5(cfg Config) error {
+func Table5(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	images := 40
 	if cfg.Scale <= 4 {
@@ -89,13 +89,13 @@ func Table5(cfg Config) error {
 		NamePattern:     "blastlocal.n1.t%d",
 	}, &localSink{node: device.NewNode(device.PaperNode())})
 	if err != nil {
-		return fmt.Errorf("table5 local: %w", err)
+		return nil, fmt.Errorf("table5 local: %w", err)
 	}
 
 	// stdchk: sliding window + FsCH on four benefactors.
 	c, err := paperCluster(4, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer c.Close()
 	cl, _, err := c.NewClient(client.Config{
@@ -108,7 +108,7 @@ func Table5(cfg Config) error {
 		Semantics:   core.WriteOptimistic,
 	}, device.PaperNode())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer cl.Close()
 	std, err := workload.SimulateRun(workload.RunParams{
@@ -117,20 +117,20 @@ func Table5(cfg Config) error {
 		NamePattern:     "blast.n1.t%d",
 	}, &stdchkSink{cl: cl})
 	if err != nil {
-		return fmt.Errorf("table5 stdchk: %w", err)
+		return nil, fmt.Errorf("table5 stdchk: %w", err)
 	}
 
 	totalPct, ckptPct, dataPct := std.Improvement(local)
-	fmt.Fprintf(cfg.Out, "Table 5: BLAST end-to-end, %d checkpoints of %d KB (scaled 1/%d), compute:ckpt ≈ 20:1\n",
-		images, imgSize>>10, cfg.Scale)
-	fmt.Fprintf(cfg.Out, "%-26s %16s %16s %14s\n", "", "local disk", "stdchk", "improvement")
-	fmt.Fprintf(cfg.Out, "%-26s %15.1fs %15.1fs %13.1f%%\n",
-		"Total execution time", local.TotalTime.Seconds(), std.TotalTime.Seconds(), totalPct)
-	fmt.Fprintf(cfg.Out, "%-26s %15.1fs %15.1fs %13.1f%%\n",
-		"Checkpointing time", local.CheckpointTime.Seconds(), std.CheckpointTime.Seconds(), ckptPct)
-	fmt.Fprintf(cfg.Out, "%-26s %15.1fM %15.1fM %13.1f%%\n",
-		"Data size (stored)", float64(local.StoredBytes)/1e6, float64(std.StoredBytes)/1e6, dataPct)
-	fmt.Fprintf(cfg.Out, "paper: total 462,141 s -> 455,894 s (1.3%%); checkpointing 22,733 s -> 16,497 s (27%%);\n")
-	fmt.Fprintf(cfg.Out, "       data 3.55 TB -> 1.14 TB (69%%)\n\n")
-	return nil
+	t := Table{
+		Name:    "blast",
+		Title:   fmt.Sprintf("Table 5: BLAST end-to-end, %d checkpoints of %d KB (scaled 1/%d), compute:ckpt ≈ 20:1", images, imgSize>>10, cfg.Scale),
+		Keys:    []string{"measure", "unit"},
+		Columns: []Column{col("local disk", "", 1), col("stdchk", "", 1), col("improvement", "%", 1)},
+	}
+	t.add(labels("Total execution time", "s"), local.TotalTime.Seconds(), std.TotalTime.Seconds(), totalPct)
+	t.add(labels("Checkpointing time", "s"), local.CheckpointTime.Seconds(), std.CheckpointTime.Seconds(), ckptPct)
+	t.add(labels("Data size (stored)", "MB"), float64(local.StoredBytes)/1e6, float64(std.StoredBytes)/1e6, dataPct)
+	t.note("paper: total 462,141 s -> 455,894 s (1.3%%); checkpointing 22,733 s -> 16,497 s (27%%);")
+	t.note("       data 3.55 TB -> 1.14 TB (69%%)")
+	return []Table{t}, nil
 }

@@ -43,28 +43,33 @@ func traceSet(cfg Config) map[string]*workload.Trace {
 // Table2 regenerates the trace-characteristics table: checkpoint type,
 // interval, count and average image size for each collected workload.
 // Counts and sizes are scaled; the paper's originals are printed alongside.
-func Table2(cfg Config) error {
+func Table2(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	traces := traceSet(cfg)
-	fmt.Fprintf(cfg.Out, "Table 2: characteristics of the checkpoint traces (sizes scaled 1/%d)\n", cfg.Scale)
-	fmt.Fprintf(cfg.Out, "%-18s %-16s %10s %8s %12s %22s\n",
-		"Application", "Type", "Interval", "Images", "Avg MB", "paper (count x MB)")
-	rows := []struct {
-		key   string
-		paper string
+	t := Table{
+		Name:  "traces",
+		Title: fmt.Sprintf("Table 2: characteristics of the checkpoint traces (sizes scaled 1/%d)", cfg.Scale),
+		Keys:  []string{"Application", "Type", "Interval"},
+		Columns: []Column{
+			col("Images", "", 0), col("Avg", "MB", 2),
+			col("paper images", "", 0), col("paper avg", "MB", 1),
+		},
+	}
+	for _, r := range []struct {
+		key           string
+		paperImages   float64
+		paperAvgBytes float64
 	}{
-		{"BMS/app/1min", "100 x 2.7"},
-		{"BLAST/BLCR/5min", "902 x 279.6"},
-		{"BLAST/BLCR/15min", "654 x 308.1"},
-		{"BLAST/Xen/5min", "100 x 1024.8"},
-	}
-	for _, r := range rows {
+		{"BMS/app/1min", 100, 2.7},
+		{"BLAST/BLCR/5min", 902, 279.6},
+		{"BLAST/BLCR/15min", 654, 308.1},
+		{"BLAST/Xen/5min", 100, 1024.8},
+	} {
 		tr := traces[r.key]
-		fmt.Fprintf(cfg.Out, "%-18s %-16s %10s %8d %12.2f %22s\n",
-			tr.Application, tr.Type, tr.Interval, tr.Count(), tr.AvgSizeMB(), r.paper)
+		t.add(labels(tr.Application, tr.Type, tr.Interval), float64(tr.Count()), tr.AvgSizeMB(), r.paperImages, r.paperAvgBytes)
 	}
-	fmt.Fprintln(cfg.Out)
-	return nil
+	t.note("paper: 100 x 2.7 MB (BMS), 902 x 279.6 MB (BLCR 5 min), 654 x 308.1 MB (BLCR 15 min), 100 x 1024.8 MB (Xen)")
+	return []Table{t}, nil
 }
 
 // table3Heuristics are the compared configurations (paper Table 3).
@@ -76,6 +81,15 @@ func table3Heuristics() []chunker.Chunker {
 		chunker.ContentDefined{Window: 20, Bits: 14, Advance: 1},  // overlap
 		chunker.ContentDefined{Window: 20, Bits: 14, Advance: 20}, // no-overlap
 	}
+}
+
+// table3Traces are Table 3's traces in column order, with the short
+// names its column headers use.
+var table3Traces = []struct{ key, short string }{
+	{"BMS/app/1min", "app"},
+	{"BLAST/BLCR/5min", "BLCR5"},
+	{"BLAST/BLCR/15min", "BLCR15"},
+	{"BLAST/Xen/5min", "Xen"},
 }
 
 // Table3 regenerates the similarity-heuristics comparison: detected
@@ -91,34 +105,35 @@ func table3Heuristics() []chunker.Chunker {
 // overlap. The paper's headline contrasts — overlap CbCH finds the most,
 // FsCH is by far the fastest, Xen and application-level traces defeat
 // everything — all reproduce.
-func Table3(cfg Config) error {
+func Table3(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	traces := traceSet(cfg)
-	order := []string{"BMS/app/1min", "BLAST/BLCR/5min", "BLAST/BLCR/15min", "BLAST/Xen/5min"}
-
-	fmt.Fprintf(cfg.Out, "Table 3: similarity %% [throughput MB/s] per heuristic and trace (scaled 1/%d)\n", cfg.Scale)
-	fmt.Fprintf(cfg.Out, "%-30s", "technique \\ trace")
-	for _, key := range order {
-		fmt.Fprintf(cfg.Out, " %22s", key)
+	t := Table{
+		Name:  "similarity",
+		Title: fmt.Sprintf("Table 3: similarity and throughput per heuristic and trace (scaled 1/%d)", cfg.Scale),
+		Keys:  []string{"technique"},
 	}
-	fmt.Fprintln(cfg.Out)
+	for _, tr := range table3Traces {
+		t.Columns = append(t.Columns, col(tr.short+" sim", "%", 1), col(tr.short+" thru", "MB/s", 1))
+	}
 	for _, h := range table3Heuristics() {
-		fmt.Fprintf(cfg.Out, "%-30s", h.Name())
-		for _, key := range order {
-			stats := chunker.EvalTrace(h, traces[key].Images)
-			fmt.Fprintf(cfg.Out, "   %6.1f%% [%8.1f]", 100*stats.SimilarityRatio(), stats.ThroughputMBps())
+		var cells []float64
+		for _, tr := range table3Traces {
+			stats := chunker.EvalTrace(h, traces[tr.key].Images)
+			cells = append(cells, 100*stats.SimilarityRatio(), stats.ThroughputMBps())
 		}
-		fmt.Fprintln(cfg.Out)
+		t.add(labels(h.Name()), cells...)
 	}
-	fmt.Fprintf(cfg.Out, "paper: FsCH ≈0/25/9%% on app/BLCR5/BLCR15 at ≈100-113 MB/s; CbCH overlap ≈0/84/71%% at ≈1.1-1.5 MB/s;\n")
-	fmt.Fprintf(cfg.Out, "       CbCH no-overlap ≈0/82/70%% at ≈26-28 MB/s; Xen near zero for all (see EXPERIMENTS.md note)\n\n")
-	return nil
+	t.note("traces: app = BMS/app/1min, BLCR5 = BLAST/BLCR/5min, BLCR15 = BLAST/BLCR/15min, Xen = BLAST/Xen/5min")
+	t.note("paper: FsCH ≈0/25/9%% on app/BLCR5/BLCR15 at ≈100-113 MB/s; CbCH overlap ≈0/84/71%% at ≈1.1-1.5 MB/s;")
+	t.note("       CbCH no-overlap ≈0/82/70%% at ≈26-28 MB/s; Xen near zero for all (see EXPERIMENTS.md note)")
+	return []Table{t}, nil
 }
 
 // Table4 regenerates the CbCH no-overlap parameter sweep on the
 // BLCR-5min trace: similarity, throughput and chunk-size statistics as
 // the window size m and the boundary-bit count k vary.
-func Table4(cfg Config) error {
+func Table4(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	images := 5
 	size := cfg.scaled(279_600_000)
@@ -130,19 +145,24 @@ func Table4(cfg Config) error {
 	}
 	tr := workload.BLCR5Min(12, images, size)
 
-	fmt.Fprintf(cfg.Out, "Table 4: CbCH no-overlap sweep on BLAST/BLCR-5min (scaled 1/%d)\n", cfg.Scale)
-	fmt.Fprintf(cfg.Out, "%4s %5s %12s %12s %12s %12s %12s\n",
-		"k", "m(B)", "similarity", "MB/s", "avg KB", "min KB", "max KB")
+	t := Table{
+		Name:  "cbch-sweep",
+		Title: fmt.Sprintf("Table 4: CbCH no-overlap sweep on BLAST/BLCR-5min (scaled 1/%d)", cfg.Scale),
+		Keys:  []string{"k", "m(B)"},
+		Columns: []Column{
+			col("similarity", "%", 1), col("throughput", "MB/s", 1),
+			col("avg", "KB", 1), col("min", "KB", 1), col("max", "KB", 1),
+		},
+	}
 	for _, k := range []uint{8, 10, 12, 14} {
 		for _, m := range []int{20, 32, 64, 128, 256} {
 			h := chunker.ContentDefined{Window: m, Bits: k, Advance: m}
 			stats := chunker.EvalTrace(h, tr.Images)
-			fmt.Fprintf(cfg.Out, "%4d %5d %11.1f%% %12.1f %12.1f %12.1f %12.1f\n",
-				k, m, 100*stats.SimilarityRatio(), stats.ThroughputMBps(),
+			t.add(labels(k, m), 100*stats.SimilarityRatio(), stats.ThroughputMBps(),
 				stats.AvgChunk/1024, stats.AvgMinChunk/1024, stats.AvgMaxChunk/1024)
 		}
 	}
-	fmt.Fprintf(cfg.Out, "paper: chunk size grows with k and m (k=8,m=20: ≈519 KB avg ... k=14,m=256: ≈2.9 MB);\n")
-	fmt.Fprintf(cfg.Out, "       similarity peaks at small m / large k; throughput 27-87 MB/s across the sweep\n\n")
-	return nil
+	t.note("paper: chunk size grows with k and m (k=8,m=20: ≈519 KB avg ... k=14,m=256: ≈2.9 MB);")
+	t.note("       similarity peaks at small m / large k; throughput 27-87 MB/s across the sweep")
+	return []Table{t}, nil
 }

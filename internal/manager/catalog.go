@@ -79,6 +79,15 @@ type catalog struct {
 	// delete; benefactor GC inventory or quorum recovery re-learns them)
 	// instead of refusing to start.
 	replaying bool
+
+	// now is the clock a live commit reads its commit time from (tests
+	// pin it). replayAt, when set, is the commit time the journal entry
+	// being replayed recorded, and a commit takes it instead: a replayed
+	// version keeps the instant it was committed, as a snapshot's does.
+	// Entries written before the journal kept commit times leave it zero
+	// and read the clock.
+	now      func() time.Time
+	replayAt time.Time
 }
 
 // stripedMu is one instrumented lock stripe: an RWMutex that counts
@@ -205,6 +214,7 @@ func newCatalogStripes(stripes int) *catalog {
 		c.ck[i] = &chunkShard{chunks: make(map[core.ChunkID]*chunkEntry)}
 	}
 	c.ids.used = make(map[core.DatasetID]struct{})
+	c.now = time.Now
 	return c
 }
 
@@ -569,13 +579,17 @@ func (c *catalog) commit(fileName string, folder string, replication int, chunkS
 	// so an acknowledged commit is always a journaled one.
 	var verID core.VersionID
 	allocID := func() { verID = core.VersionID(c.nextVersion.Add(1)) }
+	at := c.replayAt
+	if at.IsZero() {
+		at = c.now()
+	}
 	if c.journalHook == nil {
 		allocID()
 	} else {
 		if err := c.journalHook(journalEntry{
 			Op: "commit", Name: fileName, Replication: replication,
 			ChunkSize: chunkSize, Variable: variable, FileSize: fileSize, Chunks: chunks,
-			Writer: writer, ticketed: allocID,
+			Writer: writer, CommittedAt: at, ticketed: allocID,
 		}); err != nil {
 			if created {
 				delete(sh.byName, key)
@@ -597,7 +611,7 @@ func (c *catalog) commit(fileName string, folder string, replication int, chunkS
 		variable:    variable,
 		chunks:      refs,
 		newBytes:    newBytes,
-		committedAt: time.Now(),
+		committedAt: at,
 		writer:      writer,
 	}
 	ds.versions = append(ds.versions, v)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"stdchk/internal/core"
 	"stdchk/internal/faultpoint"
@@ -49,6 +50,10 @@ type journalEntry struct {
 	// Writer is the committing client's declared identity (commit entries
 	// only; absent in journals written before writer identity existed).
 	Writer string `json:"writer,omitempty"`
+	// CommittedAt is the version's commit time (commit entries only;
+	// absent in journals written before commit times were recorded, whose
+	// replayed versions read the clock at replay).
+	CommittedAt time.Time `json:"committedAt,omitzero"`
 
 	// ticketed, when set, runs atomically with the entry's order ticket
 	// (never written to the file). A commit allocates its version ID
@@ -612,7 +617,9 @@ func (m *Manager) replayJournal(watermark uint64) error {
 		replayed++
 		switch e.Op {
 		case "commit":
+			m.cat.replayAt = e.CommittedAt
 			_, _, _, err := m.cat.commit(e.Name, namespace.FolderOf(e.Name), e.Replication, e.ChunkSize, e.Variable, e.FileSize, e.Chunks, e.Writer)
+			m.cat.replayAt = time.Time{}
 			if err != nil {
 				return fmt.Errorf("entry %d (commit %s): %w", i, e.Name, err)
 			}

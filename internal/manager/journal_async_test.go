@@ -28,7 +28,8 @@ import (
 
 // driveSequentialJournal pushes a fixed, deterministic workload through a
 // manager's handlers: no concurrency, so sync and async journals must
-// come out byte-identical.
+// come out byte-identical. The catalog's clock is pinned to a fixed
+// sequence, so the commit times the journal records match too.
 func driveSequentialJournal(t *testing.T, syncJournal bool) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seq.journal")
@@ -39,6 +40,11 @@ func driveSequentialJournal(t *testing.T, syncJournal bool) []byte {
 	}, defaultStripes, syncJournal)
 	if err != nil {
 		t.Fatal(err)
+	}
+	tick := time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
+	m.cat.now = func() time.Time {
+		tick = tick.Add(time.Millisecond)
+		return tick
 	}
 	m.reg.register(regReq("sq1", 1<<30), 0)
 	for w := 0; w < 3; w++ {

@@ -39,12 +39,15 @@ type dsSnap struct {
 }
 
 type verSnap struct {
-	FileName  string
-	FileSize  int64
-	ChunkSize int64
-	Variable  bool
-	NewBytes  int64
-	Chunks    []core.ChunkRef
+	ID          core.VersionID
+	FileName    string
+	FileSize    int64
+	ChunkSize   int64
+	Variable    bool
+	NewBytes    int64
+	CommittedAt int64 // Unix nanoseconds: location and monotonic reading dropped
+	Writer      string
+	Chunks      []core.ChunkRef
 }
 
 type ckSnap struct {
@@ -72,11 +75,14 @@ func snapshotCatalog(c *catalog, withNewBytes bool) catSnap {
 			sort.Slice(versions, func(i, j int) bool { return versions[i].fileName < versions[j].fileName })
 			for _, v := range versions {
 				vs := verSnap{
-					FileName:  v.fileName,
-					FileSize:  v.fileSize,
-					ChunkSize: v.chunkSize,
-					Variable:  v.variable,
-					Chunks:    append([]core.ChunkRef(nil), v.chunks...),
+					ID:          v.id,
+					FileName:    v.fileName,
+					FileSize:    v.fileSize,
+					ChunkSize:   v.chunkSize,
+					Variable:    v.variable,
+					CommittedAt: v.committedAt.UnixNano(),
+					Writer:      v.writer,
+					Chunks:      append([]core.ChunkRef(nil), v.chunks...),
 				}
 				if withNewBytes {
 					vs.NewBytes = v.newBytes
@@ -304,9 +310,11 @@ func TestJournalReplayTornRecord(t *testing.T) {
 // TestConcurrentCommitsMatchSingleLockReference: concurrent commits on
 // distinct datasets (with one chunk shared by every writer) applied to a
 // striped catalog must converge to the state the single-lock catalog
-// reaches applying the same commits sequentially. Per-version newBytes is
-// excluded: which version first stores a cross-dataset shared chunk is
-// interleaving-dependent by design; the aggregate byte accounting is not.
+// reaches applying the same commits sequentially. Per-version newBytes and
+// version IDs are excluded: which version first stores a cross-dataset
+// shared chunk, and which commit draws which ID, are interleaving-dependent
+// by design; the aggregate byte accounting is not. Both catalogs read one
+// pinned clock.
 func TestConcurrentCommitsMatchSingleLockReference(t *testing.T) {
 	const writers, versions, chunksPer = 12, 4, 6
 	type commitArgs struct {
@@ -337,7 +345,9 @@ func TestConcurrentCommitsMatchSingleLockReference(t *testing.T) {
 		}
 	}
 
+	pinned := func() time.Time { return time.Unix(1_700_000_000, 0) }
 	striped := newCatalogStripes(16)
+	striped.now = pinned
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers)
 	for w := 0; w < writers; w++ {
@@ -359,6 +369,7 @@ func TestConcurrentCommitsMatchSingleLockReference(t *testing.T) {
 	}
 
 	ref := newCatalogStripes(1)
+	ref.now = pinned
 	for w := 0; w < writers; w++ {
 		for _, ca := range plan[w] {
 			if _, _, _, err := ref.commit(ca.name, "cc", 1, 512, false, ca.size, ca.chunks, ""); err != nil {
@@ -369,6 +380,13 @@ func TestConcurrentCommitsMatchSingleLockReference(t *testing.T) {
 
 	got := snapshotCatalog(striped, false)
 	want := snapshotCatalog(ref, false)
+	for _, s := range []catSnap{got, want} {
+		for _, ds := range s.Datasets {
+			for i := range ds.Versions {
+				ds.Versions[i].ID = 0
+			}
+		}
+	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("concurrent striped commits diverged from sequential single-lock reference:\nwant: %+v\ngot:  %+v", want, got)
 	}
@@ -596,5 +614,70 @@ func TestCatalogCommitRollbackOnBadSharedChunk(t *testing.T) {
 	after := snapshotCatalog(c, true)
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("failed commit mutated the catalog:\nbefore: %+v\nafter:  %+v", before, after)
+	}
+}
+
+// commitTimes maps every committed file name to its commit time.
+func commitTimes(c *catalog) map[string]time.Time {
+	out := make(map[string]time.Time)
+	for _, sh := range c.ds {
+		for _, ds := range sh.byName {
+			for _, v := range ds.versions {
+				out[v.fileName] = v.committedAt
+			}
+		}
+	}
+	return out
+}
+
+// TestJournalRestartKeepsCommitTimes: a manager restarted from its journal
+// alone must bring every version back with the instant it was committed,
+// not the instant of the restart — as-of opens, history and age-based
+// retention all read that time, and a snapshot restart already keeps it.
+func TestJournalRestartKeepsCommitTimes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "times.journal")
+	cfg := Config{JournalPath: path, HeartbeatInterval: time.Hour, SessionTTL: time.Hour}
+	m, err := newManager(cfg, defaultStripes, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.reg.register(regReq("ct1", 1<<30), 0)
+	for ti := 0; ti < 3; ti++ {
+		name := fmt.Sprintf("ct.n1.t%d", ti)
+		alloc, err := m.handleAlloc(proto.AllocReq{Name: name, StripeWidth: 1, ChunkSize: 512, ReserveBytes: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks, total := commitChunks(int64(ti), 2, 512)
+		if _, err := m.handleCommit(proto.CommitReq{
+			WriteID: alloc.Meta.(proto.AllocResp).WriteID, FileSize: total, Chunks: chunks,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := commitTimes(m.cat)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // a restart later than every commit
+
+	m2, err := newManager(cfg, defaultStripes, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	replayed := commitTimes(m2.cat)
+	if len(replayed) != len(live) {
+		t.Fatalf("replay rebuilt %d versions, want %d", len(replayed), len(live))
+	}
+	for name, at := range live {
+		if got := replayed[name]; !got.Equal(at) {
+			t.Errorf("%s: replayed commit time %v, committed at %v", name, got, at)
+		}
+	}
+	// An as-of open at the first commit's instant resolves that version.
+	file, _, _, err := m2.cat.statVersion("ct.n1", live["ct.n1.t0"])
+	if err != nil || file != "ct.n1.t0" {
+		t.Fatalf("as-of %v after restart resolved %q, %v; want ct.n1.t0", live["ct.n1.t0"], file, err)
 	}
 }
