@@ -53,7 +53,6 @@ func run(args []string) error {
 		snapEvery   = fs.Duration("snapshot-interval", 0, "write periodic catalog snapshots and truncate the journal behind them (0 = snapshots off; restart then replays the full journal)")
 		recover     = fs.Bool("recover", false, "start in recovery mode: rebuild metadata from benefactor-held chunk-map replicas")
 		maxPending  = fs.Int("max-pending", 0, "admission bound: max concurrently pending alloc/extend/commit ops before the manager sheds with a typed retry-after (0 = unbounded)")
-		maxInflight = fs.Int("max-conn-inflight", 0, "per-connection budget for concurrently dispatched session-tagged frames; excess frames are shed with retry-after (0 = default)")
 		retryAfter  = fs.Duration("retry-after", 0, "backoff hint carried in shed responses (0 = default 2ms)")
 		quiet       = fs.Bool("quiet", false, "suppress operational logging")
 	)
@@ -84,7 +83,6 @@ func run(args []string) error {
 		SnapshotInterval:    *snapEvery,
 		Recover:             *recover,
 		MaxPendingOps:       *maxPending,
-		MaxConnInflight:     *maxInflight,
 		RetryAfterHint:      *retryAfter,
 		WritePriority:       true,
 		Logger:              logger,

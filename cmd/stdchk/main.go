@@ -1,7 +1,7 @@
 // Command stdchk is the client CLI: store, retrieve, list, diff and
 // manage checkpoint files in a stdchk pool. Each subcommand owns its
-// flags; connection flags (-manager, -mux) are shared by all of them
-// and come after the subcommand name.
+// flags; the connection flag -manager is shared by all of them and
+// comes after the subcommand name.
 //
 // Usage:
 //
@@ -37,7 +37,6 @@ import (
 
 	"stdchk/internal/client"
 	"stdchk/internal/core"
-	"stdchk/internal/federation"
 	"stdchk/internal/metrics"
 )
 
@@ -53,7 +52,6 @@ const usage = "usage: stdchk <write|read|restore|history|diff|ls|stat|rm|policy|
 // connOpts are the connection flags every subcommand shares.
 type connOpts struct {
 	manager *string
-	mux     *int
 }
 
 // connFlags registers the shared connection flags on a subcommand's
@@ -62,7 +60,6 @@ type connOpts struct {
 func connFlags(fs *flag.FlagSet) *connOpts {
 	return &connOpts{
 		manager: fs.String("manager", "127.0.0.1:9400", "manager address, or comma-separated federation member list"),
-		mux:     fs.Int("mux", 0, "share N session-multiplexed connections per manager for metadata RPCs instead of pooling one serial conn per in-flight call (0 = serial pool; chunk traffic to benefactors is unaffected)"),
 	}
 }
 
@@ -70,19 +67,6 @@ func connFlags(fs *flag.FlagSet) *connOpts {
 // filled parts of it) plus the shared connection flags.
 func (o *connOpts) connect(cfg client.Config) (*client.Client, error) {
 	cfg.ManagerAddr = *o.manager
-	if *o.mux > 0 {
-		// The client's own Router pools serial connections; -mux hands it
-		// one that shares multiplexed connections instead.
-		r, err := federation.NewRouter(federation.RouterConfig{
-			Members:        federation.SplitMembers(*o.manager),
-			SharedConns:    true,
-			PerMemberConns: *o.mux,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cfg.Endpoint = r // the client owns and closes it
-	}
 	return client.New(cfg)
 }
 

@@ -62,12 +62,9 @@ type Config struct {
 	// that keeps scrub I/O from competing with the serve path. Defaults
 	// to 16.
 	ScrubBatch int
-	// Shaper wraps accepted connections with device models (the node's
-	// NIC/disk).
+	// Shaper wraps every connection the node accepts or dials (replication
+	// pushes, manager calls) with its device models (the node's NIC/disk).
 	Shaper wire.Shaper
-	// DialShaper wraps outbound connections (replication pushes, manager
-	// calls).
-	DialShaper wire.Shaper
 	// Logger receives operational messages. Nil discards them.
 	Logger *log.Logger
 }
@@ -131,7 +128,7 @@ func New(cfg Config) (*Benefactor, error) {
 	b := &Benefactor{
 		cfg:    cfg,
 		chunks: cfg.Store,
-		pool:   wire.NewPool(cfg.DialShaper, 4),
+		pool:   wire.NewPool(cfg.Shaper, 4),
 		logger: cfg.Logger,
 		births: make(map[core.ChunkID]time.Time),
 		maps:   make(map[string]*core.ChunkMap),
@@ -164,7 +161,7 @@ func New(cfg Config) (*Benefactor, error) {
 	if members := federation.SplitMembers(cfg.ManagerAddr); len(members) > 0 {
 		r, err := federation.NewRouter(federation.RouterConfig{
 			Members: members,
-			Shaper:  cfg.DialShaper,
+			Shaper:  cfg.Shaper,
 			Logger:  cfg.Logger,
 		})
 		if err != nil {

@@ -10,7 +10,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,13 +86,11 @@ type Config struct {
 	// ManagerAddr is the metadata manager address, or a comma-separated
 	// federation member list (federation.SplitMembers syntax). New builds
 	// the client's federation.Router over it: one member routes trivially,
-	// several route each dataset to its partition owner. Ignored when
-	// Endpoint is set.
+	// several route each dataset to its partition owner.
 	ManagerAddr string
-	// Endpoint replaces the Router New would build — a Router the caller
-	// configured itself (shared connections), or a test fake. The Client
-	// takes ownership and closes it.
-	Endpoint ManagerEndpoint
+	// endpoint replaces the Router New would build with this package's
+	// test fakes. The Client takes ownership and closes it.
+	endpoint ManagerEndpoint
 	// StripeWidth is the number of benefactors to stripe writes across
 	// (0 = manager default).
 	StripeWidth int
@@ -171,8 +168,6 @@ type Config struct {
 	// commits, surfaced in the dataset's version history (provenance: which
 	// job/rank wrote each checkpoint). Empty leaves lineage anonymous.
 	Writer string
-	// Logger receives operational messages; nil discards.
-	Logger *log.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -217,7 +212,7 @@ type Client struct {
 	// reply-demux goroutine that lives until Close.
 	dataPool *wire.Pool
 	// mgr is the metadata service seam: the federation.Router New built
-	// over Config.ManagerAddr, or Config.Endpoint. It owns its own
+	// over Config.ManagerAddr, or a test's Config.endpoint. It owns its own
 	// connections to the managers.
 	mgr ManagerEndpoint
 
@@ -318,16 +313,15 @@ func (c *Client) unref(pb *pooledBuf) {
 
 // New returns a client for the given configuration.
 func New(cfg Config) (*Client, error) {
-	if cfg.ManagerAddr == "" && cfg.Endpoint == nil {
-		return nil, errors.New("client: ManagerAddr or Endpoint is required")
+	if cfg.ManagerAddr == "" && cfg.endpoint == nil {
+		return nil, errors.New("client: ManagerAddr is required")
 	}
 	cfg = cfg.withDefaults()
-	mgr := cfg.Endpoint
+	mgr := cfg.endpoint
 	if mgr == nil {
 		r, err := federation.NewRouter(federation.RouterConfig{
 			Members: federation.SplitMembers(cfg.ManagerAddr),
 			Shaper:  cfg.Shaper,
-			Logger:  cfg.Logger,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("client: %w", err)
@@ -348,12 +342,6 @@ func (c *Client) Close() error {
 	err := c.mgr.Close()
 	c.dataPool.Close()
 	return err
-}
-
-func (c *Client) logf(format string, args ...interface{}) {
-	if c.cfg.Logger != nil {
-		c.cfg.Logger.Printf("client: "+format, args...)
-	}
 }
 
 // Create opens a write session for a new checkpoint image. The returned

@@ -163,7 +163,7 @@ func (f *fakeMetadata) Close() error                                { return nil
 // to entries maps: 0 keeps the built-in size, negative disables it.
 func cacheTestClient(t *testing.T, f *fakeMetadata, entries int) *Client {
 	t.Helper()
-	c, err := New(Config{Endpoint: f})
+	c, err := New(Config{endpoint: f})
 	if err != nil {
 		t.Fatal(err)
 	}

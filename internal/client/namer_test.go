@@ -84,7 +84,7 @@ func TestNamersKeepProbeBatches(t *testing.T) {
 				setProcs(t, procs)
 				names := countNames(t)
 				rec := &probeRecorder{fakeMetadata: newFakeMetadata()}
-				cl, err := New(Config{Endpoint: rec, Incremental: true})
+				cl, err := New(Config{endpoint: rec, Incremental: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -206,7 +206,7 @@ func TestNamersReleaseOnFailure(t *testing.T) {
 				t.Fatal(err)
 			}
 			cl, err := New(Config{
-				Endpoint: tollEndpoint{router, probes}, StripeWidth: 2, Replication: 1,
+				endpoint: tollEndpoint{router, probes}, StripeWidth: 2, Replication: 1,
 				Chunking: ChunkCbCH, CbCH: cbch, Incremental: true,
 			})
 			if err != nil {

@@ -147,7 +147,7 @@ func TestHasherBatchesQueuedChunks(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rec := &probeRecorder{fakeMetadata: newFakeMetadata()}
-			cl, err := New(Config{Endpoint: rec, Incremental: true})
+			cl, err := New(Config{endpoint: rec, Incremental: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +200,7 @@ func TestFixedChunkProbeBatches(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rec := &probeRecorder{fakeMetadata: newFakeMetadata()}
-			cl, err := New(Config{Endpoint: rec, Incremental: true, ChunkSize: c.chunkSize})
+			cl, err := New(Config{endpoint: rec, Incremental: true, ChunkSize: c.chunkSize})
 			if err != nil {
 				t.Fatal(err)
 			}

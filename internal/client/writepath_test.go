@@ -146,7 +146,7 @@ func TestWriteBlocksOnlyOnBuffer(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := tc.cfg
-			cfg.Endpoint, cfg.StripeWidth, cfg.Replication = tollEndpoint{router, probes}, 4, 1
+			cfg.endpoint, cfg.StripeWidth, cfg.Replication = tollEndpoint{router, probes}, 4, 1
 			cl, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

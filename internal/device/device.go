@@ -202,9 +202,6 @@ func NewNIC(bps float64) *NIC {
 	return &NIC{TX: NewLimiter(bps), RX: NewLimiter(bps)}
 }
 
-// UnshapedNIC returns a NIC with no pacing, for tests.
-func UnshapedNIC() *NIC { return &NIC{} }
-
 // CallCost models a fixed per-invocation overhead, such as the ~32 µs
 // kernel/user context switch a FUSE call pays (paper Table 1). Costs
 // accumulate in a virtual queue and are slept off in >= minSleep pauses,

@@ -24,13 +24,13 @@ import (
 // closed-loop driver would hide (coordinated omission) is charged to the
 // server.
 //
-// The grid runs the full million-writer plane: clients share multiplexed
-// session-tagged connections (RouterConfig.SharedConns), and managers
-// run bounded admission queues that shed past the bound with typed
-// retry-after errors the router honors. A final ablation re-drives the
-// overload level against an unbounded-queue federation to show what the
-// admission gate buys: bounded queue depth and a flat tail instead of
-// unbounded growth.
+// The grid runs the full million-writer plane: clients share two
+// multiplexed session-tagged connections per member
+// (RouterConfig.SharedConns), and managers run bounded admission queues
+// that shed past the bound with typed retry-after errors the router
+// honors. A final ablation re-drives the overload level against an
+// unbounded-queue federation to show what the admission gate buys:
+// bounded queue depth and a flat tail instead of unbounded growth.
 func OpenLoad(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	const (
@@ -145,11 +145,10 @@ func newOpenLoadGrid(managers, benefactors, maxPending int) (*openLoadGrid, erro
 	}
 	g := &openLoadGrid{mgrs: mgrs}
 	router, err := federation.NewRouter(federation.RouterConfig{
-		Members:     members,
-		SharedConns: true,
+		Members: members,
 		// 2 mux'd conns per member carry the whole open-loop fleet —
 		// the point of session multiplexing.
-		PerMemberConns: 2,
+		SharedConns: 2,
 	})
 	if err != nil {
 		g.close()

@@ -43,18 +43,20 @@ type RouterConfig struct {
 	// Shaper wraps every connection the router dials (the caller's NIC
 	// model); nil leaves connections unshaped.
 	Shaper wire.Shaper
-	// PerMemberConns caps pooled connections per member (0 = 8), or — in
-	// shared-connection mode — the multiplexed connections per member.
-	PerMemberConns int
-	// SharedConns selects shared-connection mode: instead of one pooled
-	// connection per outstanding call, up to PerMemberConns multiplexed
-	// connections per member carry all calls concurrently with
-	// session-tagged frames. This is the topology that scales to
-	// millions of client sessions without a socket per session.
-	SharedConns bool
+	// SharedConns, when positive, selects shared-connection mode: that
+	// many multiplexed connections per member carry all calls
+	// concurrently with session-tagged frames, the topology that scales
+	// to millions of client sessions without a socket per session. Zero
+	// keeps the serial pool: one connection per outstanding call, up to
+	// serialIdleConns of them kept idle per member.
+	SharedConns int
 	// Logger receives operational messages; nil discards.
 	Logger *log.Logger
 }
+
+// serialIdleConns caps the idle connections the serial pool keeps per
+// member.
+const serialIdleConns = 8
 
 // NewRouter builds a router over a static member list.
 func NewRouter(cfg RouterConfig) (*Router, error) {
@@ -62,13 +64,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	per := cfg.PerMemberConns
-	if per <= 0 {
-		per = 8
-	}
-	pool := wire.NewPool(cfg.Shaper, per)
-	if cfg.SharedConns {
-		pool = wire.NewSharedPool(cfg.Shaper, per)
+	pool := wire.NewPool(cfg.Shaper, serialIdleConns)
+	if cfg.SharedConns > 0 {
+		pool = wire.NewSharedPool(cfg.Shaper, cfg.SharedConns)
 	}
 	return &Router{ms: ms, pool: pool, logger: cfg.Logger}, nil
 }

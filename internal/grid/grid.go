@@ -195,7 +195,6 @@ func (c *Cluster) startBenefactor(spec benefSpec) (*benefactor.Benefactor, error
 		ScrubInterval: c.opts.ScrubInterval,
 		ScrubBatch:    c.opts.ScrubBatch,
 		Shaper:        ShaperFor(spec.node, c.Fabric),
-		DialShaper:    ShaperFor(spec.node, c.Fabric),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("grid: start benefactor: %w", err)

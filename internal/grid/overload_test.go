@@ -37,9 +37,8 @@ func startOverloadPlane(t *testing.T, maxPending int, hint time.Duration) ([]*ma
 		}
 	})
 	router, err := federation.NewRouter(federation.RouterConfig{
-		Members:        members,
-		SharedConns:    true,
-		PerMemberConns: 1,
+		Members:     members,
+		SharedConns: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -73,10 +73,11 @@ type journalEntry struct {
 // (TestAsyncJournalByteIdenticalToSync), selected by newManager's
 // unexported argument. Asynchronous appends, what New selects,
 // only take an order ticket and enqueue: record assigns a strictly
-// increasing sequence number (inside the caller's stripe critical
-// section, which is what makes ticket order match publication order — see
-// catalog.journalHook) and a single writer goroutine appends entries in
-// ticket order, flushing when its queue goes quiet instead of per record.
+// increasing sequence number and sends the entry in one step (inside the
+// caller's stripe critical section, which is what makes ticket order match
+// publication order — see catalog.journalHook), so the queue holds entries
+// in ticket order and a single writer goroutine drains it in order,
+// flushing when the queue goes quiet instead of per record.
 // Commits regain full stripe parallelism; the cost is a small window of
 // acknowledged-but-unjournaled entries that a process crash loses.
 //
@@ -109,17 +110,16 @@ type journal struct {
 	// mu).
 	firstErr error
 
-	// Async mode. closeMu lets concurrent records (RLock) ticket and
-	// enqueue in parallel while close (Lock) waits them out before
-	// closing the queue; seq is the order ticket; done signals the writer
+	// Async mode. seqMu makes ticket, journalEntry.ticketed and the send
+	// on queue one step, and guards closed, which close sets before it
+	// closes the queue; seq is the order ticket; done signals the writer
 	// goroutine has drained and flushed.
-	closeMu sync.RWMutex
-	closed  bool
-	seq     atomic.Uint64
-	seqMu   sync.Mutex // makes ticket + journalEntry.ticketed one step
-	queue   chan seqEntry
-	done    chan struct{}
-	logf    func(format string, args ...interface{})
+	seqMu  sync.Mutex
+	closed bool
+	seq    atomic.Uint64
+	queue  chan seqEntry
+	done   chan struct{}
+	logf   func(format string, args ...interface{})
 
 	// Durability counters, declared in the manager's counter record by
 	// openJournal. batches counts flush batches reaching the file,
@@ -130,7 +130,6 @@ type journal struct {
 }
 
 type seqEntry struct {
-	seq     uint64
 	e       journalEntry
 	durable bool
 	// ack, when non-nil, receives the batch outcome after this entry's
@@ -142,7 +141,8 @@ type seqEntry struct {
 
 // journalQueueDepth bounds acknowledged-but-unwritten entries. A full
 // queue applies backpressure to committers (the enqueue blocks inside the
-// stripe critical section), which also bounds the crash window.
+// stripe critical section, holding seqMu), which also bounds the crash
+// window.
 const journalQueueDepth = 1024
 
 // openJournal reads any existing entries and opens the file for appends.
@@ -151,10 +151,7 @@ const journalQueueDepth = 1024
 // tolerance. syncMode selects inline (test-reference) appends; fsyncMode arms
 // group-commit (async) or per-record (sync) fsync. seqFloor lifts the
 // ticket counter past a snapshot's watermark (a truncated journal may hold
-// no entry at or below it); it must be final here, because the async
-// writer's in-order delivery assumes tickets are dense from its starting
-// point — raising seq after the writer starts would open a ticket gap it
-// waits on forever.
+// no entry at or below it).
 func openJournal(path string, syncMode, fsyncMode bool, logf func(string, ...interface{}), seqFloor uint64, counters *metrics.Counters) (*journal, error) {
 	entries, goodOff, torn, err := scanJournal(path)
 	if err != nil {
@@ -181,16 +178,15 @@ func openJournal(path string, syncMode, fsyncMode bool, logf func(string, ...int
 	}
 	// Resume ticketing above every persisted ticket and the snapshot
 	// watermark so new entries always order after replayed ones.
+	seq := seqFloor
 	for _, e := range entries {
-		if e.Seq > j.seq.Load() {
-			j.seq.Store(e.Seq)
-		}
+		seq = max(seq, e.Seq)
 	}
-	j.raiseSeq(seqFloor)
+	j.seq.Store(seq)
 	if !syncMode {
 		j.queue = make(chan seqEntry, journalQueueDepth)
 		j.done = make(chan struct{})
-		go j.writeLoop(j.seq.Load() + 1)
+		go j.writeLoop()
 	}
 	return j, nil
 }
@@ -230,18 +226,6 @@ func scanJournal(path string) (entries []journalEntry, goodOff int64, torn bool,
 		}
 		entries = append(entries, e)
 		goodOff = dec.InputOffset()
-	}
-}
-
-// raiseSeq lifts the ticket counter to at least v (snapshot watermark
-// floors: entries recorded after a snapshot must ticket past it). Only
-// valid before the async writer starts — see openJournal's seqFloor.
-func (j *journal) raiseSeq(v uint64) {
-	for {
-		cur := j.seq.Load()
-		if cur >= v || j.seq.CompareAndSwap(cur, v) {
-			return
-		}
 	}
 }
 
@@ -303,26 +287,25 @@ func (j *journal) record(e journalEntry, durable bool) error {
 	if err := j.stickyErr(); err != nil {
 		return fmt.Errorf("journal: failing fast after earlier error: %w", err)
 	}
-	j.closeMu.RLock()
-	if j.closed {
-		j.closeMu.RUnlock()
-		return core.ErrClosed
-	}
-	j.seqMu.Lock()
-	se := seqEntry{seq: j.seq.Add(1), e: e, durable: durable}
-	if e.ticketed != nil {
-		e.ticketed()
-	}
-	j.seqMu.Unlock()
+	se := seqEntry{e: e, durable: durable}
 	if j.fsync || durable {
 		// Group commit: this caller blocks until the writer has flushed
 		// and fsynced the batch carrying its record, so an acknowledged
-		// commit is a durable one. The wait happens after releasing
-		// closeMu so a concurrent close can proceed to drain the queue.
+		// commit is a durable one. The wait happens after releasing seqMu
+		// so other records and a concurrent close go on meanwhile.
 		se.ack = make(chan error, 1)
 	}
+	j.seqMu.Lock()
+	if j.closed {
+		j.seqMu.Unlock()
+		return core.ErrClosed
+	}
+	se.e.Seq = j.seq.Add(1)
+	if e.ticketed != nil {
+		e.ticketed()
+	}
 	j.queue <- se
-	j.closeMu.RUnlock()
+	j.seqMu.Unlock()
 	if se.ack == nil {
 		return nil
 	}
@@ -360,19 +343,15 @@ func (j *journal) syncLocked() error {
 	return nil
 }
 
-// writeLoop is the async writer: it reorders arrivals into ticket order
-// (concurrent enqueuers can interleave between Add and send) and appends
-// each entry exactly when its ticket is next, flushing — and, in fsync
-// mode or when the batch carried a durable-hinted entry, fsyncing — once
-// whenever the queue goes quiet rather than per record. Every allocated
-// ticket is delivered before the queue closes (record holds closeMu.RLock
-// across ticket and send; close takes the write lock first), so the loop
-// never exits with a gap outstanding. After a write failure the loop keeps
-// draining (so closers never block) but appends nothing more: record fails
-// fast on the sticky error, so no new entries are acknowledged either.
-func (j *journal) writeLoop(next uint64) {
+// writeLoop is the async writer: it drains the queue in order — record
+// sends in ticket order — appending each entry as it arrives and flushing
+// — and, in fsync mode or when the batch carried a durable-hinted entry,
+// fsyncing — once whenever the queue goes quiet rather than per record.
+// After a write failure the loop keeps draining (so senders and closers
+// never block) but appends nothing more: record fails fast on the sticky
+// error, so no new entries are acknowledged either.
+func (j *journal) writeLoop() {
 	defer close(j.done)
-	pending := make(map[uint64]seqEntry)
 	flushed := true
 	batch := int64(0)
 	durable := false
@@ -411,35 +390,25 @@ func (j *journal) writeLoop(next uint64) {
 	}
 
 	for se := range j.queue {
-		pending[se.seq] = se
-		for {
-			pe, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			pe.e.Seq = pe.seq
-			j.mu.Lock()
-			var err error
-			if j.firstErr != nil {
-				err = j.firstErr
-			} else if err = j.appendLocked(pe.e); err != nil {
-				j.failLocked(err)
-			}
-			j.mu.Unlock()
-			if pe.ack != nil {
-				// Delivered at settle time even when the append failed:
-				// the waiter needs the error, not a hang.
-				acks = append(acks, pe.ack)
-			}
-			if err != nil {
-				j.logf("journal write failed: %v", err)
-				continue
-			}
+		j.mu.Lock()
+		var err error
+		if j.firstErr != nil {
+			err = j.firstErr
+		} else if err = j.appendLocked(se.e); err != nil {
+			j.failLocked(err)
+		}
+		j.mu.Unlock()
+		if se.ack != nil {
+			// Delivered at settle time even when the append failed: the
+			// waiter needs the error, not a hang.
+			acks = append(acks, se.ack)
+		}
+		if err != nil {
+			j.logf("journal write failed: %v", err)
+		} else {
 			flushed = false
 			batch++
-			durable = durable || pe.durable
+			durable = durable || se.durable
 		}
 		// Settle when the queue goes quiet — or when the batch has grown
 		// past a bound, so a durable waiter cannot be starved by a steady
@@ -449,11 +418,6 @@ func (j *journal) writeLoop(next uint64) {
 		}
 	}
 	settle()
-	if len(pending) > 0 {
-		// Unreachable by construction; refuse to drop entries silently if
-		// the construction ever breaks.
-		j.logf("journal writer exiting with %d out-of-order entries stranded", len(pending))
-	}
 }
 
 // truncateTo atomically rewrites the journal keeping only entries with
@@ -464,8 +428,6 @@ func (j *journal) writeLoop(next uint64) {
 // or the truncated one — never a partial file. Returns how many entries
 // were kept and dropped.
 func (j *journal) truncateTo(watermark uint64) (kept, dropped int, err error) {
-	j.closeMu.RLock()
-	defer j.closeMu.RUnlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -544,12 +506,12 @@ func (j *journal) truncateTo(watermark uint64) (kept, dropped int, err error) {
 // with closeOnce.
 func (j *journal) close() error {
 	if !j.sync {
-		j.closeMu.Lock()
+		j.seqMu.Lock()
 		if !j.closed {
 			j.closed = true
 			close(j.queue)
 		}
-		j.closeMu.Unlock()
+		j.seqMu.Unlock()
 		<-j.done
 	}
 	j.mu.Lock()
@@ -587,17 +549,6 @@ func (m *Manager) journalRecord(e journalEntry) error {
 		return err
 	}
 	return nil
-}
-
-// policyJournalFn returns the journal callback handed to
-// policyTable.setJournaled, or nil when journaling is off. journalRecord
-// never touches the policy table for "policy" ops (the durable-hint lookup
-// is commit/delete-only), so invoking it under the table's lock is safe.
-func (m *Manager) policyJournalFn() func(journalEntry) error {
-	if m.journal == nil {
-		return nil
-	}
-	return m.journalRecord
 }
 
 // replayJournal reconstructs the catalog from the journal read at open,

@@ -115,18 +115,9 @@ type Config struct {
 	// core.ErrRetryAfter carrying RetryAfterHint instead of queueing.
 	// Zero leaves the queue unbounded (depth is still tracked).
 	MaxPendingOps int
-	// MaxConnInflight caps concurrently dispatched session-tagged
-	// requests per connection (multiplexed clients); past it frames are
-	// shed at the wire layer with the same typed retry-after. Zero uses
-	// the wire server's default.
-	MaxConnInflight int
 	// RetryAfterHint is the backoff delay embedded in shed responses.
 	// Zero means a small default (see internal admission gate).
 	RetryAfterHint time.Duration
-	// Shaper wraps server-side connections with device models.
-	Shaper wire.Shaper
-	// DialShaper wraps manager-initiated connections to benefactors.
-	DialShaper wire.Shaper
 	// Logger receives operational messages. Nil discards them.
 	Logger *log.Logger
 }
@@ -228,7 +219,7 @@ func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
 		reg:        newRegistry(cfg.NodeTTL, cfg.DeadTimeout),
 		cat:        newCatalogStripes(stripes),
 		sess:       newSessionTableStripes(cfg.SessionTTL, stripes),
-		pool:       wire.NewPool(cfg.DialShaper, 8),
+		pool:       wire.NewPool(nil, 8),
 		logger:     cfg.Logger,
 		policies:   newPolicyTable(),
 		adm:        newAdmission(cfg.MaxPendingOps, cfg.RetryAfterHint),
@@ -251,8 +242,8 @@ func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
 		// Recovery order: newest valid snapshot first (checksum-verified,
 		// falling back to the previous one on corruption), then the journal
 		// suffix past the snapshot's ticket watermark. The snapshot loads
-		// before the journal opens because the watermark floors the ticket
-		// counter, which must be final before the async writer starts.
+		// before the journal opens because its watermark floors the ticket
+		// counter.
 		watermark, err := m.loadSnapshot()
 		if err != nil {
 			return nil, fmt.Errorf("manager: load snapshot: %w", err)
@@ -284,10 +275,8 @@ func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
 		}
 	}
 	m.srv = wire.NewServerWithConfig(ln, wire.ServerConfig{
-		Handler:         m.ops.Serve,
-		Shaper:          cfg.Shaper,
-		MaxConnInflight: cfg.MaxConnInflight,
-		Overload:        m.adm.overloadHook,
+		Handler:  m.ops.Serve,
+		Overload: m.adm.overloadHook,
 	})
 
 	m.wg.Add(3)

@@ -160,7 +160,9 @@ func (m *Manager) handlePolicySet(req proto.PolicySetReq) (wire.Resp, error) {
 	}
 	// Apply and journal under the policy-table lock so the update is
 	// all-or-nothing (a journal failure reverts it) and a snapshot cut
-	// can never split the pair.
-	err := m.policies.setJournaled(req.Folder, req.Policy, m.policyJournalFn())
+	// can never split the pair. journalRecord looks the policy table up
+	// only for commits and deletes, so calling it under the table's lock is
+	// safe.
+	err := m.policies.setJournaled(req.Folder, req.Policy, m.journalRecord)
 	return reply(proto.HeartbeatResp{OK: true}, err)
 }

@@ -39,9 +39,6 @@ func (p *policyTable) setJournaled(folder string, policy core.Policy, journal fu
 	defer p.mu.Unlock()
 	old, had := p.m[folder]
 	p.m[folder] = policy
-	if journal == nil {
-		return nil
-	}
 	if err := journal(journalEntry{Op: "policy", Name: folder, Policy: &policy}); err != nil {
 		if had {
 			p.m[folder] = old

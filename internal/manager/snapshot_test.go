@@ -587,12 +587,11 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// TestJournalTicketsResumeAfterReopen guards the async writer's starting
-// ticket: after recovery the ticket counter resumes above persisted
-// entries and the snapshot watermark, and the writer must start there too.
-// A writer expecting ticket 1 would strand every new record in its reorder
-// buffer forever — with group-commit fsync this surfaces as a committer
-// hung on its durability ack.
+// TestJournalTicketsResumeAfterReopen guards ticketing across a restart:
+// after recovery the ticket counter resumes above persisted entries and
+// the snapshot watermark, so a record made after the reopen orders after
+// every replayed one, and under group-commit fsync its committer gets its
+// durability ack.
 func TestJournalTicketsResumeAfterReopen(t *testing.T) {
 	dir := t.TempDir()
 	m, journalPath := newJournaledManager(t, dir, false, true)
@@ -608,8 +607,7 @@ func TestJournalTicketsResumeAfterReopen(t *testing.T) {
 	}
 
 	// Restart with both persisted entries and a watermark floor; the next
-	// commit blocks on its group-commit ack, so a writer stuck waiting for
-	// ticket 1 would hang right here.
+	// commit blocks on its group-commit ack.
 	m2, err := New(Config{JournalPath: journalPath, FsyncJournal: true, HeartbeatInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)

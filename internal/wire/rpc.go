@@ -385,13 +385,16 @@ func (c *Conn) Close() error {
 // mode instead: a small fixed set of MuxConns per address carries every
 // call concurrently, each tagged with a session ID. The Call signature is
 // identical, so callers switch modes at construction only.
+//
+// Both modes refuse calls after Close with core.ErrClosed, and a
+// connection a call still holds at Close is closed, not kept.
 type Pool struct {
 	shaper Shaper
 
-	mu    sync.Mutex
-	idle  map[string][]*Conn
-	total int
-	limit int
+	mu     sync.Mutex
+	closed bool
+	idle   map[string][]*Conn
+	limit  int
 
 	mux      bool
 	muxConns map[string][]*muxSlot
@@ -462,6 +465,10 @@ func (p *Pool) Call(addr, op string, reqMeta interface{}, reqBody []byte, respMe
 
 func (p *Pool) get(addr string) (conn *Conn, fresh bool, err error) {
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil, true, core.ErrClosed
+	}
 	conns := p.idle[addr]
 	if len(conns) > 0 {
 		conn = conns[len(conns)-1]
@@ -473,6 +480,12 @@ func (p *Pool) get(addr string) (conn *Conn, fresh bool, err error) {
 	conn, err = Dial(addr, p.shaper)
 	if err != nil {
 		return nil, true, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed { // pool closed while dialing
+		conn.Close()
+		return nil, true, core.ErrClosed
 	}
 	return conn, true, nil
 }
@@ -522,7 +535,7 @@ type muxSlot struct {
 // dial is still in flight waits for it and shares its outcome.
 func (p *Pool) muxGet(addr string) (mc *MuxConn, fresh bool, err error) {
 	p.mu.Lock()
-	if p.muxConns == nil { // pool closed
+	if p.closed {
 		p.mu.Unlock()
 		return nil, true, core.ErrClosed
 	}
@@ -560,7 +573,7 @@ func (p *Pool) muxGet(addr string) (mc *MuxConn, fresh bool, err error) {
 			conn, err = DialMux(addr, p.shaper)
 		}
 		p.mu.Lock()
-		if err == nil && p.muxConns == nil { // pool closed while dialing
+		if err == nil && p.closed { // pool closed while dialing
 			conn.Close()
 			conn, err = nil, core.ErrClosed
 		}
@@ -601,26 +614,26 @@ func (p *Pool) muxEvict(addr string, mc *MuxConn) {
 func (p *Pool) put(addr string, conn *Conn) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.idle[addr]) >= p.limit {
+	if p.closed || len(p.idle[addr]) >= p.limit {
 		conn.Close()
 		return
 	}
 	p.idle[addr] = append(p.idle[addr], conn)
 }
 
-// Close closes all idle and shared connections.
+// Close closes all idle and shared connections; later calls fail with
+// core.ErrClosed.
 func (p *Pool) Close() {
 	p.mu.Lock()
+	p.closed = true
 	for _, conns := range p.idle {
 		for _, c := range conns {
 			c.Close()
 		}
 	}
-	p.idle = make(map[string][]*Conn)
+	p.idle = nil
 	shared := p.muxConns
-	if p.mux {
-		p.muxConns = nil // reject post-Close dials in muxGet
-	}
+	p.muxConns = nil
 	var open []*MuxConn
 	for _, slots := range shared {
 		for _, s := range slots {

@@ -396,6 +396,49 @@ func TestPoolRetriesStaleConnection(t *testing.T) {
 	}
 }
 
+// TestPoolClosedRefusesCalls gives the serial pool the shared pool's
+// contract: a call in flight at Close does not park its connection in
+// the closed pool, and a call after Close fails with core.ErrClosed
+// instead of dialing.
+func TestPoolClosedRefusesCalls(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv := NewServer(ln, func(req *Req) (Resp, error) {
+		if req.Op == "block" {
+			entered <- struct{}{}
+			<-release
+		}
+		return Resp{Body: req.Body}, nil
+	}, nil)
+	defer srv.Close()
+	addr := srv.Addr()
+	pool := NewPool(nil, 4)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := pool.Call(addr, "block", nil, nil, nil)
+		done <- err
+	}()
+	<-entered
+	pool.Close()
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("call in flight at Close: %v", err)
+	}
+	pool.mu.Lock()
+	parked := len(pool.idle[addr])
+	pool.mu.Unlock()
+	if parked != 0 {
+		t.Fatalf("%d connection(s) parked in the closed pool", parked)
+	}
+	if _, err := pool.Call(addr, "echo", nil, []byte("x"), nil); !errors.Is(err, core.ErrClosed) {
+		t.Fatalf("call after Close: want core.ErrClosed, got %v", err)
+	}
+}
+
 func TestServerCloseIdempotent(t *testing.T) {
 	srv, _ := echoServer(t)
 	if err := srv.Close(); err != nil {
