@@ -221,6 +221,9 @@ func (b *Benefactor) registerOps() {
 	wire.On(b.ops, proto.BPut, func(put proto.PutReq, body []byte) (wire.Resp, error) {
 		return wire.Resp{}, b.putChunk(put.ID, body)
 	})
+	wire.On(b.ops, proto.BPutBatch, func(batch proto.BatchPutReq, body []byte) (wire.Resp, error) {
+		return wire.Resp{}, b.putBatch(batch, body)
+	})
 	wire.On(b.ops, proto.BGet, func(get proto.GetReq, _ []byte) (wire.Resp, error) {
 		data, err := b.fetchChunk(get.ID)
 		return wire.Resp{Body: data, Recycle: true}, err
@@ -283,6 +286,39 @@ func (b *Benefactor) putChunk(id core.ChunkID, data []byte) error {
 		b.mu.Unlock()
 	}
 	return err
+}
+
+// putBatch stores a BPutBatch's chunks, each through putChunk, in request
+// order. The request comes off the wire, so its framing is checked before
+// anything is stored: as many sizes as IDs, at most proto.MaxBatchIDs of
+// them, none negative, summing to the body's length exactly. The first
+// chunk that fails to store fails the request; those before it stay
+// stored, as a failed session's chunks do, for GC to collect.
+func (b *Benefactor) putBatch(req proto.BatchPutReq, body []byte) error {
+	if len(req.IDs) != len(req.Sizes) {
+		return fmt.Errorf("benefactor: putbatch names %d chunks and %d sizes", len(req.IDs), len(req.Sizes))
+	}
+	if len(req.IDs) > proto.MaxBatchIDs {
+		return fmt.Errorf("benefactor: putbatch names %d chunks, more than %d", len(req.IDs), proto.MaxBatchIDs)
+	}
+	rest := int64(len(body))
+	for _, size := range req.Sizes {
+		if size < 0 || size > rest {
+			return fmt.Errorf("benefactor: putbatch sizes do not frame its %d-byte body", len(body))
+		}
+		rest -= size
+	}
+	if rest != 0 {
+		return fmt.Errorf("benefactor: putbatch sizes leave %d of its %d-byte body unframed", rest, len(body))
+	}
+	for i, id := range req.IDs {
+		size := req.Sizes[i]
+		if err := b.putChunk(id, body[:size:size]); err != nil {
+			return err
+		}
+		body = body[size:]
+	}
+	return nil
 }
 
 // fetchChunk reads one chunk into a pooled buffer sized to the chunk, so

@@ -278,3 +278,102 @@ func TestGetBatchIsBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestPutBatchStoresEveryChunk: a BPutBatch stores each chunk of its body
+// under its ID, with a birth each, as that many BPuts would.
+func TestPutBatchStoresEveryChunk(t *testing.T) {
+	b := startNode(t, Config{})
+	chunks := [][]byte{[]byte("first"), {}, bytes.Repeat([]byte{7}, 8<<10)}
+	var req proto.BatchPutReq
+	var body []byte
+	for _, c := range chunks {
+		req.IDs = append(req.IDs, core.HashChunk(c))
+		req.Sizes = append(req.Sizes, int64(len(c)))
+		body = append(body, c...)
+	}
+	call(t, b.Addr(), proto.BPutBatch, req, body, nil)
+	for i, c := range chunks {
+		got := call(t, b.Addr(), proto.BGet, proto.GetReq{ID: req.IDs[i]}, nil, nil)
+		if !bytes.Equal(got, c) {
+			t.Errorf("chunk %d: got %d bytes back, want %d", i, len(got), len(c))
+		}
+		b.mu.Lock()
+		_, born := b.births[req.IDs[i]]
+		b.mu.Unlock()
+		if !born {
+			t.Errorf("chunk %d was stored without a birth", i)
+		}
+	}
+	if ops := b.ops.Stats(); ops[proto.BPutBatch].Count != 1 || ops[proto.BPut].Count != 0 {
+		t.Errorf("op table: %d putbatch, %d put; want 1 and 0", ops[proto.BPutBatch].Count, ops[proto.BPut].Count)
+	}
+}
+
+// TestPutBatchRefusesBadFraming sends BPutBatch requests whose meta does not
+// frame the body: each is refused before any chunk — not even a valid
+// first one — is stored or born.
+func TestPutBatchRefusesBadFraming(t *testing.T) {
+	a, c := []byte("chunk a"), []byte("chunk c")
+	ida, idc := core.HashChunk(a), core.HashChunk(c)
+	body := append(append([]byte(nil), a...), c...)
+	n := int64(len(a))
+	over := proto.BatchPutReq{}
+	for i := 0; i <= proto.MaxBatchIDs; i++ {
+		over.IDs = append(over.IDs, ida)
+		over.Sizes = append(over.Sizes, 0)
+	}
+	over.Sizes[0] = n
+	for _, tc := range []struct {
+		name string
+		req  proto.BatchPutReq
+		body []byte
+	}{
+		{"more IDs than sizes", proto.BatchPutReq{IDs: []core.ChunkID{ida, idc}, Sizes: []int64{n}}, a},
+		{"more sizes than IDs", proto.BatchPutReq{IDs: []core.ChunkID{ida}, Sizes: []int64{n, n}}, body},
+		{"a negative size", proto.BatchPutReq{IDs: []core.ChunkID{ida, idc}, Sizes: []int64{-n, 3 * n}}, body}, // summing to the body
+		{"sizes short of the body", proto.BatchPutReq{IDs: []core.ChunkID{ida, idc}, Sizes: []int64{n, n - 1}}, body},
+		{"sizes past the body", proto.BatchPutReq{IDs: []core.ChunkID{ida, idc}, Sizes: []int64{n, n + 1}}, body},
+		{"more than MaxBatchIDs chunks", over, a},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := startNode(t, Config{})
+			conn, err := wire.Dial(b.Addr(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Call(proto.BPutBatch, tc.req, tc.body, nil); err == nil {
+				t.Fatal("the donor accepted the batch")
+			}
+			b.mu.Lock()
+			births := len(b.births)
+			b.mu.Unlock()
+			if n := b.Store().Len(); n != 0 || births != 0 {
+				t.Fatalf("the refused batch left %d chunks and %d births behind", n, births)
+			}
+		})
+	}
+}
+
+// TestPutBatchVerifiesEveryChunk: verify-on-put holds inside a batch. A
+// chunk whose bytes do not hash to its ID fails the request with
+// core.ErrIntegrity, and is not stored.
+func TestPutBatchVerifiesEveryChunk(t *testing.T) {
+	b := startNode(t, Config{})
+	good, bad := []byte("good chunk"), []byte("bad chunk")
+	req := proto.BatchPutReq{
+		IDs:   []core.ChunkID{core.HashChunk(good), core.HashChunk([]byte("another"))},
+		Sizes: []int64{int64(len(good)), int64(len(bad))},
+	}
+	conn, err := wire.Dial(b.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Call(proto.BPutBatch, req, append(append([]byte(nil), good...), bad...), nil); !errors.Is(err, core.ErrIntegrity) {
+		t.Fatalf("batch with a corrupt chunk: %v, want core.ErrIntegrity", err)
+	}
+	if b.Store().Has(req.IDs[1]) {
+		t.Fatal("the corrupt chunk was stored")
+	}
+}

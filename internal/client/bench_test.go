@@ -177,8 +177,11 @@ func BenchmarkRoutedCall(b *testing.B) {
 // (BufferBytes = ChunkSize: one chunk in the whole pipeline), "mux" the
 // default writer (every chunk the 64 MB write window admits in flight,
 // acks decoupled from sends). Both ride the client's shared multiplexed
-// pool. Rides the bench-compare allocs gate: the window must not add
-// per-chunk allocations over stop-and-wait.
+// pool. "small" is the meta_small shape: a 64 KB image in 8 KB chunks over
+// 4 donors, whose chunks an uploader finds queued behind the one it woke
+// for go out as one BPutBatch. Rides the bench-compare allocs gate: the
+// window must not add per-chunk allocations over stop-and-wait, nor
+// batching per-checkpoint ones.
 func BenchmarkUploadPipeline(b *testing.B) {
 	for _, variant := range []struct {
 		name string
@@ -186,6 +189,7 @@ func BenchmarkUploadPipeline(b *testing.B) {
 	}{
 		{"serial", client.Config{StripeWidth: 4, BufferBytes: core.DefaultChunkSize}},
 		{"mux", client.Config{StripeWidth: 4}},
+		{"small", client.Config{StripeWidth: 4, ChunkSize: 8 << 10}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			benchEmitChunkPipeline(b, variant.cfg)
@@ -491,12 +495,16 @@ func benchEmitChunkPipeline(b *testing.B, cfg client.Config) {
 	}
 	defer cl.Close()
 
-	data := make([]byte, 1<<20)
+	chunk := cfg.ChunkSize
+	if chunk == 0 {
+		chunk = core.DefaultChunkSize
+	}
+	data := make([]byte, chunk)
 	for i := range data {
 		data[i] = byte(i * 13)
 	}
 	const chunks = 8
-	b.SetBytes(chunks << 20)
+	b.SetBytes(chunks * chunk)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

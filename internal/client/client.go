@@ -233,6 +233,10 @@ type Client struct {
 	onChunkPut  func(*pooledBuf)
 	onSegment   func(seg *pooledBuf, taken bool)
 	onBatchBody func(body []byte, taken bool)
+	// onGather runs in a writer's uploader between taking the chunk it
+	// woke for and gathering the chunks queued behind it; nil outside
+	// tests.
+	onGather func()
 
 	benefMu    sync.Mutex
 	benefAddrs map[core.NodeID]string // node id -> service address cache

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"bytes"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,7 +13,9 @@ import (
 	"stdchk/internal/benefactor"
 	"stdchk/internal/core"
 	"stdchk/internal/manager"
+	"stdchk/internal/proto"
 	"stdchk/internal/store"
+	"stdchk/internal/wire"
 )
 
 // A writer dials nothing at Create: a stripe node that cannot be reached
@@ -135,20 +139,63 @@ func TestUnreachableStripeNodeFailsAtFirstPut(t *testing.T) {
 }
 
 // gatedStore holds every Put, once armed, until release is closed —
-// puts pile up in flight on the benefactor.
+// puts pile up in flight on the benefactor. reached counts the chunks of
+// the put requests the benefactor has read off its connections since it
+// was armed: a batched put's later chunks wait behind its first one inside
+// one handler, so they never enter Put while the gate is shut.
 type gatedStore struct {
 	store.Store
 	armed   *atomic.Bool
-	entered chan struct{}
+	reached *atomic.Int64
 	release chan struct{}
 }
 
 func (g gatedStore) Put(id core.ChunkID, data []byte) (bool, error) {
 	if g.armed.Load() {
-		g.entered <- struct{}{}
 		<-g.release
 	}
 	return g.Store.Put(id, data)
+}
+
+// watch is the benefactor's Shaper: it counts, into reached, the chunks of
+// every BPut and BPutBatch frame read off conn while the gate is armed.
+func (g gatedStore) watch(conn net.Conn) net.Conn { return &putCounter{Conn: conn, g: g} }
+
+// putCounter reassembles the frames read off a connection, whatever the
+// sizes of the Reads that carried them. A connection has one reader.
+type putCounter struct {
+	net.Conn
+	g   gatedStore
+	buf []byte
+}
+
+func (c *putCounter) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.buf = append(c.buf, p[:n]...)
+	for len(c.buf) > 0 {
+		r := bytes.NewReader(c.buf)
+		var m wire.Msg
+		if wire.ReadInto(r, &m) != nil {
+			break // the rest of the frame has not arrived yet
+		}
+		c.buf = c.buf[len(c.buf)-r.Len():]
+		if m.Body != nil {
+			wire.PutBuf(m.Body)
+		}
+		if !c.g.armed.Load() {
+			continue
+		}
+		switch m.Op {
+		case proto.BPut:
+			c.g.reached.Add(1)
+		case proto.BPutBatch:
+			var req proto.BatchPutReq
+			if wire.UnmarshalMeta(m.Meta, &req) == nil {
+				c.g.reached.Add(int64(len(req.IDs)))
+			}
+		}
+	}
+	return n, err
 }
 
 // TestBenefactorKilledMidUploadWithFullWindow kills a stripe node while it
@@ -200,10 +247,10 @@ func benefactorKilledMidUpload(t *testing.T, chunk, bufferBytes int64, perNode, 
 	gate := gatedStore{
 		Store:   store.NewMemory(0, nil),
 		armed:   new(atomic.Bool),
-		entered: make(chan struct{}, 64),
+		reached: new(atomic.Int64),
 		release: make(chan struct{}),
 	}
-	victim, err := benefactor.New(benefactor.Config{ManagerAddr: mgr.Addr(), Store: gate})
+	victim, err := benefactor.New(benefactor.Config{ManagerAddr: mgr.Addr(), Store: gate, Shaper: gate.watch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,20 +293,17 @@ func benefactorKilledMidUpload(t *testing.T, chunk, bufferBytes int64, perNode, 
 		_, err := w.Write(fill(2*perNode*int(chunk), 2))
 		wrote <- err
 	}()
-	for i := 0; i < held; i++ {
-		select {
-		case <-gate.entered:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d of a window of %d puts reached the benefactor", i, held)
+	for deadline := time.Now().Add(5 * time.Second); gate.reached.Load() < int64(held); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of a window of %d puts reached the benefactor", gate.reached.Load(), held)
 		}
 	}
 	if held < perNode && bufferBytes == 0 {
 		// The buffer admitted the node's whole share; what holds the rest
 		// back is the cap, and they wait unsent in the upload queue.
-		select {
-		case <-gate.entered:
-			t.Fatalf("more than maxNodePuts = %d puts reached the benefactor at once", maxNodePuts)
-		case <-time.After(50 * time.Millisecond):
+		time.Sleep(50 * time.Millisecond)
+		if n := gate.reached.Load(); n > int64(held) {
+			t.Fatalf("%d puts reached the benefactor at once, more than maxNodePuts = %d", n, maxNodePuts)
 		}
 	}
 	// Everything the gated node's full put window keeps the hasher from

@@ -799,44 +799,128 @@ func (w *Writer) unwind(n int64) {
 	w.mu.Unlock()
 }
 
+// maxPutBatch caps the chunks one BPutBatch request carries.
+const maxPutBatch = 16
+
 // runUploader is one stripe node's upload loop: every chunk the write
 // window (Config.BufferBytes) let through to this node rides the client's
-// shared multiplexed pool at once, up to maxNodePuts, so a chunk's send
-// does not wait for the previous chunk's ack — on a high-latency path the
-// buffer, not the RTT, sets the upload rate, and the puts that queue
-// behind a transmission leave as one. It is its own goroutine so that
-// starting a put never costs the batcher its processor (direct dispatch
-// from the batcher: lan_64k OAB −28%). Acks settle in any order: recordUpload
-// appends locations to commitChunks[idx] under the session lock and the
-// commit map is index-addressed, so completion order is irrelevant. Any
-// failed put fails the whole session (sticky), after which queued chunks
-// drain unsent; the loop returns only when every in-flight call has
-// settled, so every chunk is released exactly once. The pool copies or
-// writes a body before Call returns, so releasing the chunk then is safe.
+// shared multiplexed pool at once, up to maxNodePuts chunks, so a chunk's
+// send does not wait for the previous chunk's ack — on a high-latency path
+// the buffer, not the RTT, sets the upload rate, and the puts that queue
+// behind a transmission leave as one. The chunk the loop woke for goes out
+// with whatever the queue already holds behind it as one request (gather),
+// so a small checkpoint costs a put per node, not one per chunk. It is its
+// own goroutine so that starting a put never costs the batcher its
+// processor (direct dispatch from the batcher: lan_64k OAB −28%). Acks
+// settle in any order: recordUpload appends locations to commitChunks[idx]
+// under the session lock and the commit map is index-addressed, so
+// completion order is irrelevant. Any failed put fails the whole session
+// (sticky), after which queued chunks drain unsent; the loop returns only
+// when every in-flight call has settled, so every chunk is released exactly
+// once.
 func (w *Writer) runUploader(worker *uploadWorker) {
 	defer w.workerWg.Done()
 	var calls sync.WaitGroup
 	window := make(chan struct{}, maxNodePuts)
-	for item := range worker.ch {
-		if w.hasFailed() {
-			w.release(item.chunk)
-			continue
+	limit := min(wire.MaxCoalescedBody, w.c.cfg.BufferBytes/8)
+	var (
+		next    chunkItem // taken from the queue and left out of the last batch
+		carried bool
+	)
+	for {
+		if !carried {
+			item, ok := <-worker.ch
+			if !ok {
+				break
+			}
+			next = item
+		}
+		if w.c.onGather != nil {
+			w.c.onGather()
 		}
 		window <- struct{}{}
+		var batch []chunkItem
+		batch, next, carried = w.gather(worker, next, limit, window)
+		if w.hasFailed() {
+			for _, item := range batch {
+				w.release(item.chunk)
+				<-window
+			}
+			continue
+		}
 		calls.Add(1)
 		go func() {
 			defer calls.Done()
-			defer func() { <-window }()
-			_, err := w.c.dataPool.Call(worker.addr, proto.BPut, proto.PutReq{ID: item.id}, item.data, nil)
-			if err != nil {
-				w.fail(fmt.Errorf("upload chunk %d to stripe node %s: %w", item.idx, worker.addr, err))
-			} else {
-				w.recordUpload(item, worker)
+			err := w.put(worker, batch)
+			for _, item := range batch {
+				if err == nil {
+					w.recordUpload(item, worker)
+				}
+				w.release(item.chunk)
+				<-window
 			}
-			w.release(item.chunk)
 		}()
 	}
 	calls.Wait()
+}
+
+// gather takes first, which holds a window slot, and, without waiting, the
+// chunks queued behind it for as long as the window has a free slot for
+// each, until the batch holds maxPutBatch chunks or another would take it
+// past limit bytes; a chunk of limit bytes or more goes alone. It returns
+// the batch and, when carried is set, the chunk it took but left out.
+func (w *Writer) gather(worker *uploadWorker, first chunkItem, limit int64, window chan struct{}) (batch []chunkItem, left chunkItem, carried bool) {
+	batch = []chunkItem{first}
+	size := int64(len(first.data))
+	for len(batch) < maxPutBatch {
+		select {
+		case item, ok := <-worker.ch:
+			if !ok {
+				return batch, left, false
+			}
+			left = item
+		default:
+			return batch, left, false
+		}
+		if size += int64(len(left.data)); size > limit {
+			return batch, left, true
+		}
+		select {
+		case window <- struct{}{}:
+			batch = append(batch, left)
+		default:
+			return batch, left, true
+		}
+	}
+	return batch, left, false
+}
+
+// put sends a batch to its stripe node: one chunk as a BPut, more as one
+// BPutBatch whose body gathers them into a pooled buffer. The pool copies
+// or writes a body before Call returns, so the chunks may be released
+// then.
+func (w *Writer) put(worker *uploadWorker, batch []chunkItem) error {
+	var err error
+	if len(batch) == 1 {
+		_, err = w.c.dataPool.Call(worker.addr, proto.BPut, proto.PutReq{ID: batch[0].id}, batch[0].data, nil)
+	} else {
+		req := proto.BatchPutReq{IDs: make([]core.ChunkID, len(batch)), Sizes: make([]int64, len(batch))}
+		total := 0
+		for i, item := range batch {
+			req.IDs[i], req.Sizes[i] = item.id, int64(len(item.data))
+			total += len(item.data)
+		}
+		body := wire.GetBuf(total)[:0]
+		for _, item := range batch {
+			body = append(body, item.data...)
+		}
+		_, err = w.c.dataPool.Call(worker.addr, proto.BPutBatch, req, body, nil)
+		wire.PutBuf(body)
+	}
+	if err != nil {
+		w.fail(fmt.Errorf("upload chunk %d to stripe node %s: %w", batch[0].idx, worker.addr, err))
+	}
+	return err
 }
 
 func (w *Writer) recordUpload(item chunkItem, worker *uploadWorker) {

@@ -119,15 +119,22 @@ func (s *frameScanner) feed(p []byte, each func(*wire.Msg)) {
 }
 
 // windowGauge watches a client's connections from outside and keeps the
-// chunk puts handed to the link and not yet answered: how many any one
-// stripe node owed an answer for at once, and their bytes over all nodes.
+// chunk puts handed to the link and not yet answered: how many chunks any
+// one stripe node owed an answer for at once, and their bytes over all
+// nodes. A BPutBatch counts its chunks by ID and its bytes by body.
 type windowGauge struct {
 	mu        sync.Mutex
-	unacked   map[putKey]int64 // body bytes of each unanswered put
+	unacked   map[putKey]unackedPut
 	perNode   map[string]int
 	bytes     int64
 	peakNode  int
 	peakBytes int64
+}
+
+// unackedPut is one unanswered put request: its chunks and body bytes.
+type unackedPut struct {
+	chunks int
+	bytes  int64
 }
 
 // putKey names a request: session IDs are per connection.
@@ -146,7 +153,7 @@ type watchedConn struct {
 }
 
 func newWindowGauge() *windowGauge {
-	return &windowGauge{unacked: make(map[putKey]int64), perNode: make(map[string]int)}
+	return &windowGauge{unacked: make(map[putKey]unackedPut), perNode: make(map[string]int)}
 }
 
 func (g *windowGauge) watch(conn net.Conn) net.Conn {
@@ -155,8 +162,15 @@ func (g *windowGauge) watch(conn net.Conn) net.Conn {
 
 func (c *watchedConn) Write(p []byte) (int, error) {
 	c.out.feed(p, func(m *wire.Msg) {
-		if m.Op == proto.BPut {
-			c.g.sent(c, m.Session, int64(len(m.Body)))
+		switch m.Op {
+		case proto.BPut:
+			c.g.sent(c, m.Session, unackedPut{chunks: 1, bytes: int64(len(m.Body))})
+		case proto.BPutBatch:
+			var req proto.BatchPutReq
+			if err := wire.UnmarshalMeta(m.Meta, &req); err != nil {
+				panic(err)
+			}
+			c.g.sent(c, m.Session, unackedPut{chunks: len(req.IDs), bytes: int64(len(m.Body))})
 		}
 	})
 	return c.Conn.Write(p)
@@ -168,13 +182,13 @@ func (c *watchedConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (g *windowGauge) sent(c *watchedConn, sid uint64, size int64) {
+func (g *windowGauge) sent(c *watchedConn, sid uint64, put unackedPut) {
 	node := c.RemoteAddr().String()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.unacked[putKey{c, sid}] = size
-	g.perNode[node]++
-	g.bytes += size
+	g.unacked[putKey{c, sid}] = put
+	g.perNode[node] += put.chunks
+	g.bytes += put.bytes
 	if g.perNode[node] > g.peakNode {
 		g.peakNode = g.perNode[node]
 	}
@@ -186,10 +200,10 @@ func (g *windowGauge) sent(c *watchedConn, sid uint64, size int64) {
 func (g *windowGauge) answered(c *watchedConn, sid uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if size, ok := g.unacked[putKey{c, sid}]; ok {
+	if put, ok := g.unacked[putKey{c, sid}]; ok {
 		delete(g.unacked, putKey{c, sid})
-		g.perNode[c.RemoteAddr().String()]--
-		g.bytes -= size
+		g.perNode[c.RemoteAddr().String()] -= put.chunks
+		g.bytes -= put.bytes
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 // manager's handlers: no concurrency, so sync and async journals must
 // come out byte-identical. The catalog's clock is pinned to a fixed
 // sequence, so the commit times the journal records match too.
-func driveSequentialJournal(t *testing.T, syncJournal bool) []byte {
+func driveSequentialJournal(t testing.TB, syncJournal bool) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seq.journal")
 	m, err := newManager(Config{

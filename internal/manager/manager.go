@@ -254,6 +254,7 @@ func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
 		}
 		m.journal = j
 		if err := m.replayJournal(watermark); err != nil {
+			j.close()
 			return nil, fmt.Errorf("manager: replay journal: %w", err)
 		}
 		// Installed only after replay (replayed entries must not be
@@ -271,6 +272,9 @@ func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
 		var err error
 		ln, err = net.Listen("tcp", cfg.ListenAddr)
 		if err != nil {
+			if m.journal != nil {
+				m.journal.close()
+			}
 			return nil, fmt.Errorf("manager: listen %s: %w", cfg.ListenAddr, err)
 		}
 	}

@@ -10,11 +10,12 @@ import (
 )
 
 // The binary meta layout. A message that carries chunk IDs — one, a list,
-// or a chunk map — or answers an ID list entry for entry is encoded by the
-// AppendMeta/ParseMeta pair below and by nothing else; package wire selects
-// the pair by type, and every other message stays JSON. The layout has no
-// field tags and no optional fields: a message is its fields in
-// declaration order, each written as
+// or a chunk map — or answers an ID list entry for entry, and the four
+// session messages of every checkpoint (AllocReq, AllocResp, CommitResp,
+// GetMapReq), is encoded by the AppendMeta/ParseMeta pair below and by
+// nothing else; package wire selects the pair by type, and every other
+// message stays JSON. The layout has no field tags and no optional
+// fields: a message is its fields in declaration order, each written as
 //
 //	unsigned integer, count, length   uvarint
 //	signed integer, duration          zigzag varint
@@ -24,6 +25,7 @@ import (
 //	list                              count + elements
 //	time                              Unix seconds (varint) + nanoseconds (uvarint)
 //	pointer                           presence bool + value
+//	embedded Epoch                    PartitionEpoch, a uvarint
 //
 // Encoders append to a caller-supplied slice. Decoders run a parser over
 // the meta bytes: every count and length is checked against the bytes that
@@ -50,6 +52,14 @@ func appendIDs(dst []byte, ids []core.ChunkID) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	for i := range ids {
 		dst = append(dst, ids[i][:]...)
+	}
+	return dst
+}
+
+func appendSizes(dst []byte, sizes []int64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(sizes)))
+	for _, s := range sizes {
+		dst = binary.AppendVarint(dst, s)
 	}
 	return dst
 }
@@ -215,6 +225,18 @@ func (p *parser) ids() []core.ChunkID {
 	return ids
 }
 
+func (p *parser) sizes() []int64 {
+	n := p.count(1)
+	if n == 0 {
+		return nil
+	}
+	sizes := make([]int64, n)
+	for i := range sizes {
+		sizes[i] = p.varint()
+	}
+	return sizes
+}
+
 func (p *parser) nodes() []core.NodeID {
 	n := p.count(1)
 	if n == 0 {
@@ -311,24 +333,26 @@ func (r *BatchGetReq) ParseMeta(b []byte) error {
 }
 
 // AppendMeta appends the response's binary meta: the size list.
-func (r BatchGetResp) AppendMeta(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(r.Sizes)))
-	for _, s := range r.Sizes {
-		dst = binary.AppendVarint(dst, s)
-	}
-	return dst
-}
+func (r BatchGetResp) AppendMeta(dst []byte) []byte { return appendSizes(dst, r.Sizes) }
 
 // ParseMeta decodes AppendMeta's layout.
 func (r *BatchGetResp) ParseMeta(b []byte) error {
 	p := parser{b: b}
-	*r = BatchGetResp{}
-	if n := p.count(1); n > 0 {
-		r.Sizes = make([]int64, n)
-		for i := range r.Sizes {
-			r.Sizes[i] = p.varint()
-		}
-	}
+	*r = BatchGetResp{Sizes: p.sizes()}
+	return p.end()
+}
+
+// AppendMeta appends the request's binary meta: the ID list, then the size
+// list. The two are written as the lists they are, so a request whose
+// lists disagree in length reaches the donor, which refuses it.
+func (r BatchPutReq) AppendMeta(dst []byte) []byte {
+	return appendSizes(appendIDs(dst, r.IDs), r.Sizes)
+}
+
+// ParseMeta decodes AppendMeta's layout.
+func (r *BatchPutReq) ParseMeta(b []byte) error {
+	p := parser{b: b}
+	*r = BatchPutReq{IDs: p.ids(), Sizes: p.sizes()}
 	return p.end()
 }
 
@@ -541,5 +565,99 @@ func (r GCReportResp) AppendMeta(dst []byte) []byte { return appendIDs(dst, r.De
 func (r *GCReportResp) ParseMeta(b []byte) error {
 	p := parser{b: b}
 	*r = GCReportResp{Deletable: p.ids()}
+	return p.end()
+}
+
+// AppendMeta appends the request's binary meta, fields in declaration
+// order.
+func (r AllocReq) AppendMeta(dst []byte) []byte {
+	dst = appendString(dst, r.Name)
+	dst = binary.AppendUvarint(dst, r.PartitionEpoch)
+	dst = binary.AppendVarint(dst, int64(r.StripeWidth))
+	dst = binary.AppendVarint(dst, r.ChunkSize)
+	dst = appendBool(dst, r.Variable)
+	dst = binary.AppendVarint(dst, r.ReserveBytes)
+	dst = binary.AppendVarint(dst, int64(r.Replication))
+	return appendString(dst, r.Writer)
+}
+
+// ParseMeta decodes AppendMeta's layout.
+func (r *AllocReq) ParseMeta(b []byte) error {
+	p := parser{b: b}
+	*r = AllocReq{
+		Name:         p.string(),
+		Epoch:        Epoch{PartitionEpoch: p.uvarint()},
+		StripeWidth:  p.int(),
+		ChunkSize:    p.varint(),
+		Variable:     p.bool(),
+		ReserveBytes: p.varint(),
+		Replication:  p.int(),
+		Writer:       p.string(),
+	}
+	return p.end()
+}
+
+// AppendMeta appends the response's binary meta: the session, then each
+// stripe node as ID and address.
+func (r AllocResp) AppendMeta(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, r.WriteID)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Stripe)))
+	for _, st := range r.Stripe {
+		dst = appendString(dst, string(st.ID))
+		dst = appendString(dst, st.Addr)
+	}
+	return dst
+}
+
+// ParseMeta decodes AppendMeta's layout.
+func (r *AllocResp) ParseMeta(b []byte) error {
+	p := parser{b: b}
+	*r = AllocResp{WriteID: p.uvarint()}
+	if n := p.count(2); n > 0 {
+		r.Stripe = make([]Stripe, n)
+		for i := range r.Stripe {
+			r.Stripe[i] = Stripe{ID: core.NodeID(p.string()), Addr: p.string()}
+		}
+	}
+	return p.end()
+}
+
+// AppendMeta appends the response's binary meta, fields in declaration
+// order.
+func (r CommitResp) AppendMeta(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(r.Dataset))
+	dst = binary.AppendUvarint(dst, uint64(r.Version))
+	return binary.AppendVarint(dst, r.NewBytes)
+}
+
+// ParseMeta decodes AppendMeta's layout.
+func (r *CommitResp) ParseMeta(b []byte) error {
+	p := parser{b: b}
+	*r = CommitResp{
+		Dataset:  core.DatasetID(p.uvarint()),
+		Version:  core.VersionID(p.uvarint()),
+		NewBytes: p.varint(),
+	}
+	return p.end()
+}
+
+// AppendMeta appends the request's binary meta, fields in declaration
+// order.
+func (r GetMapReq) AppendMeta(dst []byte) []byte {
+	dst = appendString(dst, r.Name)
+	dst = binary.AppendUvarint(dst, uint64(r.Version))
+	dst = binary.AppendUvarint(dst, uint64(r.Have))
+	return binary.AppendUvarint(dst, r.PartitionEpoch)
+}
+
+// ParseMeta decodes AppendMeta's layout.
+func (r *GetMapReq) ParseMeta(b []byte) error {
+	p := parser{b: b}
+	*r = GetMapReq{
+		Name:    p.string(),
+		Version: core.VersionID(p.uvarint()),
+		Have:    core.VersionID(p.uvarint()),
+		Epoch:   Epoch{PartitionEpoch: p.uvarint()},
+	}
 	return p.end()
 }

@@ -139,6 +139,13 @@ var binaryMetas = []struct {
 		}
 		return r
 	}},
+	{"BatchPutReq", func(g *gen) metaCodec {
+		r := &BatchPutReq{IDs: g.ids()} // sizes of their own count: the donor refuses a mismatch
+		for n := g.n(5); n > 0; n-- {
+			r.Sizes = append(r.Sizes, g.i64())
+		}
+		return r
+	}},
 	{"HasReq", func(g *gen) metaCodec { return &HasReq{IDs: g.ids()} }},
 	{"HasResp", func(g *gen) metaCodec {
 		r := &HasResp{}
@@ -172,6 +179,24 @@ var binaryMetas = []struct {
 	{"GetMapsResp", func(g *gen) metaCodec { return &GetMapsResp{Maps: g.namedMaps()} }},
 	{"GCReportReq", func(g *gen) metaCodec { return &GCReportReq{ID: core.NodeID(g.str()), IDs: g.ids()} }},
 	{"GCReportResp", func(g *gen) metaCodec { return &GCReportResp{Deletable: g.ids()} }},
+	{"AllocReq", func(g *gen) metaCodec {
+		return &AllocReq{Name: g.str(), Epoch: Epoch{PartitionEpoch: uint64(g.i64())}, StripeWidth: int(g.i64()),
+			ChunkSize: g.i64(), Variable: g.bool(), ReserveBytes: g.i64(), Replication: int(g.i64()), Writer: g.str()}
+	}},
+	{"AllocResp", func(g *gen) metaCodec {
+		r := &AllocResp{WriteID: uint64(g.i64())}
+		for n := g.n(4); n > 0; n-- {
+			r.Stripe = append(r.Stripe, Stripe{ID: core.NodeID(g.str()), Addr: g.str()})
+		}
+		return r
+	}},
+	{"CommitResp", func(g *gen) metaCodec {
+		return &CommitResp{Dataset: core.DatasetID(g.i64()), Version: core.VersionID(g.i64()), NewBytes: g.i64()}
+	}},
+	{"GetMapReq", func(g *gen) metaCodec {
+		return &GetMapReq{Name: g.str(), Version: core.VersionID(g.i64()), Have: core.VersionID(g.i64()),
+			Epoch: Epoch{PartitionEpoch: uint64(g.i64())}}
+	}},
 }
 
 // fresh returns a zero value of v's message type.
@@ -232,6 +257,16 @@ func FuzzMetaCodec(f *testing.F) {
 	}
 	// An "unchanged" map reply: name and version, no map.
 	f.Add(GetMapResp{Name: "app.n1.t9", Version: 9}.AppendMeta(nil))
+	// A checkpoint's session as a client sends it, and a batched put of
+	// two 8 KB chunks; then one whose lists disagree in length.
+	f.Add(AllocReq{Name: "app.n1.t9", Epoch: Epoch{PartitionEpoch: 1 << 60}, StripeWidth: 4,
+		ChunkSize: 8 << 10, ReserveBytes: 64 << 20, Replication: 1, Writer: "rank0"}.AppendMeta(nil))
+	f.Add(AllocResp{WriteID: 77, Stripe: []Stripe{{ID: "d1", Addr: "127.0.0.1:9401"}, {ID: "d2", Addr: "127.0.0.1:9402"}}}.AppendMeta(nil))
+	f.Add(CommitResp{Dataset: 3, Version: 9, NewBytes: 64 << 10}.AppendMeta(nil))
+	f.Add(GetMapReq{Name: "app.n1", Have: 8, Epoch: Epoch{PartitionEpoch: 5}}.AppendMeta(nil))
+	two := []core.ChunkID{core.HashChunk([]byte{1}), core.HashChunk([]byte{2})}
+	f.Add(BatchPutReq{IDs: two, Sizes: []int64{8 << 10, 8 << 10}}.AppendMeta(nil))
+	f.Add(BatchPutReq{IDs: two, Sizes: []int64{16 << 10}}.AppendMeta(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // a count of 2^63
 	f.Add(binary.AppendUvarint(nil, 1<<40))                                   // a count no input could back
@@ -308,11 +343,17 @@ func TestMetaCodecRefusesDamage(t *testing.T) {
 // one entry per ID of the request they answer, so they grow with it.
 var perIDAnswers = map[string]bool{"HasResp": true, "BatchGetResp": true}
 
+// sessionMetas are the four messages without chunk IDs that every
+// checkpoint sends: the alloc request and reply at create, the commit
+// reply, and the map request at open. They are binary for their count, not
+// their size.
+var sessionMetas = map[string]bool{"AllocReq": true, "AllocResp": true, "CommitResp": true, "GetMapReq": true}
+
 // TestBinaryIffCarriesChunkIDs reads the package source and holds it to
 // the rule in the package comment: a message — a struct that is not a
 // field of another — has the AppendMeta/ParseMeta pair exactly when chunk
-// IDs are reachable from its fields (or it is one of the perIDAnswers),
-// and binaryMetas lists each of them.
+// IDs are reachable from its fields, or it is one of the perIDAnswers or
+// the sessionMetas, and binaryMetas lists each of them.
 func TestBinaryIffCarriesChunkIDs(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := goparser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -392,11 +433,11 @@ func TestBinaryIffCarriesChunkIDs(t *testing.T) {
 		if binaryForm && !(methods[name]["AppendMeta"] && methods[name]["ParseMeta"]) {
 			t.Errorf("%s has half of the AppendMeta/ParseMeta pair", name)
 		}
-		switch want := (carries(name) || perIDAnswers[name]) && !nested[name]; {
+		switch want := (carries(name) || perIDAnswers[name] || sessionMetas[name]) && !nested[name]; {
 		case want && !binaryForm:
-			t.Errorf("%s carries chunk IDs but would travel as JSON: give it the binary pair in codec.go", name)
+			t.Errorf("%s carries chunk IDs or is a session message but would travel as JSON: give it the binary pair in codec.go", name)
 		case !want && binaryForm:
-			t.Errorf("%s has the binary pair but carries no chunk IDs (or is only ever a field): it should be JSON", name)
+			t.Errorf("%s has the binary pair but carries no chunk IDs and is no session message (or is only ever a field): it should be JSON", name)
 		case binaryForm && !listed[name]:
 			t.Errorf("%s is binary but missing from binaryMetas, so nothing fuzzes it", name)
 		}
@@ -405,12 +446,12 @@ func TestBinaryIffCarriesChunkIDs(t *testing.T) {
 		t.Error("binaryMetas names a message twice")
 	}
 
-	// The conditional map fetch: the request names versions only and stays
-	// JSON; the reply carries its version ahead of the map, which an
-	// "unchanged" answer leaves out.
+	// The conditional map fetch: the request is a session message and
+	// travels binary, Have included; the reply carries its version ahead
+	// of the map, which an "unchanged" answer leaves out.
 	raw, err := wire.MarshalMeta(GetMapReq{Name: "app.n1", Have: 7})
 	var req GetMapReq
-	if err != nil || raw[0] != '{' || wire.UnmarshalMeta(raw, &req) != nil || req.Have != 7 {
+	if err != nil || raw[0] == '{' || wire.UnmarshalMeta(raw, &req) != nil || req.Have != 7 {
 		t.Errorf("GetMapReq{Have: 7} travels as %q (%v) and decodes to %+v", raw, err, req)
 	}
 	enc := GetMapResp{Name: "a", Version: 300}.AppendMeta(nil)

@@ -4,10 +4,12 @@
 // package is pure data so every component can import it without cycles.
 //
 // Messages that carry chunk IDs — a single ID, an ID list or a chunk map —
-// and the two responses that answer an ID list entry for entry (HasResp,
-// BatchGetResp) have a fixed binary meta layout (codec.go: an
-// AppendMeta/ParseMeta method pair that package wire selects by type);
-// every other message is JSON. A message has exactly one of the two forms.
+// the two responses that answer an ID list entry for entry (HasResp,
+// BatchGetResp), and the four session messages every checkpoint sends
+// (AllocReq, AllocResp, CommitResp, GetMapReq) have a fixed binary meta
+// layout (codec.go: an AppendMeta/ParseMeta method pair that package wire
+// selects by type); every other message is JSON. A message has exactly one
+// of the two forms.
 package proto
 
 import (
@@ -21,6 +23,12 @@ import (
 const (
 	// BPut stores one chunk: meta PutReq, body = chunk bytes.
 	BPut = "b.put"
+	// BPutBatch stores several chunks in one round trip: meta
+	// BatchPutReq, body = the chunks' bytes back to back in its order. The
+	// donor refuses a request whose framing does not add up before it
+	// stores anything, and answers one error for the request: a writer
+	// fails its session on it as on a failed BPut.
+	BPutBatch = "b.putbatch"
 	// BGet fetches one chunk: meta GetReq, response body = chunk bytes.
 	BGet = "b.get"
 	// BGetBatch fetches many chunks in one round trip: meta BatchGetReq,
@@ -166,9 +174,17 @@ type GetReq struct {
 	ID core.ChunkID `json:"id"`
 }
 
-// MaxBatchIDs bounds the chunk IDs one BGetBatch request may name. The
-// benefactor answers slots past it with size -1; clients never send more.
+// MaxBatchIDs bounds the chunk IDs one BGetBatch or BPutBatch request may
+// name. The benefactor answers BGetBatch slots past it with size -1 and
+// refuses a BPutBatch naming more; clients never send more.
 const MaxBatchIDs = 256
+
+// BatchPutReq describes a BPutBatch body: chunk i is IDs[i], and its bytes
+// are the Sizes[i] bytes that follow chunk i-1's in the body.
+type BatchPutReq struct {
+	IDs   []core.ChunkID `json:"ids"`
+	Sizes []int64        `json:"sizes"`
+}
 
 // BatchGetReq names the chunks for a BGetBatch, in response-body order.
 type BatchGetReq struct {

@@ -7,7 +7,8 @@ import (
 
 // metaAppender and metaParser are the method pair by which a message type
 // selects the binary meta encoding (package proto implements them for
-// every message that carries chunk IDs). A type with neither is JSON.
+// every message that carries chunk IDs, and for the per-checkpoint session
+// messages). A type with neither is JSON.
 type (
 	metaAppender interface {
 		AppendMeta(dst []byte) []byte

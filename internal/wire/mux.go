@@ -118,15 +118,17 @@ func (c *MuxConn) fail(err error) {
 	}
 }
 
-// maxCoalescedBody is the largest request body copied into the transmit
+// MaxCoalescedBody is the largest request body copied into the transmit
 // buffer. Up to here a copy is cheaper than a transmission of its own; a
 // larger body (a default 1 MB chunk) is written from the caller's slice.
-const maxCoalescedBody = 128 << 10
+// A writer closes a batched put's body at this size, so every batch is
+// coalesced.
+const MaxCoalescedBody = 128 << 10
 
 // send puts one request frame on the wire, or queues it behind the
 // transmission in progress. ctl is the frame's encoded control part.
 //
-// A body of at most maxCoalescedBody is copied into tx behind ctl. If a
+// A body of at most MaxCoalescedBody is copied into tx behind ctl. If a
 // flusher is running the frame is its to send and send returns at once;
 // otherwise the caller becomes the flusher, with no goroutine hop for a
 // lone call. A larger body is never copied: its caller waits for the
@@ -137,7 +139,7 @@ const maxCoalescedBody = 128 << 10
 // Only the flusher sees a write error; it fails the connection, which
 // reaches every queued caller through its reply channel.
 func (c *MuxConn) send(ctl, body []byte) error {
-	large := len(body) > maxCoalescedBody
+	large := len(body) > MaxCoalescedBody
 	need := len(ctl)
 	if !large {
 		need += len(body)

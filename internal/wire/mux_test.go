@@ -656,7 +656,7 @@ func TestMuxMixedBodiesUnderBackpressure(t *testing.T) {
 	}
 	defer mc.Close()
 
-	sizes := []int{0, 900, 100 << 10, maxCoalescedBody, maxCoalescedBody + 1, 1 << 20}
+	sizes := []int{0, 900, 100 << 10, MaxCoalescedBody, MaxCoalescedBody + 1, 1 << 20}
 	var wg sync.WaitGroup
 	errs := make(chan error, 48)
 	for i := 0; i < 48; i++ {

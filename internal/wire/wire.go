@@ -10,7 +10,7 @@
 //
 // and the header is a fixed layout, decoded without reflection:
 //
-//	version  1 byte, frameVersion (4)
+//	version  1 byte, frameVersion (5)
 //	flags    1 byte, bit 0 = an error string follows the op
 //	sid      uvarint session tag, 0 = untagged
 //	op       uvarint length + bytes
@@ -24,9 +24,11 @@
 //
 // Meta is encoded per message type (MarshalMeta, UnmarshalMeta). Messages
 // that carry chunk IDs — 20 raw bytes each, and there may be thousands per
-// message — implement a fixed binary layout in package proto; every other
-// message is small, rare or operator-facing and stays readable JSON inside
-// the same frame. No type has both forms.
+// message — and the four session messages every checkpoint sends (alloc
+// request and reply, commit reply, map request) implement a fixed binary
+// layout in package proto; every other message is small, rare or
+// operator-facing and stays readable JSON inside the same frame. No type
+// has both forms.
 //
 // The codec is allocation-conscious: frame prefixes and headers are
 // marshalled into pooled scratch buffers, a frame with a body is written
@@ -51,9 +53,10 @@ const (
 	MaxBodyLen = 256 << 20
 	// frameVersion is the first byte of every control header. It changes
 	// when the header layout or a message's binary meta layout does (4:
-	// GetMapResp gained the resolved version); a peer speaking any other
-	// version is refused with ErrFrameVersion.
-	frameVersion = 4
+	// GetMapResp gained the resolved version; 5: BPutBatch, and AllocReq,
+	// AllocResp, CommitResp and GetMapReq went binary); a peer speaking any
+	// other version is refused with ErrFrameVersion.
+	frameVersion = 5
 )
 
 // flagErr marks a header that carries an error string after the op.
