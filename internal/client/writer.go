@@ -896,26 +896,21 @@ func (w *Writer) gather(worker *uploadWorker, first chunkItem, limit int64, wind
 }
 
 // put sends a batch to its stripe node: one chunk as a BPut, more as one
-// BPutBatch whose body gathers them into a pooled buffer. The pool copies
-// or writes a body before Call returns, so the chunks may be released
-// then.
+// BPutBatch whose body is the chunks back to back, sent from their
+// segments without a gather. The pool is done reading a body when Call
+// returns, on success or failure, so the chunks may be released then.
 func (w *Writer) put(worker *uploadWorker, batch []chunkItem) error {
 	var err error
 	if len(batch) == 1 {
 		_, err = w.c.dataPool.Call(worker.addr, proto.BPut, proto.PutReq{ID: batch[0].id}, batch[0].data, nil)
 	} else {
 		req := proto.BatchPutReq{IDs: make([]core.ChunkID, len(batch)), Sizes: make([]int64, len(batch))}
-		total := 0
+		var pieces [maxPutBatch][]byte
 		for i, item := range batch {
 			req.IDs[i], req.Sizes[i] = item.id, int64(len(item.data))
-			total += len(item.data)
+			pieces[i] = item.data
 		}
-		body := wire.GetBuf(total)[:0]
-		for _, item := range batch {
-			body = append(body, item.data...)
-		}
-		_, err = w.c.dataPool.Call(worker.addr, proto.BPutBatch, req, body, nil)
-		wire.PutBuf(body)
+		_, err = w.c.dataPool.CallPieces(worker.addr, proto.BPutBatch, req, pieces[:len(batch)], nil)
 	}
 	if err != nil {
 		w.fail(fmt.Errorf("upload chunk %d to stripe node %s: %w", batch[0].idx, worker.addr, err))

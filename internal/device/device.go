@@ -61,7 +61,10 @@ func (l *Limiter) Rate() float64 {
 	return l.rate
 }
 
-// SetRate changes the bandwidth. Safe for concurrent use.
+// SetRate changes the bandwidth. Safe for concurrent use. A connection's
+// shaping is fixed when Shape wraps it: a connection wrapped while this
+// limiter had no rate is not paced by it after SetRate, and one wrapped
+// while it had a rate keeps consulting it.
 func (l *Limiter) SetRate(bytesPerSec float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -189,7 +192,8 @@ type NIC struct {
 	RX *Limiter
 	// Delay is the one-way latency a transmission pays before its bytes
 	// enter the link: propagation plus the sender's protocol-stack cost.
-	// It is charged per transmit segment, which makes a stop-and-wait
+	// It is charged once per transmission (a Write, or a frame or run of
+	// frames sent as one buffer list), which makes a stop-and-wait
 	// exchange pay it once per request — the per-RPC cost that pipelined
 	// and batched transports amortize across a window (paper §IV.E). Zero
 	// is a latency-free link.

@@ -2,7 +2,9 @@ package device
 
 import (
 	"bytes"
+	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -263,5 +265,91 @@ func TestFabricSharedAcrossConns(t *testing.T) {
 	<-d2
 	if got := time.Since(start); got < 80*time.Millisecond {
 		t.Fatalf("fabric not shared: both transfers done in %v", got)
+	}
+}
+
+func TestShapeUnshapedNodeIsNotWrapped(t *testing.T) {
+	c, s := net.Pipe()
+	defer c.Close()
+	defer s.Close()
+	if got := Shape(c, NewNode(Unshaped()).NIC, nil); got != c {
+		t.Fatalf("an unshaped node's NIC wrapped the connection in %T", got)
+	}
+	if got := Shape(c, NewNode(Unshaped()).NIC, NewLimiter(0)); got != c {
+		t.Fatalf("an unrated fabric wrapped the connection in %T", got)
+	}
+}
+
+// recordConn records each Write it is handed and sends nothing.
+type recordConn struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (c *recordConn) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestShapedConnDelayOnlyIsOneTransmission: on a link with a delay and no
+// rate, a Write and a buffer list each pay exactly one delay and reach the
+// inner connection as one write, unsplit.
+func TestShapedConnDelayOnlyIsOneTransmission(t *testing.T) {
+	var delays []time.Duration
+	linkSleep = func(d time.Duration) { delays = append(delays, d) }
+	defer func() { linkSleep = time.Sleep }()
+
+	inner := &recordConn{}
+	sc, ok := Shape(inner, NewNode(Profile{LinkDelay: time.Millisecond}).NIC, nil).(*ShapedConn)
+	if !ok {
+		t.Fatal("a delay-only link was not shaped")
+	}
+	big := bytes.Repeat([]byte("w"), 3*writeQuantum+5)
+	if n, err := sc.Write(big); err != nil || n != len(big) {
+		t.Fatalf("Write: %d, %v", n, err)
+	}
+	head, body := []byte("header"), bytes.Repeat([]byte("b"), 2*writeQuantum)
+	if n, err := sc.WriteBuffers(&net.Buffers{head, body, []byte("next")}); err != nil || n != int64(len(head)+len(body)+4) {
+		t.Fatalf("WriteBuffers: %d, %v", n, err)
+	}
+	if len(delays) != 2 || delays[0] != time.Millisecond || delays[1] != time.Millisecond {
+		t.Fatalf("two transmissions paid delays %v, want one millisecond each", delays)
+	}
+	if len(inner.writes) != 2 {
+		t.Fatalf("two transmissions reached the inner connection as %d writes", len(inner.writes))
+	}
+	if !bytes.Equal(inner.writes[0], big) || !bytes.Equal(inner.writes[1], slices.Concat(head, body, []byte("next"))) {
+		t.Fatal("a transmission's bytes changed on the way through")
+	}
+}
+
+// TestShapedConnPacesBufferLists: a rated link paces a buffer list as it
+// paces one slice, and delivers its bytes in order.
+func TestShapedConnPacesBufferLists(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	shaped := Shape(client, NewNIC(1e6), nil).(*ShapedConn)
+
+	bufs := net.Buffers{bytes.Repeat([]byte("a"), 30e3), bytes.Repeat([]byte("b"), 50e3), bytes.Repeat([]byte("c"), 20e3)}
+	want := slices.Concat(bufs...) // before WriteBuffers consumes bufs
+	got := make([]byte, len(want))
+	done := make(chan error, 1)
+	go func() {
+		_, err := io.ReadFull(server, got)
+		done <- err
+	}()
+	start := time.Now()
+	if _, err := shaped.WriteBuffers(&bufs); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if time.Since(start) < 80*time.Millisecond {
+		t.Fatal("a buffer list on a rated link was not paced")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("payload corrupted through shaping")
 	}
 }

@@ -122,7 +122,9 @@ const (
 // errors the error is marked core.ErrRetryable so callers can
 // distinguish "the owner never answered" from an application-level
 // rejection; an exhausted retry-after budget returns the typed shed
-// error itself, delay hint intact.
+// error itself, delay hint intact. A member that answers in another frame
+// version (wire.ErrFrameVersion) runs another protocol version, which no
+// retry changes: that error returns at once, unwrapped.
 func (r *Router) callOwner(name, op string, req, resp interface{}) error {
 	i, _ := r.ms.OwnerOf(name)
 	var err error
@@ -157,6 +159,9 @@ func (r *Router) callOwner(name, op string, req, resp interface{}) error {
 				continue // honored in the backoff branch above
 			}
 			return err
+		}
+		if errors.Is(err, wire.ErrFrameVersion) {
+			return err // the member speaks another protocol version: no retry can succeed
 		}
 	}
 	if errors.Is(err, core.ErrRetryAfter{}) {

@@ -16,28 +16,32 @@ import (
 // requests in flight at once, which is how millions of logical client
 // sessions share a small number of manager connections.
 //
-// Sends are group-committed: a caller appends its encoded frame to the
-// connection's transmit buffer, and whoever finds no transmission running
-// writes everything gathered so far with one conn.Write (see send). Frames
-// queued while a transmission is on the wire leave together as the next
-// one, so a window of small requests costs one transmission, not one each.
+// Sends are group-committed: a caller queues its frame — the encoded
+// control part and a reference to its body — and whoever finds no
+// transmission running writes everything queued so far as one
+// transmission (see send). Frames queued while a transmission is on the
+// wire leave together as the next one, so a window of small requests
+// costs one transmission, not one each. No body is copied: it goes to the
+// connection as the caller's own slice, in one vectored write.
 //
 // A transport error is sticky: it fails every pending and future call,
 // and the owner (normally a shared Pool) replaces the connection.
 type MuxConn struct {
 	conn net.Conn
 
-	// Send queue, guarded by smu. tx gathers encoded frames for the next
-	// transmission while the flusher — the one caller with flushing set —
-	// writes the previous batch with smu released; spare is the drained
-	// buffer of the last transmission, swapped back in at the next one.
-	smu       sync.Mutex
-	scond     *sync.Cond // a transmission ended: room in tx, or the socket is free
-	tx, spare []byte
-	flushing  bool
-	serr      error     // first send failure; fails queued and later sends
-	solo      int       // callers waiting to take the socket for a large body
-	vecs      [2][]byte // backing array for a large body's vectored write
+	// Send queue, guarded by smu. q gathers the next transmission while
+	// the flusher — the one caller with flushing set — writes the previous
+	// one with smu released; spare is that transmission's queue, emptied
+	// and swapped back in at the next one. taken and ended count the
+	// transmissions the flusher has taken from q and finished writing, so
+	// a call that fails can wait out the one that reads its body.
+	smu          sync.Mutex
+	scond        *sync.Cond // a transmission was taken or ended
+	q, spare     *sendQueue // point into queues
+	queues       [2]sendQueue
+	flushing     bool
+	serr         error // first send failure; fails queued and later sends
+	taken, ended uint64
 
 	mu      sync.Mutex
 	calls   map[uint64]chan muxReply
@@ -69,6 +73,11 @@ func DialMux(addr string, shaper Shaper) (*MuxConn, error) {
 		calls:      make(map[uint64]chan muxReply),
 		readerDone: make(chan struct{}),
 	}
+	for i := range c.queues {
+		// Room for a batched put of small chunks without regrowing.
+		c.queues[i] = sendQueue{ctl: make([]byte, 0, 1<<10), cuts: make([]bodyCut, 0, 16), vecs: make(net.Buffers, 0, 32)}
+	}
+	c.q, c.spare = &c.queues[0], &c.queues[1]
 	c.scond = sync.NewCond(&c.smu)
 	go c.readLoop()
 	return c, nil
@@ -118,98 +127,147 @@ func (c *MuxConn) fail(err error) {
 	}
 }
 
-// MaxCoalescedBody is the largest request body copied into the transmit
-// buffer. Up to here a copy is cheaper than a transmission of its own; a
-// larger body (a default 1 MB chunk) is written from the caller's slice.
-// A writer closes a batched put's body at this size, so every batch is
-// coalesced.
+// MaxCoalescedBody bounds the body of one batched put: a writer closes a
+// BPutBatch at this size (or at BufferBytes/8, if smaller). The mux itself
+// sends every body by reference, whatever its size.
 const MaxCoalescedBody = 128 << 10
 
-// send puts one request frame on the wire, or queues it behind the
-// transmission in progress. ctl is the frame's encoded control part.
-//
-// A body of at most MaxCoalescedBody is copied into tx behind ctl. If a
-// flusher is running the frame is its to send and send returns at once;
-// otherwise the caller becomes the flusher, with no goroutine hop for a
-// lone call. A larger body is never copied: its caller waits for the
-// socket, queues ctl last and writes tx and the body as one vectored
-// write, so the body follows its own header. Either way body is not
-// referenced once send returns.
-//
-// Only the flusher sees a write error; it fails the connection, which
-// reaches every queued caller through its reply channel.
-func (c *MuxConn) send(ctl, body []byte) error {
-	large := len(body) > MaxCoalescedBody
-	need := len(ctl)
-	if !large {
-		need += len(body)
+// sendQueue is one transmission being gathered: the control parts of its
+// frames back to back in ctl, and cuts, in order, for the body pieces that
+// follow them on the wire. Bodies are the callers' slices, not copies.
+type sendQueue struct {
+	ctl  []byte
+	cuts []bodyCut
+	size int         // bytes queued: control parts and bodies
+	vecs net.Buffers // the transmission's buffer list, built when written
+}
+
+// bodyCut places one body piece on the wire after ctl[:at].
+type bodyCut struct {
+	at   int
+	body []byte
+}
+
+// add queues one frame: its control part, then its body pieces.
+func (q *sendQueue) add(ctl []byte, body [][]byte, size int) {
+	q.ctl = append(q.ctl, ctl...)
+	for _, p := range body {
+		if len(p) > 0 {
+			q.cuts = append(q.cuts, bodyCut{at: len(q.ctl), body: p})
+		}
 	}
+	q.size += size
+}
+
+// buffers lays the queue out as the buffer list it goes to the wire as:
+// spans of ctl between the body pieces.
+func (q *sendQueue) buffers() net.Buffers {
+	vecs := q.vecs[:0]
+	prev := 0
+	for _, cut := range q.cuts {
+		if cut.at > prev {
+			vecs = append(vecs, q.ctl[prev:cut.at])
+			prev = cut.at
+		}
+		vecs = append(vecs, cut.body)
+	}
+	if prev < len(q.ctl) {
+		vecs = append(vecs, q.ctl[prev:])
+	}
+	q.vecs = vecs
+	return vecs
+}
+
+// reset empties the queue, dropping its references to callers' bodies.
+func (q *sendQueue) reset() {
+	clear(q.cuts)
+	clear(q.vecs)
+	q.ctl, q.cuts, q.vecs, q.size = q.ctl[:0], q.cuts[:0], q.vecs[:0], 0
+}
+
+// send queues one request frame, ctl its encoded control part and body its
+// body in pieces, and returns the number of the transmission that carries
+// it. A frame that would take the queue past MaxPooledBuf bytes waits for
+// an empty one. If a flusher is running the frame is its to send and send
+// returns at once; otherwise the caller becomes the flusher, with no
+// goroutine hop for a lone call, and writes transmissions until the queue
+// is empty.
+//
+// The transmission reads body after send returns: a caller may reuse it
+// once a reply arrives (the peer read the whole frame) or, on a failure,
+// after awaitSent. Only the flusher sees a write error; it drops what is
+// still queued and returns the error, and the caller fails the connection,
+// which reaches every queued caller through its reply channel.
+func (c *MuxConn) send(ctl []byte, body [][]byte) (uint64, error) {
+	need := len(ctl) + bodySize(body)
 	c.smu.Lock()
-	if large {
-		c.solo++
-		for c.flushing && c.serr == nil {
-			c.scond.Wait()
-		}
-		c.solo--
-	} else {
-		// A non-empty tx has a flusher that will drain it.
-		for len(c.tx) > 0 && len(c.tx)+need > MaxPooledBuf && c.serr == nil {
-			c.scond.Wait()
-		}
+	// A non-empty queue has a flusher that will take it.
+	for c.q.size > 0 && c.q.size+need > MaxPooledBuf && c.serr == nil {
+		c.scond.Wait()
 	}
 	if c.serr != nil {
 		err := c.serr
 		c.smu.Unlock()
-		return err
+		return 0, err
 	}
-	c.tx = append(c.tx, ctl...)
-	if !large {
-		c.tx = append(c.tx, body...)
-		body = nil
-	}
-	if !large && (c.flushing || c.solo > 0) {
-		// The running flusher, or the large-body caller about to take
-		// the socket, carries this frame.
+	c.q.add(ctl, body, need)
+	seq := c.taken + 1
+	if c.flushing {
 		c.smu.Unlock()
-		return nil
+		return seq, nil
 	}
 	c.flushing = true
 	var err error
-	for err == nil && len(c.tx) > 0 {
-		buf := c.tx
-		c.tx, c.spare = c.spare[:0], nil
-		c.scond.Broadcast() // tx has room again
+	for err == nil && c.q.size > 0 {
+		q := c.q
+		c.q, c.spare = c.spare, nil
+		c.taken++
+		c.scond.Broadcast() // the queue has room again; a transmission ended
 		c.smu.Unlock()
-		if body != nil {
-			c.vecs[0], c.vecs[1] = buf, body
-			vecs := net.Buffers(c.vecs[:])
-			_, err = vecs.WriteTo(c.conn)
-			c.vecs[0], c.vecs[1], body = nil, nil, nil
-		} else {
-			_, err = c.conn.Write(buf)
-		}
+		vecs := q.buffers()
+		_, err = WriteBuffers(c.conn, &q.vecs)
+		q.vecs = vecs // WriteBuffers consumes the list; reset clears all of it
+		q.reset()
 		c.smu.Lock()
-		c.spare = buf[:0]
-		if c.solo > 0 {
-			break // a large body is waiting: it takes over, tx and all
-		}
+		c.ended++
+		c.spare = q
 	}
 	if err != nil {
 		c.serr = fmt.Errorf("wire: write frame: %w", err)
 		err = c.serr
+		c.q.reset() // queued behind the failure: never sent
 	}
 	c.flushing = false
 	c.scond.Broadcast()
 	c.smu.Unlock()
-	return err
+	return seq, err
+}
+
+// awaitSent returns once transmission seq — the one carrying a caller's
+// frame — has ended, or the connection has stopped sending (its queue was
+// dropped after a failure). Until then a failed call may not return: the
+// transmission can still be reading its body.
+func (c *MuxConn) awaitSent(seq uint64) {
+	c.smu.Lock()
+	for c.flushing && c.ended < seq {
+		c.scond.Wait()
+	}
+	c.smu.Unlock()
 }
 
 // Call sends one request and waits for its demultiplexed response. It is
 // safe — and intended — to call concurrently; requests interleave on the
-// wire and responses may arrive in any order. reqBody is not referenced
-// after Call returns. Response-body ownership matches Conn.Call: the
-// returned slice is pooled and passes to the caller.
+// wire and responses may arrive in any order. reqBody is sent from the
+// caller's slice and not referenced after Call returns. Response-body
+// ownership matches Conn.Call: the returned slice is pooled and passes to
+// the caller.
 func (c *MuxConn) Call(op string, reqMeta interface{}, reqBody []byte, respMeta interface{}) ([]byte, error) {
+	body := [1][]byte{reqBody}
+	return c.call(op, reqMeta, body[:], respMeta)
+}
+
+// call is Call with the request body in pieces, sent back to back.
+func (c *MuxConn) call(op string, reqMeta interface{}, reqBody [][]byte, respMeta interface{}) ([]byte, error) {
 	meta, err := MarshalMeta(reqMeta)
 	if err != nil {
 		return nil, err
@@ -233,13 +291,13 @@ func (c *MuxConn) Call(op string, reqMeta interface{}, reqBody []byte, respMeta 
 		return nil, fmt.Errorf("wire: send %s: %w", op, err)
 	}
 	fe := encPool.Get().(*frameEncoder)
-	ctl, err := appendFrame(fe.buf[:0], &Msg{Op: op, Session: sid, Meta: meta, Body: reqBody})
+	ctl, err := appendFrame(fe.buf[:0], &Msg{Op: op, Session: sid, Meta: meta}, bodySize(reqBody))
 	if err != nil { // nothing reached the wire: the connection is intact
 		encPool.Put(fe)
 		c.abandon(sid)
 		return nil, err
 	}
-	werr := c.send(ctl, reqBody)
+	seq, werr := c.send(ctl, reqBody)
 	fe.buf = ctl[:0]
 	encPool.Put(fe)
 	if werr != nil {
@@ -250,6 +308,7 @@ func (c *MuxConn) Call(op string, reqMeta interface{}, reqBody []byte, respMeta 
 
 	reply := <-ch
 	if reply.err != nil {
+		c.awaitSent(seq)
 		return nil, reply.err
 	}
 	resp := reply.msg

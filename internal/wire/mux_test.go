@@ -395,40 +395,59 @@ func TestServerShedsTaggedOverload(t *testing.T) {
 }
 
 // scriptedConn is a client-side connection wrapper that records every
-// Write it is handed and can script the first two: the first blocks until
-// gate is closed (so a test can queue calls behind a transmission that is
-// "on the wire"), and the second fails when failSecond is set.
+// transmission it is handed — a Write or a WriteBuffers list — and can
+// script the first two: the first blocks until gate is closed (so a test
+// can queue calls behind a transmission that is "on the wire"), and the
+// second blocks until hold is closed, when hold is set, and then fails,
+// when failSecond is set.
 type scriptedConn struct {
 	net.Conn
-	gate       chan struct{} // nil: no Write blocks
-	entered    chan struct{} // closed when the first Write has begun
+	gate       chan struct{} // nil: the first transmission does not block
+	entered    chan struct{} // closed when the first transmission has begun
+	hold       chan struct{} // nil: the second transmission does not block
+	holding    chan struct{} // closed when the second transmission has begun
+	released   atomic.Bool   // set as the second transmission returns
 	failSecond bool
 
 	mu     sync.Mutex
-	writes [][]byte // the slices as passed, not copies: identity matters
-	stream []byte   // everything written, in order
+	writes []net.Buffers // the slices as passed, not copies: identity matters
+	stream []byte        // everything written, in order
 }
 
 func (c *scriptedConn) Write(p []byte) (int, error) {
+	n, err := c.WriteBuffers(&net.Buffers{p})
+	return int(n), err
+}
+
+func (c *scriptedConn) WriteBuffers(bufs *net.Buffers) (int64, error) {
 	c.mu.Lock()
 	n := len(c.writes)
-	c.writes = append(c.writes, p)
-	c.stream = append(c.stream, p...)
+	c.writes = append(c.writes, append(net.Buffers(nil), *bufs...))
+	for _, b := range *bufs {
+		c.stream = append(c.stream, b...)
+	}
 	c.mu.Unlock()
 	if n == 0 && c.gate != nil {
 		close(c.entered)
 		<-c.gate
 	}
-	if n == 1 && c.failSecond {
-		return 0, errors.New("link down")
+	if n == 1 {
+		if c.hold != nil {
+			close(c.holding)
+			<-c.hold
+			defer c.released.Store(true)
+		}
+		if c.failSecond {
+			return 0, errors.New("link down")
+		}
 	}
-	return c.Conn.Write(p)
+	return bufs.WriteTo(c.Conn)
 }
 
-func (c *scriptedConn) recorded() (writes [][]byte, stream []byte) {
+func (c *scriptedConn) recorded() (writes []net.Buffers, stream []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([][]byte(nil), c.writes...), append([]byte(nil), c.stream...)
+	return append([]net.Buffers(nil), c.writes...), append([]byte(nil), c.stream...)
 }
 
 // dialScripted dials addr with sc wrapped around the socket.
@@ -445,13 +464,13 @@ func dialScripted(t *testing.T, addr string, sc *scriptedConn) *MuxConn {
 	return mc
 }
 
-// awaitQueued waits until n frames sit in mc's transmit buffer.
+// awaitQueued waits until n frames sit in mc's send queue.
 func awaitQueued(t *testing.T, mc *MuxConn, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		mc.smu.Lock()
-		frames, err := countFrames(mc.tx)
+		frames, err := countFrames(bytes.Join(mc.q.buffers(), nil))
 		mc.smu.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -544,32 +563,23 @@ func TestMuxLoneCallIsOneWrite(t *testing.T) {
 	}
 }
 
-// TestMuxLargeBodyNotCopied: a body above the coalescing bound reaches the
-// connection as the caller's own slice, behind a control part that also
-// carries the small frame queued ahead of it.
+// TestMuxLargeBodyNotCopied: every body, a 1 MB one included, reaches the
+// connection as the caller's own slice, and a 1 MB frame queued behind a
+// small one leaves with it as one transmission.
 func TestMuxLargeBodyNotCopied(t *testing.T) {
 	_, addr := delayEchoServer(t, ServerConfig{})
 	sc := &scriptedConn{gate: make(chan struct{}), entered: make(chan struct{})}
 	mc := dialScripted(t, addr, sc)
 
+	first, small := []byte("first"), []byte("small")
 	big := bytes.Repeat([]byte("chunk---"), (1<<20)/8)
 	errs := make(chan error, 3)
-	go func() { errs <- echoCall(mc, 0, []byte("first")) }()
+	go func() { errs <- echoCall(mc, 0, first) }()
 	<-sc.entered
-	go func() { errs <- echoCall(mc, 1, []byte("small")) }()
+	go func() { errs <- echoCall(mc, 1, small) }()
 	awaitQueued(t, mc, 1)
 	go func() { errs <- echoCall(mc, 2, big) }()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		mc.smu.Lock()
-		waiting := mc.solo
-		mc.smu.Unlock()
-		if waiting == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the large-body call never queued for the socket")
-		}
-	}
+	awaitQueued(t, mc, 2)
 	close(sc.gate)
 	for i := 0; i < 3; i++ {
 		if err := <-errs; err != nil {
@@ -577,14 +587,66 @@ func TestMuxLargeBodyNotCopied(t *testing.T) {
 		}
 	}
 	writes, stream := sc.recorded()
-	if len(writes) != 3 {
-		t.Fatalf("%d writes, want 3: the first call, then [queued small frame + large header] and the large body", len(writes))
+	if len(writes) != 2 {
+		t.Fatalf("%d transmissions, want 2: the first call, then the queued small frame and the 1 MB frame together", len(writes))
 	}
-	if body := writes[2]; len(body) != len(big) || &body[0] != &big[0] {
-		t.Fatalf("the 1 MB body reached the connection as a %d-byte copy, not the caller's slice", len(body))
+	for _, body := range [][]byte{first, small, big} {
+		found := false
+		for _, w := range writes {
+			for _, piece := range w {
+				found = found || len(piece) == len(body) && &piece[0] == &body[0]
+			}
+		}
+		if !found {
+			t.Fatalf("a %d-byte body reached the connection as a copy, not the caller's slice", len(body))
+		}
 	}
 	if frames, err := countFrames(stream); err != nil || frames != 3 {
 		t.Fatalf("the socket carried %d whole frames (%v), want 3", frames, err)
+	}
+}
+
+// TestMuxFailedCallOutlivesItsTransmission fails a connection while the
+// transmission carrying a queued call's body is still writing. The call's
+// reply channel has the failure at once, but the call must not return
+// until that write has returned — its caller would reuse a body the
+// write still reads — and must then return the failure.
+func TestMuxFailedCallOutlivesItsTransmission(t *testing.T) {
+	_, addr := delayEchoServer(t, ServerConfig{})
+	sc := &scriptedConn{
+		gate: make(chan struct{}), entered: make(chan struct{}),
+		hold: make(chan struct{}), holding: make(chan struct{}),
+		failSecond: true,
+	}
+	mc := dialScripted(t, addr, sc)
+
+	go echoCall(mc, 0, []byte("first")) // the flusher; fails with the second transmission
+	<-sc.entered
+	queued := make(chan error, 1)
+	go func() {
+		err := echoCall(mc, 1, bytes.Repeat([]byte("b"), 64<<10))
+		if !sc.released.Load() {
+			err = fmt.Errorf("returned %v while the transmission carrying its body was still writing", err)
+		}
+		queued <- err
+	}()
+	awaitQueued(t, mc, 1)
+	close(sc.gate)
+	<-sc.holding // the queued call's body is on the wire
+	mc.Close()
+	select {
+	case err := <-queued:
+		t.Fatalf("the failed call returned before its transmission ended: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(sc.hold)
+	select {
+	case err := <-queued:
+		if !errors.Is(err, core.ErrClosed) {
+			t.Fatalf("the failed call returned %v, want the connection's failure", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the failed call still hangs after its transmission ended")
 	}
 }
 
@@ -644,10 +706,10 @@ func TestMuxSendFailureFailsEveryQueuedCall(t *testing.T) {
 	}
 }
 
-// TestMuxMixedBodiesUnderBackpressure drives small, coalesced and large
-// bodies through one slow connection at once, so the transmit buffer
-// fills (callers wait for room) while large bodies queue for the socket.
-// Every frame must arrive whole and every reply reach its caller.
+// TestMuxMixedBodiesUnderBackpressure drives small, batch-sized and 1 MB
+// bodies through one slow connection at once, so the send queue fills
+// and callers wait for room, a 1 MB frame for an empty queue. Every frame
+// must arrive whole and every reply reach its caller.
 func TestMuxMixedBodiesUnderBackpressure(t *testing.T) {
 	_, addr := delayEchoServer(t, ServerConfig{})
 	mc, err := DialMux(addr, func(raw net.Conn) net.Conn { return &slowConn{Conn: raw} })

@@ -329,6 +329,12 @@ func Dial(addr string, shaper Shaper) (*Conn, error) {
 // passes to the caller (return it with PutBuf once consumed, or let the GC
 // take it).
 func (c *Conn) Call(op string, reqMeta interface{}, reqBody []byte, respMeta interface{}) ([]byte, error) {
+	body := [1][]byte{reqBody}
+	return c.call(op, reqMeta, body[:], respMeta)
+}
+
+// call is Call with the request body in pieces, sent back to back.
+func (c *Conn) call(op string, reqMeta interface{}, reqBody [][]byte, respMeta interface{}) ([]byte, error) {
 	meta, err := MarshalMeta(reqMeta)
 	if err != nil {
 		return nil, err
@@ -343,7 +349,7 @@ func (c *Conn) Call(op string, reqMeta interface{}, reqBody []byte, respMeta int
 	if err := fpWireSend.Hit(); err != nil {
 		return nil, fmt.Errorf("wire: send %s: %w", op, err)
 	}
-	if err := Write(c.conn, &Msg{Op: op, Meta: meta, Body: reqBody}); err != nil {
+	if err := writeFrame(c.conn, &Msg{Op: op, Meta: meta}, reqBody); err != nil {
 		return nil, err
 	}
 	if err := ReadInto(c.br, &c.resp); err != nil {
@@ -434,6 +440,14 @@ func NewSharedPool(shaper Shaper, perAddrConns int) *Pool {
 // transport errors the connection is discarded and the call retried once on
 // a fresh connection. Response-body ownership matches Conn.Call.
 func (p *Pool) Call(addr, op string, reqMeta interface{}, reqBody []byte, respMeta interface{}) ([]byte, error) {
+	body := [1][]byte{reqBody}
+	return p.CallPieces(addr, op, reqMeta, body[:], respMeta)
+}
+
+// CallPieces is Call with a request body in pieces: the frame's body is the
+// pieces back to back, sent from the caller's slices without gathering
+// them. The pieces are not referenced after CallPieces returns.
+func (p *Pool) CallPieces(addr, op string, reqMeta interface{}, reqBody [][]byte, respMeta interface{}) ([]byte, error) {
 	if p.mux {
 		return p.muxCall(addr, op, reqMeta, reqBody, respMeta)
 	}
@@ -442,7 +456,7 @@ func (p *Pool) Call(addr, op string, reqMeta interface{}, reqBody []byte, respMe
 		if err != nil {
 			return nil, err
 		}
-		body, err := conn.Call(op, reqMeta, reqBody, respMeta)
+		body, err := conn.call(op, reqMeta, reqBody, respMeta)
 		if err == nil {
 			p.put(addr, conn)
 			return body, nil
@@ -494,13 +508,13 @@ func (p *Pool) get(addr string) (conn *Conn, fresh bool, err error) {
 // once on a fresh connection when a pooled one turns out broken. Remote
 // errors — including retry-after sheds — are answers, not transport
 // faults, and return immediately.
-func (p *Pool) muxCall(addr, op string, reqMeta interface{}, reqBody []byte, respMeta interface{}) ([]byte, error) {
+func (p *Pool) muxCall(addr, op string, reqMeta interface{}, reqBody [][]byte, respMeta interface{}) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		mc, fresh, err := p.muxGet(addr)
 		if err != nil {
 			return nil, err
 		}
-		body, err := mc.Call(op, reqMeta, reqBody, respMeta)
+		body, err := mc.call(op, reqMeta, reqBody, respMeta)
 		if err == nil {
 			return body, nil
 		}

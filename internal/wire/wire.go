@@ -30,11 +30,14 @@
 // operator-facing and stays readable JSON inside the same frame. No type
 // has both forms.
 //
+// Every transmission — a frame, or a run of queued frames on a MuxConn —
+// is one vectored write: the control parts and the callers' own body
+// slices go to the connection as one buffer list, in one call into it
+// (WriteBuffers: a single writev on TCP). No body is copied to send it.
+//
 // The codec is allocation-conscious: frame prefixes and headers are
-// marshalled into pooled scratch buffers, a frame with a body is written
-// with one vectored net.Buffers write (a single writev on TCP) instead of
-// three Write calls, and message bodies are read into pooled buffers that
-// callers hand back with PutBuf once consumed.
+// marshalled into pooled scratch buffers, and message bodies are read into
+// pooled buffers that callers hand back with PutBuf once consumed.
 package wire
 
 import (
@@ -156,14 +159,15 @@ type frameEncoder struct {
 }
 
 var encPool = sync.Pool{New: func() interface{} {
-	return &frameEncoder{buf: make([]byte, 0, 512), vecs: make(net.Buffers, 0, 2)}
+	return &frameEncoder{buf: make([]byte, 0, 512), vecs: make(net.Buffers, 0, 4)}
 }}
 
 // appendFrame appends m's control part — the 12-byte length prefix and the
-// control header — to dst. The body, if any, follows it on the wire. It is
-// the one frame encoder: Write and the MuxConn send queue both build on it.
-func appendFrame(dst []byte, m *Msg) ([]byte, error) {
-	if int64(len(m.Body)) > MaxBodyLen {
+// control header — to dst, for a body of bodyLen bytes that follows it on
+// the wire (m.Body itself is not consulted). It is the one frame encoder:
+// Write and the MuxConn send queue both build on it.
+func appendFrame(dst []byte, m *Msg, bodyLen int) ([]byte, error) {
+	if int64(bodyLen) > MaxBodyLen {
 		return dst, ErrBodyTooLarge
 	}
 	start := len(dst)
@@ -186,36 +190,87 @@ func appendFrame(dst []byte, m *Msg) ([]byte, error) {
 		return dst[:start], ErrHeaderTooLarge
 	}
 	binary.BigEndian.PutUint32(dst[start:start+4], uint32(hlen))
-	binary.BigEndian.PutUint64(dst[start+4:start+12], uint64(len(m.Body)))
+	binary.BigEndian.PutUint64(dst[start+4:start+12], uint64(bodyLen))
 	return dst, nil
 }
 
-// Write frames and writes m to w. A frame with a body is emitted as one
-// vectored write (net.Buffers), which becomes a single writev syscall on
-// TCP connections and two plain writes on wrapped (shaped) ones.
+// BuffersWriter is a connection that takes a whole transmission as a
+// buffer list in one call. device.ShapedConn implements it, so a frame
+// pays its modeled link delay once however many slices it is made of.
+type BuffersWriter interface {
+	WriteBuffers(bufs *net.Buffers) (int64, error)
+}
+
+// WriteBuffers sends bufs to w as one transmission, with one call into the
+// connection: a *net.TCPConn gets one vectored write (writev), a
+// BuffersWriter one WriteBuffers, and any other net.Conn (a wrapper that
+// observes or scripts its writes) the bytes gathered into one pooled
+// buffer and passed to one Write. A writer that is not a connection gets
+// the buffers one after another. It is the one place a frame meets its
+// connection: Write, MuxConn and device.ShapedConn all send through it.
+// Like net.Buffers.WriteTo it may consume bufs, and bufs should not live
+// on the caller's stack: WriteTo would move it to the heap per call.
+func WriteBuffers(w io.Writer, bufs *net.Buffers) (int64, error) {
+	if len(*bufs) == 1 {
+		n, err := w.Write((*bufs)[0])
+		return int64(n), err
+	}
+	switch c := w.(type) {
+	case *net.TCPConn:
+		return bufs.WriteTo(c)
+	case BuffersWriter:
+		return c.WriteBuffers(bufs)
+	case net.Conn:
+		one := GetBuf(bodySize(*bufs))[:0]
+		for _, b := range *bufs {
+			one = append(one, b...)
+		}
+		n, err := c.Write(one)
+		PutBuf(one)
+		return int64(n), err
+	}
+	return bufs.WriteTo(w)
+}
+
+// Write frames and writes m to w as one transmission (WriteBuffers).
 func Write(w io.Writer, m *Msg) error {
+	body := [1][]byte{m.Body}
+	return writeFrame(w, m, body[:])
+}
+
+// writeFrame writes m's control part followed by a body in pieces as one
+// transmission; m.Body is ignored.
+func writeFrame(w io.Writer, m *Msg, body [][]byte) error {
 	fe := encPool.Get().(*frameEncoder)
 	defer encPool.Put(fe)
-	frame, err := appendFrame(fe.buf[:0], m)
+	frame, err := appendFrame(fe.buf[:0], m, bodySize(body))
 	fe.buf = frame[:0]
 	if err != nil {
 		return err
 	}
-	if len(m.Body) == 0 {
-		if _, err := w.Write(frame); err != nil {
-			return fmt.Errorf("wire: write frame: %w", err)
+	vecs := append(fe.vecs[:0], frame)
+	for _, p := range body {
+		if len(p) > 0 {
+			vecs = append(vecs, p)
 		}
-		return nil
 	}
-	fe.vecs = append(fe.vecs[:0], frame, m.Body)
-	vecs := fe.vecs // WriteTo advances its receiver; keep fe.vecs anchored
-	_, err = vecs.WriteTo(w)
-	fe.vecs[0], fe.vecs[1] = nil, nil // drop the body reference before pooling
-	fe.vecs = fe.vecs[:0]
+	fe.vecs = vecs
+	_, err = WriteBuffers(w, &fe.vecs)
+	clear(vecs) // drop the body references before pooling
+	fe.vecs = vecs[:0]
 	if err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
+}
+
+// bodySize is the length of a body in pieces, or of a buffer list.
+func bodySize(body [][]byte) int {
+	n := 0
+	for _, p := range body {
+		n += len(p)
+	}
+	return n
 }
 
 // Read reads one framed message from r. The returned message's Body is
