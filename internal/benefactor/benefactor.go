@@ -128,7 +128,7 @@ func New(cfg Config) (*Benefactor, error) {
 	b := &Benefactor{
 		cfg:    cfg,
 		chunks: cfg.Store,
-		pool:   wire.NewPool(cfg.Shaper, 4),
+		pool:   wire.NewPool(cfg.Shaper, wire.PeerConns),
 		logger: cfg.Logger,
 		births: make(map[core.ChunkID]time.Time),
 		maps:   make(map[string]*core.ChunkMap),

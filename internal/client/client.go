@@ -195,21 +195,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// dataPoolConnsPerAddr sizes Client.dataPool (see the field for why two).
-const dataPoolConnsPerAddr = 2
-
 // Client is a stdchk client proxy.
 type Client struct {
 	cfg Config
-	// dataPool is the shared (multiplexed) pool carrying every chunk
-	// transfer to and from benefactors — windowed puts, batched fetches,
-	// single-chunk fetches and per-chunk failover tag their frames and
-	// share its sockets, so neither a Create nor an Open dials anything
-	// once the pool is warm. Owned here for the client's lifetime: two
-	// connections per benefactor (one keeps the pipe full for bulk bodies,
-	// the second lets a small request frame interleave instead of queueing
-	// behind a 1 MB chunk mid-flight), dialed on first use, each with a
-	// reply-demux goroutine that lives until Close.
+	// dataPool is the pool carrying every chunk transfer to and from
+	// benefactors — windowed puts, batched fetches, single-chunk fetches
+	// and per-chunk failover tag their frames and share its sockets, so
+	// neither a Create nor an Open dials anything once the pool is warm.
+	// Owned here for the client's lifetime: wire.PeerConns connections
+	// per benefactor, dialed on first use, each with a reply-demux
+	// goroutine that lives until Close.
 	dataPool *wire.Pool
 	// mgr is the metadata service seam: the federation.Router New built
 	// over Config.ManagerAddr, or a test's Config.endpoint. It owns its own
@@ -334,7 +329,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	return &Client{
 		cfg:        cfg,
-		dataPool:   wire.NewSharedPool(cfg.Shaper, dataPoolConnsPerAddr),
+		dataPool:   wire.NewPool(cfg.Shaper, wire.PeerConns),
 		mgr:        mgr,
 		maps:       newMapCache(mapCacheEntries),
 		benefAddrs: make(map[core.NodeID]string),

@@ -12,6 +12,7 @@ import (
 
 	"stdchk/internal/benefactor"
 	"stdchk/internal/core"
+	"stdchk/internal/leakcheck"
 	"stdchk/internal/manager"
 	"stdchk/internal/proto"
 	"stdchk/internal/store"
@@ -24,9 +25,18 @@ import (
 // node, the manager session is aborted and its reservation released, every
 // pooled chunk buffer is back, and no goroutine of the writer survives.
 
-// settledGoroutines returns the goroutine count once it has stopped
-// falling: connection goroutines on both ends wind down asynchronously.
-func settledGoroutines() int {
+// goroutineBaseline is a leak check's starting point: the goroutine count
+// the check compares against, and the goroutines themselves, which a
+// failed check prints beside the ones it found.
+type goroutineBaseline struct {
+	n    int
+	snap leakcheck.Snapshot
+}
+
+// settledGoroutines takes the baseline once the goroutine count has
+// stopped falling: connection goroutines on both ends wind down
+// asynchronously.
+func settledGoroutines() goroutineBaseline {
 	n := runtime.NumGoroutine()
 	for settled := 0; settled < 5; {
 		time.Sleep(10 * time.Millisecond)
@@ -36,7 +46,7 @@ func settledGoroutines() int {
 			settled++
 		}
 	}
-	return n
+	return goroutineBaseline{n: n, snap: leakcheck.Take()}
 }
 
 // mustStore writes one image through to its commit — as the warm-up that
@@ -64,16 +74,16 @@ func mustStore(t *testing.T, cl *Client, name string, data []byte) *Writer {
 // hasher, uploader or put — left. A goroutine that has signalled its
 // WaitGroup is still listed until it returns, so it polls the stacks too,
 // not only the count.
-func writerGoroutinesGone(t *testing.T, baseline int) {
+func writerGoroutinesGone(t *testing.T, baseline goroutineBaseline) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		n, stacks := runtime.NumGoroutine(), string(buf[:runtime.Stack(buf, true)])
-		if n <= baseline && !strings.Contains(stacks, "client.(*Writer)") {
+		if n <= baseline.n && !strings.Contains(stacks, "client.(*Writer)") {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Errorf("%d goroutines after the session, %d before Create:\n%s", n, baseline, stacks)
+			t.Errorf("%d goroutines after the session, %d before Create:\n%s", n, baseline.n, leakcheck.Report(baseline.snap, leakcheck.Take()))
 			return
 		}
 	}
@@ -81,7 +91,7 @@ func writerGoroutinesGone(t *testing.T, baseline int) {
 
 // checkFailedSessionLeftNothing asserts the aftermath shared by both
 // tests, once Wait has returned.
-func checkFailedSessionLeftNothing(t *testing.T, mgr *manager.Manager, cl *Client, tr *bufTracker, baseline int) {
+func checkFailedSessionLeftNothing(t *testing.T, mgr *manager.Manager, cl *Client, tr *bufTracker, baseline goroutineBaseline) {
 	t.Helper()
 	if n, ok := mgr.Stats().Counters["sessions.active"]; !ok || n.Value != 0 {
 		t.Errorf("write sessions still open on the manager: %+v (declared: %v); the failed one was not aborted", n, ok)

@@ -224,7 +224,7 @@ const maxProbeBatch = 32
 // which the donor serves a frame inline on the connection's read loop and
 // more puts in flight buy nothing. The write window is Config.BufferBytes,
 // not this.
-const maxNodePuts = dataPoolConnsPerAddr * wire.DefaultConnInflight
+const maxNodePuts = wire.PeerConns * wire.DefaultConnInflight
 
 func newWriter(c *Client, name string) (*Writer, error) {
 	w := &Writer{

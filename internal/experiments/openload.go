@@ -25,8 +25,8 @@ import (
 // server.
 //
 // The grid runs the full million-writer plane: clients share two
-// multiplexed session-tagged connections per member
-// (RouterConfig.SharedConns), and managers run bounded admission queues
+// multiplexed session-tagged connections per member (wire.PeerConns, as
+// every Router does), and managers run bounded admission queues
 // that shed past the bound with typed retry-after errors the router
 // honors. A final ablation re-drives the overload level against an
 // unbounded-queue federation to show what the admission gate buys:
@@ -144,12 +144,9 @@ func newOpenLoadGrid(managers, benefactors, maxPending int) (*openLoadGrid, erro
 		return nil, err
 	}
 	g := &openLoadGrid{mgrs: mgrs}
-	router, err := federation.NewRouter(federation.RouterConfig{
-		Members: members,
-		// 2 mux'd conns per member carry the whole open-loop fleet —
-		// the point of session multiplexing.
-		SharedConns: 2,
-	})
+	// The router's 2 mux'd conns per member carry the whole open-loop
+	// fleet — the point of session multiplexing.
+	router, err := federation.NewRouter(federation.RouterConfig{Members: members})
 	if err != nil {
 		g.close()
 		return nil, err

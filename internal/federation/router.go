@@ -43,20 +43,9 @@ type RouterConfig struct {
 	// Shaper wraps every connection the router dials (the caller's NIC
 	// model); nil leaves connections unshaped.
 	Shaper wire.Shaper
-	// SharedConns, when positive, selects shared-connection mode: that
-	// many multiplexed connections per member carry all calls
-	// concurrently with session-tagged frames, the topology that scales
-	// to millions of client sessions without a socket per session. Zero
-	// keeps the serial pool: one connection per outstanding call, up to
-	// serialIdleConns of them kept idle per member.
-	SharedConns int
 	// Logger receives operational messages; nil discards.
 	Logger *log.Logger
 }
-
-// serialIdleConns caps the idle connections the serial pool keeps per
-// member.
-const serialIdleConns = 8
 
 // NewRouter builds a router over a static member list.
 func NewRouter(cfg RouterConfig) (*Router, error) {
@@ -64,11 +53,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := wire.NewPool(cfg.Shaper, serialIdleConns)
-	if cfg.SharedConns > 0 {
-		pool = wire.NewSharedPool(cfg.Shaper, cfg.SharedConns)
-	}
-	return &Router{ms: ms, pool: pool, logger: cfg.Logger}, nil
+	return &Router{ms: ms, pool: wire.NewPool(cfg.Shaper, wire.PeerConns), logger: cfg.Logger}, nil
 }
 
 // Membership returns the router's federation configuration.

@@ -37,8 +37,7 @@ func startOverloadPlane(t *testing.T, maxPending int, hint time.Duration) ([]*ma
 		}
 	})
 	router, err := federation.NewRouter(federation.RouterConfig{
-		Members:     members,
-		SharedConns: 1,
+		Members: members,
 	})
 	if err != nil {
 		t.Fatal(err)

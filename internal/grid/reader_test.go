@@ -12,6 +12,7 @@ import (
 	"stdchk/internal/client"
 	"stdchk/internal/core"
 	"stdchk/internal/device"
+	"stdchk/internal/leakcheck"
 	"stdchk/internal/manager"
 )
 
@@ -201,6 +202,7 @@ func TestReaderAndClientCloseLeaveNothingBehind(t *testing.T) {
 			settled++
 		}
 	}
+	base := leakcheck.Take()
 
 	cl, _, err := c.NewClient(client.Config{}, device.Profile{LinkDelay: time.Millisecond})
 	if err != nil {
@@ -224,9 +226,8 @@ func TestReaderAndClientCloseLeaveNothingBehind(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
 			t.Fatalf("%d goroutines outlive the client (baseline %d):\n%s",
-				runtime.NumGoroutine()-baseline, baseline, buf[:runtime.Stack(buf, true)])
+				runtime.NumGoroutine()-baseline, baseline, leakcheck.Report(base, leakcheck.Take()))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

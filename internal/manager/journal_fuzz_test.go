@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"stdchk/internal/leakcheck"
 	"stdchk/internal/proto"
 )
 
@@ -66,14 +67,13 @@ func TestFailedReplayClosesJournal(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"op":"bogus","name":"x"}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	baseline := runtime.NumGoroutine()
+	baseline, base := runtime.NumGoroutine(), leakcheck.Take()
 	if _, err := New(Config{JournalPath: path}); err == nil {
 		t.Fatal("a journal with an unknown op replayed")
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines after the failed New, %d before:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+			t.Fatalf("%d goroutines after the failed New, %d before:\n%s", runtime.NumGoroutine(), baseline, leakcheck.Report(base, leakcheck.Take()))
 		}
 	}
 }

@@ -219,7 +219,7 @@ func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
 		reg:        newRegistry(cfg.NodeTTL, cfg.DeadTimeout),
 		cat:        newCatalogStripes(stripes),
 		sess:       newSessionTableStripes(cfg.SessionTTL, stripes),
-		pool:       wire.NewPool(nil, 8),
+		pool:       wire.NewPool(nil, wire.PeerConns),
 		logger:     cfg.Logger,
 		policies:   newPolicyTable(),
 		adm:        newAdmission(cfg.MaxPendingOps, cfg.RetryAfterHint),

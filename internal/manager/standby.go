@@ -135,7 +135,9 @@ func (s *Standby) probe() bool {
 		return false
 	}
 	defer conn.Close()
-	if conn.SetDeadline(deadline) != nil || wire.Write(conn, &wire.Msg{Op: proto.MStats}) != nil {
+	// Tagged, like every other stdchk call: only the bench module and
+	// tests send untagged frames.
+	if conn.SetDeadline(deadline) != nil || wire.Write(conn, &wire.Msg{Op: proto.MStats, Session: 1}) != nil {
 		return false
 	}
 	resp, err := wire.Read(conn)

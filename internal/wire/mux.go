@@ -25,7 +25,7 @@ import (
 // connection as the caller's own slice, in one vectored write.
 //
 // A transport error is sticky: it fails every pending and future call,
-// and the owner (normally a shared Pool) replaces the connection.
+// and the owner (normally a Pool) replaces the connection.
 type MuxConn struct {
 	conn net.Conn
 
@@ -51,12 +51,18 @@ type MuxConn struct {
 	readerDone chan struct{}
 }
 
-// muxReply carries one demultiplexed response (or the connection's fatal
-// error) to its waiting caller.
+// muxReply carries one demultiplexed response — its meta, in a pooled
+// buffer the caller hands back, its body, or the peer's error string — or
+// the connection's fatal error to the waiting caller.
 type muxReply struct {
-	msg Msg
-	err error
+	meta, body []byte
+	remote     string
+	err        error
 }
+
+// replyChans recycles the callers' one-slot reply channels. A channel goes
+// back empty, and only once no send to it is owed (see release).
+var replyChans = sync.Pool{New: func() interface{} { return make(chan muxReply, 1) }}
 
 // DialMux connects to addr and starts the reply-demux reader.
 func DialMux(addr string, shaper Shaper) (*MuxConn, error) {
@@ -84,30 +90,40 @@ func DialMux(addr string, shaper Shaper) (*MuxConn, error) {
 }
 
 // readLoop demultiplexes response frames to waiting callers by session ID
-// until the connection dies, then fails every pending call.
+// until the connection dies, then fails every pending call. The frame
+// header is decoded into one Msg per connection, whose Op and meta buffer
+// are reused from frame to frame: a waiter gets the body and a pooled copy
+// of the meta.
 func (c *MuxConn) readLoop() {
 	defer close(c.readerDone)
 	br := bufio.NewReaderSize(c.conn, connReadBufSize)
+	var hdr Msg
+	var meta []byte // hdr's meta buffer, kept across frames without meta
 	for {
-		// A fresh Msg per frame: Meta and Body ownership pass to the
-		// waiter, so the loop must not reuse their backing arrays.
-		var m Msg
-		if err := ReadInto(br, &m); err != nil {
+		hdr.Meta = meta
+		if err := ReadInto(br, &hdr); err != nil {
 			c.fail(err)
 			return
 		}
+		if hdr.Meta != nil {
+			meta = hdr.Meta
+		}
 		c.mu.Lock()
-		ch := c.calls[m.Session]
-		delete(c.calls, m.Session)
+		ch := c.calls[hdr.Session]
+		delete(c.calls, hdr.Session)
 		c.mu.Unlock()
 		if ch == nil {
 			// Stray or duplicate session tag; drop the frame.
-			if m.Body != nil {
-				PutBuf(m.Body)
+			if hdr.Body != nil {
+				PutBuf(hdr.Body)
 			}
 			continue
 		}
-		ch <- muxReply{msg: m}
+		r := muxReply{body: hdr.Body, remote: hdr.Err}
+		if len(hdr.Meta) > 0 {
+			r.meta = append(GetBuf(len(hdr.Meta))[:0], hdr.Meta...)
+		}
+		ch <- r
 	}
 }
 
@@ -280,62 +296,77 @@ func (c *MuxConn) call(op string, reqMeta interface{}, reqBody [][]byte, respMet
 	}
 	c.nextSid++
 	sid := c.nextSid
-	ch := make(chan muxReply, 1)
+	ch := replyChans.Get().(chan muxReply)
 	c.calls[sid] = ch
 	c.mu.Unlock()
 
-	// Injectable transport failure, as in Conn.Call: the fault surfaces
-	// exactly like a network send failing.
+	// Injectable transport failure (delay or error) before the request
+	// leaves: it surfaces like a network send failing, but only to this
+	// call — nothing reached the wire, so the connection is intact.
 	if err := fpWireSend.Hit(); err != nil {
-		c.abandon(sid)
+		c.release(sid, ch)
 		return nil, fmt.Errorf("wire: send %s: %w", op, err)
 	}
 	fe := encPool.Get().(*frameEncoder)
 	ctl, err := appendFrame(fe.buf[:0], &Msg{Op: op, Session: sid, Meta: meta}, bodySize(reqBody))
 	if err != nil { // nothing reached the wire: the connection is intact
 		encPool.Put(fe)
-		c.abandon(sid)
+		c.release(sid, ch)
 		return nil, err
 	}
 	seq, werr := c.send(ctl, reqBody)
 	fe.buf = ctl[:0]
 	encPool.Put(fe)
 	if werr != nil {
-		c.abandon(sid)
+		c.release(sid, ch)
 		c.fail(werr)
 		return nil, werr
 	}
 
 	reply := <-ch
+	replyChans.Put(ch)
 	if reply.err != nil {
 		c.awaitSent(seq)
 		return nil, reply.err
 	}
-	resp := reply.msg
-	if resp.Err != "" {
-		if resp.Body != nil {
-			PutBuf(resp.Body)
-		}
-		return nil, &RemoteError{Op: op, Msg: resp.Err}
+	if reply.remote != "" {
+		err = &RemoteError{Op: op, Msg: reply.remote}
+	} else if respMeta != nil {
+		err = UnmarshalMeta(reply.meta, respMeta)
 	}
-	if respMeta != nil {
-		if err := UnmarshalMeta(resp.Meta, respMeta); err != nil {
-			if resp.Body != nil {
-				PutBuf(resp.Body)
-			}
-			return nil, err
-		}
+	reply.free(err != nil)
+	if err != nil {
+		return nil, err
 	}
-	return resp.Body, nil
+	return reply.body, nil
 }
 
-// abandon forgets a registered session before its request ever reached
-// the wire (or after a failed write), so a late stray reply is dropped
-// rather than delivered to a departed caller.
-func (c *MuxConn) abandon(sid uint64) {
+// free returns the reply's meta buffer to the pool, and its body too when
+// the caller will not get it.
+func (r *muxReply) free(body bool) {
+	if r.meta != nil {
+		PutBuf(r.meta)
+	}
+	if body && r.body != nil {
+		PutBuf(r.body)
+	}
+}
+
+// release forgets a call that will not wait for its reply — its request
+// never reached the wire, or its send failed — and recycles its channel.
+// A session still registered is dropped, so a late stray reply is
+// discarded; one the reader or fail has already taken is owed its one
+// reply, which release drains first.
+func (c *MuxConn) release(sid uint64, ch chan muxReply) {
 	c.mu.Lock()
+	_, registered := c.calls[sid]
 	delete(c.calls, sid)
 	c.mu.Unlock()
+	if !registered {
+		r := <-ch
+		r.free(true)
+	}
+	replyChans.Put(ch)
 }
 
 // Close tears the connection down, failing any pending calls with

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"stdchk/internal/core"
+	"stdchk/internal/faultpoint"
 )
 
 // delayEchoServer echoes body+meta like echoServer, but sleeps for the
@@ -183,7 +184,7 @@ func TestUntaggedFrameBackCompat(t *testing.T) {
 // (one mux connection) and checks every call routes correctly.
 func TestSharedPoolConcurrent(t *testing.T) {
 	_, addr := delayEchoServer(t, ServerConfig{})
-	pool := NewSharedPool(nil, 1)
+	pool := NewPool(nil, 1)
 	defer pool.Close()
 
 	var wg sync.WaitGroup
@@ -236,7 +237,7 @@ func TestSharedPoolHoldsConnBudget(t *testing.T) {
 	ln := &countingListener{Listener: inner}
 	srv := NewServer(ln, func(req *Req) (Resp, error) { return Resp{Body: req.Body}, nil }, nil)
 	defer srv.Close()
-	pool := NewSharedPool(nil, 2)
+	pool := NewPool(nil, 2)
 	defer pool.Close()
 
 	for wave := 0; wave < 2; wave++ {
@@ -279,7 +280,7 @@ func TestSharedPoolFailedDialFreesSlot(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() // nothing listens here now
-	pool := NewSharedPool(nil, 1)
+	pool := NewPool(nil, 1)
 	defer pool.Close()
 
 	var wg sync.WaitGroup
@@ -319,7 +320,7 @@ func TestSharedPoolRedialsBrokenConn(t *testing.T) {
 	srv := NewServer(ln, handler, nil)
 	addr := srv.Addr()
 
-	pool := NewSharedPool(nil, 1)
+	pool := NewPool(nil, 1)
 	defer pool.Close()
 	if _, err := pool.Call(addr, "echo", nil, []byte("a"), nil); err != nil {
 		t.Fatal(err)
@@ -338,6 +339,83 @@ func TestSharedPoolRedialsBrokenConn(t *testing.T) {
 	}
 	if string(body) != "b" {
 		t.Fatalf("got %q", body)
+	}
+}
+
+// TestPoolFailedCallSparesBystanders fails one call on a one-connection
+// pool in ways that leave the connection intact — a reply meta that does
+// not decode, a request over the header limit, an injected send fault —
+// while a second call is in flight on it. The connection must stay: the
+// bystander completes, and the server sees each request once (a pool that
+// evicts on any error fails the bystander and sends the failed call
+// again).
+func TestPoolFailedCallSparesBystanders(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		call  func(pool *Pool, addr string) error
+		sends int64 // requests of the failing call the server should see
+	}{
+		{"undecodable reply meta", func(pool *Pool, addr string) error {
+			var resp struct{}
+			_, err := pool.Call(addr, "bad", nil, nil, &resp)
+			return err
+		}, 1},
+		{"request over the header limit", func(pool *Pool, addr string) error {
+			_, err := pool.Call(addr, "bad", json.RawMessage(`"`+strings.Repeat("x", MaxHeaderLen)+`"`), nil, nil)
+			return err
+		}, 0},
+		{"injected send fault", func(pool *Pool, addr string) error {
+			if err := faultpoint.Enable("wire.send", faultpoint.Config{Mode: faultpoint.ModeError, Count: 1}); err != nil {
+				t.Fatal(err)
+			}
+			defer faultpoint.Disable("wire.send")
+			_, err := pool.Call(addr, "bad", nil, nil, nil)
+			return err
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var bad, slow atomic.Int64
+			// entered has room for a resent slow request, so a pool that
+			// resends it fails the test instead of hanging it.
+			entered, release := make(chan struct{}, 2), make(chan struct{})
+			_, addr := delayEchoServer(t, ServerConfig{Handler: func(req *Req) (Resp, error) {
+				switch req.Op {
+				case "slow":
+					slow.Add(1)
+					entered <- struct{}{}
+					<-release
+					return Resp{Body: []byte("slow")}, nil
+				case "bad":
+					bad.Add(1)
+					return Resp{Meta: json.RawMessage(`"not an object"`)}, nil
+				}
+				return Resp{}, nil
+			}})
+			var once sync.Once
+			free := func() { once.Do(func() { close(release) }) }
+			t.Cleanup(free) // before the server's Close, which waits for slow
+			pool := NewPool(nil, 1)
+			defer pool.Close()
+			done := make(chan error, 1)
+			go func() {
+				body, err := pool.Call(addr, "slow", nil, nil, nil)
+				if err == nil && string(body) != "slow" {
+					err = fmt.Errorf("got %q", body)
+				}
+				done <- err
+			}()
+			<-entered
+			if err := tc.call(pool, addr); err == nil {
+				t.Fatal("the failing call succeeded")
+			}
+			free()
+			if err := <-done; err != nil {
+				t.Fatalf("the bystander call failed: %v", err)
+			}
+			if n, m := bad.Load(), slow.Load(); n != tc.sends || m != 1 {
+				t.Fatalf("server saw bad=%d slow=%d, want bad=%d slow=1", n, m, tc.sends)
+			}
+		})
 	}
 }
 
@@ -658,7 +736,7 @@ func TestMuxSendFailureFailsEveryQueuedCall(t *testing.T) {
 	_, addr := delayEchoServer(t, ServerConfig{})
 	sc := &scriptedConn{gate: make(chan struct{}), entered: make(chan struct{}), failSecond: true}
 	var dials atomic.Int64
-	pool := NewSharedPool(func(raw net.Conn) net.Conn {
+	pool := NewPool(func(raw net.Conn) net.Conn {
 		if dials.Add(1) == 1 {
 			sc.Conn = raw
 			return sc
@@ -666,7 +744,7 @@ func TestMuxSendFailureFailsEveryQueuedCall(t *testing.T) {
 		return raw
 	}, 1)
 	defer pool.Close()
-	mc, _, err := pool.muxGet(addr)
+	mc, _, err := pool.get(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

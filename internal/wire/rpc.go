@@ -12,9 +12,9 @@ import (
 	"stdchk/internal/faultpoint"
 )
 
-// fpWireSend injects transport failures into client-side sends (no-op
-// unless armed; see internal/faultpoint). Grid tests use it to exercise
-// the router's transient-failure retry path.
+// fpWireSend injects transport failures into MuxConn sends, the one client
+// call path (no-op unless armed; see internal/faultpoint). Grid tests use
+// it to exercise the router's transient-failure retry path.
 var fpWireSend = faultpoint.Register("wire.send")
 
 // Shaper optionally wraps an accepted or dialed connection with traffic
@@ -160,6 +160,54 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serverConn is one accepted connection's state shared by its read loop
+// and its tagged dispatches.
+type serverConn struct {
+	s    *Server
+	conn net.Conn
+	// Tagged requests dispatch concurrently, so responses from dispatch
+	// goroutines and the serial loop interleave on one socket: every frame
+	// write serializes on wmu. sem bounds dispatched-but-unanswered tagged
+	// requests; dispatched waits them out before the connection is torn
+	// down so no goroutine writes to a closed-and-reused buffer.
+	wmu        sync.Mutex
+	sem        chan struct{}
+	dispatched sync.WaitGroup
+}
+
+// taggedReq is one tagged request handed from a connection's read loop to
+// its dispatch goroutine. Requests are pooled, each with its goroutine
+// body bound once, so a dispatch allocates neither a request nor a
+// closure; the read loop swaps its meta buffer with the request's instead
+// of giving its own away.
+type taggedReq struct {
+	sc  *serverConn
+	msg Msg
+	run func()
+}
+
+var taggedReqs sync.Pool
+
+func init() {
+	// Set here, not in the declaration: serve puts t back in the pool.
+	taggedReqs.New = func() interface{} {
+		t := new(taggedReq)
+		t.run = t.serve
+		return t
+	}
+}
+
+// serve handles the request on its own goroutine and recycles t.
+func (t *taggedReq) serve() {
+	sc := t.sc
+	sc.serveOne(&t.msg)
+	t.sc = nil
+	t.msg.Body = nil
+	taggedReqs.Put(t)
+	<-sc.sem
+	sc.dispatched.Done()
+}
+
 func (s *Server) serveConn(raw net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -168,48 +216,38 @@ func (s *Server) serveConn(raw net.Conn) {
 		s.mu.Unlock()
 		raw.Close()
 	}()
-	conn := raw
+	sc := &serverConn{s: s, conn: raw, sem: make(chan struct{}, s.inflight)}
 	if s.shaper != nil {
-		conn = s.shaper(raw)
+		sc.conn = s.shaper(raw)
 	}
+	conn := sc.conn
 	br := bufio.NewReaderSize(conn, connReadBufSize)
-	// Tagged requests dispatch concurrently, so responses from dispatch
-	// goroutines and the serial loop interleave on one socket: every frame
-	// write serializes on wmu. sem bounds dispatched-but-unanswered tagged
-	// requests; dispatched waits them out before the connection is torn
-	// down so no goroutine writes to a closed-and-reused buffer.
-	var (
-		wmu        sync.Mutex
-		dispatched sync.WaitGroup
-	)
-	sem := make(chan struct{}, s.inflight)
-	defer dispatched.Wait()
+	defer sc.dispatched.Wait()
 	var msg Msg
 	for {
 		if err := ReadInto(br, &msg); err != nil {
 			if errors.Is(err, ErrFrameVersion) {
 				// Say why before hanging up: a peer that can read this
 				// version's frames gets the typed error, not a bare EOF.
-				wmu.Lock()
+				sc.wmu.Lock()
 				_ = Write(conn, &Msg{Err: err.Error()})
-				wmu.Unlock()
+				sc.wmu.Unlock()
 			}
 			return // peer gone or protocol error; drop the connection
 		}
 		if msg.Session != 0 {
 			select {
-			case sem <- struct{}{}:
-				// The dispatch goroutine takes over Meta and Body; detach
-				// them so the next ReadInto cannot reuse their backing
-				// arrays while the handler still reads them.
-				m := msg
-				msg.Meta, msg.Body = nil, nil
-				dispatched.Add(1)
-				go func() {
-					defer dispatched.Done()
-					defer func() { <-sem }()
-					s.serveOne(conn, &wmu, &m)
-				}()
+			case sc.sem <- struct{}{}:
+				// The dispatch takes over Meta and Body; swap in its
+				// spare meta buffer so the next ReadInto cannot reuse
+				// their backing arrays while the handler still reads them.
+				t := taggedReqs.Get().(*taggedReq)
+				t.sc = sc
+				t.msg.Meta, msg.Meta = msg.Meta, t.msg.Meta[:0]
+				t.msg.Op, t.msg.Session, t.msg.Body = msg.Op, msg.Session, msg.Body
+				msg.Body = nil
+				sc.dispatched.Add(1)
+				go t.run()
 				continue
 			default:
 				if s.overload != nil {
@@ -219,9 +257,9 @@ func (s *Server) serveConn(raw net.Conn) {
 						msg.Body = nil
 					}
 					out := Msg{Op: msg.Op, Session: msg.Session, Err: s.overload(msg.Op).Error()}
-					wmu.Lock()
+					sc.wmu.Lock()
 					werr := Write(conn, &out)
-					wmu.Unlock()
+					sc.wmu.Unlock()
 					if werr != nil {
 						return
 					}
@@ -231,7 +269,7 @@ func (s *Server) serveConn(raw net.Conn) {
 				// the read loop until capacity frees (backpressure).
 			}
 		}
-		if werr := s.serveOne(conn, &wmu, &msg); werr != nil {
+		if werr := sc.serveOne(&msg); werr != nil {
 			return
 		}
 	}
@@ -240,9 +278,9 @@ func (s *Server) serveConn(raw net.Conn) {
 // serveOne runs the handler for one decoded request and writes its
 // response frame (echoing the session tag), then recycles the request
 // body. The write lock serializes frames from concurrent dispatches.
-func (s *Server) serveOne(conn net.Conn, wmu *sync.Mutex, msg *Msg) error {
+func (sc *serverConn) serveOne(msg *Msg) error {
 	req := Req{Op: msg.Op, Meta: msg.Meta, Body: msg.Body}
-	hresp, herr := s.handler(&req)
+	hresp, herr := sc.s.handler(&req)
 	out := Msg{Op: msg.Op, Session: msg.Session}
 	if herr != nil {
 		out.Err = herr.Error()
@@ -259,9 +297,9 @@ func (s *Server) serveOne(conn net.Conn, wmu *sync.Mutex, msg *Msg) error {
 			out.Body = hresp.Body
 		}
 	}
-	wmu.Lock()
-	werr := Write(conn, &out)
-	wmu.Unlock()
+	sc.wmu.Lock()
+	werr := Write(sc.conn, &out)
+	sc.wmu.Unlock()
 	if msg.Body != nil {
 		PutBuf(msg.Body)
 	}
@@ -301,8 +339,10 @@ func (e *RemoteError) Unwrap() error {
 	return nil
 }
 
-// Conn is a client connection carrying synchronous request/response calls.
-// It is safe for concurrent use; calls serialize on the connection.
+// Conn is a client connection carrying synchronous request/response calls
+// in untagged frames. It is safe for concurrent use; calls serialize on
+// the connection. stdchk components call through a Pool instead; the
+// bench module and tests dial Conns.
 type Conn struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -329,12 +369,6 @@ func Dial(addr string, shaper Shaper) (*Conn, error) {
 // passes to the caller (return it with PutBuf once consumed, or let the GC
 // take it).
 func (c *Conn) Call(op string, reqMeta interface{}, reqBody []byte, respMeta interface{}) ([]byte, error) {
-	body := [1][]byte{reqBody}
-	return c.call(op, reqMeta, body[:], respMeta)
-}
-
-// call is Call with the request body in pieces, sent back to back.
-func (c *Conn) call(op string, reqMeta interface{}, reqBody [][]byte, respMeta interface{}) ([]byte, error) {
 	meta, err := MarshalMeta(reqMeta)
 	if err != nil {
 		return nil, err
@@ -344,12 +378,7 @@ func (c *Conn) call(op string, reqMeta interface{}, reqBody [][]byte, respMeta i
 	if c.conn == nil {
 		return nil, core.ErrClosed
 	}
-	// Injectable transport failure (delay or error) before the request
-	// leaves: the fault surfaces exactly like a network send failing.
-	if err := fpWireSend.Hit(); err != nil {
-		return nil, fmt.Errorf("wire: send %s: %w", op, err)
-	}
-	if err := writeFrame(c.conn, &Msg{Op: op, Meta: meta}, reqBody); err != nil {
+	if err := Write(c.conn, &Msg{Op: op, Meta: meta, Body: reqBody}); err != nil {
 		return nil, err
 	}
 	if err := ReadInto(c.br, &c.resp); err != nil {
@@ -384,61 +413,50 @@ func (c *Conn) Close() error {
 	return err
 }
 
-// Pool maintains reusable connections per remote address. Broken
-// connections are discarded on error; callers just retry the Call.
+// PeerConns is the number of multiplexed connections every stdchk pool —
+// a client's data pool, its Router, a manager's donor pool, a donor's
+// replicate pool — keeps per peer: two, so one keeps the pipe full with
+// bulk bodies while the other lets a small request frame interleave
+// instead of queueing behind a 1 MB chunk mid-flight. A peer's dispatch
+// budget for one pool is PeerConns × DefaultConnInflight tagged frames.
+const PeerConns = 2
+
+// Pool shares a small fixed set of multiplexed connections (MuxConns) per
+// remote address: every call to that address rides one of them,
+// concurrently with the others, tagged with a session ID. The set is
+// dialed together at the address's first use and a broken connection is
+// replaced together with any other missing ones, so a peer sees the same
+// few sockets however many calls are in flight.
 //
-// A pool built with NewSharedPool runs in shared-connection (multiplexed)
-// mode instead: a small fixed set of MuxConns per address carries every
-// call concurrently, each tagged with a session ID. The Call signature is
-// identical, so callers switch modes at construction only.
-//
-// Both modes refuse calls after Close with core.ErrClosed, and a
-// connection a call still holds at Close is closed, not kept.
+// Calls after Close fail with core.ErrClosed without dialing; a call in
+// flight at Close fails with core.ErrClosed.
 type Pool struct {
 	shaper Shaper
+	conns  int // connections per address
 
 	mu     sync.Mutex
 	closed bool
-	idle   map[string][]*Conn
-	limit  int
-
-	mux      bool
-	muxConns map[string][]*muxSlot
-	rr       map[string]int
+	peers  map[string]*peer
 }
 
-// NewPool returns a pool applying shaper to every dialed connection.
-// perAddrLimit caps idle connections kept per address (not total
-// concurrency).
-func NewPool(shaper Shaper, perAddrLimit int) *Pool {
-	if perAddrLimit <= 0 {
-		perAddrLimit = 8
-	}
-	return &Pool{shaper: shaper, idle: make(map[string][]*Conn), limit: perAddrLimit}
+// peer is one address's connection set and its round-robin cursor.
+type peer struct {
+	slots []*muxSlot
+	next  int
 }
 
-// NewSharedPool returns a pool in shared-connection mode: perAddrConns
-// multiplexed connections per address, all dialed at the address's first
-// use, carry all calls, with session-tagged frames demultiplexed by a
-// per-connection reader. This is the million-writer topology —
-// concurrency no longer implies socket count.
-func NewSharedPool(shaper Shaper, perAddrConns int) *Pool {
+// NewPool returns a pool of perAddrConns multiplexed connections per
+// address (PeerConns when perAddrConns ≤ 0), applying shaper to every
+// connection it dials.
+func NewPool(shaper Shaper, perAddrConns int) *Pool {
 	if perAddrConns <= 0 {
-		perAddrConns = 2
+		perAddrConns = PeerConns
 	}
-	return &Pool{
-		shaper:   shaper,
-		idle:     make(map[string][]*Conn),
-		limit:    perAddrConns,
-		mux:      true,
-		muxConns: make(map[string][]*muxSlot),
-		rr:       make(map[string]int),
-	}
+	return &Pool{shaper: shaper, conns: perAddrConns, peers: make(map[string]*peer)}
 }
 
-// Call performs one RPC against addr using a pooled connection. On
-// transport errors the connection is discarded and the call retried once on
-// a fresh connection. Response-body ownership matches Conn.Call.
+// Call performs one RPC against addr over a shared connection. Response-
+// body ownership matches Conn.Call.
 func (p *Pool) Call(addr, op string, reqMeta interface{}, reqBody []byte, respMeta interface{}) ([]byte, error) {
 	body := [1][]byte{reqBody}
 	return p.CallPieces(addr, op, reqMeta, body[:], respMeta)
@@ -447,117 +465,62 @@ func (p *Pool) Call(addr, op string, reqMeta interface{}, reqBody []byte, respMe
 // CallPieces is Call with a request body in pieces: the frame's body is the
 // pieces back to back, sent from the caller's slices without gathering
 // them. The pieces are not referenced after CallPieces returns.
+//
+// A call whose connection breaks under it is retried once, on a fresh
+// connection, unless that connection was itself just dialed: a pooled one
+// may have been closed by a restarted peer. Every other error returns
+// as it is, and leaves the connection — and the calls it carries — alone:
+// a remote error (a retry-after shed included) is an answer, and a reply
+// meta that does not decode, a frame over the limits or an injected send
+// fault fail this call only.
 func (p *Pool) CallPieces(addr, op string, reqMeta interface{}, reqBody [][]byte, respMeta interface{}) ([]byte, error) {
-	if p.mux {
-		return p.muxCall(addr, op, reqMeta, reqBody, respMeta)
-	}
 	for attempt := 0; ; attempt++ {
-		conn, fresh, err := p.get(addr)
-		if err != nil {
-			return nil, err
-		}
-		body, err := conn.call(op, reqMeta, reqBody, respMeta)
-		if err == nil {
-			p.put(addr, conn)
-			return body, nil
-		}
-		var remote *RemoteError
-		if errors.As(err, &remote) {
-			// Remote errors are application-level; the transport
-			// completed the exchange, so the connection is reusable.
-			p.put(addr, conn)
-			return nil, err
-		}
-		conn.Close()
-		if fresh || attempt >= 1 {
-			return nil, err
-		}
-		// A stale pooled connection may have been closed by the peer;
-		// retry once on a fresh dial.
-	}
-}
-
-func (p *Pool) get(addr string) (conn *Conn, fresh bool, err error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, true, core.ErrClosed
-	}
-	conns := p.idle[addr]
-	if len(conns) > 0 {
-		conn = conns[len(conns)-1]
-		p.idle[addr] = conns[:len(conns)-1]
-		p.mu.Unlock()
-		return conn, false, nil
-	}
-	p.mu.Unlock()
-	conn, err = Dial(addr, p.shaper)
-	if err != nil {
-		return nil, true, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed { // pool closed while dialing
-		conn.Close()
-		return nil, true, core.ErrClosed
-	}
-	return conn, true, nil
-}
-
-// muxCall routes one RPC over a shared multiplexed connection, retrying
-// once on a fresh connection when a pooled one turns out broken. Remote
-// errors — including retry-after sheds — are answers, not transport
-// faults, and return immediately.
-func (p *Pool) muxCall(addr, op string, reqMeta interface{}, reqBody [][]byte, respMeta interface{}) ([]byte, error) {
-	for attempt := 0; ; attempt++ {
-		mc, fresh, err := p.muxGet(addr)
+		mc, fresh, err := p.get(addr)
 		if err != nil {
 			return nil, err
 		}
 		body, err := mc.call(op, reqMeta, reqBody, respMeta)
-		if err == nil {
-			return body, nil
-		}
-		var remote *RemoteError
-		if errors.As(err, &remote) {
-			return nil, err
-		}
-		p.muxEvict(addr, mc)
-		if fresh || attempt >= 1 {
-			return nil, err
+		// A broken connection stays in the set until get prunes it,
+		// at the retry or the next call.
+		if err == nil || !mc.broken() || fresh || attempt >= 1 {
+			return body, err
 		}
 	}
 }
 
-// muxSlot is one of an address's shared-connection slots. Slots are
-// reserved under the pool lock before their dials start, so the
-// per-address budget counts connections still being established:
-// concurrent first callers wait on the reserved slots instead of each
-// dialing a socket of their own. mc and err are written once, under the
-// pool lock, just before ready closes.
+// muxSlot is one of an address's connection slots. Slots are reserved
+// under the pool lock before their dials start, so the per-address budget
+// counts connections still being established: concurrent first callers
+// wait on the reserved slots instead of each dialing a socket of their
+// own. mc and err are written once, under the pool lock, just before
+// ready closes.
 type muxSlot struct {
 	ready chan struct{}
 	mc    *MuxConn
 	err   error
 }
 
-// muxGet picks a shared connection for addr round-robin. The caller that
-// finds the address's budget short reserves every missing slot and dials
-// them all before its own call proceeds, so an address's connections are
+// get picks a connection for addr round-robin. The caller that finds the
+// address's set short reserves every missing slot and dials them all
+// before its own call proceeds, so an address's connections are
 // established together at first use (or together replaced after a
 // failure) rather than one per early call; a caller handed a slot whose
 // dial is still in flight waits for it and shares its outcome.
-func (p *Pool) muxGet(addr string) (mc *MuxConn, fresh bool, err error) {
+func (p *Pool) get(addr string) (mc *MuxConn, fresh bool, err error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return nil, true, core.ErrClosed
 	}
-	// Prune broken connections eagerly so the budget refills with live
-	// ones rather than round-robining onto known-dead sockets.
-	slots := p.muxConns[addr]
-	live := slots[:0]
-	for _, s := range slots {
+	pr := p.peers[addr]
+	if pr == nil {
+		pr = &peer{}
+		p.peers[addr] = pr
+	}
+	// Prune broken connections eagerly so the set refills with live ones
+	// rather than round-robining onto known-dead sockets.
+	live := pr.slots[:0]
+	for _, s := range pr.slots {
 		if s.mc != nil && s.mc.broken() {
 			s.mc.Close()
 			continue
@@ -565,16 +528,15 @@ func (p *Pool) muxGet(addr string) (mc *MuxConn, fresh bool, err error) {
 		live = append(live, s)
 	}
 	var mine []*muxSlot
-	for len(live) < p.limit {
+	for len(live) < p.conns {
 		s := &muxSlot{ready: make(chan struct{})}
 		live = append(live, s)
 		mine = append(mine, s)
 	}
-	p.muxConns[addr] = live
+	pr.slots = live
 	if len(mine) == 0 {
-		i := p.rr[addr] % len(live)
-		p.rr[addr] = i + 1
-		s := live[i]
+		s := live[pr.next%len(live)]
+		pr.next++
 		p.mu.Unlock()
 		<-s.ready
 		return s.mc, false, s.err
@@ -592,7 +554,7 @@ func (p *Pool) muxGet(addr string) (mc *MuxConn, fresh bool, err error) {
 			conn, err = nil, core.ErrClosed
 		}
 		if err != nil {
-			p.muxDrop(addr, s)
+			pr.drop(s)
 		}
 		s.mc, s.err = conn, err
 		close(s.ready)
@@ -601,56 +563,23 @@ func (p *Pool) muxGet(addr string) (mc *MuxConn, fresh bool, err error) {
 	return mine[0].mc, true, mine[0].err
 }
 
-// muxDrop removes slot s from addr's set. The caller holds p.mu.
-func (p *Pool) muxDrop(addr string, s *muxSlot) {
-	slots := p.muxConns[addr]
-	for i, c := range slots {
+// drop removes slot s from the set. The caller holds the pool lock.
+func (pr *peer) drop(s *muxSlot) {
+	for i, c := range pr.slots {
 		if c == s {
-			p.muxConns[addr] = append(slots[:i], slots[i+1:]...)
+			pr.slots = append(pr.slots[:i], pr.slots[i+1:]...)
 			return
 		}
 	}
 }
 
-// muxEvict drops a broken shared connection from the per-address set.
-func (p *Pool) muxEvict(addr string, mc *MuxConn) {
-	p.mu.Lock()
-	for _, s := range p.muxConns[addr] {
-		if s.mc == mc {
-			p.muxDrop(addr, s)
-			break
-		}
-	}
-	p.mu.Unlock()
-	mc.Close()
-}
-
-func (p *Pool) put(addr string, conn *Conn) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || len(p.idle[addr]) >= p.limit {
-		conn.Close()
-		return
-	}
-	p.idle[addr] = append(p.idle[addr], conn)
-}
-
-// Close closes all idle and shared connections; later calls fail with
-// core.ErrClosed.
+// Close closes every connection; later calls fail with core.ErrClosed.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
-	for _, conns := range p.idle {
-		for _, c := range conns {
-			c.Close()
-		}
-	}
-	p.idle = nil
-	shared := p.muxConns
-	p.muxConns = nil
 	var open []*MuxConn
-	for _, slots := range shared {
-		for _, s := range slots {
+	for _, pr := range p.peers {
+		for _, s := range pr.slots {
 			// A slot still dialing has no connection yet; its dialer sees
 			// the closed pool under the lock and closes its own.
 			if s.mc != nil {
@@ -658,11 +587,9 @@ func (p *Pool) Close() {
 			}
 		}
 	}
+	p.peers = nil
 	p.mu.Unlock()
 	for _, mc := range open {
 		mc.Close()
 	}
 }
-
-// keep RemoteError usable with errors.As in this package's own retry logic.
-var _ error = (*RemoteError)(nil)

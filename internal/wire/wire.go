@@ -234,29 +234,20 @@ func WriteBuffers(w io.Writer, bufs *net.Buffers) (int64, error) {
 
 // Write frames and writes m to w as one transmission (WriteBuffers).
 func Write(w io.Writer, m *Msg) error {
-	body := [1][]byte{m.Body}
-	return writeFrame(w, m, body[:])
-}
-
-// writeFrame writes m's control part followed by a body in pieces as one
-// transmission; m.Body is ignored.
-func writeFrame(w io.Writer, m *Msg, body [][]byte) error {
 	fe := encPool.Get().(*frameEncoder)
 	defer encPool.Put(fe)
-	frame, err := appendFrame(fe.buf[:0], m, bodySize(body))
+	frame, err := appendFrame(fe.buf[:0], m, len(m.Body))
 	fe.buf = frame[:0]
 	if err != nil {
 		return err
 	}
 	vecs := append(fe.vecs[:0], frame)
-	for _, p := range body {
-		if len(p) > 0 {
-			vecs = append(vecs, p)
-		}
+	if len(m.Body) > 0 {
+		vecs = append(vecs, m.Body)
 	}
 	fe.vecs = vecs
 	_, err = WriteBuffers(w, &fe.vecs)
-	clear(vecs) // drop the body references before pooling
+	clear(vecs) // drop the body reference before pooling
 	fe.vecs = vecs[:0]
 	if err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -396,10 +397,10 @@ func TestPoolRetriesStaleConnection(t *testing.T) {
 	}
 }
 
-// TestPoolClosedRefusesCalls gives the serial pool the shared pool's
-// contract: a call in flight at Close does not park its connection in
-// the closed pool, and a call after Close fails with core.ErrClosed
-// instead of dialing.
+// TestPoolClosedRefusesCalls pins the pool's Close contract: a call in
+// flight at Close returns core.ErrClosed instead of hanging, a call after
+// Close returns core.ErrClosed without dialing, and no connection or
+// reader goroutine of the pool is left.
 func TestPoolClosedRefusesCalls(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -414,8 +415,20 @@ func TestPoolClosedRefusesCalls(t *testing.T) {
 		return Resp{Body: req.Body}, nil
 	}, nil)
 	defer srv.Close()
+	defer close(release)
 	addr := srv.Addr()
-	pool := NewPool(nil, 4)
+	readers := countGoroutines("(*MuxConn).readLoop")
+	var dials atomic.Int64
+	var mu sync.Mutex
+	var conns []*closeTrackingConn
+	pool := NewPool(func(raw net.Conn) net.Conn {
+		dials.Add(1)
+		c := &closeTrackingConn{Conn: raw}
+		mu.Lock()
+		conns = append(conns, c)
+		mu.Unlock()
+		return c
+	}, 2)
 
 	done := make(chan error, 1)
 	go func() {
@@ -424,19 +437,65 @@ func TestPoolClosedRefusesCalls(t *testing.T) {
 	}()
 	<-entered
 	pool.Close()
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("call in flight at Close: %v", err)
+	select {
+	case err := <-done:
+		if !errors.Is(err, core.ErrClosed) {
+			t.Fatalf("call in flight at Close: want core.ErrClosed, got %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("call in flight at Close still hangs")
 	}
-	pool.mu.Lock()
-	parked := len(pool.idle[addr])
-	pool.mu.Unlock()
-	if parked != 0 {
-		t.Fatalf("%d connection(s) parked in the closed pool", parked)
+	dialed := dials.Load()
+	if dialed != 2 {
+		t.Fatalf("pool dialed %d connections, want its set of 2", dialed)
 	}
 	if _, err := pool.Call(addr, "echo", nil, []byte("x"), nil); !errors.Is(err, core.ErrClosed) {
 		t.Fatalf("call after Close: want core.ErrClosed, got %v", err)
 	}
+	if n := dials.Load(); n != dialed {
+		t.Fatalf("call after Close dialed %d connection(s)", n-dialed)
+	}
+	mu.Lock()
+	for i, c := range conns {
+		if !c.closed.Load() {
+			t.Errorf("connection %d still open after Close", i)
+		}
+	}
+	mu.Unlock()
+	// A reader signals its exit just before it returns: poll briefly.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		n := countGoroutines("(*MuxConn).readLoop")
+		if n <= readers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d reader goroutine(s) left after Close", n-readers)
+		}
+	}
+}
+
+// closeTrackingConn records whether its connection was closed.
+type closeTrackingConn struct {
+	net.Conn
+	closed atomic.Bool
+}
+
+func (c *closeTrackingConn) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
+}
+
+// countGoroutines counts the goroutines whose stack names fn.
+func countGoroutines(fn string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, fn) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestServerCloseIdempotent(t *testing.T) {
