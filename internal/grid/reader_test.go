@@ -237,6 +237,10 @@ func TestReaderAndClientCloseLeaveNothingBehind(t *testing.T) {
 // awaiting a reply across all of a client's connections: a Write sends
 // one, and reply bytes arriving mean the one outstanding was answered.
 // Under stop-and-wait no Write may find a request still outstanding.
+// Every request then waits a millisecond before it goes out, the
+// one-way delay lan_64k models: on loopback a reply otherwise often
+// comes back before the next concurrent request is written, and the
+// default reader's overlap goes unseen.
 type requestGauge struct {
 	outstanding atomic.Int64
 	overlapped  atomic.Int64
@@ -251,6 +255,7 @@ func (c *gaugedConn) Write(p []byte) (int, error) {
 	if c.g.outstanding.Add(1) > 1 {
 		c.g.overlapped.Add(1)
 	}
+	time.Sleep(time.Millisecond)
 	return c.Conn.Write(p)
 }
 

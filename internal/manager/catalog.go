@@ -625,10 +625,32 @@ func (c *catalog) commit(fileName string, folder string, replication int, chunkS
 	return ds.id, verID, newBytes, nil
 }
 
+// insertTrusted adds a version whose chunks are known to be stored to ds,
+// whose stripe the caller holds locked: the one insert that snapshot
+// install and quorum restore share. The charges are trusted: a chunk
+// without locations is re-created, and a first reference counts toward
+// storedBytes (chargePlan merges locations across occurrences). v.id
+// lifts the version allocator's floor, so later commits never collide
+// with it. It returns the bytes the version's first references stored.
+func (c *catalog) insertTrusted(ds *dataset, v *version, chunks []proto.CommitChunk) (int64, error) {
+	raiseFloor(&c.nextVersion, uint64(v.id))
+	charges := chargePlan(chunks, true)
+	newBytes, err := c.chargeChunks(v.fileName, charges)
+	if err != nil {
+		return 0, err
+	}
+	ds.versions = append(ds.versions, v)
+	c.logicalBytes.Add(v.fileSize)
+	c.confirmChunks(charges)
+	return newBytes, nil
+}
+
 // buildMap materializes a core.ChunkMap for a version, with current
-// locations from the content index. Callers hold the dataset's shard lock
-// (read or write); chunk stripes are read-locked per touched stripe.
-func (c *catalog) buildMap(ds *dataset, v *version) *core.ChunkMap {
+// locations from the content index, sorted. Callers hold the dataset's
+// shard lock (read or write); chunk stripes are read-locked per touched
+// stripe, counted in the stripe metrics when instrumented (see
+// forEachRefShard).
+func (c *catalog) buildMap(ds *dataset, v *version, instrumented bool) *core.ChunkMap {
 	m := &core.ChunkMap{
 		Dataset:   ds.id,
 		Version:   v.id,
@@ -639,7 +661,7 @@ func (c *catalog) buildMap(ds *dataset, v *version) *core.ChunkMap {
 		Locations: make([][]core.NodeID, len(v.chunks)),
 		CreatedAt: v.committedAt,
 	}
-	c.forEachRefShard(v.chunks, true, func(sh *chunkShard, idx []int) {
+	c.forEachRefShard(v.chunks, instrumented, func(sh *chunkShard, idx []int) {
 		for _, i := range idx {
 			e := sh.chunks[v.chunks[i].ID]
 			if e == nil {
@@ -713,7 +735,7 @@ func (c *catalog) getMap(name string, ver, have core.VersionID) (string, *core.C
 	if v.id == have {
 		return v.fileName, nil, nil
 	}
-	return v.fileName, c.buildMap(ds, v), nil
+	return v.fileName, c.buildMap(ds, v, true), nil
 }
 
 // statVersion resolves a name to its committed version identity — the

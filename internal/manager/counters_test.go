@@ -61,7 +61,7 @@ func TestFreshManagerCounters(t *testing.T) {
 // TestViewsEqualCounters: each ManagerStats field the benchmark module
 // reads equals the op records or the counter it is a view over.
 func TestViewsEqualCounters(t *testing.T) {
-	m, _ := newJournaledManager(t, t.TempDir(), false, true)
+	m, _ := newJournaledManager(t, t.TempDir(), true)
 	defer m.Close()
 	invoke := func(op, _ string, req, resp interface{}) error { return m.Invoke(op, req, resp) }
 	for v := 0; v < 3; v++ {

@@ -31,10 +31,9 @@ var (
 // benefactor-quorum recovery, which is also implemented; see recovery.go).
 //
 // Seq is the entry's order ticket, assigned inside the mutating stripe's
-// critical section in both journal modes, so it totals-orders journaled
-// mutations. Catalog snapshots record the ticket watermark their state
-// includes; replay applies only entries past the newest snapshot's
-// watermark. Entries written before tickets existed decode as Seq 0 and
+// critical section, so it totals-orders journaled mutations. Catalog
+// snapshots record the ticket watermark their state includes; replay
+// applies only entries past the newest snapshot's watermark. Entries written before tickets existed decode as Seq 0 and
 // replay whenever no snapshot watermark excludes them.
 type journalEntry struct {
 	Seq         uint64              `json:"seq,omitempty"`
@@ -63,27 +62,21 @@ type journalEntry struct {
 	ticketed func()
 }
 
-// journal is the append-only writer plus the entries found at open time.
+// journal is the manager's one append-only journal writer. The entries
+// found at open time go to replay and are not kept.
 //
-// Two append modes share the type. Synchronous appends marshal, write and
-// flush inline under the journal mutex — callers hold their dataset
-// stripe's critical section, so every journaled mutation in the process
-// serializes on that mutex. No shipped manager runs it: it is the
-// reference the asynchronous writer is checked against, byte for byte
-// (TestAsyncJournalByteIdenticalToSync), selected by newManager's
-// unexported argument. Asynchronous appends, what New selects,
-// only take an order ticket and enqueue: record assigns a strictly
-// increasing sequence number and sends the entry in one step (inside the
-// caller's stripe critical section, which is what makes ticket order match
-// publication order — see catalog.journalHook), so the queue holds entries
-// in ticket order and a single writer goroutine drains it in order,
-// flushing when the queue goes quiet instead of per record.
-// Commits regain full stripe parallelism; the cost is a small window of
+// A record only takes an order ticket and enqueues: record assigns a
+// strictly increasing sequence number and sends the entry in one step
+// (inside the caller's stripe critical section, which is what makes ticket
+// order match publication order — see catalog.journalHook), so the queue
+// holds entries in ticket order and a single writer goroutine drains it in
+// order, flushing when the queue goes quiet instead of per record. Commits
+// keep full stripe parallelism; the cost is a small window of
 // acknowledged-but-unjournaled entries that a process crash loses.
 //
-// The fsync flag arms power-loss durability: the async writer fsyncs once
-// per drained batch and the sync writer once per record, so acknowledged
-// commits survive not just a process crash but the machine going dark.
+// The fsync flag arms power-loss durability: the writer fsyncs once per
+// drained batch, so acknowledged commits survive not just a process crash
+// but the machine going dark.
 // Fsynced appends are true group commit — the committer blocks until the
 // batch carrying its record is fsynced (see seqEntry.ack), so "acknowledged
 // but lost" cannot happen, while stripes that ticketed concurrently share
@@ -95,25 +88,22 @@ type journalEntry struct {
 // every subsequent record call fails fast (commits abort instead of
 // acknowledging state the journal did not capture), and close returns it.
 type journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
-	path    string
-	entries []journalEntry
+	mu   sync.Mutex
+	f    *os.File
+	w    *bufio.Writer
+	path string
 
-	// sync selects the inline (test-reference) append mode; fsync arms
-	// per-batch (async) or per-record (sync) fsync.
-	sync  bool
+	// fsync arms a per-batch fsync.
 	fsync bool
 
 	// firstErr is the sticky first write/flush/fsync failure (guarded by
 	// mu).
 	firstErr error
 
-	// Async mode. seqMu makes ticket, journalEntry.ticketed and the send
-	// on queue one step, and guards closed, which close sets before it
-	// closes the queue; seq is the order ticket; done signals the writer
-	// goroutine has drained and flushed.
+	// seqMu makes ticket, journalEntry.ticketed and the send on queue one
+	// step, and guards closed, which close sets before it closes the
+	// queue; seq is the order ticket; done signals the writer goroutine
+	// has drained and flushed.
 	seqMu  sync.Mutex
 	closed bool
 	seq    atomic.Uint64
@@ -145,32 +135,34 @@ type seqEntry struct {
 // window.
 const journalQueueDepth = 1024
 
-// openJournal reads any existing entries and opens the file for appends.
-// A torn final record (crash mid-append) is truncated away with a warning
-// — everything before it is intact, matching replay's historical
-// tolerance. syncMode selects inline (test-reference) appends; fsyncMode arms
-// group-commit (async) or per-record (sync) fsync. seqFloor lifts the
-// ticket counter past a snapshot's watermark (a truncated journal may hold
-// no entry at or below it).
-func openJournal(path string, syncMode, fsyncMode bool, logf func(string, ...interface{}), seqFloor uint64, counters *metrics.Counters) (*journal, error) {
+// openJournal reads any existing entries, opens the file for appends and
+// starts the writer goroutine. It returns the entries for replay; the
+// journal keeps none of them. A torn final record (crash mid-append) is
+// truncated away with a warning — everything before it is intact,
+// matching replay's historical tolerance. fsync arms group-commit
+// fsync. seqFloor lifts the ticket counter past a snapshot's watermark (a
+// truncated journal may hold no entry at or below it).
+func openJournal(path string, fsync bool, logf func(string, ...interface{}), seqFloor uint64, counters *metrics.Counters) (*journal, []journalEntry, error) {
 	entries, goodOff, torn, err := scanJournal(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
 	if torn {
 		if err := os.Truncate(path, goodOff); err != nil {
-			return nil, fmt.Errorf("truncate torn journal %s: %w", path, err)
+			return nil, nil, fmt.Errorf("truncate torn journal %s: %w", path, err)
 		}
 		logf("journal %s: truncated torn trailing record at offset %d (%d intact entries)", path, goodOff, len(entries))
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("open journal %s: %w", path, err)
+		return nil, nil, fmt.Errorf("open journal %s: %w", path, err)
 	}
-	j := &journal{f: f, w: bufio.NewWriter(f), path: path, entries: entries, sync: syncMode, fsync: fsyncMode, logf: logf,
+	j := &journal{f: f, w: bufio.NewWriter(f), path: path, fsync: fsync, logf: logf,
+		queue:    make(chan seqEntry, journalQueueDepth),
+		done:     make(chan struct{}),
 		batches:  counters.Sum("journal.batches"),
 		batchLen: counters.Sum(proto.CtrJournalRecords),
 		fsyncs:   counters.Sum(proto.CtrJournalFsyncs),
@@ -183,19 +175,8 @@ func openJournal(path string, syncMode, fsyncMode bool, logf func(string, ...int
 		seq = max(seq, e.Seq)
 	}
 	j.seq.Store(seq)
-	if !syncMode {
-		j.queue = make(chan seqEntry, journalQueueDepth)
-		j.done = make(chan struct{})
-		go j.writeLoop()
-	}
-	return j, nil
-}
-
-// readJournal returns the journal's intact entry prefix (tests and replay
-// helpers; openJournal uses scanJournal to also repair a torn tail).
-func readJournal(path string) ([]journalEntry, error) {
-	entries, _, _, err := scanJournal(path)
-	return entries, err
+	go j.writeLoop()
+	return j, entries, nil
 }
 
 // scanJournal decodes the journal's intact entry prefix and reports where
@@ -244,46 +225,13 @@ func (j *journal) failLocked(err error) {
 	}
 }
 
-// record appends one entry. Synchronous mode tickets, writes, flushes (and
-// under fsync mode syncs) inline; asynchronous mode assigns the next order
-// ticket and enqueues, leaving marshal/write/flush to the writer
-// goroutine. durable asks the writer to fsync the batch carrying this
-// entry even when the journal's global fsync mode is off (per-folder
-// DurabilityFsync). After any write failure record fails fast: callers
-// must not acknowledge state the journal can no longer capture.
+// record appends one entry: it assigns the next order ticket and
+// enqueues, leaving marshal/write/flush to the writer goroutine. durable
+// asks the writer to fsync the batch carrying this entry even when the
+// journal's global fsync mode is off (per-folder DurabilityFsync). After
+// any write failure record fails fast: callers must not acknowledge state
+// the journal can no longer capture.
 func (j *journal) record(e journalEntry, durable bool) error {
-	if j.sync {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if j.f == nil {
-			return core.ErrClosed
-		}
-		if j.firstErr != nil {
-			return fmt.Errorf("journal: failing fast after earlier error: %w", j.firstErr)
-		}
-		e.Seq = j.seq.Add(1)
-		if e.ticketed != nil {
-			e.ticketed()
-		}
-		if err := j.appendLocked(e); err != nil {
-			j.failLocked(err)
-			return err
-		}
-		if err := j.w.Flush(); err != nil {
-			err = fmt.Errorf("journal: flush: %w", err)
-			j.failLocked(err)
-			return err
-		}
-		if j.fsync || durable {
-			if err := j.syncLocked(); err != nil {
-				j.failLocked(err)
-				return err
-			}
-		}
-		j.batches.Add(1)
-		j.batchLen.Add(1)
-		return nil
-	}
 	if err := j.stickyErr(); err != nil {
 		return fmt.Errorf("journal: failing fast after earlier error: %w", err)
 	}
@@ -320,11 +268,17 @@ func (j *journal) appendLocked(e journalEntry) error {
 	if err := fpJournalAppend.Hit(); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
+	return writeEntry(j.w, e)
+}
+
+// writeEntry marshals one entry as a line of the journal file: the one
+// encoding appends and truncation share.
+func writeEntry(w *bufio.Writer, e journalEntry) error {
 	b, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("journal: marshal: %w", err)
 	}
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
+	if _, err := w.Write(append(b, '\n')); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	return nil
@@ -343,7 +297,7 @@ func (j *journal) syncLocked() error {
 	return nil
 }
 
-// writeLoop is the async writer: it drains the queue in order — record
+// writeLoop is the writer goroutine: it drains the queue in order — record
 // sends in ticket order — appending each entry as it arrives and flushing
 // — and, in fsync mode or when the batch carried a durable-hinted entry,
 // fsyncing — once whenever the queue goes quiet rather than per record.
@@ -453,13 +407,7 @@ func (j *journal) truncateTo(watermark uint64) (kept, dropped int, err error) {
 			dropped++
 			continue
 		}
-		b, merr := json.Marshal(e)
-		if merr != nil {
-			tf.Close()
-			os.Remove(tmp)
-			return 0, 0, fmt.Errorf("journal: truncate: marshal: %w", merr)
-		}
-		if _, werr := bw.Write(append(b, '\n')); werr != nil {
+		if werr := writeEntry(bw, e); werr != nil {
 			tf.Close()
 			os.Remove(tmp)
 			return 0, 0, fmt.Errorf("journal: truncate: %w", werr)
@@ -499,21 +447,19 @@ func (j *journal) truncateTo(watermark uint64) (kept, dropped int, err error) {
 	return kept, dropped, nil
 }
 
-// close drains the async queue (writing every acknowledged entry in
-// ticket order), flushes, and closes the file. It returns the journal's
+// close drains the queue (writing every acknowledged entry in ticket
+// order), flushes, and closes the file. It returns the journal's
 // sticky first write error, so callers learn about entries the writer
 // could not persist. Safe to call more than once; the manager guards it
 // with closeOnce.
 func (j *journal) close() error {
-	if !j.sync {
-		j.seqMu.Lock()
-		if !j.closed {
-			j.closed = true
-			close(j.queue)
-		}
-		j.seqMu.Unlock()
-		<-j.done
+	j.seqMu.Lock()
+	if !j.closed {
+		j.closed = true
+		close(j.queue)
 	}
+	j.seqMu.Unlock()
+	<-j.done
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f != nil {
@@ -551,17 +497,17 @@ func (m *Manager) journalRecord(e journalEntry) error {
 	return nil
 }
 
-// replayJournal reconstructs the catalog from the journal read at open,
-// skipping entries a loaded snapshot already covers (ticket <= watermark;
+// replayJournal reconstructs the catalog from the entries openJournal
+// read, skipping entries a loaded snapshot already covers (ticket <= watermark;
 // with no snapshot the watermark is 0 and everything replays, including
 // pre-ticket entries that decode as Seq 0). Replay runs single-threaded
 // before the manager serves, with the catalog in replaying mode (lenient
 // copy-on-write validation; see catalog.replaying).
-func (m *Manager) replayJournal(watermark uint64) error {
+func (m *Manager) replayJournal(entries []journalEntry, watermark uint64) error {
 	m.cat.replaying = true
 	defer func() { m.cat.replaying = false }()
 	replayed := 0
-	for i, e := range m.journal.entries {
+	for i, e := range entries {
 		if watermark > 0 && e.Seq <= watermark {
 			continue
 		}

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -18,29 +19,37 @@ import (
 )
 
 // The tests in this file pin the ordered async journal writer's contract:
-// ticket order equals the order the synchronous journal would have
-// written (so the two modes are byte-identical on a deterministic
-// workload), replaying an async journal written under racing COW/dedup
-// commits reconstructs exactly the live catalog's final state (in any
-// stripe layout — the PR 3 invariance harness extended to the async
-// writer), and a clean Close drains every acknowledged entry before the
-// file closes.
+// ticket order is record order (so on a deterministic workload the file
+// is byte-identical to the recorded entries written in order), replaying
+// an async journal written under racing COW/dedup commits reconstructs
+// exactly the live catalog's final state (in any stripe layout — the
+// stripe-invariance harness extended to the async writer), and a clean
+// Close drains every acknowledged entry before the file closes.
 
 // driveSequentialJournal pushes a fixed, deterministic workload through a
-// manager's handlers: no concurrency, so sync and async journals must
-// come out byte-identical. The catalog's clock is pinned to a fixed
-// sequence, so the commit times the journal records match too.
-func driveSequentialJournal(t testing.TB, syncJournal bool) []byte {
+// manager's handlers, with no concurrency. It returns the journal file the
+// writer produced and a reference built beside it: every entry in the
+// order it was recorded, numbered Seq 1..n and marshaled one per line —
+// what a writer that appended each record inline would have written. The
+// catalog's clock is pinned to a fixed sequence, so the recorded commit
+// times are the same on every run.
+func driveSequentialJournal(t testing.TB) (written, want []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seq.journal")
-	m, err := newManager(Config{
+	m, err := New(Config{
 		JournalPath:       path,
 		HeartbeatInterval: time.Hour,
 		SessionTTL:        time.Hour,
-	}, defaultStripes, syncJournal)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var recorded []journalEntry
+	record := func(e journalEntry) error {
+		recorded = append(recorded, e)
+		return m.journalRecord(e)
+	}
+	m.cat.journalHook = record
 	tick := time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
 	m.cat.now = func() time.Time {
 		tick = tick.Add(time.Millisecond)
@@ -66,59 +75,58 @@ func driveSequentialJournal(t testing.TB, syncJournal bool) []byte {
 		t.Fatal(err)
 	}
 	m.policies.set("seq", core.Policy{Kind: core.PolicyReplace, KeepVersions: 2})
-	m.journalRecord(journalEntry{Op: "policy", Name: "seq", Policy: &core.Policy{Kind: core.PolicyReplace, KeepVersions: 2}})
+	if err := record(journalEntry{Op: "policy", Name: "seq", Policy: &core.Policy{Kind: core.PolicyReplace, KeepVersions: 2}}); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
+	written, err = os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw
+	for i, e := range recorded {
+		e.Seq = uint64(i + 1)
+		b, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, b...), '\n')
+	}
+	return written, want
 }
 
 // TestAsyncJournalByteIdenticalToSync: on a deterministic sequential
-// workload the ticket-ordered async writer must produce byte-for-byte
-// the journal the synchronous writer produces.
+// workload the ticket-ordered async writer must produce byte for byte
+// the journal an inline, in-order append of every recorded entry would.
 func TestAsyncJournalByteIdenticalToSync(t *testing.T) {
-	syncRaw := driveSequentialJournal(t, true)
-	asyncRaw := driveSequentialJournal(t, false)
-	if len(syncRaw) == 0 {
-		t.Fatal("sync journal is empty")
+	written, want := driveSequentialJournal(t)
+	if len(want) == 0 {
+		t.Fatal("no journal entries were recorded")
 	}
-	if !bytes.Equal(syncRaw, asyncRaw) {
-		t.Fatalf("async journal diverged from sync journal:\nsync:  %s\nasync: %s", syncRaw, asyncRaw)
+	if !bytes.Equal(written, want) {
+		t.Fatalf("async journal diverged from the in-order reference:\nwant:    %s\nwritten: %s", want, written)
 	}
 }
 
 // TestAsyncJournalReplayMatchesLiveState: racing COW/dedup commits and
 // deletes journaled through the async writer must replay — in any stripe
 // layout, including the single-lock reference — to exactly the live
-// catalog's final state. The same property must hold in sync mode (it is
-// the PR 3 harness's contract), so both run here; a divergence isolates
-// whether the async ordering, not the workload, broke replay.
+// catalog's final state.
 func TestAsyncJournalReplayMatchesLiveState(t *testing.T) {
-	for _, mode := range []struct {
-		name        string
-		syncJournal bool
-	}{
-		{"async", false},
-		{"sync", true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			journalPath, live := driveJournalWorkload(t, 8, 5, mode.syncJournal)
-			if len(live.Datasets) == 0 || len(live.Chunks) == 0 {
-				t.Fatal("live workload produced an empty catalog")
+	t.Run("async", func(t *testing.T) {
+		journalPath, live := driveJournalWorkload(t, 8, 5)
+		if len(live.Datasets) == 0 || len(live.Chunks) == 0 {
+			t.Fatal("live workload produced an empty catalog")
+		}
+		for _, stripes := range []int{1, 16} {
+			replayed := replayCatalogSnap(t, journalPath, stripes, false)
+			if !reflect.DeepEqual(live, replayed) {
+				t.Fatalf("journal replay with %d stripes diverged from live state:\nlive:     %+v\nreplayed: %+v",
+					stripes, live, replayed)
 			}
-			for _, stripes := range []int{1, 16} {
-				replayed := replayCatalogSnap(t, journalPath, stripes, false)
-				if !reflect.DeepEqual(live, replayed) {
-					t.Fatalf("%s-journal replay with %d stripes diverged from live state:\nlive:     %+v\nreplayed: %+v",
-						mode.name, stripes, live, replayed)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // versionIDs maps every committed file name to its version ID.
@@ -142,64 +150,59 @@ func versionIDs(c *catalog) map[string]core.VersionID {
 // follow the same order, which it does by taking the ID in the same step
 // as the ticket (journalEntry.ticketed).
 func TestReplayReproducesVersionIDs(t *testing.T) {
-	for _, mode := range []struct {
-		name        string
-		syncJournal bool
-	}{{"async", false}, {"sync", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "ids.journal")
-			cfg := Config{JournalPath: path, HeartbeatInterval: time.Hour, SessionTTL: time.Hour}
-			m, err := newManager(cfg, defaultStripes, mode.syncJournal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.reg.register(regReq("n1", 1<<40), 0)
-			var wg sync.WaitGroup
-			for w := 0; w < 8; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for ti := 0; ti < 40; ti++ {
-						name := fmt.Sprintf("ids.n%d.t%d", w, ti)
-						alloc, err := m.handleAlloc(proto.AllocReq{Name: name, StripeWidth: 1, ChunkSize: 512, ReserveBytes: 512})
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						chunks, total := commitChunks(int64(w*1000+ti), 1, 512)
-						if _, err := m.handleCommit(proto.CommitReq{
-							WriteID: alloc.Meta.(proto.AllocResp).WriteID, FileSize: total, Chunks: chunks,
-						}); err != nil {
-							t.Error(err)
-							return
-						}
+	t.Run("async", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "ids.journal")
+		cfg := Config{JournalPath: path, HeartbeatInterval: time.Hour, SessionTTL: time.Hour}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.reg.register(regReq("n1", 1<<40), 0)
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for ti := 0; ti < 40; ti++ {
+					name := fmt.Sprintf("ids.n%d.t%d", w, ti)
+					alloc, err := m.handleAlloc(proto.AllocReq{Name: name, StripeWidth: 1, ChunkSize: 512, ReserveBytes: 512})
+					if err != nil {
+						t.Error(err)
+						return
 					}
-				}(w)
-			}
-			wg.Wait()
-			live := versionIDs(m.cat)
-			if err := m.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if len(live) != 8*40 {
-				t.Fatalf("%d versions committed, want %d", len(live), 8*40)
-			}
-			m2, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m2.Close()
-			if replayed := versionIDs(m2.cat); !reflect.DeepEqual(replayed, live) {
-				moved := 0
-				for name, id := range live {
-					if replayed[name] != id {
-						moved++
+					chunks, total := commitChunks(int64(w*1000+ti), 1, 512)
+					if _, err := m.handleCommit(proto.CommitReq{
+						WriteID: alloc.Meta.(proto.AllocResp).WriteID, FileSize: total, Chunks: chunks,
+					}); err != nil {
+						t.Error(err)
+						return
 					}
 				}
-				t.Fatalf("%d of %d versions changed ID across replay", moved, len(live))
+			}(w)
+		}
+		wg.Wait()
+		live := versionIDs(m.cat)
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(live) != 8*40 {
+			t.Fatalf("%d versions committed, want %d", len(live), 8*40)
+		}
+		m2, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m2.Close()
+		if replayed := versionIDs(m2.cat); !reflect.DeepEqual(replayed, live) {
+			moved := 0
+			for name, id := range live {
+				if replayed[name] != id {
+					moved++
+				}
 			}
-		})
-	}
+			t.Fatalf("%d of %d versions changed ID across replay", moved, len(live))
+		}
+	})
 }
 
 // TestAsyncJournalCloseDrains: every commit acknowledged before Close
@@ -264,7 +267,7 @@ func TestAsyncJournalCloseDrains(t *testing.T) {
 // TestAsyncJournalRecordAfterClose: a record attempted after close must
 // report ErrClosed, not hang or panic against the closed queue.
 func TestAsyncJournalRecordAfterClose(t *testing.T) {
-	j, err := openJournal(filepath.Join(t.TempDir(), "c.journal"), false, false, nil, 0, new(metrics.Counters))
+	j, _, err := openJournal(filepath.Join(t.TempDir(), "c.journal"), false, nil, 0, new(metrics.Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +290,7 @@ func TestAsyncJournalRecordAfterClose(t *testing.T) {
 // default folder's commit, which asks for no fsync, still succeeds.
 func TestDurabilityFsyncFolderEscalatesCommits(t *testing.T) {
 	defer faultpoint.Reset()
-	m, _ := newJournaledManager(t, t.TempDir(), false, false)
+	m, _ := newJournaledManager(t, t.TempDir(), false)
 	defer m.Close()
 	if err := m.Invoke(proto.MPolicySet, proto.PolicySetReq{
 		Folder: "durable", Policy: core.Policy{Kind: core.PolicyNone, Durability: core.DurabilityFsync},

@@ -20,7 +20,7 @@ import (
 // return an error, and never panic. Seeds are f.Add calls: a torn record,
 // records of unknown or malformed ops, and values no writer produces.
 func FuzzJournalReplay(f *testing.F) {
-	valid := driveSequentialJournal(f, false)
+	valid, _ := driveSequentialJournal(f)
 	entries := bytes.Count(valid, []byte("\n"))
 	last := bytes.LastIndexByte(valid[:len(valid)-1], '\n') + 1
 	for _, seed := range []string{

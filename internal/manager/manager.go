@@ -64,8 +64,6 @@ type Config struct {
 	DeadTimeout time.Duration
 	// DefaultStripeWidth applies when a client requests width 0.
 	DefaultStripeWidth int
-	// DefaultChunkSize applies when a client requests chunk size 0.
-	DefaultChunkSize int64
 	// DefaultReplication is the replication target when the client does
 	// not specify one.
 	DefaultReplication int
@@ -140,9 +138,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultStripeWidth <= 0 {
 		c.DefaultStripeWidth = 4
 	}
-	if c.DefaultChunkSize <= 0 {
-		c.DefaultChunkSize = core.DefaultChunkSize
-	}
 	if c.DefaultReplication <= 0 {
 		c.DefaultReplication = core.DefaultReplicationLevel
 	}
@@ -205,14 +200,12 @@ type Manager struct {
 
 // New starts a manager serving on cfg.ListenAddr.
 func New(cfg Config) (*Manager, error) {
-	return newManager(cfg, defaultStripes, false)
+	return newManager(cfg, defaultStripes)
 }
 
-// newManager is New with the two choices only this package's tests vary:
-// the stripe count (replay must not depend on it) and syncJournal, the
-// inline journal writer the ordered async one is checked against (see
-// journal).
-func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
+// newManager is New with the stripe count, which only this package's
+// tests vary (replay must not depend on it).
+func newManager(cfg Config, stripes int) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	m := &Manager{
 		cfg:        cfg,
@@ -248,12 +241,12 @@ func newManager(cfg Config, stripes int, syncJournal bool) (*Manager, error) {
 		if err != nil {
 			return nil, fmt.Errorf("manager: load snapshot: %w", err)
 		}
-		j, err := openJournal(cfg.JournalPath, syncJournal, cfg.FsyncJournal, m.logf, watermark, &m.counters)
+		j, entries, err := openJournal(cfg.JournalPath, cfg.FsyncJournal, m.logf, watermark, &m.counters)
 		if err != nil {
 			return nil, fmt.Errorf("manager: %w", err)
 		}
 		m.journal = j
-		if err := m.replayJournal(watermark); err != nil {
+		if err := m.replayJournal(entries, watermark); err != nil {
 			j.close()
 			return nil, fmt.Errorf("manager: replay journal: %w", err)
 		}
@@ -487,7 +480,7 @@ func (m *Manager) handleAlloc(req proto.AllocReq) (wire.Resp, error) {
 	}
 	chunkSize := req.ChunkSize
 	if chunkSize <= 0 {
-		chunkSize = m.cfg.DefaultChunkSize
+		chunkSize = core.DefaultChunkSize
 	}
 	repl := req.Replication
 	if repl <= 0 {

@@ -166,16 +166,15 @@ func (c *catalog) restore(fileName string, cm *core.ChunkMap) error {
 			return nil // already present
 		}
 	}
+	// The loop above returned on a version with this ID, so only a map
+	// without one needs a fresh ID.
 	verID := cm.Version
-	if verID == 0 || versionIDTaken(ds, verID) {
+	if verID == 0 {
 		verID = core.VersionID(c.nextVersion.Add(1))
-	} else {
-		raiseFloor(&c.nextVersion, uint64(verID))
 	}
 
 	// A recovered map's chunks are stored by definition, so the charges
-	// are trusted: first references count as stored bytes even without
-	// locations (chargePlan merges locations across occurrences).
+	// are trusted.
 	asCommit := make([]proto.CommitChunk, len(cm.Chunks))
 	for i, ref := range cm.Chunks {
 		asCommit[i] = proto.CommitChunk{ID: ref.ID, Size: ref.Size}
@@ -183,12 +182,6 @@ func (c *catalog) restore(fileName string, cm *core.ChunkMap) error {
 			asCommit[i].Locations = cm.Locations[i]
 		}
 	}
-	charges := chargePlan(asCommit, true)
-	newBytes, err := c.chargeChunks(fileName, charges)
-	if err != nil {
-		return fmt.Errorf("restore %s: %w", fileName, err)
-	}
-
 	v := &version{
 		id:          verID,
 		fileName:    fileName,
@@ -196,24 +189,16 @@ func (c *catalog) restore(fileName string, cm *core.ChunkMap) error {
 		chunkSize:   cm.ChunkSize,
 		variable:    cm.Variable,
 		chunks:      append([]core.ChunkRef(nil), cm.Chunks...),
-		newBytes:    newBytes,
 		committedAt: cm.CreatedAt,
 	}
 	if v.committedAt.IsZero() {
 		v.committedAt = time.Now()
 	}
-	ds.versions = append(ds.versions, v)
-	sort.Slice(ds.versions, func(i, j int) bool { return ds.versions[i].id < ds.versions[j].id })
-	c.logicalBytes.Add(cm.FileSize)
-	c.confirmChunks(charges)
-	return nil
-}
-
-func versionIDTaken(ds *dataset, id core.VersionID) bool {
-	for _, v := range ds.versions {
-		if v.id == id {
-			return true
-		}
+	newBytes, err := c.insertTrusted(ds, v, asCommit)
+	if err != nil {
+		return fmt.Errorf("restore %s: %w", fileName, err)
 	}
-	return false
+	v.newBytes = newBytes
+	sort.Slice(ds.versions, func(i, j int) bool { return ds.versions[i].id < ds.versions[j].id })
+	return nil
 }

@@ -12,9 +12,15 @@ import (
 	"stdchk/internal/proto"
 )
 
+// readJournal returns the journal's intact entry prefix.
+func readJournal(path string) ([]journalEntry, error) {
+	entries, _, _, err := scanJournal(path)
+	return entries, err
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.log")
-	j, err := openJournal(path, false, false, nil, 0, new(metrics.Counters))
+	j, _, err := openJournal(path, false, nil, 0, new(metrics.Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,25 +37,25 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	j.close()
 
-	j2, err := openJournal(path, false, false, nil, 0, new(metrics.Counters))
+	j2, got, err := openJournal(path, false, nil, 0, new(metrics.Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.close()
-	if len(j2.entries) != 3 {
-		t.Fatalf("read back %d entries, want 3", len(j2.entries))
+	if len(got) != 3 {
+		t.Fatalf("read back %d entries, want 3", len(got))
 	}
-	if j2.entries[0].Op != "commit" || j2.entries[0].FileSize != total {
-		t.Fatalf("entry 0 = %+v", j2.entries[0])
+	if got[0].Op != "commit" || got[0].FileSize != total {
+		t.Fatalf("entry 0 = %+v", got[0])
 	}
-	if j2.entries[1].Policy == nil || j2.entries[1].Policy.Kind != core.PolicyReplace {
-		t.Fatalf("entry 1 = %+v", j2.entries[1])
+	if got[1].Policy == nil || got[1].Policy.Kind != core.PolicyReplace {
+		t.Fatalf("entry 1 = %+v", got[1])
 	}
 }
 
 func TestJournalTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.log")
-	j, err := openJournal(path, false, false, nil, 0, new(metrics.Counters))
+	j, _, err := openJournal(path, false, nil, 0, new(metrics.Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +66,13 @@ func TestJournalTornTail(t *testing.T) {
 	// Append a torn (half-written) record.
 	appendFile(t, path, `{"op":"commit","name":"torn`)
 
-	j2, err := openJournal(path, false, false, nil, 0, new(metrics.Counters))
+	j2, got, err := openJournal(path, false, nil, 0, new(metrics.Counters))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.close()
-	if len(j2.entries) != 1 {
-		t.Fatalf("torn journal yielded %d entries, want the intact prefix of 1", len(j2.entries))
+	if len(got) != 1 {
+		t.Fatalf("torn journal yielded %d entries, want the intact prefix of 1", len(got))
 	}
 }
 

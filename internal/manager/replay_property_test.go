@@ -118,12 +118,10 @@ func propChunkID(writer, t, j int, stable bool) core.ChunkID {
 // driveJournalWorkload runs concurrent writers against a journal-backed
 // manager through the real handler path: per writer a chain of versions
 // with copy-on-write chunk reuse, plus deletes and a folder policy, all
-// journaled — through the ordered async writer by default, or the
-// historical synchronous mode with syncJournal. Returns the journal path
-// and the live catalog's quiescent snapshot (newBytes excluded: which
-// racing commit first stores a shared chunk is interleaving-dependent),
-// taken before Close drains the journal.
-func driveJournalWorkload(t *testing.T, writers, versions int, syncJournal bool) (string, catSnap) {
+// journaled. Returns the journal path and the live catalog's quiescent
+// snapshot (newBytes excluded: which racing commit first stores a shared
+// chunk is interleaving-dependent), taken before Close drains the journal.
+func driveJournalWorkload(t *testing.T, writers, versions int) (string, catSnap) {
 	t.Helper()
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "manager.journal")
@@ -131,7 +129,7 @@ func driveJournalWorkload(t *testing.T, writers, versions int, syncJournal bool)
 		JournalPath:       journalPath,
 		HeartbeatInterval: time.Hour,
 		SessionTTL:        time.Hour,
-	}, defaultStripes, syncJournal)
+	}, defaultStripes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +227,7 @@ func replayCatalogSnap(t *testing.T, journalPath string, stripes int, withNewByt
 	m, err := newManager(Config{
 		JournalPath:       journalPath,
 		HeartbeatInterval: time.Hour,
-	}, stripes, false)
+	}, stripes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +239,7 @@ func replayCatalogSnap(t *testing.T, journalPath string, stripes int, withNewByt
 // with different stripe counts — including the single-lock reference
 // (stripes=1) — must produce identical metadata.
 func TestJournalReplayStripeInvariance(t *testing.T) {
-	journalPath, _ := driveJournalWorkload(t, 8, 5, false)
+	journalPath, _ := driveJournalWorkload(t, 8, 5)
 	ref := replayCatalog(t, journalPath, 1)
 	if len(ref.Datasets) == 0 || len(ref.Chunks) == 0 {
 		t.Fatal("reference replay rebuilt an empty catalog")
@@ -260,7 +258,7 @@ func TestJournalReplayStripeInvariance(t *testing.T) {
 // leaving a torn final record. Every stripe variant must replay the same
 // intact prefix and ignore the torn tail.
 func TestJournalReplayTornRecord(t *testing.T) {
-	journalPath, _ := driveJournalWorkload(t, 6, 4, false)
+	journalPath, _ := driveJournalWorkload(t, 6, 4)
 	raw, err := os.ReadFile(journalPath)
 	if err != nil {
 		t.Fatal(err)
@@ -475,7 +473,7 @@ func TestJournalOrderRespectsCOWCausality(t *testing.T) {
 		m2, err := newManager(Config{
 			JournalPath:       journalPath,
 			HeartbeatInterval: time.Hour,
-		}, stripes, false)
+		}, stripes)
 		if err != nil {
 			t.Fatalf("replay with %d stripes: %v", stripes, err)
 		}
@@ -526,7 +524,7 @@ func TestJournalReplayToleratesDeleteCommitInversion(t *testing.T) {
 		m, err := newManager(Config{
 			JournalPath:       iterPath,
 			HeartbeatInterval: time.Hour,
-		}, stripes, false)
+		}, stripes)
 		if err != nil {
 			t.Fatalf("replay with %d stripes refused the inverted journal: %v", stripes, err)
 		}
@@ -637,7 +635,7 @@ func commitTimes(c *catalog) map[string]time.Time {
 func TestJournalRestartKeepsCommitTimes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "times.journal")
 	cfg := Config{JournalPath: path, HeartbeatInterval: time.Hour, SessionTTL: time.Hour}
-	m, err := newManager(cfg, defaultStripes, false)
+	m, err := newManager(cfg, defaultStripes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +659,7 @@ func TestJournalRestartKeepsCommitTimes(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond) // a restart later than every commit
 
-	m2, err := newManager(cfg, defaultStripes, false)
+	m2, err := newManager(cfg, defaultStripes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,10 +112,10 @@ func listSnapshots(journalPath string) ([]string, error) {
 // critical sections (commit/delete under a dataset stripe, policy updates
 // under the table lock), so every mutation with ticket <= the watermark
 // read here is fully applied and visible to this walk, and every mutation
-// the walk cannot see will ticket past it. Chunk locations are read from
-// the chunk stripes under their read locks — legal ordering, a dataset
-// stripe may hold chunk stripes — and concurrent in-flight charges only
-// merge location hints, never publish versions, so the image stays
+// the walk cannot see will ticket past it. Chunk locations come from
+// buildMap, under the chunk stripes' read locks — legal ordering, a
+// dataset stripe may hold chunk stripes — and concurrent in-flight charges
+// only merge location hints, never publish versions, so the image stays
 // consistent.
 func (m *Manager) captureSnapshot() *snapshotState {
 	c := m.cat
@@ -153,23 +153,10 @@ func (m *Manager) captureSnapshot() *snapshotState {
 					Writer:      v.writer,
 					Chunks:      make([]snapChunk, len(v.chunks)),
 				}
+				locs := c.buildMap(ds, v, false).Locations
 				for i, ref := range v.chunks {
-					sv.Chunks[i] = snapChunk{ID: ref.ID, Size: ref.Size}
+					sv.Chunks[i] = snapChunk{ID: ref.ID, Size: ref.Size, Locations: locs[i]}
 				}
-				c.forEachRefShard(v.chunks, false, func(csh *chunkShard, idx []int) {
-					for _, i := range idx {
-						e, ok := csh.chunks[v.chunks[i].ID]
-						if !ok {
-							continue
-						}
-						locs := make([]core.NodeID, 0, len(e.locations))
-						for id := range e.locations {
-							locs = append(locs, id)
-						}
-						sort.Slice(locs, func(a, b int) bool { return locs[a] < locs[b] })
-						sv.Chunks[i].Locations = locs
-					}
-				})
 				sd.Versions = append(sd.Versions, sv)
 			}
 			st.Datasets = append(st.Datasets, sd)
@@ -339,16 +326,9 @@ func (c *catalog) installSnapshot(st *snapshotState) error {
 				chunks[i] = proto.CommitChunk{ID: sc.ID, Size: sc.Size, Locations: sc.Locations}
 				refs[i] = core.ChunkRef{Index: i, ID: sc.ID, Size: sc.Size}
 			}
-			// Trusted charges: the snapshot already validated this state
-			// when it was live; location-less chunks are re-created, and
-			// first references count toward storedBytes.
-			charges := chargePlan(chunks, true)
-			if _, err := c.chargeChunks(sv.FileName, charges); err != nil {
-				sh.unlock()
-				return fmt.Errorf("snapshot: %s: %w", sv.FileName, err)
-			}
-			raiseFloor(&c.nextVersion, uint64(sv.ID))
-			ds.versions = append(ds.versions, &version{
+			// The snapshot already validated this state when it was live,
+			// and it keeps the version's own newBytes.
+			if _, err := c.insertTrusted(ds, &version{
 				id:          sv.ID,
 				fileName:    sv.FileName,
 				fileSize:    sv.FileSize,
@@ -358,9 +338,10 @@ func (c *catalog) installSnapshot(st *snapshotState) error {
 				newBytes:    sv.NewBytes,
 				committedAt: sv.CommittedAt,
 				writer:      sv.Writer,
-			})
-			c.logicalBytes.Add(sv.FileSize)
-			c.confirmChunks(charges)
+			}, chunks); err != nil {
+				sh.unlock()
+				return fmt.Errorf("snapshot: %s: %w", sv.FileName, err)
+			}
 		}
 		sh.byName[sd.Name] = ds
 		sh.unlock()

@@ -17,15 +17,15 @@ import (
 // newJournaledManager starts a manager on a fresh journal for snapshot
 // tests, with benefactors registered so the real alloc/commit handler path
 // works.
-func newJournaledManager(t *testing.T, dir string, syncJournal, fsyncJournal bool) (*Manager, string) {
+func newJournaledManager(t *testing.T, dir string, fsync bool) (*Manager, string) {
 	t.Helper()
 	journalPath := filepath.Join(dir, "manager.journal")
 	m, err := newManager(Config{
 		JournalPath:       journalPath,
-		FsyncJournal:      fsyncJournal,
+		FsyncJournal:      fsync,
 		HeartbeatInterval: time.Hour,
 		SessionTTL:        time.Hour,
-	}, defaultStripes, syncJournal)
+	}, defaultStripes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,21 +68,20 @@ func commitFile(t *testing.T, m *Manager, name string, seed, n int) {
 // TestSnapshotRecoveryEquivalentToFullReplay is the replay-equivalence
 // property extended to snapshots: a random commit/delete stream with
 // snapshots taken at random ticket positions must recover byte-identical
-// to a full-journal replay of the same history — in the async journal, the
-// async+group-commit-fsync journal, and the historical sync journal.
+// to a full-journal replay of the same history — with the journal's
+// fsync off and with group-commit fsync.
 func TestSnapshotRecoveryEquivalentToFullReplay(t *testing.T) {
 	modes := []struct {
-		name        string
-		sync, fsync bool
+		name  string
+		fsync bool
 	}{
-		{"async", false, false},
-		{"async+fsync", false, true},
-		{"sync", true, false},
+		{"async", false},
+		{"async+fsync", true},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := t.TempDir()
-			m, journalPath := newJournaledManager(t, dir, mode.sync, mode.fsync)
+			m, journalPath := newJournaledManager(t, dir, mode.fsync)
 			if err := m.Invoke(proto.MPolicySet, proto.PolicySetReq{
 				Folder: "sw", Policy: core.Policy{Kind: core.PolicyNone},
 			}, nil); err != nil {
@@ -177,7 +176,7 @@ func TestSnapshotTruncationBoundsRestart(t *testing.T) {
 	dir := t.TempDir()
 	// Group-commit fsync mode: commits block until their batch is on disk,
 	// so journal file sizes are deterministic at every measurement point.
-	m, journalPath := newJournaledManager(t, dir, false, true)
+	m, journalPath := newJournaledManager(t, dir, true)
 	for i := 0; i < 12; i++ {
 		commitFile(t, m, fmt.Sprintf("tb.n%d.t0", i), 200+i, 8)
 	}
@@ -233,7 +232,7 @@ func TestSnapshotTruncationBoundsRestart(t *testing.T) {
 // snapshot — recovery must still reproduce the full catalog.
 func TestSnapshotCorruptionFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	m, journalPath := newJournaledManager(t, dir, false, false)
+	m, journalPath := newJournaledManager(t, dir, false)
 	for i := 0; i < 6; i++ {
 		commitFile(t, m, fmt.Sprintf("cf.n%d.t0", i), 500+i, 4)
 	}
@@ -284,7 +283,7 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 // keep everything the snapshot covers.
 func TestSnapshotTornJournalAtTruncationBoundary(t *testing.T) {
 	dir := t.TempDir()
-	m, journalPath := newJournaledManager(t, dir, false, false)
+	m, journalPath := newJournaledManager(t, dir, false)
 	for i := 0; i < 5; i++ {
 		commitFile(t, m, fmt.Sprintf("tt.n%d.t0", i), 800+i, 4)
 	}
@@ -329,38 +328,62 @@ func TestSnapshotTornJournalAtTruncationBoundary(t *testing.T) {
 // TestJournalErrorSurfacing: after a journal write failure, commits must
 // fail instead of acknowledging unjournaled state, the error count must
 // surface in stats, and Close must return the sticky first error.
+//
+// Without FsyncJournal (what a manager runs by default) the writer
+// appends behind the acknowledgement, so the commit made while the fault
+// is armed may still be acknowledged, and the failed append may be its
+// entry or the entry of the commit acknowledged just before — the crash
+// window FsyncJournal closes. The contract there starts once
+// journal.errors counts the failure: the next commit is refused.
 func TestJournalErrorSurfacing(t *testing.T) {
 	for _, mode := range []struct {
-		name        string
-		sync, fsync bool
+		name  string
+		fsync bool
 	}{
-		{"sync", true, false},
-		{"async+fsync", false, true},
+		{"async", false},
+		{"async+fsync", true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			defer faultpoint.Reset()
 			dir := t.TempDir()
-			m, _ := newJournaledManager(t, dir, mode.sync, mode.fsync)
+			m, _ := newJournaledManager(t, dir, mode.fsync)
+			commit := func(name string, seed int64) error {
+				var alloc proto.AllocResp
+				if err := m.Invoke(proto.MAlloc, proto.AllocReq{
+					Name: name, StripeWidth: 1, ChunkSize: 1 << 10, ReserveBytes: 4 << 10, Replication: 1,
+				}, &alloc); err != nil {
+					t.Fatal(err)
+				}
+				chunks, total := commitChunks(seed, 4, 1<<10)
+				for i := range chunks {
+					chunks[i].Locations = []core.NodeID{alloc.Stripe[0].ID}
+				}
+				return m.Invoke(proto.MCommit, proto.CommitReq{
+					WriteID: alloc.WriteID, FileSize: total, Chunks: chunks,
+				}, nil)
+			}
 			commitFile(t, m, "je.n0.t0", 10, 4)
-			before := snapshotCatalog(m.cat, true)
 
 			if err := faultpoint.Enable("manager.journal.append", faultpoint.Config{Mode: faultpoint.ModeError}); err != nil {
 				t.Fatal(err)
 			}
-			var alloc proto.AllocResp
-			if err := m.Invoke(proto.MAlloc, proto.AllocReq{
-				Name: "je.n1.t0", StripeWidth: 1, ChunkSize: 1 << 10, ReserveBytes: 4 << 10, Replication: 1,
-			}, &alloc); err != nil {
-				t.Fatal(err)
+			refused, seed := "je.n1.t0", int64(11)
+			if !mode.fsync {
+				// Acknowledged or not, this commit's entry reaches the
+				// armed append unless an earlier entry already failed it.
+				_ = commit("je.n1.t0", 11)
+				deadline := time.Now().Add(5 * time.Second)
+				for counter(t, m.Stats(), "journal.errors") == 0 {
+					if time.Now().After(deadline) {
+						t.Fatal("journal.errors never counted the armed append failure")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				refused, seed = "je.n2.t0", 12
 			}
-			chunks, total := commitChunks(11, 4, 1<<10)
-			for i := range chunks {
-				chunks[i].Locations = []core.NodeID{alloc.Stripe[0].ID}
-			}
-			if err := m.Invoke(proto.MCommit, proto.CommitReq{
-				WriteID: alloc.WriteID, FileSize: total, Chunks: chunks,
-			}, nil); err == nil {
-				t.Fatal("commit acknowledged though its journal record failed")
+			before := snapshotCatalog(m.cat, true)
+			if err := commit(refused, seed); err == nil {
+				t.Fatal("commit acknowledged though the journal had failed")
 			}
 			// The failed commit must have rolled back completely.
 			if after := snapshotCatalog(m.cat, true); !reflect.DeepEqual(before, after) {
@@ -392,7 +415,7 @@ func TestSnapshotFaultsAreAtomic(t *testing.T) {
 		t.Run(point, func(t *testing.T) {
 			defer faultpoint.Reset()
 			dir := t.TempDir()
-			m, journalPath := newJournaledManager(t, dir, false, false)
+			m, journalPath := newJournaledManager(t, dir, false)
 			for i := 0; i < 4; i++ {
 				commitFile(t, m, fmt.Sprintf("sf.n%d.t0", i), 20+i, 4)
 			}
@@ -594,7 +617,7 @@ func copyDir(t *testing.T, src, dst string) {
 // durability ack.
 func TestJournalTicketsResumeAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	m, journalPath := newJournaledManager(t, dir, false, true)
+	m, journalPath := newJournaledManager(t, dir, true)
 	for i := 0; i < 3; i++ {
 		commitFile(t, m, fmt.Sprintf("rx.n%d.t0", i), 50+i, 4)
 	}
